@@ -185,6 +185,29 @@ class Element:
         e.terms = out
         return e
 
+    def add_scaled(self, other: "Element", c: RationalFunction) -> None:
+        """Add ``c * other`` into this element in place.
+
+        Only for a fresh accumulator that the caller built and still owns:
+        never call it on an element held in a rule table, memo or cache, or
+        on one already handed to other code.  Everywhere else use ``+`` and
+        ``scale``, which build new elements.
+        """
+        if c.is_zero():
+            return
+        one = c.is_one()
+        terms = self.terms
+        for m, v in other.terms.items():
+            if not one:
+                v = v * c
+            old = terms.get(m)
+            if old is not None:
+                v = old + v
+                if v.is_zero():
+                    del terms[m]
+                    continue
+            terms[m] = v
+
     def __neg__(self) -> "Element":
         e = Element(self.params)
         e.terms = {m: -c for m, c in self.terms.items()}
@@ -649,7 +672,7 @@ class RuleTable:
                 raise UnsupportedGenerator("this table has no exterior derivative")
             out = Element.zero(self.params)
             for dm, dc in self._d_real.terms.items():
-                out = out + self.mul_mono_mono(m, dm).scale(dc)
+                out.add_scaled(self.mul_mono_mono(m, dm), dc)
             self._memo[key] = out
             return out
         j = -1
@@ -691,7 +714,7 @@ class RuleTable:
             prefix_t = tuple(prefix)
             out = Element.zero(self.params)
             for rm, rc in rule.terms.items():
-                out = out + self.mul_mono_mono(prefix_t, rm).scale(rc)
+                out.add_scaled(self.mul_mono_mono(prefix_t, rm), rc)
         self._memo[key] = out
         return out
 
@@ -703,7 +726,7 @@ class RuleTable:
         for letter in mono_letters(m2):
             acc = Element.zero(self.params)
             for m, c in e.terms.items():
-                acc = acc + self.mul_mono_letter(m, letter).scale(c)
+                acc.add_scaled(self.mul_mono_letter(m, letter), c)
             e = acc
         return e
 
@@ -722,13 +745,7 @@ class RuleTable:
         out = Element.zero(self.params)
         for m1, c1 in a.terms.items():
             for m2, c2 in b.terms.items():
-                out = out + self.mul_mono_mono(m1, m2).scale(c1 * c2)
-        return out
-
-    def mul_all(self, *factors: Element) -> Element:
-        out = Element.one(self.params)
-        for f in factors:
-            out = self.mul(out, f)
+                out.add_scaled(self.mul_mono_mono(m1, m2), c1 * c2)
         return out
 
     def normalize_word(self, word: Iterable[WordItem]) -> Element:
@@ -736,7 +753,7 @@ class RuleTable:
         for letter in word_letters(word):
             acc = Element.zero(self.params)
             for m, c in e.terms.items():
-                acc = acc + self.mul_mono_letter(m, letter).scale(c)
+                acc.add_scaled(self.mul_mono_letter(m, letter), c)
             e = acc
         return e
 
@@ -745,7 +762,7 @@ class RuleTable:
         if isinstance(w, Element):
             out = Element.zero(self.params)
             for m, c in w.terms.items():
-                out = out + self.mul_mono_mono(ONE_MONO, m).scale(c)
+                out.add_scaled(self.mul_mono_mono(ONE_MONO, m), c)
             return out
         return self.normalize_word(w)
 

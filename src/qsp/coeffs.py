@@ -7,6 +7,9 @@ denominator normalized to leading coefficient 1 under graded-lexicographic
 order (variables compared in the order the ParamSet lists them).
 
 All values are immutable after construction and all operations are pure.
+An operation may return one of its operands unchanged (``a * 1`` is ``a``
+itself), so a value, and the polynomial dicts inside it, must never be
+mutated once built.
 """
 
 from __future__ import annotations
@@ -429,12 +432,6 @@ class RationalFunction:
         self.num = num
         self.den = den
 
-    # -- constructors --------------------------------------------------------
-
-    @staticmethod
-    def make(params: ParamSet, num: Poly, den: Poly) -> "RationalFunction":
-        return RationalFunction(params, num, den)
-
     # -- predicates ----------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -474,6 +471,14 @@ class RationalFunction:
         self._check(other)
         if not self.num or not other.num:
             return self.params.zero()
+        if other.is_one():
+            return self
+        if self.is_one():
+            return other
+        if _poly_is_one(self.den) and _poly_is_one(other.den):
+            # a product of polynomials is already reduced over denominator 1
+            return RationalFunction(self.params, _poly_mul(self.num, other.num),
+                                    self.den, _raw=True)
         # cross-cancel before multiplying to keep intermediates small
         g1 = poly_gcd(self.num, other.den)
         g2 = poly_gcd(other.num, self.den)

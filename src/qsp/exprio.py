@@ -74,7 +74,11 @@ def tokenize(text: str):
         number, name, op = m.groups()
         at = m.start(1) if number else (m.start(2) if name else m.start(3))
         if number:
-            tokens.append(("num", Fraction(number), at))
+            try:
+                value = Fraction(number)
+            except ZeroDivisionError:
+                raise ExprSyntaxError("zero denominator in rational literal", at) from None
+            tokens.append(("num", value, at))
         elif name:
             tokens.append(("name", name, at))
         else:

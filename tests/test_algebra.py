@@ -15,6 +15,7 @@ from qsp.algebra import (
     parity_of,
     substitute_params,
 )
+from qsp.calculus import DERIVED_NAMES, expand_derived
 from qsp.coeffs import PARAMS_I
 
 
@@ -227,3 +228,34 @@ def test_local_confluence_small(t2, t3):
 def test_confluence_rejects_short_bound(t2):
     with pytest.raises(ValueError):
         local_confluence_check(t2, 2)
+
+
+def test_stored_elements_survive_in_place_accumulation():
+    # normal ordering accumulates into fresh elements in place; the memo, the
+    # rule table and the derived-symbol cache must never be written through
+    rt = build_rule_table(CalculusType.type_ii())
+    rng = random.Random(4)
+    alphabet = [("x", 1), ("x", -1), ("th", 1), ("dx", 1), ("dth", 1), ("d", 1),
+                ("px", 1), ("pth", 1), ("ix", 1), ("ith", 1)]
+
+    def word():
+        return [alphabet[rng.randrange(len(alphabet))] for _ in range(rng.randint(1, 4))]
+
+    for _ in range(60):
+        rt.normalize_word(word())
+    derived = [expand_derived(rt, name) for name in DERIVED_NAMES]
+
+    def snapshot():
+        return [{k: dict(e.terms) for k, e in store.items()}
+                for store in (rt._memo, rt.rules, rt._derived_cache)]
+
+    before = snapshot()
+    local_confluence_check(rt, 3)
+    for _ in range(10):
+        a, b = rt.normalize_word(word()), rt.normalize_word(word())
+        rt.mul(a, b)
+        rt.mul(derived[rng.randrange(len(derived))], a)
+        rt.normalize(rt.mul(a, rt.d_element()))
+    after = snapshot()
+    for stored, now in zip(before, after):
+        assert all(now[k] == terms for k, terms in stored.items())

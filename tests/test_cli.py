@@ -23,6 +23,13 @@ def test_normalize_syntax_error(capsys):
     assert "error" in err
 
 
+def test_normalize_zero_denominator_literal(capsys):
+    for text, at in (("1/0", 0), ("x*3/00", 2)):
+        code, out, err = invoke(capsys, "normalize", "--type", "II", text)
+        assert code == 2 and out == ""
+        assert f"position {at}" in err
+
+
 def test_check_pass_and_fail(capsys):
     code, out, _ = invoke(capsys, "check", "--type", "II", "H*Nb == Nb*H")
     assert code == 0 and "PASS" in out

@@ -8,7 +8,15 @@ Words are normal-ordered into the fixed generator order
 adjacent pair of generators has a rewrite rule whose right-hand side is
 already normal-ordered; rules against x^-1 are derived from the x-rules by
 solving g = (g*x)*x^-1.  The engine multiplies by folding one generator at a
-time into a canonical monomial, with the single-step products memoized.
+time into a canonical monomial.  Each table keeps two memos: one for the
+product of a monomial with a single letter, one for the product of two
+monomials, so every product that needs a rewrite is computed once per table
+(products already in order are built directly).  Before a product is
+memoized, its coefficients are replaced by one canonical instance per value,
+which keeps the memos from holding many equal copies.  A power x^k
+(|k| >= 2) passes dx or dth as x^(k-b) (x^b g) with b = k/2 rounded toward
+zero, so the recursion depth grows as log k.  Confluence makes normal forms
+unique, so neither memo nor split changes an answer.
 
 The exterior-derivative generator d is accepted in input words but is not a
 basis letter: the stated commutation relations make d - (dx*px + dth*pth)
@@ -461,8 +469,16 @@ class RuleTable:
         self.ct = ct
         self.params = ct.params
         self.rules = rules
+        # (monomial, letter) -> product, and (monomial, monomial) -> product
+        # for the pairs _memo does not already answer; both hold coefficients
+        # interned in _pool (coefficient -> its canonical instance)
         self._memo: dict = {}
+        self._pair_memo: dict = {}
+        self._pool: dict = {self.params.one(): self.params.one()}
         self._derived_cache: dict = {}
+        # bound -> first nonzero H and Nb residuals of the twisted-Leibniz
+        # grid, shared by the eq59 and eq62 identities (calculus)
+        self._leibniz_residuals: dict = {}
         # realization of the exterior derivative; None while the core table
         # is being assembled (no d-words are touched during that phase)
         self._d_real: Element | None = None
@@ -578,11 +594,6 @@ class RuleTable:
         for g in (PX, PTH, IX, ITH):
             self.rules[(g, D, 0)] = self.mul(unit[g], dd)
 
-    @classmethod
-    def from_rules(cls, ct: CalculusType, rules: dict) -> "RuleTable":
-        """Assemble a table from explicit rules (used by the constraint passes)."""
-        return cls(ct, rules)
-
     def _derive_x_inverse_rules(self) -> None:
         P = self.params
         one = P.one()
@@ -661,6 +672,17 @@ class RuleTable:
 
     # -- multiplication ---------------------------------------------------------
 
+    def _store(self, memo: dict, key, e: Element) -> Element:
+        """Intern the coefficients of a fresh product and memoize it."""
+        pool = self._pool
+        one = self.params.one()
+        terms = e.terms
+        for m, c in terms.items():
+            if c is not one:   # the shared one is most of them; skip its hash
+                terms[m] = pool.setdefault(c, c)
+        memo[key] = e
+        return e
+
     def mul_mono_letter(self, m: Monomial, letter: tuple) -> Element:
         key = (m, letter)
         hit = self._memo.get(key)
@@ -673,30 +695,42 @@ class RuleTable:
             out = Element.zero(self.params)
             for dm, dc in self._d_real.terms.items():
                 out.add_scaled(self.mul_mono_mono(m, dm), dc)
-            self._memo[key] = out
-            return out
+            return self._store(self._memo, key, out)
         j = -1
         for i in range(NGENS - 1, -1, -1):
             if m[i]:
                 j = i
                 break
+        k = m[j]
+        # a letter that needs no rewrite is cheaper to apply than to memoize
         if g > j:
             mm = list(m)
             mm[g] = s
-            out = Element.monomial(self.params, tuple(mm))
-        elif g == j:
+            return Element.monomial(self.params, tuple(mm))
+        if g == j:
             if g == X:
                 mm = list(m)
                 mm[X] += s
-                out = Element.monomial(self.params, tuple(mm))
-            elif g in NILPOTENT:
-                out = Element.zero(self.params)
-            else:
-                mm = list(m)
-                mm[g] += 1
-                out = Element.monomial(self.params, tuple(mm))
+                return Element.monomial(self.params, tuple(mm))
+            if g in NILPOTENT:
+                return Element.zero(self.params)
+            mm = list(m)
+            mm[g] += 1
+            return Element.monomial(self.params, tuple(mm))
+        if j == X and abs(k) >= 2:
+            # x^k g = x^(k-b) (x^b g) with b = k/2 rounded toward zero: the
+            # recursion depth is logarithmic in k, not linear
+            b = k // 2 if k > 0 else -(-k // 2)
+            half = [0] * NGENS
+            half[X] = b
+            inner = self.mul_mono_letter(tuple(half), letter)
+            head = list(m)
+            head[X] = k - b
+            head_t = tuple(head)
+            out = Element.zero(self.params)
+            for im, ic in inner.terms.items():
+                out.add_scaled(self.mul_mono_mono(head_t, im), ic)
         else:
-            k = m[j]
             u = 1 if j != X else (1 if k > 0 else -1)
             if j == X:
                 rkey = (j, g, u)
@@ -715,20 +749,30 @@ class RuleTable:
             out = Element.zero(self.params)
             for rm, rc in rule.terms.items():
                 out.add_scaled(self.mul_mono_mono(prefix_t, rm), rc)
-        self._memo[key] = out
-        return out
+        return self._store(self._memo, key, out)
 
     def mul_mono_mono(self, m1: Monomial, m2: Monomial) -> Element:
+        key = (m1, m2)
+        hit = self._pair_memo.get(key)
+        if hit is not None:
+            return hit
         if m1[D]:
             e = self._realize_mono(m1)
         else:
+            first = next((i for i, v in enumerate(m2) if v), NGENS)
+            if mono_degree(m2) == 1:
+                return self.mul_mono_letter(m1, (first, m2[first]))
+            last = max((i for i, v in enumerate(m1) if v), default=-1)
+            if not m2[D] and (last < first or last == first == X):
+                # already in order: the product is the merged monomial
+                return Element.monomial(self.params, tuple(a + b for a, b in zip(m1, m2)))
             e = Element.monomial(self.params, m1)
         for letter in mono_letters(m2):
             acc = Element.zero(self.params)
             for m, c in e.terms.items():
                 acc.add_scaled(self.mul_mono_letter(m, letter), c)
             e = acc
-        return e
+        return self._store(self._pair_memo, key, e)
 
     def _realize_mono(self, m: Monomial) -> Element:
         """Expand the d-slot of a user-built monomial into the d-free basis."""

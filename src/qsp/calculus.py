@@ -570,13 +570,17 @@ _add(Identity("eq58-monomial-omegath", "(58)", "word-level", _eq58_omegath_run))
 
 
 def _leibniz_run(index):
+    # eq59 reads the H residual and eq62 the Nb residual of the same (f, g)
+    # grid, so the grid is computed once per table and serves both
     def run(rt: RuleTable, bound: int) -> Element:
         b = min(bound, 4)
-        residuals = []
-        for f in hopf.coordinate_basis(b):
-            for g in hopf.coordinate_basis(b):
-                residuals.append(hopf.coproduct_U_residuals(rt, f, g)[index])
-        return _first_nonzero(residuals)
+        firsts = rt._leibniz_residuals.get(b)
+        if firsts is None:
+            basis = hopf.coordinate_basis(b)
+            grid = [hopf.coproduct_U_residuals(rt, f, g) for f in basis for g in basis]
+            firsts = rt._leibniz_residuals[b] = [
+                _first_nonzero(residuals[i] for residuals in grid) for i in (0, 1)]
+        return firsts[index]
 
     return run
 

@@ -3,7 +3,7 @@ solve-types.
 
 Exit codes: 0 success (all verified identities pass, known-discrepancy
 certificates excluded), 1 at least one unexpected FAIL, 2 usage or input
-error, 3 internal invariant violation.
+error, 3 internal invariant violation or any other unexpected error.
 """
 
 from __future__ import annotations
@@ -59,20 +59,24 @@ def _parse_param(text: str) -> tuple[str, Fraction]:
 
 
 def _read_config(path: str) -> dict:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise argparse.ArgumentTypeError(f"cannot read config file: {exc}") from None
     config: dict = {"params": []}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise argparse.ArgumentTypeError(f"bad config line {line!r}")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key == "param":
-                config["params"].append(_parse_param(value))
-            else:
-                config[key] = value
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise argparse.ArgumentTypeError(f"bad config line {line!r}")
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if key == "param":
+            config["params"].append(_parse_param(value))
+        else:
+            config[key] = value
     return config
 
 
@@ -218,6 +222,11 @@ def run(argv) -> int:
     except QspError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # last resort, so that exit 1 only ever means "an identity failed";
+        # SystemExit is not an Exception and still leaves with argparse's 2
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     return 0
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Union
 
 Exponent = tuple[int, ...]
@@ -69,14 +70,28 @@ class ParamSet:
         except ValueError:
             raise MissingVariable(f"unknown parameter {name!r}") from None
 
-    def zero(self) -> "RationalFunction":
+    # zero and one are built once per parameter set and shared; values are
+    # immutable, so every caller may hold the same instance
+    @cached_property
+    def _zero(self) -> "RationalFunction":
         return RationalFunction(self, {}, _poly_const(self.nvars, 1), _raw=True)
 
-    def one(self) -> "RationalFunction":
+    @cached_property
+    def _one(self) -> "RationalFunction":
         c = _poly_const(self.nvars, 1)
         return RationalFunction(self, c, dict(c), _raw=True)
 
+    def zero(self) -> "RationalFunction":
+        return self._zero
+
+    def one(self) -> "RationalFunction":
+        return self._one
+
     def const(self, value: Rat) -> "RationalFunction":
+        if value == 0:
+            return self._zero
+        if value == 1:
+            return self._one
         return RationalFunction(
             self, _poly_const(self.nvars, value), _poly_const(self.nvars, 1), _raw=True
         )

@@ -23,7 +23,6 @@ from .coeffs import (
     QspError,
     RationalFunction,
     _poly_substitute_rf,
-    poly_str,
 )
 from .algebra import (
     DX, DTH, X, TH,
@@ -241,9 +240,6 @@ class CovarianceConstraints:
         self.left = left
         self.notes = notes
 
-    def describe(self, params: ParamSet) -> list[str]:
-        return [poly_str(p, params.variables) for p in self.right]
-
 
 def generate_covariance_constraints() -> CovarianceConstraints:
     """Apply both coactions to the differential-module relations symbolically.
@@ -394,7 +390,7 @@ def _inner_coordinate_table() -> RuleTable:
                        + Element.monomial(P, mono(x=1, ix=1), A[8])),
         (IX, IX, 0): Element.zero(P),
     }
-    return RuleTable.from_rules(ct, rules)
+    return RuleTable(ct, rules)
 
 
 def _inner_differential_table() -> RuleTable:
@@ -418,7 +414,7 @@ def _inner_differential_table() -> RuleTable:
                         + Element.monomial(P, mono(dx=1, ix=1), a[8])),
         (IX, IX, 0): Element.zero(P),
     }
-    return RuleTable.from_rules(ct, rules)
+    return RuleTable(ct, rules)
 
 
 def generate_ansatz_constraints(kind: str) -> list[Poly]:

@@ -125,6 +125,11 @@ def test_d_leibniz_as_elements(t2):
     lhs = t2.word("d", "th")
     rhs = t2.word("dth") - t2.word("th", "d")
     assert lhs == rhs
+    # a user-built monomial may carry d; as a right factor it is realized too
+    P = t2.params
+    for left in (mono(), mono(x=1), mono(dx=1, x=2)):
+        got = t2.mul(Element.monomial(P, left), Element.monomial(P, mono(d=1, px=1)))
+        assert got == t2.mul(Element.monomial(P, left), t2.word("d", "px")), left
 
 
 def test_multiply_unit_and_examples(t2):
@@ -231,8 +236,8 @@ def test_confluence_rejects_short_bound(t2):
 
 
 def test_stored_elements_survive_in_place_accumulation():
-    # normal ordering accumulates into fresh elements in place; the memo, the
-    # rule table and the derived-symbol cache must never be written through
+    # normal ordering accumulates into fresh elements in place; the memos,
+    # the rule table and the derived-symbol cache must never be written through
     rt = build_rule_table(CalculusType.type_ii())
     rng = random.Random(4)
     alphabet = [("x", 1), ("x", -1), ("th", 1), ("dx", 1), ("dth", 1), ("d", 1),
@@ -247,9 +252,10 @@ def test_stored_elements_survive_in_place_accumulation():
 
     def snapshot():
         return [{k: dict(e.terms) for k, e in store.items()}
-                for store in (rt._memo, rt.rules, rt._derived_cache)]
+                for store in (rt._memo, rt._pair_memo, rt.rules, rt._derived_cache)]
 
     before = snapshot()
+    assert before[1], "the words above must fill the pair memo"
     local_confluence_check(rt, 3)
     for _ in range(10):
         a, b = rt.normalize_word(word()), rt.normalize_word(word())
@@ -259,3 +265,32 @@ def test_stored_elements_survive_in_place_accumulation():
     after = snapshot()
     for stored, now in zip(before, after):
         assert all(now[k] == terms for k, terms in stored.items())
+
+
+POWERS = (1, 2, 7, 64, 2000, 5000)
+
+
+@pytest.mark.parametrize("name", ["I", "II", "III"])
+def test_powers_of_x_past_differentials_match_closed_forms(name):
+    # x^k dx = Q^k dx x^k and x^k dth = A_k dth x^k + B_k dx x^(k-1) th with
+    # A_0 = 1, B_0 = 0, A_(k+1) = Q11 A_k, B_(k+1) = Q B_k + Q12 q^-k Q11^k:
+    # the expected values come from the coefficient field alone
+    ct = CalculusType.by_name(name)
+    rt = build_rule_table(ct)
+    P = ct.params
+    one = P.one()
+    dx, dth = Element.monomial(P, mono(dx=1)), Element.monomial(P, mono(dth=1))
+    q_k, a_k, b_k, q_inv_k = one, one, P.zero(), one
+    for k in range(1, max(POWERS) + 1):
+        a_k, b_k = ct.Q11 * a_k, ct.Q * b_k + ct.Q12 * q_inv_k * a_k
+        q_k, q_inv_k = ct.Q * q_k, q_inv_k / ct.q
+        if k not in POWERS:
+            continue
+        xk = Element.monomial(P, mono(x=k))
+        assert rt.mul(xk, dx) == Element.monomial(P, mono(dx=1, x=k), q_k), k
+        along_dth = rt.mul(xk, dth)
+        assert along_dth == (Element.monomial(P, mono(dth=1, x=k), a_k)
+                             + Element.monomial(P, mono(dx=1, x=k - 1, th=1), b_k)), k
+        x_inv_k = Element.monomial(P, mono(x=-k))
+        assert rt.mul(x_inv_k, along_dth) == dth, k
+        assert rt.mul(x_inv_k, rt.mul(xk, dx)) == dx, k

@@ -2,6 +2,7 @@
 
 import json
 
+import qsp.cli
 from qsp.cli import run
 
 
@@ -152,3 +153,26 @@ def test_bad_usage(capsys):
     assert code == 2
     code, _, _ = invoke(capsys, "nonsense")
     assert code == 2
+
+
+def test_unexpected_exception_exits_3(capsys, monkeypatch):
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(qsp.cli, "parse_element", boom)
+    code, out, err = invoke(capsys, "normalize", "--type", "II", "x")
+    assert code == 3 and out == ""
+    assert err.strip() == "internal error: RuntimeError: boom"
+
+
+def test_missing_config_file_exits_2(tmp_path, capsys):
+    code, out, err = invoke(capsys, "normalize", "--config",
+                            str(tmp_path / "absent.cfg"), "x")
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot read config file")
+
+
+def test_normalize_high_power_past_differential(capsys):
+    code, out, err = invoke(capsys, "normalize", "--type", "II", "x^2000*dx")
+    assert code == 0 and err == ""
+    assert out.strip() == "r^2000*dx*x^2000"

@@ -18,6 +18,14 @@ which keeps the memos from holding many equal copies.  A power x^k
 zero, so the recursion depth grows as log k.  Confluence makes normal forms
 unique, so neither memo nor split changes an answer.
 
+The local-confluence audit rewrites every short word along each applicable
+first step and folds the branch one letter at a time.  It walks the words in
+lexicographic order and keeps the partial products along the path of the
+last audited word, so a prefix or branch shared with the next word is
+multiplied once.  Each kept product comes from the same multiplication the
+plain fold makes, in the same order, so the audit reports exactly what the
+fold would, also on a table that is not confluent.
+
 The exterior-derivative generator d is accepted in input words but is not a
 basis letter: the stated commutation relations make d - (dx*px + dth*pth)
 a zero divisor killed by 1 - 1/Q, so for a generic deformation d coincides
@@ -872,39 +880,65 @@ def local_confluence_check(rt: RuleTable, max_len: int) -> ConfluenceReport:
     Words run over all nine generators with x occurring as x or x^-1; a
     violation records the word, the two diverging first steps, and the
     residual difference of the fully normalized branches.
+
+    A branch is built by the letter-by-letter fold: the prefix word[:i]
+    folded from 1 one letter at a time, times the right-hand side of the
+    rule for word[i], word[i+1], then times each suffix letter in turn.
+    Words come in lexicographic order, a depth-first walk of the word trie,
+    so the audit replays that fold along the path of the last audited word:
+    every partial product over word[:j] is kept while the next word shares
+    its first j letters and is recomputed past the shared part.  Each kept
+    state is the result of the very ``rt.mul`` call the fold makes, with the
+    same operands in the same order, so every branch, and every residual,
+    is the one the fold gives, even on a table that is not confluent.
     """
     if max_len < 3:
         raise ValueError("max_len must be at least 3")
     alphabet = [(g, 1) for g in range(NGENS)] + [(X, -1)]
+    letters = {a: Element.monomial(rt.params, _letter_mono(a)) for a in alphabet}
     words_checked = 0
     branch_pairs = 0
     violations: list[ConfluenceViolation] = []
+    # path of the last audited word `held`: folds[j] is word[:j] folded from
+    # 1; paths[i][k] is the branch through rule i times the letters up to
+    # word[i+1+k], so it depends on word[:i+2+k] only
+    held: tuple = ()
+    folds = [Element.one(rt.params)]
+    paths: dict[int, list[Element]] = {}
     for length in range(3, max_len + 1):
         for word in _itproduct(alphabet, repeat=length):
-            steps = []
-            for i in range(length - 1):
-                if _reducible(rt, word[i], word[i + 1]) is not None:
-                    steps.append(i)
+            keys = [_reducible(rt, word[i], word[i + 1]) for i in range(length - 1)]
+            steps = [i for i, key in enumerate(keys) if key is not None]
             if len(steps) < 2:
                 continue
             words_checked += 1
-            branches = {}
+            shared = 0
+            for a, b in zip(held, word):
+                if a != b:
+                    break
+                shared += 1
+            held = word
+            del folds[shared + 1:]
+            for i in list(paths):
+                if shared < i + 2:
+                    del paths[i]
+                else:
+                    del paths[i][shared - i - 1:]
+            branches = []
             for i in steps:
-                key = _reducible(rt, word[i], word[i + 1])
-                rhs = rt.rules[key]
-                prefix = Element.one(rt.params)
-                for letter in word[:i]:
-                    prefix = rt.mul(prefix, Element.monomial(rt.params, _letter_mono(letter)))
-                out = rt.mul(prefix, rhs)
-                for letter in word[i + 2:]:
-                    out = rt.mul(out, Element.monomial(rt.params, _letter_mono(letter)))
-                branches[i] = out
-            base_i = steps[0]
-            for i in steps[1:]:
+                while len(folds) <= i:
+                    folds.append(rt.mul(folds[-1], letters[word[len(folds) - 1]]))
+                path = paths.get(i)
+                if path is None:
+                    path = paths[i] = [rt.mul(folds[i], rt.rules[keys[i]])]
+                while len(path) < length - i - 1:
+                    path.append(rt.mul(path[-1], letters[word[i + 1 + len(path)]]))
+                branches.append(path[-1])
+            base = branches[0]
+            for i, branch in zip(steps[1:], branches[1:]):
                 branch_pairs += 1
-                residual = branches[base_i] - branches[i]
-                if not residual.is_zero():
-                    violations.append(ConfluenceViolation(word, (base_i, i), residual))
+                if branch != base:
+                    violations.append(ConfluenceViolation(word, (steps[0], i), base - branch))
     return ConfluenceReport(max_len, words_checked, branch_pairs, violations)
 
 

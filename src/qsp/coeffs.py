@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import sub
 from typing import Mapping, Union
 
 Exponent = tuple[int, ...]
@@ -198,6 +199,15 @@ def _poly_div_exact(a: Poly, b: Poly) -> Poly:
     if _poly_is_one(b):
         return dict(a)
     quot: Poly = {}
+    if len(b) == 1:
+        # a single-term divisor divides term by term; monomial gcds are monic
+        (mb, cb), = b.items()
+        for m, c in a.items():
+            e = tuple(map(sub, m, mb))
+            if min(e, default=0) < 0:
+                raise ArithmeticError("inexact polynomial division")
+            quot[e] = c if cb == 1 else c / cb
+        return quot
     rem = dict(a)
     mb, cb = _poly_leading(b)
     while rem:

@@ -7,7 +7,8 @@ Grammar (whitespace-insensitive, multiplication always explicit):
     factor := atom ["^" ["-"] integer]
     atom   := rational | symbol | "(" expr ")"
 
-A rational literal is digits or digits/digits.  Division requires a scalar
+A rational literal is digits or digits/digits; an exponent is at most
+MAX_EXPONENT in absolute value.  Division requires a scalar
 divisor (it exists so printed coefficients such as (q)/(r - 1) read back).
 A tensor expression is two expressions separated by the three-character
 token (x); because juxtaposition is never multiplication the separator is
@@ -34,6 +35,7 @@ from .algebra import (
     Element,
     Monomial,
     RuleTable,
+    mono,
     mono_sort_key,
 )
 from .hopf import TensorElement, UElement
@@ -56,6 +58,10 @@ class BadExponent(QspError):
 # ----------------------------------------------------------------------------
 # Lexer / parser
 # ----------------------------------------------------------------------------
+
+# Largest absolute value of a "^" exponent: every power the engine builds
+# then stays bounded in time and memory
+MAX_EXPONENT = 10_000
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+(?:/\d+)?)|([A-Za-z][A-Za-z0-9]*)|([-+*/^()]))")
 
@@ -147,6 +153,8 @@ class _Parser:
             kind, val, pos = self.next()
             if kind != "num" or val.denominator != 1:
                 raise ExprSyntaxError("exponent must be an integer", pos)
+            if val > MAX_EXPONENT:
+                raise ExprSyntaxError(f"exponent exceeds {MAX_EXPONENT}", pos)
             return ("pow", base, sign * int(val))
         return base
 
@@ -253,7 +261,8 @@ def _eval_symbol(rt: RuleTable, name: str, power: int, derived) -> Element:
         if power < 0 and g != X:
             raise BadExponent(f"negative power of {name!r} is not invertible")
         if g == X:
-            return rt.normalize_word([("x", power)])
+            # a pure power of x is already in normal form
+            return Element.monomial(P, mono(x=power))
         return rt.normalize_word([name] * power)
     if name == "q" and "q" in P.variables:
         # the deformation parameter follows numeric specializations
@@ -350,10 +359,6 @@ def _mono_str(m: Monomial) -> str:
     return "*".join(parts)
 
 
-def _frac_str(f: Fraction) -> str:
-    return str(f)
-
-
 def _coeff_term(c: RationalFunction) -> tuple[int, str]:
     """Render a coefficient as (sign, body) with the sign pulled out when the
     numerator is a single term; bodies are parseable by the grammar above."""
@@ -366,7 +371,7 @@ def _coeff_term(c: RationalFunction) -> tuple[int, str]:
         coeff = abs(coeff)
         parts = []
         if coeff != 1:
-            parts.append(_frac_str(coeff))
+            parts.append(str(coeff))
         for v, e in zip(params.variables, m):
             if e:
                 e = -e if negate_exps else e

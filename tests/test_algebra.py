@@ -1,14 +1,23 @@
 """Rewrite engine: rule tables, normal ordering, confluence, specialization."""
 
+import gc
 import random
+import weakref
+from itertools import product
 
 import pytest
 
 from qsp.algebra import (
+    DX,
+    NGENS,
+    PX,
+    X,
     CalculusType,
     Element,
     InconsistentType,
     UnsupportedGenerator,
+    _letter_mono,
+    _reducible,
     build_rule_table,
     local_confluence_check,
     mono,
@@ -228,6 +237,74 @@ def test_local_confluence_small(t2, t3):
     for rt in (t2, t3):
         report = local_confluence_check(rt, 3)
         assert report.ok, report.violations[:3]
+
+
+def _reference_audit(rt, max_len):
+    # the audit written out as the plain letter-by-letter fold, rebuilding
+    # every branch from scratch
+    def letter(a):
+        return Element.monomial(rt.params, _letter_mono(a))
+
+    alphabet = [(g, 1) for g in range(NGENS)] + [(X, -1)]
+    words = branch_pairs = 0
+    violations = []
+    for length in range(3, max_len + 1):
+        for word in product(alphabet, repeat=length):
+            steps = [i for i in range(length - 1)
+                     if _reducible(rt, word[i], word[i + 1]) is not None]
+            if len(steps) < 2:
+                continue
+            words += 1
+            branches = []
+            for i in steps:
+                out = Element.one(rt.params)
+                for a in word[:i]:
+                    out = rt.mul(out, letter(a))
+                out = rt.mul(out, rt.rules[_reducible(rt, word[i], word[i + 1])])
+                for a in word[i + 2:]:
+                    out = rt.mul(out, letter(a))
+                branches.append(out)
+            for i, branch in zip(steps[1:], branches[1:]):
+                branch_pairs += 1
+                residual = branches[0] - branch
+                if not residual.is_zero():
+                    violations.append((word, (steps[0], i), residual))
+    return words, branch_pairs, violations
+
+
+def _broken_table(name):
+    # scale one rule by 2: the table is no longer confluent
+    rt = build_rule_table(CalculusType.by_name(name))
+    rt.rules[(PX, DX, 0)] = rt.rules[(PX, DX, 0)].scale(2)
+    rt._memo.clear()
+    rt._pair_memo.clear()
+    return rt
+
+
+@pytest.mark.parametrize("name,max_len", [("I", 3), ("II", 4), ("III", 3)])
+def test_audit_matches_reference_fold_on_broken_table(name, max_len):
+    # the audit replays partial products along the word trie; on a table that
+    # is not confluent it must still report exactly what the plain fold does
+    report = local_confluence_check(_broken_table(name), max_len)
+    words, pairs, violations = _reference_audit(_broken_table(name), max_len)
+    assert (report.words_checked, report.branch_pairs) == (words, pairs)
+    assert violations, "the scaled rule must break confluence"
+    assert [(v.word, v.first_steps, v.residual) for v in report.violations] == violations
+
+
+def test_audit_keeps_no_table_alive():
+    # with the cycle collector off, the table must die as soon as the last
+    # reference to it goes: the audit may leave no reference cycle behind
+    gc.disable()
+    try:
+        rt = build_rule_table(CalculusType.type_ii())
+        ref = weakref.ref(rt)
+        report = local_confluence_check(rt, 3)
+        del rt
+        assert ref() is None
+    finally:
+        gc.enable()
+    assert report.ok
 
 
 def test_confluence_rejects_short_bound(t2):

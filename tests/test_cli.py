@@ -176,3 +176,17 @@ def test_normalize_high_power_past_differential(capsys):
     code, out, err = invoke(capsys, "normalize", "--type", "II", "x^2000*dx")
     assert code == 0 and err == ""
     assert out.strip() == "r^2000*dx*x^2000"
+
+
+def test_normalize_exponent_cap(capsys):
+    # a pure power of x is built directly; exponents past the cap are input errors
+    code, out, err = invoke(capsys, "normalize", "--type", "II", "x^99999999")
+    assert code == 2 and out == ""
+    assert "exceeds 10000" in err
+    code, out, _ = invoke(capsys, "normalize", "--type", "II", "x^-10001")
+    assert code == 2 and out == ""
+    code, out, err = invoke(capsys, "normalize", "--type", "II", "x^10000")
+    assert code == 0 and err == ""
+    assert out.strip() == "x^10000"
+    code, out, _ = invoke(capsys, "normalize", "--type", "II", "xi^3*th")
+    assert code == 0 and out.strip() == "x^-3*th"

@@ -1,9 +1,11 @@
 """Property tests of the coefficient fast paths against an independent oracle.
 
 ``RationalFunction.__mul__`` short-circuits unit operands and products of
-polynomials, and ``Element.add_scaled`` accumulates in place.  Products are
-checked against SymPy's ``cancel``; in-place accumulation is checked against
-``a + b.scale(c)``.  Both libraries are test-only dependencies.
+polynomials, ``_poly_div_exact`` divides by a single-term divisor term by
+term, and ``Element.add_scaled`` accumulates in place.  Products and sums are
+checked against SymPy's ``cancel``, exact division against ``sympy.div``, and
+in-place accumulation against ``a + b.scale(c)``.  Both libraries are
+test-only dependencies.
 """
 
 from fractions import Fraction
@@ -16,7 +18,7 @@ sympy = pytest.importorskip("sympy")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from qsp.algebra import Element, mono  # noqa: E402
-from qsp.coeffs import PARAMS_II, rf_make  # noqa: E402
+from qsp.coeffs import PARAMS_II, _poly_div_exact, rf_make  # noqa: E402
 
 P = PARAMS_II
 SQ, SR = sympy.symbols("q r")
@@ -46,11 +48,13 @@ def rational_functions(draw):
     return rf_make(P, num, draw(polys))
 
 
+def sympy_poly(p):
+    return sum((sympy.Rational(c.numerator, c.denominator) * SQ**a * SR**b
+                for (a, b), c in p.items()), sympy.Integer(0))
+
+
 def to_sympy(rf):
-    def poly(p):
-        return sum((sympy.Rational(c.numerator, c.denominator) * SQ**a * SR**b
-                    for (a, b), c in p.items()), sympy.Integer(0))
-    return poly(rf.num) / poly(rf.den)
+    return sympy_poly(rf.num) / sympy_poly(rf.den)
 
 
 def canonical_from_sympy(expr):
@@ -71,6 +75,27 @@ def test_product_matches_sympy_cancel(a, b):
     num, den = canonical_from_sympy(to_sympy(a) * to_sympy(b))
     assert (got.num, got.den) == (num, den)
     assert b * a == got
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_functions(), rational_functions())
+def test_sum_matches_sympy_together(a, b):
+    got = a + b
+    expr = sympy.together(to_sympy(a) + to_sympy(b))
+    assert (got.num, got.den) == canonical_from_sympy(expr)
+    assert b + a == got
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys, exponents, nonzero)
+def test_single_term_division_matches_sympy_div(a, m, c):
+    b = {m: c}
+    quot, rem = sympy.div(sympy_poly(a), sympy_poly(b), SQ, SR, domain="QQ")
+    if rem == 0:
+        assert sympy.expand(sympy_poly(_poly_div_exact(a, b)) - quot) == 0
+    else:
+        with pytest.raises(ArithmeticError):
+            _poly_div_exact(a, b)
 
 
 @settings(max_examples=100, deadline=None)

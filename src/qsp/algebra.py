@@ -154,13 +154,30 @@ def word_letters(word: Iterable[WordItem]):
 
 
 # ----------------------------------------------------------------------------
-# Elements: finite coefficient maps over canonical monomials
+# Elements: finite linear combinations over a hashable basis
 # ----------------------------------------------------------------------------
 
+def mono_str(m: Monomial) -> str:
+    """A monomial as text, e.g. ``dx*x^-2*th``; the unit monomial is ``1``."""
+    return "*".join(GENS[g] if e == 1 else f"{GENS[g]}^{e}"
+                    for g, e in enumerate(m) if e) or "1"
+
+
 class Element:
-    """Finite linear combination of canonical monomials over the coefficient field."""
+    """Finite linear combination over the coefficient field, keyed by a
+    hashable basis.
+
+    An algebra element is keyed by canonical monomials.  The tensor elements
+    of the coproducts and coactions (``hopf.TensorElement``, keyed by tuples
+    of monomials) and the dual-sector elements (``hopf.UElement``, keyed by
+    (T, K, Nb) exponents) are Elements too: this class holds the one copy of
+    their linear arithmetic.  A result has the type of its left operand and
+    shares the attributes named in ``_space`` with it; elements of different
+    types or spaces are never equal, not even when both are zero.
+    """
 
     __slots__ = ("params", "terms")
+    _space = ("params",)
 
     def __init__(self, params: ParamSet, terms: dict | None = None):
         self.params = params
@@ -169,6 +186,14 @@ class Element:
             for m, c in terms.items():
                 if not c.is_zero():
                     self.terms[m] = c
+
+    def _like(self, terms: dict) -> "Element":
+        """An element of this type and space holding ``terms`` as given."""
+        e = object.__new__(type(self))
+        for name in self._space:
+            setattr(e, name, getattr(self, name))
+        e.terms = terms
+        return e
 
     @classmethod
     def zero(cls, params: ParamSet) -> "Element":
@@ -189,45 +214,39 @@ class Element:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __add__(self, other: "Element") -> "Element":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out[m] + c if m in out else c
-            if s.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = s
-        e = Element(self.params)
-        e.terms = out
-        return e
+    def add_term(self, key, c: RationalFunction) -> None:
+        """Add ``c`` times the basis element ``key`` in place.
 
-    def add_scaled(self, other: "Element", c: RationalFunction) -> None:
-        """Add ``c * other`` into this element in place.
-
-        Only for a fresh accumulator that the caller built and still owns:
-        never call it on an element held in a rule table, memo or cache, or
-        on one already handed to other code.  Everywhere else use ``+`` and
+        The in-place operations (``add_term``, ``add_scaled``) are only for a
+        fresh accumulator that the caller built and still owns: never use
+        them on an element held in a rule table, memo or cache, or on one
+        already handed to other code.  Everywhere else use ``+``, ``-`` and
         ``scale``, which build new elements.
         """
+        terms = self.terms
+        old = terms.get(key)
+        if old is not None:
+            c = old + c
+        if c.is_zero():
+            terms.pop(key, None)
+        else:
+            terms[key] = c
+
+    def add_scaled(self, other: "Element", c: RationalFunction) -> None:
+        """Add ``c * other`` into this element in place (see ``add_term``)."""
         if c.is_zero():
             return
         one = c.is_one()
-        terms = self.terms
         for m, v in other.terms.items():
-            if not one:
-                v = v * c
-            old = terms.get(m)
-            if old is not None:
-                v = old + v
-                if v.is_zero():
-                    del terms[m]
-                    continue
-            terms[m] = v
+            self.add_term(m, v if one else v * c)
+
+    def __add__(self, other: "Element") -> "Element":
+        out = self._like(dict(self.terms))
+        out.add_scaled(other, self.params.one())
+        return out
 
     def __neg__(self) -> "Element":
-        e = Element(self.params)
-        e.terms = {m: -c for m, c in self.terms.items()}
-        return e
+        return self._like({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "Element") -> "Element":
         return self + (-other)
@@ -235,18 +254,26 @@ class Element:
     def scale(self, coeff) -> "Element":
         c = self.params.rf(coeff)
         if c.is_zero():
-            return Element(self.params)
-        e = Element(self.params)
-        e.terms = {m: v * c for m, v in self.terms.items()}
-        return e
+            return self._like({})
+        return self._like({m: v * c for m, v in self.terms.items()})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Element):
             return NotImplemented
-        return self.params == other.params and self.terms == other.terms
+        return (type(self) is type(other)
+                and all(getattr(self, n) == getattr(other, n) for n in self._space)
+                and self.terms == other.terms)
 
     def __hash__(self):
         return hash(tuple(sorted(self.terms.keys())))
+
+    def substitute(self, assignment: Mapping[str, Rat]) -> "Element":
+        e = self._like({})
+        for m, c in self.terms.items():
+            cc = c.substitute(assignment)
+            if not cc.is_zero():
+                e.terms[m] = cc
+        return e
 
     def coefficient(self, m: Monomial) -> RationalFunction:
         return self.terms.get(m, self.params.zero())
@@ -274,17 +301,7 @@ class Element:
 
     def vacuum(self) -> "Element":
         """Drop every term whose operator-sector exponents are not all zero."""
-        e = Element(self.params)
-        e.terms = {m: c for m, c in self.terms.items() if mono_is_form(m)}
-        return e
-
-    def substitute(self, assignment: Mapping[str, Rat]) -> "Element":
-        e = Element(self.params)
-        for m, c in self.terms.items():
-            cc = c.substitute(assignment)
-            if not cc.is_zero():
-                e.terms[m] = cc
-        return e
+        return self._like({m: c for m, c in self.terms.items() if mono_is_form(m)})
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: mono_sort_key(kv[0]))
@@ -292,15 +309,7 @@ class Element:
     def __repr__(self):
         if not self.terms:
             return "<0>"
-        bits = []
-        for m, c in self.sorted_terms():
-            w = "*".join(
-                (GENS[g] if e == 1 else f"{GENS[g]}^{e}")
-                for g, e in enumerate(m)
-                if e
-            ) or "1"
-            bits.append(f"({c})*{w}")
-        return "<" + " + ".join(bits) + ">"
+        return "<" + " + ".join(f"({c})*{mono_str(m)}" for m, c in self.sorted_terms()) + ">"
 
 
 def parity_of(e: Element) -> str:
@@ -516,7 +525,7 @@ class RuleTable:
         def el(*terms) -> Element:
             e = Element.zero(P)
             for coeff, m in terms:
-                e = e + Element.monomial(P, m, coeff)
+                e.add_term(m, P.rf(coeff))
             return e
 
         rules: dict = {}
@@ -634,11 +643,11 @@ class RuleTable:
         rest = rhs - Element.monomial(P, diag, c)
         known = Element.zero(P)
         for m, cc in rest.terms.items():
-            known = known + self.mul_mono_mono(mono(x=-1), m).scale(cc)
+            known.add_scaled(self.mul_mono_mono(mono(x=-1), m), cc)
         target = Element.monomial(P, mono(dth=1)) - known
         acc = Element.zero(P)
         for m, cc in target.terms.items():
-            acc = acc + self.mul_mono_mono(m, mono(x=-1)).scale(cc)
+            acc.add_scaled(self.mul_mono_mono(m, mono(x=-1)), cc)
         self.rules[(X, DTH, -1)] = acc.scale(one / c)
 
         # affine rules g*x = c*(x*g) + rest: solve g = (g*x)*x^-1 for g*x^-1
@@ -651,11 +660,11 @@ class RuleTable:
             rest = rhs - Element.monomial(P, diag, c)
             known = Element.zero(P)
             for m, cc in rest.terms.items():
-                known = known + self.mul_mono_mono(m, mono(x=-1)).scale(cc)
+                known.add_scaled(self.mul_mono_mono(m, mono(x=-1)), cc)
             target = Element.monomial(P, mono(**{GENS[g]: 1})) - known
             acc = Element.zero(P)
             for m, cc in target.terms.items():
-                acc = acc + self.mul_mono_mono(mono(x=-1), m).scale(cc)
+                acc.add_scaled(self.mul_mono_mono(mono(x=-1), m), cc)
             self.rules[(g, X, -1)] = acc.scale(one / c)
 
     def _round_trip_check(self) -> None:
@@ -674,7 +683,7 @@ class RuleTable:
                 rhs = self.rules[(X, g, s)]
                 back = Element.zero(self.params)
                 for m, cc in rhs.terms.items():
-                    back = back + self.mul_mono_mono(mono(x=-s), m).scale(cc)
+                    back.add_scaled(self.mul_mono_mono(mono(x=-s), m), cc)
                 if back != unit:
                     raise NonInvertibleRule(f"round trip x^{s}*{GENS[g]} failed")
 
@@ -810,8 +819,10 @@ class RuleTable:
         return e
 
     def normalize(self, w) -> Element:
-        """Normal-order a raw word or re-normalize an element."""
+        """Normal-order a raw word or re-normalize an algebra element."""
         if isinstance(w, Element):
+            if type(w) is not Element:
+                raise TypeError(f"cannot normalize a {type(w).__name__}")
             out = Element.zero(self.params)
             for m, c in w.terms.items():
                 out.add_scaled(self.mul_mono_mono(ONE_MONO, m), c)

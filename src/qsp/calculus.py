@@ -168,7 +168,7 @@ def _tensor_to_element_marker(rt: RuleTable, residuals) -> Element:
                 prod = Element.one(P)
                 for m in key:
                     prod = rt.mul(prod, Element.monomial(P, m))
-                out = out + prod.scale(c)
+                out.add_scaled(prod, c)
             if not out.is_zero():
                 return out
             # slots multiply to zero; certify with the coefficient alone
@@ -238,13 +238,9 @@ _scalar("eq18-covariance-constraints", "(18)",
 
 def _families_residuals(rt: RuleTable):
     out = []
-    for mode, conditions, params in (
-        ("I", {"Q12": 0, "Q22": 0}, None),
-        ("II", {"Q22": 0, "Q": "r"}, None),
-        ("III", {"Q12": 0, "Q": "p"}, None),
-    ):
+    for mode, conditions, params in cov.FAMILY_SIDE_CONDITIONS:
         want = CalculusType.by_name(mode)
-        got = cov.solve_family(conditions, want.params)
+        got = cov.solve_family(conditions, params)
         for name in ("Q", "Q11", "Q12", "Q21", "Q22", "Qp"):
             diff = got.coefficient(name) - want.coefficient(name)
             # report in the engine's coefficient field: nonzero iff mismatch

@@ -12,14 +12,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .coeffs import (
-    PARAMS_I,
-    PARAMS_II,
-    PARAMS_III,
-    MissingVariable,
-    PoleAtAssignment,
-    QspError,
-)
+from .coeffs import MissingVariable, PoleAtAssignment, QspError
 from .algebra import (
     CalculusType,
     InconsistentType,
@@ -231,12 +224,7 @@ def run(argv) -> int:
 
 
 def _print_families() -> None:
-    cases = (
-        ("I", {"Q12": 0, "Q22": 0}, PARAMS_I),
-        ("II", {"Q22": 0, "Q": "r"}, PARAMS_II),
-        ("III", {"Q12": 0, "Q": "p"}, PARAMS_III),
-    )
-    for mode, conditions, params in cases:
+    for mode, conditions, params in cov.FAMILY_SIDE_CONDITIONS:
         ct = cov.solve_family(conditions, params)
         fixed = ", ".join(f"{k} = {params.rf(v)}" for k, v in conditions.items())
         print(f"Type {mode}: {fixed} =>")

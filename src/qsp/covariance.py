@@ -18,6 +18,9 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .coeffs import (
+    PARAMS_I,
+    PARAMS_II,
+    PARAMS_III,
     ParamSet,
     Poly,
     QspError,
@@ -106,14 +109,14 @@ def delta_L(rt: RuleTable, word) -> TensorElement:
 def delta_R_element(rt: RuleTable, e: Element) -> TensorElement:
     out = TensorElement(rt.params, 2)
     for m, c in e.terms.items():
-        out = out + _coaction_mono(rt, m, "right").scale(c)
+        out.add_scaled(_coaction_mono(rt, m, "right"), c)
     return out
 
 
 def delta_L_element(rt: RuleTable, e: Element) -> TensorElement:
     out = TensorElement(rt.params, 2)
     for m, c in e.terms.items():
-        out = out + _coaction_mono(rt, m, "left").scale(c)
+        out.add_scaled(_coaction_mono(rt, m, "left"), c)
     return out
 
 
@@ -146,7 +149,7 @@ def coaction_axiom_residuals(rt: RuleTable, word, side: str) -> list:
     ident = rt.normalize_word(word)
     collapsed = Element.zero(P)
     for (m1, m2), c in counit.terms.items():
-        collapsed = collapsed + rt.mul_mono_mono(m1, m2).scale(c)
+        collapsed.add_scaled(rt.mul_mono_mono(m1, m2), c)
     return [lhs - rhs, collapsed - ident]
 
 
@@ -161,7 +164,7 @@ def bicovariance_residuals(rt: RuleTable, word) -> list:
     de = d_map(e)
     delta_a = TensorElement(P, 2)
     for m, c in e.terms.items():
-        delta_a = delta_a + coproduct_mono(rt, m).scale(c)
+        delta_a.add_scaled(coproduct_mono(rt, m), c)
     res1 = tensor_apply_slot(delta_a, 1, d_map, fn_parity=1) - delta_L_element(rt, de)
     res2 = tensor_apply_slot(delta_a, 0, d_map, fn_parity=1) - delta_R_element(rt, de)
     lhs = tensor_expand_slot(delta_R_element(rt, e), 0,
@@ -211,16 +214,17 @@ def _primitive_poly(params: ParamSet, rf: RationalFunction,
     return _poly_monic(num)
 
 
-def _collect_constraints(params: ParamSet, residual: TensorElement) -> list[Poly]:
-    out = []
-    seen = set()
-    for key, c in residual.terms.items():
-        p = _primitive_poly(params, c)
-        sig = tuple(sorted(p.items()))
-        if p and sig not in seen:
-            seen.add(sig)
-            out.append(p)
-    return out
+def _collect_constraints(params: ParamSet,
+                         residuals: Iterable[Element]) -> list[Poly]:
+    """The distinct nonzero primitive numerators of the residuals'
+    coefficients, in the order they first occur."""
+    out: dict = {}
+    for residual in residuals:
+        for c in residual.terms.values():
+            p = _primitive_poly(params, c)
+            if p:
+                out.setdefault(tuple(sorted(p.items())), p)
+    return list(out.values())
 
 
 _MODULE_RELATIONS = (
@@ -255,23 +259,16 @@ def generate_covariance_constraints() -> CovarianceConstraints:
         "the left-coaction pass adds no constraints beyond the right-coaction set",
     ]
 
-    def rel_residuals(side: str) -> list[Poly]:
-        out: list[Poly] = []
-        seen = set()
+    def rel_residuals(side: str):
         for lhs_word, rhs in _MODULE_RELATIONS:
             te = _coaction_word(rt, lhs_word, side)
             for coeff_name, rhs_word in rhs:
                 c = P.one() if coeff_name == "one" else P.var(coeff_name)
-                te = te - _coaction_word(rt, rhs_word, side).scale(c)
-            for p in _collect_constraints(P, te):
-                sig = tuple(sorted(p.items()))
-                if sig not in seen:
-                    seen.add(sig)
-                    out.append(p)
-        return out
+                te.add_scaled(_coaction_word(rt, rhs_word, side), -c)
+            yield te
 
-    right = rel_residuals("right")
-    left_all = rel_residuals("left")
+    right = _collect_constraints(P, rel_residuals("right"))
+    left_all = _collect_constraints(P, rel_residuals("left"))
     left_new = [p for p in left_all if not _in_linear_span(right, [p])]
     return CovarianceConstraints(right, left_new, notes)
 
@@ -289,70 +286,55 @@ def expected_covariance_constraints() -> list[Poly]:
     return [_primitive_poly(P, e) for e in exprs]
 
 
-# -- linear span comparison ---------------------------------------------------
+# -- linear algebra over rational functions -----------------------------------
 
-def _poly_monomials(polys: Iterable[Poly]) -> list:
-    basis = set()
-    for p in polys:
-        basis.update(p.keys())
-    return sorted(basis)
-
-
-def _q_only(params: ParamSet, m: tuple) -> bool:
-    return all(e == 0 for v, e in zip(params.variables, m) if v != "q")
+def _row_reduce(rows: Iterable[list[RationalFunction]]) -> list[tuple[int, list]]:
+    """Gauss-Jordan elimination: the nonzero rows of the reduced row-echelon
+    form of ``rows``, each as (pivot column, row).  A pivot entry is 1 and is
+    the only nonzero entry of its column."""
+    reduced: list[tuple[int, list]] = []
+    for row in rows:
+        for col, prow in reduced:
+            f = row[col]
+            if not f.is_zero():
+                row = [a - f * b for a, b in zip(row, prow)]
+        col = next((i for i, c in enumerate(row) if not c.is_zero()), None)
+        if col is None:
+            continue
+        pivot = row[col]
+        row = [c / pivot for c in row]
+        reduced = [(pc, pr) if pr[col].is_zero()
+                   else (pc, [a - pr[col] * b for a, b in zip(pr, row)])
+                   for pc, pr in reduced]
+        reduced.append((col, row))
+    return reduced
 
 
 def _in_linear_span(gens: Sequence[Poly], queries: Sequence[Poly]) -> bool:
     """Membership of each query in the span of gens over rational functions
     of q, with the unknowns entering linearly (affine terms allowed)."""
-    P = ANSATZ_PARAMS
     qvar = ParamSet("qline", ("q",))
 
-    def split(m: tuple):
-        qexp = (m[0],)
-        rest = m[1:]
-        return qexp, rest
-
     def vectorize(p: Poly) -> dict:
+        # the q exponent comes first in an ansatz monomial; the rest names a column
         vec: dict = {}
         for m, c in p.items():
-            qexp, rest = split(m)
-            coeff = {(qexp): c}
-            cur = vec.setdefault(rest, {})
-            cur[qexp] = cur.get(qexp, Fraction(0)) + c
+            cur = vec.setdefault(m[1:], {})
+            cur[m[:1]] = cur.get(m[:1], Fraction(0)) + c
         return {k: RationalFunction(qvar, {e: c for e, c in v.items() if c},
                                     {(0,): Fraction(1)})
                 for k, v in vec.items()}
 
     rows = [vectorize(p) for p in gens]
     cols = sorted({c for row in rows for c in row} |
-                  {c for p in queries for c in [split(m)[1] for m in p]})
+                  {m[1:] for p in queries for m in p})
 
     def to_row(vec: dict) -> list:
         return [vec.get(c, qvar.zero()) for c in cols]
 
-    matrix = [to_row(r) for r in rows]
-    reduced: list[list[RationalFunction]] = []
-    for row in matrix:
-        row = _reduce_row(row, reduced, qvar)
-        if any(not c.is_zero() for c in row):
-            reduced.append(row)
-    for p in queries:
-        row = to_row(vectorize(p))
-        row = _reduce_row(row, reduced, qvar)
-        if any(not c.is_zero() for c in row):
-            return False
-    return True
-
-
-def _reduce_row(row, reduced, qvar):
-    row = list(row)
-    for pivot_row in reduced:
-        lead = next(i for i, c in enumerate(pivot_row) if not c.is_zero())
-        if not row[lead].is_zero():
-            factor = row[lead] / pivot_row[lead]
-            row = [a - factor * b for a, b in zip(row, pivot_row)]
-    return row
+    basis = [row for _, row in _row_reduce(to_row(r) for r in rows)]
+    return all(len(_row_reduce(basis + [to_row(vectorize(p))])) == len(basis)
+               for p in queries)
 
 
 def spans_match(a: Sequence[Poly], b: Sequence[Poly]) -> bool:
@@ -445,20 +427,15 @@ def generate_ansatz_constraints(kind: str) -> list[Poly]:
     else:
         raise ValueError(f"unknown ansatz kind {kind!r}")
 
-    out: list[Poly] = []
-    seen = set()
-    for mover in movers:
-        for lhs, coeff, rhs in relations:
-            e = rt.normalize_word((mover,) + lhs)
-            if not coeff.is_zero():
-                e = e - rt.normalize_word((mover,) + rhs).scale(coeff)
-            for m, c in e.terms.items():
-                p = _primitive_poly(P, c)
-                sig = tuple(sorted(p.items()))
-                if p and sig not in seen:
-                    seen.add(sig)
-                    out.append(p)
-    return out
+    def residuals():
+        for mover in movers:
+            for lhs, coeff, rhs in relations:
+                e = rt.normalize_word((mover,) + lhs)
+                if not coeff.is_zero():
+                    e = e - rt.normalize_word((mover,) + rhs).scale(coeff)
+                yield e
+
+    return _collect_constraints(P, residuals())
 
 
 def evaluate_system(system: Sequence[Poly], source: ParamSet,
@@ -472,6 +449,15 @@ def evaluate_system(system: Sequence[Poly], source: ParamSet,
 # ----------------------------------------------------------------------------
 # Family solving
 # ----------------------------------------------------------------------------
+
+# The side conditions that single out each covariant family, with the
+# parameter field of its type.
+FAMILY_SIDE_CONDITIONS = (
+    ("I", {"Q12": 0, "Q22": 0}, PARAMS_I),
+    ("II", {"Q22": 0, "Q": "r"}, PARAMS_II),
+    ("III", {"Q12": 0, "Q": "p"}, PARAMS_III),
+)
+
 
 def solve_family(side_conditions: Mapping[str, "RationalFunction | int | str"],
                  params: ParamSet) -> CalculusType:
@@ -499,15 +485,20 @@ def solve_family(side_conditions: Mapping[str, "RationalFunction | int | str"],
     free = [u for u in unknowns if u not in fixed]
     matrix = []
     for coeffs, const in rows:
-        row = [coeffs.get(u, params.zero()) for u in free]
         rhs = -const
         for name, value in fixed.items():
             if name in coeffs:
                 rhs = rhs - coeffs[name] * value
-        matrix.append((row, rhs))
-    solution = _solve_linear(matrix, free, params)
+        matrix.append([coeffs.get(u, params.zero()) for u in free] + [rhs])
+    reduced = _row_reduce(matrix)
+    pivots = {col for col, _ in reduced}
+    if len(free) in pivots:
+        raise InconsistentSideConditions("side conditions contradict the constraints")
+    missing = [u for i, u in enumerate(free) if i not in pivots]
+    if missing:
+        raise UnderdeterminedSystem(f"unconstrained coefficients: {missing}")
     values = dict(fixed)
-    values.update(solution)
+    values.update((free[col], row[-1]) for col, row in reduced)
     Q, Q11, Q12 = values["Q"], values["Q11"], values["Q12"]
     if Q.is_zero():
         raise InconsistentSideConditions("Q must be invertible")
@@ -515,42 +506,3 @@ def solve_family(side_conditions: Mapping[str, "RationalFunction | int | str"],
     ct = CalculusType(params, Q, Q11, Q12, values["Q21"], values["Q22"], qprime)
     ct.validate()
     return ct
-
-
-def _solve_linear(matrix, names, params: ParamSet) -> dict:
-    rows = [(list(row), rhs) for row, rhs in matrix]
-    n = len(names)
-    solution: dict = {}
-    pivots = []
-    for col in range(n):
-        pivot = None
-        for i, (row, rhs) in enumerate(rows):
-            if i in [p[0] for p in pivots]:
-                continue
-            if not row[col].is_zero():
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        pivots.append((pivot, col))
-        prow, prhs = rows[pivot]
-        for i, (row, rhs) in enumerate(rows):
-            if i == pivot or row[col].is_zero():
-                continue
-            factor = row[col] / prow[col]
-            rows[i] = ([a - factor * b for a, b in zip(row, prow)], rhs - factor * prhs)
-    for i, (row, rhs) in enumerate(rows):
-        if all(c.is_zero() for c in row) and not rhs.is_zero():
-            raise InconsistentSideConditions("side conditions contradict the constraints")
-    solved_cols = {col for _, col in pivots}
-    if solved_cols != set(range(n)):
-        missing = [names[c] for c in range(n) if c not in solved_cols]
-        raise UnderdeterminedSystem(f"unconstrained coefficients: {missing}")
-    for i, col in pivots:
-        row, rhs = rows[i]
-        value = rhs
-        for c in range(n):
-            if c != col and not row[c].is_zero():
-                raise UnderdeterminedSystem("coupled system after elimination")
-        solution[names[col]] = value / row[col]
-    return solution

@@ -30,13 +30,12 @@ from typing import Callable, Optional
 from .coeffs import QspError, RationalFunction, poly_str, _poly_is_one
 from .algebra import (
     GEN_INDEX,
-    GENS,
     X,
     Element,
-    Monomial,
     RuleTable,
     mono,
     mono_sort_key,
+    mono_str,
 )
 from .hopf import TensorElement, UElement
 
@@ -84,6 +83,8 @@ def tokenize(text: str):
                 value = Fraction(number)
             except ZeroDivisionError:
                 raise ExprSyntaxError("zero denominator in rational literal", at) from None
+            except ValueError:   # past the interpreter's int digit limit
+                raise ExprSyntaxError("rational literal has too many digits", at) from None
             tokens.append(("num", value, at))
         elif name:
             tokens.append(("name", name, at))
@@ -350,15 +351,6 @@ def parse_uelement(params, text: str) -> UElement:
 # Canonical printing
 # ----------------------------------------------------------------------------
 
-def _mono_str(m: Monomial) -> str:
-    parts = []
-    for g, e in enumerate(m):
-        if not e:
-            continue
-        parts.append(GENS[g] if e == 1 else f"{GENS[g]}^{e}")
-    return "*".join(parts)
-
-
 def _coeff_term(c: RationalFunction) -> tuple[int, str]:
     """Render a coefficient as (sign, body) with the sign pulled out when the
     numerator is a single term; bodies are parseable by the grammar above."""
@@ -402,8 +394,8 @@ def print_canonical(e: Element) -> str:
     chunks = []
     for m, c in e.sorted_terms():
         sign, body = _coeff_term(c)
-        mstr = _mono_str(m)
-        if not mstr:
+        mstr = mono_str(m)
+        if not any(m):
             # bare scalars print unparenthesized when sign-safe
             if (body.startswith("(") and body.endswith(")")
                     and _poly_is_one(c.den) and not poly_str(c.num, c.params.variables).startswith("-")):
@@ -414,11 +406,7 @@ def print_canonical(e: Element) -> str:
         else:
             piece = f"{body}*{mstr}"
         chunks.append((sign, piece))
-    sign, piece = chunks[0]
-    out = ("-" if sign < 0 else "") + piece
-    for sign, piece in chunks[1:]:
-        out += (" - " if sign < 0 else " + ") + piece
-    return out
+    return _join_signed(chunks)
 
 
 def print_tensor(te: TensorElement) -> str:
@@ -429,11 +417,16 @@ def print_tensor(te: TensorElement) -> str:
         sign, body = _coeff_term(c)
         slots = []
         for i, m in enumerate(key):
-            mstr = _mono_str(m) or "1"
+            mstr = mono_str(m)
             if i == 0 and body != "1":
                 mstr = f"{body}*{mstr}" if mstr != "1" else body
             slots.append(mstr)
         chunks.append((sign, " (x) ".join(slots)))
+    return _join_signed(chunks)
+
+
+def _join_signed(chunks: list[tuple[int, str]]) -> str:
+    """Join (sign, text) pieces as "a - b + c"; a minus on the first is a prefix."""
     sign, piece = chunks[0]
     out = ("-" if sign < 0 else "") + piece
     for sign, piece in chunks[1:]:

@@ -6,6 +6,11 @@ higher arity.  The coordinate Hopf algebra has group-like x and primitive-ish
 theta; the one-form algebra W has primitive generators; the dual sector is
 generated by the group-like scale operators T and K together with the odd
 nilpotent Nb, where K acts diagonally with eigenvalue Q11^(degree).
+
+Tensor elements and dual-sector elements are ``algebra.Element``s over
+other basis keys: a TensorElement is keyed by tuples of monomials, a
+UElement by (T, K, Nb) exponents.  Both take their linear arithmetic from
+``Element`` and add only what their basis needs.
 """
 
 from __future__ import annotations
@@ -24,7 +29,9 @@ from .algebra import (
     RuleTable,
     mono,
     mono_is_function,
+    mono_letters,
     mono_parity,
+    mono_str,
 )
 
 
@@ -32,23 +39,16 @@ from .algebra import (
 # Tensor elements with Koszul-signed multiplication
 # ----------------------------------------------------------------------------
 
-class TensorElement:
-    """Finite coefficient map over tuples of canonical monomials."""
+class TensorElement(Element):
+    """Finite linear combination of tensor products of canonical monomials,
+    keyed by tuples of ``arity`` monomials."""
 
-    __slots__ = ("params", "arity", "terms")
+    __slots__ = ("arity",)
+    _space = ("params", "arity")
 
     def __init__(self, params: ParamSet, arity: int, terms: dict | None = None):
-        self.params = params
+        super().__init__(params, terms)
         self.arity = arity
-        self.terms: dict = {}
-        if terms:
-            for k, c in terms.items():
-                if not c.is_zero():
-                    self.terms[k] = c
-
-    @classmethod
-    def zero(cls, params: ParamSet, arity: int) -> "TensorElement":
-        return cls(params, arity)
 
     @classmethod
     def unit(cls, params: ParamSet, arity: int) -> "TensorElement":
@@ -58,65 +58,25 @@ class TensorElement:
     def of(cls, *slots: Element) -> "TensorElement":
         """Tensor product of elements, distributing over their terms."""
         params = slots[0].params
-        out = cls(params, len(slots), {(ONE_MONO,) * len(slots): params.one()})
+        out = cls.unit(params, len(slots))
         for i, e in enumerate(slots):
             nxt = cls(params, len(slots))
             for key, c in out.terms.items():
                 for m, cm in e.terms.items():
                     k = list(key)
                     k[i] = m
-                    nxt._bump(tuple(k), c * cm)
+                    nxt.add_term(tuple(k), c * cm)
             out = nxt
         return out
-
-    def _bump(self, key: tuple, c: RationalFunction) -> None:
-        cur = self.terms.get(key)
-        s = c if cur is None else cur + c
-        if s.is_zero():
-            self.terms.pop(key, None)
-        else:
-            self.terms[key] = s
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "TensorElement") -> "TensorElement":
-        out = TensorElement(self.params, self.arity, dict(self.terms))
-        for k, c in other.terms.items():
-            out._bump(k, c)
-        return out
-
-    def __neg__(self) -> "TensorElement":
-        return TensorElement(self.params, self.arity,
-                             {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: "TensorElement") -> "TensorElement":
-        return self + (-other)
-
-    def scale(self, c) -> "TensorElement":
-        cc = self.params.rf(c)
-        return TensorElement(self.params, self.arity,
-                             {k: v * cc for k, v in self.terms.items()})
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return (self.params == other.params and self.arity == other.arity
-                and self.terms == other.terms)
 
     def __repr__(self) -> str:
         if not self.terms:
             return "<0 (x) 0>"
         bits = []
         for k, c in sorted(self.terms.items()):
-            slot = " (x) ".join(_mono_repr(m) for m in k)
+            slot = " (x) ".join(mono_str(m) for m in k)
             bits.append(f"({c})*[{slot}]")
         return " + ".join(bits)
-
-
-def _mono_repr(m: Monomial) -> str:
-    s = "*".join((GENS[g] if e == 1 else f"{GENS[g]}^{e}") for g, e in enumerate(m) if e)
-    return s or "1"
 
 
 def _koszul_sign(ka: tuple, kb: tuple) -> int:
@@ -153,7 +113,7 @@ def _distribute(out: TensorElement, slots: Sequence[Element], coeff) -> None:
                 nxt.append((key + (m,), c * cm))
         acc = nxt
     for key, c in acc:
-        out._bump(key, c)
+        out.add_term(key, c)
 
 
 def tensor_apply_slot(te: TensorElement, slot: int,
@@ -172,7 +132,7 @@ def tensor_apply_slot(te: TensorElement, slot: int,
         for m, cm in image.terms.items():
             k = list(key)
             k[slot] = m
-            out._bump(tuple(k), (c * cm) if sign > 0 else -(c * cm))
+            out.add_term(tuple(k), (c * cm) if sign > 0 else -(c * cm))
     return out
 
 
@@ -184,7 +144,7 @@ def tensor_expand_slot(te: TensorElement, slot: int,
         image = fn(key[slot])
         for k2, c2 in image.terms.items():
             k = key[:slot] + k2 + key[slot + 1:]
-            out._bump(k, c * c2)
+            out.add_term(k, c * c2)
     return out
 
 
@@ -218,7 +178,7 @@ def coproduct_A(rt: RuleTable, e: Element) -> TensorElement:
     _require_function(e)
     out = TensorElement(rt.params, 2)
     for m, c in e.terms.items():
-        out = out + coproduct_mono(rt, m).scale(c)
+        out.add_scaled(coproduct_mono(rt, m), c)
     return out
 
 
@@ -243,7 +203,7 @@ def antipode_A(rt: RuleTable, e: Element) -> Element:
         if eps:
             # S(x^k th) = S(th) S(x^k); both coordinate factors, x^k is even
             img = rt.mul(s_th, img)
-        out = out + img.scale(c)
+        out.add_scaled(img, c)
     return out
 
 
@@ -259,7 +219,7 @@ def hopf_axiom_check(rt: RuleTable, e: Element) -> list:
         for (m1, m2), c in te.terms.items():
             l = fn_left(Element.monomial(P, m1))
             r = fn_right(Element.monomial(P, m2))
-            out = out + rt.mul(l, r).scale(c)
+            out.add_scaled(rt.mul(l, r), c)
         return out
 
     ident = rt.normalize(e)
@@ -339,8 +299,7 @@ def costructures_W(rt: RuleTable, kind: str, word: Sequence[str]):
         terms = nxt
     out = TensorElement(P, 2)
     for (a, b), c in terms.items():
-        te = TensorElement.of(_w_expand(rt, a), _w_expand(rt, b)).scale(P.const(c))
-        out = out + te
+        out.add_scaled(TensorElement.of(_w_expand(rt, a), _w_expand(rt, b)), P.const(c))
     return out
 
 
@@ -367,18 +326,11 @@ def w_antipode_residuals(rt: RuleTable) -> list[Element]:
 UKey = tuple  # (T power, K power, Nb power in {0, 1})
 
 
-class UElement:
-    """Linear combination of T^a K^b Nb^c; the three generators commute."""
+class UElement(Element):
+    """Linear combination of T^a K^b Nb^c, keyed by (a, b, c); the three
+    generators commute."""
 
-    __slots__ = ("params", "terms")
-
-    def __init__(self, params: ParamSet, terms: dict | None = None):
-        self.params = params
-        self.terms: dict = {}
-        if terms:
-            for k, c in terms.items():
-                if not c.is_zero():
-                    self.terms[k] = c
+    __slots__ = ()
 
     @classmethod
     def unit(cls, params: ParamSet) -> "UElement":
@@ -396,46 +348,14 @@ class UElement:
     def gen_nabla(cls, params: ParamSet) -> "UElement":
         return cls(params, {(0, 0, 1): params.one()})
 
-    def _bump(self, k: UKey, c: RationalFunction) -> None:
-        cur = self.terms.get(k)
-        s = c if cur is None else cur + c
-        if s.is_zero():
-            self.terms.pop(k, None)
-        else:
-            self.terms[k] = s
-
-    def __add__(self, other: "UElement") -> "UElement":
-        out = UElement(self.params, dict(self.terms))
-        for k, c in other.terms.items():
-            out._bump(k, c)
-        return out
-
-    def __neg__(self) -> "UElement":
-        return UElement(self.params, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: "UElement") -> "UElement":
-        return self + (-other)
-
-    def scale(self, c) -> "UElement":
-        cc = self.params.rf(c)
-        return UElement(self.params, {k: v * cc for k, v in self.terms.items()})
-
     def mul(self, other: "UElement") -> "UElement":
         out = UElement(self.params)
         for (a1, b1, n1), c1 in self.terms.items():
             for (a2, b2, n2), c2 in other.terms.items():
                 if n1 and n2:
                     continue  # Nb^2 = 0
-                out._bump((a1 + a2, b1 + b2, n1 + n2), c1 * c2)
+                out.add_term((a1 + a2, b1 + b2, n1 + n2), c1 * c2)
         return out
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, UElement):
-            return NotImplemented
-        return self.params == other.params and self.terms == other.terms
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -482,7 +402,7 @@ def u_antipode(u: UElement, variant: str = "corrected") -> UElement:
     out = UElement(u.params)
     for (a, b, n), c in u.terms.items():
         key = (-a, -b + (s * n), n)
-        out._bump(key, -c if n else c)
+        out.add_term(key, -c if n else c)
     return out
 
 
@@ -497,12 +417,10 @@ def u_act(rt: RuleTable, u: UElement, e: Element) -> Element:
             img = Element.monomial(P, m, cm)
             if n:
                 img = rt.mul(nb_op, img).vacuum()
-            scaled = Element.zero(P)
             for mm, cc in img.terms.items():
                 deg = mm[X] + mm[TH]
                 factor = (rt.ct.Q ** (a * deg)) * (rt.ct.Q11 ** (b * deg))
-                scaled = scaled + Element.monomial(P, mm, cc * factor)
-            out = out + scaled.scale(c)
+                out.add_term(mm, cc * factor * c)
     return out
 
 
@@ -550,18 +468,9 @@ def pair(rt: RuleTable, u: UElement, a: Element) -> RationalFunction:
     total = rt.params.zero()
     for k, cu in u.terms.items():
         for m, cm in a.terms.items():
-            letters = tuple((g, s) for g, s in _mono_as_letters(m))
+            letters = tuple(mono_letters(m))
             total = total + cu * cm * _pair_word(rt, k, letters)
     return total
-
-
-def _mono_as_letters(m: Monomial):
-    for g, e in ((X, m[X]), (TH, m[TH])):
-        if not e:
-            continue
-        s = 1 if e > 0 else -1
-        for _ in range(abs(e)):
-            yield (g, s)
 
 
 def left_act(rt: RuleTable, u: UElement, a: Element) -> Element:
@@ -574,7 +483,7 @@ def left_act(rt: RuleTable, u: UElement, a: Element) -> Element:
         for (m1, m2), c in delta.terms.items():
             val = pair(rt, u, Element.monomial(P, m2))
             if not val.is_zero():
-                out = out + Element.monomial(P, m1, cm * c * val)
+                out.add_term(m1, cm * c * val)
     return out
 
 
@@ -640,9 +549,9 @@ def antipode_axiom_operator(rt: RuleTable, u: UElement, variant: str,
                 term = u_antipode(u1, variant).mul(u2)
             else:
                 term = u1.mul(u_antipode(u2, variant))
-            acc = acc + term.scale(coeff)
-        eps = P.zero() if k[2] else P.one()
-        acc = acc - UElement(P, {(0, 0, 0): cu * eps})
+            acc.add_scaled(term, coeff)
+        if not k[2]:
+            acc.add_term((0, 0, 0), -cu)   # - eps(u) times the unit
     return acc
 
 

@@ -217,3 +217,50 @@ def test_uelement_algebra(t2):
     T = UElement.gen_T(P)
     assert T.mul(Nb) == Nb.mul(T)
     assert T.mul(UElement.gen_T(P, -1)) == UElement.unit(P)
+
+
+def _core_operands(kind, P):
+    """A constructor and two overlapping operands for one kind of element."""
+    r, q = P.var("r"), P.var("q")
+    x, th = mono(x=1), mono(th=1)
+    if kind == "algebra":
+        make, keys = (lambda terms: Element(P, terms)), (x, th, mono(x=1, th=1))
+    elif kind == "tensor":
+        make, keys = (lambda terms: TensorElement(P, 2, terms)), ((x, th), (th, x), (x, x))
+    else:
+        make, keys = (lambda terms: UElement(P, terms)), ((1, 0, 0), (0, 1, 1), (0, 0, 1))
+    a = make({keys[0]: r, keys[1]: P.zero(), keys[2]: q})
+    b = make({keys[1]: q, keys[2]: -q})
+    return make, keys, a, b
+
+
+@pytest.mark.parametrize("kind", ["algebra", "tensor", "dual"])
+def test_shared_linear_core(t2, kind):
+    P = t2.params
+    make, keys, a, b = _core_operands(kind, P)
+    assert list(a.terms) == [keys[0], keys[2]]   # zero terms pruned
+    snap_a, snap_b = dict(a.terms), dict(b.terms)
+    total = a + b
+    assert type(total) is type(a)
+    assert total.terms == {keys[0]: P.var("r"), keys[1]: P.var("q")}
+    assert (a + b) - b == a
+    assert -(-a) == a
+    assert a.scale(0).is_zero() and type(a.scale(0)) is type(a)
+    assert a.scale(P.var("r")) - a.scale(P.var("r")) == make({})
+    assert dict(a.terms) == snap_a and dict(b.terms) == snap_b
+    acc = make({})
+    acc.add_term(keys[0], P.var("q"))
+    acc.add_scaled(b, P.var("r"))
+    acc.add_term(keys[0], -P.var("q"))
+    assert acc == b.scale(P.var("r"))
+
+
+def test_shared_core_keeps_types_apart(t2):
+    P = t2.params
+    zeros = [Element(P), TensorElement(P, 2), TensorElement(P, 3), UElement(P)]
+    for i, z in enumerate(zeros):
+        for j, w in enumerate(zeros):
+            assert (z == w) == (i == j)
+    for other in (TensorElement.of(t2.word("x"), t2.word("th")), UElement.gen_T(P)):
+        with pytest.raises(TypeError):
+            t2.normalize(other)

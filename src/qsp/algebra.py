@@ -15,8 +15,9 @@ monomials, so every product that needs a rewrite is computed once per table
 memoized, its coefficients are replaced by one canonical instance per value,
 which keeps the memos from holding many equal copies.  A power x^k
 (|k| >= 2) passes dx or dth as x^(k-b) (x^b g) with b = k/2 rounded toward
-zero, so the recursion depth grows as log k.  Confluence makes normal forms
-unique, so neither memo nor split changes an answer.
+zero, and a right factor x^k passes a monomial m as (m x^b) x^(k-b), so the
+recursion depth grows as log k.  Confluence makes normal forms unique, so
+neither memo nor split changes an answer.
 
 The local-confluence audit rewrites every short word along each applicable
 first step and folds the branch one letter at a time.  It walks the words in
@@ -783,13 +784,44 @@ class RuleTable:
             if not m2[D] and (last < first or last == first == X):
                 # already in order: the product is the merged monomial
                 return Element.monomial(self.params, tuple(a + b for a, b in zip(m1, m2)))
+            if first == X and mono_degree(m2) == abs(m2[X]):
+                return self._store(self._pair_memo, key, self._mul_x_power(m1, m2[X]))
             e = Element.monomial(self.params, m1)
-        for letter in mono_letters(m2):
-            acc = Element.zero(self.params)
-            for m, c in e.terms.items():
-                acc.add_scaled(self.mul_mono_letter(m, letter), c)
-            e = acc
+        for g, k in enumerate(m2):
+            if not k:
+                continue
+            if g == X and abs(k) >= 2:
+                # a power of x is one factor, which _mul_x_power splits
+                e = self._times(e, self.mul_mono_mono, mono(x=k))
+            else:
+                for _ in range(abs(k)):
+                    e = self._times(e, self.mul_mono_letter, (g, 1 if k > 0 else -1))
         return self._store(self._pair_memo, key, e)
+
+    def _times(self, e: Element, product, factor) -> Element:
+        """A fresh element: the sum of c * product(m, factor) over the terms
+        c*m of ``e``, for product ``mul_mono_letter`` or ``mul_mono_mono``."""
+        acc = Element.zero(self.params)
+        for m, c in e.terms.items():
+            acc.add_scaled(product(m, factor), c)
+        return acc
+
+    def _mul_x_power(self, m: Monomial, k: int) -> Element:
+        """``m * x^k`` for |k| >= 2 and ``m`` not already in order with it.
+
+        The factors of ``m`` up to ``x`` stay in front and only the tail past
+        ``x`` moves: ``h*t * x^k = h * (t * x^k)``.  A bare tail splits the
+        power as ``t * x^k = (t * x^b) * x^(k-b)`` with b = k/2 rounded
+        toward zero, as ``mul_mono_letter`` splits a left factor, so the memo
+        gains O(log k) entries per tail, not k.
+        """
+        head = m[:TH] + (0,) * (NGENS - TH)
+        if any(head):
+            tail = (0,) * TH + m[TH:]
+            return self.mul(Element.monomial(self.params, head),
+                            self.mul_mono_mono(tail, mono(x=k)))
+        b = k // 2 if k > 0 else -(-k // 2)
+        return self._times(self.mul_mono_mono(m, mono(x=b)), self.mul_mono_mono, mono(x=k - b))
 
     def _realize_mono(self, m: Monomial) -> Element:
         """Expand the d-slot of a user-built monomial into the d-free basis."""
@@ -812,10 +844,7 @@ class RuleTable:
     def normalize_word(self, word: Iterable[WordItem]) -> Element:
         e = Element.one(self.params)
         for letter in word_letters(word):
-            acc = Element.zero(self.params)
-            for m, c in e.terms.items():
-                acc.add_scaled(self.mul_mono_letter(m, letter), c)
-            e = acc
+            e = self._times(e, self.mul_mono_letter, letter)
         return e
 
     def normalize(self, w) -> Element:

@@ -1,15 +1,31 @@
 """Exact coefficient field: rational functions over the rationals.
 
-A polynomial is a dict mapping exponent tuples (one entry per parameter) to
-``Fraction`` coefficients; the zero polynomial is the empty dict.  A
-RationalFunction is a reduced fraction of two such polynomials with the
-denominator normalized to leading coefficient 1 under graded-lexicographic
-order (variables compared in the order the ParamSet lists them).
+The deformation parameters are units, so almost every coefficient the
+engine builds is an integer Laurent polynomial in them.  A value is stored
+in one of two forms:
+
+- Laurent form: a dict mapping exponent tuples (one entry per parameter,
+  negative entries allowed) to nonzero ``int`` coefficients; zero is the
+  empty dict.  Sums and products of two Laurent values are plain dict loops,
+  with no gcd and no division.
+- General form: a reduced fraction ``num/den`` of polynomials (dicts of
+  non-negative exponent tuples to ``Fraction`` coefficients) with the
+  denominator normalized to leading coefficient 1 under graded-lexicographic
+  order (variables compared in the order the ParamSet lists them).
+
+Demotion rule: a value is in Laurent form exactly when its reduced
+denominator is a single term and its numerator coefficients are integers.
+Every operation that reaches the general form (a division by a non-unit, a
+literal like ``1/3``) demotes its result when it qualifies, so each value
+has one form and ``==`` and ``hash`` are structural.  ``num`` and ``den``
+give the reduced fraction of either form; for a Laurent value the
+denominator is the monic monomial that shifts the numerator to
+non-negative exponents.
 
 All values are immutable after construction and all operations are pure.
 An operation may return one of its operands unchanged (``a * 1`` is ``a``
-itself), so a value, and the polynomial dicts inside it, must never be
-mutated once built.
+itself), so a value, and the dicts inside it, must never be mutated once
+built.
 """
 
 from __future__ import annotations
@@ -17,11 +33,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import sub
+from operator import add, sub
 from typing import Mapping, Union
 
 Exponent = tuple[int, ...]
 Poly = dict[Exponent, Fraction]
+Laurent = dict[Exponent, int]
 
 Rat = Union[int, Fraction]
 
@@ -44,6 +61,11 @@ class PoleAtAssignment(QspError):
 
 class MissingVariable(QspError):
     pass
+
+
+class ResultTooLarge(QspError):
+    """A result has a number too long to print (the interpreter's int-to-str
+    digit limit)."""
 
 
 # ----------------------------------------------------------------------------
@@ -71,16 +93,20 @@ class ParamSet:
         except ValueError:
             raise MissingVariable(f"unknown parameter {name!r}") from None
 
+    @cached_property
+    def origin(self) -> Exponent:
+        """The exponent tuple of the constant monomial."""
+        return (0,) * self.nvars
+
     # zero and one are built once per parameter set and shared; values are
     # immutable, so every caller may hold the same instance
     @cached_property
     def _zero(self) -> "RationalFunction":
-        return RationalFunction(self, {}, _poly_const(self.nvars, 1), _raw=True)
+        return _value(self, {}, None)
 
     @cached_property
     def _one(self) -> "RationalFunction":
-        c = _poly_const(self.nvars, 1)
-        return RationalFunction(self, c, dict(c), _raw=True)
+        return _value(self, {self.origin: 1}, None)
 
     def zero(self) -> "RationalFunction":
         return self._zero
@@ -93,14 +119,15 @@ class ParamSet:
             return self._zero
         if value == 1:
             return self._one
-        return RationalFunction(
-            self, _poly_const(self.nvars, value), _poly_const(self.nvars, 1), _raw=True
-        )
+        c = Fraction(value)
+        if c.denominator == 1:
+            return _value(self, {self.origin: int(c)}, None)
+        return _value(self, None, ({self.origin: c}, {self.origin: Fraction(1)}))
 
     def var(self, name: str) -> "RationalFunction":
-        return RationalFunction(
-            self, _poly_var(self.nvars, self.index(name)), _poly_const(self.nvars, 1), _raw=True
-        )
+        e = [0] * self.nvars
+        e[self.index(name)] = 1
+        return _value(self, {tuple(e): 1}, None)
 
     def rf(self, value: "Rat | str | RationalFunction") -> "RationalFunction":
         if isinstance(value, RationalFunction):
@@ -124,12 +151,6 @@ PARAMS_III = ParamSet("III", ("q", "p"))
 def _poly_const(n: int, value: Rat) -> Poly:
     c = Fraction(value)
     return {(0,) * n: c} if c else {}
-
-
-def _poly_var(n: int, idx: int) -> Poly:
-    e = [0] * n
-    e[idx] = 1
-    return {tuple(e): Fraction(1)}
 
 
 def _poly_add(a: Poly, b: Poly) -> Poly:
@@ -408,6 +429,14 @@ def _poly_substitute_rf(a: Poly, values: Mapping[int, "RationalFunction"],
     return total
 
 
+def number_str(c: Rat) -> str:
+    """``str(c)``, raising ResultTooLarge past the int-to-str digit limit."""
+    try:
+        return str(c)
+    except ValueError:
+        raise ResultTooLarge("result too large: a coefficient has too many digits to print") from None
+
+
 def poly_str(a: Poly, variables: tuple[str, ...]) -> str:
     """Render a polynomial like ``q^2*r - 1/2*q + 3``; zero renders as ``0``."""
     if not a:
@@ -421,11 +450,11 @@ def poly_str(a: Poly, variables: tuple[str, ...]) -> str:
             if e
         ]
         if not factors:
-            body = str(abs(c))
+            body = number_str(abs(c))
         else:
             body = "*".join(factors)
             if abs(c) != 1:
-                body = f"{abs(c)}*{body}"
+                body = f"{number_str(abs(c))}*{body}"
         sign = "-" if c < 0 else "+"
         parts.append((sign, body))
     first_sign, first_body = parts[0]
@@ -440,111 +469,170 @@ def poly_str(a: Poly, variables: tuple[str, ...]) -> str:
 # ----------------------------------------------------------------------------
 
 class RationalFunction:
-    """Reduced fraction of multivariate polynomials over the rationals.
+    """Rational function over the rationals, in Laurent or general form.
 
-    Canonical form: gcd(num, den) = 1, the denominator has leading
-    coefficient 1 under graded-lex order, and zero is exactly 0/1.
+    ``lp`` holds the Laurent dict of a Laurent value and is None otherwise;
+    ``_nd`` holds the reduced ``(num, den)`` of a general value and is None
+    otherwise (see the module docstring for both forms).
     """
 
-    __slots__ = ("params", "num", "den")
+    __slots__ = ("params", "lp", "_nd")
 
-    def __init__(self, params: ParamSet, num: Poly, den: Poly, _raw: bool = False):
+    def __init__(self, params: ParamSet, num: Poly, den: Poly):
+        """The value num/den of any two polynomials, den nonzero."""
         if not den:
             raise ZeroDenominator("denominator is the zero polynomial")
-        if not _raw:
-            num, den = _reduce(num, den)
         self.params = params
-        self.num = num
-        self.den = den
+        self.lp, self._nd = _forms(*_reduce(
+            {m: Fraction(c) for m, c in num.items()},
+            {m: Fraction(c) for m, c in den.items()}))
+
+    # -- views ---------------------------------------------------------------
+
+    def _frac(self) -> tuple[Poly, Poly]:
+        if self._nd is not None:
+            return self._nd
+        lp = self.lp
+        if not lp:
+            return {}, {self.params.origin: Fraction(1)}
+        low = [min(0, *e) for e in zip(*lp)]
+        return ({tuple(map(sub, m, low)): Fraction(c) for m, c in lp.items()},
+                {tuple(-e for e in low): Fraction(1)})
+
+    @property
+    def num(self) -> Poly:
+        """Numerator of the reduced fraction."""
+        return self._frac()[0]
+
+    @property
+    def den(self) -> Poly:
+        """Denominator of the reduced fraction, monic; for a Laurent value,
+        the single term that clears its negative exponents."""
+        return self._frac()[1]
 
     # -- predicates ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.num
+        return not self.lp and self._nd is None
 
     def is_one(self) -> bool:
-        return _poly_is_one(self.num) and _poly_is_one(self.den)
-
-    def is_constant(self) -> bool:
-        return (not self.num or not any(any(m) for m in self.num)) and _poly_is_one(self.den)
-
-    def constant_value(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError("not a constant")
-        return next(iter(self.num.values())) if self.num else Fraction(0)
+        lp = self.lp
+        return lp is not None and len(lp) == 1 and lp.get(self.params.origin) == 1
 
     # -- arithmetic ----------------------------------------------------------
 
     def _check(self, other: "RationalFunction") -> None:
-        if self.params != other.params:
+        if self.params is not other.params and self.params != other.params:
             raise ValueError("parameter set mismatch")
 
     def __add__(self, other: "RationalFunction") -> "RationalFunction":
         self._check(other)
-        if self.den == other.den:
-            return RationalFunction(self.params, _poly_add(self.num, other.num), dict(self.den))
-        num = _poly_add(_poly_mul(self.num, other.den), _poly_mul(other.num, self.den))
-        return RationalFunction(self.params, num, _poly_mul(self.den, other.den))
+        a, b = self.lp, other.lp
+        if a is not None and b is not None:
+            if not b:
+                return self
+            if not a:
+                return other
+            if len(a) < len(b):
+                a, b = b, a
+            out = dict(a)
+            for m, c in b.items():
+                s = out.get(m, 0) + c
+                if s:
+                    out[m] = s
+                else:
+                    del out[m]
+            return _value(self.params, out, None)
+        (n1, d1), (n2, d2) = self._frac(), other._frac()
+        if d1 == d2:
+            num, den = _reduce(_poly_add(n1, n2), d1)
+        else:
+            num, den = _reduce(_poly_add(_poly_mul(n1, d2), _poly_mul(n2, d1)),
+                               _poly_mul(d1, d2))
+        return _value(self.params, *_forms(num, den))
 
     def __sub__(self, other: "RationalFunction") -> "RationalFunction":
         return self + (-other)
 
     def __neg__(self) -> "RationalFunction":
-        return RationalFunction(self.params, _poly_neg(self.num), dict(self.den), _raw=True)
+        if self.lp is not None:
+            return _value(self.params, {m: -c for m, c in self.lp.items()}, None)
+        num, den = self._nd
+        return _value(self.params, None, (_poly_neg(num), den))
 
     def __mul__(self, other: "RationalFunction") -> "RationalFunction":
         self._check(other)
-        if not self.num or not other.num:
-            return self.params.zero()
+        a, b = self.lp, other.lp
+        if a is not None and b is not None:
+            if not a or not b:
+                return self.params._zero
+            origin = self.params.origin
+            if len(a) == 1 and a.get(origin) == 1:
+                return other
+            if len(b) == 1:
+                (mb, cb), = b.items()
+                if cb == 1 and mb == origin:
+                    return self
+                return _value(self.params, _lp_times_term(a, mb, cb), None)
+            if len(a) == 1:
+                (ma, ca), = a.items()
+                return _value(self.params, _lp_times_term(b, ma, ca), None)
+            return _value(self.params, _lp_mul(a, b), None)
+        if self.is_zero() or other.is_zero():
+            return self.params._zero
         if other.is_one():
             return self
         if self.is_one():
             return other
-        if _poly_is_one(self.den) and _poly_is_one(other.den):
-            # a product of polynomials is already reduced over denominator 1
-            return RationalFunction(self.params, _poly_mul(self.num, other.num),
-                                    self.den, _raw=True)
         # cross-cancel before multiplying to keep intermediates small
-        g1 = poly_gcd(self.num, other.den)
-        g2 = poly_gcd(other.num, self.den)
-        n1 = self.num if _poly_is_one(g1) else _poly_div_exact(self.num, g1)
-        d2 = other.den if _poly_is_one(g1) else _poly_div_exact(other.den, g1)
-        n2 = other.num if _poly_is_one(g2) else _poly_div_exact(other.num, g2)
-        d1 = self.den if _poly_is_one(g2) else _poly_div_exact(self.den, g2)
-        num = _poly_mul(n1, n2)
-        den = _poly_mul(d1, d2)
-        lm, lc = _poly_leading(den)
-        if lc != 1:
-            num = _poly_scale(num, 1 / lc)
-            den = _poly_scale(den, 1 / lc)
-        return RationalFunction(self.params, num, den, _raw=True)
+        (n1, d1), (n2, d2) = self._frac(), other._frac()
+        g1 = poly_gcd(n1, d2)
+        g2 = poly_gcd(n2, d1)
+        if not _poly_is_one(g1):
+            n1, d2 = _poly_div_exact(n1, g1), _poly_div_exact(d2, g1)
+        if not _poly_is_one(g2):
+            n2, d1 = _poly_div_exact(n2, g2), _poly_div_exact(d1, g2)
+        # monic factors and monic gcds leave the denominator monic
+        return _value(self.params, *_forms(_poly_mul(n1, n2), _poly_mul(d1, d2)))
 
     def __truediv__(self, other: "RationalFunction") -> "RationalFunction":
         self._check(other)
         if other.is_zero():
             raise DivisionByZero("division by zero rational function")
-        inv = RationalFunction(self.params, other.den, other.num)
-        return self * inv
+        b = other.lp
+        if b is not None and len(b) == 1:
+            (mb, cb), = b.items()
+            if cb in (1, -1):
+                # a unit: its inverse is a Laurent monomial too
+                return self * _value(self.params, {tuple(-e for e in mb): cb}, None)
+        num, den = other._frac()
+        return self * RationalFunction(self.params, den, num)
 
     def __pow__(self, n: int) -> "RationalFunction":
         if not isinstance(n, int):
             raise TypeError("exponent must be an integer")
-        if n == 0:
-            return self.params.one()
-        base = self if n > 0 else self.params.one() / self
+        base = self if n >= 0 else self.params.one() / self
+        n = abs(n)
         out = self.params.one()
-        for _ in range(abs(n)):
-            out = out * base
+        while n:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
         return out
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalFunction):
             return NotImplemented
-        return (self.params == other.params and self.num == other.num
-                and self.den == other.den)
+        return (self.lp == other.lp and self._nd == other._nd
+                and (self.params is other.params or self.params == other.params))
 
     def __hash__(self) -> int:
-        return hash((tuple(sorted(self.num.items())), tuple(sorted(self.den.items()))))
+        if self.lp is not None:
+            return hash(frozenset(self.lp.items()))
+        num, den = self._nd
+        return hash((frozenset(num.items()), frozenset(den.items())))
 
     # -- evaluation / substitution -------------------------------------------
 
@@ -554,18 +642,20 @@ class RationalFunction:
             if v not in assignment:
                 raise MissingVariable(f"no value for parameter {v!r}")
             values.append(Fraction(assignment[v]))
-        den = _poly_eval(self.den, values)
-        if den == 0:
+        num, den = self._frac()
+        d = _poly_eval(den, values)
+        if d == 0:
             raise PoleAtAssignment(f"denominator vanishes at {dict(assignment)}")
-        return _poly_eval(self.num, values) / den
+        return _poly_eval(num, values) / d
 
     def substitute(self, assignment: Mapping[str, Rat]) -> "RationalFunction":
         """Substitute a subset of the parameters by exact rationals."""
         values = {self.params.index(k): Fraction(v) for k, v in assignment.items()}
-        den = _poly_substitute(self.den, values, self.params.nvars)
+        num, den = self._frac()
+        den = _poly_substitute(den, values, self.params.nvars)
         if not den:
             raise PoleAtAssignment(f"denominator vanishes at {dict(assignment)}")
-        return RationalFunction(self.params, _poly_substitute(self.num, values, self.params.nvars), den)
+        return RationalFunction(self.params, _poly_substitute(num, values, self.params.nvars), den)
 
     def project(self, target: ParamSet) -> "RationalFunction":
         """Re-express over ``target``; every dropped variable must be absent."""
@@ -586,16 +676,60 @@ class RationalFunction:
                 out[tuple(mm)] = c
             return out
 
-        return RationalFunction(target, conv(self.num), conv(self.den))
+        num, den = self._frac()
+        return RationalFunction(target, conv(num), conv(den))
 
     def __str__(self) -> str:
-        num = poly_str(self.num, self.params.variables)
-        if _poly_is_one(self.den):
-            return num
-        return f"({num})/({poly_str(self.den, self.params.variables)})"
+        num, den = self._frac()
+        body = poly_str(num, self.params.variables)
+        if _poly_is_one(den):
+            return body
+        return f"({body})/({poly_str(den, self.params.variables)})"
 
     def __repr__(self) -> str:
         return f"RationalFunction({self})"
+
+
+_new = object.__new__
+
+
+def _value(params: ParamSet, lp: Laurent | None,
+           nd: tuple[Poly, Poly] | None) -> RationalFunction:
+    """A value from its stored form, with no checks."""
+    rf = _new(RationalFunction)
+    rf.params = params
+    rf.lp = lp
+    rf._nd = nd
+    return rf
+
+
+def _forms(num: Poly, den: Poly) -> tuple[Laurent | None, tuple[Poly, Poly] | None]:
+    """The stored form of a reduced fraction: demoted to a Laurent dict when
+    the (monic) denominator is one term and the numerator is integral."""
+    if len(den) == 1 and all(c.denominator == 1 for c in num.values()):
+        (md, _), = den.items()
+        return {tuple(map(sub, m, md)): int(c) for m, c in num.items()}, None
+    return None, (num, den)
+
+
+def _lp_times_term(a: Laurent, m: Exponent, c: int) -> Laurent:
+    """a * c*m; a single term shifts exponents injectively, so nothing cancels."""
+    if not any(m):
+        return {e: v * c for e, v in a.items()}
+    return {tuple(map(add, e, m)): v * c for e, v in a.items()}
+
+
+def _lp_mul(a: Laurent, b: Laurent) -> Laurent:
+    out: Laurent = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = tuple(map(add, ma, mb))
+            s = out.get(m, 0) + ca * cb
+            if s:
+                out[m] = s
+            else:
+                del out[m]
+    return out
 
 
 def _reduce(num: Poly, den: Poly) -> tuple[Poly, Poly]:

@@ -27,7 +27,7 @@ import re
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .coeffs import QspError, RationalFunction, poly_str, _poly_is_one
+from .coeffs import QspError, RationalFunction, number_str, poly_str, _poly_is_one
 from .algebra import (
     GEN_INDEX,
     X,
@@ -283,10 +283,13 @@ def _element_power(rt: RuleTable, e: Element, n: int) -> Element:
     P = rt.params
     if n == 0:
         return Element.one(P)
+    if e.is_scalar():
+        # RationalFunction.__pow__ squares and multiplies
+        return Element.scalar(P, e.scalar_value() ** n)
     if n < 0:
-        if e.is_scalar():
-            return Element.scalar(P, e.scalar_value() ** n)
         raise BadExponent("negative powers require a scalar or x")
+    # an operator is multiplied by itself n-1 times: squaring would multiply
+    # monomials of high degree, each far dearer than a step by e
     out = e
     for _ in range(n - 1):
         out = rt.mul(out, e)
@@ -363,7 +366,7 @@ def _coeff_term(c: RationalFunction) -> tuple[int, str]:
         coeff = abs(coeff)
         parts = []
         if coeff != 1:
-            parts.append(str(coeff))
+            parts.append(number_str(coeff))
         for v, e in zip(params.variables, m):
             if e:
                 e = -e if negate_exps else e

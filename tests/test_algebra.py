@@ -11,6 +11,7 @@ from qsp.algebra import (
     DX,
     NGENS,
     PX,
+    TH,
     X,
     CalculusType,
     Element,
@@ -371,3 +372,39 @@ def test_powers_of_x_past_differentials_match_closed_forms(name):
         x_inv_k = Element.monomial(P, mono(x=-k))
         assert rt.mul(x_inv_k, along_dth) == dth, k
         assert rt.mul(x_inv_k, rt.mul(xk, dx)) == dx, k
+
+
+RIGHT_X_CASES = [mono(px=1), mono(pth=1), mono(ix=1), mono(ith=1), mono(th=1),
+                 mono(x=3, px=1), mono(dx=1, th=1, pth=1), mono(dth=2, x=-1, ith=2),
+                 mono(th=1, px=1, pth=1, ix=1, ith=1)]
+
+
+@pytest.mark.parametrize("name", ["I", "II", "III"])
+def test_right_x_power_matches_letter_fold(name):
+    # m * x^k splits the power in log depth; a fresh table folds the same
+    # product one letter at a time
+    rt = build_rule_table(CalculusType.by_name(name))
+    ref = build_rule_table(CalculusType.by_name(name))
+    for m in RIGHT_X_CASES:
+        for k in [k for k in range(-64, 65) if k]:
+            for tail in ({}, {"th": 1}):
+                want = Element.monomial(ref.params, m)
+                for letter in [(X, 1 if k > 0 else -1)] * abs(k) + [(TH, 1)] * len(tail):
+                    acc = Element.zero(ref.params)
+                    for mm, c in want.terms.items():
+                        acc.add_scaled(ref.mul_mono_letter(mm, letter), c)
+                    want = acc
+                assert rt.mul_mono_mono(m, mono(x=k, **tail)) == want, (m, k, tail)
+
+
+@pytest.mark.parametrize("tail", [{}, {"th": 1}])
+def test_right_x_power_memo_grows_logarithmically(tail):
+    # px * x^10000 memoizes O(log k) products, not one per letter
+    rt = build_rule_table(CalculusType.type_ii())
+    before = len(rt._memo) + len(rt._pair_memo)
+    e = rt.mul_mono_mono(mono(px=1), mono(x=10_000, **tail))
+    assert len(rt._memo) + len(rt._pair_memo) - before < 300
+    want = rt.params.var("r") ** 10_000
+    if tail:
+        want = want * rt.mul_mono_mono(mono(px=1), mono(th=1)).coefficient(mono(th=1, px=1))
+    assert e.coefficient(mono(x=10_000, px=1, **tail)) == want

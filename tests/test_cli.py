@@ -39,6 +39,22 @@ def test_normalize_overlong_literal(capsys):
         assert f"position {at}" in err
 
 
+def test_normalize_result_too_large(capsys):
+    # a coefficient past CPython's int string-conversion limit (4300 digits)
+    # cannot be printed: a reported error, not an internal one
+    big = "7" * 3000
+    for text in ("10^5000", f"{big}*{big}"):
+        code, out, err = invoke(capsys, "normalize", "--type", "II", text)
+        assert code == 2 and out == ""
+        assert "too large" in err
+
+
+def test_normalize_long_right_x_power(capsys):
+    code, out, _ = invoke(capsys, "normalize", "--type", "II", "px*x^10000")
+    assert code == 0
+    assert out.rstrip().endswith(" + r^10000*x^10000*px + (r^10000 - 1)*x^9999*th*pth")
+
+
 def test_check_pass_and_fail(capsys):
     code, out, _ = invoke(capsys, "check", "--type", "II", "H*Nb == Nb*H")
     assert code == 0 and "PASS" in out

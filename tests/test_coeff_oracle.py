@@ -1,11 +1,13 @@
 """Property tests of the coefficient fast paths against an independent oracle.
 
-``RationalFunction.__mul__`` short-circuits unit operands and products of
-polynomials, ``_poly_div_exact`` divides by a single-term divisor term by
-term, and ``Element.add_scaled`` accumulates in place.  Products and sums are
-checked against SymPy's ``cancel``, exact division against ``sympy.div``, and
-in-place accumulation against ``a + b.scale(c)``.  Both libraries are
-test-only dependencies.
+``RationalFunction`` stores an integer Laurent polynomial directly and a
+reduced fraction otherwise, promoting and demoting between the two forms;
+``__mul__`` short-circuits unit operands, ``_poly_div_exact`` divides by a
+single-term divisor term by term, and ``Element.add_scaled`` accumulates in
+place.  Products, sums and quotients are checked against SymPy's ``cancel``,
+the stored form against the shape of SymPy's reduced fraction, exact division
+against ``sympy.div``, and in-place accumulation against ``a + b.scale(c)``.
+Both libraries are test-only dependencies.
 """
 
 from fractions import Fraction
@@ -17,8 +19,11 @@ sympy = pytest.importorskip("sympy")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from qsp.algebra import Element, mono  # noqa: E402
+from qsp.algebra import (  # noqa: E402
+    CalculusType, Element, build_rule_table, local_confluence_check, mono)
+from qsp.calculus import run_suite  # noqa: E402
 from qsp.coeffs import PARAMS_II, _poly_div_exact, rf_make  # noqa: E402
+from qsp.exprio import parse_element  # noqa: E402
 
 P = PARAMS_II
 SQ, SR = sympy.symbols("q r")
@@ -124,3 +129,115 @@ def test_add_scaled_matches_add_and_scale(ta, tb, c, cancel):
     assert acc == a + b.scale(c)
     assert not any(v.is_zero() for v in acc.terms.values())
     assert b.terms == b_before
+
+
+# ----------------------------------------------------------------------------
+# The Laurent / general boundary
+# ----------------------------------------------------------------------------
+
+laurent_exponents = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+
+
+@st.composite
+def laurents(draw, min_size=1):
+    """Integer Laurent polynomials, negative exponents included."""
+    terms = draw(st.dictionaries(laurent_exponents, st.integers(-4, 4).filter(bool),
+                                 min_size=min_size, max_size=4))
+    low = tuple(min(0, *e) for e in zip(*terms)) if terms else (0, 0)
+    num = {tuple(a - b for a, b in zip(m, low)): Fraction(c) for m, c in terms.items()}
+    return rf_make(P, num, {tuple(-b for b in low): Fraction(1)})
+
+
+@st.composite
+def boundary_values(draw):
+    """Laurent values, fractions of non-unit literals like 1/3, and general
+    fractions with a non-monomial denominator."""
+    kind = draw(st.sampled_from(["laurent", "literal", "general"]))
+    if kind == "laurent":
+        return draw(laurents())
+    if kind == "literal":
+        return draw(laurents()) * P.const(draw(small.filter(lambda c: c.denominator > 1)))
+    return rf_make(P, draw(polys), draw(polys.filter(lambda p: len(p) > 1)))
+
+
+def assert_canonical(rf, expr):
+    """``rf`` is the reduced fraction SymPy gives for ``expr``, stored in
+    Laurent form exactly when that fraction has a monomial denominator and an
+    integral numerator, and rebuilding it from its view gives the same value."""
+    num, den = canonical_from_sympy(expr)
+    assert (rf.num, rf.den) == (num, den)
+    laurent = len(den) == 1 and all(c.denominator == 1 for c in num.values())
+    assert (rf.lp is not None) == laurent
+    rebuilt = rf_make(P, rf.num, rf.den)
+    assert rebuilt == rf and hash(rebuilt) == hash(rf)
+
+
+@settings(max_examples=100, deadline=None)
+@given(laurents(min_size=0), laurents(min_size=0))
+def test_laurent_arithmetic_matches_sympy(a, b):
+    # the int dict loops: no gcd, negative exponents, cancellation to zero
+    assert a.lp is not None and b.lp is not None
+    assert_canonical(a * b, to_sympy(a) * to_sympy(b))
+    assert_canonical(a + b, sympy.together(to_sympy(a) + to_sympy(b)))
+    assert_canonical(a - b, sympy.together(to_sympy(a) - to_sympy(b)))
+    assert (a - a).is_zero() and (a - a).lp == {}
+
+
+@settings(max_examples=60, deadline=None)
+@given(boundary_values(), boundary_values())
+def test_mixed_forms_match_sympy(a, b):
+    # Laurent x general, literal x Laurent, general + general, in both orders
+    assert_canonical(a * b, to_sympy(a) * to_sympy(b))
+    assert_canonical(b * a, to_sympy(a) * to_sympy(b))
+    assert_canonical(a + b, sympy.together(to_sympy(a) + to_sympy(b)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(laurents(), laurents())
+def test_laurent_quotient_matches_sympy(a, b):
+    # a unit divisor stays Laurent; any other divisor promotes, and the
+    # quotient demotes again when the divisor cancels
+    assert_canonical(a / b, sympy.cancel(to_sympy(a) / to_sympy(b)))
+    assert_canonical((a * b) / b, to_sympy(a))
+    assert_canonical(b ** -2, sympy.cancel(to_sympy(b) ** -2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(laurents(min_size=0), boundary_values())
+def test_sum_cancelling_the_denominator_is_laurent(a, g):
+    # (a + g) - g leaves the general form and must come back as Laurent
+    s = a + g
+    assert_canonical(s, sympy.together(to_sympy(a) + to_sympy(g)))
+    back = s - g
+    assert back == a and hash(back) == hash(a)
+    assert back.lp is not None
+
+
+@pytest.mark.parametrize("n,d", [(1, 3), (-2, 3), (5, 2), (7, 12)])
+def test_fraction_literals_promote_and_demote(n, d):
+    c = P.const(Fraction(n, d))
+    assert c.lp is None
+    assert_canonical(c, sympy.Rational(n, d))
+    assert_canonical(c * P.const(d), sympy.Integer(n))
+    rt = build_rule_table(CalculusType.type_ii())
+    e = parse_element(rt, f"{n}/{d}*r^-1*x")
+    (coeff,) = e.terms.values()
+    assert_canonical(coeff, sympy.Rational(n, d) / SR)
+    (coeff,) = e.scale(P.const(d) * P.var("r")).terms.values()
+    assert coeff.lp == {(0, 0): n}
+
+
+@pytest.mark.parametrize("name", ["I", "II", "III"])
+def test_memoized_coefficients_are_laurent(name):
+    # every coefficient normal ordering memoizes must take the Laurent fast
+    # path: stored as an int dict, and the form rf_make gives its own view
+    rt = build_rule_table(CalculusType.by_name(name))
+    assert local_confluence_check(rt, 3).ok
+    assert run_suite(rt, bound=6)
+    pool = list(rt._pool)
+    assert len(pool) > 20
+    for c in pool:
+        assert c.lp is not None, c
+        rebuilt = rf_make(rt.params, c.num, c.den)
+        assert rebuilt == c and hash(rebuilt) == hash(c)
+        assert rebuilt.lp == c.lp

@@ -195,3 +195,13 @@ def test_str_forms():
     assert str(one + q) == "q + 1"
     assert str((one - q) / r) == "(-q + 1)/(r)"
     assert str(PARAMS_III.var("p") ** 2) == "p^2"
+
+
+def test_power_matches_repeated_product():
+    # __pow__ squares and multiplies; negative powers invert first
+    for base in (q + r, q / (one - r), P2.const(Fraction(2, 3)) * r, -one):
+        want = one
+        for k in range(10):
+            assert base ** k == want
+            assert base ** -k == one / want
+            want = want * base

@@ -172,3 +172,22 @@ def test_emit_report_text(t2):
     res = [VerifyResult("eq41-Hnabla", "(41)", "PASS", Element.zero(t2.params), 1)]
     text = emit_report(res, "text", "I", {"q": 2}).decode()
     assert "eq41-Hnabla" in text and "PASS" in text
+
+
+@pytest.mark.parametrize("text", ["H", "1+r", "x*px + th", "2*q - r^-1", "1/3 + q"])
+def test_powers_match_repeated_product(t2, text):
+    # scalar powers square and multiply; every power equals the plain product
+    e = P(t2, f"({text})")
+    want = Element.one(t2.params)
+    for k in range(1, 10):
+        want = t2.mul(want, e)
+        assert P(t2, f"({text})^{k}") == want
+    if e.is_scalar():
+        inv = Element.scalar(t2.params, t2.params.one() / e.scalar_value())
+        want = Element.one(t2.params)
+        for k in range(1, 10):
+            want = t2.mul(want, inv)
+            assert P(t2, f"({text})^-{k}") == want
+    else:
+        with pytest.raises(BadExponent):
+            P(t2, f"({text})^-2")

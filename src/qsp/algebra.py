@@ -32,7 +32,9 @@ basis letter: the stated commutation relations make d - (dx*px + dth*pth)
 a zero divisor killed by 1 - 1/Q, so for a generic deformation d coincides
 with dx*px + dth*pth and keeping it independent would break confluence.
 The engine therefore multiplies d as that realization, and normal forms are
-d-free; rule-table entries for pairs involving d hold the realized products.
+d-free.  A rule table holds no rule for a pair involving d: only the audit
+rewrites such a pair, and it builds those rules, the realized products, for
+the length of one call.
 """
 
 from __future__ import annotations
@@ -581,7 +583,6 @@ class RuleTable:
         rt._derive_x_inverse_rules()
         rt._d_real = (Element.monomial(P, mono(dx=1, px=1))
                       + Element.monomial(P, mono(dth=1, pth=1)))
-        rt._add_d_entries()
         rt._round_trip_check()
         return rt
 
@@ -590,27 +591,6 @@ class RuleTable:
         if self._d_real is None:
             raise UnsupportedGenerator("this table has no exterior derivative")
         return self._d_real
-
-    def _add_d_entries(self) -> None:
-        """Realized products for every out-of-order pair involving d.
-
-        The right-hand sides are completed products in the d-free basis, so
-        the table stays closed even though d never survives normalization.
-        """
-        P = self.params
-        dd = self._d_real
-        unit = {g: Element.monomial(P, mono(**{GENS[g]: 1}))
-                for g in (DX, DTH, TH, PX, PTH, IX, ITH)}
-        xp = Element.monomial(P, mono(x=1))
-        xm = Element.monomial(P, mono(x=-1))
-        self.rules[(D, DX, 0)] = self.mul(dd, unit[DX])
-        self.rules[(D, DTH, 0)] = self.mul(dd, unit[DTH])
-        self.rules[(D, X, 1)] = self.mul(dd, xp)
-        self.rules[(D, X, -1)] = self.mul(dd, xm)
-        self.rules[(D, TH, 0)] = self.mul(dd, unit[TH])
-        self.rules[(D, D, 0)] = self.mul(dd, dd)
-        for g in (PX, PTH, IX, ITH):
-            self.rules[(g, D, 0)] = self.mul(unit[g], dd)
 
     def _derive_x_inverse_rules(self) -> None:
         P = self.params
@@ -914,12 +894,36 @@ def _reducible(rt: RuleTable, a: tuple, b: tuple) -> RuleKey | None:
     return None
 
 
+# the audit's letters: the nine generators, with x also as x^-1
+_AUDIT_ALPHABET = tuple([(g, 1) for g in range(NGENS)] + [(X, -1)])
+
+
+def _d_rules(rt: RuleTable) -> dict:
+    """Rules for the ten out-of-order letter pairs involving d.
+
+    Keyed like ``rt.rules``, each holds the realized product: d*g for a
+    letter g up to d in the order (d itself included), g*d for one past it.
+    No table keeps them, since a normal form never meets d.
+    """
+    d = rt.d_element()
+    rules = {(D, D, 0): rt.mul(d, d)}
+    for a in _AUDIT_ALPHABET:
+        e = Element.monomial(rt.params, _letter_mono(a))
+        if a[0] < D:
+            rules[_reducible(rt, (D, 1), a)] = rt.mul(d, e)
+        elif a[0] > D:
+            rules[_reducible(rt, a, (D, 1))] = rt.mul(e, d)
+    return rules
+
+
 def local_confluence_check(rt: RuleTable, max_len: int) -> ConfluenceReport:
     """Rewrite every short word via each applicable first step and compare.
 
     Words run over all nine generators with x occurring as x or x^-1; a
     violation records the word, the two diverging first steps, and the
-    residual difference of the fully normalized branches.
+    residual difference of the fully normalized branches.  A pair involving
+    d is rewritten by its realized product, built once per call from the
+    table (``_d_rules``).
 
     A branch is built by the letter-by-letter fold: the prefix word[:i]
     folded from 1 one letter at a time, times the right-hand side of the
@@ -934,8 +938,8 @@ def local_confluence_check(rt: RuleTable, max_len: int) -> ConfluenceReport:
     """
     if max_len < 3:
         raise ValueError("max_len must be at least 3")
-    alphabet = [(g, 1) for g in range(NGENS)] + [(X, -1)]
-    letters = {a: Element.monomial(rt.params, _letter_mono(a)) for a in alphabet}
+    rules = {**rt.rules, **_d_rules(rt)}
+    letters = {a: Element.monomial(rt.params, _letter_mono(a)) for a in _AUDIT_ALPHABET}
     words_checked = 0
     branch_pairs = 0
     violations: list[ConfluenceViolation] = []
@@ -946,7 +950,7 @@ def local_confluence_check(rt: RuleTable, max_len: int) -> ConfluenceReport:
     folds = [Element.one(rt.params)]
     paths: dict[int, list[Element]] = {}
     for length in range(3, max_len + 1):
-        for word in _itproduct(alphabet, repeat=length):
+        for word in _itproduct(_AUDIT_ALPHABET, repeat=length):
             keys = [_reducible(rt, word[i], word[i + 1]) for i in range(length - 1)]
             steps = [i for i, key in enumerate(keys) if key is not None]
             if len(steps) < 2:
@@ -970,7 +974,7 @@ def local_confluence_check(rt: RuleTable, max_len: int) -> ConfluenceReport:
                     folds.append(rt.mul(folds[-1], letters[word[len(folds) - 1]]))
                 path = paths.get(i)
                 if path is None:
-                    path = paths[i] = [rt.mul(folds[i], rt.rules[keys[i]])]
+                    path = paths[i] = [rt.mul(folds[i], rules[keys[i]])]
                 while len(path) < length - i - 1:
                     path.append(rt.mul(path[-1], letters[word[i + 1 + len(path)]]))
                 branches.append(path[-1])

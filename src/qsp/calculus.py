@@ -194,20 +194,6 @@ def _word(id_: str, anchor: str, template: str) -> None:
     _add(Identity(id_, anchor, "word-level", run))
 
 
-def _word_ranged(id_: str, anchor: str, template_fn: Callable[[int], str],
-                 ms: Iterable[int]) -> None:
-    ms = tuple(ms)
-
-    def run(rt: RuleTable, bound: int) -> Element:
-        residuals = []
-        for m in ms:
-            lhs, rhs = template_fn(m).split("==")
-            residuals.append(E(rt, lhs) - E(rt, rhs))
-        return _first_nonzero(residuals)
-
-    _add(Identity(id_, anchor, "word-level", run))
-
-
 def _scalar(id_: str, anchor: str,
             fn: Callable[[RuleTable], Iterable[RationalFunction]]) -> None:
     def run(rt: RuleTable, bound: int) -> Element:

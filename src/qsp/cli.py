@@ -9,6 +9,8 @@ error, 3 internal invariant violation or any other unexpected error.
 from __future__ import annotations
 
 import argparse
+import functools
+import shutil
 import sys
 from fractions import Fraction
 
@@ -73,67 +75,73 @@ def _read_config(path: str) -> dict:
     return config
 
 
+_TYPES = ("I", "II", "III")
+_FORMATS = ("text", "json")
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    # argparse sizes every formatter it builds to the terminal; ask once
+    fmt = functools.partial(argparse.HelpFormatter,
+                            width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
-        prog="qsp",
+        prog="qsp", formatter_class=fmt,
         description="Exact calculus engine on the quantum superplane")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--type", dest="ctype", choices=("I", "II", "III"),
-                       default=None, help="calculus type (default II)")
-        p.add_argument("--param", dest="params", action="append",
-                       type=_parse_param, default=None,
-                       metavar="NAME=RAT", help="numeric specialization")
-        p.add_argument("--bound", dest="bound", type=int, default=None,
-                       metavar="D", help="basis bound for action checks")
-        p.add_argument("--format", dest="fmt", choices=("text", "json"),
-                       default=None)
-        p.add_argument("--config", dest="config", default=None,
-                       metavar="PATH", help="key=value configuration file")
+    common = argparse.ArgumentParser(add_help=False, formatter_class=fmt)
+    common.add_argument("--type", dest="ctype", choices=_TYPES,
+                        default=None, help="calculus type (default II)")
+    common.add_argument("--param", dest="params", action="append",
+                        type=_parse_param, default=None,
+                        metavar="NAME=RAT", help="numeric specialization")
+    common.add_argument("--bound", dest="bound", type=int, default=None,
+                        metavar="D", help="basis bound for action checks")
+    common.add_argument("--format", dest="fmt", choices=_FORMATS,
+                        default=None)
+    common.add_argument("--config", dest="config", default=None,
+                        metavar="PATH", help="key=value configuration file")
 
-    p = sub.add_parser("normalize", help="print the canonical form of EXPR")
-    common(p)
-    p.add_argument("expr")
+    def command(name, summary):
+        return sub.add_parser(name, help=summary, parents=[common], formatter_class=fmt)
 
-    p = sub.add_parser("check", help='verify "LHS == RHS"')
-    common(p)
-    p.add_argument("expr")
-
-    p = sub.add_parser("act", help="apply operator OP to EXPR")
-    common(p)
+    command("normalize", "print the canonical form of EXPR").add_argument("expr")
+    command("check", 'verify "LHS == RHS"').add_argument("expr")
+    p = command("act", "apply operator OP to EXPR")
     p.add_argument("op")
     p.add_argument("expr")
-
-    p = sub.add_parser("pair", help="dual pairing <U, A>")
-    common(p)
+    p = command("pair", "dual pairing <U, A>")
     p.add_argument("u")
     p.add_argument("a")
-
-    p = sub.add_parser("coproduct", help="coordinate coproduct of EXPR")
-    common(p)
-    p.add_argument("expr")
-
-    p = sub.add_parser("verify", help="run the identity catalog")
-    common(p)
+    command("coproduct", "coordinate coproduct of EXPR").add_argument("expr")
+    p = command("verify", "run the identity catalog")
     p.add_argument("--id", dest="identity", default=None,
                    help="run one identity (or glob pattern)")
     p.add_argument("--suite", dest="suite", choices=("all",), default=None)
-
-    p = sub.add_parser("solve-types", help="print the covariant families")
-    common(p)
+    command("solve-types", "print the covariant families")
     return parser
 
 
 def _effective(args, config: dict, key: str, default):
+    """The flag's value, else the config file's, checked as the flag's is."""
     flag = getattr(args, key, None)
     if flag is not None:
         return flag
-    mapped = {"ctype": "type", "fmt": "format", "bound": "bound"}.get(key, key)
-    if mapped in config:
-        value = config[mapped]
-        return int(value) if key == "bound" else value
-    return default
+    name = {"ctype": "type", "fmt": "format"}.get(key, key)
+    if name not in config:
+        return default
+    value = config[name]
+    if name == "bound":
+        try:
+            return int(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"config bound: invalid int value: {value!r}") from None
+    choices = _TYPES if name == "type" else _FORMATS
+    if value not in choices:
+        raise argparse.ArgumentTypeError(
+            f"config {name}: invalid choice: {value!r} "
+            f"(choose from {', '.join(map(repr, choices))})")
+    return value
 
 
 def _engine(args, config) -> tuple[RuleTable, str, dict]:
@@ -159,7 +167,7 @@ def run(argv) -> int:
         return 2 if exc.code else 0
     try:
         config = _read_config(args.config) if args.config else {}
-        bound = int(_effective(args, config, "bound", 6))
+        bound = _effective(args, config, "bound", 6)
         if bound < 1:
             raise argparse.ArgumentTypeError("--bound must be at least 1")
         fmt = _effective(args, config, "fmt", "text")

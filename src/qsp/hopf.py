@@ -384,14 +384,6 @@ def u_coproduct_key(k: UKey):
     return [((a, b, 1), (a, b, 0), 1), ((a, b + 1, 0), (a, b, 1), 1)]
 
 
-def u_counit(u: UElement) -> RationalFunction:
-    total = u.params.zero()
-    for (a, b, n), c in u.terms.items():
-        if not n:
-            total = total + c
-    return total
-
-
 def u_antipode(u: UElement, variant: str = "corrected") -> UElement:
     """Antipode: S(T)=T^-1, S(K)=K^-1, S(Nb) = -K^s Nb.
 

@@ -8,8 +8,13 @@ from itertools import product
 import pytest
 
 from qsp.algebra import (
+    D,
+    DTH,
     DX,
+    IX,
+    ITH,
     NGENS,
+    PTH,
     PX,
     TH,
     X,
@@ -17,6 +22,7 @@ from qsp.algebra import (
     Element,
     InconsistentType,
     UnsupportedGenerator,
+    _d_rules,
     _letter_mono,
     _reducible,
     build_rule_table,
@@ -193,6 +199,50 @@ def test_rule_tables_cohere_across_types(t1, t2, t3):
     assert set(t1.rules) == set(t2.rules) == set(t3.rules)
 
 
+D_RULE_KEYS = {(D, DX, 0), (D, DTH, 0), (D, X, 1), (D, X, -1), (D, TH, 0), (D, D, 0),
+               (PX, D, 0), (PTH, D, 0), (IX, D, 0), (ITH, D, 0)}
+
+
+def test_audit_d_rules_cohere_across_types(t1, t2, t3):
+    # the audit's rules for pairs involving d: one per out-of-order pair,
+    # none shadowing a table rule, and Type II at r=1 and Type III at p=1
+    # match Type I entry by entry
+    rules1 = _d_rules(t1)
+    assert set(rules1) == D_RULE_KEYS
+    for other, var in ((t2, "r"), (t3, "p")):
+        rules = _d_rules(other)
+        assert set(rules) == D_RULE_KEYS and not D_RULE_KEYS & set(other.rules)
+        for key, rule in rules.items():
+            specialized = {m: c.substitute({var: 1}).project(PARAMS_I)
+                           for m, c in rule.terms.items()}
+            specialized = {m: c for m, c in specialized.items() if not c.is_zero()}
+            assert specialized == rules1[key].terms, (key, specialized, rules1[key].terms)
+
+
+def _involves_d(key):
+    return any(m[D] if len(m) == NGENS else m[0] == D for m in key)
+
+
+@pytest.mark.parametrize("name,assignment", [("I", {}), ("II", {}), ("III", {}),
+                                             ("II", {"r": 1}), ("III", {"p": 1})],
+                         ids=["I", "II", "III", "II-r1", "III-p1"])
+def test_fresh_table_computes_no_d_product(name, assignment):
+    # building a table computes none of the audit's rules for pairs involving
+    # d: no rule is keyed by such a pair, no memo key holds d except (1, d),
+    # where the build's round trip of the word d stores its realization, and
+    # no memo holds a product of the realization with dx, dth, th, itself or
+    # an operator (the round trips d*x*x^-1 and d*x^-1*x do pass it x and x^-1)
+    ct = CalculusType.by_name(name)
+    rt = build_rule_table(ct.specialize(assignment) if assignment else ct)
+    assert not [key for key in rt.rules if D in key[:2]]
+    assert [key for key in rt._memo if _involves_d(key)] == [(mono(), (D, 1))]
+    assert not [key for key in rt._pair_memo if _involves_d(key)]
+    real = list(rt.d_element().terms)
+    assert not [m for m in real for g in (DX, DTH, TH) if (m, (g, 1)) in rt._memo]
+    assert not [(a, b) for a in real + [mono(px=1), mono(pth=1), mono(ix=1), mono(ith=1)]
+                for b in real if (a, b) in rt._pair_memo]
+
+
 def test_idempotence_and_specialization_commute(t2):
     rng = random.Random(4711)
     rt_spec = build_rule_table(CalculusType.type_ii().specialize({"r": 2}))
@@ -246,6 +296,14 @@ def _reference_audit(rt, max_len):
     def letter(a):
         return Element.monomial(rt.params, _letter_mono(a))
 
+    # the rules for pairs involving d are the products with its realization
+    d = rt.d_element()
+    rules = dict(rt.rules)
+    for g, s in ((DX, 1), (DTH, 1), (X, 1), (X, -1), (TH, 1)):
+        rules[(D, g, s if g == X else 0)] = rt.mul(d, letter((g, s)))
+    rules[(D, D, 0)] = rt.mul(d, d)
+    for g in (PX, PTH, IX, ITH):
+        rules[(g, D, 0)] = rt.mul(letter((g, 1)), d)
     alphabet = [(g, 1) for g in range(NGENS)] + [(X, -1)]
     words = branch_pairs = 0
     violations = []
@@ -261,7 +319,7 @@ def _reference_audit(rt, max_len):
                 out = Element.one(rt.params)
                 for a in word[:i]:
                     out = rt.mul(out, letter(a))
-                out = rt.mul(out, rt.rules[_reducible(rt, word[i], word[i + 1])])
+                out = rt.mul(out, rules[_reducible(rt, word[i], word[i + 1])])
                 for a in word[i + 2:]:
                     out = rt.mul(out, letter(a))
                 branches.append(out)
@@ -274,7 +332,8 @@ def _reference_audit(rt, max_len):
 
 
 def _broken_table(name):
-    # scale one rule by 2: the table is no longer confluent
+    # scale one rule by 2: the table is no longer confluent, and the rules for
+    # pairs involving d, built from it, carry the scaled rule too
     rt = build_rule_table(CalculusType.by_name(name))
     rt.rules[(PX, DX, 0)] = rt.rules[(PX, DX, 0)].scale(2)
     rt._memo.clear()

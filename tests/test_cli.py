@@ -1,6 +1,10 @@
 """Command-line driver: subcommands, exit codes, determinism, coherence."""
 
 import json
+import sys
+from pathlib import Path
+
+import pytest
 
 import qsp.cli
 from qsp.cli import run
@@ -194,6 +198,39 @@ def test_config_param_line(tmp_path, capsys):
     code, out, _ = invoke(capsys, "normalize", "--config", str(cfg), "px*x")
     assert code == 0
     assert out.strip() == "1 + x*px"
+
+
+@pytest.mark.parametrize("line,flag", [("bound=abc", ["--bound", "3"]),
+                                       ("type=IV", ["--type", "II"]),
+                                       ("format=xml", ["--format", "text"])])
+def test_bad_config_value_exits_2(tmp_path, capsys, line, flag):
+    # a config value is checked as the flag's would be: an input error
+    cfg = tmp_path / "qsp.cfg"
+    cfg.write_text(line + "\n")
+    key, _, value = line.partition("=")
+    code, out, err = invoke(capsys, "verify", "--config", str(cfg), "--id", "eq41-Hnabla")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: config {key}: invalid ") and repr(value) in err
+    # a flag that overrides the value leaves it unread
+    code, _, _ = invoke(capsys, "verify", "--config", str(cfg), *flag, "--id", "eq41-Hnabla")
+    assert code == 0
+
+
+# stdout, stderr and exit code of every --help and of two usage errors at
+# three terminal widths, keyed "<COLUMNS> <argv>", captured under CPython 3.11
+HELP_GOLDEN = json.loads((Path(__file__).parent / "golden" / "cli_help.json").read_text())
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 12),
+                    reason="the golden text is argparse's wording in CPython 3.11")
+@pytest.mark.parametrize("columns", ["50", "80", "200"])
+def test_help_and_usage_errors_match_golden(capsys, monkeypatch, columns):
+    monkeypatch.setenv("COLUMNS", columns)
+    cases = [key for key in HELP_GOLDEN if key.split(" ", 1)[0] == columns]
+    assert len(cases) == 10
+    for key in cases:
+        code, out, err = invoke(capsys, *key.split(" ")[1:])
+        assert {"code": code, "out": out, "err": err} == HELP_GOLDEN[key], key
 
 
 def test_bad_usage(capsys):

@@ -31,10 +31,13 @@ The exterior-derivative generator d is accepted in input words but is not a
 basis letter: the stated commutation relations make d - (dx*px + dth*pth)
 a zero divisor killed by 1 - 1/Q, so for a generic deformation d coincides
 with dx*px + dth*pth and keeping it independent would break confluence.
-The engine therefore multiplies d as that realization, and normal forms are
-d-free.  A rule table holds no rule for a pair involving d: only the audit
-rewrites such a pair, and it builds those rules, the realized products, for
-the length of one call.
+A word is therefore read with each d expanded into that realization
+(``normalize_word`` multiplies by ``d_element()``), so normal forms are
+d-free and the multiplication core never sees d.  The monomial keeps an
+always-zero d slot only to fix the audit's order of d between th and px.  No
+rule table holds a rule for a pair involving d: the audit alone treats d as
+a letter, multiplies it as ``d_element()``, and builds the realized products
+for such pairs once per call.
 """
 
 from __future__ import annotations
@@ -130,6 +133,8 @@ def mono(**exps: int) -> Monomial:
     for name, k in exps.items():
         if name not in GEN_INDEX:
             raise UnsupportedGenerator(f"unknown generator {name!r}")
+        if name == "d":
+            raise UnsupportedGenerator("d is not a basis letter; it is expanded in words")
         e[GEN_INDEX[name]] = k
     return tuple(e)
 
@@ -499,9 +504,9 @@ class RuleTable:
         # bound -> first nonzero H and Nb residuals of the twisted-Leibniz
         # grid, shared by the eq59 and eq62 identities (calculus)
         self._leibniz_residuals: dict = {}
-        # realization of the exterior derivative; None while the core table
-        # is being assembled (no d-words are touched during that phase)
-        self._d_real: Element | None = None
+        # the realization of d, which normalize_word multiplies in for each d
+        self._d_real = (Element.monomial(self.params, mono(dx=1, px=1))
+                        + Element.monomial(self.params, mono(dth=1, pth=1)))
 
     # -- construction ----------------------------------------------------------
 
@@ -581,15 +586,11 @@ class RuleTable:
 
         rt = cls(ct, rules)
         rt._derive_x_inverse_rules()
-        rt._d_real = (Element.monomial(P, mono(dx=1, px=1))
-                      + Element.monomial(P, mono(dth=1, pth=1)))
         rt._round_trip_check()
         return rt
 
     def d_element(self) -> Element:
         """The exterior derivative as a normal-ordered element."""
-        if self._d_real is None:
-            raise UnsupportedGenerator("this table has no exterior derivative")
         return self._d_real
 
     def _derive_x_inverse_rules(self) -> None:
@@ -687,13 +688,6 @@ class RuleTable:
         if hit is not None:
             return hit
         g, s = letter
-        if g == D:
-            if self._d_real is None:
-                raise UnsupportedGenerator("this table has no exterior derivative")
-            out = Element.zero(self.params)
-            for dm, dc in self._d_real.terms.items():
-                out.add_scaled(self.mul_mono_mono(m, dm), dc)
-            return self._store(self._memo, key, out)
         j = -1
         for i in range(NGENS - 1, -1, -1):
             if m[i]:
@@ -754,19 +748,16 @@ class RuleTable:
         hit = self._pair_memo.get(key)
         if hit is not None:
             return hit
-        if m1[D]:
-            e = self._realize_mono(m1)
-        else:
-            first = next((i for i, v in enumerate(m2) if v), NGENS)
-            if mono_degree(m2) == 1:
-                return self.mul_mono_letter(m1, (first, m2[first]))
-            last = max((i for i, v in enumerate(m1) if v), default=-1)
-            if not m2[D] and (last < first or last == first == X):
-                # already in order: the product is the merged monomial
-                return Element.monomial(self.params, tuple(a + b for a, b in zip(m1, m2)))
-            if first == X and mono_degree(m2) == abs(m2[X]):
-                return self._store(self._pair_memo, key, self._mul_x_power(m1, m2[X]))
-            e = Element.monomial(self.params, m1)
+        first = next((i for i, v in enumerate(m2) if v), NGENS)
+        if mono_degree(m2) == 1:
+            return self.mul_mono_letter(m1, (first, m2[first]))
+        last = max((i for i, v in enumerate(m1) if v), default=-1)
+        if last < first or last == first == X:
+            # already in order: the product is the merged monomial
+            return Element.monomial(self.params, tuple(a + b for a, b in zip(m1, m2)))
+        if first == X and mono_degree(m2) == abs(m2[X]):
+            return self._store(self._pair_memo, key, self._mul_x_power(m1, m2[X]))
+        e = Element.monomial(self.params, m1)
         for g, k in enumerate(m2):
             if not k:
                 continue
@@ -803,17 +794,6 @@ class RuleTable:
         b = k // 2 if k > 0 else -(-k // 2)
         return self._times(self.mul_mono_mono(m, mono(x=b)), self.mul_mono_mono, mono(x=k - b))
 
-    def _realize_mono(self, m: Monomial) -> Element:
-        """Expand the d-slot of a user-built monomial into the d-free basis."""
-        head = list(m)
-        tail = [0] * NGENS
-        for g in range(D, NGENS):
-            head[g] = 0
-        for g in range(D + 1, NGENS):
-            tail[g] = m[g]
-        e = self.mul_mono_letter(tuple(head), (D, 1))
-        return self.mul(e, Element.monomial(self.params, tuple(tail)))
-
     def mul(self, a: Element, b: Element) -> Element:
         out = Element.zero(self.params)
         for m1, c1 in a.terms.items():
@@ -824,7 +804,10 @@ class RuleTable:
     def normalize_word(self, word: Iterable[WordItem]) -> Element:
         e = Element.one(self.params)
         for letter in word_letters(word):
-            e = self._times(e, self.mul_mono_letter, letter)
+            if letter[0] == D:
+                e = self.mul(e, self._d_real)
+            else:
+                e = self._times(e, self.mul_mono_letter, letter)
         return e
 
     def normalize(self, w) -> Element:
@@ -921,9 +904,10 @@ def local_confluence_check(rt: RuleTable, max_len: int) -> ConfluenceReport:
 
     Words run over all nine generators with x occurring as x or x^-1; a
     violation records the word, the two diverging first steps, and the
-    residual difference of the fully normalized branches.  A pair involving
-    d is rewritten by its realized product, built once per call from the
-    table (``_d_rules``).
+    residual difference of the fully normalized branches.  The letter d is
+    multiplied as ``rt.d_element()``, and a pair involving d is rewritten by
+    its realized product, built once per call from the table (``_d_rules``),
+    so the multiplication core never sees d here either.
 
     A branch is built by the letter-by-letter fold: the prefix word[:i]
     folded from 1 one letter at a time, times the right-hand side of the
@@ -940,6 +924,7 @@ def local_confluence_check(rt: RuleTable, max_len: int) -> ConfluenceReport:
         raise ValueError("max_len must be at least 3")
     rules = {**rt.rules, **_d_rules(rt)}
     letters = {a: Element.monomial(rt.params, _letter_mono(a)) for a in _AUDIT_ALPHABET}
+    letters[(D, 1)] = rt.d_element()
     words_checked = 0
     branch_pairs = 0
     violations: list[ConfluenceViolation] = []

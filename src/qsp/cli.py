@@ -70,8 +70,11 @@ def _read_config(path: str) -> dict:
         key, value = key.strip(), value.strip()
         if key == "param":
             config["params"].append(_parse_param(value))
-        else:
+        elif key in ("type", "format", "bound"):
             config[key] = value
+        else:
+            raise argparse.ArgumentTypeError(
+                f"config: unknown key {key!r} (expected type, format, bound or param)")
     return config
 
 

@@ -10,9 +10,9 @@ Grammar (whitespace-insensitive, multiplication always explicit):
 A rational literal is digits or digits/digits; an exponent is at most
 MAX_EXPONENT in absolute value.  Division requires a scalar
 divisor (it exists so printed coefficients such as (q)/(r - 1) read back).
-A tensor expression is two expressions separated by the three-character
-token (x); because juxtaposition is never multiplication the separator is
-unambiguous.
+Tensors are printed, never parsed: their slots are separated by the token
+(x), which cannot be read as a product because juxtaposition is never
+multiplication.
 
 Symbols: generators x, xi (= x^-1), th, dx, dth, d, px, pth, ix, ith;
 derived operators H, Nb, T, wx, wth, Lx, Lth; the mode parameters; and the
@@ -180,32 +180,6 @@ def parse_expr(text: str):
     if kind != "end":
         raise ExprSyntaxError(f"trailing input {val!r}", pos)
     return ast
-
-
-def parse_tensor(text: str):
-    """Parse either a single expression or 'expr (x) expr'; returns a tuple
-    (left ast, right ast or None).
-
-    The separator is the literal three tokens ( x ) standing after a complete
-    expression; since juxtaposition is never multiplication this cannot be
-    confused with a parenthesized coordinate inside the expression.
-    """
-    parser = _Parser(tokenize(text))
-    left = parser.parse_expr()
-    kind, val, pos = parser.peek()
-    if kind == "op" and val == "(":
-        toks = parser.tokens[parser.i:parser.i + 3]
-        if (len(toks) == 3 and toks[1][:2] == ("name", "x")
-                and toks[2][:2] == ("op", ")")):
-            parser.i += 3
-            right = parser.parse_expr()
-            kind, val, pos = parser.peek()
-            if kind != "end":
-                raise ExprSyntaxError(f"trailing input {val!r}", pos)
-            return left, right
-    if kind != "end":
-        raise ExprSyntaxError(f"trailing input {val!r}", pos)
-    return left, None
 
 
 # ----------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from qsp.algebra import (
     parity_of,
     substitute_params,
 )
-from qsp.calculus import DERIVED_NAMES, expand_derived
+from qsp.calculus import DERIVED_NAMES, expand_derived, run_suite
 from qsp.coeffs import PARAMS_I
 
 
@@ -141,11 +141,9 @@ def test_d_leibniz_as_elements(t2):
     lhs = t2.word("d", "th")
     rhs = t2.word("dth") - t2.word("th", "d")
     assert lhs == rhs
-    # a user-built monomial may carry d; as a right factor it is realized too
-    P = t2.params
-    for left in (mono(), mono(x=1), mono(dx=1, x=2)):
-        got = t2.mul(Element.monomial(P, left), Element.monomial(P, mono(d=1, px=1)))
-        assert got == t2.mul(Element.monomial(P, left), t2.word("d", "px")), left
+    # d is expanded where a word is read; no monomial may carry it
+    with pytest.raises(UnsupportedGenerator):
+        mono(d=1)
 
 
 def test_multiply_unit_and_examples(t2):
@@ -228,19 +226,28 @@ def _involves_d(key):
                          ids=["I", "II", "III", "II-r1", "III-p1"])
 def test_fresh_table_computes_no_d_product(name, assignment):
     # building a table computes none of the audit's rules for pairs involving
-    # d: no rule is keyed by such a pair, no memo key holds d except (1, d),
-    # where the build's round trip of the word d stores its realization, and
-    # no memo holds a product of the realization with dx, dth, th, itself or
-    # an operator (the round trips d*x*x^-1 and d*x^-1*x do pass it x and x^-1)
+    # d: no rule is keyed by such a pair, no memo key holds d, and no memo
+    # holds a product of the realization with dx, dth, th, itself or an
+    # operator (the round trips d*x*x^-1 and d*x^-1*x do pass it x and x^-1)
     ct = CalculusType.by_name(name)
     rt = build_rule_table(ct.specialize(assignment) if assignment else ct)
     assert not [key for key in rt.rules if D in key[:2]]
-    assert [key for key in rt._memo if _involves_d(key)] == [(mono(), (D, 1))]
+    assert not [key for key in rt._memo if _involves_d(key)]
     assert not [key for key in rt._pair_memo if _involves_d(key)]
     real = list(rt.d_element().terms)
     assert not [m for m in real for g in (DX, DTH, TH) if (m, (g, 1)) in rt._memo]
     assert not [(a, b) for a in real + [mono(px=1), mono(pth=1), mono(ix=1), mono(ith=1)]
                 for b in real if (a, b) in rt._pair_memo]
+
+
+def test_catalog_and_audit_compute_no_d_product():
+    # the multiplication core never sees d: the catalog expands it where a
+    # word is read, the audit multiplies the letter d by its realization
+    rt = build_rule_table(CalculusType.type_ii())
+    run_suite(rt, bound=6)
+    local_confluence_check(rt, 4)
+    assert not [key for key in rt._memo if _involves_d(key)]
+    assert not [key for key in rt._pair_memo if _involves_d(key)]
 
 
 def test_idempotence_and_specialization_commute(t2):
@@ -292,12 +299,13 @@ def test_local_confluence_small(t2, t3):
 
 def _reference_audit(rt, max_len):
     # the audit written out as the plain letter-by-letter fold, rebuilding
-    # every branch from scratch
+    # every branch from scratch; the letter d is multiplied as its realization
+    d = rt.d_element()
+
     def letter(a):
-        return Element.monomial(rt.params, _letter_mono(a))
+        return d if a == (D, 1) else Element.monomial(rt.params, _letter_mono(a))
 
     # the rules for pairs involving d are the products with its realization
-    d = rt.d_element()
     rules = dict(rt.rules)
     for g, s in ((DX, 1), (DTH, 1), (X, 1), (X, -1), (TH, 1)):
         rules[(D, g, s if g == X else 0)] = rt.mul(d, letter((g, s)))

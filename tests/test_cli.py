@@ -216,6 +216,16 @@ def test_bad_config_value_exits_2(tmp_path, capsys, line, flag):
     assert code == 0
 
 
+def test_unknown_config_key_exits_2(tmp_path, capsys):
+    # a misspelt key is an input error, not a silently ignored line
+    cfg = tmp_path / "qsp.cfg"
+    cfg.write_text("tpye=I\nbound=3\n")
+    code, out, err = invoke(capsys, "normalize", "--config", str(cfg), "th*x")
+    assert code == 2 and out == ""
+    assert err.strip() == ("error: config: unknown key 'tpye' "
+                           "(expected type, format, bound or param)")
+
+
 # stdout, stderr and exit code of every --help and of two usage errors at
 # three terminal widths, keyed "<COLUMNS> <argv>", captured under CPython 3.11
 HELP_GOLDEN = json.loads((Path(__file__).parent / "golden" / "cli_help.json").read_text())

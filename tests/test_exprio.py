@@ -13,7 +13,6 @@ from qsp.exprio import (
     UnknownSymbol,
     emit_report,
     parse_element,
-    parse_tensor,
     parse_uelement,
     print_canonical,
     print_tensor,
@@ -122,14 +121,6 @@ def test_roundtrip_random_elements(t2):
             e = e + t2.normalize_word(w).scale(coeffs[rng.randrange(len(coeffs))])
         back = P(t2, print_canonical(e))
         assert back == e, print_canonical(e)
-
-
-def test_parse_tensor(t2):
-    left, right = parse_tensor("x (x) th")
-    assert right is not None
-    # plain parenthesized x is not a tensor split
-    left, right = parse_tensor("q*(x)")
-    assert right is None
 
 
 def test_print_tensor_roundtrip_shape(t2):

@@ -10,10 +10,16 @@ already normal-ordered; rules against x^-1 are derived from the x-rules by
 solving g = (g*x)*x^-1.  The engine multiplies by folding one generator at a
 time into a canonical monomial.  Each table keeps two memos: one for the
 product of a monomial with a single letter, one for the product of two
-monomials, so every product that needs a rewrite is computed once per table
-(products already in order are built directly).  Before a product is
-memoized, its coefficients are replaced by one canonical instance per value,
-which keeps the memos from holding many equal copies.  A power x^k
+monomials, so every product that needs a rewrite is computed once per table.
+A product already in order is not memoized: it is the merged monomial with
+the shared unit coefficient ``params.one()``, built directly, which costs
+less than a memo entry (and a single-letter right factor is recognized by a
+table lookup).  Before a product is memoized, its coefficients are replaced
+by one canonical instance per value, which keeps the memos from holding many
+equal copies.  A sum of products is accumulated in one plain dict, monomial
+to coefficient, with a term dropped as soon as it cancels; a coefficient
+product is skipped when either factor is the shared unit, which most memo
+coefficients are.  A power x^k
 (|k| >= 2) passes dx or dth as x^(k-b) (x^b g) with b = k/2 rounded toward
 zero, and a right factor x^k passes a monomial m as (m x^b) x^(k-b), so the
 recursion depth grows as log k.  Confluence makes normal forms unique, so
@@ -139,6 +145,17 @@ def mono(**exps: int) -> Monomial:
     return tuple(e)
 
 
+def _letter_mono(letter: tuple) -> Monomial:
+    g, s = letter
+    mm = [0] * NGENS
+    mm[g] = s
+    return tuple(mm)
+
+
+# a monomial that is a single letter g^s (s = +1 or -1) -> that letter
+_LETTERS = {_letter_mono((g, s)): (g, s) for g in range(NGENS) for s in (1, -1)}
+
+
 WordItem = Union[str, tuple]
 
 
@@ -169,6 +186,23 @@ def mono_str(m: Monomial) -> str:
     """A monomial as text, e.g. ``dx*x^-2*th``; the unit monomial is ``1``."""
     return "*".join(GENS[g] if e == 1 else f"{GENS[g]}^{e}"
                     for g, e in enumerate(m) if e) or "1"
+
+
+def _accumulate(acc: dict, terms: dict, c, one) -> None:
+    """Add ``c`` times ``terms`` into the dict ``acc`` in place.  A term that
+    cancels is dropped; a coefficient product is skipped when either factor
+    is ``one``, the shared unit of the parameter set."""
+    get = acc.get
+    for m, v in terms.items():
+        if c is not one:
+            v = c if v is one else v * c
+        old = get(m)
+        if old is not None:
+            v = old + v
+            if v.is_zero():
+                del acc[m]
+                continue
+        acc[m] = v
 
 
 class Element:
@@ -244,9 +278,10 @@ class Element:
         """Add ``c * other`` into this element in place (see ``add_term``)."""
         if c.is_zero():
             return
-        one = c.is_one()
-        for m, v in other.terms.items():
-            self.add_term(m, v if one else v * c)
+        one = self.params.one()
+        if c.is_one():
+            c = one
+        _accumulate(self.terms, other.terms, c, one)
 
     def __add__(self, other: "Element") -> "Element":
         out = self._like(dict(self.terms))
@@ -682,6 +717,13 @@ class RuleTable:
         memo[key] = e
         return e
 
+    def _merged(self, m: Monomial) -> Element:
+        """The monomial ``m`` with the shared one as its coefficient."""
+        e = object.__new__(Element)
+        e.params = self.params
+        e.terms = {m: self.params.one()}
+        return e
+
     def mul_mono_letter(self, m: Monomial, letter: tuple) -> Element:
         key = (m, letter)
         hit = self._memo.get(key)
@@ -698,17 +740,17 @@ class RuleTable:
         if g > j:
             mm = list(m)
             mm[g] = s
-            return Element.monomial(self.params, tuple(mm))
+            return self._merged(tuple(mm))
         if g == j:
             if g == X:
                 mm = list(m)
                 mm[X] += s
-                return Element.monomial(self.params, tuple(mm))
+                return self._merged(tuple(mm))
             if g in NILPOTENT:
                 return Element.zero(self.params)
             mm = list(m)
             mm[g] += 1
-            return Element.monomial(self.params, tuple(mm))
+            return self._merged(tuple(mm))
         if j == X and abs(k) >= 2:
             # x^k g = x^(k-b) (x^b g) with b = k/2 rounded toward zero: the
             # recursion depth is logarithmic in k, not linear
@@ -744,20 +786,25 @@ class RuleTable:
         return self._store(self._memo, key, out)
 
     def mul_mono_mono(self, m1: Monomial, m2: Monomial) -> Element:
+        letter = _LETTERS.get(m2)
+        if letter is not None:
+            return self.mul_mono_letter(m1, letter)
         key = (m1, m2)
         hit = self._pair_memo.get(key)
         if hit is not None:
             return hit
-        first = next((i for i, v in enumerate(m2) if v), NGENS)
-        if mono_degree(m2) == 1:
-            return self.mul_mono_letter(m1, (first, m2[first]))
-        last = max((i for i, v in enumerate(m1) if v), default=-1)
+        first = 0
+        while first < NGENS and not m2[first]:
+            first += 1
+        last = NGENS - 1
+        while last >= 0 and not m1[last]:
+            last -= 1
         if last < first or last == first == X:
             # already in order: the product is the merged monomial
-            return Element.monomial(self.params, tuple(a + b for a, b in zip(m1, m2)))
-        if first == X and mono_degree(m2) == abs(m2[X]):
+            return self._merged(tuple(a + b for a, b in zip(m1, m2)))
+        if first == X and not any(m2[X + 1:]):
             return self._store(self._pair_memo, key, self._mul_x_power(m1, m2[X]))
-        e = Element.monomial(self.params, m1)
+        e = self._merged(m1)
         for g, k in enumerate(m2):
             if not k:
                 continue
@@ -772,10 +819,11 @@ class RuleTable:
     def _times(self, e: Element, product, factor) -> Element:
         """A fresh element: the sum of c * product(m, factor) over the terms
         c*m of ``e``, for product ``mul_mono_letter`` or ``mul_mono_mono``."""
-        acc = Element.zero(self.params)
+        one = self.params.one()
+        acc: dict = {}
         for m, c in e.terms.items():
-            acc.add_scaled(product(m, factor), c)
-        return acc
+            _accumulate(acc, product(m, factor).terms, c, one)
+        return e._like(acc)
 
     def _mul_x_power(self, m: Monomial, k: int) -> Element:
         """``m * x^k`` for |k| >= 2 and ``m`` not already in order with it.
@@ -789,17 +837,19 @@ class RuleTable:
         head = m[:TH] + (0,) * (NGENS - TH)
         if any(head):
             tail = (0,) * TH + m[TH:]
-            return self.mul(Element.monomial(self.params, head),
-                            self.mul_mono_mono(tail, mono(x=k)))
+            return self.mul(self._merged(head), self.mul_mono_mono(tail, mono(x=k)))
         b = k // 2 if k > 0 else -(-k // 2)
         return self._times(self.mul_mono_mono(m, mono(x=b)), self.mul_mono_mono, mono(x=k - b))
 
     def mul(self, a: Element, b: Element) -> Element:
-        out = Element.zero(self.params)
+        one = self.params.one()
+        acc: dict = {}
+        bterms = b.terms.items()
         for m1, c1 in a.terms.items():
-            for m2, c2 in b.terms.items():
-                out.add_scaled(self.mul_mono_mono(m1, m2), c1 * c2)
-        return out
+            for m2, c2 in bterms:
+                c = c2 if c1 is one else c1 if c2 is one else c1 * c2
+                _accumulate(acc, self.mul_mono_mono(m1, m2).terms, c, one)
+        return a._like(acc)
 
     def normalize_word(self, word: Iterable[WordItem]) -> Element:
         e = Element.one(self.params)
@@ -970,9 +1020,3 @@ def local_confluence_check(rt: RuleTable, max_len: int) -> ConfluenceReport:
                     violations.append(ConfluenceViolation(word, (steps[0], i), base - branch))
     return ConfluenceReport(max_len, words_checked, branch_pairs, violations)
 
-
-def _letter_mono(letter: tuple) -> Monomial:
-    g, s = letter
-    mm = [0] * NGENS
-    mm[g] = s
-    return tuple(mm)

@@ -559,7 +559,7 @@ def _leibniz_run(index):
         firsts = rt._leibniz_residuals.get(b)
         if firsts is None:
             basis = hopf.coordinate_basis(b)
-            grid = [hopf.coproduct_U_residuals(rt, f, g) for f in basis for g in basis]
+            grid = hopf.twisted_leibniz_grid(rt, basis, basis)
             firsts = rt._leibniz_residuals[b] = [
                 _first_nonzero(residuals[i] for residuals in grid) for i in (0, 1)]
         return firsts[index]

@@ -26,6 +26,7 @@ from . import calculus
 from . import covariance as cov
 from . import hopf
 from .exprio import (
+    MAX_EXPONENT,
     BadExponent,
     ExprSyntaxError,
     UnknownSymbol,
@@ -171,8 +172,9 @@ def run(argv) -> int:
     try:
         config = _read_config(args.config) if args.config else {}
         bound = _effective(args, config, "bound", 6)
-        if bound < 1:
-            raise argparse.ArgumentTypeError("--bound must be at least 1")
+        # the identities build x^bound and x^-bound, which the parser caps
+        if not 1 <= bound <= MAX_EXPONENT:
+            raise argparse.ArgumentTypeError(f"--bound must be between 1 and {MAX_EXPONENT}")
         fmt = _effective(args, config, "fmt", "text")
         rt, ctype, assignment = _engine(args, config)
         if args.command == "normalize":

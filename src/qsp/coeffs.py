@@ -429,6 +429,11 @@ def _poly_substitute_rf(a: Poly, values: Mapping[int, "RationalFunction"],
     return total
 
 
+def _assignment_str(assignment: Mapping[str, Rat]) -> str:
+    """An assignment as the user writes it, e.g. ``q=0, r=1/2``."""
+    return ", ".join(f"{name}={Fraction(value)}" for name, value in assignment.items())
+
+
 def number_str(c: Rat) -> str:
     """``str(c)``, raising ResultTooLarge past the int-to-str digit limit."""
     try:
@@ -645,7 +650,7 @@ class RationalFunction:
         num, den = self._frac()
         d = _poly_eval(den, values)
         if d == 0:
-            raise PoleAtAssignment(f"denominator vanishes at {dict(assignment)}")
+            raise PoleAtAssignment(f"denominator vanishes at {_assignment_str(assignment)}")
         return _poly_eval(num, values) / d
 
     def substitute(self, assignment: Mapping[str, Rat]) -> "RationalFunction":
@@ -654,7 +659,7 @@ class RationalFunction:
         num, den = self._frac()
         den = _poly_substitute(den, values, self.params.nvars)
         if not den:
-            raise PoleAtAssignment(f"denominator vanishes at {dict(assignment)}")
+            raise PoleAtAssignment(f"denominator vanishes at {_assignment_str(assignment)}")
         return RationalFunction(self.params, _poly_substitute(num, values, self.params.nvars), den)
 
     def project(self, target: ParamSet) -> "RationalFunction":

@@ -495,12 +495,25 @@ def u_coproduct_square_nabla(params: ParamSet) -> list:
 
 
 def coproduct_U_residuals(rt: RuleTable, f: Monomial, g: Monomial) -> list[Element]:
-    """Action residuals of the twisted Leibniz rules on a pair of monomials.
+    """Action residuals of the twisted Leibniz rules on a pair of monomials:
+    ``[H residual, Nb residual]``, the one-cell case of ``twisted_leibniz_grid``.
 
     The H rule is H(fg) = Hf*g + Tf*Hg at every type.  The Nb rule carries,
     besides the K-twist, a correction term V(f)*Hg with V supported on odd
     monomials (V(x^k th) = Q11^k Q22 x^(k+1)); the correction vanishes at the
     types with Q22 = 0, where the rule takes its familiar two-term form.
+    """
+    return twisted_leibniz_grid(rt, [f], [g])[0]
+
+
+def twisted_leibniz_grid(rt: RuleTable, fs: Sequence[Monomial],
+                         gs: Sequence[Monomial]) -> list[list[Element]]:
+    """``coproduct_U_residuals(rt, f, g)`` for every f in ``fs`` (outer) and
+    g in ``gs`` (inner), in that order.
+
+    The residuals are computed row by row: Hf, Nb f, T(f), K(f) and V(f) once
+    per row, and Hg and Nb g once per column, so only the products that
+    involve both f and g are made per cell.
     """
     P = rt.params
     H = Element.monomial(P, mono(x=1, px=1)) + Element.monomial(P, mono(th=1, pth=1))
@@ -509,22 +522,30 @@ def coproduct_U_residuals(rt: RuleTable, f: Monomial, g: Monomial) -> list[Eleme
     def act(op: Element, w: Element) -> Element:
         return rt.mul(op, w).vacuum()
 
-    fe = Element.monomial(P, f)
-    ge = Element.monomial(P, g)
-    fg = rt.mul(fe, ge)
-    t_of_f = fe + act(H, fe).scale(rt.ct.Q - P.one())
-    res_h = act(H, fg) - rt.mul(act(H, fe), ge) - rt.mul(t_of_f, act(H, ge))
-
-    sign = -1 if mono_parity(f) else 1
-    k_of_f = fe.scale(k_eigenvalue(rt, f))
-    res_n = act(nb, fg) - rt.mul(act(nb, fe), ge)
-    twisted = rt.mul(k_of_f, act(nb, ge))
-    if f[TH]:
-        v_of_f = Element.monomial(P, mono(x=f[X] + 1),
-                                  (rt.ct.Q11 ** f[X]) * rt.ct.Q22)
-        twisted = twisted + rt.mul(v_of_f, act(H, ge))
-    res_n = res_n - twisted.scale(sign)
-    return [res_h, res_n]
+    cols = []
+    for g in gs:
+        ge = Element.monomial(P, g)
+        cols.append((ge, act(H, ge), act(nb, ge)))
+    grid = []
+    for f in fs:
+        fe = Element.monomial(P, f)
+        h_f = act(H, fe)
+        nb_f = act(nb, fe)
+        t_of_f = fe + h_f.scale(rt.ct.Q - P.one())
+        k_of_f = fe.scale(k_eigenvalue(rt, f))
+        v_of_f = None
+        if f[TH]:
+            v_of_f = Element.monomial(P, mono(x=f[X] + 1), (rt.ct.Q11 ** f[X]) * rt.ct.Q22)
+        sign = -1 if mono_parity(f) else 1
+        for ge, h_g, nb_g in cols:
+            fg = rt.mul(fe, ge)
+            res_h = act(H, fg) - rt.mul(h_f, ge) - rt.mul(t_of_f, h_g)
+            res_n = act(nb, fg) - rt.mul(nb_f, ge)
+            twisted = rt.mul(k_of_f, nb_g)
+            if v_of_f is not None:
+                twisted = twisted + rt.mul(v_of_f, h_g)
+            grid.append([res_h, res_n - twisted.scale(sign)])
+    return grid
 
 
 def antipode_axiom_operator(rt: RuleTable, u: UElement, variant: str,

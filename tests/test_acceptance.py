@@ -7,6 +7,7 @@ asserted with `time.monotonic`.
 
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -270,3 +271,20 @@ def test_criterion_9_cross_type_coherence(engines):
         assert doc == base, rt.ct.params.mode
     _report("criterion 9: Type I report identical to Type II at r=1 and "
             "Type III at p=1 (modulo the type label)")
+
+
+CATALOG_REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference" / "catalog.json"
+
+
+@pytest.mark.parametrize("name", ["I", "II", "III"])
+def test_catalog_report_matches_reference(name):
+    # the report contract: the JSON report of run_suite(rt, bound=6) on a
+    # fresh table, elapsedMillis stripped, equals the benchmark's reference
+    # answer (captured from the engine as first seeded); the file is only read
+    with open(CATALOG_REFERENCE, encoding="utf-8") as fh:
+        want = json.load(fh)[name]
+    rt = build_rule_table(CalculusType.by_name(name))
+    doc = json.loads(emit_report(run_suite(rt, bound=6), "json", name))
+    for r in doc["results"]:
+        r.pop("elapsedMillis")
+    assert doc == want

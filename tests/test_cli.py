@@ -171,6 +171,11 @@ def test_param_pole_is_usage_error(capsys):
     code, out, err = invoke(capsys, "normalize", "--type", "II",
                             "--param", "q=0", "x")
     assert code == 2
+    code, out, err = invoke(capsys, "normalize", "--param", "q=0", "x*th")
+    assert (code, out, err) == (2, "", "error: denominator vanishes at q=0\n")
+    code, out, err = invoke(capsys, "normalize", "--param", "r=1/2",
+                            "--param", "q=0", "x*th")
+    assert (code, out, err) == (2, "", "error: denominator vanishes at r=1/2, q=0\n")
 
 
 def test_unknown_param_rejected(capsys):
@@ -249,6 +254,21 @@ def test_bad_usage(capsys):
     code, _, _ = invoke(capsys, "nonsense")
     assert code == 2
 
+
+
+def test_bound_past_exponent_cap_exits_2(tmp_path, capsys):
+    # the identities build x^bound, which the parser refuses past
+    # MAX_EXPONENT: a larger bound is an input error, not hours of work
+    cap = qsp.cli.MAX_EXPONENT
+    want = (2, "", f"error: --bound must be between 1 and {cap}\n")
+    assert invoke(capsys, "verify", "--bound", str(cap + 1), "--id", "eq11-th-dx") == want
+    cfg = tmp_path / "qsp.cfg"
+    cfg.write_text(f"bound={cap + 1}\n")
+    assert invoke(capsys, "verify", "--config", str(cfg), "--id", "eq11-th-dx") == want
+    # the cap itself is accepted; eq11-th-dx does not read the bound, so no
+    # case here runs long when the check is missing
+    code, out, _ = invoke(capsys, "verify", "--bound", str(cap), "--id", "eq11-th-dx")
+    assert code == 0 and "PASS" in out
 
 def test_unexpected_exception_exits_3(capsys, monkeypatch):
     def boom(*args, **kwargs):

@@ -71,8 +71,8 @@ def test_eval_examples():
     assert rf_eval(one + q, {"q": Fraction(3, 2), "r": 1}) == Fraction(5, 2)
     geo = (one - q ** 3) / (one - q)
     assert rf_eval(geo, {"q": 2, "r": 1}) == 7
-    with pytest.raises(PoleAtAssignment):
-        rf_eval(one / (one - q), {"q": 1, "r": 5})
+    with pytest.raises(PoleAtAssignment, match=r"^denominator vanishes at q=1, r=5/2$"):
+        rf_eval(one / (one - q), {"q": 1, "r": Fraction(5, 2)})
     with pytest.raises(MissingVariable):
         rf_eval(q, {"r": 2})
 
@@ -172,8 +172,10 @@ def test_substitute_partial():
     f = (q * r + r) / (q + r)
     g = f.substitute({"r": 1})
     assert g == (q + one) / (q + one) == one
-    with pytest.raises(PoleAtAssignment):
+    with pytest.raises(PoleAtAssignment, match=r"^denominator vanishes at r=1$"):
         ((one / (one - r))).substitute({"r": 1})
+    with pytest.raises(PoleAtAssignment, match=r"^denominator vanishes at q=1/2$"):
+        ((one / (one - q - q))).substitute({"q": Fraction(1, 2)})
 
 
 def test_project_across_paramsets():

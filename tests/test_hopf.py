@@ -1,5 +1,6 @@
 """Tensor algebra, Hopf costructures, dual pairing and actions."""
 
+import dataclasses
 import random
 
 import pytest
@@ -20,6 +21,7 @@ from qsp.hopf import (
     maurer_forms,
     pair,
     tensor_multiply,
+    twisted_leibniz_grid,
     u_act,
     u_coproduct_square_nabla,
     w_antipode_residuals,
@@ -197,6 +199,18 @@ def test_coproduct_U_residuals_all_types():
             for g in coordinate_basis(3):
                 r1, r2 = coproduct_U_residuals(rt, f, g)
                 assert r1.is_zero() and r2.is_zero(), (name, f, g)
+
+
+def test_leibniz_grid_matches_its_cells():
+    # structure coefficients that disagree with the rules give residuals
+    # that depend on both f and g, so a row or column mixed up in the grid,
+    # or a cell out of order, shows; V(f) is nonzero at type III
+    rt = build_rule_table(CalculusType.type_iii())
+    rt.ct = dataclasses.replace(rt.ct, Q=rt.ct.Q * rt.ct.Q, Q11=rt.ct.Q11 + rt.ct.Q22)
+    fs, gs = coordinate_basis(2), coordinate_basis(1)[::-1]
+    grid = twisted_leibniz_grid(rt, fs, gs)
+    assert grid == [coproduct_U_residuals(rt, f, g) for f in fs for g in gs]
+    assert len({repr(r) for cell in grid for r in cell}) >= len(grid) // 2
 
 
 def test_nabla_coproduct_square_vanishes(t2):

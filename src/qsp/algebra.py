@@ -25,6 +25,17 @@ zero, and a right factor x^k passes a monomial m as (m x^b) x^(k-b), so the
 recursion depth grows as log k.  Confluence makes normal forms unique, so
 neither memo nor split changes an answer.
 
+An action ``act(op, f)`` on a form-sector ``f`` is the vacuum part of op*f:
+the product without the terms that still carry an operator letter.  It is
+computed directly, in a third memo keyed by monomial pairs, and the terms the
+projection drops are never built.  An operator monomial u*o (u its form
+letters, o its operator letters) acts on a*rest, with a the whole leading
+generator block of the form monomial (x^k or dth^b is one block), as u times
+the sum of c*(t acting on rest) over the terms c*t of o*a.  Rules never
+create an operator letter, so u commutes with the projection; a monomial
+without operator letters acts by plain multiplication, and an operator
+monomial kills the unit.  The recursion is at most four blocks deep.
+
 The local-confluence audit rewrites every short word along each applicable
 first step and folds the branch one letter at a time.  It walks the words in
 lexicographic order and keeps the partial products along the path of the
@@ -292,7 +303,19 @@ class Element:
         return self._like({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "Element") -> "Element":
-        return self + (-other)
+        terms = dict(self.terms)
+        get = terms.get
+        for m, v in other.terms.items():
+            old = get(m)
+            if old is None:
+                terms[m] = -v
+                continue
+            v = old - v
+            if v.is_zero():
+                del terms[m]
+            else:
+                terms[m] = v
+        return self._like(terms)
 
     def scale(self, coeff) -> "Element":
         c = self.params.rf(coeff)
@@ -534,6 +557,8 @@ class RuleTable:
         # interned in _pool (coefficient -> its canonical instance)
         self._memo: dict = {}
         self._pair_memo: dict = {}
+        # (operator monomial, form monomial) -> vacuum part of their product
+        self._act_memo: dict = {}
         self._pool: dict = {self.params.one(): self.params.one()}
         self._derived_cache: dict = {}
         # bound -> first nonzero H and Nb residuals of the twisted-Leibniz
@@ -850,6 +875,61 @@ class RuleTable:
                 c = c2 if c1 is one else c1 if c2 is one else c1 * c2
                 _accumulate(acc, self.mul_mono_mono(m1, m2).terms, c, one)
         return a._like(acc)
+
+    def act(self, op: Element, f: Element) -> Element:
+        """The vacuum part of ``op * f`` for a form-sector ``f``: the product
+        without the terms that still carry an operator letter, which are
+        never built."""
+        if not f.is_form_sector():
+            raise NotAFunctionArgument("the argument must be free of operator factors")
+        one = self.params.one()
+        acc: dict = {}
+        fterms = f.terms.items()
+        for mo, co in op.terms.items():
+            for mf, cf in fterms:
+                c = cf if co is one else co if cf is one else co * cf
+                _accumulate(acc, self._act_mono(mo, mf).terms, c, one)
+        return op._like(acc)
+
+    def _act_mono(self, mo: Monomial, mf: Monomial) -> Element:
+        """``act`` on two monomials, ``mf`` in the form sector.
+
+        With ``mo = u*o`` (u its letters before the d slot, o its operator
+        letters) and ``mf = a*rest`` (a its whole leading generator block),
+        the product is u*(o*a)*rest.  Rules never create an operator letter,
+        so the form factor u commutes with the projection, and the vacuum
+        part is u times the sum of c*(t acting on rest) over the terms c*t of
+        o*a.  Each step peels one of at most four blocks, and a block x^k
+        goes to ``mul_mono_mono`` whole, where it is split in log k steps.
+        """
+        key = (mo, mf)
+        hit = self._act_memo.get(key)
+        if hit is not None:
+            return hit
+        if not any(mo[D:]):
+            return self.mul_mono_mono(mo, mf)
+        if mf == ONE_MONO:
+            return Element.zero(self.params)
+        g = 0
+        while not mf[g]:
+            g += 1
+        block = [0] * NGENS
+        block[g] = mf[g]
+        rest = list(mf)
+        rest[g] = 0
+        rest_t = tuple(rest)
+        one = self.params.one()
+        acc: dict = {}
+        for t, c in self.mul_mono_mono((0,) * D + mo[D:], tuple(block)).terms.items():
+            _accumulate(acc, self._act_mono(t, rest_t).terms, c, one)
+        u = mo[:D] + (0,) * (NGENS - D)
+        if any(u):
+            inner, acc = acc, {}
+            for m, c in inner.items():
+                _accumulate(acc, self.mul_mono_mono(u, m).terms, c, one)
+        out = Element(self.params)
+        out.terms = acc
+        return self._store(self._act_memo, key, out)
 
     def normalize_word(self, word: Iterable[WordItem]) -> Element:
         e = Element.one(self.params)

@@ -21,7 +21,6 @@ from .algebra import (
     TH, X,
     CalculusType,
     Element,
-    NotAFunctionArgument,
     RuleTable,
     inner_coordinate_coeffs,
     inner_differential_coeffs,
@@ -81,11 +80,11 @@ def E(rt: RuleTable, text: str) -> Element:
 # ----------------------------------------------------------------------------
 
 def act_on_function(rt: RuleTable, op: Element, f: Element) -> Element:
-    """Apply an operator to a form-valued function: normalize, then drop every
-    term that still carries derivative or inner-derivation factors."""
-    if not f.is_form_sector():
-        raise NotAFunctionArgument("the argument must be free of operator factors")
-    return rt.mul(op, f).vacuum()
+    """Apply an operator to a form-valued function: the normal-ordered
+    product without every term that still carries derivative or
+    inner-derivation factors, computed directly by ``rt.act``.  Raises
+    NotAFunctionArgument when ``f`` has an operator factor."""
+    return rt.act(op, f)
 
 
 def exterior_derivative(rt: RuleTable, w: Element) -> Element:

@@ -557,7 +557,20 @@ class RationalFunction:
         return _value(self.params, *_forms(num, den))
 
     def __sub__(self, other: "RationalFunction") -> "RationalFunction":
-        return self + (-other)
+        self._check(other)
+        a, b = self.lp, other.lp
+        if a is None or b is None:
+            return self + (-other)
+        if not b:
+            return self
+        out = dict(a)
+        for m, c in b.items():
+            s = out.get(m, 0) - c
+            if s:
+                out[m] = s
+            else:
+                del out[m]
+        return _value(self.params, out, None)
 
     def __neg__(self) -> "RationalFunction":
         if self.lp is not None:

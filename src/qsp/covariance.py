@@ -158,7 +158,7 @@ def bicovariance_residuals(rt: RuleTable, word) -> list:
     P = rt.params
 
     def d_map(a: Element) -> Element:
-        return rt.mul(rt.d_element(), a).vacuum()
+        return rt.act(rt.d_element(), a)
 
     e = rt.normalize_word(word)
     de = d_map(e)

@@ -27,7 +27,8 @@ import re
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .coeffs import QspError, RationalFunction, number_str, poly_str, _poly_is_one
+from .coeffs import (QspError, RationalFunction, _assignment_str, _poly_is_one,
+                     number_str, poly_str)
 from .algebra import (
     GEN_INDEX,
     X,
@@ -445,7 +446,8 @@ def emit_report(results, fmt: str, type_label: str,
     if fmt != "text":
         raise ValueError(f"unknown report format {fmt!r}")
     lines = [f"type {type_label}"
-             + (f"  params {param_assignment}" if param_assignment else "")]
+             + (f"  params {_assignment_str(dict(sorted(param_assignment.items())))}"
+                if param_assignment else "")]
     idw = max((len(r.identityId) for r in rows), default=2)
     aw = max((len(r.paperAnchor) for r in rows), default=2)
     for r in rows:

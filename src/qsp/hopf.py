@@ -408,7 +408,7 @@ def u_act(rt: RuleTable, u: UElement, e: Element) -> Element:
         for m, cm in e.terms.items():
             img = Element.monomial(P, m, cm)
             if n:
-                img = rt.mul(nb_op, img).vacuum()
+                img = rt.act(nb_op, img)
             for mm, cc in img.terms.items():
                 deg = mm[X] + mm[TH]
                 factor = (rt.ct.Q ** (a * deg)) * (rt.ct.Q11 ** (b * deg))
@@ -519,18 +519,15 @@ def twisted_leibniz_grid(rt: RuleTable, fs: Sequence[Monomial],
     H = Element.monomial(P, mono(x=1, px=1)) + Element.monomial(P, mono(th=1, pth=1))
     nb = Element.monomial(P, mono(x=1, pth=1))
 
-    def act(op: Element, w: Element) -> Element:
-        return rt.mul(op, w).vacuum()
-
     cols = []
     for g in gs:
         ge = Element.monomial(P, g)
-        cols.append((ge, act(H, ge), act(nb, ge)))
+        cols.append((ge, rt.act(H, ge), rt.act(nb, ge)))
     grid = []
     for f in fs:
         fe = Element.monomial(P, f)
-        h_f = act(H, fe)
-        nb_f = act(nb, fe)
+        h_f = rt.act(H, fe)
+        nb_f = rt.act(nb, fe)
         t_of_f = fe + h_f.scale(rt.ct.Q - P.one())
         k_of_f = fe.scale(k_eigenvalue(rt, f))
         v_of_f = None
@@ -539,8 +536,8 @@ def twisted_leibniz_grid(rt: RuleTable, fs: Sequence[Monomial],
         sign = -1 if mono_parity(f) else 1
         for ge, h_g, nb_g in cols:
             fg = rt.mul(fe, ge)
-            res_h = act(H, fg) - rt.mul(h_f, ge) - rt.mul(t_of_f, h_g)
-            res_n = act(nb, fg) - rt.mul(nb_f, ge)
+            res_h = rt.act(H, fg) - rt.mul(h_f, ge) - rt.mul(t_of_f, h_g)
+            res_n = rt.act(nb, fg) - rt.mul(nb_f, ge)
             twisted = rt.mul(k_of_f, nb_g)
             if v_of_f is not None:
                 twisted = twisted + rt.mul(v_of_f, h_g)

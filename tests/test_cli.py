@@ -178,6 +178,19 @@ def test_param_pole_is_usage_error(capsys):
     assert (code, out, err) == (2, "", "error: denominator vanishes at r=1/2, q=0\n")
 
 
+def test_text_report_header_lists_params(capsys):
+    # the assignment prints as it is written, sorted by name as in the JSON
+    # report, not as a Python dict of Fractions
+    code, out, _ = invoke(capsys, "verify", "--type", "II", "--param", "r=1",
+                          "--id", "eq51-first-as-printed")
+    assert code == 0
+    assert out.splitlines()[0] == "type II  params r=1"
+    code, out, _ = invoke(capsys, "verify", "--type", "II", "--param", "r=1/2",
+                          "--param", "q=2", "--id", "eq51-first-as-printed")
+    assert code == 0
+    assert out.splitlines()[0] == "type II  params q=2, r=1/2"
+
+
 def test_unknown_param_rejected(capsys):
     code, out, err = invoke(capsys, "normalize", "--type", "I",
                             "--param", "r=1", "x")

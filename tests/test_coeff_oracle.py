@@ -24,6 +24,7 @@ from qsp.algebra import (  # noqa: E402
 from qsp.calculus import run_suite  # noqa: E402
 from qsp.coeffs import PARAMS_II, _poly_div_exact, rf_make  # noqa: E402
 from qsp.exprio import parse_element  # noqa: E402
+from qsp.hopf import TensorElement, UElement  # noqa: E402
 
 P = PARAMS_II
 SQ, SR = sympy.symbols("q r")
@@ -241,3 +242,52 @@ def test_memoized_coefficients_are_laurent(name):
         rebuilt = rf_make(rt.params, c.num, c.den)
         assert rebuilt == c and hash(rebuilt) == hash(c)
         assert rebuilt.lp == c.lp
+
+
+# ----------------------------------------------------------------------------
+# One-pass subtraction: the same value as adding the negation
+# ----------------------------------------------------------------------------
+
+TENSOR_KEYS = [(mono(), mono()), (mono(x=1), mono(th=1)), (mono(x=-1), mono()),
+               (mono(dx=1), mono(x=2))]
+U_KEYS = [(0, 0, 0), (1, 0, 0), (0, -1, 1), (2, 1, 0)]
+SPACES = {"element": (MONOS, lambda t: Element(P, t)),
+          "tensor": (TENSOR_KEYS, lambda t: TensorElement(P, 2, t)),
+          "u": (U_KEYS, lambda t: UElement(P, t))}
+
+
+@st.composite
+def same_space_pairs(draw):
+    """Two elements of one type and space; with some luck, the second
+    repeats terms of the first exactly, so that they cancel."""
+    keys, make = SPACES[draw(st.sampled_from(sorted(SPACES)))]
+    terms = st.dictionaries(st.sampled_from(keys), rational_functions(), max_size=4)
+    x, tb = make(draw(terms)), draw(terms)
+    if draw(st.booleans()):
+        tb.update(list(x.terms.items())[::2])
+    return x, make(tb)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(rational_functions(), boundary_values()),
+       st.one_of(rational_functions(), boundary_values()))
+def test_difference_is_sum_with_negation(a, b):
+    d = a - b
+    assert d == a + (-b) and hash(d) == hash(a + (-b))
+    assert (a - a).is_zero()
+
+
+@settings(max_examples=80, deadline=None)
+@given(same_space_pairs())
+def test_element_difference_is_sum_with_negation(pair):
+    x, y = pair
+    x_before, y_before = dict(x.terms), dict(y.terms)
+    d = x - y
+    assert d == x + (-y)
+    assert type(d) is type(x)
+    assert all(getattr(d, n) == getattr(x, n) for n in x._space)
+    assert not any(v.is_zero() for v in d.terms.values())
+    assert not any(x.terms.get(m) == c and m in d.terms for m, c in y.terms.items())
+    assert x.terms == x_before and y.terms == y_before
+    z = x - x
+    assert type(z) is type(x) and z.is_zero() and z == x._like({})

@@ -892,16 +892,10 @@ class RuleTable:
         return op._like(acc)
 
     def _act_mono(self, mo: Monomial, mf: Monomial) -> Element:
-        """``act`` on two monomials, ``mf`` in the form sector.
-
-        With ``mo = u*o`` (u its letters before the d slot, o its operator
-        letters) and ``mf = a*rest`` (a its whole leading generator block),
-        the product is u*(o*a)*rest.  Rules never create an operator letter,
-        so the form factor u commutes with the projection, and the vacuum
-        part is u times the sum of c*(t acting on rest) over the terms c*t of
-        o*a.  Each step peels one of at most four blocks, and a block x^k
-        goes to ``mul_mono_mono`` whole, where it is split in log k steps.
-        """
+        """``act`` on two monomials, ``mf`` in the form sector: ``mo = u*o``
+        (form letters, operator letters) on ``mf = a*rest`` (a the whole
+        leading generator block) is u times the sum of c*(t acting on rest)
+        over the terms c*t of o*a, as the module docstring explains."""
         key = (mo, mf)
         hit = self._act_memo.get(key)
         if hit is not None:

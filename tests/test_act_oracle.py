@@ -5,8 +5,8 @@ The action of an operator on a form is the vacuum part of their product.
 monomial one whole generator block at a time, multiplies the operator
 letters past that block, and puts the operator's own form letters back in
 front.  The oracle here is the plain route, normalizing the whole product
-with ``rt.mul`` and projecting with ``Element.vacuum``, on a second table
-whose memos ``act`` never touched.
+with ``rt.mul`` and projecting with ``Element.vacuum``; the random cases
+take it on a second table whose memos ``act`` never touched.
 """
 
 import pytest

@@ -246,8 +246,9 @@ def test_catalog_and_audit_compute_no_d_product():
     rt = build_rule_table(CalculusType.type_ii())
     run_suite(rt, bound=6)
     local_confluence_check(rt, 4)
-    assert not [key for key in rt._memo if _involves_d(key)]
-    assert not [key for key in rt._pair_memo if _involves_d(key)]
+    assert rt._act_memo
+    for memo in (rt._memo, rt._pair_memo, rt._act_memo):
+        assert not [key for key in memo if _involves_d(key)]
 
 
 def test_idempotence_and_specialization_commute(t2):

@@ -6,24 +6,29 @@ Words are normal-ordered into the fixed generator order
 
 (differential forms, then coordinates, then operators).  Every out-of-order
 adjacent pair of generators has a rewrite rule whose right-hand side is
-already normal-ordered; rules against x^-1 are derived from the x-rules by
-solving g = (g*x)*x^-1.  The engine multiplies by folding one generator at a
-time into a canonical monomial.  Each table keeps two memos: one for the
-product of a monomial with a single letter, one for the product of two
-monomials, so every product that needs a rewrite is computed once per table.
-A product already in order is not memoized: it is the merged monomial with
-the shared unit coefficient ``params.one()``, built directly, which costs
-less than a memo entry (and a single-letter right factor is recognized by a
-table lookup).  Before a product is memoized, its coefficients are replaced
-by one canonical instance per value, which keeps the memos from holding many
-equal copies.  A sum of products is accumulated in one plain dict, monomial
-to coefficient, with a term dropped as soon as it cancels; a coefficient
-product is skipped when either factor is the shared unit, which most memo
-coefficients are.  A power x^k
-(|k| >= 2) passes dx or dth as x^(k-b) (x^b g) with b = k/2 rounded toward
-zero, and a right factor x^k passes a monomial m as (m x^b) x^(k-b), so the
-recursion depth grows as log k.  Confluence makes normal forms unique, so
-neither memo nor split changes an answer.
+already normal-ordered.  Rules against x^-1 are solved from the x-rules: a
+rule g*x = c*x*g + rest gives g*x^-1 = c^-1 * x^-1*(g - rest*x^-1), and a
+rule x*g = c*g*x + rest gives x^-1*g = c^-1 * (g - x^-1*rest)*x^-1.  The
+engine multiplies by folding one generator at a time into a canonical
+monomial.  Each table keeps two memos: one for the product of a monomial
+with a single letter, one for the product of two monomials, so every product
+that needs a rewrite is computed once per table.  A product already in order
+is not memoized: it is the merged monomial with the shared unit coefficient
+``params.one()``, built directly, which costs less than a memo entry (and a
+single-letter right factor is recognized by a table lookup).  Before a
+product is memoized, its coefficients are replaced by one canonical instance
+per value, which keeps the memos from holding many equal copies.  A sum of
+products is accumulated in one plain dict, monomial to coefficient, with a
+term dropped as soon as it cancels; a coefficient product is skipped when
+either factor is the shared unit, which most memo coefficients are.
+
+Every generator block g^k with |k| >= 2 (a power of x, dth, px or ith) is
+split in half, on either side of a product.  A left block passes a letter as
+g^(k-b) (g^b letter) with b = k/2 rounded toward zero, and a right block is
+multiplied as (m g^b) g^(k-b), so the recursion depth grows as log k.  When m
+ends in the generator another monomial starts with, their product merges the
+two blocks (or is zero for a nilpotent generator).  Confluence makes normal
+forms unique, so neither memo nor split changes an answer.
 
 An action ``act(op, f)`` on a form-sector ``f`` is the vacuum part of op*f:
 the product without the terms that still carry an operator letter.  It is
@@ -157,10 +162,14 @@ def mono(**exps: int) -> Monomial:
 
 
 def _letter_mono(letter: tuple) -> Monomial:
-    g, s = letter
-    mm = [0] * NGENS
-    mm[g] = s
-    return tuple(mm)
+    """The monomial g^k of a letter (g, +1/-1) or of a block (g, k)."""
+    g, k = letter
+    return (0,) * g + (k,) + (0,) * (NGENS - 1 - g)
+
+
+def _half(k: int) -> int:
+    """k/2 rounded toward zero: where a power g^k is split."""
+    return k // 2 if k > 0 else -(-k // 2)
 
 
 # a monomial that is a single letter g^s (s = +1 or -1) -> that letter
@@ -654,60 +663,25 @@ class RuleTable:
         return self._d_real
 
     def _derive_x_inverse_rules(self) -> None:
+        """Solve each x-rule for its x^-1 rule by the two formulas of the
+        module docstring.  The order matters: the rest of a later rule uses
+        the earlier results."""
         P = self.params
-        one = P.one()
-
-        # monomial-type rules g*x = c*(x*g) invert directly
-        for g in (TH, PTH, ITH):
-            rhs = self.rules[(g, X, 1)]
-            (m, c), = rhs.terms.items()
-            mm = list(m)
-            mm[X] -= 1
-            mm[g] -= 1
-            if any(mm) or c.is_zero():
-                raise NonInvertibleRule(f"rule ({GENS[g]}, x) is not monomial-invertible")
-            inv_m = list(ONE_MONO)
-            inv_m[X] = -1
-            inv_m[g] = 1
-            self.rules[(g, X, -1)] = Element.monomial(P, tuple(inv_m), one / c)
-
-        # x^-1 past dx: monomial inversion of x*dx = Q*dx*x
-        rhs = self.rules[(X, DX, 1)]
-        (m, c), = rhs.terms.items()
-        self.rules[(X, DX, -1)] = Element.monomial(P, mono(dx=1, x=-1), one / c)
-
-        # x^-1 past dth: solve dth = Q11*(x^-1 dth)*x + Q12*(x^-1 dx)*theta
-        rhs = self.rules[(X, DTH, 1)]
-        diag = mono(dth=1, x=1)
-        c = rhs.coefficient(diag)
-        if c.is_zero():
-            raise NonInvertibleRule("rule (x, dth) has no invertible diagonal term")
-        rest = rhs - Element.monomial(P, diag, c)
-        known = Element.zero(P)
-        for m, cc in rest.terms.items():
-            known.add_scaled(self.mul_mono_mono(mono(x=-1), m), cc)
-        target = Element.monomial(P, mono(dth=1)) - known
-        acc = Element.zero(P)
-        for m, cc in target.terms.items():
-            acc.add_scaled(self.mul_mono_mono(m, mono(x=-1)), cc)
-        self.rules[(X, DTH, -1)] = acc.scale(one / c)
-
-        # affine rules g*x = c*(x*g) + rest: solve g = (g*x)*x^-1 for g*x^-1
-        for g in (PX, IX):
-            rhs = self.rules[(g, X, 1)]
+        xi = Element.monomial(P, mono(x=-1))
+        for g in (TH, PTH, ITH, PX, IX, DX, DTH):
+            key = (X, g, 1) if g < X else (g, X, 1)
+            rhs = self.rules[key]
+            gm = Element.monomial(P, _letter_mono((g, 1)))
             diag = mono(x=1, **{GENS[g]: 1})
             c = rhs.coefficient(diag)
             if c.is_zero():
-                raise NonInvertibleRule(f"rule ({GENS[g]}, x) has no invertible diagonal term")
+                raise NonInvertibleRule(
+                    f"rule ({GENS[key[0]]}, {GENS[key[1]]}) has no invertible diagonal term")
             rest = rhs - Element.monomial(P, diag, c)
-            known = Element.zero(P)
-            for m, cc in rest.terms.items():
-                known.add_scaled(self.mul_mono_mono(m, mono(x=-1)), cc)
-            target = Element.monomial(P, mono(**{GENS[g]: 1})) - known
-            acc = Element.zero(P)
-            for m, cc in target.terms.items():
-                acc.add_scaled(self.mul_mono_mono(mono(x=-1), m), cc)
-            self.rules[(g, X, -1)] = acc.scale(one / c)
+            if g < X:
+                self.rules[(X, g, -1)] = self.mul(gm - self.mul(xi, rest), xi).scale(P.one() / c)
+            else:
+                self.rules[(g, X, -1)] = self.mul(xi, gm - self.mul(rest, xi)).scale(P.one() / c)
 
     def _round_trip_check(self) -> None:
         for g in (TH, D, PX, PTH, IX, ITH):
@@ -762,52 +736,30 @@ class RuleTable:
                 break
         k = m[j]
         # a letter that needs no rewrite is cheaper to apply than to memoize
-        if g > j:
-            mm = list(m)
-            mm[g] = s
-            return self._merged(tuple(mm))
-        if g == j:
-            if g == X:
-                mm = list(m)
-                mm[X] += s
-                return self._merged(tuple(mm))
-            if g in NILPOTENT:
+        if g >= j:
+            if g == j and g in NILPOTENT:
                 return Element.zero(self.params)
             mm = list(m)
-            mm[g] += 1
+            mm[g] += s
             return self._merged(tuple(mm))
-        if j == X and abs(k) >= 2:
-            # x^k g = x^(k-b) (x^b g) with b = k/2 rounded toward zero: the
-            # recursion depth is logarithmic in k, not linear
-            b = k // 2 if k > 0 else -(-k // 2)
-            half = [0] * NGENS
-            half[X] = b
-            inner = self.mul_mono_letter(tuple(half), letter)
-            head = list(m)
-            head[X] = k - b
-            head_t = tuple(head)
-            out = Element.zero(self.params)
-            for im, ic in inner.terms.items():
-                out.add_scaled(self.mul_mono_mono(head_t, im), ic)
+        # m = h*a^k with a the generator j: m*g = h*a^(k-b) (a^b g), where
+        # a^b g is the rule for |k| = 1 and otherwise b = k/2 rounded toward
+        # zero, so the recursion depth is logarithmic in k, not linear
+        if abs(k) >= 2:
+            b = _half(k)
+            inner = self.mul_mono_letter(_letter_mono((j, b)), letter)
         else:
-            u = 1 if j != X else (1 if k > 0 else -1)
-            if j == X:
-                rkey = (j, g, u)
-            elif g == X:
-                rkey = (j, g, s)
-            else:
-                rkey = (j, g, 0)
-            rule = self.rules.get(rkey)
-            if rule is None:
+            b = k
+            inner = self.rules.get((j, g, k if j == X else s if g == X else 0))
+            if inner is None:
                 raise UnsupportedGenerator(
-                    f"no rewrite rule for {GENS[j]}^{u if j == X else 1}*"
-                    f"{GENS[g]}^{s if g == X else 1}")
-            prefix = list(m)
-            prefix[j] = k - u
-            prefix_t = tuple(prefix)
-            out = Element.zero(self.params)
-            for rm, rc in rule.terms.items():
-                out.add_scaled(self.mul_mono_mono(prefix_t, rm), rc)
+                    f"no rewrite rule for {GENS[j]}^{k}*{GENS[g]}^{s if g == X else 1}")
+        head = list(m)
+        head[j] = k - b
+        head_t = tuple(head)
+        out = Element.zero(self.params)
+        for im, ic in inner.terms.items():
+            out.add_scaled(self.mul_mono_mono(head_t, im), ic)
         return self._store(self._memo, key, out)
 
     def mul_mono_mono(self, m1: Monomial, m2: Monomial) -> Element:
@@ -824,21 +776,21 @@ class RuleTable:
         last = NGENS - 1
         while last >= 0 and not m1[last]:
             last -= 1
-        if last < first or last == first == X:
-            # already in order: the product is the merged monomial
+        if last < first or last == first:
+            # already in order, or m1 ends in the block m2 starts with: the
+            # product is the merged monomial, or zero for a nilpotent block
+            if last == first and first in NILPOTENT:
+                return Element.zero(self.params)
             return self._merged(tuple(a + b for a, b in zip(m1, m2)))
-        if first == X and not any(m2[X + 1:]):
-            return self._store(self._pair_memo, key, self._mul_x_power(m1, m2[X]))
+        if not any(m2[first + 1:]):
+            return self._store(self._pair_memo, key, self._mul_block(m1, first, m2[first]))
         e = self._merged(m1)
         for g, k in enumerate(m2):
-            if not k:
-                continue
-            if g == X and abs(k) >= 2:
-                # a power of x is one factor, which _mul_x_power splits
-                e = self._times(e, self.mul_mono_mono, mono(x=k))
-            else:
-                for _ in range(abs(k)):
-                    e = self._times(e, self.mul_mono_letter, (g, 1 if k > 0 else -1))
+            if k == 1 or k == -1:
+                e = self._times(e, self.mul_mono_letter, (g, k))
+            elif k:
+                # a power is one factor, which _mul_block splits
+                e = self._times(e, self.mul_mono_mono, _letter_mono((g, k)))
         return self._store(self._pair_memo, key, e)
 
     def _times(self, e: Element, product, factor) -> Element:
@@ -850,21 +802,22 @@ class RuleTable:
             _accumulate(acc, product(m, factor).terms, c, one)
         return e._like(acc)
 
-    def _mul_x_power(self, m: Monomial, k: int) -> Element:
-        """``m * x^k`` for |k| >= 2 and ``m`` not already in order with it.
+    def _mul_block(self, m: Monomial, g: int, k: int) -> Element:
+        """``m * g^k`` for |k| >= 2 and ``m`` not already in order with it.
 
-        The factors of ``m`` up to ``x`` stay in front and only the tail past
-        ``x`` moves: ``h*t * x^k = h * (t * x^k)``.  A bare tail splits the
-        power as ``t * x^k = (t * x^b) * x^(k-b)`` with b = k/2 rounded
+        The factors of ``m`` up to ``g`` stay in front and only the tail past
+        ``g`` moves: ``h*t * g^k = h * (t * g^k)``.  A bare tail splits the
+        power as ``t * g^k = (t * g^b) * g^(k-b)`` with b = k/2 rounded
         toward zero, as ``mul_mono_letter`` splits a left factor, so the memo
         gains O(log k) entries per tail, not k.
         """
-        head = m[:TH] + (0,) * (NGENS - TH)
+        head = m[:g + 1] + (0,) * (NGENS - 1 - g)
         if any(head):
-            tail = (0,) * TH + m[TH:]
-            return self.mul(self._merged(head), self.mul_mono_mono(tail, mono(x=k)))
-        b = k // 2 if k > 0 else -(-k // 2)
-        return self._times(self.mul_mono_mono(m, mono(x=b)), self.mul_mono_mono, mono(x=k - b))
+            tail = (0,) * (g + 1) + m[g + 1:]
+            return self.mul(self._merged(head), self.mul_mono_mono(tail, _letter_mono((g, k))))
+        b = _half(k)
+        return self._times(self.mul_mono_mono(m, _letter_mono((g, b))),
+                           self.mul_mono_mono, _letter_mono((g, k - b)))
 
     def mul(self, a: Element, b: Element) -> Element:
         one = self.params.one()

@@ -184,13 +184,37 @@ def _add(identity: Identity) -> None:
     _CATALOG.append(identity)
 
 
-def _word(id_: str, anchor: str, template: str) -> None:
-    lhs, rhs = template.split("==")
+def _word_run(*relations: str) -> Callable[[RuleTable, int], Element]:
+    """The residual of ``lhs == rhs`` relations as words: the first nonzero
+    difference of the two normal forms, in order."""
+    sides = [r.split("==") for r in relations]
 
     def run(rt: RuleTable, bound: int) -> Element:
-        return E(rt, lhs) - E(rt, rhs)
+        return _first_nonzero(E(rt, lhs) - E(rt, rhs) for lhs, rhs in sides)
 
-    _add(Identity(id_, anchor, "word-level", run))
+    return run
+
+
+def _acts_run(relation: str) -> Callable[[RuleTable, int], Element]:
+    """The residual of an operator relation ``lhs == rhs`` as actions: the
+    first nonzero action of lhs - rhs on the coordinate basis up to
+    min(bound, 6)."""
+    lhs, rhs = relation.split("==")
+
+    def run(rt: RuleTable, bound: int) -> Element:
+        op = E(rt, lhs) - E(rt, rhs)
+        return _first_nonzero(rt.act(op, Element.monomial(rt.params, m))
+                              for m in hopf.coordinate_basis(min(bound, 6)))
+
+    return run
+
+
+def _word(id_: str, anchor: str, *relations: str) -> None:
+    _add(Identity(id_, anchor, "word-level", _word_run(*relations)))
+
+
+def _acts(id_: str, anchor: str, relation: str) -> None:
+    _add(Identity(id_, anchor, "action-level", _acts_run(relation)))
 
 
 def _scalar(id_: str, anchor: str,
@@ -613,57 +637,10 @@ def _eq67_run(rt: RuleTable, bound: int) -> Element:
 _action("eq67-pairing-table", "(67)", _eq67_run)
 
 
-def _operator_relation_run(maker):
-    def run(rt: RuleTable, bound: int) -> Element:
-        residuals = []
-        for m in hopf.coordinate_basis(min(bound, 6)):
-            f = Element.monomial(rt.params, m)
-            residuals.append(maker(rt, f))
-        return _first_nonzero(residuals)
-
-    return run
-
-
-def _eq70_T_x(rt, f):
-    T = expand_derived(rt, "T")
-    x = Element.monomial(rt.params, mono(x=1))
-    lhs = act_on_function(rt, T, rt.mul(x, f))
-    rhs = rt.mul(x, act_on_function(rt, T, f)).scale(rt.ct.Q)
-    return lhs - rhs
-
-
-def _eq71_T_th(rt, f):
-    T = expand_derived(rt, "T")
-    th = Element.monomial(rt.params, mono(th=1))
-    lhs = act_on_function(rt, T, rt.mul(th, f))
-    rhs = rt.mul(th, act_on_function(rt, T, f)).scale(rt.ct.Q)
-    return lhs - rhs
-
-
-def _eq71_nabla_x(rt, f):
-    nb = expand_derived(rt, "Nb")
-    x = Element.monomial(rt.params, mono(x=1))
-    lhs = act_on_function(rt, nb, rt.mul(x, f))
-    rhs = rt.mul(x, act_on_function(rt, nb, f)).scale(rt.ct.Q11)
-    return lhs - rhs
-
-
-def _eq71_nabla_th(rt, f):
-    nb = expand_derived(rt, "Nb")
-    H = expand_derived(rt, "H")
-    x = Element.monomial(rt.params, mono(x=1))
-    th = Element.monomial(rt.params, mono(th=1))
-    lhs = act_on_function(rt, nb, rt.mul(th, f))
-    rhs = (rt.mul(x, f)
-           - rt.mul(th, act_on_function(rt, nb, f)).scale(rt.ct.Q11)
-           - rt.mul(x, act_on_function(rt, H, f)).scale(rt.ct.Q22))
-    return lhs - rhs
-
-
-_action("eq70-T-x", "(70)", _operator_relation_run(_eq70_T_x))
-_action("eq71-T-th", "(71)", _operator_relation_run(_eq71_T_th))
-_action("eq71-nabla-x", "(71)", _operator_relation_run(_eq71_nabla_x))
-_action("eq71-nabla-th", "(71)", _operator_relation_run(_eq71_nabla_th))
+_acts("eq70-T-x", "(70)", "T*x == Q*x*T")
+_acts("eq71-T-th", "(71)", "T*th == Q*th*T")
+_acts("eq71-nabla-x", "(71)", "Nb*x == Q11*x*Nb")
+_acts("eq71-nabla-th", "(71)", "Nb*th == x - Q11*th*Nb - Q22*x*H")
 
 
 def _eq73_run(rt: RuleTable, bound: int) -> Element:
@@ -782,14 +759,7 @@ _word("eq96-Lth-px", "(96)",
 _word("eq96-Lth-pth", "(96)", "Lth*pth == -Q*pth*Lth")
 
 
-def _eq97_run(rt: RuleTable, bound: int) -> Element:
-    square = E(rt, "ix*ix")
-    reorder = (E(rt, "ix*ith")
-               - E(rt, "ith*ix").scale(-(rt.ct.Q11 / (rt.ct.Q12 - rt.ct.Q))))
-    return _first_nonzero([square, reorder])
-
-
-_add(Identity("eq97-innersquare", "(97)", "word-level", _eq97_run))
+_word("eq97-innersquare", "(97)", "ix*ix == 0", "ix*ith == -Q11/(Q12-Q)*ith*ix")
 
 _word("eq98-Lx-ix", "(98)", "Lx*ix == ix*Lx")
 _word("eq98-Lx-ith", "(98)",
@@ -802,24 +772,11 @@ _word("eq99-lie-commute", "(99)", "Lx*Lth == Q21^-1*(Q12-Q)*Lth*Lx")
 _word("eq99-Lth-square", "(99)", "Lth*Lth == 0")
 
 
-def _eq100_run(rt: RuleTable, bound: int) -> Element:
-    return _first_nonzero([
-        E(rt, "Lx") - E(rt, "px + (1-Q^-1)*d*ix"),
-        E(rt, "Lth") - E(rt, "pth - (1-Q^-1)*d*ith"),
-    ])
-
-
-_add(Identity("eq100-lie-as-partial", "(100)", "word-level", _eq100_run))
-
-
-def _eq101_run(rt: RuleTable, bound: int) -> Element:
-    return _first_nonzero([
-        E(rt, "Lx") - E(rt, "x^-1*H - x^-1*th*x^-1*Nb + (1-Q^-1)*d*ix"),
-        E(rt, "Lth") - E(rt, "x^-1*Nb - (1-Q^-1)*d*ith"),
-    ])
-
-
-_add(Identity("eq101-lie-via-fields", "(101)", "word-level", _eq101_run))
+_word("eq100-lie-as-partial", "(100)",
+      "Lx == px + (1-Q^-1)*d*ix", "Lth == pth - (1-Q^-1)*d*ith")
+_word("eq101-lie-via-fields", "(101)",
+      "Lx == x^-1*H - x^-1*th*x^-1*Nb + (1-Q^-1)*d*ix",
+      "Lth == x^-1*Nb - (1-Q^-1)*d*ith")
 
 
 def _dd_zero_run(rt: RuleTable, bound: int) -> Element:
@@ -840,14 +797,18 @@ _action("eq3-d-squared-zero", "(3)", _dd_zero_run)
 
 
 def _eq33_action_run(rt: RuleTable, bound: int) -> Element:
-    dd = rt.d_element()
+    # d acts as dx*px + dth*pth: its form letters go through act's u* path,
+    # while here they multiply the partial actions from outside
+    P = rt.params
+    dx, px = Element.monomial(P, mono(dx=1)), Element.monomial(P, mono(px=1))
+    dth, pth = Element.monomial(P, mono(dth=1)), Element.monomial(P, mono(pth=1))
     residuals = []
     for m in range(-min(bound, 4), min(bound, 4) + 1):
         for eps in (0, 1):
             for bdth in (0, 1):
-                w = Element.monomial(rt.params, mono(dth=bdth, x=m, th=eps))
+                w = Element.monomial(P, mono(dth=bdth, x=m, th=eps))
                 residuals.append(exterior_derivative(rt, w)
-                                 - act_on_function(rt, dd, w))
+                                 - rt.mul(dx, rt.act(px, w)) - rt.mul(dth, rt.act(pth, w)))
     return _first_nonzero(residuals)
 
 

@@ -437,21 +437,24 @@ def _pair_letter(rt: RuleTable, k: UKey, letter: tuple) -> RationalFunction:
 
 
 def _pair_word(rt: RuleTable, k: UKey, letters: tuple) -> RationalFunction:
-    if not letters:
-        return rt.params.one() if not k[2] else rt.params.zero()
-    if len(letters) == 1:
-        return _pair_letter(rt, k, letters[0])
-    first, rest = letters[0], letters[1:]
-    total = rt.params.zero()
-    lp = 1 if first[0] == TH else 0
-    for k1, k2, sgn in u_coproduct_key(k):
-        c = _pair_letter(rt, k1, first)
-        if c.is_zero():
-            continue
-        if sgn < 0 or (u_key_parity(k2) * lp) & 1:
-            c = -c
-        total = total + c * _pair_word(rt, k2, rest)
-    return total
+    """<k, a_1 ... a_n>: fold the letters left to right, pairing a_i with the
+    first coproduct factor and keeping the pending second factors (at most
+    two keys) with their accumulated coefficients; the empty word left over
+    pairs as the counit."""
+    pending = {k: rt.params.one()}
+    for letter in letters:
+        lp = 1 if letter[0] == TH else 0
+        nxt: dict = {}
+        for key, acc in pending.items():
+            for k1, k2, sgn in u_coproduct_key(key):
+                c = _pair_letter(rt, k1, letter)
+                if c.is_zero():
+                    continue
+                if sgn < 0 or (u_key_parity(k2) * lp) & 1:
+                    c = -c
+                nxt[k2] = nxt[k2] + acc * c if k2 in nxt else acc * c
+        pending = nxt
+    return sum((acc for key, acc in pending.items() if not key[2]), rt.params.zero())
 
 
 def pair(rt: RuleTable, u: UElement, a: Element) -> RationalFunction:

@@ -444,25 +444,36 @@ def test_powers_of_x_past_differentials_match_closed_forms(name):
 
 RIGHT_X_CASES = [mono(px=1), mono(pth=1), mono(ix=1), mono(ith=1), mono(th=1),
                  mono(x=3, px=1), mono(dx=1, th=1, pth=1), mono(dth=2, x=-1, ith=2),
-                 mono(th=1, px=1, pth=1, ix=1, ith=1)]
+                 mono(th=1, px=1, pth=1, ix=1, ith=1),
+                 mono(dth=3, px=2), mono(px=3, ith=2), mono(x=-2, dth=2, ith=3)]
+# right factors g^k for k = s, 2s, ..., 64s, each also followed by a later
+# letter t where one exists
+RIGHT_BLOCKS = [(X, 1, TH), (X, -1, TH), (DTH, 1, TH), (PX, 1, ITH), (ITH, 1, None)]
 
 
 @pytest.mark.parametrize("name", ["I", "II", "III"])
 def test_right_x_power_matches_letter_fold(name):
-    # m * x^k splits the power in log depth; a fresh table folds the same
-    # product one letter at a time
+    # m * g^k splits the power in log depth, as do the powers in m; a fresh
+    # table folds the same product one letter at a time
     rt = build_rule_table(CalculusType.by_name(name))
     ref = build_rule_table(CalculusType.by_name(name))
+
+    def fold(e, letter):
+        acc = Element.zero(ref.params)
+        for mm, c in e.terms.items():
+            acc.add_scaled(ref.mul_mono_letter(mm, letter), c)
+        return acc
+
     for m in RIGHT_X_CASES:
-        for k in [k for k in range(-64, 65) if k]:
-            for tail in ({}, {"th": 1}):
-                want = Element.monomial(ref.params, m)
-                for letter in [(X, 1 if k > 0 else -1)] * abs(k) + [(TH, 1)] * len(tail):
-                    acc = Element.zero(ref.params)
-                    for mm, c in want.terms.items():
-                        acc.add_scaled(ref.mul_mono_letter(mm, letter), c)
-                    want = acc
-                assert rt.mul_mono_mono(m, mono(x=k, **tail)) == want, (m, k, tail)
+        for g, s, t in RIGHT_BLOCKS:
+            want = Element.monomial(ref.params, m)
+            for k in range(s, 65 * s, s):
+                want = fold(want, (g, s))
+                block = _letter_mono((g, k))
+                assert rt.mul_mono_mono(m, block) == want, (m, g, k)
+                if t is not None:
+                    right = tuple(a + b for a, b in zip(block, _letter_mono((t, 1))))
+                    assert rt.mul_mono_mono(m, right) == fold(want, (t, 1)), (m, g, k, t)
 
 
 @pytest.mark.parametrize("tail", [{}, {"th": 1}])

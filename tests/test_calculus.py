@@ -7,6 +7,8 @@ from qsp.calculus import (
     E,
     KNOWN_DISCREPANCY_IDS,
     UnknownIdentity,
+    _acts_run,
+    _word_run,
     act_on_function,
     closed_form_H,
     expand_derived,
@@ -129,6 +131,21 @@ def test_eq97_coefficient_evaluates_to_q():
         assert coeff == q, name
         rt = build_rule_table(ct)
         assert verify_identity(rt, "eq97-innersquare").status == "PASS"
+
+
+def test_relation_templates(t2):
+    # the catalog's word and action residuals, called without a catalog entry
+    assert _word_run("ix == 0")(t2, 6) == E(t2, "ix")
+    assert _acts_run("ix == 0")(t2, 6).is_zero()   # ix kills every function
+    # several relations report the first nonzero residual, in order
+    assert _word_run("x*th == q*th*x", "px*x == Q*x*px")(t2, 6) == E(t2, "1 + Q12*th*pth")
+    assert _word_run("x*th == q*th*x", "px*x == 1 + Q*x*px + Q12*th*pth")(t2, 6).is_zero()
+    # an action residual is the first nonzero one over x^-6, x^-6*th, ...:
+    # T*x - Q11*x*T on x^-6 is r^-5*x^-5 - q*x*r^-6*x^-6 at type II
+    r, q = t2.params.var("r"), t2.params.var("q")
+    want = Element.monomial(t2.params, mono(x=-5), r ** -5 - q * r ** -6)
+    assert _acts_run("T*x == Q11*x*T")(t2, 6) == want
+    assert _acts_run("T*x == Q*x*T")(t2, 6).is_zero()
 
 
 def test_unknown_identity(t2):

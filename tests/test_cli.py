@@ -57,6 +57,17 @@ def test_normalize_long_right_x_power(capsys):
     code, out, _ = invoke(capsys, "normalize", "--type", "II", "px*x^10000")
     assert code == 0
     assert out.rstrip().endswith(" + r^10000*x^10000*px + (r^10000 - 1)*x^9999*th*pth")
+    # a long left power of any generator splits in log depth too
+    for text, want in (("dth^3000*dx", "r^3000*q^-3000*dx*dth^3000"),
+                       ("ith^3000*dx", "q^3000*r^-3000*dx*ith^3000"),
+                       ("px^3000*th", "r^3000*q^-3000*th*px^3000")):
+        code, out, _ = invoke(capsys, "normalize", "--type", "II", text)
+        assert code == 0 and out.strip() == want, text
+    code, out, _ = invoke(capsys, "normalize", "--type", "II", "px^400*x")
+    assert code == 0
+    assert out.startswith("(r^399 + r^398 + ")
+    assert out.rstrip().endswith(
+        " + r + 1)*px^399 + r^400*x*px^400 + (r^799 - r^399)*q^-399*th*px^399*pth")
 
 
 def test_check_pass_and_fail(capsys):

@@ -149,6 +149,9 @@ def test_pairing_table(t2):
     assert pair(t2, Nb, t2.word("x", "th")) == q
     # group-like powers: <T^k, x^m> = r^(km)
     assert pair(t2, UElement.gen_T(P, 2), t2.word(("x", 3))) == r ** 6
+    # long words fold letter by letter, without recursion
+    assert pair(t2, T, t2.word(("x", 2000))) == r ** 2000
+    assert pair(t2, Nb, t2.word(("x", 2000), "th")) == q ** 2000
     assert pair(t2, UElement.unit(P), t2.word("x")) == P.one()
     assert pair(t2, T, Element.one(P)) == P.one()
 

@@ -1,68 +1,45 @@
 """Exact symbolic engine for the extended differential calculus on the
 quantum superplane: normal-ordering rewrite system, Hopf costructures,
 covariance constraint solving, and a verification suite with residual
-certificates."""
+certificates.
 
-from .coeffs import (
-    PARAMS_I,
-    PARAMS_II,
-    PARAMS_III,
-    ParamSet,
-    QspError,
-    RationalFunction,
-    qnumber,
-    rf_arith,
-    rf_eval,
-    rf_make,
-)
-from .algebra import (
-    CalculusType,
-    Element,
-    RuleTable,
-    build_rule_table,
-    local_confluence_check,
-    multiply,
-    normalize,
-    parity_of,
-    substitute_params,
-)
-from .calculus import (
-    KNOWN_DISCREPANCY_IDS,
-    VerifyResult,
-    act_on_function,
-    closed_form_H,
-    exterior_derivative,
-    expand_derived,
-    identity_catalog,
-    number_op,
-    run_suite,
-    verify_identity,
-)
-from .hopf import (
-    TensorElement,
-    UElement,
-    coproduct_A,
-    counit_A,
-    antipode_A,
-    hopf_axiom_check,
-    costructures_W,
-    left_act,
-    pair,
-    tensor_multiply,
-)
-from .covariance import (
-    delta_L,
-    delta_R,
-    generate_ansatz_constraints,
-    generate_covariance_constraints,
-    solve_family,
-)
-from .exprio import (
-    emit_report,
-    parse_element,
-    parse_expr,
-    print_canonical,
-    print_tensor,
-)
+The package namespace is lazy: a name below is imported from its home
+module on first access, so ``import qsp`` loads no submodule and a caller
+pays only for the modules it uses."""
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+_HOMES = {
+    "coeffs": ("PARAMS_I", "PARAMS_II", "PARAMS_III", "ParamSet", "QspError",
+               "RationalFunction", "qnumber", "rf_arith", "rf_eval", "rf_make"),
+    "algebra": ("CalculusType", "Element", "RuleTable", "act_on_function",
+                "build_rule_table", "local_confluence_check", "multiply",
+                "normalize", "parity_of", "substitute_params"),
+    "calculus": ("KNOWN_DISCREPANCY_IDS", "VerifyResult", "closed_form_H",
+                 "exterior_derivative", "identity_catalog", "number_op",
+                 "run_suite", "verify_identity"),
+    "hopf": ("TensorElement", "UElement", "coproduct_A", "counit_A",
+             "antipode_A", "hopf_axiom_check", "costructures_W", "left_act",
+             "pair", "tensor_multiply"),
+    "covariance": ("delta_L", "delta_R", "generate_ansatz_constraints",
+                   "generate_covariance_constraints", "solve_family"),
+    "exprio": ("emit_report", "expand_derived", "parse_element", "parse_expr",
+               "print_canonical", "print_tensor"),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = sorted([*_HOMES, *_HOME])
+
+
+def __getattr__(name: str):
+    home = _HOME.get(name, name)
+    if home not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # the import statement's own entry point, so `-X importtime` lists it
+    module = __import__(f"{__name__}.{home}", fromlist=[name])
+    if home == name:
+        return module
+    value = globals()[name] = getattr(module, name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -914,6 +914,14 @@ def multiply(rt: RuleTable, a: Element, b: Element) -> Element:
     return rt.mul(a, b)
 
 
+def act_on_function(rt: RuleTable, op: Element, f: Element) -> Element:
+    """Apply an operator to a form-valued function: the normal-ordered
+    product without every term that still carries derivative or
+    inner-derivation factors, computed directly by ``rt.act``.  Raises
+    NotAFunctionArgument when ``f`` has an operator factor."""
+    return rt.act(op, f)
+
+
 # ----------------------------------------------------------------------------
 # Local confluence audit
 # ----------------------------------------------------------------------------

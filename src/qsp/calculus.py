@@ -22,52 +22,18 @@ from .algebra import (
     CalculusType,
     Element,
     RuleTable,
+    act_on_function,
     inner_coordinate_coeffs,
     inner_differential_coeffs,
     mono,
 )
 from . import covariance as cov
 from . import hopf
-from .exprio import parse_element
+from .exprio import DERIVED_NAMES, expand_derived, parse_element
 
 
 class UnknownIdentity(QspError):
     pass
-
-
-# ----------------------------------------------------------------------------
-# Derived symbols
-# ----------------------------------------------------------------------------
-
-DERIVED_NAMES = ("H", "Nb", "T", "wx", "wth", "Lx", "Lth")
-
-
-def expand_derived(rt: RuleTable, name: str) -> Element:
-    """Normal-ordered expansion of a derived operator symbol."""
-    cache = rt._derived_cache
-    hit = cache.get(name)
-    if hit is not None:
-        return hit
-    P = rt.params
-    if name == "H":
-        e = (Element.monomial(P, mono(x=1, px=1))
-             + Element.monomial(P, mono(th=1, pth=1)))
-    elif name == "Nb":
-        e = Element.monomial(P, mono(x=1, pth=1))
-    elif name == "T":
-        e = Element.one(P) + expand_derived(rt, "H").scale(rt.ct.Q - P.one())
-    elif name == "wx":
-        e = hopf.maurer_forms(rt)["wx"]
-    elif name == "wth":
-        e = hopf.maurer_forms(rt)["wth"]
-    elif name == "Lx":
-        e = rt.normalize_word(["ix", "d"]) + rt.normalize_word(["d", "ix"])
-    elif name == "Lth":
-        e = rt.normalize_word(["ith", "d"]) - rt.normalize_word(["d", "ith"])
-    else:
-        return None
-    cache[name] = e
-    return e
 
 
 def E(rt: RuleTable, text: str) -> Element:
@@ -78,14 +44,6 @@ def E(rt: RuleTable, text: str) -> Element:
 # ----------------------------------------------------------------------------
 # Actions and closed forms
 # ----------------------------------------------------------------------------
-
-def act_on_function(rt: RuleTable, op: Element, f: Element) -> Element:
-    """Apply an operator to a form-valued function: the normal-ordered
-    product without every term that still carries derivative or
-    inner-derivation factors, computed directly by ``rt.act``.  Raises
-    NotAFunctionArgument when ``f`` has an operator factor."""
-    return rt.act(op, f)
-
 
 def exterior_derivative(rt: RuleTable, w: Element) -> Element:
     return act_on_function(rt, rt.d_element(), w)

@@ -14,33 +14,29 @@ import shutil
 import sys
 from fractions import Fraction
 
-from .coeffs import MissingVariable, PoleAtAssignment, QspError
+from .coeffs import MissingVariable, QspError
 from .algebra import (
     CalculusType,
     InconsistentType,
     NonInvertibleRule,
     RuleTable,
+    act_on_function,
     build_rule_table,
 )
-from . import calculus
-from . import covariance as cov
 from . import hopf
 from .exprio import (
     MAX_EXPONENT,
-    BadExponent,
     ExprSyntaxError,
-    UnknownSymbol,
     emit_report,
+    expand_derived,
     parse_element,
     parse_uelement,
     print_canonical,
     print_tensor,
 )
 
-_USAGE_ERRORS = (ExprSyntaxError, UnknownSymbol, BadExponent, MissingVariable,
-                 PoleAtAssignment, calculus.UnknownIdentity,
-                 cov.UnderdeterminedSystem, cov.InconsistentSideConditions,
-                 argparse.ArgumentTypeError)
+# every engine error is a QspError, reported below with the same exit 2
+_USAGE_ERRORS = (argparse.ArgumentTypeError,)
 _INTERNAL_ERRORS = (NonInvertibleRule, InconsistentType)
 
 
@@ -178,35 +174,36 @@ def run(argv) -> int:
         fmt = _effective(args, config, "fmt", "text")
         rt, ctype, assignment = _engine(args, config)
         if args.command == "normalize":
-            e = parse_element(rt, args.expr, calculus.expand_derived)
+            e = parse_element(rt, args.expr, expand_derived)
             print(print_canonical(e))
             return 0
         if args.command == "check":
             if "==" not in args.expr:
                 raise ExprSyntaxError('check expects "LHS == RHS"', 0)
             lhs, rhs = args.expr.split("==", 1)
-            residual = (parse_element(rt, lhs, calculus.expand_derived)
-                        - parse_element(rt, rhs, calculus.expand_derived))
+            residual = (parse_element(rt, lhs, expand_derived)
+                        - parse_element(rt, rhs, expand_derived))
             if residual.is_zero():
                 print("PASS  residual 0")
                 return 0
             print(f"FAIL  residual {print_canonical(residual)}")
             return 1
         if args.command == "act":
-            op = parse_element(rt, args.op, calculus.expand_derived)
-            arg = parse_element(rt, args.expr, calculus.expand_derived)
-            print(print_canonical(calculus.act_on_function(rt, op, arg)))
+            op = parse_element(rt, args.op, expand_derived)
+            arg = parse_element(rt, args.expr, expand_derived)
+            print(print_canonical(act_on_function(rt, op, arg)))
             return 0
         if args.command == "pair":
             u = parse_uelement(rt.params, args.u)
-            a = parse_element(rt, args.a, calculus.expand_derived)
+            a = parse_element(rt, args.a, expand_derived)
             print(hopf.pair(rt, u, a))
             return 0
         if args.command == "coproduct":
-            e = parse_element(rt, args.expr, calculus.expand_derived)
+            e = parse_element(rt, args.expr, expand_derived)
             print(print_tensor(hopf.coproduct_A(rt, e)))
             return 0
         if args.command == "verify":
+            from . import calculus   # only verify needs the catalog
             pattern = args.identity
             results = calculus.run_suite(rt, bound=bound, pattern=pattern)
             payload = emit_report(results, fmt, ctype, assignment or None)
@@ -237,6 +234,7 @@ def run(argv) -> int:
 
 
 def _print_families() -> None:
+    from . import covariance as cov   # only solve-types solves families
     for mode, conditions, params in cov.FAMILY_SIDE_CONDITIONS:
         ct = cov.solve_family(conditions, params)
         fixed = ", ".join(f"{k} = {params.rf(v)}" for k, v in conditions.items())

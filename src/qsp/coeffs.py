@@ -801,11 +801,26 @@ def qnumber(m: int, base: RationalFunction) -> RationalFunction:
     if m == 0:
         return params.zero()
     k = abs(m)
-    acc = params.zero()
-    p = params.one()
-    for _ in range(k):
-        acc = acc + p
-        p = p * base
+    b = base.lp
+    if b is None:
+        acc = params.zero()
+        p = params.one()
+        for _ in range(k):
+            acc = acc + p
+            p = p * base
+    else:
+        # one dict takes every power in place: linear in k, not quadratic
+        out: Laurent = {}
+        p = {params.origin: 1}
+        for _ in range(k):
+            for e, c in p.items():
+                s = out.get(e, 0) + c
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
+            p = _lp_mul(p, b)
+        acc = _value(params, out, None)
     if m > 0:
         return acc
     return -(base ** m) * acc

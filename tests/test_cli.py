@@ -6,8 +6,12 @@ from pathlib import Path
 
 import pytest
 
+import qsp.calculus
 import qsp.cli
+import qsp.covariance
+from qsp.algebra import InconsistentType, NonInvertibleRule
 from qsp.cli import run
+from qsp.coeffs import QspError
 
 
 def invoke(capsys, *argv):
@@ -329,3 +333,27 @@ def test_normalize_exponent_cap(capsys):
     assert out.strip() == "x^10000"
     code, out, _ = invoke(capsys, "normalize", "--type", "II", "xi^3*th")
     assert code == 0 and out.strip() == "x^-3*th"
+
+
+def _engine_errors(cls=QspError):
+    yield cls
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("qsp."):
+            yield from _engine_errors(sub)
+
+
+@pytest.mark.parametrize("error", sorted(set(_engine_errors()), key=lambda c: c.__name__),
+                         ids=lambda c: c.__name__)
+def test_engine_error_exit_codes(capsys, monkeypatch, error):
+    # every engine error is a QspError: exit 2, except the invariant
+    # violations, which are internal (exit 3)
+    def boom(*args, **kwargs):
+        exc = error.__new__(error)
+        Exception.__init__(exc, "boom")
+        raise exc
+
+    monkeypatch.setattr(qsp.cli, "parse_element", boom)
+    code, out, err = invoke(capsys, "normalize", "--type", "II", "x")
+    internal = error in (NonInvertibleRule, InconsistentType)
+    assert out == ""
+    assert (code, err) == ((3, "internal error: boom\n") if internal else (2, "error: boom\n"))

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from qsp.algebra import CalculusType
 from qsp.coeffs import (
     PARAMS_I,
     PARAMS_II,
@@ -207,3 +208,18 @@ def test_power_matches_repeated_product():
             assert base ** k == want
             assert base ** -k == one / want
             want = want * base
+
+
+@pytest.mark.parametrize("ctype, assignment", [
+    ("I", {}), ("II", {}), ("III", {}), ("II", {"r": 1}), ("III", {"p": 1}),
+    ("II", {"r": Fraction(1, 2)})], ids=["I", "II", "III", "II-r=1", "III-p=1", "II-r=1/2"])
+def test_qnumber_matches_geometric_sum(ctype, assignment):
+    ct = CalculusType.by_name(ctype).specialize(assignment)
+    Q, P = ct.Q, ct.params
+    for m in range(-60, 61):
+        k = abs(m)
+        total = P.zero()
+        for i in range(k):
+            total = total + Q ** i
+        want = total if m >= 0 else -(Q ** m) * total
+        assert qnumber(m, Q) == want, m

@@ -541,12 +541,6 @@ def inner_partial_coeffs(ct: CalculusType) -> dict[str, RationalFunction]:
     }
 
 
-def cartan_factors(ct: CalculusType) -> dict[str, RationalFunction]:
-    """F and F' in i_x d - F d i_x = px and i_th d - F' d i_th = pth."""
-    one = ct.params.one()
-    return {"F": -(one / ct.Q), "Fprime": one / ct.Q}
-
-
 # ----------------------------------------------------------------------------
 # Rule table and rewrite engine
 # ----------------------------------------------------------------------------
@@ -637,7 +631,6 @@ class RuleTable:
         A = inner_coordinate_coeffs(ct)
         a = inner_differential_coeffs(ct)
         B = inner_partial_coeffs(ct)
-        F = cartan_factors(ct)
         rule(IX, DX, 0, (one, ONE_MONO), (a["a1"], mono(dx=1, ix=1)), (a["a2"], mono(dth=1, ith=1)))
         rule(IX, DTH, 0, (a["a3"], mono(dth=1, ix=1)))
         rule(IX, X, 1, (A["A1"], mono(x=1, ix=1)), (A["A2"], mono(th=1, ith=1)))

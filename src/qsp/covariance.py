@@ -1,6 +1,7 @@
 """Coactions on first-order differentials and covariance constraint solving.
 
-The right and left coactions extend the coordinate coproduct by
+The right and left coactions (``hopf.coaction``) extend the coordinate
+coproduct by
 
     dR(dx) = dx (x) x          dL(dx) = x (x) dx
     dR(dth) = dth (x) x + dx (x) th
@@ -25,24 +26,26 @@ from .coeffs import (
     Poly,
     QspError,
     RationalFunction,
+    _poly_monic,
     _poly_substitute_rf,
 )
 from .algebra import (
-    DX, DTH, X, TH,
+    DX, DTH, X, TH, IX, ITH,
     CalculusType,
     Element,
-    Monomial,
-    NGENS,
     RuleTable,
-    UnsupportedGenerator,
     mono,
+    word_letters,
 )
 from .hopf import (
     TensorElement,
-    coproduct_mono,
+    coaction,
+    coaction_element,
+    coaction_mono,
+    comodule_residuals,
+    coproduct_A,
     tensor_apply_slot,
     tensor_expand_slot,
-    tensor_multiply,
 )
 
 
@@ -58,119 +61,35 @@ class InconsistentSideConditions(QspError):
 # Coactions on the first-order differential module
 # ----------------------------------------------------------------------------
 
-def _coaction_letter(rt: RuleTable, letter: tuple, side: str) -> TensorElement:
-    P = rt.params
-    g, s = letter
-    one = Element.one(P)
-    el = {
-        "x": Element.monomial(P, mono(x=s)),
-        "th": Element.monomial(P, mono(th=1)),
-        "dx": Element.monomial(P, mono(dx=1)),
-        "dth": Element.monomial(P, mono(dth=1)),
-    }
-    if g == X:
-        return TensorElement.of(el["x"], el["x"])
-    if g == TH:
-        return (TensorElement.of(el["th"], el["x"])
-                + TensorElement.of(el["x"], el["th"]))
-    if side == "right":
-        if g == DX:
-            return TensorElement.of(el["dx"], el["x"])
-        if g == DTH:
-            return (TensorElement.of(el["dth"], el["x"])
-                    + TensorElement.of(el["dx"], el["th"]))
-    else:
-        if g == DX:
-            return TensorElement.of(el["x"], el["dx"])
-        if g == DTH:
-            return (TensorElement.of(el["x"], el["dth"])
-                    - TensorElement.of(el["th"], el["dx"]))
-    raise UnsupportedGenerator("coactions are defined on words in x, th, dx, dth")
-
-
-def _coaction_word(rt: RuleTable, word, side: str) -> TensorElement:
-    from .algebra import word_letters
-    out = TensorElement.unit(rt.params, 2)
-    for letter in word_letters(word):
-        out = tensor_multiply(rt, out, _coaction_letter(rt, letter, side))
-    return out
-
-
 def delta_R(rt: RuleTable, word) -> TensorElement:
     """Right coaction of the coordinate Hopf algebra on a differential word."""
-    return _coaction_word(rt, word, "right")
+    return coaction(rt, word_letters(word), "right")
 
 
 def delta_L(rt: RuleTable, word) -> TensorElement:
     """Left coaction on a differential word."""
-    return _coaction_word(rt, word, "left")
-
-
-def delta_R_element(rt: RuleTable, e: Element) -> TensorElement:
-    out = TensorElement(rt.params, 2)
-    for m, c in e.terms.items():
-        out.add_scaled(_coaction_mono(rt, m, "right"), c)
-    return out
-
-
-def delta_L_element(rt: RuleTable, e: Element) -> TensorElement:
-    out = TensorElement(rt.params, 2)
-    for m, c in e.terms.items():
-        out.add_scaled(_coaction_mono(rt, m, "left"), c)
-    return out
-
-
-def _coaction_mono(rt: RuleTable, m: Monomial, side: str) -> TensorElement:
-    if not all(m[g] == 0 for g in range(NGENS) if g not in (DX, DTH, X, TH)):
-        raise UnsupportedGenerator("coactions are defined on words in x, th, dx, dth")
-    word = []
-    for g, e in ((DX, m[DX]), (DTH, m[DTH]), (X, m[X]), (TH, m[TH])):
-        if e:
-            name = {DX: "dx", DTH: "dth", X: "x", TH: "th"}[g]
-            word.append((name, e))
-    return _coaction_word(rt, word, side)
+    return coaction(rt, word_letters(word), "left")
 
 
 def coaction_axiom_residuals(rt: RuleTable, word, side: str) -> list:
     """Comodule axioms: compatibility with the coproduct and the counit."""
-    from .hopf import counit_A
-    P = rt.params
     te = delta_R(rt, word) if side == "right" else delta_L(rt, word)
-    if side == "right":
-        # (dR (x) id) dR == (id (x) Delta) dR
-        lhs = tensor_expand_slot(te, 0, lambda m: _coaction_mono(rt, m, "right"))
-        rhs = tensor_expand_slot(te, 1, lambda m: coproduct_mono(rt, m))
-        counit = tensor_apply_slot(te, 1, lambda a: Element.scalar(P, counit_A(rt, a)))
-    else:
-        # (Delta (x) id) dL == (id (x) dL) dL
-        lhs = tensor_expand_slot(te, 0, lambda m: coproduct_mono(rt, m))
-        rhs = tensor_expand_slot(te, 1, lambda m: _coaction_mono(rt, m, "left"))
-        counit = tensor_apply_slot(te, 0, lambda a: Element.scalar(P, counit_A(rt, a)))
-    ident = rt.normalize_word(word)
-    collapsed = Element.zero(P)
-    for (m1, m2), c in counit.terms.items():
-        collapsed.add_scaled(rt.mul_mono_mono(m1, m2), c)
-    return [lhs - rhs, collapsed - ident]
+    return comodule_residuals(rt, te, rt.normalize_word(word), side)
 
 
 def bicovariance_residuals(rt: RuleTable, word) -> list:
     """The three compatibility identities between d, dR and dL on a word."""
-    P = rt.params
-
     def d_map(a: Element) -> Element:
         return rt.act(rt.d_element(), a)
 
     e = rt.normalize_word(word)
     de = d_map(e)
-    delta_a = TensorElement(P, 2)
-    for m, c in e.terms.items():
-        delta_a.add_scaled(coproduct_mono(rt, m), c)
-    res1 = tensor_apply_slot(delta_a, 1, d_map, fn_parity=1) - delta_L_element(rt, de)
-    res2 = tensor_apply_slot(delta_a, 0, d_map, fn_parity=1) - delta_R_element(rt, de)
-    lhs = tensor_expand_slot(delta_R_element(rt, e), 0,
-                             lambda m: _coaction_mono(rt, m, "left"))
-    rhs = tensor_expand_slot(delta_L_element(rt, e), 1,
-                             lambda m: _coaction_mono(rt, m, "right"))
+    # on a coordinate element both coactions are the coproduct
+    delta = coproduct_A(rt, e)
+    res1 = tensor_apply_slot(delta, 1, d_map, fn_parity=1) - coaction_element(rt, de, "left")
+    res2 = tensor_apply_slot(delta, 0, d_map, fn_parity=1) - coaction_element(rt, de, "right")
+    lhs = tensor_expand_slot(delta, 0, lambda m: coaction_mono(rt, m, "left"))
+    rhs = tensor_expand_slot(delta, 1, lambda m: coaction_mono(rt, m, "right"))
     return [res1, res2, lhs - rhs]
 
 
@@ -198,7 +117,6 @@ def _primitive_poly(params: ParamSet, rf: RationalFunction,
     Only the deformation parameters (units of the coefficient ring) are
     stripped; common factors in the unknowns are meaningful and kept.
     """
-    from .coeffs import _poly_monic
     num = rf.num
     if not num:
         return {}
@@ -261,10 +179,10 @@ def generate_covariance_constraints() -> CovarianceConstraints:
 
     def rel_residuals(side: str):
         for lhs_word, rhs in _MODULE_RELATIONS:
-            te = _coaction_word(rt, lhs_word, side)
+            te = coaction(rt, word_letters(lhs_word), side)
             for coeff_name, rhs_word in rhs:
                 c = P.one() if coeff_name == "one" else P.var(coeff_name)
-                te.add_scaled(_coaction_word(rt, rhs_word, side), -c)
+                te.add_scaled(coaction(rt, word_letters(rhs_word), side), -c)
             yield te
 
     right = _collect_constraints(P, rel_residuals("right"))
@@ -353,7 +271,6 @@ INNER_DIFF_PARAMS = ParamSet("inner-differential",
 
 def _inner_coordinate_table() -> RuleTable:
     """Coordinate relations plus the undetermined inner-derivation ansatz."""
-    from .algebra import IX, ITH
     P = INNER_COORD_PARAMS
     q = P.var("q")
     one = P.one()
@@ -376,7 +293,6 @@ def _inner_coordinate_table() -> RuleTable:
 
 
 def _inner_differential_table() -> RuleTable:
-    from .algebra import IX, ITH
     P = INNER_DIFF_PARAMS
     one = P.one()
     a = {i: P.var(f"a{i}") for i in range(1, 9)}

@@ -1,4 +1,5 @@
-"""Graded tensor products, Hopf costructures, dual pairing and actions.
+"""Graded tensor products, Hopf costructures, coactions, dual pairing and
+actions.
 
 Tensor slots hold normal-ordered elements; multiplication uses the sign rule
 (A (x) B)(C (x) D) = (-1)^(deg B * deg C) (AC (x) BD), extended slotwise to
@@ -15,18 +16,18 @@ UElement by (T, K, Nb) exponents.  Both take their linear arithmetic from
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .coeffs import ParamSet, QspError, RationalFunction
 from .algebra import (
-    X, TH,
+    DX, DTH, X, TH,
     Element,
     GENS,
     Monomial,
     NotAFunctionArgument,
     ONE_MONO,
     RuleTable,
+    UnsupportedGenerator,
     mono,
     mono_is_function,
     mono_letters,
@@ -149,7 +150,7 @@ def tensor_expand_slot(te: TensorElement, slot: int,
 
 
 # ----------------------------------------------------------------------------
-# Hopf costructures on the coordinate algebra
+# The coaction fold and the Hopf costructures on the coordinate algebra
 # ----------------------------------------------------------------------------
 
 def _require_function(e: Element) -> None:
@@ -157,29 +158,77 @@ def _require_function(e: Element) -> None:
         raise NotAFunctionArgument("expected a coordinate-sector element")
 
 
+# The images of the letters th, dx and dth under the right and left coactions,
+# as (left slot, right slot, sign) terms; a power x^k is group-like and is
+# imaged whole by ``coaction``.
+_x, _th, _dx, _dth = mono(x=1), mono(th=1), mono(dx=1), mono(dth=1)
+_BLOCK_IMAGES = {
+    ("right", TH): ((_th, _x, 1), (_x, _th, 1)),
+    ("left", TH): ((_th, _x, 1), (_x, _th, 1)),
+    ("right", DX): ((_dx, _x, 1),),
+    ("left", DX): ((_x, _dx, 1),),
+    ("right", DTH): ((_dth, _x, 1), (_dx, _th, 1)),
+    ("left", DTH): ((_x, _dth, 1), (_th, _dx, -1)),
+}
+
+
+def _tensor_product(rt: RuleTable, factors: Iterable[TensorElement]) -> TensorElement:
+    """The product of normal-ordered rank-2 factors, left to right."""
+    out = None
+    for f in factors:
+        out = f if out is None else tensor_multiply(rt, out, f)
+    return TensorElement.unit(rt.params, 2) if out is None else out
+
+
+def coaction(rt: RuleTable, blocks: Iterable[tuple], side: str) -> TensorElement:
+    """Right or left coaction of a word given as blocks (generator, exponent):
+    the product of the block images in order,
+
+        x^k -> x^k (x) x^k          th -> th (x) x + x (x) th
+        dR(dx) = dx (x) x           dR(dth) = dth (x) x + dx (x) th
+        dL(dx) = x (x) dx           dL(dth) = x (x) dth - th (x) dx
+
+    with a block of k letters other than x imaged as k factors.  On x and th
+    both sides are the coordinate coproduct.
+    """
+    P = rt.params
+    one = P.one()
+
+    def factors():
+        for g, k in blocks:
+            if g == X:
+                yield TensorElement(P, 2, {(mono(x=k),) * 2: one})
+            elif (side, g) in _BLOCK_IMAGES:
+                for _ in range(k):
+                    yield TensorElement(P, 2, {(a, b): one if s > 0 else -one
+                                               for a, b, s in _BLOCK_IMAGES[side, g]})
+            else:
+                raise UnsupportedGenerator("coactions are defined on words in x, th, dx, dth")
+
+    return _tensor_product(rt, factors())
+
+
+def coaction_mono(rt: RuleTable, m: Monomial, side: str) -> TensorElement:
+    return coaction(rt, [(g, k) for g, k in enumerate(m) if k], side)
+
+
+def coaction_element(rt: RuleTable, e: Element, side: str) -> TensorElement:
+    out = TensorElement(rt.params, 2)
+    for m, c in e.terms.items():
+        out.add_scaled(coaction_mono(rt, m, side), c)
+    return out
+
+
 def coproduct_mono(rt: RuleTable, m: Monomial) -> TensorElement:
     """Coproduct of a coordinate monomial x^k th^eps."""
-    P = rt.params
     if not mono_is_function(m):
         raise NotAFunctionArgument("expected a coordinate monomial")
-    k, eps = m[X], m[TH]
-    xk = mono(x=k)
-    out = TensorElement(P, 2, {(xk, xk): P.one()})
-    if eps:
-        dth = TensorElement(P, 2, {
-            (mono(th=1), mono(x=1)): P.one(),
-            (mono(x=1), mono(th=1)): P.one(),
-        })
-        out = tensor_multiply(rt, out, dth)
-    return out
+    return coaction_mono(rt, m, "right")
 
 
 def coproduct_A(rt: RuleTable, e: Element) -> TensorElement:
     _require_function(e)
-    out = TensorElement(rt.params, 2)
-    for m, c in e.terms.items():
-        out.add_scaled(coproduct_mono(rt, m), c)
-    return out
+    return coaction_element(rt, e, "right")
 
 
 def counit_A(rt: RuleTable, e: Element) -> RationalFunction:
@@ -207,29 +256,53 @@ def antipode_A(rt: RuleTable, e: Element) -> Element:
     return out
 
 
+def _collapse(rt: RuleTable, te: TensorElement, left, right) -> Element:
+    """m (left (x) right) te for maps called as ``left(rt, a)``."""
+    P = rt.params
+    out = Element.zero(P)
+    for (m1, m2), c in te.terms.items():
+        out.add_scaled(rt.mul(left(rt, Element.monomial(P, m1)),
+                              right(rt, Element.monomial(P, m2))), c)
+    return out
+
+
+def _identity(rt: RuleTable, a: Element) -> Element:
+    return a
+
+
+def _counit(rt: RuleTable, a: Element) -> Element:
+    return Element.scalar(rt.params, counit_A(rt, a))
+
+
+def comodule_residuals(rt: RuleTable, te: TensorElement, ident: Element,
+                       side: str) -> list:
+    """Comodule axioms of the coaction image ``te`` of ``ident``: for side
+    'right' (dR (x) id) dR - (id (x) Delta) dR and (id (x) eps) dR - id, for
+    side 'left' (Delta (x) id) dL - (id (x) dL) dL and (eps (x) id) dL - id.
+    With te = Delta(a), side 'right' gives coassociativity and the right
+    counit law of Delta.
+
+    One map expands both slots, because on the coordinate slot the coaction
+    is the coproduct.
+    """
+    def expand(m: Monomial) -> TensorElement:
+        return coaction_mono(rt, m, side)
+
+    coassoc = tensor_expand_slot(te, 0, expand) - tensor_expand_slot(te, 1, expand)
+    if side == "right":
+        return [coassoc, _collapse(rt, te, _identity, _counit) - ident]
+    return [coassoc, _collapse(rt, te, _counit, _identity) - ident]
+
+
 def hopf_axiom_check(rt: RuleTable, e: Element) -> list:
     """Residuals of coassociativity, both counit laws and both antipode laws."""
-    P = rt.params
     delta = coproduct_A(rt, e)
-    coassoc = (tensor_expand_slot(delta, 0, lambda m: coproduct_mono(rt, m))
-               - tensor_expand_slot(delta, 1, lambda m: coproduct_mono(rt, m)))
-
-    def collapse(te: TensorElement, fn_left, fn_right) -> Element:
-        out = Element.zero(P)
-        for (m1, m2), c in te.terms.items():
-            l = fn_left(Element.monomial(P, m1))
-            r = fn_right(Element.monomial(P, m2))
-            out.add_scaled(rt.mul(l, r), c)
-        return out
-
     ident = rt.normalize(e)
-    counit_l = collapse(delta, lambda a: Element.scalar(P, counit_A(rt, a)),
-                        lambda a: a) - ident
-    counit_r = collapse(delta, lambda a: a,
-                        lambda a: Element.scalar(P, counit_A(rt, a))) - ident
-    eps_unit = Element.scalar(P, counit_A(rt, e))
-    antipode_l = collapse(delta, lambda a: antipode_A(rt, a), lambda a: a) - eps_unit
-    antipode_r = collapse(delta, lambda a: a, lambda a: antipode_A(rt, a)) - eps_unit
+    coassoc, counit_r = comodule_residuals(rt, delta, ident, "right")
+    counit_l = _collapse(rt, delta, _counit, _identity) - ident
+    eps_unit = _counit(rt, e)
+    antipode_l = _collapse(rt, delta, antipode_A, _identity) - eps_unit
+    antipode_r = _collapse(rt, delta, _identity, antipode_A) - eps_unit
     return [coassoc, counit_l, counit_r, antipode_l, antipode_r]
 
 
@@ -256,16 +329,11 @@ def _w_expand(rt: RuleTable, word: Sequence[str]) -> Element:
     return out
 
 
-def _w_word_parity(word: Sequence[str]) -> int:
-    return sum(W_PARITY[g] for g in word) & 1
-
-
 def costructures_W(rt: RuleTable, kind: str, word: Sequence[str]):
     """Coproduct, counit or antipode of a word in the one-forms wx, wth.
 
-    The coproduct multiplies the primitive generator coproducts with Koszul
-    signs at the level of form words and only then expands the slots, so the
-    result is a TensorElement over the main algebra.
+    The coproduct is the product of the primitive images w (x) 1 + 1 (x) w
+    in the main algebra, whose Koszul signs are W's: wx is odd and wth even.
     """
     P = rt.params
     for g in word:
@@ -285,22 +353,10 @@ def costructures_W(rt: RuleTable, kind: str, word: Sequence[str]):
         return _w_expand(rt, tuple(reversed(word))).scale(sign)
     if kind != "coproduct":
         raise ValueError(f"unknown costructure {kind!r}")
-    # coproduct: product of (w (x) 1 + 1 (x) w) over the word, in W-land
-    terms: dict[tuple, Fraction] = {((), ()): Fraction(1)}
-    for g in word:
-        nxt: dict[tuple, Fraction] = {}
-        for (a, b), c in terms.items():
-            # (a (x) b)(g (x) 1): sign from b crossing g
-            s = -1 if (_w_word_parity(b) * W_PARITY[g]) & 1 else 1
-            key = (a + (g,), b)
-            nxt[key] = nxt.get(key, Fraction(0)) + c * s
-            key = (a, b + (g,))
-            nxt[key] = nxt.get(key, Fraction(0)) + c
-        terms = nxt
-    out = TensorElement(P, 2)
-    for (a, b), c in terms.items():
-        out.add_scaled(TensorElement.of(_w_expand(rt, a), _w_expand(rt, b)), P.const(c))
-    return out
+    one = Element.one(P)
+    primitive = {g: TensorElement.of(w, one) + TensorElement.of(one, w)
+                 for g, w in maurer_forms(rt).items()}
+    return _tensor_product(rt, (primitive[g] for g in word))
 
 
 def w_relation_residuals(rt: RuleTable) -> list[TensorElement]:
@@ -578,7 +634,7 @@ def antipode_U_residuals(rt: RuleTable, bound: int) -> dict[str, Element]:
             z = antipode_axiom_operator(rt, u, variant, side)
             if not z.terms:
                 continue
-            for m in _coordinate_basis(bound):
+            for m in coordinate_basis(bound):
                 val = u_act(rt, z, Element.monomial(P, m))
                 if not val.is_zero():
                     return val
@@ -591,11 +647,5 @@ def antipode_U_residuals(rt: RuleTable, bound: int) -> dict[str, Element]:
     }
 
 
-def _coordinate_basis(bound: int):
-    for k in range(-bound, bound + 1):
-        for eps in (0, 1):
-            yield mono(x=k, th=eps)
-
-
 def coordinate_basis(bound: int) -> list[Monomial]:
-    return list(_coordinate_basis(bound))
+    return [mono(x=k, th=eps) for k in range(-bound, bound + 1) for eps in (0, 1)]

@@ -52,12 +52,13 @@ def test_delta_L_examples(t2):
     assert got == want
 
 
-def test_coaction_axioms(t2):
+def test_coaction_axioms(family_table):
+    rt = family_table
     words = [["x"], ["th"], ["dx"], ["dth"], [("x", -1)],
              ["x", "th"], ["x", "dth"], ["th", "dx"], ["dx", "th"], ["dx", "dth"]]
     for w in words:
         for side in ("right", "left"):
-            for res in coaction_axiom_residuals(t2, w, side):
+            for res in coaction_axiom_residuals(rt, w, side):
                 assert res.is_zero(), (w, side)
 
 

@@ -8,7 +8,8 @@ Grammar (whitespace-insensitive, multiplication always explicit):
     atom   := rational | symbol | "(" expr ")"
 
 A rational literal is digits or digits/digits; an exponent is at most
-MAX_EXPONENT in absolute value.  Division requires a scalar
+MAX_EXPONENT in absolute value, and parentheses nest at most MAX_NESTING
+deep.  Division requires a scalar
 divisor (it exists so printed coefficients such as (q)/(r - 1) read back).
 Tensors are printed, never parsed: their slots are separated by the token
 (x), which cannot be read as a product because juxtaposition is never
@@ -64,6 +65,10 @@ class BadExponent(QspError):
 # then stays bounded in time and memory
 MAX_EXPONENT = 10_000
 
+# Deepest parenthesis nesting: the parser and the evaluator recurse once per
+# level, so deeper input would exhaust the interpreter's stack
+MAX_NESTING = 100
+
 _TOKEN_RE = re.compile(r"\s*(?:(\d+(?:/\d+)?)|([A-Za-z][A-Za-z0-9]*)|([-+*/^()]))")
 
 
@@ -101,6 +106,7 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -168,8 +174,12 @@ class _Parser:
         if kind == "name":
             return ("sym", val)
         if kind == "op" and val == "(":
+            if self.depth == MAX_NESTING:
+                raise ExprSyntaxError(f"parentheses nested deeper than {MAX_NESTING}", pos)
+            self.depth += 1
             inner = self.parse_expr()
             self.expect_op(")")
+            self.depth -= 1
             return inner
         raise ExprSyntaxError(f"unexpected token {val!r}", pos)
 
@@ -223,38 +233,53 @@ def expand_derived(rt: RuleTable, name: str) -> Element:
     return e
 
 
-def eval_ast(rt: RuleTable, ast, derived: Optional[DerivedResolver] = None) -> Element:
-    P = rt.params
-    kind = ast[0]
+def _evaluate(node, one, mul, symbol, power, divide):
+    """Fold a parsed expression into the ring whose unit is ``one``.
+
+    ``symbol(name, n)`` reads a symbol raised to n (n = 1 when bare),
+    ``power(value, n)`` raises a parenthesized value, ``mul(a, b)`` and
+    ``divide(a, b)`` combine the factors of a term left to right; numbers are
+    scalar multiples of ``one``.  A module function, not a closure that calls
+    itself: such a closure is a reference cycle, which would keep the rule
+    table behind ``mul`` alive until the cyclic collector ran.
+    """
+    kind = node[0]
     if kind == "num":
-        return Element.scalar(P, P.const(ast[1]))
+        return one.scale(one.params.const(node[1]))
     if kind == "sym":
-        return _eval_symbol(rt, ast[1], 1, derived)
+        return symbol(node[1], 1)
+    ring = (one, mul, symbol, power, divide)
     if kind == "pow":
-        base = ast[1]
-        n = ast[2]
+        base, n = node[1], node[2]
         if base[0] == "sym":
-            return _eval_symbol(rt, base[1], n, derived)
-        e = eval_ast(rt, base, derived)
-        return _element_power(rt, e, n)
+            return symbol(base[1], n)
+        return power(_evaluate(base, *ring), n)
     if kind == "term":
-        out = Element.one(P)
-        for role, node in ast[1]:
-            val = eval_ast(rt, node, derived)
-            if role == "divop":
-                if not val.is_scalar():
-                    raise BadExponent("division requires a scalar divisor")
-                out = out.scale(P.one() / val.scalar_value())
-            else:
-                out = rt.mul(out, val)
+        out = one
+        for role, sub in node[1]:
+            val = _evaluate(sub, *ring)
+            out = divide(out, val) if role == "divop" else mul(out, val)
         return out
     if kind == "add":
-        out = Element.zero(P)
-        for sign, node in ast[1]:
-            val = eval_ast(rt, node, derived)
-            out = out + (val if sign > 0 else -val)
+        out = one.scale(0)
+        for sign, sub in node[1]:
+            val = _evaluate(sub, *ring)
+            out = out + val if sign > 0 else out - val
         return out
     raise ValueError(f"bad AST node {kind!r}")
+
+
+def eval_ast(rt: RuleTable, ast, derived: Optional[DerivedResolver] = None) -> Element:
+    P = rt.params
+
+    def divide(out: Element, val: Element) -> Element:
+        if not val.is_scalar():
+            raise BadExponent("division requires a scalar divisor")
+        return out.scale(P.one() / val.scalar_value())
+
+    return _evaluate(ast, Element.one(P), rt.mul,
+                     lambda name, n: _eval_symbol(rt, name, n, derived),
+                     lambda e, n: _element_power(rt, e, n), divide)
 
 
 def _eval_symbol(rt: RuleTable, name: str, power: int, derived) -> Element:
@@ -309,34 +334,7 @@ def parse_element(rt: RuleTable, text: str,
 
 def parse_uelement(params, text: str) -> UElement:
     """Parse a dual-sector expression over the symbols T, K, Nb."""
-    ast = parse_expr(text)
-
-    def ev(node) -> UElement:
-        kind = node[0]
-        if kind == "num":
-            return UElement.unit(params).scale(params.const(node[1]))
-        if kind == "sym":
-            return _usym(node[1], 1)
-        if kind == "pow":
-            if node[1][0] != "sym":
-                raise BadExponent("powers apply to symbols in the dual language")
-            return _usym(node[1][1], node[2])
-        if kind == "term":
-            out = UElement.unit(params)
-            for role, sub in node[1]:
-                if role == "divop":
-                    raise BadExponent("no division in the dual language")
-                out = out.mul(ev(sub))
-            return out
-        if kind == "add":
-            out = UElement(params)
-            for sign, sub in node[1]:
-                v = ev(sub)
-                out = out + (v if sign > 0 else -v)
-            return out
-        raise ValueError(kind)
-
-    def _usym(name: str, power: int) -> UElement:
+    def symbol(name: str, power: int) -> UElement:
         if name == "T":
             return UElement.gen_T(params, power)
         if name == "K":
@@ -353,7 +351,14 @@ def parse_uelement(params, text: str) -> UElement:
             return UElement.unit(params).scale(params.var(name) ** power)
         raise UnknownSymbol(f"unknown dual-sector symbol {name!r}")
 
-    return ev(ast)
+    def power(u: UElement, n: int) -> UElement:
+        raise BadExponent("powers apply to symbols in the dual language")
+
+    def divide(u: UElement, v: UElement) -> UElement:
+        raise BadExponent("no division in the dual language")
+
+    return _evaluate(parse_expr(text), UElement.unit(params), UElement.mul,
+                     symbol, power, divide)
 
 
 # ----------------------------------------------------------------------------

@@ -1,12 +1,14 @@
-"""Graded tensor products, Hopf costructures, coactions, dual pairing and
-actions.
+"""Graded tensor products, Hopf costructures, coactions, and the dual
+sector's action and pairing.
 
 Tensor slots hold normal-ordered elements; multiplication uses the sign rule
 (A (x) B)(C (x) D) = (-1)^(deg B * deg C) (AC (x) BD), extended slotwise to
 higher arity.  The coordinate Hopf algebra has group-like x and primitive-ish
-theta; the one-form algebra W has primitive generators; the dual sector is
+theta; the one-form algebra W has primitive generators; the dual sector U is
 generated by the group-like scale operators T and K together with the odd
-nilpotent Nb, where K acts diagonally with eigenvalue Q11^(degree).
+nilpotent Nb.  U acts on the coordinate algebra through one operator map,
+``left_act`` (T and K diagonally, with eigenvalues Q^(degree) and
+Q11^(degree), and Nb as x*pth), and the pairing <u, a> is its counit.
 
 Tensor elements and dual-sector elements are ``algebra.Element``s over
 other basis keys: a TensorElement is keyed by tuples of monomials, a
@@ -22,15 +24,12 @@ from .coeffs import ParamSet, QspError, RationalFunction
 from .algebra import (
     DX, DTH, X, TH,
     Element,
-    GENS,
     Monomial,
     NotAFunctionArgument,
     ONE_MONO,
     RuleTable,
     UnsupportedGenerator,
     mono,
-    mono_is_function,
-    mono_letters,
     mono_parity,
     mono_str,
 )
@@ -59,15 +58,8 @@ class TensorElement(Element):
     def of(cls, *slots: Element) -> "TensorElement":
         """Tensor product of elements, distributing over their terms."""
         params = slots[0].params
-        out = cls.unit(params, len(slots))
-        for i, e in enumerate(slots):
-            nxt = cls(params, len(slots))
-            for key, c in out.terms.items():
-                for m, cm in e.terms.items():
-                    k = list(key)
-                    k[i] = m
-                    nxt.add_term(tuple(k), c * cm)
-            out = nxt
+        out = cls(params, len(slots))
+        _distribute(out, slots, params.one())
         return out
 
     def __repr__(self) -> str:
@@ -217,13 +209,6 @@ def coaction_element(rt: RuleTable, e: Element, side: str) -> TensorElement:
     for m, c in e.terms.items():
         out.add_scaled(coaction_mono(rt, m, side), c)
     return out
-
-
-def coproduct_mono(rt: RuleTable, m: Monomial) -> TensorElement:
-    """Coproduct of a coordinate monomial x^k th^eps."""
-    if not mono_is_function(m):
-        raise NotAFunctionArgument("expected a coordinate monomial")
-    return coaction_mono(rt, m, "right")
 
 
 def coproduct_A(rt: RuleTable, e: Element) -> TensorElement:
@@ -454,99 +439,48 @@ def u_antipode(u: UElement, variant: str = "corrected") -> UElement:
     return out
 
 
-def u_act(rt: RuleTable, u: UElement, e: Element) -> Element:
-    """Left action as operators: Nb acts as x*pth, T and K act diagonally."""
-    _require_function(e)
+def left_act(rt: RuleTable, u: UElement, a: Element) -> Element:
+    """The left action U[a] = a_(1) <u, a_(2)>, computed as operators:
+    T^i K^j multiplies a monomial of degree n (x-exponent plus th-exponent)
+    by Q^(i*n) * Q11^(j*n), and Nb acts as x*pth.
+
+    Both are actions of U, so they agree because they agree on T, K and Nb.
+    Delta(x^k) = x^k (x) x^k and Delta(x^k th) = x^k th (x) x^(k+1) +
+    x^(k+1) (x) x^k th.  T and K are group-like and even, with <T, x> = Q,
+    <K, x> = Q11 and <T, th> = <K, th> = 0, so only the term with a pure
+    power x^n in the right slot pairs: U[m] = <u, x^n> m.  Nb pairs to 0
+    with x^n and to Q11^k with x^k th (Delta(Nb) = Nb (x) 1 + K (x) Nb), so
+    Nb[x^k] = 0 and Nb[x^k th] = Q11^k x^(k+1), which is x*pth on both.
+    ``tests/test_hopf.py`` checks the two against each other.
+    """
+    _require_function(a)
     P = rt.params
-    nb_op = Element.monomial(P, mono(x=1, pth=1))
+    nb = Element.monomial(P, mono(x=1, pth=1))
     out = Element.zero(P)
-    for (a, b, n), c in u.terms.items():
-        for m, cm in e.terms.items():
-            img = Element.monomial(P, m, cm)
-            if n:
-                img = rt.act(nb_op, img)
-            for mm, cc in img.terms.items():
-                deg = mm[X] + mm[TH]
-                factor = (rt.ct.Q ** (a * deg)) * (rt.ct.Q11 ** (b * deg))
-                out.add_term(mm, cc * factor * c)
+    for (i, j, n), cu in u.terms.items():
+        for m, c in (rt.act(nb, a) if n else a).terms.items():
+            deg = m[X] + m[TH]
+            scale = (rt.ct.Q ** (i * deg)) * (rt.ct.Q11 ** (j * deg))
+            out.add_term(m, c * scale * cu)
     return out
-
-
-def k_eigenvalue(rt: RuleTable, m: Monomial) -> RationalFunction:
-    """Diagonal K-eigenvalue Q11^(degree) of a coordinate monomial."""
-    return rt.ct.Q11 ** (m[X] + m[TH])
-
-
-def _pair_letter(rt: RuleTable, k: UKey, letter: tuple) -> RationalFunction:
-    g, s = letter
-    a, b, n = k
-    P = rt.params
-    if g == X:
-        if n:
-            return P.zero()
-        return (rt.ct.Q ** (a * s)) * (rt.ct.Q11 ** (b * s))
-    if g == TH:
-        if not n:
-            return P.zero()
-        return (rt.ct.Q ** a) * (rt.ct.Q11 ** b)
-    raise NotAFunctionArgument(f"cannot pair against generator {GENS[g]}")
-
-
-def _pair_word(rt: RuleTable, k: UKey, letters: tuple) -> RationalFunction:
-    """<k, a_1 ... a_n>: fold the letters left to right, pairing a_i with the
-    first coproduct factor and keeping the pending second factors (at most
-    two keys) with their accumulated coefficients; the empty word left over
-    pairs as the counit."""
-    pending = {k: rt.params.one()}
-    for letter in letters:
-        lp = 1 if letter[0] == TH else 0
-        nxt: dict = {}
-        for key, acc in pending.items():
-            for k1, k2, sgn in u_coproduct_key(key):
-                c = _pair_letter(rt, k1, letter)
-                if c.is_zero():
-                    continue
-                if sgn < 0 or (u_key_parity(k2) * lp) & 1:
-                    c = -c
-                nxt[k2] = nxt[k2] + acc * c if k2 in nxt else acc * c
-        pending = nxt
-    return sum((acc for key, acc in pending.items() if not key[2]), rt.params.zero())
 
 
 def pair(rt: RuleTable, u: UElement, a: Element) -> RationalFunction:
-    """Dual evaluation <u, a> via iterated coproducts from the base pairings."""
-    _require_function(a)
-    total = rt.params.zero()
-    for k, cu in u.terms.items():
-        for m, cm in a.terms.items():
-            letters = tuple(mono_letters(m))
-            total = total + cu * cm * _pair_word(rt, k, letters)
-    return total
-
-
-def left_act(rt: RuleTable, u: UElement, a: Element) -> Element:
-    """U[a] = a_(1) <u, a_(2)>, computed through the coordinate coproduct."""
-    _require_function(a)
-    P = rt.params
-    out = Element.zero(P)
-    for m, cm in a.terms.items():
-        delta = coproduct_mono(rt, m)
-        for (m1, m2), c in delta.terms.items():
-            val = pair(rt, u, Element.monomial(P, m2))
-            if not val.is_zero():
-                out.add_term(m1, cm * c * val)
-    return out
+    """Dual evaluation <u, a> = eps(U[a]), the counit of the left action:
+    by the counit law eps(a_(1)) a_(2) = a, eps(a_(1)) <u, a_(2)> = <u, a>."""
+    return counit_A(rt, left_act(rt, u, a))
 
 
 def u_coproduct_square_nabla(params: ParamSet) -> list:
-    """Koszul expansion of (Nb (x) 1 + K (x) Nb)^2 as (key, key, coeff) terms."""
+    """Koszul expansion of Delta(Nb)^2, with Delta(Nb) from
+    ``u_coproduct_key``, as ((left key, right key), coeff) terms."""
     terms: dict = {}
-    parts = [((0, 0, 1), (0, 0, 0)), ((0, 1, 0), (0, 0, 1))]
-    for (l1, r1) in parts:
-        for (l2, r2) in parts:
+    parts = u_coproduct_key((0, 0, 1))
+    for l1, r1, s1 in parts:
+        for l2, r2, s2 in parts:
             if (l1[2] and l2[2]) or (r1[2] and r2[2]):
                 continue  # Nb^2 = 0 inside one slot
-            sign = -1 if (u_key_parity(r1) * u_key_parity(l2)) & 1 else 1
+            sign = s1 * s2 * (-1 if (u_key_parity(r1) * u_key_parity(l2)) & 1 else 1)
             key = ((l1[0] + l2[0], l1[1] + l2[1], l1[2] + l2[2]),
                    (r1[0] + r2[0], r1[1] + r2[1], r1[2] + r2[2]))
             terms[key] = terms.get(key, 0) + sign
@@ -587,8 +521,8 @@ def twisted_leibniz_grid(rt: RuleTable, fs: Sequence[Monomial],
         fe = Element.monomial(P, f)
         h_f = rt.act(H, fe)
         nb_f = rt.act(nb, fe)
-        t_of_f = fe + h_f.scale(rt.ct.Q - P.one())
-        k_of_f = fe.scale(k_eigenvalue(rt, f))
+        t_of_f = left_act(rt, UElement.gen_T(P), fe)
+        k_of_f = left_act(rt, UElement.gen_K(P), fe)
         v_of_f = None
         if f[TH]:
             v_of_f = Element.monomial(P, mono(x=f[X] + 1), (rt.ct.Q11 ** f[X]) * rt.ct.Q22)
@@ -635,7 +569,7 @@ def antipode_U_residuals(rt: RuleTable, bound: int) -> dict[str, Element]:
             if not z.terms:
                 continue
             for m in coordinate_basis(bound):
-                val = u_act(rt, z, Element.monomial(P, m))
+                val = left_act(rt, z, Element.monomial(P, m))
                 if not val.is_zero():
                     return val
         return Element.zero(P)

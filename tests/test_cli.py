@@ -92,6 +92,51 @@ def test_pair(capsys):
     assert code == 0 and out.strip() == "r"
 
 
+def test_pair_mixed_dual_element(capsys):
+    # at type III (Q = p, Q11 = q*p): Nb[x th] = Q11 x^2, so
+    # <T^-2 K^3 Nb, x th> = Q^-4 Q11^7, and <K, x th> = 0; on x only -K pairs
+    code, out, _ = invoke(capsys, "pair", "--type", "III", "T^-2*K^3*Nb - K", "x*th")
+    assert code == 0 and out == "q^7*p^3\n"
+    code, out, _ = invoke(capsys, "pair", "--type", "III", "T^-2*K^3*Nb - K", "x")
+    assert code == 0 and out == "-q*p\n"
+
+
+@pytest.mark.parametrize("depth, code", [(100, 0), (101, 2), (10_000, 2)])
+def test_nesting_cap_exits_2(capsys, depth, code):
+    def nested(inner):
+        return "(" * depth + inner + ")" * depth
+
+    for argv in (["normalize", nested("x")], ["pair", nested("T"), "x"],
+                 ["pair", "T", nested("x")]):
+        got, out, err = invoke(capsys, argv[0], "--type", "II", *argv[1:])
+        assert got == code, argv[:2]
+        if code:
+            assert err == ("error: parentheses nested deeper than 100 "
+                           "(at position 100)\n"), argv[:2]
+        else:
+            assert out in ("x\n", "r\n")
+
+
+REFERENCE = Path(__file__).parent / "reference"
+
+
+@pytest.mark.parametrize("mode, param, name", [
+    ("II", "r=1/2", "verify_II_r_1_2.json"),
+    ("III", "p=2/3", "verify_III_p_2_3.json"),
+], ids=["II", "III"])
+def test_verify_specialization_matches_reference(capsys, mode, param, name):
+    # specializations to non-integer parameters take the general (fraction)
+    # arm of the coefficient field; their reports are pinned as captured
+    # before that arm is touched (elapsedMillis stripped)
+    code, out, _ = invoke(capsys, "verify", "--type", mode, "--param", param,
+                          "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    for r in doc["results"]:
+        r.pop("elapsedMillis")
+    assert doc == json.loads((REFERENCE / name).read_text())
+
+
 def test_coproduct(capsys):
     code, out, _ = invoke(capsys, "coproduct", "--type", "II", "th")
     assert code == 0

@@ -1,7 +1,9 @@
 """Expression language: parsing, printing, round trips, reports."""
 
+import gc
 import json
 import random
+import weakref
 
 import pytest
 
@@ -135,9 +137,37 @@ def test_parse_uelement(t2):
     assert u == UElement(P_, {(2, 0, 1): P_.one()})
     assert parse_uelement(P_, "Nb*Nb").is_zero()
     u = parse_uelement(P_, "K^-1 - K")
-    assert set(u.terms) == {(0, -1, 0), (0, 1, 0)}
+    assert u == UElement(P_, {(0, -1, 0): P_.one(), (0, 1, 0): -P_.one()})
     with pytest.raises(UnknownSymbol):
         parse_uelement(P_, "H")
+
+
+@pytest.mark.parametrize("text, exc, message", [
+    ("T/2", BadExponent, "no division in the dual language"),
+    ("(T)^2", BadExponent, "powers apply to symbols in the dual language"),
+    ("Nb^-1", BadExponent, "Nb is nilpotent; negative powers do not exist"),
+    ("H", UnknownSymbol, "unknown dual-sector symbol 'H'"),
+])
+def test_parse_uelement_errors(t2, text, exc, message):
+    with pytest.raises(exc) as info:
+        parse_uelement(t2.params, text)
+    assert str(info.value) == message
+
+
+def test_parsing_keeps_no_table_alive():
+    # with the cycle collector off, the table must die as soon as the last
+    # reference to it goes: evaluation may leave no reference cycle behind
+    gc.disable()
+    try:
+        rt = build_rule_table(CalculusType.type_ii())
+        ref = weakref.ref(rt)
+        e = parse_element(rt, "(x*th + 2/q)^2 - H/3", expand_derived)
+        u = parse_uelement(rt.params, "T^-2*K*(Nb - 1)")
+        del rt
+        assert ref() is None
+    finally:
+        gc.enable()
+    assert not e.is_zero() and not u.is_zero()
 
 
 def test_emit_report_json(t2):

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from qsp.algebra import CalculusType, Element, build_rule_table, mono
+from qsp.algebra import TH, X, CalculusType, Element, build_rule_table, mono, mono_letters
 from qsp.hopf import (
     TensorElement,
     UElement,
@@ -22,8 +22,9 @@ from qsp.hopf import (
     pair,
     tensor_multiply,
     twisted_leibniz_grid,
-    u_act,
+    u_coproduct_key,
     u_coproduct_square_nabla,
+    u_key_parity,
     w_antipode_residuals,
     w_relation_residuals,
 )
@@ -32,6 +33,51 @@ from qsp.hopf import (
 @pytest.fixture(scope="module")
 def t2():
     return build_rule_table(CalculusType.type_ii())
+
+
+# A reference for the dual sector that shares no code with ``left_act``: the
+# pairing <u, a_1 ... a_n> folds the letters of the word left to right,
+# pairing a_i with the first coproduct factor of the pending key and keeping
+# the second, and the key left over pairs with the empty word as the counit.
+
+def _pair_letter(rt, k, letter):
+    (g, s), (a, b, n) = letter, k
+    assert g in (X, TH)
+    if (g == TH) != bool(n):
+        return rt.params.zero()
+    return (rt.ct.Q ** (a * s)) * (rt.ct.Q11 ** (b * s))
+
+
+def _pair_fold(rt, u, e):
+    P = rt.params
+    total = P.zero()
+    for k, cu in u.terms.items():
+        for m, cm in e.terms.items():
+            pending = {k: P.one()}
+            for letter in mono_letters(m):
+                nxt = {}
+                for key, acc in pending.items():
+                    for k1, k2, sgn in u_coproduct_key(key):
+                        # an odd k2 crosses an odd letter
+                        if u_key_parity(k2) and letter[0] == TH:
+                            sgn = -sgn
+                        c = _pair_letter(rt, k1, letter)
+                        c = c if sgn > 0 else -c
+                        nxt[k2] = nxt.get(k2, P.zero()) + acc * c
+                pending = nxt
+            for key, acc in pending.items():
+                if not key[2]:
+                    total = total + cu * cm * acc
+    return total
+
+
+def _left_act_fold(rt, u, e):
+    """U[a] = a_(1) <u, a_(2)> with the folded pairing."""
+    P = rt.params
+    out = Element.zero(P)
+    for (m1, m2), c in coproduct_A(rt, e).terms.items():
+        out = out + Element.monomial(P, m1, c * _pair_fold(rt, u, Element.monomial(P, m2)))
+    return out
 
 
 def test_koszul_signs(t2):
@@ -168,17 +214,33 @@ def test_left_act_examples(t2):
 
 
 def test_left_act_matches_operator_action(t2):
+    # the operators agree with the coproduct-and-pairing definition
     P = t2.params
     for u in (UElement.gen_T(P), UElement.gen_nabla(P), UElement.gen_K(P),
               UElement.gen_T(P, -1)):
         for m in coordinate_basis(6):
             e = Element.monomial(P, m)
-            assert left_act(t2, u, e) == u_act(t2, u, e), (u, m)
+            assert left_act(t2, u, e) == _left_act_fold(t2, u, e), (u, m)
+
+
+def test_left_act_and_pair_match_fold_on_mixed_keys(family_table):
+    rt = family_table
+    P = rt.params
+    basis = [Element.monomial(P, m) for m in coordinate_basis(6)]
+    keys = [(i, j, n) for i in range(-3, 4) for j in range(-3, 4) for n in (0, 1)]
+    for u in (UElement(P, {k: P.one()}) for k in keys):
+        for e in basis:
+            assert left_act(rt, u, e) == _left_act_fold(rt, u, e), (u, e)
+            assert pair(rt, u, e) == _pair_fold(rt, u, e), (u, e)
+    # and on a combination of keys and of monomials
+    u = UElement(P, {(1, -2, 1): P.var("q"), (-3, 0, 0): P.one(), (0, 3, 1): -P.one()})
+    e = basis[0] + basis[7].scale(P.var("q")) - basis[-1]
+    assert left_act(rt, u, e) == _left_act_fold(rt, u, e)
+    assert pair(rt, u, e) == _pair_fold(rt, u, e)
 
 
 def test_left_act_product_compatibility(t2):
     # U[a b] agrees with applying the coproduct factors to a and b
-    from qsp.hopf import u_coproduct_key, u_key_parity
     P = t2.params
     T, Nb = UElement.gen_T(P), UElement.gen_nabla(P)
     samples = [(t2.word("x"), t2.word("th")), (t2.word("th"), t2.word("x")),

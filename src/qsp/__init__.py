@@ -17,12 +17,12 @@ _HOMES = {
                  "exterior_derivative", "identity_catalog", "number_op",
                  "run_suite", "verify_identity"),
     "hopf": ("TensorElement", "UElement", "coproduct_A", "counit_A",
-             "antipode_A", "hopf_axiom_check", "costructures_W", "left_act",
-             "pair", "tensor_multiply"),
+             "antipode_A", "hopf_axiom_check", "costructures_W",
+             "expand_derived", "left_act", "pair", "tensor_multiply"),
     "covariance": ("delta_L", "delta_R", "generate_ansatz_constraints",
                    "generate_covariance_constraints", "solve_family"),
-    "exprio": ("emit_report", "expand_derived", "parse_element", "parse_expr",
-               "print_canonical", "print_tensor"),
+    "exprio": ("emit_report", "parse_element", "parse_expr", "print_canonical",
+               "print_tensor"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 

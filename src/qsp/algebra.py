@@ -564,8 +564,8 @@ class RuleTable:
         self._act_memo: dict = {}
         self._pool: dict = {self.params.one(): self.params.one()}
         self._derived_cache: dict = {}
-        # bound -> first nonzero H and Nb residuals of the twisted-Leibniz
-        # grid, shared by the eq59 and eq62 identities (calculus)
+        # bound -> the twisted-Leibniz grid of H and Nb residuals, shared by
+        # the eq59 and eq62 identities (calculus)
         self._leibniz_residuals: dict = {}
         # the realization of d, which normalize_word multiplies in for each d
         self._d_real = (Element.monomial(self.params, mono(dx=1, px=1))

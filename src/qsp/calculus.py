@@ -6,6 +6,13 @@ certificate entry that re-checks a relation exactly as originally displayed
 where the engine derives a different coefficient; such entries are expected
 to FAIL at the parameter families where the difference is visible, and they
 never affect the process exit code.
+
+Every entry is a sequence of residuals, all zero when the identity holds,
+and one rule, ``_first_nonzero``, turns it into the reported certificate:
+the first nonzero residual in order (iteration stops there), or zero.  An
+Element certifies itself and a RationalFunction that multiple of the unit.
+A TensorElement certifies as the sum of its coefficients times the products
+of its slot monomials; when those products cancel, as its first coefficient.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
-from functools import lru_cache
+from functools import lru_cache, partial, reduce
 from typing import Callable, Iterable, Optional
 
 from .coeffs import QspError, RationalFunction, qnumber
@@ -99,37 +106,21 @@ KNOWN_DISCREPANCY_IDS = frozenset({
 })
 
 
-def _first_nonzero(residuals: Iterable[Element]) -> Element:
-    first = None
+def _first_nonzero(rt: RuleTable, residuals: Iterable) -> Element:
+    """The certificate of ``residuals`` by the rule of the module docstring."""
+    P = rt.params
     for r in residuals:
-        if first is None:
-            first = r
+        if isinstance(r, hopf.TensorElement) and r.terms:
+            slots = Element.zero(P)
+            for key, c in r.terms.items():
+                slots.add_scaled(reduce(rt.mul, (Element.monomial(P, m) for m in key),
+                                        Element.one(P)), c)
+            first = next(iter(r.terms.values()))
+            r = Element.scalar(P, first) if slots.is_zero() else slots
+        elif not isinstance(r, Element):
+            r = Element.scalar(P, r)
         if not r.is_zero():
             return r
-    assert first is not None
-    return first
-
-
-def _scalar_residuals(rt: RuleTable, values: Iterable[RationalFunction]) -> Element:
-    residuals = [Element.scalar(rt.params, v) for v in values]
-    return _first_nonzero(residuals)
-
-
-def _tensor_to_element_marker(rt: RuleTable, residuals) -> Element:
-    """Flatten tensor residuals to an element certificate (slot products)."""
-    P = rt.params
-    for te in residuals:
-        if not te.is_zero():
-            out = Element.zero(P)
-            for key, c in te.terms.items():
-                prod = Element.one(P)
-                for m in key:
-                    prod = rt.mul(prod, Element.monomial(P, m))
-                out.add_scaled(prod, c)
-            if not out.is_zero():
-                return out
-            # slots multiply to zero; certify with the coefficient alone
-            return Element.scalar(P, next(iter(te.terms.values())))
     return Element.zero(P)
 
 
@@ -137,55 +128,72 @@ def _tensor_to_element_marker(rt: RuleTable, residuals) -> Element:
 
 _CATALOG: list[Identity] = []
 
+Residuals = Callable[[RuleTable, int], Iterable]
 
-def _add(identity: Identity) -> None:
-    _CATALOG.append(identity)
+
+def _certified(residuals: Residuals) -> Callable[[RuleTable, int], Element]:
+    return lambda rt, bound: _first_nonzero(rt, residuals(rt, bound))
+
+
+def _entry(id_: str, anchor: str, kind: str, residuals: Optional[Residuals] = None):
+    """Register the entry whose ``residuals(rt, bound)`` ``_first_nonzero``
+    certifies, and return ``residuals``.  Without ``residuals``, a decorator
+    that registers the function it decorates."""
+    if residuals is None:
+        return partial(_entry, id_, anchor, kind)
+    _CATALOG.append(Identity(id_, anchor, kind, _certified(residuals)))
+    return residuals
+
+
+def _action(id_: str, anchor: str, residuals: Optional[Residuals] = None):
+    return _entry(id_, anchor, "action-level", residuals)
+
+
+def _scalar(id_: str, anchor: str,
+            fn: Optional[Callable[[RuleTable], Iterable[RationalFunction]]] = None):
+    """The coefficient form of ``_entry``: word-level residuals ``fn(rt)``,
+    the same at every bound."""
+    if fn is None:
+        return partial(_scalar, id_, anchor)
+    _entry(id_, anchor, "word-level", lambda rt, bound: fn(rt))
+    return fn
+
+
+def _word_residuals(relations) -> Residuals:
+    sides = [r.split("==") for r in relations]
+    return lambda rt, bound: (E(rt, lhs) - E(rt, rhs) for lhs, rhs in sides)
+
+
+def _acts_residuals(relation: str) -> Residuals:
+    lhs, rhs = relation.split("==")
+
+    def residuals(rt: RuleTable, bound: int):
+        op = E(rt, lhs) - E(rt, rhs)
+        return (rt.act(op, Element.monomial(rt.params, m))
+                for m in hopf.coordinate_basis(min(bound, 6)))
+
+    return residuals
 
 
 def _word_run(*relations: str) -> Callable[[RuleTable, int], Element]:
     """The residual of ``lhs == rhs`` relations as words: the first nonzero
     difference of the two normal forms, in order."""
-    sides = [r.split("==") for r in relations]
-
-    def run(rt: RuleTable, bound: int) -> Element:
-        return _first_nonzero(E(rt, lhs) - E(rt, rhs) for lhs, rhs in sides)
-
-    return run
+    return _certified(_word_residuals(relations))
 
 
 def _acts_run(relation: str) -> Callable[[RuleTable, int], Element]:
     """The residual of an operator relation ``lhs == rhs`` as actions: the
     first nonzero action of lhs - rhs on the coordinate basis up to
     min(bound, 6)."""
-    lhs, rhs = relation.split("==")
-
-    def run(rt: RuleTable, bound: int) -> Element:
-        op = E(rt, lhs) - E(rt, rhs)
-        return _first_nonzero(rt.act(op, Element.monomial(rt.params, m))
-                              for m in hopf.coordinate_basis(min(bound, 6)))
-
-    return run
+    return _certified(_acts_residuals(relation))
 
 
 def _word(id_: str, anchor: str, *relations: str) -> None:
-    _add(Identity(id_, anchor, "word-level", _word_run(*relations)))
+    _entry(id_, anchor, "word-level", _word_residuals(relations))
 
 
 def _acts(id_: str, anchor: str, relation: str) -> None:
-    _add(Identity(id_, anchor, "action-level", _acts_run(relation)))
-
-
-def _scalar(id_: str, anchor: str,
-            fn: Callable[[RuleTable], Iterable[RationalFunction]]) -> None:
-    def run(rt: RuleTable, bound: int) -> Element:
-        return _scalar_residuals(rt, fn(rt))
-
-    _add(Identity(id_, anchor, "word-level", run))
-
-
-def _action(id_: str, anchor: str,
-            fn: Callable[[RuleTable, int], Element]) -> None:
-    _add(Identity(id_, anchor, "action-level", fn))
+    _entry(id_, anchor, "action-level", _acts_residuals(relation))
 
 
 # coordinate and differential module relations --------------------------------
@@ -203,48 +211,34 @@ _scalar("eq18-covariance-constraints", "(18)",
         lambda rt: rt.ct.covariance_residuals())
 
 
+@_scalar("eq23-25-families", "(23)-(25)")
 def _families_residuals(rt: RuleTable):
-    out = []
     for mode, conditions, params in cov.FAMILY_SIDE_CONDITIONS:
         want = CalculusType.by_name(mode)
         got = cov.solve_family(conditions, params)
         for name in ("Q", "Q11", "Q12", "Q21", "Q22", "Qp"):
             diff = got.coefficient(name) - want.coefficient(name)
             # report in the engine's coefficient field: nonzero iff mismatch
-            out.append(rt.params.zero() if diff.is_zero() else rt.params.one())
-    return out
+            yield rt.params.zero() if diff.is_zero() else rt.params.one()
 
 
-_scalar("eq23-25-families", "(23)-(25)", _families_residuals)
-
-
-def _eq26_run(rt: RuleTable, bound: int) -> Element:
+@_action("eq26-bicovariance", "(26)")
+def _eq26_run(rt: RuleTable, bound: int):
     words = [["x"], ["th"], [("x", -1)], ["x", "th"], ["th", "x"],
              ["x", "x"], [("x", -1), "th"]]
-    residuals = []
     for w in words:
-        residuals.extend(cov.bicovariance_residuals(rt, w))
-    return _tensor_to_element_marker(rt, residuals)
-
-
-_action("eq26-bicovariance", "(26)", _eq26_run)
+        yield from cov.bicovariance_residuals(rt, w)
 
 
 def _coaction_axioms_run(side):
-    def run(rt: RuleTable, bound: int) -> Element:
+    def run(rt: RuleTable, bound: int):
         words = [["x"], ["th"], ["dx"], ["dth"], [("x", -1)],
                  ["x", "th"], ["x", "dth"], ["th", "dx"], ["dx", "th"],
                  ["dx", "dth"], [("x", -1), "dx"]]
-        tensors = []
-        elements = []
-        for w in words:
-            t, e = cov.coaction_axiom_residuals(rt, w, side)
-            tensors.append(t)
-            elements.append(e)
-        marker = _tensor_to_element_marker(rt, tensors)
-        if not marker.is_zero():
-            return marker
-        return _first_nonzero(elements)
+        # every word's tensor residual comes before any element residual
+        tensors, elements = zip(*(cov.coaction_axiom_residuals(rt, w, side)
+                                  for w in words))
+        return tensors + elements
 
     return run
 
@@ -253,18 +247,16 @@ _action("eq14-right-coaction-axioms", "(14)", _coaction_axioms_run("right"))
 _action("eq20-left-coaction-axioms", "(20)", _coaction_axioms_run("left"))
 
 
-def _eq17_note_run(rt: RuleTable, bound: int) -> Element:
+@_action("eq17-constraint-extraction", "(17)-(18)")
+def _eq17_note_run(rt: RuleTable, bound: int):
     cc = cov.generate_covariance_constraints()
     ok = (cov.spans_match(cc.right, cov.expected_covariance_constraints())
           and not cc.left)
-    return Element.zero(rt.params) if ok else Element.one(rt.params)
+    return [rt.params.zero() if ok else rt.params.one()]
 
 
-_add(Identity("eq17-constraint-extraction", "(17)-(18)", "action-level", _eq17_note_run))
-
-
-def _eq9_run(rt: RuleTable, bound: int) -> Element:
-    P = rt.params
+@_action("eq9-hopf-axioms", "(9)")
+def _eq9_run(rt: RuleTable, bound: int):
     letters = [("x", 1), ("x", -1), ("th", 1)]
     words = [[]]
     for _ in range(3):
@@ -272,42 +264,25 @@ def _eq9_run(rt: RuleTable, bound: int) -> Element:
     seen = set()
     for w in words:
         e = rt.normalize_word(w)
-        if e.is_zero():
-            continue
         key = tuple(sorted(e.terms))
-        if key in seen:
+        if e.is_zero() or key in seen:
             continue
         seen.add(key)
-        for res in hopf.hopf_axiom_check(rt, e):
-            if isinstance(res, hopf.TensorElement):
-                marker = _tensor_to_element_marker(rt, [res])
-                if not marker.is_zero():
-                    return marker
-            elif not res.is_zero():
-                return res
-    return Element.zero(P)
+        yield from hopf.hopf_axiom_check(rt, e)
 
 
-_action("eq9-hopf-axioms", "(9)", _eq9_run)
+@_action("eq6-coproduct-kills-relations", "(6)")
+def _eq6_run(rt: RuleTable, bound: int):
+    yield hopf.coproduct_A(rt, E(rt, "x*th - q*th*x"))
+    delta_th = hopf.coproduct_A(rt, E(rt, "th"))
+    yield hopf.tensor_multiply(rt, delta_th, delta_th)
 
 
-def _eq6_run(rt: RuleTable, bound: int) -> Element:
-    relation = E(rt, "x*th - q*th*x")
-    res1 = hopf.coproduct_A(rt, relation)
-    sq = hopf.tensor_multiply(
-        rt, hopf.coproduct_A(rt, E(rt, "th")), hopf.coproduct_A(rt, E(rt, "th")))
-    return _tensor_to_element_marker(rt, [res1, sq])
+@_action("eq12-coaction-compatible", "(12)")
+def _eq12_coaction_run(rt: RuleTable, bound: int):
+    return [cov.delta_R(rt, ["dx", "dth"])
+            - cov.delta_R(rt, ["dth", "dx"]).scale(rt.ct.Qprime)]
 
-
-_action("eq6-coproduct-kills-relations", "(6)", _eq6_run)
-
-
-def _eq12_coaction_run(rt: RuleTable, bound: int) -> Element:
-    te = cov.delta_R(rt, ["dx", "dth"]) - cov.delta_R(rt, ["dth", "dx"]).scale(rt.ct.Qprime)
-    return _tensor_to_element_marker(rt, [te])
-
-
-_action("eq12-coaction-compatible", "(12)", _eq12_coaction_run)
 
 # Cartan-Maurer forms ----------------------------------------------------------
 
@@ -318,19 +293,11 @@ _word("eq28-th-omegath", "(28)", "th*wth == Q11*wth*th")
 _word("eq29-omega-commute", "(29)", "wx*wth == wth*wx")
 _word("eq29-omegax-square", "(29)", "wx*wx == 0")
 
+_action("eq30-w-coproduct-relations", "(30)",
+        lambda rt, bound: hopf.w_relation_residuals(rt))
+_action("eq32-w-antipode-relations", "(32)",
+        lambda rt, bound: hopf.w_antipode_residuals(rt))
 
-def _eq30_run(rt: RuleTable, bound: int) -> Element:
-    return _tensor_to_element_marker(rt, hopf.w_relation_residuals(rt))
-
-
-_action("eq30-w-coproduct-relations", "(30)", _eq30_run)
-
-
-def _eq32_run(rt: RuleTable, bound: int) -> Element:
-    return _first_nonzero(hopf.w_antipode_residuals(rt))
-
-
-_action("eq32-w-antipode-relations", "(32)", _eq32_run)
 
 # partial derivatives ----------------------------------------------------------
 
@@ -355,14 +322,10 @@ _word("eq38-maurer-dth", "(38)", "wx*th + wth*x == dth")
 _word("eq39-d-decomposition", "(39)", "wx*H + wth*Nb == d")
 
 
-def _eq40_run(rt: RuleTable, bound: int) -> Element:
-    return _first_nonzero([
-        exterior_derivative(rt, expand_derived(rt, "wx")),
-        exterior_derivative(rt, expand_derived(rt, "wth")),
-    ])
+@_action("eq40-maurer-closed", "(40)")
+def _eq40_run(rt: RuleTable, bound: int):
+    return (exterior_derivative(rt, expand_derived(rt, w)) for w in ("wx", "wth"))
 
-
-_action("eq40-maurer-closed", "(40)", _eq40_run)
 
 _word("eq41-Hnabla", "(41)", "H*Nb == Nb*H")
 _word("eq41-nabla-square", "(41)", "Nb*Nb == 0")
@@ -405,30 +368,24 @@ _scalar("eq51-second", "(51)",
         lambda rt: [rt.ct.Q11 - rt.ct.Qprime * (rt.ct.Q + rt.ct.Q22)])
 
 
-def _eq52_word_run(rt: RuleTable, bound: int) -> Element:
+@_entry("eq52-H-monomials", "(52)", "word-level")
+def _eq52_word_run(rt: RuleTable, bound: int):
     H = expand_derived(rt, "H")
-    residuals = []
     for m in range(-3, 6):
         xm = rt.normalize_word([("x", m)])
         lhs = rt.mul(H, xm)
         rhs = (xm.scale(qnumber(m, rt.ct.Q))
                + rt.mul(xm, H).scale(rt.ct.Q ** m))
-        residuals.append(lhs - rhs)
-    return _first_nonzero(residuals)
-
-
-_add(Identity("eq52-H-monomials", "(52)", "word-level", _eq52_word_run))
+        yield lhs - rhs
 
 
 def _closed_form_run(eps):
-    def run(rt: RuleTable, bound: int) -> Element:
+    def run(rt: RuleTable, bound: int):
         H = expand_derived(rt, "H")
-        residuals = []
         for m in range(-bound, bound + 1):
             w = Element.monomial(rt.params, mono(x=m, th=eps))
             want = w.scale(closed_form_H(rt.ct, m, eps))
-            residuals.append(act_on_function(rt, H, w) - want)
-        return _first_nonzero(residuals)
+            yield act_on_function(rt, H, w) - want
 
     return run
 
@@ -437,17 +394,14 @@ _action("eq52-H-closed-form", "(52)", _closed_form_run(0))
 _action("eq53-H-closed-form", "(53)", _closed_form_run(1))
 
 
-def _eq54_run(rt: RuleTable, bound: int) -> Element:
+@_action("eq54-scale-operator-diagonal", "(54)")
+def _eq54_run(rt: RuleTable, bound: int):
     T = expand_derived(rt, "T")
-    residuals = []
     for m in hopf.coordinate_basis(bound):
         w = Element.monomial(rt.params, m)
         want = w.scale(rt.ct.Q ** (m[X] + m[TH]))
-        residuals.append(act_on_function(rt, T, w) - want)
-    return _first_nonzero(residuals)
+        yield act_on_function(rt, T, w) - want
 
-
-_action("eq54-scale-operator-diagonal", "(54)", _eq54_run)
 
 _scalar("eq55-number-operator", "(55)",
         lambda rt: [closed_form_H(rt.ct, m, eps)
@@ -455,25 +409,20 @@ _scalar("eq55-number-operator", "(55)",
                     for m in range(-4, 5) for eps in (0, 1)])
 
 
-def _eq56_action_run(rt: RuleTable, bound: int) -> Element:
+@_action("eq56-nabla-action", "(56)")
+def _eq56_action_run(rt: RuleTable, bound: int):
     nb = expand_derived(rt, "Nb")
-    residuals = []
     for m in range(0, bound + 1):
         w = Element.monomial(rt.params, mono(x=m, th=1))
         want = Element.monomial(rt.params, mono(x=m + 1), rt.ct.Q11 ** m)
-        residuals.append(act_on_function(rt, nb, w) - want)
-    return _first_nonzero(residuals)
-
-
-_action("eq56-nabla-action", "(56)", _eq56_action_run)
+        yield act_on_function(rt, nb, w) - want
 
 
 def _eq56_word_run(third_coeff):
-    def run(rt: RuleTable, bound: int) -> Element:
+    def run(rt: RuleTable, bound: int):
         ct = rt.ct
         nb = expand_derived(rt, "Nb")
         H = expand_derived(rt, "H")
-        residuals = []
         for m in range(0, 6):
             w = Element.monomial(rt.params, mono(x=m, th=1))
             xm1 = Element.monomial(rt.params, mono(x=m + 1))
@@ -481,69 +430,60 @@ def _eq56_word_run(third_coeff):
             rhs = (xm1.scale(ct.Q11 ** m)
                    - rt.mul(w, nb).scale(ct.Q11 ** (m + 1))
                    - rt.mul(xm1, H).scale(third_coeff(ct, m)))
-            residuals.append(lhs - rhs)
-        return _first_nonzero(residuals)
+            yield lhs - rhs
 
     return run
 
 
-_add(Identity("eq56-nabla-monomials", "(56)", "word-level",
-              _eq56_word_run(lambda ct, m: (ct.Q11 ** m) * ct.Q22)))
-_add(Identity("eq56-nabla-monomials-as-printed", "(56)", "word-level",
-              _eq56_word_run(lambda ct, m: ct.Q11 * ct.Q22)))
+_entry("eq56-nabla-monomials", "(56)", "word-level",
+       _eq56_word_run(lambda ct, m: (ct.Q11 ** m) * ct.Q22))
+_entry("eq56-nabla-monomials-as-printed", "(56)", "word-level",
+       _eq56_word_run(lambda ct, m: ct.Q11 * ct.Q22))
 
 
 def _eq58_omegax_run(second_coeff):
-    def run(rt: RuleTable, bound: int) -> Element:
+    def run(rt: RuleTable, bound: int):
         ct = rt.ct
         wx = expand_derived(rt, "wx")
         wth = expand_derived(rt, "wth")
-        residuals = []
         for m in range(0, 6):
             w = Element.monomial(rt.params, mono(x=m, th=1))
             xm1 = Element.monomial(rt.params, mono(x=m + 1))
             lhs = rt.mul(w, wx)
             rhs = (rt.mul(wx, w).scale(-(ct.Q ** (m + 1)))
                    + rt.mul(wth, xm1).scale(second_coeff(ct, m)))
-            residuals.append(lhs - rhs)
-        return _first_nonzero(residuals)
+            yield lhs - rhs
 
     return run
 
 
-_add(Identity("eq58-monomial-omegax", "(58)", "word-level",
-              _eq58_omegax_run(lambda ct, m: (ct.Q11 ** m) * ct.Q22)))
-_add(Identity("eq58-monomial-omegax-as-printed", "(58)", "word-level",
-              _eq58_omegax_run(lambda ct, m: (ct.Q ** m) * ct.Q22)))
+_entry("eq58-monomial-omegax", "(58)", "word-level",
+       _eq58_omegax_run(lambda ct, m: (ct.Q11 ** m) * ct.Q22))
+_entry("eq58-monomial-omegax-as-printed", "(58)", "word-level",
+       _eq58_omegax_run(lambda ct, m: (ct.Q ** m) * ct.Q22))
 
 
-def _eq58_omegath_run(rt: RuleTable, bound: int) -> Element:
+@_entry("eq58-monomial-omegath", "(58)", "word-level")
+def _eq58_omegath_run(rt: RuleTable, bound: int):
     ct = rt.ct
     wth = expand_derived(rt, "wth")
-    residuals = []
     for m in range(0, 6):
         w = Element.monomial(rt.params, mono(x=m, th=1))
         lhs = rt.mul(w, wth)
         rhs = rt.mul(wth, w).scale(ct.Q11 ** (m + 1))
-        residuals.append(lhs - rhs)
-    return _first_nonzero(residuals)
-
-
-_add(Identity("eq58-monomial-omegath", "(58)", "word-level", _eq58_omegath_run))
+        yield lhs - rhs
 
 
 def _leibniz_run(index):
     # eq59 reads the H residual and eq62 the Nb residual of the same (f, g)
     # grid, so the grid is computed once per table and serves both
-    def run(rt: RuleTable, bound: int) -> Element:
+    def run(rt: RuleTable, bound: int):
         b = min(bound, 4)
-        firsts = rt._leibniz_residuals.get(b)
-        if firsts is None:
+        grid = rt._leibniz_residuals.get(b)
+        if grid is None:
             basis = hopf.coordinate_basis(b)
-            grid = hopf.twisted_leibniz_grid(rt, basis, basis)
-            firsts = rt._leibniz_residuals[b] = [
-                _first_nonzero(residuals[i] for residuals in grid) for i in (0, 1)]
-        return firsts[index]
+            grid = rt._leibniz_residuals[b] = hopf.twisted_leibniz_grid(rt, basis, basis)
+        return (residuals[index] for residuals in grid)
 
     return run
 
@@ -552,19 +492,15 @@ _action("eq59-H-twisted-leibniz", "(59)", _leibniz_run(0))
 _action("eq62-nabla-twisted-leibniz", "(62)", _leibniz_run(1))
 
 
-def _eq62_square_run(rt: RuleTable, bound: int) -> Element:
+@_action("eq62-coproduct-square", "(62)")
+def _eq62_square_run(rt: RuleTable, bound: int):
     terms = hopf.u_coproduct_square_nabla(rt.params)
-    if not terms:
-        return Element.zero(rt.params)
-    return Element.one(rt.params)
-
-
-_action("eq62-coproduct-square", "(62)", _eq62_square_run)
+    return [rt.params.one() if terms else rt.params.zero()]
 
 
 def _eq64_run(key):
-    def run(rt: RuleTable, bound: int) -> Element:
-        return hopf.antipode_U_residuals(rt, min(bound, 6))[key]
+    def run(rt: RuleTable, bound: int):
+        return [hopf.antipode_U_residuals(rt, min(bound, 6))[key]]
 
     return run
 
@@ -574,14 +510,15 @@ _action("eq64-antipode-corrected", "(64)", _eq64_run("nabla-corrected"))
 _action("eq64-antipode-as-printed", "(64)", _eq64_run("nabla-as-printed"))
 
 
-def _eq67_run(rt: RuleTable, bound: int) -> Element:
+@_action("eq67-pairing-table", "(67)")
+def _eq67_run(rt: RuleTable, bound: int):
     P = rt.params
     T = hopf.UElement.gen_T(P)
     nb = hopf.UElement.gen_nabla(P)
     x = Element.monomial(P, mono(x=1))
     th = Element.monomial(P, mono(th=1))
     xth = Element.monomial(P, mono(x=1, th=1))
-    checks = [
+    return [
         hopf.pair(rt, T, x) - rt.ct.Q,
         hopf.pair(rt, T, th),
         hopf.pair(rt, nb, x),
@@ -589,10 +526,6 @@ def _eq67_run(rt: RuleTable, bound: int) -> Element:
         hopf.pair(rt, T, xth),
         hopf.pair(rt, nb, xth) - rt.ct.Q11,
     ]
-    return _scalar_residuals(rt, checks)
-
-
-_action("eq67-pairing-table", "(67)", _eq67_run)
 
 
 _acts("eq70-T-x", "(70)", "T*x == Q*x*T")
@@ -601,42 +534,36 @@ _acts("eq71-nabla-x", "(71)", "Nb*x == Q11*x*Nb")
 _acts("eq71-nabla-th", "(71)", "Nb*th == x - Q11*th*Nb - Q22*x*H")
 
 
-def _eq73_run(rt: RuleTable, bound: int) -> Element:
+@_action("eq73-inner-on-exterior", "(73)")
+def _eq73_run(rt: RuleTable, bound: int):
     P = rt.params
     ix = Element.monomial(P, mono(ix=1))
     ith = Element.monomial(P, mono(ith=1))
     px = Element.monomial(P, mono(px=1))
     pth = Element.monomial(P, mono(pth=1))
-    residuals = []
     for m in hopf.coordinate_basis(min(bound, 6)):
         f = Element.monomial(P, m)
         df = exterior_derivative(rt, f)
-        residuals.append(act_on_function(rt, ix, f))
-        residuals.append(act_on_function(rt, ith, f))
-        residuals.append(act_on_function(rt, ix, df) - act_on_function(rt, px, f))
-        residuals.append(act_on_function(rt, ith, df) - act_on_function(rt, pth, f))
-    return _first_nonzero(residuals)
+        yield act_on_function(rt, ix, f)
+        yield act_on_function(rt, ith, f)
+        yield act_on_function(rt, ix, df) - act_on_function(rt, px, f)
+        yield act_on_function(rt, ith, df) - act_on_function(rt, pth, f)
 
 
-_action("eq73-inner-on-exterior", "(73)", _eq73_run)
-
-
-def _eq76_run(rt: RuleTable, bound: int) -> Element:
+@_action("eq76-inner-kronecker", "(76)")
+def _eq76_run(rt: RuleTable, bound: int):
     P = rt.params
     ix = Element.monomial(P, mono(ix=1))
     ith = Element.monomial(P, mono(ith=1))
     dx = Element.monomial(P, mono(dx=1))
     dth = Element.monomial(P, mono(dth=1))
     one = Element.one(P)
-    return _first_nonzero([
+    return [
         act_on_function(rt, ix, dx) - one,
         act_on_function(rt, ix, dth),
         act_on_function(rt, ith, dx),
         act_on_function(rt, ith, dth) - one,
-    ])
-
-
-_action("eq76-inner-kronecker", "(76)", _eq76_run)
+    ]
 
 
 @lru_cache(maxsize=None)
@@ -644,28 +571,25 @@ def _ansatz_system(kind: str):
     return cov.generate_ansatz_constraints(kind)
 
 
-def _eq75_run(rt: RuleTable, bound: int) -> Element:
-    values = dict(inner_coordinate_coeffs(rt.ct))
-    values["q"] = rt.ct.q
-    res = cov.evaluate_system(_ansatz_system("inner-coordinate"),
-                              cov.INNER_COORD_PARAMS, values, rt.params)
-    return _scalar_residuals(rt, res)
-
-
 _scalar("eq75-fifth-as-printed", "(75)",
         lambda rt: [rt.ct.Q22 * (rt.ct.q * rt.ct.Q + rt.params.one())])
-_add(Identity("eq75-ansatz-system", "(75)", "word-level", _eq75_run))
 
 
-def _eq78_run(rt: RuleTable, bound: int) -> Element:
+@_scalar("eq75-ansatz-system", "(75)")
+def _eq75_residuals(rt: RuleTable):
+    values = dict(inner_coordinate_coeffs(rt.ct))
+    values["q"] = rt.ct.q
+    return cov.evaluate_system(_ansatz_system("inner-coordinate"),
+                               cov.INNER_COORD_PARAMS, values, rt.params)
+
+
+@_scalar("eq78-ansatz-system", "(78)")
+def _eq78_residuals(rt: RuleTable):
     values = dict(inner_differential_coeffs(rt.ct))
     values["Qp"] = rt.ct.Qprime
-    res = cov.evaluate_system(_ansatz_system("inner-differential"),
-                              cov.INNER_DIFF_PARAMS, values, rt.params)
-    return _scalar_residuals(rt, res)
+    return cov.evaluate_system(_ansatz_system("inner-differential"),
+                               cov.INNER_DIFF_PARAMS, values, rt.params)
 
-
-_add(Identity("eq78-ansatz-system", "(78)", "word-level", _eq78_run))
 
 _scalar("eq83-a8-as-printed", "(83)",
         lambda rt: [rt.ct.Q11 / rt.ct.Q
@@ -737,8 +661,8 @@ _word("eq101-lie-via-fields", "(101)",
       "Lth == x^-1*Nb - (1-Q^-1)*d*ith")
 
 
-def _dd_zero_run(rt: RuleTable, bound: int) -> Element:
-    residuals = []
+@_action("eq3-d-squared-zero", "(3)")
+def _dd_zero_run(rt: RuleTable, bound: int):
     b = min(bound, 6)
     for m in range(-b, b + 1):
         for eps in (0, 1):
@@ -746,31 +670,22 @@ def _dd_zero_run(rt: RuleTable, bound: int) -> Element:
                 for bdx in (0, 1):
                     w = Element.monomial(rt.params,
                                          mono(dx=bdx, dth=bdth, x=m, th=eps))
-                    residuals.append(
-                        exterior_derivative(rt, exterior_derivative(rt, w)))
-    return _first_nonzero(residuals)
+                    yield exterior_derivative(rt, exterior_derivative(rt, w))
 
 
-_action("eq3-d-squared-zero", "(3)", _dd_zero_run)
-
-
-def _eq33_action_run(rt: RuleTable, bound: int) -> Element:
+@_action("eq33-exterior-action", "(33)")
+def _eq33_action_run(rt: RuleTable, bound: int):
     # d acts as dx*px + dth*pth: its form letters go through act's u* path,
     # while here they multiply the partial actions from outside
     P = rt.params
     dx, px = Element.monomial(P, mono(dx=1)), Element.monomial(P, mono(px=1))
     dth, pth = Element.monomial(P, mono(dth=1)), Element.monomial(P, mono(pth=1))
-    residuals = []
     for m in range(-min(bound, 4), min(bound, 4) + 1):
         for eps in (0, 1):
             for bdth in (0, 1):
                 w = Element.monomial(P, mono(dth=bdth, x=m, th=eps))
-                residuals.append(exterior_derivative(rt, w)
-                                 - rt.mul(dx, rt.act(px, w)) - rt.mul(dth, rt.act(pth, w)))
-    return _first_nonzero(residuals)
-
-
-_action("eq33-exterior-action", "(33)", _eq33_action_run)
+                yield (exterior_derivative(rt, w)
+                       - rt.mul(dx, rt.act(px, w)) - rt.mul(dth, rt.act(pth, w)))
 
 
 # ----------------------------------------------------------------------------

@@ -16,10 +16,10 @@ Tensors are printed, never parsed: their slots are separated by the token
 multiplication.
 
 Symbols: generators x, xi (= x^-1), th, dx, dth, d, px, pth, ix, ith;
-derived operators H, Nb, T, wx, wth, Lx, Lth (read through expand_derived);
-the mode parameters; and the structure coefficients Q, Q11, Q12, Q21, Q22,
-Qp.  In the dual-sector
-language (pair subcommand) the symbols are T, K, Nb.
+derived operators H, Nb, T, wx, wth, Lx, Lth (read through
+hopf.expand_derived); the mode parameters; and the structure coefficients
+Q, Q11, Q12, Q21, Q22, Qp.  In the dual-sector language (pair subcommand)
+the symbols are T, K, Nb.
 """
 
 from __future__ import annotations
@@ -40,7 +40,8 @@ from .algebra import (
     mono_sort_key,
     mono_str,
 )
-from .hopf import TensorElement, UElement, maurer_forms
+# DERIVED_NAMES and expand_derived are re-exported beside the parser
+from .hopf import DERIVED_NAMES, TensorElement, UElement, expand_derived
 
 
 class ExprSyntaxError(QspError):
@@ -201,36 +202,6 @@ def parse_expr(text: str):
 _COEFF_NAMES = ("Q", "Q11", "Q12", "Q21", "Q22", "Qp")
 
 DerivedResolver = Callable[[RuleTable, str], Element]
-
-DERIVED_NAMES = ("H", "Nb", "T", "wx", "wth", "Lx", "Lth")
-
-
-def expand_derived(rt: RuleTable, name: str) -> Element:
-    """Normal-ordered expansion of a derived operator symbol."""
-    cache = rt._derived_cache
-    hit = cache.get(name)
-    if hit is not None:
-        return hit
-    P = rt.params
-    if name == "H":
-        e = (Element.monomial(P, mono(x=1, px=1))
-             + Element.monomial(P, mono(th=1, pth=1)))
-    elif name == "Nb":
-        e = Element.monomial(P, mono(x=1, pth=1))
-    elif name == "T":
-        e = Element.one(P) + expand_derived(rt, "H").scale(rt.ct.Q - P.one())
-    elif name == "wx":
-        e = maurer_forms(rt)["wx"]
-    elif name == "wth":
-        e = maurer_forms(rt)["wth"]
-    elif name == "Lx":
-        e = rt.normalize_word(["ix", "d"]) + rt.normalize_word(["d", "ix"])
-    elif name == "Lth":
-        e = rt.normalize_word(["ith", "d"]) - rt.normalize_word(["d", "ith"])
-    else:
-        return None
-    cache[name] = e
-    return e
 
 
 def _evaluate(node, one, mul, symbol, power, divide):

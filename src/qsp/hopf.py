@@ -9,6 +9,9 @@ generated by the group-like scale operators T and K together with the odd
 nilpotent Nb.  U acts on the coordinate algebra through one operator map,
 ``left_act`` (T and K diagonally, with eigenvalues Q^(degree) and
 Q11^(degree), and Nb as x*pth), and the pairing <u, a> is its counit.
+The derived operators of the main algebra (H, Nb, T, the Maurer-Cartan
+forms and the Lie derivatives) are expanded here by ``expand_derived``,
+which the action, the parser and the identity catalog all read.
 
 Tensor elements and dual-sector elements are ``algebra.Element``s over
 other basis keys: a TensorElement is keyed by tuples of monomials, a
@@ -306,6 +309,37 @@ def maurer_forms(rt: RuleTable) -> dict[str, Element]:
     return {"wx": wx, "wth": wth}
 
 
+DERIVED_NAMES = ("H", "Nb", "T", "wx", "wth", "Lx", "Lth")
+
+
+def expand_derived(rt: RuleTable, name: str) -> Element:
+    """Normal-ordered expansion of a derived operator symbol."""
+    cache = rt._derived_cache
+    hit = cache.get(name)
+    if hit is not None:
+        return hit
+    P = rt.params
+    if name == "H":
+        e = (Element.monomial(P, mono(x=1, px=1))
+             + Element.monomial(P, mono(th=1, pth=1)))
+    elif name == "Nb":
+        e = Element.monomial(P, mono(x=1, pth=1))
+    elif name == "T":
+        e = Element.one(P) + expand_derived(rt, "H").scale(rt.ct.Q - P.one())
+    elif name == "wx":
+        e = maurer_forms(rt)["wx"]
+    elif name == "wth":
+        e = maurer_forms(rt)["wth"]
+    elif name == "Lx":
+        e = rt.normalize_word(["ix", "d"]) + rt.normalize_word(["d", "ix"])
+    elif name == "Lth":
+        e = rt.normalize_word(["ith", "d"]) - rt.normalize_word(["d", "ith"])
+    else:
+        return None
+    cache[name] = e
+    return e
+
+
 def _w_expand(rt: RuleTable, word: Sequence[str]) -> Element:
     forms = maurer_forms(rt)
     out = Element.one(rt.params)
@@ -455,7 +489,7 @@ def left_act(rt: RuleTable, u: UElement, a: Element) -> Element:
     """
     _require_function(a)
     P = rt.params
-    nb = Element.monomial(P, mono(x=1, pth=1))
+    nb = expand_derived(rt, "Nb")
     out = Element.zero(P)
     for (i, j, n), cu in u.terms.items():
         for m, c in (rt.act(nb, a) if n else a).terms.items():
@@ -509,8 +543,8 @@ def twisted_leibniz_grid(rt: RuleTable, fs: Sequence[Monomial],
     involve both f and g are made per cell.
     """
     P = rt.params
-    H = Element.monomial(P, mono(x=1, px=1)) + Element.monomial(P, mono(th=1, pth=1))
-    nb = Element.monomial(P, mono(x=1, pth=1))
+    H = expand_derived(rt, "H")
+    nb = expand_derived(rt, "Nb")
 
     cols = []
     for g in gs:

@@ -2,12 +2,20 @@
 
 import pytest
 
-from qsp.algebra import CalculusType, Element, NotAFunctionArgument, build_rule_table, mono
+from qsp.algebra import (
+    DTH, DX, TH, X,
+    CalculusType,
+    Element,
+    NotAFunctionArgument,
+    build_rule_table,
+    mono,
+)
 from qsp.calculus import (
     E,
     KNOWN_DISCREPANCY_IDS,
     UnknownIdentity,
     _acts_run,
+    _first_nonzero,
     _word_run,
     act_on_function,
     closed_form_H,
@@ -19,6 +27,7 @@ from qsp.calculus import (
     verify_identity,
 )
 from qsp.coeffs import qnumber
+from qsp.hopf import TensorElement
 
 
 @pytest.fixture(scope="module")
@@ -216,3 +225,58 @@ def test_full_suite_at_numeric_specialization():
             if r.identityId in KNOWN_DISCREPANCY_IDS:
                 continue
             assert r.status == "PASS", (name, r.identityId)
+
+
+def test_first_nonzero_certificates(t2):
+    P = t2.params
+    q = P.var("q")
+    x, th = E(t2, "x"), E(t2, "th")
+    # a scalar is that multiple of the unit, an element is itself
+    assert _first_nonzero(t2, [P.zero(), q]) == Element.scalar(P, q)
+    assert _first_nonzero(t2, [Element.zero(P), x, th]) == x
+    # a tensor is its coefficients times the products of its slots
+    te = TensorElement.of(x, th) - TensorElement.of(th, x)
+    assert _first_nonzero(t2, [te]) == t2.mul(x, th) - t2.mul(th, x)
+    assert not _first_nonzero(t2, [te]).is_zero()
+    # ... and its first coefficient when those products cancel (th*th = 0)
+    assert _first_nonzero(t2, [TensorElement.of(th, th).scale(q)]) == Element.scalar(P, q)
+    # nothing nonzero: the zero element
+    zeros = [P.zero(), Element.zero(P), TensorElement(P, 2), te - te]
+    assert _first_nonzero(t2, zeros) == Element.zero(P)
+
+
+def test_first_nonzero_stops_at_the_first_nonzero_residual(t2):
+    def residuals():
+        yield Element.zero(t2.params)
+        yield E(t2, "x")
+        raise AssertionError("consumed past the first nonzero residual")
+
+    assert _first_nonzero(t2, residuals()) == E(t2, "x")
+    assert _first_nonzero(t2, [E(t2, "th"), E(t2, "x")]) == E(t2, "th")
+
+
+# the identities certified from tensor residuals, split by the rule whose
+# scaling breaks them
+TENSOR_CERTIFIED = {
+    (TH, X, 1): ("eq6-coproduct-kills-relations", "eq9-hopf-axioms",
+                 "eq14-right-coaction-axioms", "eq20-left-coaction-axioms",
+                 "eq26-bicovariance"),
+    (DTH, DX, 0): ("eq12-coaction-compatible", "eq30-w-coproduct-relations"),
+}
+
+
+@pytest.mark.parametrize("name", ["I", "II", "III"])
+@pytest.mark.parametrize("rule", list(TENSOR_CERTIFIED), ids=["th*x", "dth*dx"])
+def test_tensor_certificates_fail_on_broken_table(name, rule):
+    # with the th*x or the dth*dx rule scaled by 2 (memos cleared, as in
+    # test_algebra._broken_table), exactly the identities that rule enters
+    # fail, each with a nonzero certificate
+    rt = build_rule_table(CalculusType.by_name(name))
+    rt.rules[rule] = rt.rules[rule].scale(2)
+    rt._memo.clear()
+    rt._pair_memo.clear()
+    for key, ids in TENSOR_CERTIFIED.items():
+        for identity_id in ids:
+            r = verify_identity(rt, identity_id)
+            assert r.passed is (key != rule), (identity_id, r.status)
+            assert r.residual.is_zero() is r.passed, identity_id

@@ -137,6 +137,22 @@ def test_verify_specialization_matches_reference(capsys, mode, param, name):
     assert doc == json.loads((REFERENCE / name).read_text())
 
 
+def _text_reports():
+    """The pinned text reports: blocks that each open with the "$ qsp ..."
+    command line that printed them."""
+    blocks = (REFERENCE / "verify_text.txt").read_text().split("$ qsp ")[1:]
+    return [tuple(b.split("\n", 1)) for b in blocks]
+
+
+@pytest.mark.parametrize("command, want", _text_reports(),
+                         ids=[c for c, _ in _text_reports()])
+def test_verify_text_report_matches_reference(capsys, command, want):
+    # the text report is part of the report contract, byte for byte
+    code, out, _ = invoke(capsys, *command.split())
+    assert code == 0
+    assert out == want
+
+
 def test_coproduct(capsys):
     code, out, _ = invoke(capsys, "coproduct", "--type", "II", "th")
     assert code == 0

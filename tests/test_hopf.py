@@ -16,6 +16,7 @@ from qsp.hopf import (
     coproduct_U_residuals,
     costructures_W,
     counit_A,
+    expand_derived,
     hopf_axiom_check,
     left_act,
     maurer_forms,
@@ -237,6 +238,18 @@ def test_left_act_and_pair_match_fold_on_mixed_keys(family_table):
     e = basis[0] + basis[7].scale(P.var("q")) - basis[-1]
     assert left_act(rt, u, e) == _left_act_fold(rt, u, e)
     assert pair(rt, u, e) == _pair_fold(rt, u, e)
+
+
+def test_left_act_matches_derived_operators(family_table):
+    # T has two definitions: the U generator, which left_act applies as the
+    # diagonal Q^degree, and the derived operator 1 + (Q-1)*H of the main
+    # algebra.  They must act alike, and so must the two readings of Nb
+    rt = family_table
+    P = rt.params
+    for u, name in ((UElement.gen_T(P), "T"), (UElement.gen_nabla(P), "Nb")):
+        for m in coordinate_basis(6):
+            f = Element.monomial(P, m)
+            assert left_act(rt, u, f) == rt.act(expand_derived(rt, name), f), (name, m)
 
 
 def test_left_act_product_compatibility(t2):

@@ -8,19 +8,22 @@ Words are normal-ordered into the fixed generator order
 adjacent pair of generators has a rewrite rule whose right-hand side is
 already normal-ordered.  Rules against x^-1 are solved from the x-rules: a
 rule g*x = c*x*g + rest gives g*x^-1 = c^-1 * x^-1*(g - rest*x^-1), and a
-rule x*g = c*g*x + rest gives x^-1*g = c^-1 * (g - x^-1*rest)*x^-1.  The
-engine multiplies by folding one generator at a time into a canonical
-monomial.  Each table keeps two memos: one for the product of a monomial
-with a single letter, one for the product of two monomials, so every product
-that needs a rewrite is computed once per table.  A product already in order
-is not memoized: it is the merged monomial with the shared unit coefficient
-``params.one()``, built directly, which costs less than a memo entry (and a
-single-letter right factor is recognized by a table lookup).  Before a
-product is memoized, its coefficients are replaced by one canonical instance
-per value, which keeps the memos from holding many equal copies.  A sum of
-products is accumulated in one plain dict, monomial to coefficient, with a
-term dropped as soon as it cancels; a coefficient product is skipped when
-either factor is the shared unit, which most memo coefficients are.
+rule x*g = c*g*x + rest gives x^-1*g = c^-1 * (g - x^-1*rest)*x^-1.  A table
+solves them when a product first misses a rule, or ``rules`` is first read,
+and adopts them only after round trips such as g*x*x^-1 = g pass, so a
+request that never meets x^-1 pays for neither.  The engine multiplies by
+folding one generator at a time into a canonical monomial.  Each table keeps
+two memos: one for the product of a monomial with a single letter, one for
+the product of two monomials, so every product that needs a rewrite is
+computed once per table.  A product already in order is not memoized: it is
+the merged monomial with the shared unit coefficient ``params.one()``, built
+directly, which costs less than a memo entry (and a single-letter right
+factor is recognized by a table lookup).  Before a product is memoized, its
+coefficients are replaced by one canonical instance per value, which keeps
+the memos from holding many equal copies.  A sum of products is accumulated
+in one plain dict, monomial to coefficient, with a term dropped as soon as
+it cancels; a coefficient product is skipped when either factor is the
+shared unit, which most memo coefficients are.
 
 Every generator block g^k with |k| >= 2 (a power of x, dth, px or ith) is
 split in half, on either side of a product.  A left block passes a letter as
@@ -551,10 +554,12 @@ RuleKey = tuple  # (left gen, right gen, sign: -1 | 0 | +1)
 class RuleTable:
     """Rewrite rules plus the memoized normal-ordering engine built on them."""
 
+    _x_inverse_pending = False   # build sets it: x^-1 rules still to solve
+
     def __init__(self, ct: CalculusType, rules: dict):
         self.ct = ct
         self.params = ct.params
-        self.rules = rules
+        self._rules = rules
         # (monomial, letter) -> product, and (monomial, monomial) -> product
         # for the pairs _memo does not already answer; both hold coefficients
         # interned in _pool (coefficient -> its canonical instance)
@@ -647,9 +652,21 @@ class RuleTable:
         rule(ITH, IX, 0, (-((ct.Q12 - ct.Q) / ct.Q11), mono(ix=1, ith=1)))
 
         rt = cls(ct, rules)
-        rt._derive_x_inverse_rules()
-        rt._round_trip_check()
+        rt._x_inverse_pending = True
         return rt
+
+    @property
+    def rules(self) -> dict:
+        """Every rule, the x^-1 rules included.  A table from ``build`` solves
+        them on the first read, which the first product that misses a rule
+        makes, on a trial table whose round trips must pass before its
+        rules are adopted; a product the trial misses is an error."""
+        if self._x_inverse_pending:
+            trial = RuleTable(self.ct, dict(self._rules))
+            trial._derive_x_inverse_rules()
+            trial._round_trip_check()
+            self._rules, self._x_inverse_pending = trial._rules, False
+        return self._rules
 
     def d_element(self) -> Element:
         """The exterior derivative as a normal-ordered element."""
@@ -743,10 +760,13 @@ class RuleTable:
             inner = self.mul_mono_letter(_letter_mono((j, b)), letter)
         else:
             b = k
-            inner = self.rules.get((j, g, k if j == X else s if g == X else 0))
+            rule = (j, g, k if j == X else s if g == X else 0)
+            inner = self._rules.get(rule)
             if inner is None:
-                raise UnsupportedGenerator(
-                    f"no rewrite rule for {GENS[j]}^{k}*{GENS[g]}^{s if g == X else 1}")
+                inner = self.rules.get(rule)
+                if inner is None:
+                    raise UnsupportedGenerator(
+                        f"no rewrite rule for {GENS[j]}^{k}*{GENS[g]}^{s if g == X else 1}")
         head = list(m)
         head[j] = k - b
         head_t = tuple(head)

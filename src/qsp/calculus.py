@@ -498,16 +498,16 @@ def _eq62_square_run(rt: RuleTable, bound: int):
     return [rt.params.one() if terms else rt.params.zero()]
 
 
-def _eq64_run(key):
+def _eq64_run(gen, variant):
     def run(rt: RuleTable, bound: int):
-        return [hopf.antipode_U_residuals(rt, min(bound, 6))[key]]
+        return hopf.antipode_U_residuals(rt, gen(rt.params), variant, min(bound, 6))
 
     return run
 
 
-_action("eq64-antipode-scale", "(64)", _eq64_run("K"))
-_action("eq64-antipode-corrected", "(64)", _eq64_run("nabla-corrected"))
-_action("eq64-antipode-as-printed", "(64)", _eq64_run("nabla-as-printed"))
+_action("eq64-antipode-scale", "(64)", _eq64_run(hopf.UElement.gen_K, "corrected"))
+_action("eq64-antipode-corrected", "(64)", _eq64_run(hopf.UElement.gen_nabla, "corrected"))
+_action("eq64-antipode-as-printed", "(64)", _eq64_run(hopf.UElement.gen_nabla, "as-printed"))
 
 
 @_action("eq67-pairing-table", "(67)")

@@ -79,46 +79,58 @@ _TYPES = ("I", "II", "III")
 _FORMATS = ("text", "json")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# command -> (summary, positional arguments); verify adds --id and --suite
+_COMMANDS = {
+    "normalize": ("print the canonical form of EXPR", ("expr",)),
+    "check": ('verify "LHS == RHS"', ("expr",)),
+    "act": ("apply operator OP to EXPR", ("op", "expr")),
+    "pair": ("dual pairing <U, A>", ("u", "a")),
+    "coproduct": ("coordinate coproduct of EXPR", ("expr",)),
+    "verify": ("run the identity catalog", ()),
+    "solve-types": ("print the covariant families", ()),
+}
+
+
+def _add_arguments(p: argparse.ArgumentParser, name: str) -> None:
+    p.add_argument("--type", dest="ctype", choices=_TYPES,
+                   default=None, help="calculus type (default II)")
+    p.add_argument("--param", dest="params", action="append",
+                   type=_parse_param, default=None,
+                   metavar="NAME=RAT", help="numeric specialization")
+    p.add_argument("--bound", dest="bound", type=int, default=None,
+                   metavar="D", help="basis bound for action checks")
+    p.add_argument("--format", dest="fmt", choices=_FORMATS, default=None)
+    p.add_argument("--config", dest="config", default=None,
+                   metavar="PATH", help="key=value configuration file")
+    for positional in _COMMANDS[name][1]:
+        p.add_argument(positional)
+    if name == "verify":
+        p.add_argument("--id", dest="identity", default=None,
+                       help="run one identity (or glob pattern)")
+        p.add_argument("--suite", dest="suite", choices=("all",), default=None)
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """Parse with the parser of the command ``argv[0]`` names alone; the
+    tree of all commands, whose help and errors are the reference, answers
+    when argv names none or that parser leaves arguments unrecognized."""
     # argparse sizes every formatter it builds to the terminal; ask once
     fmt = functools.partial(argparse.HelpFormatter,
                             width=shutil.get_terminal_size().columns - 2)
+    if argv and argv[0] in _COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"qsp {argv[0]}", formatter_class=fmt)
+        _add_arguments(parser, argv[0])
+        args, extra = parser.parse_known_args(argv[1:])
+        if not extra:
+            args.command = argv[0]
+            return args
     parser = argparse.ArgumentParser(
         prog="qsp", formatter_class=fmt,
         description="Exact calculus engine on the quantum superplane")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False, formatter_class=fmt)
-    common.add_argument("--type", dest="ctype", choices=_TYPES,
-                        default=None, help="calculus type (default II)")
-    common.add_argument("--param", dest="params", action="append",
-                        type=_parse_param, default=None,
-                        metavar="NAME=RAT", help="numeric specialization")
-    common.add_argument("--bound", dest="bound", type=int, default=None,
-                        metavar="D", help="basis bound for action checks")
-    common.add_argument("--format", dest="fmt", choices=_FORMATS,
-                        default=None)
-    common.add_argument("--config", dest="config", default=None,
-                        metavar="PATH", help="key=value configuration file")
-
-    def command(name, summary):
-        return sub.add_parser(name, help=summary, parents=[common], formatter_class=fmt)
-
-    command("normalize", "print the canonical form of EXPR").add_argument("expr")
-    command("check", 'verify "LHS == RHS"').add_argument("expr")
-    p = command("act", "apply operator OP to EXPR")
-    p.add_argument("op")
-    p.add_argument("expr")
-    p = command("pair", "dual pairing <U, A>")
-    p.add_argument("u")
-    p.add_argument("a")
-    command("coproduct", "coordinate coproduct of EXPR").add_argument("expr")
-    p = command("verify", "run the identity catalog")
-    p.add_argument("--id", dest="identity", default=None,
-                   help="run one identity (or glob pattern)")
-    p.add_argument("--suite", dest="suite", choices=("all",), default=None)
-    command("solve-types", "print the covariant families")
-    return parser
+    for name, (summary, _) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=summary, formatter_class=fmt), name)
+    return parser.parse_args(argv)
 
 
 def _effective(args, config: dict, key: str, default):
@@ -160,9 +172,8 @@ def _engine(args, config) -> tuple[RuleTable, str, dict]:
 
 
 def run(argv) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
@@ -215,7 +226,6 @@ def run(argv) -> int:
         if args.command == "solve-types":
             _print_families()
             return 0
-        parser.error(f"unknown command {args.command!r}")
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -592,27 +592,15 @@ def antipode_axiom_operator(rt: RuleTable, u: UElement, variant: str,
     return acc
 
 
-def antipode_U_residuals(rt: RuleTable, bound: int) -> dict[str, Element]:
-    """First nonzero action residual of both antipode laws on the coordinate
-    basis with |x-degree| <= bound, for u in {K, Nb} and both Nb variants."""
-    P = rt.params
-
-    def residual(u: UElement, variant: str) -> Element:
-        for side in ("left", "right"):
-            z = antipode_axiom_operator(rt, u, variant, side)
-            if not z.terms:
-                continue
+def antipode_U_residuals(rt: RuleTable, u: UElement, variant: str, bound: int):
+    """Action residuals of both antipode laws for ``u`` on the coordinate
+    basis with |x-degree| <= bound, left law first; a law whose operator
+    vanishes yields none."""
+    for side in ("left", "right"):
+        z = antipode_axiom_operator(rt, u, variant, side)
+        if z.terms:
             for m in coordinate_basis(bound):
-                val = left_act(rt, z, Element.monomial(P, m))
-                if not val.is_zero():
-                    return val
-        return Element.zero(P)
-
-    return {
-        "K": residual(UElement.gen_K(P), "corrected"),
-        "nabla-corrected": residual(UElement.gen_nabla(P), "corrected"),
-        "nabla-as-printed": residual(UElement.gen_nabla(P), "as-printed"),
-    }
+                yield left_act(rt, z, Element.monomial(rt.params, m))
 
 
 def coordinate_basis(bound: int) -> list[Monomial]:

@@ -1,6 +1,7 @@
 """Rewrite engine: rule tables, normal ordering, confluence, specialization."""
 
 import gc
+import hashlib
 import random
 import weakref
 from itertools import product
@@ -8,6 +9,7 @@ from itertools import product
 import pytest
 
 from qsp.algebra import (
+    GENS,
     D,
     DTH,
     DX,
@@ -33,6 +35,7 @@ from qsp.algebra import (
 )
 from qsp.calculus import DERIVED_NAMES, expand_derived, run_suite
 from qsp.coeffs import PARAMS_I
+from qsp.exprio import print_canonical
 
 
 @pytest.fixture(scope="module")
@@ -123,6 +126,38 @@ def test_derived_x_inverse_dth(t2):
     want = (Element.monomial(P, mono(dth=1, x=-1), P.one() / q)
             - Element.monomial(P, mono(dx=1, x=-2, th=1), q * (r - P.one()) / (r * q)))
     assert t2.word(("x", -1), "dth") == want
+
+
+# sha256 of the 39 rules of each table, one "left right sign: rhs" line per
+# key in key order, as the tables printed when the x^-1 rules were derived at
+# build time; the r=1 and p=1 specializations print as type I
+RULES_SHA256 = {
+    "I": "fc23201f68a7bd0210bb9f11ed6f559efbb7a5ad6fff85a423992f71616f1fb0",
+    "II": "b03b2d3b47537847f13d858b94f25d9af6051be8425c32c7ebc7f4d4e119a11f",
+    "III": "4115251c9a4d8368501ba56fdaffd643e6493880be82176686ffd76a28ba6d6f",
+}
+
+
+@pytest.mark.parametrize("name,assignment", [("I", {}), ("II", {}), ("III", {}),
+                                             ("II", {"r": 1}), ("III", {"p": 1})],
+                         ids=["I", "II", "III", "II-r1", "III-p1"])
+def test_x_inverse_rules_derived_on_first_use(name, assignment):
+    # a fresh table holds the 32 transcribed rules and keeps them through
+    # products that meet no x^-1 rule; the first product that misses a rule
+    # completes it, and reading `rules` gives the same 39 rules as ever
+    ct = CalculusType.by_name(name)
+    rt = build_rule_table(ct.specialize(assignment) if assignment else ct)
+    assert len(rt._rules) == 32 and not [key for key in rt._rules if key[2] == -1]
+    rt.word("px", "x", "th", "dth", "ix")
+    assert len(rt._rules) == 32
+    rt.word("px", ("x", -1))
+    assert len(rt._rules) == 39
+    text = "".join(f"{GENS[a]} {GENS[b]} {s}: {print_canonical(e)}\n"
+                   for (a, b, s), e in sorted(rt.rules.items()))
+    assert hashlib.sha256(text.encode()).hexdigest() == RULES_SHA256[name if not assignment else "I"]
+    # a table read before any product is complete too
+    fresh = build_rule_table(ct.specialize(assignment) if assignment else ct)
+    assert fresh.rules == rt.rules
 
 
 def test_d_realizes_to_differential(t2):
@@ -228,7 +263,8 @@ def test_fresh_table_computes_no_d_product(name, assignment):
     # building a table computes none of the audit's rules for pairs involving
     # d: no rule is keyed by such a pair, no memo key holds d, and no memo
     # holds a product of the realization with dx, dth, th, itself or an
-    # operator (the round trips d*x*x^-1 and d*x^-1*x do pass it x and x^-1)
+    # operator (the first read of rt.rules runs the round trips, which pass
+    # it x and x^-1, on a trial table whose memos are dropped)
     ct = CalculusType.by_name(name)
     rt = build_rule_table(ct.specialize(assignment) if assignment else ct)
     assert not [key for key in rt.rules if D in key[:2]]

@@ -1,5 +1,6 @@
 """Command-line driver: subcommands, exit codes, determinism, coherence."""
 
+import argparse
 import json
 import sys
 from pathlib import Path
@@ -9,7 +10,8 @@ import pytest
 import qsp.calculus
 import qsp.cli
 import qsp.covariance
-from qsp.algebra import InconsistentType, NonInvertibleRule
+from qsp.algebra import (PX, X, CalculusType, InconsistentType, NonInvertibleRule,
+                         RuleTable, build_rule_table)
 from qsp.cli import run
 from qsp.coeffs import QspError
 
@@ -335,6 +337,65 @@ def test_help_and_usage_errors_match_golden(capsys, monkeypatch, columns):
     for key in cases:
         code, out, err = invoke(capsys, *key.split(" ")[1:])
         assert {"code": code, "out": out, "err": err} == HELP_GOLDEN[key], key
+
+
+def test_round_trip_guards_the_first_x_inverse_product(capsys, monkeypatch):
+    # the x^-1 rules are derived on first use; a wrong derived rule must
+    # still be caught by the round trips before any answer uses it
+    derive = RuleTable._derive_x_inverse_rules
+
+    def derive_wrong(rt):
+        derive(rt)
+        rt._rules[(PX, X, -1)] = rt._rules[(PX, X, -1)].scale(2)
+
+    monkeypatch.setattr(RuleTable, "_derive_x_inverse_rules", derive_wrong)
+    code, out, err = invoke(capsys, "normalize", "--type", "II", "px*x^-1")
+    assert (code, out) == (3, "") and err.startswith("internal error: round trip ")
+    code, out, err = invoke(capsys, "normalize", "--type", "II", "px*x")
+    assert (code, out, err) == (0, "1 + r*x*px + (r - 1)*th*pth\n", "")
+    # the table keeps none of the rejected rules: every later miss fails again
+    rt = build_rule_table(CalculusType.type_ii())
+    for _ in range(2):
+        with pytest.raises(NonInvertibleRule, match="round trip"):
+            rt.word("px", ("x", -1))
+        assert len(rt._rules) == 32
+
+
+class _NoCommandNamed(dict):
+    """A command table in which argv[0] never names a command, so that
+    ``run`` always parses with the tree of all commands."""
+
+    def __contains__(self, name):
+        return False
+
+
+COMMANDS = ("normalize", "check", "act", "pair", "coproduct", "verify", "solve-types")
+DIFFERENTIAL_ARGVS = (
+    [["-h"], ["--help"], [], ["nonsense"]]
+    + [[command, "-h"] for command in COMMANDS]
+    + [["normalize", "x", "--bogus"], ["normalize", "x", "y"], ["normalize", "x", "--", "y"],
+       ["solve-types", "extra"]]
+    + [["normalize", "--type", "IV", "x"], ["verify", "--format", "xml"],
+       ["normalize", "--param", "r", "x"], ["normalize", "--ty", "II", "th*x"],
+       ["verify", "--bound", "0"], ["--type", "II", "normalize", "x"]])
+
+
+@pytest.mark.parametrize("argv", DIFFERENTIAL_ARGVS, ids=" ".join)
+def test_one_command_parser_matches_full_tree(capsys, monkeypatch, argv):
+    # run builds only the parser of the command argv[0] names; its exit
+    # code, output and errors must be the tree's, byte for byte
+    monkeypatch.setenv("COLUMNS", "80")
+    one = invoke(capsys, *argv)
+    monkeypatch.setattr(qsp.cli, "_COMMANDS", _NoCommandNamed(qsp.cli._COMMANDS))
+    assert one == invoke(capsys, *argv)
+
+
+def test_plain_request_builds_one_parser(capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers",
+                        lambda *args, **kwargs: built.append(args))
+    assert invoke(capsys, "normalize", "--type", "II", "th*x")[0] == 0
+    assert built == []
 
 
 def test_bad_usage(capsys):

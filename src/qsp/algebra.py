@@ -6,24 +6,30 @@ Words are normal-ordered into the fixed generator order
 
 (differential forms, then coordinates, then operators).  Every out-of-order
 adjacent pair of generators has a rewrite rule whose right-hand side is
-already normal-ordered.  Rules against x^-1 are solved from the x-rules: a
-rule g*x = c*x*g + rest gives g*x^-1 = c^-1 * x^-1*(g - rest*x^-1), and a
-rule x*g = c*g*x + rest gives x^-1*g = c^-1 * (g - x^-1*rest)*x^-1.  A table
-solves them when a product first misses a rule, or ``rules`` is first read,
-and adopts them only after round trips such as g*x*x^-1 = g pass, so a
-request that never meets x^-1 pays for neither.  The engine multiplies by
-folding one generator at a time into a canonical monomial.  Each table keeps
-two memos: one for the product of a monomial with a single letter, one for
-the product of two monomials, so every product that needs a rewrite is
-computed once per table.  A product already in order is not memoized: it is
-the merged monomial with the shared unit coefficient ``params.one()``, built
-directly, which costs less than a memo entry (and a single-letter right
-factor is recognized by a table lookup).  Before a product is memoized, its
-coefficients are replaced by one canonical instance per value, which keeps
-the memos from holding many equal copies.  A sum of products is accumulated
-in one plain dict, monomial to coefficient, with a term dropped as soon as
-it cancels; a coefficient product is skipped when either factor is the
-shared unit, which most memo coefficients are.
+already normal-ordered.  Two sets of rules are derived, not transcribed.
+The four rules of px and pth past x and th (34) are read off
+d*g = dg + (-1)^|g| g*d, with d = dx*px + dth*pth
+(``partial_coordinate_rules``).  Rules against x^-1 are solved from the
+x-rules: a rule g*x = c*x*g + rest gives g*x^-1 = c^-1 * x^-1*(g - rest*x^-1),
+and a rule x*g = c*g*x + rest gives x^-1*g = c^-1 * (g - x^-1*rest)*x^-1.  A
+table solves them when a product first misses a rule, or ``rules`` is first
+read, and adopts them only after round trips such as g*x*x^-1 = g pass, so a
+request that never meets x^-1 pays for neither.  The inner-derivation rules
+past coordinates and differentials have one shape (``inner_rules``), filled
+with the engine's coefficients here and with unknowns in ``covariance``.
+
+The engine multiplies by folding one generator at a time into a canonical
+monomial.  Each table keeps two memos: one for the product of a monomial
+with a single letter, one for the product of two monomials, so every product
+that needs a rewrite is computed once per table.  A product already in order
+is not memoized: it is the merged monomial with the shared unit coefficient
+``params.one()``, built directly, which costs less than a memo entry (and a
+single-letter right factor is recognized by a table lookup).  Before a
+product is memoized, its coefficients are replaced by one canonical instance
+per value, which keeps the memos from holding many equal copies.  A sum of
+products is accumulated in one plain dict, monomial to coefficient, with a
+term dropped as soon as it cancels; a coefficient product is skipped when
+either factor is the shared unit, which most memo coefficients are.
 
 Every generator block g^k with |k| >= 2 (a power of x, dth, px or ith) is
 split in half, on either side of a product.  A left block passes a letter as
@@ -544,6 +550,53 @@ def inner_partial_coeffs(ct: CalculusType) -> dict[str, RationalFunction]:
     }
 
 
+# The ansatz of (75) and (78): ix and ith past a coordinate or a differential,
+# each right-hand side as (coefficient name, monomial) terms, where the name
+# None stands for the unit.
+_INNER_RULE_SHAPES = {
+    (IX, X, 1): (("A1", mono(x=1, ix=1)), ("A2", mono(th=1, ith=1))),
+    (IX, TH, 0): (("A3", mono(th=1, ix=1)), ("A4", mono(x=1, ith=1))),
+    (ITH, X, 1): (("A5", mono(x=1, ith=1)), ("A6", mono(th=1, ix=1))),
+    (ITH, TH, 0): (("A7", mono(th=1, ith=1)), ("A8", mono(x=1, ix=1))),
+    (IX, DX, 0): ((None, ONE_MONO), ("a1", mono(dx=1, ix=1)), ("a2", mono(dth=1, ith=1))),
+    (IX, DTH, 0): (("a3", mono(dth=1, ix=1)), ("a4", mono(dx=1, ith=1))),
+    (ITH, DX, 0): (("a5", mono(dx=1, ith=1)), ("a6", mono(dth=1, ix=1))),
+    (ITH, DTH, 0): ((None, ONE_MONO), ("a7", mono(dth=1, ith=1)), ("a8", mono(dx=1, ix=1))),
+}
+
+
+def inner_rules(params: ParamSet, coeffs: Mapping[str, RationalFunction]) -> dict:
+    """The ansatz rules whose coefficients ``coeffs`` names: those past
+    coordinates for A1..A8, those past differentials for a1..a8."""
+    one = params.one()
+    return {key: Element(params, {m: coeffs[name] if name else one for name, m in shape})
+            for key, shape in _INNER_RULE_SHAPES.items() if shape[-1][0] in coeffs}
+
+
+def partial_coordinate_rules(rules: Mapping, params: ParamSet) -> dict:
+    """The rules of px and pth past x and th, read off d*g = dg + (-1)^|g| g*d.
+
+    With d = dx*px + dth*pth, d*g = dx*(px*g) + dth*(pth*g), and g*d is the
+    sum of c*m*p over the terms c*m of the rules for g*dx (p = px) and g*dth
+    (p = pth), each m one differential times a coordinate.  So px*g is the
+    dx part of dg + (-1)^|g| g*d with dx dropped, and pth*g its dth part.
+    """
+    partial = {DX: PX, DTH: PTH}
+    out = {}
+    for g, dg, s in ((X, DX, 1), (TH, DTH, 0)):
+        parts = {dn: Element.one(params) if dn == dg else Element.zero(params)
+                 for dn in partial}
+        for dm, p in partial.items():
+            for m, c in rules[(g, dm, s)].terms.items():
+                dn = DX if m[DX] else DTH
+                t = list(m)
+                t[dn], t[p] = 0, 1
+                parts[dn].add_term(tuple(t), -c if GEN_PARITY[g] else c)
+        for dn, e in parts.items():
+            out[(partial[dn], g, s)] = e
+    return out
+
+
 # ----------------------------------------------------------------------------
 # Rule table and rewrite engine
 # ----------------------------------------------------------------------------
@@ -620,33 +673,22 @@ class RuleTable:
         # differentials among themselves
         rule(DTH, DX, 0, (QPi, mono(dx=1, dth=1)))
         rule(DX, DX, 0)
-        # partial derivatives past coordinates and differentials
+        # partial derivatives past differentials and each other; past
+        # coordinates they are read off the Leibniz rule of d
         rule(PX, DX, 0, (Qi, mono(dx=1, px=1)),
              (-(one + QPi * Q21i), mono(dth=1, pth=1)))
         rule(PX, DTH, 0, (Q11i, mono(dth=1, px=1)))
-        rule(PX, X, 1, (one, ONE_MONO), (Q, mono(x=1, px=1)), (Q12, mono(th=1, pth=1)))
-        rule(PX, TH, 0, (-Q21, mono(th=1, px=1)))
         rule(PTH, DX, 0, (Q21i, mono(dx=1, pth=1)))
         rule(PTH, DTH, 0, (one, mono(dth=1, pth=1)), (one - QP * Q11i, mono(dx=1, px=1)))
-        rule(PTH, X, 1, (Q11, mono(x=1, pth=1)))
-        rule(PTH, TH, 0, (one, ONE_MONO), (-one, mono(th=1, pth=1)), (-Q22, mono(x=1, px=1)))
         rule(PTH, PX, 0, (QPi, mono(px=1, pth=1)))
         rule(PTH, PTH, 0)
-        # inner derivations
-        A = inner_coordinate_coeffs(ct)
-        a = inner_differential_coeffs(ct)
+        rules.update(partial_coordinate_rules(rules, P))
+        # inner derivations: the ansatz shapes, then past the partials
+        rules.update(inner_rules(P, {**inner_coordinate_coeffs(ct), **inner_differential_coeffs(ct)}))
         B = inner_partial_coeffs(ct)
-        rule(IX, DX, 0, (one, ONE_MONO), (a["a1"], mono(dx=1, ix=1)), (a["a2"], mono(dth=1, ith=1)))
-        rule(IX, DTH, 0, (a["a3"], mono(dth=1, ix=1)))
-        rule(IX, X, 1, (A["A1"], mono(x=1, ix=1)), (A["A2"], mono(th=1, ith=1)))
-        rule(IX, TH, 0, (A["A3"], mono(th=1, ix=1)))
         rule(IX, PX, 0, (B["B1"], mono(px=1, ix=1)))
         rule(IX, PTH, 0, (B["B3"], mono(pth=1, ix=1)), (B["B4"], mono(px=1, ith=1)))
         rule(IX, IX, 0)
-        rule(ITH, DX, 0, (a["a5"], mono(dx=1, ith=1)))
-        rule(ITH, DTH, 0, (one, ONE_MONO), (a["a7"], mono(dth=1, ith=1)), (a["a8"], mono(dx=1, ix=1)))
-        rule(ITH, X, 1, (A["A5"], mono(x=1, ith=1)))
-        rule(ITH, TH, 0, (A["A7"], mono(th=1, ith=1)), (A["A8"], mono(x=1, ix=1)))
         rule(ITH, PX, 0, (B["B5"], mono(px=1, ith=1)), (B["B6"], mono(pth=1, ix=1)))
         rule(ITH, PTH, 0, (B["B7"], mono(pth=1, ith=1)))
         rule(ITH, IX, 0, (-((ct.Q12 - ct.Q) / ct.Q11), mono(ix=1, ith=1)))

@@ -9,8 +9,10 @@ coproduct by
 
 multiplicatively with Koszul signs.  Applying dR to the differential-module
 relations with unknown structure coefficients and collecting tensor-basis
-coefficients yields a linear constraint system; the three concrete parameter
-families are its solutions under the documented side conditions.
+coefficients yields a linear constraint system.  ``solve-types`` solves the
+four constraints (18) as ``CalculusType.covariance_residuals`` writes them,
+under the documented side conditions, for the three parameter families;
+eq17 checks that this list spans the system derived from the coactions.
 """
 
 from __future__ import annotations
@@ -30,10 +32,11 @@ from .coeffs import (
     _poly_substitute_rf,
 )
 from .algebra import (
-    DX, DTH, X, TH, IX, ITH,
+    DX, DTH, X, TH, IX,
     CalculusType,
     Element,
     RuleTable,
+    inner_rules,
     mono,
     word_letters,
 )
@@ -192,16 +195,9 @@ def generate_covariance_constraints() -> CovarianceConstraints:
 
 
 def expected_covariance_constraints() -> list[Poly]:
-    """The published four-constraint system, as primitive polynomials."""
-    P = ANSATZ_PARAMS
-    q = P.var("q")
-    exprs = [
-        P.var("Q11") + q * P.var("Q12") - q * P.var("Q"),
-        P.var("Q11") + q * P.var("Q22") - q,
-        P.var("Q12") + q * P.var("Q21") + P.one(),
-        q * P.var("Q21") + P.var("Q22") + P.var("Q"),
-    ]
-    return [_primitive_poly(P, e) for e in exprs]
+    """The published four-constraint system (18), as primitive polynomials:
+    ``CalculusType.covariance_residuals`` at the ansatz."""
+    return [_primitive_poly(ANSATZ_PARAMS, e) for e in ansatz_type().covariance_residuals()]
 
 
 # -- linear algebra over rational functions -----------------------------------
@@ -269,52 +265,6 @@ INNER_DIFF_PARAMS = ParamSet("inner-differential",
                              ("Qp",) + tuple(f"a{i}" for i in range(1, 9)))
 
 
-def _inner_coordinate_table() -> RuleTable:
-    """Coordinate relations plus the undetermined inner-derivation ansatz."""
-    P = INNER_COORD_PARAMS
-    q = P.var("q")
-    one = P.one()
-    A = {i: P.var(f"A{i}") for i in range(1, 9)}
-    ct = CalculusType(P, one, one, P.zero(), one, P.zero(), one)  # placeholder values
-    rules = {
-        (TH, X, 1): Element.monomial(P, mono(x=1, th=1), one / q),
-        (TH, TH, 0): Element.zero(P),
-        (IX, X, 1): (Element.monomial(P, mono(x=1, ix=1), A[1])
-                     + Element.monomial(P, mono(th=1, ith=1), A[2])),
-        (IX, TH, 0): (Element.monomial(P, mono(th=1, ix=1), A[3])
-                      + Element.monomial(P, mono(x=1, ith=1), A[4])),
-        (ITH, X, 1): (Element.monomial(P, mono(x=1, ith=1), A[5])
-                      + Element.monomial(P, mono(th=1, ix=1), A[6])),
-        (ITH, TH, 0): (Element.monomial(P, mono(th=1, ith=1), A[7])
-                       + Element.monomial(P, mono(x=1, ix=1), A[8])),
-        (IX, IX, 0): Element.zero(P),
-    }
-    return RuleTable(ct, rules)
-
-
-def _inner_differential_table() -> RuleTable:
-    P = INNER_DIFF_PARAMS
-    one = P.one()
-    a = {i: P.var(f"a{i}") for i in range(1, 9)}
-    ct = CalculusType(P, one, one, P.zero(), one, P.zero(), P.var("Qp"))
-    rules = {
-        (DTH, DX, 0): Element.monomial(P, mono(dx=1, dth=1), one / P.var("Qp")),
-        (DX, DX, 0): Element.zero(P),
-        (IX, DX, 0): (Element.one(P)
-                      + Element.monomial(P, mono(dx=1, ix=1), a[1])
-                      + Element.monomial(P, mono(dth=1, ith=1), a[2])),
-        (IX, DTH, 0): (Element.monomial(P, mono(dth=1, ix=1), a[3])
-                       + Element.monomial(P, mono(dx=1, ith=1), a[4])),
-        (ITH, DX, 0): (Element.monomial(P, mono(dx=1, ith=1), a[5])
-                       + Element.monomial(P, mono(dth=1, ix=1), a[6])),
-        (ITH, DTH, 0): (Element.one(P)
-                        + Element.monomial(P, mono(dth=1, ith=1), a[7])
-                        + Element.monomial(P, mono(dx=1, ix=1), a[8])),
-        (IX, IX, 0): Element.zero(P),
-    }
-    return RuleTable(ct, rules)
-
-
 def generate_ansatz_constraints(kind: str) -> list[Poly]:
     """Consistency constraints of the inner-derivation ansatz.
 
@@ -324,27 +274,33 @@ def generate_ansatz_constraints(kind: str) -> list[Poly]:
     (dx dth = Qp dth dx, dx^2 = 0).
     """
     if kind == "inner-coordinate":
-        rt = _inner_coordinate_table()
         P = INNER_COORD_PARAMS
         q = P.var("q")
+        rules = {(TH, X, 1): Element.monomial(P, mono(x=1, th=1), P.one() / q),
+                 (TH, TH, 0): Element.zero(P)}
         relations = [
             (("x", "th"), q, ("th", "x")),      # x th - q th x
             (("th", "th"), P.zero(), ("th", "th")),
         ]
-        movers = ("ix", "ith")
     elif kind == "inner-differential":
-        rt = _inner_differential_table()
         P = INNER_DIFF_PARAMS
+        Qp = P.var("Qp")
+        rules = {(DTH, DX, 0): Element.monomial(P, mono(dx=1, dth=1), P.one() / Qp),
+                 (DX, DX, 0): Element.zero(P)}
         relations = [
-            (("dx", "dth"), P.var("Qp"), ("dth", "dx")),
+            (("dx", "dth"), Qp, ("dth", "dx")),
             (("dx", "dx"), P.zero(), ("dx", "dx")),
         ]
-        movers = ("ix", "ith")
     else:
         raise ValueError(f"unknown ansatz kind {kind!r}")
+    rules[(IX, IX, 0)] = Element.zero(P)
+    # the unknowns A1..A8 or a1..a8 follow the parameter of the relations
+    rules.update(inner_rules(P, {v: P.var(v) for v in P.variables[1:]}))
+    one = P.one()   # placeholder structure coefficients, which no product reads
+    rt = RuleTable(CalculusType(P, one, one, P.zero(), one, P.zero(), one), rules)
 
     def residuals():
-        for mover in movers:
+        for mover in ("ix", "ith"):
             for lhs, coeff, rhs in relations:
                 e = rt.normalize_word((mover,) + lhs)
                 if not coeff.is_zero():
@@ -377,35 +333,29 @@ FAMILY_SIDE_CONDITIONS = (
 
 def solve_family(side_conditions: Mapping[str, "RationalFunction | int | str"],
                  params: ParamSet) -> CalculusType:
-    """Solve the covariance constraints linearly under the side conditions.
-
-    The four constraints are linear in (Q, Q11, Q12, Q21, Q22) over the field
-    of rational functions in the mode parameters; the side conditions fix two
-    of the unknowns and the rest follow by elimination.  Qp is set by the
-    structure identity Q*(Q11 - Qp) = Q11*Q12.
+    """Solve (18), the list ``CalculusType.covariance_residuals``, under the
+    side conditions; eq17 ties that list to the system derived from the
+    coactions.  It is affine in (Q, Q11, Q12, Q21, Q22) over the rational
+    functions in the mode parameters, so the column of a free unknown is the
+    list at it 1 minus the list at it 0, and elimination gives the unknowns
+    that the side conditions leave.  Qp is set by the structure identity
+    Q*(Q11 - Qp) = Q11*Q12.
     """
-    q = params.var("q")
-    one = params.one()
-    unknowns = ["Q", "Q11", "Q12", "Q21", "Q22"]
+    zero = params.zero()
+    unknowns = ("Q", "Q11", "Q12", "Q21", "Q22")
     fixed = {name: params.rf(v) for name, v in side_conditions.items()}
     for name in fixed:
         if name not in unknowns:
             raise InconsistentSideConditions(f"unknown coefficient {name!r}")
-    # rows: coefficients of the unknowns plus the constant term
-    rows = [
-        ({"Q11": one, "Q12": q, "Q": -q}, params.zero()),
-        ({"Q11": one, "Q22": q}, -q),
-        ({"Q12": one, "Q21": q}, -(-one)),
-        ({"Q21": q, "Q22": one, "Q": one}, params.zero()),
-    ]
     free = [u for u in unknowns if u not in fixed]
-    matrix = []
-    for coeffs, const in rows:
-        rhs = -const
-        for name, value in fixed.items():
-            if name in coeffs:
-                rhs = rhs - coeffs[name] * value
-        matrix.append([coeffs.get(u, params.zero()) for u in free] + [rhs])
+
+    def residuals(**values) -> list[RationalFunction]:
+        values = {**dict.fromkeys(free, zero), **fixed, **values}
+        return CalculusType(params, Qprime=zero, **values).covariance_residuals()
+
+    const = residuals()
+    columns = [residuals(**{u: params.one()}) for u in free]
+    matrix = [[col[i] - c for col in columns] + [-c] for i, c in enumerate(const)]
     reduced = _row_reduce(matrix)
     pivots = {col for col, _ in reduced}
     if len(free) in pivots:

@@ -23,6 +23,7 @@ from qsp.algebra import (
     CalculusType,
     Element,
     InconsistentType,
+    RuleTable,
     UnsupportedGenerator,
     _d_rules,
     _letter_mono,
@@ -31,6 +32,7 @@ from qsp.algebra import (
     local_confluence_check,
     mono,
     parity_of,
+    partial_coordinate_rules,
     substitute_params,
 )
 from qsp.calculus import DERIVED_NAMES, expand_derived, run_suite
@@ -142,7 +144,7 @@ RULES_SHA256 = {
                                              ("II", {"r": 1}), ("III", {"p": 1})],
                          ids=["I", "II", "III", "II-r1", "III-p1"])
 def test_x_inverse_rules_derived_on_first_use(name, assignment):
-    # a fresh table holds the 32 transcribed rules and keeps them through
+    # a fresh table holds the 32 rules of build and keeps them through
     # products that meet no x^-1 rule; the first product that misses a rule
     # completes it, and reading `rules` gives the same 39 rules as ever
     ct = CalculusType.by_name(name)
@@ -158,6 +160,29 @@ def test_x_inverse_rules_derived_on_first_use(name, assignment):
     # a table read before any product is complete too
     fresh = build_rule_table(ct.specialize(assignment) if assignment else ct)
     assert fresh.rules == rt.rules
+
+
+@pytest.mark.parametrize("name", ["I", "II", "III"])
+def test_eq34_checks_rules_read_off_d(name):
+    # the four (34) rules are derived from the rules for x*dx, x*dth, th*dx
+    # and th*dth, so eq34 compares a derivation with the display: a table
+    # whose x*dx rule, or the Q21 term of its th*dx rule, is scaled fails it
+    ct = CalculusType.by_name(name)
+    P = ct.params
+    rules = build_rule_table(ct)._rules
+    keys = [(PX, X, 1), (PX, TH, 0), (PTH, X, 1), (PTH, TH, 0)]
+    assert partial_coordinate_rules(rules, P) == {k: rules[k] for k in keys}
+
+    def verdicts(key, rhs):
+        table = {**rules, key: rhs}
+        table.update(partial_coordinate_rules(table, P))
+        return {r.identityId: r.status for r in run_suite(RuleTable(ct, table), pattern="eq34-*")}
+
+    assert set(verdicts((X, DX, 1), rules[(X, DX, 1)]).values()) == {"PASS"}
+    assert verdicts((X, DX, 1), rules[(X, DX, 1)].scale(2))["eq34-px-x"] == "FAIL"
+    th_dx = rules[(TH, DX, 0)]
+    q21_term = Element.monomial(P, mono(dx=1, th=1), th_dx.coefficient(mono(dx=1, th=1)))
+    assert verdicts((TH, DX, 0), th_dx + q21_term)["eq34-px-th"] == "FAIL"
 
 
 def test_d_realizes_to_differential(t2):

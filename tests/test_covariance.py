@@ -161,6 +161,9 @@ def test_solve_family_errors():
         solve_family({"Q22": 0}, PARAMS_II)
     with pytest.raises(InconsistentSideConditions):
         solve_family({"Q22": 0, "Q12": 0, "Q": "r"}, PARAMS_II)
+    # Qp is not an unknown of (18); the structure identity sets it
+    with pytest.raises(InconsistentSideConditions):
+        solve_family({"Q22": 0, "Qp": 1}, PARAMS_II)
 
 
 def test_q_prime_compatible_with_two_form_coaction(t2):

@@ -1052,61 +1052,97 @@ def local_confluence_check(rt: RuleTable, max_len: int) -> ConfluenceReport:
     A branch is built by the letter-by-letter fold: the prefix word[:i]
     folded from 1 one letter at a time, times the right-hand side of the
     rule for word[i], word[i+1], then times each suffix letter in turn.
-    Words come in lexicographic order, a depth-first walk of the word trie,
-    so the audit replays that fold along the path of the last audited word:
-    every partial product over word[:j] is kept while the next word shares
-    its first j letters and is recomputed past the shared part.  Each kept
-    state is the result of the very ``rt.mul`` call the fold makes, with the
-    same operands in the same order, so every branch, and every residual,
-    is the one the fold gives, even on a table that is not confluent.
+    Each length is walked prefix by prefix, in lexicographic order, a
+    depth-first walk of the word trie, so the audit replays that fold along
+    the path of the last prefix: every partial product over prefix[:j] is
+    kept while the next prefix shares its first j letters.  A branch through
+    a step before the last pair is then its branch on the prefix times the
+    last letter.  Every product the audit makes is the very ``rt.mul`` call
+    the fold makes, with the same operands in the same order, so every
+    branch, and every residual, is the one the fold gives, even on a table
+    that is not confluent.  And a pair whose branches were equal on the
+    prefix stays equal once both are multiplied by the same last letter, so
+    such a pair is counted without building either branch.
     """
     if max_len < 3:
         raise ValueError("max_len must be at least 3")
     rules = {**rt.rules, **_d_rules(rt)}
     letters = {a: Element.monomial(rt.params, _letter_mono(a)) for a in _AUDIT_ALPHABET}
     letters[(D, 1)] = rt.d_element()
+    reducible = {(a, b): _reducible(rt, a, b)
+                 for a in _AUDIT_ALPHABET for b in _AUDIT_ALPHABET}
     words_checked = 0
     branch_pairs = 0
     violations: list[ConfluenceViolation] = []
-    # path of the last audited word `held`: folds[j] is word[:j] folded from
-    # 1; paths[i][k] is the branch through rule i times the letters up to
-    # word[i+1+k], so it depends on word[:i+2+k] only
+    # path of the last prefix `held`: folds[j] is held[:j] folded from 1;
+    # paths[i][k] is the branch through rule i times the letters up to
+    # held[i+1+k], so it depends on held[:i+2+k] only
     held: tuple = ()
     folds = [Element.one(rt.params)]
     paths: dict[int, list[Element]] = {}
+
+    def fold(j: int) -> Element:
+        while len(folds) <= j:
+            folds.append(rt.mul(folds[-1], letters[held[len(folds) - 1]]))
+        return folds[j]
+
+    def held_branch(i: int) -> Element:
+        # the branch through rule i on the whole of `held`, whose keys are `keys`
+        path = paths.get(i)
+        if path is None:
+            path = paths[i] = [rt.mul(fold(i), rules[keys[i]])]
+        while len(path) < len(held) - i - 1:
+            path.append(rt.mul(path[-1], letters[held[i + 1 + len(path)]]))
+        return path[-1]
+
+    # audited words of the last length -> the steps whose branch equalled
+    # the base branch; an extension of a word keeps the word's steps and base
+    settled: dict[tuple, set] = {}
     for length in range(3, max_len + 1):
-        for word in _itproduct(_AUDIT_ALPHABET, repeat=length):
-            keys = [_reducible(rt, word[i], word[i + 1]) for i in range(length - 1)]
-            steps = [i for i, key in enumerate(keys) if key is not None]
-            if len(steps) < 2:
+        inherited, settled = settled, {}
+        last_step = length - 2
+        for prefix in _itproduct(_AUDIT_ALPHABET, repeat=length - 1):
+            keys = [reducible[pair] for pair in zip(prefix, prefix[1:])]
+            prefix_steps = [i for i, key in enumerate(keys) if key is not None]
+            if not prefix_steps:
                 continue
-            words_checked += 1
+            equal = inherited.get(prefix, set())
             shared = 0
-            for a, b in zip(held, word):
+            for a, b in zip(held, prefix):
                 if a != b:
                     break
                 shared += 1
-            held = word
+            held = prefix
             del folds[shared + 1:]
             for i in list(paths):
                 if shared < i + 2:
                     del paths[i]
                 else:
                     del paths[i][shared - i - 1:]
-            branches = []
-            for i in steps:
-                while len(folds) <= i:
-                    folds.append(rt.mul(folds[-1], letters[word[len(folds) - 1]]))
-                path = paths.get(i)
-                if path is None:
-                    path = paths[i] = [rt.mul(folds[i], rules[keys[i]])]
-                while len(path) < length - i - 1:
-                    path.append(rt.mul(path[-1], letters[word[i + 1 + len(path)]]))
-                branches.append(path[-1])
-            base = branches[0]
-            for i, branch in zip(steps[1:], branches[1:]):
-                branch_pairs += 1
-                if branch != base:
-                    violations.append(ConfluenceViolation(word, (steps[0], i), base - branch))
+            for a in _AUDIT_ALPHABET:
+                key = reducible[prefix[-1], a]
+                steps = prefix_steps + [last_step] if key is not None else prefix_steps
+                if len(steps) < 2:
+                    continue
+                word = prefix + (a,)
+                words_checked += 1
+                branch_pairs += len(steps) - 1
+                same = set(equal)
+                base = None
+                for i in steps[1:]:
+                    if i in same:
+                        continue
+                    if base is None:
+                        base = rt.mul(held_branch(steps[0]), letters[a])
+                    if i == last_step:
+                        branch = rt.mul(fold(i), rules[key])
+                    else:
+                        branch = rt.mul(held_branch(i), letters[a])
+                    if branch == base:
+                        same.add(i)
+                    else:
+                        violations.append(ConfluenceViolation(word, (steps[0], i), base - branch))
+                if same and length < max_len:
+                    settled[word] = same
     return ConfluenceReport(max_len, words_checked, branch_pairs, violations)
 

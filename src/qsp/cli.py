@@ -192,6 +192,9 @@ def run(argv) -> int:
             if "==" not in args.expr:
                 raise ExprSyntaxError('check expects "LHS == RHS"', 0)
             lhs, rhs = args.expr.split("==", 1)
+            # blanks in place of "LHS ==" keep an error's position in the
+            # right-hand side its position in the whole expression
+            rhs = " " * (len(lhs) + 2) + rhs
             residual = (parse_element(rt, lhs, expand_derived)
                         - parse_element(rt, rhs, expand_derived))
             if residual.is_zero():

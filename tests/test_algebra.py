@@ -422,6 +422,26 @@ def test_audit_matches_reference_fold_on_broken_table(name, max_len):
     assert [(v.word, v.first_steps, v.residual) for v in report.violations] == violations
 
 
+def test_audit_builds_no_branch_of_a_pair_settled_on_the_prefix(monkeypatch):
+    # a pair whose branches agree on word[:-1] agrees on word, so neither
+    # branch is built again; rebuilding both for every pair takes 11,714
+    # products here
+    rt = build_rule_table(CalculusType.type_ii())
+    rt.rules  # derive the x^-1 rules before counting
+    calls = 0
+    mul = RuleTable.mul
+
+    def counted(self, a, b):
+        nonlocal calls
+        calls += 1
+        return mul(self, a, b)
+
+    monkeypatch.setattr(RuleTable, "mul", counted)
+    report = local_confluence_check(rt, 4)
+    assert (report.words_checked, report.branch_pairs, report.ok) == (4969, 5386, True)
+    assert calls < 10_000
+
+
 def test_audit_keeps_no_table_alive():
     # with the cycle collector off, the table must die as soon as the last
     # reference to it goes: the audit may leave no reference cycle behind

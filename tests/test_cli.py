@@ -41,6 +41,13 @@ def test_normalize_zero_denominator_literal(capsys):
         assert f"position {at}" in err
 
 
+def test_check_rhs_error_position_counts_from_expression_start(capsys):
+    for text, at in (("x == (x", 7), ("x*th == th*x*)", 13), ("x == x == x", 7)):
+        code, out, err = invoke(capsys, "check", "--type", "II", text)
+        assert code == 2 and out == ""
+        assert f"(at position {at})" in err
+
+
 def test_normalize_overlong_literal(capsys):
     # past CPython's int string-conversion limit (4300 digits): an input error
     for text, at in (("1" * 5000, 0), ("x*3/" + "7" * 5000, 2)):

@@ -203,22 +203,24 @@ def expected_covariance_constraints() -> list[Poly]:
 # -- linear algebra over rational functions -----------------------------------
 
 def _row_reduce(rows: Iterable[list[RationalFunction]]) -> list[tuple[int, list]]:
-    """Gauss-Jordan elimination: the nonzero rows of the reduced row-echelon
-    form of ``rows``, each as (pivot column, row).  A pivot entry is 1 and is
-    the only nonzero entry of its column."""
+    """Fraction-free Gauss-Jordan elimination: the nonzero rows of a
+    row-echelon form of ``rows``, each as (pivot column, row), whose pivot
+    entry is the only nonzero entry of its column.  A row is combined with a
+    pivot row by cross-multiplying and never divided, so a pivot of more
+    than one term is no divisor; a caller divides by the pivots it needs."""
     reduced: list[tuple[int, list]] = []
     for row in rows:
         for col, prow in reduced:
             f = row[col]
             if not f.is_zero():
-                row = [a - f * b for a, b in zip(row, prow)]
+                p = prow[col]
+                row = [p * a - f * b for a, b in zip(row, prow)]
         col = next((i for i, c in enumerate(row) if not c.is_zero()), None)
         if col is None:
             continue
         pivot = row[col]
-        row = [c / pivot for c in row]
         reduced = [(pc, pr) if pr[col].is_zero()
-                   else (pc, [a - pr[col] * b for a, b in zip(pr, row)])
+                   else (pc, [pivot * a - pr[col] * b for a, b in zip(pr, row)])
                    for pc, pr in reduced]
         reduced.append((col, row))
     return reduced
@@ -364,7 +366,7 @@ def solve_family(side_conditions: Mapping[str, "RationalFunction | int | str"],
     if missing:
         raise UnderdeterminedSystem(f"unconstrained coefficients: {missing}")
     values = dict(fixed)
-    values.update((free[col], row[-1]) for col, row in reduced)
+    values.update((free[col], row[-1] / row[col]) for col, row in reduced)
     Q, Q11, Q12 = values["Q"], values["Q11"], values["Q12"]
     if Q.is_zero():
         raise InconsistentSideConditions("Q must be invertible")

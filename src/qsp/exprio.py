@@ -359,17 +359,12 @@ def _coeff_term(c: RationalFunction) -> tuple[int, str]:
         if len(num) == 1:
             return mono_body(num)
         return 1, f"({poly_str(num, params.variables)})"
-    if len(den) == 1:
-        sd, dbody = mono_body(den, negate_exps=True)
-        if len(num) == 1:
-            sn, nbody = mono_body(num)
-            if nbody == "1":
-                return sn * sd, dbody
-            if dbody == "1":
-                return sn * sd, nbody
-            return sn * sd, f"{nbody}*{dbody}"
-        return sd, f"({poly_str(num, params.variables)})*{dbody}"
-    return 1, f"({poly_str(num, params.variables)})/({poly_str(den, params.variables)})"
+    # the denominator is a monic monomial: it prints as negative powers
+    _, dbody = mono_body(den, negate_exps=True)
+    if len(num) == 1:
+        sn, nbody = mono_body(num)
+        return sn, dbody if nbody == "1" else f"{nbody}*{dbody}"
+    return 1, f"({poly_str(num, params.variables)})*{dbody}"
 
 
 def print_canonical(e: Element) -> str:

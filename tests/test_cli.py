@@ -48,6 +48,19 @@ def test_check_rhs_error_position_counts_from_expression_start(capsys):
         assert f"(at position {at})" in err
 
 
+def test_normalize_divisor_of_more_than_one_term_exits_2(capsys):
+    # coefficients are Laurent polynomials: a divisor must be a single term
+    for text in ("x/(1+r)", "(1+r)^-1", "(q^2-1)/(q-1)*x", "x/(q - r)^3"):
+        code, out, err = invoke(capsys, "normalize", "--type", "II", text)
+        assert code == 2 and out == "", text
+        assert err.startswith("error: division by a coefficient of ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+    for text, want in (("1/3*x", "1/3*x"), ("x/(2*r)", "1/2*r^-1*x"),
+                       ("(q^2-q)/(3*q)*x", "(1/3*q - 1/3)*x")):
+        code, out, _ = invoke(capsys, "normalize", "--type", "II", text)
+        assert (code, out) == (0, want + "\n"), text
+
+
 def test_normalize_overlong_literal(capsys):
     # past CPython's int string-conversion limit (4300 digits): an input error
     for text, at in (("1" * 5000, 0), ("x*3/" + "7" * 5000, 2)):
@@ -134,9 +147,10 @@ REFERENCE = Path(__file__).parent / "reference"
     ("III", "p=2/3", "verify_III_p_2_3.json"),
 ], ids=["II", "III"])
 def test_verify_specialization_matches_reference(capsys, mode, param, name):
-    # specializations to non-integer parameters take the general (fraction)
-    # arm of the coefficient field; their reports are pinned as captured
-    # before that arm is touched (elapsedMillis stripped)
+    # specializations to non-integer parameters give coefficients with
+    # Fraction entries; their reports are pinned as captured when the field
+    # still kept a reduced-fraction form beside the Laurent one
+    # (elapsedMillis stripped)
     code, out, _ = invoke(capsys, "verify", "--type", mode, "--param", param,
                           "--format", "json")
     assert code == 0

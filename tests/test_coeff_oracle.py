@@ -1,13 +1,13 @@
-"""Property tests of the coefficient fast paths against an independent oracle.
+"""Property tests of the coefficient field against an independent oracle.
 
-``RationalFunction`` stores an integer Laurent polynomial directly and a
-reduced fraction otherwise, promoting and demoting between the two forms;
-``__mul__`` short-circuits unit operands, ``_poly_div_exact`` divides by a
-single-term divisor term by term, and ``Element.add_scaled`` accumulates in
+``RationalFunction`` stores a Laurent polynomial over the rationals, with
+``int`` coefficients where they are integral and ``Fraction`` ones
+elsewhere; ``__mul__`` short-circuits unit operands, a quotient by a single
+term is a Laurent polynomial again, and ``Element.add_scaled`` accumulates in
 place.  Products, sums and quotients are checked against SymPy's ``cancel``,
-the stored form against the shape of SymPy's reduced fraction, exact division
-against ``sympy.div``, and in-place accumulation against ``a + b.scale(c)``.
-Both libraries are test-only dependencies.
+the stored form against the shape of SymPy's reduced fraction, and in-place
+accumulation against ``a + b.scale(c)``.  Both libraries are test-only
+dependencies.
 """
 
 from fractions import Fraction
@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from qsp.algebra import (  # noqa: E402
     CalculusType, Element, build_rule_table, local_confluence_check, mono)
 from qsp.calculus import run_suite  # noqa: E402
-from qsp.coeffs import PARAMS_II, _poly_div_exact, rf_make  # noqa: E402
+from qsp.coeffs import PARAMS_II, NonMonomialDivisor, rf_make  # noqa: E402
 from qsp.exprio import parse_element  # noqa: E402
 from qsp.hopf import TensorElement, UElement  # noqa: E402
 
@@ -31,27 +31,36 @@ SQ, SR = sympy.symbols("q r")
 
 small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 nonzero = small.filter(bool)
-exponents = st.tuples(st.integers(0, 3), st.integers(0, 3))
-polys = st.dictionaries(exponents, nonzero, min_size=1, max_size=4)
+exponents = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+integers = st.integers(-4, 4).filter(bool)
+
+
+def from_terms(terms):
+    """The Laurent polynomial with the given {exponent: coefficient} terms,
+    built through ``rf_make`` from its numerator and monomial denominator."""
+    low = tuple(min(0, *e) for e in zip(*terms)) if terms else (0, 0)
+    num = {tuple(a - b for a, b in zip(m, low)): Fraction(c) for m, c in terms.items()}
+    return rf_make(P, num, {tuple(-b for b in low): Fraction(1)})
+
+
+@st.composite
+def laurents(draw, coefficients=nonzero, min_size=1, max_size=4):
+    """Laurent polynomials over PARAMS_II, negative exponents included."""
+    return from_terms(draw(st.dictionaries(exponents, coefficients,
+                                           min_size=min_size, max_size=max_size)))
 
 
 @st.composite
 def rational_functions(draw):
-    """Zero, one, constants, polynomials and fractions over PARAMS_II."""
-    kind = draw(st.sampled_from(
-        ["zero", "one", "const", "poly", "monomial-den", "general-den"]))
+    """Zero, one, constants, monomials and Laurent polynomials over Q."""
+    kind = draw(st.sampled_from(["zero", "one", "const", "monomial", "laurent"]))
     if kind == "zero":
         return P.zero()
     if kind == "one":
         return P.one()
     if kind == "const":
         return P.const(draw(nonzero))
-    num = draw(polys)
-    if kind == "poly":
-        return rf_make(P, num, {(0, 0): Fraction(1)})
-    if kind == "monomial-den":
-        return rf_make(P, num, {draw(exponents): draw(nonzero)})
-    return rf_make(P, num, draw(polys))
+    return draw(laurents(max_size=1 if kind == "monomial" else 4))
 
 
 def sympy_poly(p):
@@ -74,12 +83,27 @@ def canonical_from_sympy(expr):
     return as_dict(pn), as_dict(pd)
 
 
+def assert_canonical(rf, expr):
+    """``rf`` is the reduced fraction SymPy gives for ``expr``, whose
+    denominator is a single term; each coefficient is stored as an ``int``
+    exactly when it is integral, and ``integral`` says whether all are; and
+    rebuilding the value from its view gives the same value."""
+    num, den = canonical_from_sympy(expr)
+    assert (rf.num, rf.den) == (num, den)
+    assert len(den) == 1
+    for c in rf.lp.values():
+        assert type(c) is (int if Fraction(c).denominator == 1 else Fraction), rf.lp
+    assert rf.integral == all(type(c) is int for c in rf.lp.values())
+    rebuilt = rf_make(P, rf.num, rf.den)
+    assert rebuilt == rf and hash(rebuilt) == hash(rf)
+    assert rebuilt.lp == rf.lp and rebuilt.integral == rf.integral
+
+
 @settings(max_examples=200, deadline=None)
 @given(rational_functions(), rational_functions())
 def test_product_matches_sympy_cancel(a, b):
     got = a * b
-    num, den = canonical_from_sympy(to_sympy(a) * to_sympy(b))
-    assert (got.num, got.den) == (num, den)
+    assert_canonical(got, to_sympy(a) * to_sympy(b))
     assert b * a == got
 
 
@@ -87,21 +111,18 @@ def test_product_matches_sympy_cancel(a, b):
 @given(rational_functions(), rational_functions())
 def test_sum_matches_sympy_together(a, b):
     got = a + b
-    expr = sympy.together(to_sympy(a) + to_sympy(b))
-    assert (got.num, got.den) == canonical_from_sympy(expr)
+    assert_canonical(got, sympy.together(to_sympy(a) + to_sympy(b)))
     assert b + a == got
 
 
 @settings(max_examples=200, deadline=None)
-@given(polys, exponents, nonzero)
+@given(laurents(), exponents, nonzero)
 def test_single_term_division_matches_sympy_div(a, m, c):
-    b = {m: c}
-    quot, rem = sympy.div(sympy_poly(a), sympy_poly(b), SQ, SR, domain="QQ")
-    if rem == 0:
-        assert sympy.expand(sympy_poly(_poly_div_exact(a, b)) - quot) == 0
-    else:
-        with pytest.raises(ArithmeticError):
-            _poly_div_exact(a, b)
+    # a quotient by c*q^i*r^j is the Laurent polynomial SymPy cancels to
+    b = from_terms({m: c})
+    got = a / b
+    assert_canonical(got, sympy.cancel(to_sympy(a) / to_sympy(b)))
+    assert got * b == a
 
 
 @settings(max_examples=100, deadline=None)
@@ -133,51 +154,26 @@ def test_add_scaled_matches_add_and_scale(ta, tb, c, cancel):
 
 
 # ----------------------------------------------------------------------------
-# The Laurent / general boundary
+# The int / Fraction boundary
 # ----------------------------------------------------------------------------
-
-laurent_exponents = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
-
-
-@st.composite
-def laurents(draw, min_size=1):
-    """Integer Laurent polynomials, negative exponents included."""
-    terms = draw(st.dictionaries(laurent_exponents, st.integers(-4, 4).filter(bool),
-                                 min_size=min_size, max_size=4))
-    low = tuple(min(0, *e) for e in zip(*terms)) if terms else (0, 0)
-    num = {tuple(a - b for a, b in zip(m, low)): Fraction(c) for m, c in terms.items()}
-    return rf_make(P, num, {tuple(-b for b in low): Fraction(1)})
-
 
 @st.composite
 def boundary_values(draw):
-    """Laurent values, fractions of non-unit literals like 1/3, and general
-    fractions with a non-monomial denominator."""
-    kind = draw(st.sampled_from(["laurent", "literal", "general"]))
-    if kind == "laurent":
-        return draw(laurents())
+    """Integral Laurent values, integral ones scaled by a non-integral
+    literal like 1/3, and values with non-integral coefficients."""
+    kind = draw(st.sampled_from(["integral", "literal", "rational"]))
+    if kind == "integral":
+        return draw(laurents(integers))
     if kind == "literal":
-        return draw(laurents()) * P.const(draw(small.filter(lambda c: c.denominator > 1)))
-    return rf_make(P, draw(polys), draw(polys.filter(lambda p: len(p) > 1)))
-
-
-def assert_canonical(rf, expr):
-    """``rf`` is the reduced fraction SymPy gives for ``expr``, stored in
-    Laurent form exactly when that fraction has a monomial denominator and an
-    integral numerator, and rebuilding it from its view gives the same value."""
-    num, den = canonical_from_sympy(expr)
-    assert (rf.num, rf.den) == (num, den)
-    laurent = len(den) == 1 and all(c.denominator == 1 for c in num.values())
-    assert (rf.lp is not None) == laurent
-    rebuilt = rf_make(P, rf.num, rf.den)
-    assert rebuilt == rf and hash(rebuilt) == hash(rf)
+        return draw(laurents(integers)) * P.const(draw(small.filter(lambda c: c.denominator > 1)))
+    return draw(laurents(small.filter(lambda c: c.denominator > 1)))
 
 
 @settings(max_examples=100, deadline=None)
-@given(laurents(min_size=0), laurents(min_size=0))
+@given(laurents(integers, min_size=0), laurents(integers, min_size=0))
 def test_laurent_arithmetic_matches_sympy(a, b):
-    # the int dict loops: no gcd, negative exponents, cancellation to zero
-    assert a.lp is not None and b.lp is not None
+    # the int dict loops: negative exponents, cancellation to zero
+    assert a.integral and b.integral
     assert_canonical(a * b, to_sympy(a) * to_sympy(b))
     assert_canonical(a + b, sympy.together(to_sympy(a) + to_sympy(b)))
     assert_canonical(a - b, sympy.together(to_sympy(a) - to_sympy(b)))
@@ -187,37 +183,47 @@ def test_laurent_arithmetic_matches_sympy(a, b):
 @settings(max_examples=60, deadline=None)
 @given(boundary_values(), boundary_values())
 def test_mixed_forms_match_sympy(a, b):
-    # Laurent x general, literal x Laurent, general + general, in both orders
+    # integral x rational, literal x integral, rational + rational, both orders
     assert_canonical(a * b, to_sympy(a) * to_sympy(b))
     assert_canonical(b * a, to_sympy(a) * to_sympy(b))
     assert_canonical(a + b, sympy.together(to_sympy(a) + to_sympy(b)))
 
 
 @settings(max_examples=100, deadline=None)
-@given(laurents(), laurents())
-def test_laurent_quotient_matches_sympy(a, b):
-    # a unit divisor stays Laurent; any other divisor promotes, and the
-    # quotient demotes again when the divisor cancels
-    assert_canonical(a / b, sympy.cancel(to_sympy(a) / to_sympy(b)))
-    assert_canonical((a * b) / b, to_sympy(a))
-    assert_canonical(b ** -2, sympy.cancel(to_sympy(b) ** -2))
+@given(boundary_values(), laurents(st.one_of(integers, nonzero), max_size=3),
+       st.integers(1, 3))
+def test_laurent_quotient_matches_sympy(a, b, k):
+    # a single-term divisor and its negative powers stay Laurent; a divisor
+    # of more than one term is an input error, and so are its negative powers
+    if len(b.lp) == 1:
+        assert_canonical(a / b, sympy.cancel(to_sympy(a) / to_sympy(b)))
+        assert_canonical((a * b) / b, to_sympy(a))
+        assert_canonical(b ** -k, sympy.cancel(to_sympy(b) ** -k))
+        assert (a * b ** k) * b ** -k == a
+    else:
+        with pytest.raises(NonMonomialDivisor):
+            a / b
+        with pytest.raises(NonMonomialDivisor):
+            b ** -k
+        with pytest.raises(NonMonomialDivisor):
+            rf_make(P, a.num, b.num)
 
 
 @settings(max_examples=80, deadline=None)
-@given(laurents(min_size=0), boundary_values())
+@given(laurents(integers, min_size=0), boundary_values())
 def test_sum_cancelling_the_denominator_is_laurent(a, g):
-    # (a + g) - g leaves the general form and must come back as Laurent
+    # (a + g) - g cancels every non-integral coefficient: back to ints
     s = a + g
     assert_canonical(s, sympy.together(to_sympy(a) + to_sympy(g)))
     back = s - g
     assert back == a and hash(back) == hash(a)
-    assert back.lp is not None
+    assert back.integral and all(type(c) is int for c in back.lp.values())
 
 
 @pytest.mark.parametrize("n,d", [(1, 3), (-2, 3), (5, 2), (7, 12)])
 def test_fraction_literals_promote_and_demote(n, d):
     c = P.const(Fraction(n, d))
-    assert c.lp is None
+    assert not c.integral
     assert_canonical(c, sympy.Rational(n, d))
     assert_canonical(c * P.const(d), sympy.Integer(n))
     rt = build_rule_table(CalculusType.type_ii())
@@ -225,23 +231,22 @@ def test_fraction_literals_promote_and_demote(n, d):
     (coeff,) = e.terms.values()
     assert_canonical(coeff, sympy.Rational(n, d) / SR)
     (coeff,) = e.scale(P.const(d) * P.var("r")).terms.values()
-    assert coeff.lp == {(0, 0): n}
+    assert coeff.lp == {(0, 0): n} and type(coeff.lp[0, 0]) is int
 
 
 @pytest.mark.parametrize("name", ["I", "II", "III"])
 def test_memoized_coefficients_are_laurent(name):
-    # every coefficient normal ordering memoizes must take the Laurent fast
-    # path: stored as an int dict, and the form rf_make gives its own view
+    # every coefficient normal ordering memoizes is an integer Laurent
+    # polynomial, stored with int coefficients: an integral value held as a
+    # Fraction would leave the int fast path
     rt = build_rule_table(CalculusType.by_name(name))
     assert local_confluence_check(rt, 3).ok
     assert run_suite(rt, bound=6)
     pool = list(rt._pool)
     assert len(pool) > 20
     for c in pool:
-        assert c.lp is not None, c
-        rebuilt = rf_make(rt.params, c.num, c.den)
-        assert rebuilt == c and hash(rebuilt) == hash(c)
-        assert rebuilt.lp == c.lp
+        assert c.integral, c
+        assert all(type(v) is int for v in c.lp.values()), c.lp
 
 
 # ----------------------------------------------------------------------------

@@ -11,10 +11,10 @@ from qsp.coeffs import (
     PARAMS_II,
     PARAMS_III,
     MissingVariable,
+    NonMonomialDivisor,
     ParamSet,
     PoleAtAssignment,
     ZeroDenominator,
-    poly_gcd,
     qnumber,
     rf_arith,
     rf_eval,
@@ -33,11 +33,16 @@ def poly_of(rf):
 
 
 def test_make_cancels_polynomial_factor():
-    # (1 - q^2) / (1 - q) = 1 + q
-    num = ((one - q * q)).num
-    den = (one - q).num
-    got = rf_make(P2, num, den)
-    assert got == one + q
+    # (1 - q^2)*q*r / (3*q*r) = (1 - q^2)/3
+    num = ((one - q * q) * q * r).num
+    got = rf_make(P2, num, {(1, 1): Fraction(3)})
+    assert got == (one - q * q) * P2.const(Fraction(1, 3))
+    assert (got.num, got.den) == ({(0, 0): Fraction(1, 3), (2, 0): Fraction(-1, 3)},
+                                  {(0, 0): Fraction(1)})
+    # a denominator of more than one term is an input error, even where it
+    # divides the numerator: (1 - q^2) / (1 - q)
+    with pytest.raises(NonMonomialDivisor):
+        rf_make(P2, (one - q * q).num, (one - q).num)
 
 
 def test_make_zero_normalizes_to_zero_over_one():
@@ -70,29 +75,29 @@ def test_arith_examples():
 
 def test_eval_examples():
     assert rf_eval(one + q, {"q": Fraction(3, 2), "r": 1}) == Fraction(5, 2)
-    geo = (one - q ** 3) / (one - q)
-    assert rf_eval(geo, {"q": 2, "r": 1}) == 7
-    with pytest.raises(PoleAtAssignment, match=r"^denominator vanishes at q=1, r=5/2$"):
-        rf_eval(one / (one - q), {"q": 1, "r": Fraction(5, 2)})
+    quot = (one - q ** 3) / (P2.const(2) * q * r)
+    assert rf_eval(quot, {"q": 2, "r": 1}) == Fraction(-7, 4)
+    assert rf_eval(quot, {"q": Fraction(1, 2), "r": -1}) == Fraction(-7, 8)
+    with pytest.raises(PoleAtAssignment, match=r"^denominator vanishes at q=0, r=5/2$"):
+        rf_eval(one + one / q, {"q": 0, "r": Fraction(5, 2)})
     with pytest.raises(MissingVariable):
         rf_eval(q, {"r": 2})
 
 
-def random_rf(rng, params):
-    def rand_poly():
-        p = params.zero()
-        for _ in range(rng.randint(1, 3)):
-            term = params.const(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
-            for v in params.variables:
-                term = term * params.var(v) ** rng.randint(0, 2)
-            p = p + term
-        return p
+def random_term(rng, params):
+    """A nonzero single term with a rational coefficient."""
+    term = params.const(Fraction(rng.choice([-4, -3, -2, -1, 1, 2, 3, 4]), rng.randint(1, 3)))
+    for v in params.variables:
+        term = term * params.var(v) ** rng.randint(0, 2)
+    return term
 
-    num = rand_poly()
-    den = params.zero()
-    while den.is_zero():
-        den = rand_poly()
-    return num / den
+
+def random_rf(rng, params):
+    """A Laurent polynomial over Q: a polynomial over a single term."""
+    num = params.zero()
+    for _ in range(rng.randint(1, 3)):
+        num = num + random_term(rng, params)
+    return num / random_term(rng, params)
 
 
 def test_field_axioms_on_random_samples():
@@ -101,24 +106,20 @@ def test_field_axioms_on_random_samples():
         a, b, c = (random_rf(rng, P2) for _ in range(3))
         assert (a + b) + c == a + (b + c)
         assert a * (b + c) == a * b + a * c
-        if not a.is_zero():
-            assert a * (one / a) == one
+        u = random_term(rng, P2) / random_term(rng, P2)
+        assert u * (one / u) == one
+        assert (a / u) * u == a
 
 
 def test_canonical_uniqueness_bit_for_bit():
     rng = random.Random(7)
     for _ in range(25):
         a = random_rf(rng, P2)
-        scale = P2.zero()
-        while scale.is_zero():
-            scale = random_rf(rng, P2)
-        b = rf_make(P2, (a.num and (a * scale).num) or {}, (a * scale).den if not a.is_zero() else one.num)
+        scale = random_term(rng, P2)
         # same fraction, independently constructed representative
-        blown_num = {}
-        for m, cc in a.num.items():
-            blown_num[m] = cc
-        blown = rf_make(P2, _mul_poly(blown_num, scale.num), _mul_poly(a.den, scale.num))
+        blown = rf_make(P2, _mul_poly(a.num, scale.num), _mul_poly(a.den, scale.num))
         assert blown.num == a.num and blown.den == a.den
+        assert blown.lp == a.lp and hash(blown) == hash(a)
 
 
 def _mul_poly(a, b):
@@ -163,20 +164,26 @@ def test_qnumber_safe_at_base_one():
 
 
 def test_gcd_multivariate():
-    a = ((q + r) * (q - r)).num
-    b = ((q + r) * q).num
-    g = poly_gcd(a, b)
-    assert g == (q + r).num
+    # a common factor of (q + r)*(q - r)*q*r and 2*q*r: the single-term part
+    # cancels, and a common factor of more than one term is never sought
+    a = ((q + r) * (q - r) * q * r).num
+    assert rf_make(P2, a, (P2.const(2) * q * r).num) == (q * q - r * r) * P2.const(Fraction(1, 2))
+    with pytest.raises(NonMonomialDivisor):
+        rf_make(P2, a, ((q + r) * q).num)
 
 
 def test_substitute_partial():
-    f = (q * r + r) / (q + r)
-    g = f.substitute({"r": 1})
-    assert g == (q + one) / (q + one) == one
-    with pytest.raises(PoleAtAssignment, match=r"^denominator vanishes at r=1$"):
-        ((one / (one - r))).substitute({"r": 1})
-    with pytest.raises(PoleAtAssignment, match=r"^denominator vanishes at q=1/2$"):
-        ((one / (one - q - q))).substitute({"q": Fraction(1, 2)})
+    f = (q * r + r) / (q * r)
+    assert f.substitute({"r": 1}) == (q + one) / q
+    half = f.substitute({"r": Fraction(1, 2)})
+    assert half == f.substitute({"r": 1}) and half.integral
+    g = (q * r + r).substitute({"r": Fraction(1, 2)})
+    assert g == (q + one) * P2.const(Fraction(1, 2)) and not g.integral
+    assert (P2.const(2) * q * r).substitute({"r": Fraction(1, 2)}).lp == {(1, 0): 1}
+    with pytest.raises(PoleAtAssignment, match=r"^denominator vanishes at r=0$"):
+        (q + one / r).substitute({"r": 0})
+    with pytest.raises(PoleAtAssignment, match=r"^denominator vanishes at q=0$"):
+        (one / (P2.const(2) * q * q)).substitute({"q": 0})
 
 
 def test_project_across_paramsets():
@@ -201,12 +208,18 @@ def test_str_forms():
 
 
 def test_power_matches_repeated_product():
-    # __pow__ squares and multiplies; negative powers invert first
-    for base in (q + r, q / (one - r), P2.const(Fraction(2, 3)) * r, -one):
+    # __pow__ squares and multiplies; negative powers invert first, which
+    # only a single term can
+    for base in (q + r, (q - r) / (P2.const(3) * r), P2.const(Fraction(2, 3)) * r, -one,
+                 q ** -2 * r):
         want = one
         for k in range(10):
             assert base ** k == want
-            assert base ** -k == one / want
+            if len(base.lp) == 1:
+                assert base ** -k == one / want
+            elif k:
+                with pytest.raises(NonMonomialDivisor):
+                    base ** -k
             want = want * base
 
 

@@ -2,11 +2,13 @@
 
 import gc
 import json
+from fractions import Fraction
 import random
 import weakref
 
 import pytest
 
+from qsp.coeffs import NonMonomialDivisor
 from qsp.algebra import CalculusType, Element, build_rule_table, mono
 from qsp.calculus import VerifyResult, expand_derived
 from qsp.exprio import (
@@ -114,8 +116,9 @@ def test_roundtrip_random_elements(t2):
     letters = [("x", 1), ("x", -1), ("th", 1), ("dx", 1), ("dth", 1),
                ("px", 1), ("pth", 1), ("ix", 1), ("ith", 1), ("d", 1)]
     q, r = t2.params.var("q"), t2.params.var("r")
+    third = t2.params.const(Fraction(1, 3))
     coeffs = [t2.params.one(), q, -r, q / r, (r - t2.params.one()) / q,
-              t2.params.one() / (q + r), t2.params.const(3) / (q * r) ]
+              third * (q + r) / r, t2.params.const(3) / (q * r), third / q]
     for _ in range(200):
         e = Element.zero(t2.params)
         for _ in range(rng.randint(1, 3)):
@@ -195,15 +198,20 @@ def test_emit_report_text(t2):
     assert "eq41-Hnabla" in text and "PASS" in text
 
 
-@pytest.mark.parametrize("text", ["H", "1+r", "x*px + th", "2*q - r^-1", "1/3 + q"])
+@pytest.mark.parametrize("text", ["H", "1+r", "x*px + th", "2*q - r^-1", "1/3 + q",
+                                  "-2/3*q*r^-2"])
 def test_powers_match_repeated_product(t2, text):
-    # scalar powers square and multiply; every power equals the plain product
+    # scalar powers square and multiply; every power equals the plain product,
+    # and only a single-term scalar has negative powers
     e = P(t2, f"({text})")
     want = Element.one(t2.params)
     for k in range(1, 10):
         want = t2.mul(want, e)
         assert P(t2, f"({text})^{k}") == want
-    if e.is_scalar():
+    if e.is_scalar() and len(e.scalar_value().lp) > 1:
+        with pytest.raises(NonMonomialDivisor):
+            P(t2, f"({text})^-2")
+    elif e.is_scalar():
         inv = Element.scalar(t2.params, t2.params.one() / e.scalar_value())
         want = Element.one(t2.params)
         for k in range(1, 10):

@@ -359,7 +359,7 @@ def test_leibniz_grid_matches_its_cells():
     # that depend on both f and g, so a row or column mixed up in the grid,
     # or a cell out of order, shows; V(f) is nonzero at type III
     rt = build_rule_table(CalculusType.type_iii())
-    rt.ct = dataclasses.replace(rt.ct, Q=rt.ct.Q * rt.ct.Q, Q11=rt.ct.Q11 + rt.ct.Q22)
+    rt.ct = dataclasses.replace(rt.ct, Q=rt.ct.Q * rt.ct.Q, Q11=rt.ct.Q11 * rt.ct.Q)
     fs, gs = coordinate_basis(2), coordinate_basis(1)[::-1]
     grid = twisted_leibniz_grid(rt, fs, gs)
     assert grid == [coproduct_U_residuals(rt, f, g) for f in fs for g in gs]

@@ -1,8 +1,9 @@
 """The canonical printer and the parser are inverse on normal forms.
 
 Elements are sums of normalized Hypothesis words over the nine generators
-and x^k, scaled by Laurent coefficients, a non-integral constant and
-general fractions, at types I, II, III and the specializations r=1, p=1.
+and x^k, scaled by Laurent coefficients, among them a non-integral constant
+and sums over a single term, at types I, II, III and the specializations
+r=1, p=1.
 Printing one and parsing the text back must give the same element.
 """
 
@@ -39,9 +40,9 @@ def tables():
 def _coefficients(params):
     one, q = params.one(), params.var("q")
     out = [one, params.const(-2), params.const(Fraction(1, 3)), q, q ** -2,
-           (q - one) / (q + one)]
+           (q - one) / (params.const(3) * q)]
     for v in params.variables[1:]:
-        out += [params.var(v), one / (q + params.var(v))]
+        out += [params.var(v), (q + params.var(v)) / (params.const(-2) * params.var(v))]
     return out
 
 

@@ -9,7 +9,7 @@ pays only for the modules it uses."""
 
 _HOMES = {
     "coeffs": ("PARAMS_I", "PARAMS_II", "PARAMS_III", "ParamSet", "QspError",
-               "RationalFunction", "qnumber", "rf_arith", "rf_eval", "rf_make"),
+               "RationalFunction", "qnumber"),
     "algebra": ("CalculusType", "Element", "RuleTable", "act_on_function",
                 "build_rule_table", "local_confluence_check", "multiply",
                 "normalize", "parity_of", "substitute_params"),

@@ -10,12 +10,13 @@ value has one stored form and ``==`` and ``hash`` are structural.  A value
 whose coefficients are all ``int`` is *integral*; sums and products of
 integral values are plain int dict loops.
 
-Sums, differences and products of Laurent polynomials are Laurent
-polynomials, and so is a quotient by a single term.  A quotient by a value
-of more than one term is not, and raises ``NonMonomialDivisor``, an input
-error.  ``num`` and ``den`` give the value as a reduced fraction: the
-denominator is the monic monomial that shifts the numerator to non-negative
-exponents.
+``RationalFunction(params, terms)`` builds a value from such a dict, and
+``lp`` reads it back.  Sums, differences and products of Laurent
+polynomials are Laurent polynomials, and so is a quotient by a single term.
+A quotient by a value of more than one term is not, and raises
+``NonMonomialDivisor``, an input error.  ``fraction()`` is the view that
+printing reads: a polynomial over the monic single term that clears the
+negative exponents.
 
 All values are immutable after construction and all operations are pure.
 An operation may return one of its operands unchanged (``a * 1`` is ``a``
@@ -32,17 +33,12 @@ from operator import add, sub
 from typing import Mapping, Union
 
 Exponent = tuple[int, ...]
-Poly = dict[Exponent, Fraction]
 Rat = Union[int, Fraction]
 Laurent = dict[Exponent, Rat]
 
 
 class QspError(Exception):
     """Base class for all errors raised by this package."""
-
-
-class ZeroDenominator(QspError):
-    pass
 
 
 class DivisionByZero(QspError):
@@ -142,49 +138,24 @@ PARAMS_III = ParamSet("III", ("q", "p"))
 
 # ----------------------------------------------------------------------------
 # Polynomials (dict of non-negative exponent tuple -> rational): the
-# numerator and denominator views, the covariance constraints, printing
+# fraction view that printing reads
 # ----------------------------------------------------------------------------
 
 def _grlex_key(m: Exponent) -> tuple:
     return (sum(m), m)
 
 
-def _poly_is_one(a: Poly) -> bool:
+def _poly_is_one(a: Laurent) -> bool:
     if len(a) != 1:
         return False
     (m, c), = a.items()
     return c == 1 and not any(m)
 
 
-def _poly_monic(a: Poly) -> Poly:
-    """``a`` scaled to leading coefficient 1 in graded-lexicographic order."""
-    if not a:
-        return {}
-    lc = a[max(a, key=_grlex_key)]
-    if lc == 1:
-        return dict(a)
-    return {m: v / lc for m, v in a.items()}
-
-
-def poly_gcd(a: Poly, b: Poly) -> Poly:
+def poly_gcd(a: Laurent, b: Laurent) -> Laurent:
     """Nothing calls this: no coefficient needs a gcd.  The name stays only
     as a target of ``perfbench/tracer.py``, which ROADMAP item 1b drops."""
     raise NotImplementedError("coefficients are Laurent polynomials; no gcd is taken")
-
-
-def _poly_substitute_rf(a: Poly, values: Mapping[int, "RationalFunction"],
-                        target: ParamSet) -> "RationalFunction":
-    """Substitute every variable by a rational function over ``target``."""
-    total = target.zero()
-    for m, c in a.items():
-        term = target.const(c)
-        for i, e in enumerate(m):
-            if e:
-                if i not in values:
-                    raise MissingVariable(f"no value for variable index {i}")
-                term = term * values[i] ** e
-        total = total + term
-    return total
 
 
 def _assignment_str(assignment: Mapping[str, Rat]) -> str:
@@ -200,7 +171,7 @@ def number_str(c: Rat) -> str:
         raise ResultTooLarge("result too large: a coefficient has too many digits to print") from None
 
 
-def poly_str(a: Poly, variables: tuple[str, ...]) -> str:
+def poly_str(a: Laurent, variables: tuple[str, ...]) -> str:
     """Render a polynomial like ``q^2*r - 1/2*q + 3``; zero renders as ``0``."""
     if not a:
         return "0"
@@ -240,34 +211,24 @@ class RationalFunction:
 
     __slots__ = ("params", "lp", "integral")
 
-    def __init__(self, params: ParamSet, num: Poly, den: Poly):
-        """The value num/den of two polynomials, den a single nonzero term."""
-        if not den:
-            raise ZeroDenominator("denominator is the zero polynomial")
-        value = _rational(params, {m: Fraction(c) for m, c in num.items() if c})
-        value = value / _rational(params, {m: Fraction(c) for m, c in den.items()})
+    def __init__(self, params: ParamSet, terms: Mapping[Exponent, Rat]):
+        """The Laurent polynomial with the given {exponent tuple: rational}
+        terms.  ``terms`` is copied: zero coefficients are dropped and an
+        integral ``Fraction`` becomes an ``int``."""
+        value = _rational(params, {m: c for m, c in terms.items() if c})
         self.params, self.lp, self.integral = params, value.lp, value.integral
 
     # -- views ---------------------------------------------------------------
 
-    def _frac(self) -> tuple[Poly, Poly]:
+    def fraction(self) -> tuple[Laurent, Laurent]:
+        """The value as (numerator, denominator) for printing: a polynomial
+        over the monic single term that clears the negative exponents."""
         lp = self.lp
         if not lp:
-            return {}, {self.params.origin: Fraction(1)}
+            return {}, {self.params.origin: 1}
         low = [min(0, *e) for e in zip(*lp)]
-        return ({tuple(map(sub, m, low)): Fraction(c) for m, c in lp.items()},
-                {tuple(-e for e in low): Fraction(1)})
-
-    @property
-    def num(self) -> Poly:
-        """Numerator of the reduced fraction."""
-        return self._frac()[0]
-
-    @property
-    def den(self) -> Poly:
-        """Denominator of the reduced fraction: the monic single term that
-        clears the negative exponents."""
-        return self._frac()[1]
+        return ({tuple(map(sub, m, low)): c for m, c in lp.items()},
+                {tuple(-e for e in low): 1})
 
     # -- predicates ----------------------------------------------------------
 
@@ -426,7 +387,7 @@ class RationalFunction:
         return _value(target, out, self.integral)
 
     def __str__(self) -> str:
-        num, den = self._frac()
+        num, den = self.fraction()
         body = poly_str(num, self.params.variables)
         if _poly_is_one(den):
             return body
@@ -482,30 +443,8 @@ def _lp_mul(a: Laurent, b: Laurent) -> Laurent:
 
 
 # ----------------------------------------------------------------------------
-# Module-level operation surface
+# Deformed integers
 # ----------------------------------------------------------------------------
-
-def rf_make(params: ParamSet, num: Poly, den: Poly) -> RationalFunction:
-    """The value num/den of a polynomial and a single nonzero term; a
-    denominator of more than one term raises NonMonomialDivisor."""
-    return RationalFunction(params, num, den)
-
-
-def rf_arith(op: str, a: RationalFunction, b: RationalFunction) -> RationalFunction:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")
-
-
-def rf_eval(a: RationalFunction, assignment: Mapping[str, Rat]) -> Fraction:
-    return a.eval(assignment)
-
 
 def qnumber(m: int, base: RationalFunction) -> RationalFunction:
     """Deformed integer (1 - base^m)/(1 - base), as an exact geometric sum.

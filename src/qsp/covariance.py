@@ -18,18 +18,18 @@ eq17 checks that this list spans the system derived from the coactions.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import sub
 from typing import Iterable, Mapping, Sequence
 
 from .coeffs import (
     PARAMS_I,
     PARAMS_II,
     PARAMS_III,
+    MissingVariable,
     ParamSet,
-    Poly,
     QspError,
     RationalFunction,
-    _poly_monic,
-    _poly_substitute_rf,
+    _grlex_key,
 )
 from .algebra import (
     DX, DTH, X, TH, IX,
@@ -113,39 +113,30 @@ def ansatz_table() -> RuleTable:
     return RuleTable.build(ansatz_type(), validate=False)
 
 
-def _primitive_poly(params: ParamSet, rf: RationalFunction,
-                    units: tuple = ("q", "Qp")) -> Poly:
-    """Numerator of a constraint with invertible-parameter content stripped.
+def _primitive_poly(rf: RationalFunction, units: tuple = ("q", "Qp")) -> RationalFunction:
+    """A constraint as a polynomial in the unknowns, with its content in the
+    units stripped and its grlex leading coefficient 1.
 
-    Only the deformation parameters (units of the coefficient ring) are
-    stripped; common factors in the unknowns are meaningful and kept.
+    The deformation parameters are units of the coefficient ring, so every
+    power of them is stripped; negative powers of the unknowns are cleared,
+    but their positive common factors are meaningful and kept.
     """
-    num = rf.num
-    if not num:
-        return {}
-    unit_idx = [i for i, v in enumerate(params.variables) if v in units]
-    content = None
-    for m in num:
-        cur = tuple(m[i] for i in unit_idx)
-        content = cur if content is None else tuple(min(a, b) for a, b in zip(content, cur))
-    if content and any(content):
-        shift = {i: c for i, c in zip(unit_idx, content)}
-        num = {tuple(e - shift.get(i, 0) for i, e in enumerate(m)): c
-               for m, c in num.items()}
-    return _poly_monic(num)
+    lp = rf.lp
+    if not lp:
+        return rf
+    shift = [min(e) if v in units else min(0, *e)
+             for v, e in zip(rf.params.variables, zip(*lp))]
+    lp = {tuple(map(sub, m, shift)): c for m, c in lp.items()}
+    lc = lp[max(lp, key=_grlex_key)]
+    return RationalFunction(rf.params, {m: Fraction(c, lc) for m, c in lp.items()})
 
 
-def _collect_constraints(params: ParamSet,
-                         residuals: Iterable[Element]) -> list[Poly]:
-    """The distinct nonzero primitive numerators of the residuals'
+def _collect_constraints(residuals: Iterable[Element]) -> list[RationalFunction]:
+    """The distinct nonzero primitive constraints of the residuals'
     coefficients, in the order they first occur."""
-    out: dict = {}
-    for residual in residuals:
-        for c in residual.terms.values():
-            p = _primitive_poly(params, c)
-            if p:
-                out.setdefault(tuple(sorted(p.items())), p)
-    return list(out.values())
+    primitive = (_primitive_poly(c)
+                 for residual in residuals for c in residual.terms.values())
+    return list(dict.fromkeys(p for p in primitive if not p.is_zero()))
 
 
 _MODULE_RELATIONS = (
@@ -160,7 +151,8 @@ _MODULE_RELATIONS = (
 class CovarianceConstraints:
     """Output of the constraint pass: generators per side plus notes."""
 
-    def __init__(self, right: list[Poly], left: list[Poly], notes: list[str]):
+    def __init__(self, right: list[RationalFunction], left: list[RationalFunction],
+                 notes: list[str]):
         self.right = right
         self.left = left
         self.notes = notes
@@ -188,16 +180,16 @@ def generate_covariance_constraints() -> CovarianceConstraints:
                 te.add_scaled(coaction(rt, word_letters(rhs_word), side), -c)
             yield te
 
-    right = _collect_constraints(P, rel_residuals("right"))
-    left_all = _collect_constraints(P, rel_residuals("left"))
+    right = _collect_constraints(rel_residuals("right"))
+    left_all = _collect_constraints(rel_residuals("left"))
     left_new = [p for p in left_all if not _in_linear_span(right, [p])]
     return CovarianceConstraints(right, left_new, notes)
 
 
-def expected_covariance_constraints() -> list[Poly]:
+def expected_covariance_constraints() -> list[RationalFunction]:
     """The published four-constraint system (18), as primitive polynomials:
     ``CalculusType.covariance_residuals`` at the ansatz."""
-    return [_primitive_poly(ANSATZ_PARAMS, e) for e in ansatz_type().covariance_residuals()]
+    return [_primitive_poly(e) for e in ansatz_type().covariance_residuals()]
 
 
 # -- linear algebra over rational functions -----------------------------------
@@ -226,24 +218,23 @@ def _row_reduce(rows: Iterable[list[RationalFunction]]) -> list[tuple[int, list]
     return reduced
 
 
-def _in_linear_span(gens: Sequence[Poly], queries: Sequence[Poly]) -> bool:
+def _in_linear_span(gens: Sequence[RationalFunction],
+                    queries: Sequence[RationalFunction]) -> bool:
     """Membership of each query in the span of gens over rational functions
     of q, with the unknowns entering linearly (affine terms allowed)."""
     qvar = ParamSet("qline", ("q",))
 
-    def vectorize(p: Poly) -> dict:
+    def vectorize(p: RationalFunction) -> dict:
         # the q exponent comes first in an ansatz monomial; the rest names a column
         vec: dict = {}
-        for m, c in p.items():
+        for m, c in p.lp.items():
             cur = vec.setdefault(m[1:], {})
-            cur[m[:1]] = cur.get(m[:1], Fraction(0)) + c
-        return {k: RationalFunction(qvar, {e: c for e, c in v.items() if c},
-                                    {(0,): Fraction(1)})
-                for k, v in vec.items()}
+            cur[m[:1]] = cur.get(m[:1], 0) + c
+        return {k: RationalFunction(qvar, v) for k, v in vec.items()}
 
     rows = [vectorize(p) for p in gens]
     cols = sorted({c for row in rows for c in row} |
-                  {m[1:] for p in queries for m in p})
+                  {m[1:] for p in queries for m in p.lp})
 
     def to_row(vec: dict) -> list:
         return [vec.get(c, qvar.zero()) for c in cols]
@@ -253,7 +244,7 @@ def _in_linear_span(gens: Sequence[Poly], queries: Sequence[Poly]) -> bool:
                for p in queries)
 
 
-def spans_match(a: Sequence[Poly], b: Sequence[Poly]) -> bool:
+def spans_match(a: Sequence[RationalFunction], b: Sequence[RationalFunction]) -> bool:
     return _in_linear_span(a, b) and _in_linear_span(b, a)
 
 
@@ -267,7 +258,7 @@ INNER_DIFF_PARAMS = ParamSet("inner-differential",
                              ("Qp",) + tuple(f"a{i}" for i in range(1, 9)))
 
 
-def generate_ansatz_constraints(kind: str) -> list[Poly]:
+def generate_ansatz_constraints(kind: str) -> list[RationalFunction]:
     """Consistency constraints of the inner-derivation ansatz.
 
     kind 'inner-coordinate': reorder each inner derivation through both sides
@@ -309,15 +300,28 @@ def generate_ansatz_constraints(kind: str) -> list[Poly]:
                     e = e - rt.normalize_word((mover,) + rhs).scale(coeff)
                 yield e
 
-    return _collect_constraints(P, residuals())
+    return _collect_constraints(residuals())
 
 
-def evaluate_system(system: Sequence[Poly], source: ParamSet,
+def evaluate_system(system: Sequence[RationalFunction], source: ParamSet,
                     assignment: Mapping[str, RationalFunction],
                     target: ParamSet) -> list[RationalFunction]:
     """Evaluate ansatz polynomials at rational-function values per variable."""
     values = {source.index(name): rf for name, rf in assignment.items()}
-    return [_poly_substitute_rf(p, values, target) for p in system]
+    out = []
+    for p in system:
+        total = target.zero()
+        for m, c in p.lp.items():
+            term = target.const(c)
+            for i, e in enumerate(m):
+                if e:
+                    if i not in values:
+                        raise MissingVariable(
+                            f"no value for variable {source.variables[i]!r}")
+                    term = term * values[i] ** e
+            total = total + term
+        out.append(total)
+    return out
 
 
 # ----------------------------------------------------------------------------

@@ -340,7 +340,7 @@ def _coeff_term(c: RationalFunction) -> tuple[int, str]:
     """Render a coefficient as (sign, body) with the sign pulled out when the
     numerator is a single term; bodies are parseable by the grammar above."""
     params = c.params
-    num, den = c.num, c.den
+    num, den = c.fraction()
 
     def mono_body(p, negate_exps=False) -> tuple[int, str]:
         (m, coeff), = p.items()
@@ -377,9 +377,8 @@ def print_canonical(e: Element) -> str:
         mstr = mono_str(m)
         if not any(m):
             # bare scalars print unparenthesized when sign-safe
-            if (body.startswith("(") and body.endswith(")")
-                    and _poly_is_one(c.den) and not poly_str(c.num, c.params.variables).startswith("-")):
-                body = poly_str(c.num, c.params.variables)
+            if body.startswith("(") and body.endswith(")") and not body.startswith("(-"):
+                body = body[1:-1]
             piece = body
         elif body == "1":
             piece = mstr

@@ -5,8 +5,9 @@
 elsewhere; ``__mul__`` short-circuits unit operands, a quotient by a single
 term is a Laurent polynomial again, and ``Element.add_scaled`` accumulates in
 place.  Products, sums and quotients are checked against SymPy's ``cancel``,
-the stored form against the shape of SymPy's reduced fraction, and in-place
-accumulation against ``a + b.scale(c)``.  Both libraries are test-only
+the constructor against the same terms built by arithmetic, the stored form
+against the shape of SymPy's reduced fraction, and in-place accumulation
+against ``a + b.scale(c)``.  Both libraries are test-only
 dependencies.
 """
 
@@ -22,7 +23,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from qsp.algebra import (  # noqa: E402
     CalculusType, Element, build_rule_table, local_confluence_check, mono)
 from qsp.calculus import run_suite  # noqa: E402
-from qsp.coeffs import PARAMS_II, NonMonomialDivisor, rf_make  # noqa: E402
+from qsp.coeffs import PARAMS_II, NonMonomialDivisor, RationalFunction  # noqa: E402
 from qsp.exprio import parse_element  # noqa: E402
 from qsp.hopf import TensorElement, UElement  # noqa: E402
 
@@ -35,18 +36,10 @@ exponents = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
 integers = st.integers(-4, 4).filter(bool)
 
 
-def from_terms(terms):
-    """The Laurent polynomial with the given {exponent: coefficient} terms,
-    built through ``rf_make`` from its numerator and monomial denominator."""
-    low = tuple(min(0, *e) for e in zip(*terms)) if terms else (0, 0)
-    num = {tuple(a - b for a, b in zip(m, low)): Fraction(c) for m, c in terms.items()}
-    return rf_make(P, num, {tuple(-b for b in low): Fraction(1)})
-
-
 @st.composite
 def laurents(draw, coefficients=nonzero, min_size=1, max_size=4):
     """Laurent polynomials over PARAMS_II, negative exponents included."""
-    return from_terms(draw(st.dictionaries(exponents, coefficients,
+    return RationalFunction(P, draw(st.dictionaries(exponents, coefficients,
                                            min_size=min_size, max_size=max_size)))
 
 
@@ -69,7 +62,7 @@ def sympy_poly(p):
 
 
 def to_sympy(rf):
-    return sympy_poly(rf.num) / sympy_poly(rf.den)
+    return sympy_poly(rf.lp)
 
 
 def canonical_from_sympy(expr):
@@ -87,16 +80,38 @@ def assert_canonical(rf, expr):
     """``rf`` is the reduced fraction SymPy gives for ``expr``, whose
     denominator is a single term; each coefficient is stored as an ``int``
     exactly when it is integral, and ``integral`` says whether all are; and
-    rebuilding the value from its view gives the same value."""
+    rebuilding the value from its terms, each as a ``Fraction``, gives the
+    same value."""
     num, den = canonical_from_sympy(expr)
-    assert (rf.num, rf.den) == (num, den)
+    assert rf.fraction() == (num, den)
     assert len(den) == 1
     for c in rf.lp.values():
         assert type(c) is (int if Fraction(c).denominator == 1 else Fraction), rf.lp
     assert rf.integral == all(type(c) is int for c in rf.lp.values())
-    rebuilt = rf_make(P, rf.num, rf.den)
+    rebuilt = RationalFunction(P, {m: Fraction(c) for m, c in rf.lp.items()})
     assert rebuilt == rf and hash(rebuilt) == hash(rf)
     assert rebuilt.lp == rf.lp and rebuilt.integral == rf.integral
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(exponents, st.one_of(small, st.integers(-4, 4)), max_size=5))
+def test_constructor_matches_term_arithmetic(terms):
+    # zero coefficients, integral Fractions and negative exponents are drawn
+    snapshot = [(m, type(c), c) for m, c in terms.items()]
+    rf = RationalFunction(P, terms)
+    want = P.zero()
+    for (i, j), c in terms.items():
+        want = want + P.const(c) * P.var("q") ** i * P.var("r") ** j
+    assert rf == want and hash(rf) == hash(want) and rf.lp == want.lp
+    assert 0 not in rf.lp.values()
+    for c in rf.lp.values():
+        assert type(c) is (int if Fraction(c).denominator == 1 else Fraction), rf.lp
+    assert rf.integral == all(Fraction(c).denominator == 1 for c in terms.values())
+    # the caller's dict is copied: neither changed nor shared
+    assert [(m, type(c), c) for m, c in terms.items()] == snapshot
+    terms.clear()
+    terms[0, 0] = 5
+    assert rf == want and rf.lp == want.lp
 
 
 @settings(max_examples=200, deadline=None)
@@ -119,7 +134,7 @@ def test_sum_matches_sympy_together(a, b):
 @given(laurents(), exponents, nonzero)
 def test_single_term_division_matches_sympy_div(a, m, c):
     # a quotient by c*q^i*r^j is the Laurent polynomial SymPy cancels to
-    b = from_terms({m: c})
+    b = RationalFunction(P, {m: c})
     got = a / b
     assert_canonical(got, sympy.cancel(to_sympy(a) / to_sympy(b)))
     assert got * b == a
@@ -205,8 +220,6 @@ def test_laurent_quotient_matches_sympy(a, b, k):
             a / b
         with pytest.raises(NonMonomialDivisor):
             b ** -k
-        with pytest.raises(NonMonomialDivisor):
-            rf_make(P, a.num, b.num)
 
 
 @settings(max_examples=80, deadline=None)

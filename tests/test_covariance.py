@@ -3,7 +3,7 @@
 import pytest
 
 from qsp.algebra import CalculusType, build_rule_table, mono
-from qsp.coeffs import PARAMS_I, PARAMS_II, PARAMS_III, poly_str
+from qsp.coeffs import PARAMS_I, PARAMS_II, PARAMS_III
 from qsp.covariance import (
     ANSATZ_PARAMS,
     INNER_COORD_PARAMS,
@@ -73,6 +73,11 @@ def test_constraint_generation_matches_published_span():
     assert spans_match(cc.right, expected_covariance_constraints())
     assert not cc.left  # the left pass adds nothing
     assert cc.notes
+    # in the order the residuals first give them
+    assert _strings(cc.right) == ["q*Q - q*Q12 - Q11", "q*Q21 + Q + Q22",
+                                  "q*Q21 + Q12 + 1", "q*Q22 - q + Q11"]
+    assert _strings(expected_covariance_constraints()) == [
+        "q*Q - q*Q12 - Q11", "q*Q22 - q + Q11", "q*Q21 + Q12 + 1", "q*Q21 + Q + Q22"]
 
 
 def test_constraints_vanish_at_families():
@@ -86,21 +91,23 @@ def test_constraints_vanish_at_families():
         assert all(r.is_zero() for r in res), ct.params.mode
 
 
-def _poly_strings(system, params):
-    return {poly_str(p, params.variables) for p in system}
+def _strings(system):
+    return [str(p) for p in system]
 
 
 def test_inner_coordinate_system():
     system = generate_ansatz_constraints("inner-coordinate")
-    got = _poly_strings(system, INNER_COORD_PARAMS)
-    # the consistency system: A4- and A8-multiples, with the two cross terms
-    assert "A4*A8" in got
-    assert "q*A4*A5 - A1*A4" in got          # A4(A1 - q A5) up to sign scale
-    assert "q*A4*A7 + A3*A4" in got          # A4(A3 + q A7)
-    assert "q*A1*A8 - A5*A8" in got          # A8(A5 - q A1)
-    assert "q*A3*A8 + A7*A8" in got          # A8(q A3 + A7): consistent variant
-    assert "q^2*A4*A6 - A2*A8" in got
-    assert "q^2*A2*A8 - A4*A6" in got
+    # the consistency system: A4- and A8-multiples, with the two cross terms,
+    # in the order eq75 reports their residuals
+    assert _strings(system) == [
+        "q^2*A4*A6 - A2*A8",
+        "q*A4*A5 - A1*A4",                   # A4(A1 - q A5) up to sign scale
+        "q*A4*A7 + A3*A4",                   # A4(A3 + q A7)
+        "A4*A8",
+        "q^2*A2*A8 - A4*A6",
+        "q*A1*A8 - A5*A8",                   # A8(A5 - q A1)
+        "q*A3*A8 + A7*A8",                   # A8(q A3 + A7): consistent variant
+    ]
     # the corresponding system annihilates the solved coefficients
     for ct in (CalculusType.type_ii(), CalculusType.type_iii()):
         values = dict(inner_coordinate_coeffs(ct))
@@ -120,13 +127,20 @@ def test_inner_coordinate_printed_fifth_fails_at_type_iii():
 
 def test_inner_differential_system():
     system = generate_ansatz_constraints("inner-differential")
-    got = _poly_strings(system, INNER_DIFF_PARAMS)
-    assert "a1 + 1" in got
-    assert "a6" in got
-    assert "a2*a6" in got
-    assert "Qp*a3 - a2 - 1" in got           # a2 = Qp a3 - 1
-    assert "Qp*a8 + Qp - a5" in got          # a5 = Qp (1 + a8)
-    assert "Qp*a2*a3 - a2*a7" in got         # a2 (a7 - Qp a3)
+    # in the order eq78 reports their residuals
+    assert _strings(system) == [
+        "Qp*a3 - a2 - 1",                    # a2 = Qp a3 - 1
+        "Qp^2*a4*a6 - a2*a8",
+        "Qp*a2*a3 - a2*a7",                  # a2 (a7 - Qp a3)
+        "a1 + 1",
+        "Qp*a1*a2 + a2*a5",
+        "a2*a6",
+        "Qp*a8 + Qp - a5",                   # a5 = Qp (1 + a8)
+        "Qp^2*a2*a8 - a4*a6",
+        "Qp*a6*a7 - a3*a6",
+        "Qp*a5*a6 + a1*a6",
+        "a6",
+    ]
     for ct in (CalculusType.type_ii(), CalculusType.type_iii()):
         values = dict(inner_differential_coeffs(ct))
         values["Qp"] = ct.Qprime

@@ -23,9 +23,8 @@ ALL = [
     "generate_ansatz_constraints", "generate_covariance_constraints", "hopf",
     "hopf_axiom_check", "identity_catalog", "left_act", "local_confluence_check",
     "multiply", "normalize", "number_op", "pair", "parity_of", "parse_element",
-    "parse_expr", "print_canonical", "print_tensor", "qnumber", "rf_arith",
-    "rf_eval", "rf_make", "run_suite", "solve_family", "substitute_params",
-    "tensor_multiply", "verify_identity",
+    "parse_expr", "print_canonical", "print_tensor", "qnumber", "run_suite",
+    "solve_family", "substitute_params", "tensor_multiply", "verify_identity",
 ]
 SUBMODULES = {"coeffs", "algebra", "calculus", "hopf", "covariance", "exprio"}
 

@@ -74,6 +74,7 @@ for such pairs once per call.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product as _itproduct
 from typing import Iterable, Mapping, Union
 
@@ -119,7 +120,6 @@ GEN_PARITY = (1, 0, 0, 1, 1, 0, 1, 1, 0)
 # Exponent domains: x ranges over all integers, nilpotent generators over
 # {0, 1}, the rest over the naturals.
 NILPOTENT = frozenset({DX, TH, D, PTH, IX})
-NATURAL = frozenset({DTH, PX, ITH})
 OPERATOR_SECTOR = frozenset({D, PX, PTH, IX, ITH})
 
 Monomial = tuple  # length NGENS, integer exponents
@@ -359,9 +359,6 @@ class Element:
                 e.terms[m] = cc
         return e
 
-    def coefficient(self, m: Monomial) -> RationalFunction:
-        return self.terms.get(m, self.params.zero())
-
     def parity(self):
         """0, 1, or None when the element mixes parities (or is zero)."""
         ps = {mono_parity(m) for m in self.terms}
@@ -415,13 +412,19 @@ def substitute_params(e: Element, assignment: Mapping[str, Rat]) -> Element:
 # Calculus types (the three covariant parameter families)
 # ----------------------------------------------------------------------------
 
+# The structure coefficients of (11)-(12), named as a user types them; Qp is Q'.
+COEFF_NAMES = ("Q", "Q11", "Q12", "Q21", "Q22", "Qp")
+
+
 @dataclass(frozen=True)
 class CalculusType:
-    """One covariant solution family: the six structure coefficients.
+    """One covariant solution family: the six structure coefficients over
+    the deformation parameters ``params``.
 
-    qval carries the value of the base deformation parameter, so numeric
-    specializations of q stay consistent between the structure coefficients
-    and the coordinate relation x*th = q*th*x; it defaults to the symbol q.
+    The type owns the scalar symbols.  ``symbol`` reads a structure
+    coefficient, a parameter, or a parameter that ``specialize`` assigned,
+    whose value ``assigned`` records once it is gone from ``params``; the
+    parsers, the rule table, ``solve-types`` and the catalog read it.
     """
 
     params: ParamSet
@@ -430,12 +433,22 @@ class CalculusType:
     Q12: RationalFunction
     Q21: RationalFunction
     Q22: RationalFunction
-    Qprime: RationalFunction
-    qval: "RationalFunction | None" = None
+    Qp: RationalFunction
+    assigned: tuple = ()   # (parameter, value) pairs, sorted by name
+
+    def symbol(self, name: str) -> "RationalFunction | None":
+        """The value of a scalar symbol at this type, or None for a name
+        that is not one."""
+        if name in COEFF_NAMES:
+            return getattr(self, name)
+        if name in self.params.variables:
+            return self.params.var(name)
+        value = dict(self.assigned).get(name)
+        return None if value is None else self.params.const(value)
 
     @property
     def q(self) -> RationalFunction:
-        return self.qval if self.qval is not None else self.params.var("q")
+        return self.symbol("q")
 
     @classmethod
     def type_i(cls) -> "CalculusType":
@@ -463,16 +476,15 @@ class CalculusType:
         return table[name]()
 
     def specialize(self, assignment: Mapping[str, Rat]) -> "CalculusType":
-        return CalculusType(
-            self.params,
-            self.Q.substitute(assignment),
-            self.Q11.substitute(assignment),
-            self.Q12.substitute(assignment),
-            self.Q21.substitute(assignment),
-            self.Q22.substitute(assignment),
-            self.Qprime.substitute(assignment),
-            self.q.substitute(assignment),
-        )
+        """The type at numeric values of some parameters: the coefficients
+        over the parameters left, with the values recorded in ``assigned``."""
+        kept = ParamSet(self.params.mode, tuple(
+            v for v in self.params.variables if v not in assignment))
+        coeffs = (getattr(self, name).substitute(assignment).project(kept)
+                  for name in COEFF_NAMES)
+        values = dict(self.assigned)
+        values.update((name, Fraction(v)) for name, v in assignment.items())
+        return CalculusType(kept, *coeffs, tuple(sorted(values.items())))
 
     def covariance_residuals(self) -> list[RationalFunction]:
         """The four linear covariance constraints, evaluated at this type."""
@@ -489,11 +501,11 @@ class CalculusType:
         """The five coefficient identities used by the vector-field relations."""
         one = self.params.one()
         return [
-            self.Q22 - self.Q11 * self.Q21 - self.Q11 / self.Qprime,
-            self.Q12 + self.Q21 * (self.Q11 - self.Qprime),
-            self.Q * (self.Q11 - self.Qprime) - self.Q11 * self.Q12,
-            self.Q12 * (one + self.Qprime * self.Q21),
-            self.Q22 * (self.Q11 - self.Qprime),
+            self.Q22 - self.Q11 * self.Q21 - self.Q11 / self.Qp,
+            self.Q12 + self.Q21 * (self.Q11 - self.Qp),
+            self.Q * (self.Q11 - self.Qp) - self.Q11 * self.Q12,
+            self.Q12 * (one + self.Qp * self.Q21),
+            self.Q22 * (self.Q11 - self.Qp),
         ]
 
     def validate(self) -> None:
@@ -505,13 +517,6 @@ class CalculusType:
                 raise InconsistentType(f"structure identity {i + 1} violated: {res}")
         if not (self.Q12 - self.Q22 - (self.Q - self.params.one())).is_zero():
             raise InconsistentType("Q12 - Q22 = Q - 1 violated")
-
-    def coefficient(self, name: str) -> RationalFunction:
-        table = {
-            "Q": self.Q, "Q11": self.Q11, "Q12": self.Q12,
-            "Q21": self.Q21, "Q22": self.Q22, "Qp": self.Qprime,
-        }
-        return table[name]
 
 
 # Rule coefficients of the extension sector, as functions of the type.
@@ -638,7 +643,7 @@ class RuleTable:
         P = ct.params
         one = P.one()
         q = ct.q
-        Q, Q11, Q12, Q21, Q22, QP = ct.Q, ct.Q11, ct.Q12, ct.Q21, ct.Q22, ct.Qprime
+        Q, Q11, Q12, Q21, Q22, QP = ct.Q, ct.Q11, ct.Q12, ct.Q21, ct.Q22, ct.Qp
 
         def inv(v: RationalFunction, what: str) -> RationalFunction:
             if v.is_zero():
@@ -725,8 +730,8 @@ class RuleTable:
             rhs = self.rules[key]
             gm = Element.monomial(P, _letter_mono((g, 1)))
             diag = mono(x=1, **{GENS[g]: 1})
-            c = rhs.coefficient(diag)
-            if c.is_zero():
+            c = rhs.terms.get(diag)
+            if c is None:
                 raise NonInvertibleRule(
                     f"rule ({GENS[key[0]]}, {GENS[key[1]]}) has no invertible diagonal term")
             rest = rhs - Element.monomial(P, diag, c)

@@ -25,6 +25,7 @@ from typing import Callable, Iterable, Optional
 
 from .coeffs import QspError, RationalFunction, qnumber
 from .algebra import (
+    COEFF_NAMES,
     TH, X,
     CalculusType,
     Element,
@@ -36,16 +37,12 @@ from .algebra import (
 )
 from . import covariance as cov
 from . import hopf
-from .exprio import DERIVED_NAMES, expand_derived, parse_element
+# E reads the catalog's relations in the expression language
+from .exprio import DERIVED_NAMES, expand_derived, parse_element as E
 
 
 class UnknownIdentity(QspError):
     pass
-
-
-def E(rt: RuleTable, text: str) -> Element:
-    """Parse an expression in the full symbol table of this engine."""
-    return parse_element(rt, text, expand_derived)
 
 
 # ----------------------------------------------------------------------------
@@ -216,8 +213,8 @@ def _families_residuals(rt: RuleTable):
     for mode, conditions, params in cov.FAMILY_SIDE_CONDITIONS:
         want = CalculusType.by_name(mode)
         got = cov.solve_family(conditions, params)
-        for name in ("Q", "Q11", "Q12", "Q21", "Q22", "Qp"):
-            diff = got.coefficient(name) - want.coefficient(name)
+        for name in COEFF_NAMES:
+            diff = got.symbol(name) - want.symbol(name)
             # report in the engine's coefficient field: nonzero iff mismatch
             yield rt.params.zero() if diff.is_zero() else rt.params.one()
 
@@ -281,7 +278,7 @@ def _eq6_run(rt: RuleTable, bound: int):
 @_action("eq12-coaction-compatible", "(12)")
 def _eq12_coaction_run(rt: RuleTable, bound: int):
     return [cov.delta_R(rt, ["dx", "dth"])
-            - cov.delta_R(rt, ["dth", "dx"]).scale(rt.ct.Qprime)]
+            - cov.delta_R(rt, ["dth", "dx"]).scale(rt.ct.Qp)]
 
 
 # Cartan-Maurer forms ----------------------------------------------------------
@@ -361,11 +358,11 @@ _word("eq50-px-nabla", "(50)", "px*Nb == pth + Q*Qp*Nb*px")
 _word("eq50-pth-nabla", "(50)", "pth*Nb == -Nb*pth")
 
 _scalar("eq51-first-as-printed", "(51)",
-        lambda rt: [rt.ct.Q12 - rt.ct.Qprime * rt.ct.Q21 - rt.params.one()])
+        lambda rt: [rt.ct.Q12 - rt.ct.Qp * rt.ct.Q21 - rt.params.one()])
 _scalar("eq51-first-corrected", "(51)",
-        lambda rt: [rt.ct.Q12 - rt.ct.Qprime * rt.ct.Q21 - rt.ct.Q])
+        lambda rt: [rt.ct.Q12 - rt.ct.Qp * rt.ct.Q21 - rt.ct.Q])
 _scalar("eq51-second", "(51)",
-        lambda rt: [rt.ct.Q11 - rt.ct.Qprime * (rt.ct.Q + rt.ct.Q22)])
+        lambda rt: [rt.ct.Q11 - rt.ct.Qp * (rt.ct.Q + rt.ct.Q22)])
 
 
 @_entry("eq52-H-monomials", "(52)", "word-level")
@@ -577,24 +574,19 @@ _scalar("eq75-fifth-as-printed", "(75)",
 
 @_scalar("eq75-ansatz-system", "(75)")
 def _eq75_residuals(rt: RuleTable):
-    values = dict(inner_coordinate_coeffs(rt.ct))
-    values["q"] = rt.ct.q
-    return cov.evaluate_system(_ansatz_system("inner-coordinate"),
-                               cov.INNER_COORD_PARAMS, values, rt.params)
+    values = dict(inner_coordinate_coeffs(rt.ct), q=rt.ct.q)
+    return cov.evaluate_system(_ansatz_system("inner-coordinate"), values, rt.params)
 
 
 @_scalar("eq78-ansatz-system", "(78)")
 def _eq78_residuals(rt: RuleTable):
-    values = dict(inner_differential_coeffs(rt.ct))
-    values["Qp"] = rt.ct.Qprime
-    return cov.evaluate_system(_ansatz_system("inner-differential"),
-                               cov.INNER_DIFF_PARAMS, values, rt.params)
+    values = dict(inner_differential_coeffs(rt.ct), Qp=rt.ct.Qp)
+    return cov.evaluate_system(_ansatz_system("inner-differential"), values, rt.params)
 
 
 _scalar("eq83-a8-as-printed", "(83)",
         lambda rt: [rt.ct.Q11 / rt.ct.Q
-                    - rt.ct.Qprime * (rt.params.one()
-                                      + rt.ct.Q22 / (rt.ct.Q * rt.ct.Qprime))])
+                    - rt.ct.Qp * (rt.params.one() + rt.ct.Q22 / (rt.ct.Q * rt.ct.Qp))])
 
 _word("eq82-cartan-factor-x", "(82)", "ix*d + Q^-1*d*ix == px")
 _word("eq82-cartan-factor-th", "(82)", "ith*d - Q^-1*d*ith == pth")

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from .coeffs import MissingVariable, QspError
 from .algebra import (
+    COEFF_NAMES,
     CalculusType,
     InconsistentType,
     NonInvertibleRule,
@@ -28,7 +29,6 @@ from .exprio import (
     MAX_EXPONENT,
     ExprSyntaxError,
     emit_report,
-    expand_derived,
     parse_element,
     parse_uelement,
     print_canonical,
@@ -185,7 +185,7 @@ def run(argv) -> int:
         fmt = _effective(args, config, "fmt", "text")
         rt, ctype, assignment = _engine(args, config)
         if args.command == "normalize":
-            e = parse_element(rt, args.expr, expand_derived)
+            e = parse_element(rt, args.expr)
             print(print_canonical(e))
             return 0
         if args.command == "check":
@@ -195,25 +195,24 @@ def run(argv) -> int:
             # blanks in place of "LHS ==" keep an error's position in the
             # right-hand side its position in the whole expression
             rhs = " " * (len(lhs) + 2) + rhs
-            residual = (parse_element(rt, lhs, expand_derived)
-                        - parse_element(rt, rhs, expand_derived))
+            residual = parse_element(rt, lhs) - parse_element(rt, rhs)
             if residual.is_zero():
                 print("PASS  residual 0")
                 return 0
             print(f"FAIL  residual {print_canonical(residual)}")
             return 1
         if args.command == "act":
-            op = parse_element(rt, args.op, expand_derived)
-            arg = parse_element(rt, args.expr, expand_derived)
+            op = parse_element(rt, args.op)
+            arg = parse_element(rt, args.expr)
             print(print_canonical(act_on_function(rt, op, arg)))
             return 0
         if args.command == "pair":
-            u = parse_uelement(rt.params, args.u)
-            a = parse_element(rt, args.a, expand_derived)
+            u = parse_uelement(rt.ct, args.u)
+            a = parse_element(rt, args.a)
             print(hopf.pair(rt, u, a))
             return 0
         if args.command == "coproduct":
-            e = parse_element(rt, args.expr, expand_derived)
+            e = parse_element(rt, args.expr)
             print(print_tensor(hopf.coproduct_A(rt, e)))
             return 0
         if args.command == "verify":
@@ -252,8 +251,8 @@ def _print_families() -> None:
         ct = cov.solve_family(conditions, params)
         fixed = ", ".join(f"{k} = {params.rf(v)}" for k, v in conditions.items())
         print(f"Type {mode}: {fixed} =>")
-        for name in ("Q", "Q11", "Q12", "Q21", "Q22", "Qp"):
-            print(f"  {name:<3} = {ct.coefficient(name)}")
+        for name in COEFF_NAMES:
+            print(f"  {name:<3} = {ct.symbol(name)}")
 
 
 def main() -> None:

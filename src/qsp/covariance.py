@@ -32,6 +32,7 @@ from .coeffs import (
     _grlex_key,
 )
 from .algebra import (
+    COEFF_NAMES,
     DX, DTH, X, TH, IX,
     CalculusType,
     Element,
@@ -100,13 +101,12 @@ def bicovariance_residuals(rt: RuleTable, word) -> list:
 # Constraint generation over a symbolic ansatz
 # ----------------------------------------------------------------------------
 
-ANSATZ_PARAMS = ParamSet("ansatz", ("q", "Q", "Q11", "Q12", "Q21", "Q22", "Qp"))
+ANSATZ_PARAMS = ParamSet("ansatz", ("q",) + COEFF_NAMES)
 
 
 def ansatz_type() -> CalculusType:
-    P = ANSATZ_PARAMS
-    return CalculusType(P, P.var("Q"), P.var("Q11"), P.var("Q12"),
-                        P.var("Q21"), P.var("Q22"), P.var("Qp"))
+    """The type whose structure coefficients are unknowns of their own name."""
+    return CalculusType(ANSATZ_PARAMS, *map(ANSATZ_PARAMS.var, COEFF_NAMES))
 
 
 def ansatz_table() -> RuleTable:
@@ -303,22 +303,23 @@ def generate_ansatz_constraints(kind: str) -> list[RationalFunction]:
     return _collect_constraints(residuals())
 
 
-def evaluate_system(system: Sequence[RationalFunction], source: ParamSet,
+def evaluate_system(system: Sequence[RationalFunction],
                     assignment: Mapping[str, RationalFunction],
                     target: ParamSet) -> list[RationalFunction]:
-    """Evaluate ansatz polynomials at rational-function values per variable."""
-    values = {source.index(name): rf for name, rf in assignment.items()}
+    """Evaluate ansatz polynomials over ``target``: ``assignment`` maps each
+    variable a polynomial contains, named as in the polynomial's own
+    parameter set, to its value over ``target``."""
     out = []
     for p in system:
+        names = p.params.variables
         total = target.zero()
         for m, c in p.lp.items():
             term = target.const(c)
-            for i, e in enumerate(m):
+            for name, e in zip(names, m):
                 if e:
-                    if i not in values:
-                        raise MissingVariable(
-                            f"no value for variable {source.variables[i]!r}")
-                    term = term * values[i] ** e
+                    if name not in assignment:
+                        raise MissingVariable(f"no value for variable {name!r}")
+                    term = term * assignment[name] ** e
             total = total + term
         out.append(total)
     return out
@@ -348,7 +349,7 @@ def solve_family(side_conditions: Mapping[str, "RationalFunction | int | str"],
     Q*(Q11 - Qp) = Q11*Q12.
     """
     zero = params.zero()
-    unknowns = ("Q", "Q11", "Q12", "Q21", "Q22")
+    unknowns = COEFF_NAMES[:-1]   # Qp follows from the others
     fixed = {name: params.rf(v) for name, v in side_conditions.items()}
     for name in fixed:
         if name not in unknowns:
@@ -357,7 +358,7 @@ def solve_family(side_conditions: Mapping[str, "RationalFunction | int | str"],
 
     def residuals(**values) -> list[RationalFunction]:
         values = {**dict.fromkeys(free, zero), **fixed, **values}
-        return CalculusType(params, Qprime=zero, **values).covariance_residuals()
+        return CalculusType(params, Qp=zero, **values).covariance_residuals()
 
     const = residuals()
     columns = [residuals(**{u: params.one()}) for u in free]
@@ -374,7 +375,6 @@ def solve_family(side_conditions: Mapping[str, "RationalFunction | int | str"],
     Q, Q11, Q12 = values["Q"], values["Q11"], values["Q12"]
     if Q.is_zero():
         raise InconsistentSideConditions("Q must be invertible")
-    qprime = (Q * Q11 - Q11 * Q12) / Q
-    ct = CalculusType(params, Q, Q11, Q12, values["Q21"], values["Q22"], qprime)
+    ct = CalculusType(params, Qp=(Q * Q11 - Q11 * Q12) / Q, **values)
     ct.validate()
     return ct

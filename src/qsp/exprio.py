@@ -9,17 +9,19 @@ Grammar (whitespace-insensitive, multiplication always explicit):
 
 A rational literal is digits or digits/digits; an exponent is at most
 MAX_EXPONENT in absolute value, and parentheses nest at most MAX_NESTING
-deep.  Division requires a scalar
-divisor (it exists so printed coefficients such as (q)/(r - 1) read back).
+deep.  A divisor must be a single-term scalar, such as 2*r or q^2, so that
+every coefficient stays a Laurent polynomial.
 Tensors are printed, never parsed: their slots are separated by the token
 (x), which cannot be read as a product because juxtaposition is never
 multiplication.
 
 Symbols: generators x, xi (= x^-1), th, dx, dth, d, px, pth, ix, ith;
 derived operators H, Nb, T, wx, wth, Lx, Lth (read through
-hopf.expand_derived); the mode parameters; and the structure coefficients
-Q, Q11, Q12, Q21, Q22, Qp.  In the dual-sector language (pair subcommand)
-the symbols are T, K, Nb.
+hopf.expand_derived); and the scalar symbols of the calculus type, read
+through ``CalculusType.symbol``: its parameters, a parameter's assigned
+value once specialized, and the structure coefficients Q, Q11, Q12, Q21,
+Q22, Qp.  In the dual-sector language (pair subcommand) the symbols are T,
+K, Nb and the same scalar symbols.
 """
 
 from __future__ import annotations
@@ -27,13 +29,14 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 from .coeffs import (QspError, RationalFunction, _assignment_str, _poly_is_one,
                      number_str, poly_str)
 from .algebra import (
     GEN_INDEX,
     X,
+    CalculusType,
     Element,
     RuleTable,
     mono,
@@ -199,11 +202,6 @@ def parse_expr(text: str):
 # Evaluation into the algebra
 # ----------------------------------------------------------------------------
 
-_COEFF_NAMES = ("Q", "Q11", "Q12", "Q21", "Q22", "Qp")
-
-DerivedResolver = Callable[[RuleTable, str], Element]
-
-
 def _evaluate(node, one, mul, symbol, power, divide):
     """Fold a parsed expression into the ring whose unit is ``one``.
 
@@ -240,7 +238,7 @@ def _evaluate(node, one, mul, symbol, power, divide):
     raise ValueError(f"bad AST node {kind!r}")
 
 
-def eval_ast(rt: RuleTable, ast, derived: Optional[DerivedResolver] = None) -> Element:
+def eval_ast(rt: RuleTable, ast) -> Element:
     P = rt.params
 
     def divide(out: Element, val: Element) -> Element:
@@ -249,11 +247,11 @@ def eval_ast(rt: RuleTable, ast, derived: Optional[DerivedResolver] = None) -> E
         return out.scale(P.one() / val.scalar_value())
 
     return _evaluate(ast, Element.one(P), rt.mul,
-                     lambda name, n: _eval_symbol(rt, name, n, derived),
+                     lambda name, n: _eval_symbol(rt, name, n),
                      lambda e, n: _element_power(rt, e, n), divide)
 
 
-def _eval_symbol(rt: RuleTable, name: str, power: int, derived) -> Element:
+def _eval_symbol(rt: RuleTable, name: str, power: int) -> Element:
     P = rt.params
     if name == "xi":
         name, power = "x", -power
@@ -267,18 +265,16 @@ def _eval_symbol(rt: RuleTable, name: str, power: int, derived) -> Element:
             # a pure power of x is already in normal form
             return Element.monomial(P, mono(x=power))
         return rt.normalize_word([name] * power)
-    if name == "q" and "q" in P.variables:
-        # the deformation parameter follows numeric specializations
-        return Element.scalar(P, rt.ct.q ** power)
-    if name in P.variables:
-        return Element.scalar(P, P.var(name) ** power)
-    if name in _COEFF_NAMES:
-        return Element.scalar(P, rt.ct.coefficient(name) ** power)
-    if derived is not None:
-        e = derived(rt, name)
-        if e is not None:
-            return _element_power(rt, e, power)
-    raise UnknownSymbol(f"unknown symbol {name!r}")
+    if name in DERIVED_NAMES:
+        return _element_power(rt, expand_derived(rt, name), power)
+    return Element.scalar(P, _scalar_symbol(rt.ct, name, "symbol") ** power)
+
+
+def _scalar_symbol(ct: CalculusType, name: str, what: str) -> RationalFunction:
+    value = ct.symbol(name)
+    if value is None:
+        raise UnknownSymbol(f"unknown {what} {name!r}")
+    return value
 
 
 def _element_power(rt: RuleTable, e: Element, n: int) -> Element:
@@ -298,13 +294,15 @@ def _element_power(rt: RuleTable, e: Element, n: int) -> Element:
     return out
 
 
-def parse_element(rt: RuleTable, text: str,
-                  derived: Optional[DerivedResolver] = None) -> Element:
-    return eval_ast(rt, parse_expr(text), derived)
+def parse_element(rt: RuleTable, text: str) -> Element:
+    return eval_ast(rt, parse_expr(text))
 
 
-def parse_uelement(params, text: str) -> UElement:
-    """Parse a dual-sector expression over the symbols T, K, Nb."""
+def parse_uelement(ct: CalculusType, text: str) -> UElement:
+    """Parse a dual-sector expression over the symbols T, K, Nb and the
+    scalar symbols of the type ``ct``."""
+    params = ct.params
+
     def symbol(name: str, power: int) -> UElement:
         if name == "T":
             return UElement.gen_T(params, power)
@@ -318,9 +316,8 @@ def parse_uelement(params, text: str) -> UElement:
             if power > 1:
                 return UElement(params)  # nilpotent
             raise BadExponent("Nb is nilpotent; negative powers do not exist")
-        if name in params.variables:
-            return UElement.unit(params).scale(params.var(name) ** power)
-        raise UnknownSymbol(f"unknown dual-sector symbol {name!r}")
+        value = _scalar_symbol(ct, name, "dual-sector symbol")
+        return UElement.unit(params).scale(value ** power)
 
     def power(u: UElement, n: int) -> UElement:
         raise BadExponent("powers apply to symbols in the dual language")

@@ -302,42 +302,35 @@ W_GENS = ("wx", "wth")
 W_PARITY = {"wx": 1, "wth": 0}
 
 
-def maurer_forms(rt: RuleTable) -> dict[str, Element]:
-    wx = rt.normalize_word(["dx", ("x", -1)])
-    wth = (rt.normalize_word(["dth", ("x", -1)])
-           - rt.normalize_word(["dx", ("x", -1), "th", ("x", -1)]))
-    return {"wx": wx, "wth": wth}
-
-
-DERIVED_NAMES = ("H", "Nb", "T", "wx", "wth", "Lx", "Lth")
+# derived operator -> its builder, which expand_derived calls once per table
+_DERIVED = {
+    "H": lambda rt: (Element.monomial(rt.params, mono(x=1, px=1))
+                     + Element.monomial(rt.params, mono(th=1, pth=1))),
+    "Nb": lambda rt: Element.monomial(rt.params, mono(x=1, pth=1)),
+    "T": lambda rt: (Element.one(rt.params)
+                     + expand_derived(rt, "H").scale(rt.ct.Q - rt.params.one())),
+    "wx": lambda rt: rt.normalize_word(["dx", ("x", -1)]),
+    "wth": lambda rt: (rt.normalize_word(["dth", ("x", -1)])
+                       - rt.normalize_word(["dx", ("x", -1), "th", ("x", -1)])),
+    "Lx": lambda rt: rt.normalize_word(["ix", "d"]) + rt.normalize_word(["d", "ix"]),
+    "Lth": lambda rt: rt.normalize_word(["ith", "d"]) - rt.normalize_word(["d", "ith"]),
+}
+DERIVED_NAMES = tuple(_DERIVED)
 
 
 def expand_derived(rt: RuleTable, name: str) -> Element:
-    """Normal-ordered expansion of a derived operator symbol."""
+    """Normal-ordered expansion of the derived operator ``name``, one of
+    ``DERIVED_NAMES``, built once per table."""
     cache = rt._derived_cache
-    hit = cache.get(name)
-    if hit is not None:
-        return hit
-    P = rt.params
-    if name == "H":
-        e = (Element.monomial(P, mono(x=1, px=1))
-             + Element.monomial(P, mono(th=1, pth=1)))
-    elif name == "Nb":
-        e = Element.monomial(P, mono(x=1, pth=1))
-    elif name == "T":
-        e = Element.one(P) + expand_derived(rt, "H").scale(rt.ct.Q - P.one())
-    elif name == "wx":
-        e = maurer_forms(rt)["wx"]
-    elif name == "wth":
-        e = maurer_forms(rt)["wth"]
-    elif name == "Lx":
-        e = rt.normalize_word(["ix", "d"]) + rt.normalize_word(["d", "ix"])
-    elif name == "Lth":
-        e = rt.normalize_word(["ith", "d"]) - rt.normalize_word(["d", "ith"])
-    else:
-        return None
-    cache[name] = e
+    e = cache.get(name)
+    if e is None:
+        e = cache[name] = _DERIVED[name](rt)
     return e
+
+
+def maurer_forms(rt: RuleTable) -> dict[str, Element]:
+    """The Cartan-Maurer forms wx and wth."""
+    return {w: expand_derived(rt, w) for w in W_GENS}
 
 
 def _w_expand(rt: RuleTable, word: Sequence[str]) -> Element:

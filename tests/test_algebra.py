@@ -4,6 +4,7 @@ import gc
 import hashlib
 import random
 import weakref
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -62,7 +63,7 @@ def test_family_values_validate():
 
 def test_validate_rejects_inconsistent_values():
     ct = CalculusType.type_ii()
-    bad = CalculusType(ct.params, ct.Q, ct.Q11, ct.Q12, ct.Q21, ct.params.one(), ct.Qprime)
+    bad = CalculusType(ct.params, ct.Q, ct.Q11, ct.Q12, ct.Q21, ct.params.one(), ct.Qp)
     with pytest.raises(InconsistentType):
         bad.validate()
 
@@ -181,7 +182,7 @@ def test_eq34_checks_rules_read_off_d(name):
     assert set(verdicts((X, DX, 1), rules[(X, DX, 1)]).values()) == {"PASS"}
     assert verdicts((X, DX, 1), rules[(X, DX, 1)].scale(2))["eq34-px-x"] == "FAIL"
     th_dx = rules[(TH, DX, 0)]
-    q21_term = Element.monomial(P, mono(dx=1, th=1), th_dx.coefficient(mono(dx=1, th=1)))
+    q21_term = Element.monomial(P, mono(dx=1, th=1), th_dx.terms[mono(dx=1, th=1)])
     assert verdicts((TH, DX, 0), th_dx + q21_term)["eq34-px-th"] == "FAIL"
 
 
@@ -211,7 +212,7 @@ def test_multiply_unit_and_examples(t2):
     w = t2.word("ix", "x", "dth")
     assert t2.mul(Element.one(P), w) == w
     # dx*dth is canonical; dth*dx picks up 1/Q'
-    qp = t2.ct.Qprime
+    qp = t2.ct.Qp
     assert t2.word("dth", "dx") == Element.monomial(P, mono(dx=1, dth=1), P.one() / qp)
     assert t2.mul(t2.word("pth"), t2.word("pth")).is_zero()
 
@@ -243,6 +244,20 @@ def test_substitute_classical_limit(t2):
 
 def _project_terms(e, target):
     return {m: c.project(target) for m, c in e.terms.items()}
+
+
+def test_specialize_projects_and_records_values():
+    ct = CalculusType.type_ii().specialize({"r": 2})
+    assert ct.params.variables == ("q",)
+    assert ct.assigned == (("r", 2),)
+    assert ct.symbol("r") == ct.Q == ct.params.const(2)
+    assert ct.symbol("q") == ct.q == ct.params.var("q")
+    assert ct.symbol("Qp") == ct.params.var("q") / ct.params.const(2)
+    assert ct.symbol("y") is None
+    both = ct.specialize({"q": 3})
+    assert both.params.variables == () and both.assigned == (("q", 3), ("r", 2))
+    assert both.q == both.params.const(3) and both.symbol("r") == both.params.const(2)
+    assert both.Q21 == both.params.const(Fraction(-2, 3))
 
 
 def test_rule_tables_cohere_across_types(t1, t2, t3):
@@ -321,7 +336,9 @@ def test_idempotence_and_specialization_commute(t2):
         word = [alphabet[rng.randrange(len(alphabet))] for _ in range(rng.randint(1, 5))]
         e = t2.normalize_word(word)
         assert t2.normalize(e) == e
-        assert substitute_params(e, {"r": 2}) == rt_spec.normalize_word(word)
+        # the specialized table's coefficients are over the parameters left
+        assert (_project_terms(substitute_params(e, {"r": 2}), rt_spec.params)
+                == rt_spec.normalize_word(word).terms)
 
 
 def test_associativity_on_random_words(t2):
@@ -566,5 +583,5 @@ def test_right_x_power_memo_grows_logarithmically(tail):
     assert len(rt._memo) + len(rt._pair_memo) - before < 300
     want = rt.params.var("r") ** 10_000
     if tail:
-        want = want * rt.mul_mono_mono(mono(px=1), mono(th=1)).coefficient(mono(th=1, px=1))
-    assert e.coefficient(mono(x=10_000, px=1, **tail)) == want
+        want = want * rt.mul_mono_mono(mono(px=1), mono(th=1)).terms[mono(th=1, px=1)]
+    assert e.terms[mono(x=10_000, px=1, **tail)] == want

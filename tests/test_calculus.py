@@ -200,14 +200,14 @@ def test_lie_commutation_coefficient_is_q_prime():
     # the derivative relation px*pth = Qp*pth*px
     for name in ("II", "III"):
         ct = CalculusType.by_name(name)
-        assert (ct.Q12 - ct.Q) / ct.Q21 == ct.Qprime, name
+        assert (ct.Q12 - ct.Q) / ct.Q21 == ct.Qp, name
 
 
 def test_corrected_scalar_evaluates_per_family():
     # Q12 - Qp*Q21 equals the deformation scale Q at every family
     for name in ("I", "II", "III"):
         ct = CalculusType.by_name(name)
-        assert ct.Q12 - ct.Qprime * ct.Q21 == ct.Q, name
+        assert ct.Q12 - ct.Qp * ct.Q21 == ct.Q, name
 
 
 def test_full_suite_at_numeric_specialization():

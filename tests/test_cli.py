@@ -266,6 +266,28 @@ def test_param_specialization_of_q(capsys):
     assert code == 0 and "PASS" in out
 
 
+def test_param_value_replaces_its_symbol_in_both_languages(capsys):
+    # Q = r at type II and Q = p at type III: an assigned parameter reads as
+    # its value, as the coefficients built from it do
+    for argv in (["--type", "II", "--param", "r=2", "Q*x == r*x"],
+                 ["--type", "III", "--param", "p=1/2", "Q*x == p*x"]):
+        code, out, _ = invoke(capsys, "check", *argv)
+        assert (code, out) == (0, "PASS  residual 0\n"), argv
+    for argv, want in ((["--param", "r=2", "r*T", "x"], "4\n"),
+                       (["--param", "q=3", "q*T", "x"], "3*r\n"),
+                       (["--param", "r=2", "Q*T", "x"], "4\n")):
+        code, out, _ = invoke(capsys, "pair", "--type", "II", *argv)
+        assert (code, out) == (0, want), argv
+
+
+def test_dual_language_reads_structure_coefficients(capsys):
+    code, out, _ = invoke(capsys, "pair", "--type", "II", "Q11*T", "x")
+    assert (code, out) == (0, "q*r\n")
+    # <K, x*th> = 0 and <Nb, x*th> = Q11 = p*q, times -Q21 = q^-1
+    code, out, _ = invoke(capsys, "pair", "--type", "III", "Qp^-1*K - Q21*Nb", "x*th")
+    assert (code, out) == (0, "p\n")
+
+
 def test_param_pole_is_usage_error(capsys):
     code, out, err = invoke(capsys, "normalize", "--type", "II",
                             "--param", "q=0", "x")

@@ -4,10 +4,8 @@ import pytest
 
 from qsp.algebra import CalculusType, build_rule_table, mono
 from qsp.coeffs import PARAMS_I, PARAMS_II, PARAMS_III
+from qsp.coeffs import MissingVariable
 from qsp.covariance import (
-    ANSATZ_PARAMS,
-    INNER_COORD_PARAMS,
-    INNER_DIFF_PARAMS,
     InconsistentSideConditions,
     UnderdeterminedSystem,
     bicovariance_residuals,
@@ -85,9 +83,9 @@ def test_constraints_vanish_at_families():
     for ct in (CalculusType.type_i(), CalculusType.type_ii(), CalculusType.type_iii()):
         values = {
             "q": ct.params.var("q"), "Q": ct.Q, "Q11": ct.Q11, "Q12": ct.Q12,
-            "Q21": ct.Q21, "Q22": ct.Q22, "Qp": ct.Qprime,
+            "Q21": ct.Q21, "Q22": ct.Q22, "Qp": ct.Qp,
         }
-        res = evaluate_system(cc.right, ANSATZ_PARAMS, values, ct.params)
+        res = evaluate_system(cc.right, values, ct.params)
         assert all(r.is_zero() for r in res), ct.params.mode
 
 
@@ -112,7 +110,7 @@ def test_inner_coordinate_system():
     for ct in (CalculusType.type_ii(), CalculusType.type_iii()):
         values = dict(inner_coordinate_coeffs(ct))
         values["q"] = ct.params.var("q")
-        res = evaluate_system(system, INNER_COORD_PARAMS, values, ct.params)
+        res = evaluate_system(system, values, ct.params)
         assert all(r.is_zero() for r in res), ct.params.mode
 
 
@@ -143,18 +141,34 @@ def test_inner_differential_system():
     ]
     for ct in (CalculusType.type_ii(), CalculusType.type_iii()):
         values = dict(inner_differential_coeffs(ct))
-        values["Qp"] = ct.Qprime
-        res = evaluate_system(system, INNER_DIFF_PARAMS, values, ct.params)
+        values["Qp"] = ct.Qp
+        res = evaluate_system(system, values, ct.params)
         assert all(r.is_zero() for r in res), ct.params.mode
+
+
+def test_evaluate_system_reads_each_constraints_own_parameters():
+    # one call evaluates constraints over two parameter sets, each variable
+    # read by its name in the constraint's own set
+    coord = generate_ansatz_constraints("inner-coordinate")
+    diff = generate_ansatz_constraints("inner-differential")
+    ct = CalculusType.type_iii()
+    values = {**inner_coordinate_coeffs(ct), **inner_differential_coeffs(ct),
+              "q": ct.q, "Qp": ct.Qp}
+    res = evaluate_system(coord + diff, values, ct.params)
+    assert len(res) == len(coord) + len(diff)
+    assert all(r.is_zero() for r in res)
+    del values["A8"]
+    with pytest.raises(MissingVariable, match="no value for variable 'A8'"):
+        evaluate_system(coord, values, ct.params)
 
 
 def test_inner_differential_printed_a8_fails_at_type_iii():
     ct = CalculusType.type_iii()
     system = generate_ansatz_constraints("inner-differential")
     printed = dict(inner_differential_coeffs(ct))
-    printed["a8"] = ct.Q22 / (ct.Q * ct.Qprime)
-    printed["Qp"] = ct.Qprime
-    res = evaluate_system(system, INNER_DIFF_PARAMS, printed, ct.params)
+    printed["a8"] = ct.Q22 / (ct.Q * ct.Qp)
+    printed["Qp"] = ct.Qp
+    res = evaluate_system(system, printed, ct.params)
     assert any(not r.is_zero() for r in res)
 
 
@@ -167,7 +181,7 @@ def test_solve_family_reproduces_tables():
         got = solve_family(conditions, params)
         want = CalculusType.by_name(mode)
         for name in ("Q", "Q11", "Q12", "Q21", "Q22", "Qp"):
-            assert got.coefficient(name) == want.coefficient(name), (mode, name)
+            assert got.symbol(name) == want.symbol(name), (mode, name)
 
 
 def test_solve_family_errors():
@@ -182,5 +196,5 @@ def test_solve_family_errors():
 
 def test_q_prime_compatible_with_two_form_coaction(t2):
     te = (delta_R(t2, ["dx", "dth"])
-          - delta_R(t2, ["dth", "dx"]).scale(t2.ct.Qprime))
+          - delta_R(t2, ["dth", "dx"]).scale(t2.ct.Qp))
     assert te.is_zero()

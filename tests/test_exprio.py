@@ -10,7 +10,7 @@ import pytest
 
 from qsp.coeffs import NonMonomialDivisor
 from qsp.algebra import CalculusType, Element, build_rule_table, mono
-from qsp.calculus import VerifyResult, expand_derived
+from qsp.calculus import VerifyResult
 from qsp.exprio import (
     BadExponent,
     ExprSyntaxError,
@@ -30,7 +30,7 @@ def t2():
 
 
 def P(t2, text):
-    return parse_element(t2, text, expand_derived)
+    return parse_element(t2, text)
 
 
 def test_parse_products(t2):
@@ -136,13 +136,13 @@ def test_print_tensor_roundtrip_shape(t2):
 
 def test_parse_uelement(t2):
     P_ = t2.params
-    u = parse_uelement(P_, "T^2*Nb")
+    u = parse_uelement(t2.ct, "T^2*Nb")
     assert u == UElement(P_, {(2, 0, 1): P_.one()})
-    assert parse_uelement(P_, "Nb*Nb").is_zero()
-    u = parse_uelement(P_, "K^-1 - K")
+    assert parse_uelement(t2.ct, "Nb*Nb").is_zero()
+    u = parse_uelement(t2.ct, "K^-1 - K")
     assert u == UElement(P_, {(0, -1, 0): P_.one(), (0, 1, 0): -P_.one()})
     with pytest.raises(UnknownSymbol):
-        parse_uelement(P_, "H")
+        parse_uelement(t2.ct, "H")
 
 
 @pytest.mark.parametrize("text, exc, message", [
@@ -153,7 +153,7 @@ def test_parse_uelement(t2):
 ])
 def test_parse_uelement_errors(t2, text, exc, message):
     with pytest.raises(exc) as info:
-        parse_uelement(t2.params, text)
+        parse_uelement(t2.ct, text)
     assert str(info.value) == message
 
 
@@ -164,8 +164,8 @@ def test_parsing_keeps_no_table_alive():
     try:
         rt = build_rule_table(CalculusType.type_ii())
         ref = weakref.ref(rt)
-        e = parse_element(rt, "(x*th + 2/q)^2 - H/3", expand_derived)
-        u = parse_uelement(rt.params, "T^-2*K*(Nb - 1)")
+        e = parse_element(rt, "(x*th + 2/q)^2 - H/3")
+        u = parse_uelement(rt.ct, "T^-2*K*(Nb - 1)")
         del rt
         assert ref() is None
     finally:

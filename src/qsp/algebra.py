@@ -12,9 +12,9 @@ d*g = dg + (-1)^|g| g*d, with d = dx*px + dth*pth
 (``partial_coordinate_rules``).  Rules against x^-1 are solved from the
 x-rules: a rule g*x = c*x*g + rest gives g*x^-1 = c^-1 * x^-1*(g - rest*x^-1),
 and a rule x*g = c*g*x + rest gives x^-1*g = c^-1 * (g - x^-1*rest)*x^-1.  A
-table solves them when a product first misses a rule, or ``rules`` is first
-read, and adopts them only after round trips such as g*x*x^-1 = g pass, so a
-request that never meets x^-1 pays for neither.  The inner-derivation rules
+product that first misses one solves it, with each x^-1 rule that solution or
+its round trips (g*x*x^-1 = g and the like) meet; the table adopts them once
+all pass, and reading ``rules`` solves the rest.  The inner-derivation rules
 past coordinates and differentials have one shape (``inner_rules``), filled
 with the engine's coefficients here and with unknowns in ``covariance``.
 
@@ -608,11 +608,15 @@ def partial_coordinate_rules(rules: Mapping, params: ParamSet) -> dict:
 
 RuleKey = tuple  # (left gen, right gen, sign: -1 | 0 | +1)
 
+# the x^-1 rules -> the generator each is solved for, in a full read's order
+_X_INVERSE = {((X, g, -1) if g < X else (g, X, -1)): g for g in (TH, PTH, ITH, PX, IX, DX, DTH)}
+
 
 class RuleTable:
     """Rewrite rules plus the memoized normal-ordering engine built on them."""
 
-    _x_inverse_pending = False   # build sets it: x^-1 rules still to solve
+    _pending = frozenset()   # x^-1 rule keys still to solve (build: all seven)
+    _solved = None   # a trial's list of the keys it solved, in order
 
     def __init__(self, ct: CalculusType, rules: dict):
         self.ct = ct
@@ -699,66 +703,68 @@ class RuleTable:
         rule(ITH, IX, 0, (-((ct.Q12 - ct.Q) / ct.Q11), mono(ix=1, ith=1)))
 
         rt = cls(ct, rules)
-        rt._x_inverse_pending = True
+        rt._pending = set(_X_INVERSE)
         return rt
 
     @property
     def rules(self) -> dict:
-        """Every rule, the x^-1 rules included.  A table from ``build`` solves
-        them on the first read, which the first product that misses a rule
-        makes, on a trial table whose round trips must pass before its
-        rules are adopted; a product the trial misses is an error."""
-        if self._x_inverse_pending:
-            trial = RuleTable(self.ct, dict(self._rules))
-            trial._derive_x_inverse_rules()
-            trial._round_trip_check()
-            self._rules, self._x_inverse_pending = trial._rules, False
+        """Every rule, after solving each x^-1 rule still pending (``_solve``)."""
+        if self._pending:
+            self._solve([key for key in _X_INVERSE if key in self._pending])
         return self._rules
 
     def d_element(self) -> Element:
         """The exterior derivative as a normal-ordered element."""
         return self._d_real
 
-    def _derive_x_inverse_rules(self) -> None:
-        """Solve each x-rule for its x^-1 rule by the two formulas of the
-        module docstring.  The order matters: the rest of a later rule uses
-        the earlier results."""
-        P = self.params
-        xi = Element.monomial(P, mono(x=-1))
-        for g in (TH, PTH, ITH, PX, IX, DX, DTH):
-            key = (X, g, 1) if g < X else (g, X, 1)
-            rhs = self.rules[key]
-            gm = Element.monomial(P, _letter_mono((g, 1)))
-            diag = mono(x=1, **{GENS[g]: 1})
-            c = rhs.terms.get(diag)
-            if c is None:
-                raise NonInvertibleRule(
-                    f"rule ({GENS[key[0]]}, {GENS[key[1]]}) has no invertible diagonal term")
-            rest = rhs - Element.monomial(P, diag, c)
-            if g < X:
-                self.rules[(X, g, -1)] = self.mul(gm - self.mul(xi, rest), xi).scale(P.one() / c)
-            else:
-                self.rules[(g, X, -1)] = self.mul(xi, gm - self.mul(rest, xi)).scale(P.one() / c)
+    def _solve(self, keys: list) -> Element:
+        """Solve the pending x^-1 rules ``keys``; return the last.  A trial
+        copy solves them, and in place every x^-1 rule its work misses, then
+        runs the round trips of each generator it solved for (the list grows
+        as it is walked); the table adopts its rules only if all pass."""
+        if self._solved is None:
+            trial = RuleTable(self.ct, dict(self._rules))
+            trial._pending, trial._solved = set(self._pending), []
+            trial._solve(keys)
+            for key in trial._solved:
+                trial._round_trip(_X_INVERSE[key])
+            self._rules, self._pending = trial._rules, trial._pending
+        else:
+            for key in keys:
+                if key in self._pending:
+                    self._pending.remove(key)
+                    self._derive_x_inverse(key)
+                    self._solved.append(key)
+        return self._rules[keys[-1]]
 
-    def _round_trip_check(self) -> None:
-        for g in (TH, D, PX, PTH, IX, ITH):
-            unit = self.normalize_word([GENS[g]])
-            via = self.normalize_word([GENS[g], ("x", 1), ("x", -1)])
-            if via != unit:
-                raise NonInvertibleRule(f"round trip {GENS[g]}*x*x^-1 failed")
-            via = self.normalize_word([GENS[g], ("x", -1), ("x", 1)])
-            if via != unit:
-                raise NonInvertibleRule(f"round trip {GENS[g]}*x^-1*x failed")
-        for g, sign in ((DX, 1), (DTH, 1)):
-            # x^-1*(x*g) and x*(x^-1*g) must both return the bare differential
-            unit = Element.monomial(self.params, mono(**{GENS[g]: 1}))
+    def _derive_x_inverse(self, key: RuleKey) -> None:
+        """Solve the x^-1 rule ``key`` from its x-rule by the two formulas
+        of the module docstring."""
+        P = self.params
+        g = _X_INVERSE[key]
+        rhs = self._rules[key[:2] + (1,)]
+        diag = mono(x=1, **{GENS[g]: 1})
+        c = rhs.terms.get(diag)
+        if c is None:
+            raise NonInvertibleRule(f"the x-rule of {GENS[g]} has no invertible diagonal term")
+        gm, xi = (Element.monomial(P, m) for m in (_letter_mono((g, 1)), mono(x=-1)))
+        rest = rhs - Element.monomial(P, diag, c)
+        if g < X:
+            e = self.mul(gm - self.mul(xi, rest), xi)
+        else:
+            e = self.mul(xi, gm - self.mul(rest, xi))
+        self._rules[key] = e.scale(P.one() / c)
+
+    def _round_trip(self, g: int) -> None:
+        """Check g*x^s*x^-s = g, or x^-s*(x^s*g) = g for a differential g, at
+        s = 1 and -1; with px check d too, whose realization px enters."""
+        P = self.params
+        for h in (PX, D) if g == PX else (g,):
+            e = self._d_real if h == D else Element.monomial(P, _letter_mono((h, 1)))
             for s in (1, -1):
-                rhs = self.rules[(X, g, s)]
-                back = Element.zero(self.params)
-                for m, cc in rhs.terms.items():
-                    back.add_scaled(self.mul_mono_mono(mono(x=-s), m), cc)
-                if back != unit:
-                    raise NonInvertibleRule(f"round trip x^{s}*{GENS[g]} failed")
+                xs, xi = (Element.monomial(P, mono(x=t)) for t in (s, -s))
+                if (self.mul(xi, self.mul(xs, e)) if h < X else self.mul(self.mul(e, xs), xi)) != e:
+                    raise NonInvertibleRule(f"round trip of {GENS[h]} via x^{s}, x^{-s} failed")
 
     # -- multiplication ---------------------------------------------------------
 
@@ -810,10 +816,10 @@ class RuleTable:
             rule = (j, g, k if j == X else s if g == X else 0)
             inner = self._rules.get(rule)
             if inner is None:
-                inner = self.rules.get(rule)
-                if inner is None:
+                if rule not in self._pending:
                     raise UnsupportedGenerator(
                         f"no rewrite rule for {GENS[j]}^{k}*{GENS[g]}^{s if g == X else 1}")
+                inner = self._solve([rule])
         head = list(m)
         head[j] = k - b
         head_t = tuple(head)

@@ -315,7 +315,9 @@ class RationalFunction:
             raise NonMonomialDivisor(
                 f"division by a coefficient of {len(b)} terms: a divisor must be a single term")
         (mb, cb), = b.items()
-        return self * _rational(self.params, {tuple(-e for e in mb): 1 / Fraction(cb)})
+        quotients = {tuple(map(sub, m, mb)): Fraction(c, cb) if c % cb else c // cb
+                     for m, c in self.lp.items()}
+        return _rational(self.params, quotients)
 
     def __pow__(self, n: int) -> "RationalFunction":
         if not isinstance(n, int):

@@ -26,6 +26,7 @@ from .coeffs import (
     PARAMS_II,
     PARAMS_III,
     MissingVariable,
+    NonMonomialDivisor,
     ParamSet,
     QspError,
     RationalFunction,
@@ -360,6 +361,12 @@ def solve_family(side_conditions: Mapping[str, "RationalFunction | int | str"],
         values = {**dict.fromkeys(free, zero), **fixed, **values}
         return CalculusType(params, Qp=zero, **values).covariance_residuals()
 
+    def quotient(name: str, a: RationalFunction, b: RationalFunction) -> RationalFunction:
+        if len(b.lp) > 1:
+            raise NonMonomialDivisor(f"side conditions {dict(side_conditions)} give {name} only "
+                                     f"as a quotient by {b}, a divisor of more than one term")
+        return a / b
+
     const = residuals()
     columns = [residuals(**{u: params.one()}) for u in free]
     matrix = [[col[i] - c for col in columns] + [-c] for i, c in enumerate(const)]
@@ -371,10 +378,10 @@ def solve_family(side_conditions: Mapping[str, "RationalFunction | int | str"],
     if missing:
         raise UnderdeterminedSystem(f"unconstrained coefficients: {missing}")
     values = dict(fixed)
-    values.update((free[col], row[-1] / row[col]) for col, row in reduced)
+    values.update((free[col], quotient(free[col], row[-1], row[col])) for col, row in reduced)
     Q, Q11, Q12 = values["Q"], values["Q11"], values["Q12"]
     if Q.is_zero():
         raise InconsistentSideConditions("Q must be invertible")
-    ct = CalculusType(params, Qp=(Q * Q11 - Q11 * Q12) / Q, **values)
+    ct = CalculusType(params, Qp=quotient("Qp", Q * Q11 - Q11 * Q12, Q), **values)
     ct.validate()
     return ct

@@ -141,26 +141,58 @@ RULES_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("name,assignment", [("I", {}), ("II", {}), ("III", {}),
-                                             ("II", {"r": 1}), ("III", {"p": 1})],
-                         ids=["I", "II", "III", "II-r1", "III-p1"])
+TABLES = pytest.mark.parametrize("name,assignment", [("I", {}), ("II", {}), ("III", {}),
+                                                      ("II", {"r": 1}), ("III", {"p": 1})],
+                                  ids=["I", "II", "III", "II-r1", "III-p1"])
+
+
+def _rules_sha256(rt):
+    text = "".join(f"{GENS[a]} {GENS[b]} {s}: {print_canonical(e)}\n"
+                   for (a, b, s), e in sorted(rt.rules.items()))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _x_inverse_keys(rt):
+    return {key for key in rt._rules if key[2] == -1}
+
+
+@TABLES
 def test_x_inverse_rules_derived_on_first_use(name, assignment):
     # a fresh table holds the 32 rules of build and keeps them through
-    # products that meet no x^-1 rule; the first product that misses a rule
-    # completes it, and reading `rules` gives the same 39 rules as ever
+    # products that meet no x^-1 rule; the first product that misses an x^-1
+    # rule solves that rule and the ones its solution and round trips meet,
+    # and reading `rules` completes the same 39 rules as ever
     ct = CalculusType.by_name(name)
     rt = build_rule_table(ct.specialize(assignment) if assignment else ct)
-    assert len(rt._rules) == 32 and not [key for key in rt._rules if key[2] == -1]
+    assert len(rt._rules) == 32 and not _x_inverse_keys(rt)
     rt.word("px", "x", "th", "dth", "ix")
     assert len(rt._rules) == 32
     rt.word("px", ("x", -1))
+    # px*x^-1 meets pth*x^-1 (through d's round trip) and, at II, th*x^-1
+    needed = {(PX, X, -1), (PTH, X, -1)}
+    if name == "II" and not assignment:
+        needed.add((TH, X, -1))
+    assert _x_inverse_keys(rt) == needed and len(rt._rules) == 32 + len(needed)
+    assert _rules_sha256(rt) == RULES_SHA256[name if not assignment else "I"]
     assert len(rt._rules) == 39
-    text = "".join(f"{GENS[a]} {GENS[b]} {s}: {print_canonical(e)}\n"
-                   for (a, b, s), e in sorted(rt.rules.items()))
-    assert hashlib.sha256(text.encode()).hexdigest() == RULES_SHA256[name if not assignment else "I"]
     # a table read before any product is complete too
     fresh = build_rule_table(ct.specialize(assignment) if assignment else ct)
     assert fresh.rules == rt.rules
+
+
+@TABLES
+@pytest.mark.parametrize("g", [TH, PTH, ITH, PX, IX, DX, DTH], ids=lambda g: GENS[g])
+def test_x_inverse_solving_order_does_not_matter(name, assignment, g):
+    # whichever x^-1 rule a fresh table meets first, it adopts that rule, and
+    # the rules a full read completes afterwards hash as ever
+    ct = CalculusType.by_name(name)
+    rt = build_rule_table(ct.specialize(assignment) if assignment else ct)
+    key, word = ((X, g, -1), [("x", -1), GENS[g]]) if g < X else ((g, X, -1), [GENS[g], ("x", -1)])
+    rt.word(*word)
+    assert key in rt._rules
+    if g == TH:
+        assert _x_inverse_keys(rt) == {key} and len(rt._rules) == 33
+    assert _rules_sha256(rt) == RULES_SHA256[name if not assignment else "I"]
 
 
 @pytest.mark.parametrize("name", ["I", "II", "III"])

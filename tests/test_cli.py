@@ -10,7 +10,7 @@ import pytest
 import qsp.calculus
 import qsp.cli
 import qsp.covariance
-from qsp.algebra import (PX, X, CalculusType, InconsistentType, NonInvertibleRule,
+from qsp.algebra import (PX, TH, X, CalculusType, InconsistentType, NonInvertibleRule,
                          RuleTable, build_rule_table)
 from qsp.cli import run
 from qsp.coeffs import QspError
@@ -382,16 +382,22 @@ def test_help_and_usage_errors_match_golden(capsys, monkeypatch, columns):
         assert {"code": code, "out": out, "err": err} == HELP_GOLDEN[key], key
 
 
+def _derive_wrong(monkeypatch, wrong_key):
+    # a table whose solution of the x^-1 rule wrong_key comes out doubled
+    derive = RuleTable._derive_x_inverse
+
+    def derive_wrong(rt, key):
+        derive(rt, key)
+        if key == wrong_key:
+            rt._rules[key] = rt._rules[key].scale(2)
+
+    monkeypatch.setattr(RuleTable, "_derive_x_inverse", derive_wrong)
+
+
 def test_round_trip_guards_the_first_x_inverse_product(capsys, monkeypatch):
-    # the x^-1 rules are derived on first use; a wrong derived rule must
+    # the x^-1 rules are solved on first use; a wrong solved rule must
     # still be caught by the round trips before any answer uses it
-    derive = RuleTable._derive_x_inverse_rules
-
-    def derive_wrong(rt):
-        derive(rt)
-        rt._rules[(PX, X, -1)] = rt._rules[(PX, X, -1)].scale(2)
-
-    monkeypatch.setattr(RuleTable, "_derive_x_inverse_rules", derive_wrong)
+    _derive_wrong(monkeypatch, (PX, X, -1))
     code, out, err = invoke(capsys, "normalize", "--type", "II", "px*x^-1")
     assert (code, out) == (3, "") and err.startswith("internal error: round trip ")
     code, out, err = invoke(capsys, "normalize", "--type", "II", "px*x")
@@ -402,6 +408,18 @@ def test_round_trip_guards_the_first_x_inverse_product(capsys, monkeypatch):
         with pytest.raises(NonInvertibleRule, match="round trip"):
             rt.word("px", ("x", -1))
         assert len(rt._rules) == 32
+
+
+def test_round_trip_guards_the_rules_a_solution_needs(capsys, monkeypatch):
+    # px*x^-1 needs th*x^-1 at type II: a wrong th*x^-1 fails th's round
+    # trip, so the first px*x^-1 request exits 3 and no rule is adopted
+    _derive_wrong(monkeypatch, (TH, X, -1))
+    code, out, err = invoke(capsys, "normalize", "--type", "II", "px*x^-1")
+    assert (code, out) == (3, "") and err.startswith("internal error: round trip ")
+    rt = build_rule_table(CalculusType.type_ii())
+    with pytest.raises(NonInvertibleRule, match="round trip of th "):
+        rt.word("px", ("x", -1))
+    assert len(rt._rules) == 32
 
 
 class _NoCommandNamed(dict):

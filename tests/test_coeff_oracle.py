@@ -6,8 +6,9 @@ elsewhere; ``__mul__`` short-circuits unit operands, a quotient by a single
 term is a Laurent polynomial again, and ``Element.add_scaled`` accumulates in
 place.  Products, sums and quotients are checked against SymPy's ``cancel``,
 the constructor against the same terms built by arithmetic, the stored form
-against the shape of SymPy's reduced fraction, and in-place accumulation
-against ``a + b.scale(c)``.  Both libraries are test-only
+against the shape of SymPy's reduced fraction, a quotient by a single term
+against the product that undoes it, and in-place accumulation against
+``a + b.scale(c)``.  Both libraries are test-only
 dependencies.
 """
 
@@ -138,6 +139,24 @@ def test_single_term_division_matches_sympy_div(a, m, c):
     got = a / b
     assert_canonical(got, sympy.cancel(to_sympy(a) / to_sympy(b)))
     assert got * b == a
+
+
+divisor_coefficients = st.one_of(st.sampled_from([1, -1]), integers, nonzero)
+
+
+@settings(max_examples=200, deadline=None)
+@given(laurents(st.one_of(integers, nonzero)), exponents, divisor_coefficients)
+def test_single_term_division_is_exact_and_canonical(a, m, c):
+    # each term is divided on its own; the quotient keeps an int where it is
+    # exact, keeps no integral Fraction, and says whether it is integral
+    b = RationalFunction(P, {m: c})
+    got = a / b
+    assert got * b == a
+    assert 0 not in got.lp.values()
+    for v in got.lp.values():
+        assert type(v) is (int if Fraction(v).denominator == 1 else Fraction), got.lp
+    assert got.integral == all(type(v) is int for v in got.lp.values())
+    assert got == RationalFunction(P, {e: Fraction(v) for e, v in got.lp.items()})
 
 
 @settings(max_examples=100, deadline=None)

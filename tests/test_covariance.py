@@ -4,7 +4,7 @@ import pytest
 
 from qsp.algebra import CalculusType, build_rule_table, mono
 from qsp.coeffs import PARAMS_I, PARAMS_II, PARAMS_III
-from qsp.coeffs import MissingVariable
+from qsp.coeffs import MissingVariable, NonMonomialDivisor
 from qsp.covariance import (
     InconsistentSideConditions,
     UnderdeterminedSystem,
@@ -192,6 +192,11 @@ def test_solve_family_errors():
     # Qp is not an unknown of (18); the structure identity sets it
     with pytest.raises(InconsistentSideConditions):
         solve_family({"Q22": 0, "Qp": 1}, PARAMS_II)
+    # Q = 1 - q here, so Qp = (Q*Q11 - Q11*Q12)/Q divides by two terms: the
+    # error names the side conditions and the unknown, not a division
+    with pytest.raises(NonMonomialDivisor,
+                       match=r"^side conditions \{'Q12': 0, 'Q22': 'q'\} give Qp only as a quotient"):
+        solve_family({"Q12": 0, "Q22": "q"}, PARAMS_II)
 
 
 def test_q_prime_compatible_with_two_form_coaction(t2):

@@ -7,12 +7,18 @@ where the engine derives a different coefficient; such entries are expected
 to FAIL at the parameter families where the difference is visible, and they
 never affect the process exit code.
 
-Every entry is a sequence of residuals, all zero when the identity holds,
-and one rule, ``_first_nonzero``, turns it into the reported certificate:
-the first nonzero residual in order (iteration stops there), or zero.  An
-Element certifies itself and a RationalFunction that multiple of the unit.
-A TensorElement certifies as the sum of its coefficients times the products
-of its slot monomials; when those products cancel, as its first coefficient.
+Every entry is a function ``residuals(rt, bound)`` that yields residuals,
+all zero when the identity holds.  ``verify_identity`` turns them into the
+reported certificate by one rule, ``_first_nonzero``: the first nonzero
+residual in order (iteration stops there), or zero.  An Element certifies
+itself and a RationalFunction that multiple of the unit.  A TensorElement
+certifies as the sum of its coefficients times the products of its slot
+monomials; when those products cancel, as its first coefficient.
+
+Entries register through ``_entry(id, anchor, kind, residuals)``, as a call
+or a decorator.  ``_word`` and ``_acts`` register relations written as text,
+and an entry with a parameter binds it to its residual function with
+``functools.partial``.
 """
 
 from __future__ import annotations
@@ -84,8 +90,8 @@ class VerifyResult:
 class Identity:
     identityId: str
     paperAnchor: str
-    kind: str  # "word-level" | "action-level"
-    run: Callable[[RuleTable, int], Element]
+    kind: str  # WORD | ACTION
+    residuals: Callable[[RuleTable, int], Iterable]
 
 
 KNOWN_DISCREPANCY_IDS = frozenset({
@@ -125,72 +131,42 @@ def _first_nonzero(rt: RuleTable, residuals: Iterable) -> Element:
 
 _CATALOG: list[Identity] = []
 
-Residuals = Callable[[RuleTable, int], Iterable]
+WORD, ACTION = "word-level", "action-level"
 
 
-def _certified(residuals: Residuals) -> Callable[[RuleTable, int], Element]:
-    return lambda rt, bound: _first_nonzero(rt, residuals(rt, bound))
-
-
-def _entry(id_: str, anchor: str, kind: str, residuals: Optional[Residuals] = None):
+def _entry(id_: str, anchor: str, kind: str, residuals=None):
     """Register the entry whose ``residuals(rt, bound)`` ``_first_nonzero``
     certifies, and return ``residuals``.  Without ``residuals``, a decorator
     that registers the function it decorates."""
     if residuals is None:
         return partial(_entry, id_, anchor, kind)
-    _CATALOG.append(Identity(id_, anchor, kind, _certified(residuals)))
+    _CATALOG.append(Identity(id_, anchor, kind, residuals))
     return residuals
 
 
-def _action(id_: str, anchor: str, residuals: Optional[Residuals] = None):
-    return _entry(id_, anchor, "action-level", residuals)
+def _word_residuals(relations: Iterable[str], rt: RuleTable, bound: int):
+    """The residuals of ``lhs == rhs`` relations as words: the differences
+    of the two normal forms, in order."""
+    for relation in relations:
+        lhs, rhs = relation.split("==")
+        yield E(rt, lhs) - E(rt, rhs)
 
 
-def _scalar(id_: str, anchor: str,
-            fn: Optional[Callable[[RuleTable], Iterable[RationalFunction]]] = None):
-    """The coefficient form of ``_entry``: word-level residuals ``fn(rt)``,
-    the same at every bound."""
-    if fn is None:
-        return partial(_scalar, id_, anchor)
-    _entry(id_, anchor, "word-level", lambda rt, bound: fn(rt))
-    return fn
-
-
-def _word_residuals(relations) -> Residuals:
-    sides = [r.split("==") for r in relations]
-    return lambda rt, bound: (E(rt, lhs) - E(rt, rhs) for lhs, rhs in sides)
-
-
-def _acts_residuals(relation: str) -> Residuals:
+def _acts_residuals(relation: str, rt: RuleTable, bound: int):
+    """The residuals of an operator relation ``lhs == rhs`` as actions: the
+    actions of lhs - rhs on the coordinate basis up to min(bound, 6)."""
     lhs, rhs = relation.split("==")
-
-    def residuals(rt: RuleTable, bound: int):
-        op = E(rt, lhs) - E(rt, rhs)
-        return (rt.act(op, Element.monomial(rt.params, m))
-                for m in hopf.coordinate_basis(min(bound, 6)))
-
-    return residuals
-
-
-def _word_run(*relations: str) -> Callable[[RuleTable, int], Element]:
-    """The residual of ``lhs == rhs`` relations as words: the first nonzero
-    difference of the two normal forms, in order."""
-    return _certified(_word_residuals(relations))
-
-
-def _acts_run(relation: str) -> Callable[[RuleTable, int], Element]:
-    """The residual of an operator relation ``lhs == rhs`` as actions: the
-    first nonzero action of lhs - rhs on the coordinate basis up to
-    min(bound, 6)."""
-    return _certified(_acts_residuals(relation))
+    op = E(rt, lhs) - E(rt, rhs)
+    for m in hopf.coordinate_basis(min(bound, 6)):
+        yield rt.act(op, Element.monomial(rt.params, m))
 
 
 def _word(id_: str, anchor: str, *relations: str) -> None:
-    _entry(id_, anchor, "word-level", _word_residuals(relations))
+    _entry(id_, anchor, WORD, partial(_word_residuals, relations))
 
 
 def _acts(id_: str, anchor: str, relation: str) -> None:
-    _entry(id_, anchor, "action-level", _acts_residuals(relation))
+    _entry(id_, anchor, ACTION, partial(_acts_residuals, relation))
 
 
 # coordinate and differential module relations --------------------------------
@@ -204,12 +180,12 @@ _word("eq11-th-dth", "(11)", "th*dth == dth*th")
 _word("eq12-two-form", "(12)", "dx*dth == Qp*dth*dx")
 _word("eq12-dx-square", "(12)", "dx*dx == 0")
 
-_scalar("eq18-covariance-constraints", "(18)",
-        lambda rt: rt.ct.covariance_residuals())
+_entry("eq18-covariance-constraints", "(18)", WORD,
+       lambda rt, bound: rt.ct.covariance_residuals())
 
 
-@_scalar("eq23-25-families", "(23)-(25)")
-def _families_residuals(rt: RuleTable):
+@_entry("eq23-25-families", "(23)-(25)", WORD)
+def _families_residuals(rt: RuleTable, bound: int):
     for mode, conditions, params in cov.FAMILY_SIDE_CONDITIONS:
         want = CalculusType.by_name(mode)
         got = cov.solve_family(conditions, params)
@@ -219,41 +195,40 @@ def _families_residuals(rt: RuleTable):
             yield rt.params.zero() if diff.is_zero() else rt.params.one()
 
 
-@_action("eq26-bicovariance", "(26)")
-def _eq26_run(rt: RuleTable, bound: int):
+@_entry("eq26-bicovariance", "(26)", ACTION)
+def _eq26_residuals(rt: RuleTable, bound: int):
     words = [["x"], ["th"], [("x", -1)], ["x", "th"], ["th", "x"],
              ["x", "x"], [("x", -1), "th"]]
     for w in words:
         yield from cov.bicovariance_residuals(rt, w)
 
 
-def _coaction_axioms_run(side):
-    def run(rt: RuleTable, bound: int):
-        words = [["x"], ["th"], ["dx"], ["dth"], [("x", -1)],
-                 ["x", "th"], ["x", "dth"], ["th", "dx"], ["dx", "th"],
-                 ["dx", "dth"], [("x", -1), "dx"]]
-        # every word's tensor residual comes before any element residual
-        tensors, elements = zip(*(cov.coaction_axiom_residuals(rt, w, side)
-                                  for w in words))
-        return tensors + elements
-
-    return run
+def _coaction_axioms_residuals(side: str, rt: RuleTable, bound: int):
+    words = [["x"], ["th"], ["dx"], ["dth"], [("x", -1)],
+             ["x", "th"], ["x", "dth"], ["th", "dx"], ["dx", "th"],
+             ["dx", "dth"], [("x", -1), "dx"]]
+    # every word's tensor residual comes before any element residual
+    tensors, elements = zip(*(cov.coaction_axiom_residuals(rt, w, side)
+                              for w in words))
+    return tensors + elements
 
 
-_action("eq14-right-coaction-axioms", "(14)", _coaction_axioms_run("right"))
-_action("eq20-left-coaction-axioms", "(20)", _coaction_axioms_run("left"))
+_entry("eq14-right-coaction-axioms", "(14)", ACTION,
+       partial(_coaction_axioms_residuals, "right"))
+_entry("eq20-left-coaction-axioms", "(20)", ACTION,
+       partial(_coaction_axioms_residuals, "left"))
 
 
-@_action("eq17-constraint-extraction", "(17)-(18)")
-def _eq17_note_run(rt: RuleTable, bound: int):
+@_entry("eq17-constraint-extraction", "(17)-(18)", ACTION)
+def _eq17_note_residuals(rt: RuleTable, bound: int):
     cc = cov.generate_covariance_constraints()
     ok = (cov.spans_match(cc.right, cov.expected_covariance_constraints())
           and not cc.left)
     return [rt.params.zero() if ok else rt.params.one()]
 
 
-@_action("eq9-hopf-axioms", "(9)")
-def _eq9_run(rt: RuleTable, bound: int):
+@_entry("eq9-hopf-axioms", "(9)", ACTION)
+def _eq9_residuals(rt: RuleTable, bound: int):
     letters = [("x", 1), ("x", -1), ("th", 1)]
     words = [[]]
     for _ in range(3):
@@ -268,15 +243,15 @@ def _eq9_run(rt: RuleTable, bound: int):
         yield from hopf.hopf_axiom_check(rt, e)
 
 
-@_action("eq6-coproduct-kills-relations", "(6)")
-def _eq6_run(rt: RuleTable, bound: int):
+@_entry("eq6-coproduct-kills-relations", "(6)", ACTION)
+def _eq6_residuals(rt: RuleTable, bound: int):
     yield hopf.coproduct_A(rt, E(rt, "x*th - q*th*x"))
     delta_th = hopf.coproduct_A(rt, E(rt, "th"))
     yield hopf.tensor_multiply(rt, delta_th, delta_th)
 
 
-@_action("eq12-coaction-compatible", "(12)")
-def _eq12_coaction_run(rt: RuleTable, bound: int):
+@_entry("eq12-coaction-compatible", "(12)", ACTION)
+def _eq12_coaction_residuals(rt: RuleTable, bound: int):
     return [cov.delta_R(rt, ["dx", "dth"])
             - cov.delta_R(rt, ["dth", "dx"]).scale(rt.ct.Qp)]
 
@@ -290,10 +265,10 @@ _word("eq28-th-omegath", "(28)", "th*wth == Q11*wth*th")
 _word("eq29-omega-commute", "(29)", "wx*wth == wth*wx")
 _word("eq29-omegax-square", "(29)", "wx*wx == 0")
 
-_action("eq30-w-coproduct-relations", "(30)",
-        lambda rt, bound: hopf.w_relation_residuals(rt))
-_action("eq32-w-antipode-relations", "(32)",
-        lambda rt, bound: hopf.w_antipode_residuals(rt))
+_entry("eq30-w-coproduct-relations", "(30)", ACTION,
+       lambda rt, bound: hopf.w_relation_residuals(rt))
+_entry("eq32-w-antipode-relations", "(32)", ACTION,
+       lambda rt, bound: hopf.w_antipode_residuals(rt))
 
 
 # partial derivatives ----------------------------------------------------------
@@ -319,8 +294,8 @@ _word("eq38-maurer-dth", "(38)", "wx*th + wth*x == dth")
 _word("eq39-d-decomposition", "(39)", "wx*H + wth*Nb == d")
 
 
-@_action("eq40-maurer-closed", "(40)")
-def _eq40_run(rt: RuleTable, bound: int):
+@_entry("eq40-maurer-closed", "(40)", ACTION)
+def _eq40_residuals(rt: RuleTable, bound: int):
     return (exterior_derivative(rt, expand_derived(rt, w)) for w in ("wx", "wth"))
 
 
@@ -335,8 +310,8 @@ _word("eq44-H-dth", "(44)", "H*dth == dth*H")
 _word("eq44-nabla-dx", "(44)", "Nb*dx == Q*Q21^-1*dx*Nb")
 _word("eq44-nabla-dth", "(44)", "Nb*dth == Q11*dth*Nb + Q12*dx*H")
 
-_scalar("eq45-structure-identities", "(45)",
-        lambda rt: rt.ct.structure_residuals())
+_entry("eq45-structure-identities", "(45)", WORD,
+       lambda rt, bound: rt.ct.structure_residuals())
 
 _word("eq46-H-omegax", "(46)", "H*wx == -Q^-1*wx + Q^-1*wx*H")
 _word("eq46-H-omegath", "(46)", "H*wth == -Q^-1*wth + Q^-1*wth*H")
@@ -349,24 +324,24 @@ _word("eq48-T-omegax", "(48)", "T*wx == Q^-1*wx*T")
 _word("eq48-T-omegath", "(48)", "T*wth == Q^-1*wth*T")
 _word("eq48-nabla-omegath", "(48)", "Nb*wth == wth*Nb + Q^-1*wx*T")
 
-_scalar("eq49-coefficient-relation", "(49)",
-        lambda rt: [rt.ct.Q12 - rt.ct.Q22 - (rt.ct.Q - rt.params.one())])
+_entry("eq49-coefficient-relation", "(49)", WORD,
+       lambda rt, bound: [rt.ct.Q12 - rt.ct.Q22 - (rt.ct.Q - rt.params.one())])
 
 _word("eq50-px-H", "(50)", "px*H == px + Q*H*px")
 _word("eq50-pth-H", "(50)", "pth*H == pth + Q*H*pth")
 _word("eq50-px-nabla", "(50)", "px*Nb == pth + Q*Qp*Nb*px")
 _word("eq50-pth-nabla", "(50)", "pth*Nb == -Nb*pth")
 
-_scalar("eq51-first-as-printed", "(51)",
-        lambda rt: [rt.ct.Q12 - rt.ct.Qp * rt.ct.Q21 - rt.params.one()])
-_scalar("eq51-first-corrected", "(51)",
-        lambda rt: [rt.ct.Q12 - rt.ct.Qp * rt.ct.Q21 - rt.ct.Q])
-_scalar("eq51-second", "(51)",
-        lambda rt: [rt.ct.Q11 - rt.ct.Qp * (rt.ct.Q + rt.ct.Q22)])
+_entry("eq51-first-as-printed", "(51)", WORD,
+       lambda rt, bound: [rt.ct.Q12 - rt.ct.Qp * rt.ct.Q21 - rt.params.one()])
+_entry("eq51-first-corrected", "(51)", WORD,
+       lambda rt, bound: [rt.ct.Q12 - rt.ct.Qp * rt.ct.Q21 - rt.ct.Q])
+_entry("eq51-second", "(51)", WORD,
+       lambda rt, bound: [rt.ct.Q11 - rt.ct.Qp * (rt.ct.Q + rt.ct.Q22)])
 
 
-@_entry("eq52-H-monomials", "(52)", "word-level")
-def _eq52_word_run(rt: RuleTable, bound: int):
+@_entry("eq52-H-monomials", "(52)", WORD)
+def _eq52_word_residuals(rt: RuleTable, bound: int):
     H = expand_derived(rt, "H")
     for m in range(-3, 6):
         xm = rt.normalize_word([("x", m)])
@@ -376,23 +351,20 @@ def _eq52_word_run(rt: RuleTable, bound: int):
         yield lhs - rhs
 
 
-def _closed_form_run(eps):
-    def run(rt: RuleTable, bound: int):
-        H = expand_derived(rt, "H")
-        for m in range(-bound, bound + 1):
-            w = Element.monomial(rt.params, mono(x=m, th=eps))
-            want = w.scale(closed_form_H(rt.ct, m, eps))
-            yield act_on_function(rt, H, w) - want
-
-    return run
+def _closed_form_residuals(eps: int, rt: RuleTable, bound: int):
+    H = expand_derived(rt, "H")
+    for m in range(-bound, bound + 1):
+        w = Element.monomial(rt.params, mono(x=m, th=eps))
+        want = w.scale(closed_form_H(rt.ct, m, eps))
+        yield act_on_function(rt, H, w) - want
 
 
-_action("eq52-H-closed-form", "(52)", _closed_form_run(0))
-_action("eq53-H-closed-form", "(53)", _closed_form_run(1))
+_entry("eq52-H-closed-form", "(52)", ACTION, partial(_closed_form_residuals, 0))
+_entry("eq53-H-closed-form", "(53)", ACTION, partial(_closed_form_residuals, 1))
 
 
-@_action("eq54-scale-operator-diagonal", "(54)")
-def _eq54_run(rt: RuleTable, bound: int):
+@_entry("eq54-scale-operator-diagonal", "(54)", ACTION)
+def _eq54_residuals(rt: RuleTable, bound: int):
     T = expand_derived(rt, "T")
     for m in hopf.coordinate_basis(bound):
         w = Element.monomial(rt.params, m)
@@ -400,14 +372,14 @@ def _eq54_run(rt: RuleTable, bound: int):
         yield act_on_function(rt, T, w) - want
 
 
-_scalar("eq55-number-operator", "(55)",
-        lambda rt: [closed_form_H(rt.ct, m, eps)
-                    - qnumber(number_op(m, eps), rt.ct.Q)
-                    for m in range(-4, 5) for eps in (0, 1)])
+_entry("eq55-number-operator", "(55)", WORD,
+       lambda rt, bound: [closed_form_H(rt.ct, m, eps)
+                          - qnumber(number_op(m, eps), rt.ct.Q)
+                          for m in range(-4, 5) for eps in (0, 1)])
 
 
-@_action("eq56-nabla-action", "(56)")
-def _eq56_action_run(rt: RuleTable, bound: int):
+@_entry("eq56-nabla-action", "(56)", ACTION)
+def _eq56_action_residuals(rt: RuleTable, bound: int):
     nb = expand_derived(rt, "Nb")
     for m in range(0, bound + 1):
         w = Element.monomial(rt.params, mono(x=m, th=1))
@@ -415,53 +387,47 @@ def _eq56_action_run(rt: RuleTable, bound: int):
         yield act_on_function(rt, nb, w) - want
 
 
-def _eq56_word_run(third_coeff):
-    def run(rt: RuleTable, bound: int):
-        ct = rt.ct
-        nb = expand_derived(rt, "Nb")
-        H = expand_derived(rt, "H")
-        for m in range(0, 6):
-            w = Element.monomial(rt.params, mono(x=m, th=1))
-            xm1 = Element.monomial(rt.params, mono(x=m + 1))
-            lhs = rt.mul(nb, w)
-            rhs = (xm1.scale(ct.Q11 ** m)
-                   - rt.mul(w, nb).scale(ct.Q11 ** (m + 1))
-                   - rt.mul(xm1, H).scale(third_coeff(ct, m)))
-            yield lhs - rhs
-
-    return run
+def _eq56_word_residuals(third_coeff, rt: RuleTable, bound: int):
+    ct = rt.ct
+    nb = expand_derived(rt, "Nb")
+    H = expand_derived(rt, "H")
+    for m in range(0, 6):
+        w = Element.monomial(rt.params, mono(x=m, th=1))
+        xm1 = Element.monomial(rt.params, mono(x=m + 1))
+        lhs = rt.mul(nb, w)
+        rhs = (xm1.scale(ct.Q11 ** m)
+               - rt.mul(w, nb).scale(ct.Q11 ** (m + 1))
+               - rt.mul(xm1, H).scale(third_coeff(ct, m)))
+        yield lhs - rhs
 
 
-_entry("eq56-nabla-monomials", "(56)", "word-level",
-       _eq56_word_run(lambda ct, m: (ct.Q11 ** m) * ct.Q22))
-_entry("eq56-nabla-monomials-as-printed", "(56)", "word-level",
-       _eq56_word_run(lambda ct, m: ct.Q11 * ct.Q22))
+_entry("eq56-nabla-monomials", "(56)", WORD,
+       partial(_eq56_word_residuals, lambda ct, m: (ct.Q11 ** m) * ct.Q22))
+_entry("eq56-nabla-monomials-as-printed", "(56)", WORD,
+       partial(_eq56_word_residuals, lambda ct, m: ct.Q11 * ct.Q22))
 
 
-def _eq58_omegax_run(second_coeff):
-    def run(rt: RuleTable, bound: int):
-        ct = rt.ct
-        wx = expand_derived(rt, "wx")
-        wth = expand_derived(rt, "wth")
-        for m in range(0, 6):
-            w = Element.monomial(rt.params, mono(x=m, th=1))
-            xm1 = Element.monomial(rt.params, mono(x=m + 1))
-            lhs = rt.mul(w, wx)
-            rhs = (rt.mul(wx, w).scale(-(ct.Q ** (m + 1)))
-                   + rt.mul(wth, xm1).scale(second_coeff(ct, m)))
-            yield lhs - rhs
-
-    return run
+def _eq58_omegax_residuals(second_coeff, rt: RuleTable, bound: int):
+    ct = rt.ct
+    wx = expand_derived(rt, "wx")
+    wth = expand_derived(rt, "wth")
+    for m in range(0, 6):
+        w = Element.monomial(rt.params, mono(x=m, th=1))
+        xm1 = Element.monomial(rt.params, mono(x=m + 1))
+        lhs = rt.mul(w, wx)
+        rhs = (rt.mul(wx, w).scale(-(ct.Q ** (m + 1)))
+               + rt.mul(wth, xm1).scale(second_coeff(ct, m)))
+        yield lhs - rhs
 
 
-_entry("eq58-monomial-omegax", "(58)", "word-level",
-       _eq58_omegax_run(lambda ct, m: (ct.Q11 ** m) * ct.Q22))
-_entry("eq58-monomial-omegax-as-printed", "(58)", "word-level",
-       _eq58_omegax_run(lambda ct, m: (ct.Q ** m) * ct.Q22))
+_entry("eq58-monomial-omegax", "(58)", WORD,
+       partial(_eq58_omegax_residuals, lambda ct, m: (ct.Q11 ** m) * ct.Q22))
+_entry("eq58-monomial-omegax-as-printed", "(58)", WORD,
+       partial(_eq58_omegax_residuals, lambda ct, m: (ct.Q ** m) * ct.Q22))
 
 
-@_entry("eq58-monomial-omegath", "(58)", "word-level")
-def _eq58_omegath_run(rt: RuleTable, bound: int):
+@_entry("eq58-monomial-omegath", "(58)", WORD)
+def _eq58_omegath_residuals(rt: RuleTable, bound: int):
     ct = rt.ct
     wth = expand_derived(rt, "wth")
     for m in range(0, 6):
@@ -471,44 +437,41 @@ def _eq58_omegath_run(rt: RuleTable, bound: int):
         yield lhs - rhs
 
 
-def _leibniz_run(index):
+def _leibniz_residuals(index: int, rt: RuleTable, bound: int):
     # eq59 reads the H residual and eq62 the Nb residual of the same (f, g)
     # grid, so the grid is computed once per table and serves both
-    def run(rt: RuleTable, bound: int):
-        b = min(bound, 4)
-        grid = rt._leibniz_residuals.get(b)
-        if grid is None:
-            basis = hopf.coordinate_basis(b)
-            grid = rt._leibniz_residuals[b] = hopf.twisted_leibniz_grid(rt, basis, basis)
-        return (residuals[index] for residuals in grid)
-
-    return run
+    b = min(bound, 4)
+    grid = rt._leibniz_residuals.get(b)
+    if grid is None:
+        basis = hopf.coordinate_basis(b)
+        grid = rt._leibniz_residuals[b] = hopf.twisted_leibniz_grid(rt, basis, basis)
+    return (residuals[index] for residuals in grid)
 
 
-_action("eq59-H-twisted-leibniz", "(59)", _leibniz_run(0))
-_action("eq62-nabla-twisted-leibniz", "(62)", _leibniz_run(1))
+_entry("eq59-H-twisted-leibniz", "(59)", ACTION, partial(_leibniz_residuals, 0))
+_entry("eq62-nabla-twisted-leibniz", "(62)", ACTION, partial(_leibniz_residuals, 1))
 
 
-@_action("eq62-coproduct-square", "(62)")
-def _eq62_square_run(rt: RuleTable, bound: int):
+@_entry("eq62-coproduct-square", "(62)", ACTION)
+def _eq62_square_residuals(rt: RuleTable, bound: int):
     terms = hopf.u_coproduct_square_nabla(rt.params)
     return [rt.params.one() if terms else rt.params.zero()]
 
 
-def _eq64_run(gen, variant):
-    def run(rt: RuleTable, bound: int):
-        return hopf.antipode_U_residuals(rt, gen(rt.params), variant, min(bound, 6))
-
-    return run
+def _eq64_residuals(gen, variant: str, rt: RuleTable, bound: int):
+    return hopf.antipode_U_residuals(rt, gen(rt.params), variant, min(bound, 6))
 
 
-_action("eq64-antipode-scale", "(64)", _eq64_run(hopf.UElement.gen_K, "corrected"))
-_action("eq64-antipode-corrected", "(64)", _eq64_run(hopf.UElement.gen_nabla, "corrected"))
-_action("eq64-antipode-as-printed", "(64)", _eq64_run(hopf.UElement.gen_nabla, "as-printed"))
+_entry("eq64-antipode-scale", "(64)", ACTION,
+       partial(_eq64_residuals, hopf.UElement.gen_K, "corrected"))
+_entry("eq64-antipode-corrected", "(64)", ACTION,
+       partial(_eq64_residuals, hopf.UElement.gen_nabla, "corrected"))
+_entry("eq64-antipode-as-printed", "(64)", ACTION,
+       partial(_eq64_residuals, hopf.UElement.gen_nabla, "as-printed"))
 
 
-@_action("eq67-pairing-table", "(67)")
-def _eq67_run(rt: RuleTable, bound: int):
+@_entry("eq67-pairing-table", "(67)", ACTION)
+def _eq67_residuals(rt: RuleTable, bound: int):
     P = rt.params
     T = hopf.UElement.gen_T(P)
     nb = hopf.UElement.gen_nabla(P)
@@ -531,8 +494,8 @@ _acts("eq71-nabla-x", "(71)", "Nb*x == Q11*x*Nb")
 _acts("eq71-nabla-th", "(71)", "Nb*th == x - Q11*th*Nb - Q22*x*H")
 
 
-@_action("eq73-inner-on-exterior", "(73)")
-def _eq73_run(rt: RuleTable, bound: int):
+@_entry("eq73-inner-on-exterior", "(73)", ACTION)
+def _eq73_residuals(rt: RuleTable, bound: int):
     P = rt.params
     ix = Element.monomial(P, mono(ix=1))
     ith = Element.monomial(P, mono(ith=1))
@@ -547,8 +510,8 @@ def _eq73_run(rt: RuleTable, bound: int):
         yield act_on_function(rt, ith, df) - act_on_function(rt, pth, f)
 
 
-@_action("eq76-inner-kronecker", "(76)")
-def _eq76_run(rt: RuleTable, bound: int):
+@_entry("eq76-inner-kronecker", "(76)", ACTION)
+def _eq76_residuals(rt: RuleTable, bound: int):
     P = rt.params
     ix = Element.monomial(P, mono(ix=1))
     ith = Element.monomial(P, mono(ith=1))
@@ -568,24 +531,24 @@ def _ansatz_system(kind: str):
     return cov.generate_ansatz_constraints(kind)
 
 
-_scalar("eq75-fifth-as-printed", "(75)",
-        lambda rt: [rt.ct.Q22 * (rt.ct.q * rt.ct.Q + rt.params.one())])
+_entry("eq75-fifth-as-printed", "(75)", WORD,
+       lambda rt, bound: [rt.ct.Q22 * (rt.ct.q * rt.ct.Q + rt.params.one())])
 
 
-@_scalar("eq75-ansatz-system", "(75)")
-def _eq75_residuals(rt: RuleTable):
+@_entry("eq75-ansatz-system", "(75)", WORD)
+def _eq75_residuals(rt: RuleTable, bound: int):
     values = dict(inner_coordinate_coeffs(rt.ct), q=rt.ct.q)
     return cov.evaluate_system(_ansatz_system("inner-coordinate"), values, rt.params)
 
 
-@_scalar("eq78-ansatz-system", "(78)")
-def _eq78_residuals(rt: RuleTable):
+@_entry("eq78-ansatz-system", "(78)", WORD)
+def _eq78_residuals(rt: RuleTable, bound: int):
     values = dict(inner_differential_coeffs(rt.ct), Qp=rt.ct.Qp)
     return cov.evaluate_system(_ansatz_system("inner-differential"), values, rt.params)
 
 
-_scalar("eq83-a8-as-printed", "(83)",
-        lambda rt: [rt.ct.Q11 / rt.ct.Q
+_entry("eq83-a8-as-printed", "(83)", WORD,
+       lambda rt, bound: [rt.ct.Q11 / rt.ct.Q
                     - rt.ct.Qp * (rt.params.one() + rt.ct.Q22 / (rt.ct.Q * rt.ct.Qp))])
 
 _word("eq82-cartan-factor-x", "(82)", "ix*d + Q^-1*d*ix == px")
@@ -653,8 +616,8 @@ _word("eq101-lie-via-fields", "(101)",
       "Lth == x^-1*Nb - (1-Q^-1)*d*ith")
 
 
-@_action("eq3-d-squared-zero", "(3)")
-def _dd_zero_run(rt: RuleTable, bound: int):
+@_entry("eq3-d-squared-zero", "(3)", ACTION)
+def _dd_zero_residuals(rt: RuleTable, bound: int):
     b = min(bound, 6)
     for m in range(-b, b + 1):
         for eps in (0, 1):
@@ -665,8 +628,8 @@ def _dd_zero_run(rt: RuleTable, bound: int):
                     yield exterior_derivative(rt, exterior_derivative(rt, w))
 
 
-@_action("eq33-exterior-action", "(33)")
-def _eq33_action_run(rt: RuleTable, bound: int):
+@_entry("eq33-exterior-action", "(33)", ACTION)
+def _eq33_action_residuals(rt: RuleTable, bound: int):
     # d acts as dx*px + dth*pth: its form letters go through act's u* path,
     # while here they multiply the partial actions from outside
     P = rt.params
@@ -699,7 +662,7 @@ def _lookup(identity_id: str) -> Identity:
 def verify_identity(rt: RuleTable, identity_id: str, bound: int = 6) -> VerifyResult:
     entry = _lookup(identity_id)
     t0 = time.monotonic()
-    residual = entry.run(rt, bound)
+    residual = _first_nonzero(rt, entry.residuals(rt, bound))
     elapsed = int((time.monotonic() - t0) * 1000)
     status = "PASS" if residual.is_zero() else "FAIL"
     return VerifyResult(entry.identityId, entry.paperAnchor, status, residual, elapsed)

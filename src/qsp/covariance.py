@@ -140,15 +140,6 @@ def _collect_constraints(residuals: Iterable[Element]) -> list[RationalFunction]
     return list(dict.fromkeys(p for p in primitive if not p.is_zero()))
 
 
-_MODULE_RELATIONS = (
-    # (left word, [(coefficient name, right word), ...]) for x*dx = Q dx*x etc.
-    ((("x", 1), ("dx", 1)), (("Q", (("dx", 1), ("x", 1))),)),
-    ((("x", 1), ("dth", 1)), (("Q11", (("dth", 1), ("x", 1))), ("Q12", (("dx", 1), ("th", 1))))),
-    ((("th", 1), ("dx", 1)), (("Q21", (("dx", 1), ("th", 1))), ("Q22", (("dth", 1), ("x", 1))))),
-    ((("th", 1), ("dth", 1)), (("one", (("dth", 1), ("th", 1))),)),
-)
-
-
 class CovarianceConstraints:
     """Output of the constraint pass: generators per side plus notes."""
 
@@ -160,26 +151,24 @@ class CovarianceConstraints:
 
 
 def generate_covariance_constraints() -> CovarianceConstraints:
-    """Apply both coactions to the differential-module relations symbolically.
+    """Apply both coactions to the differential-module relations (11)
+    symbolically: to each word ``x*dx``, ``x*dth``, ``th*dx``, ``th*dth``
+    minus its normal form in the ansatz table.
 
     Returns the polynomial constraints extracted from the right coaction, the
     (empty, when all goes well) list of new constraints from the left
     coaction, and human-readable notes.
     """
     rt = ansatz_table()
-    P = rt.params
     notes = [
         "two mixed symbols in the displayed expansion are read as Q21 and Q22",
         "the left-coaction pass adds no constraints beyond the right-coaction set",
     ]
 
     def rel_residuals(side: str):
-        for lhs_word, rhs in _MODULE_RELATIONS:
-            te = coaction(rt, word_letters(lhs_word), side)
-            for coeff_name, rhs_word in rhs:
-                c = P.one() if coeff_name == "one" else P.var(coeff_name)
-                te.add_scaled(coaction(rt, word_letters(rhs_word), side), -c)
-            yield te
+        for word in (("x", "dx"), ("x", "dth"), ("th", "dx"), ("th", "dth")):
+            yield (coaction(rt, word_letters(word), side)
+                   - coaction_element(rt, rt.normalize_word(word), side))
 
     right = _collect_constraints(rel_residuals("right"))
     left_all = _collect_constraints(rel_residuals("left"))
@@ -383,5 +372,9 @@ def solve_family(side_conditions: Mapping[str, "RationalFunction | int | str"],
     if Q.is_zero():
         raise InconsistentSideConditions("Q must be invertible")
     ct = CalculusType(params, Qp=quotient("Qp", Q * Q11 - Q11 * Q12, Q), **values)
-    ct.validate()
+    try:
+        ct.validate()
+    except QspError as e:
+        raise type(e)(f"side conditions {dict(side_conditions)} give a type "
+                      f"that fails validation: {e}") from e
     return ct

@@ -1,10 +1,12 @@
 """Coactions, constraint generation, ansatz systems, family solving."""
 
+import re
+
 import pytest
 
-from qsp.algebra import CalculusType, build_rule_table, mono
+from qsp.algebra import CalculusType, InconsistentType, build_rule_table, mono
 from qsp.coeffs import PARAMS_I, PARAMS_II, PARAMS_III
-from qsp.coeffs import MissingVariable, NonMonomialDivisor
+from qsp.coeffs import DivisionByZero, MissingVariable, NonMonomialDivisor
 from qsp.covariance import (
     InconsistentSideConditions,
     UnderdeterminedSystem,
@@ -197,6 +199,13 @@ def test_solve_family_errors():
     with pytest.raises(NonMonomialDivisor,
                        match=r"^side conditions \{'Q12': 0, 'Q22': 'q'\} give Qp only as a quotient"):
         solve_family({"Q12": 0, "Q22": "q"}, PARAMS_II)
+    # a solved type that fails validation keeps the error's class, and the
+    # message names the side conditions
+    for conditions, error in (({"Q": 1, "Q12": "q"}, NonMonomialDivisor),
+                              ({"Q": 1, "Q11": 0}, DivisionByZero),
+                              ({"Q": 1, "Q11": 1}, InconsistentType)):
+        with pytest.raises(error, match=rf"^side conditions {re.escape(str(conditions))} give a type"):
+            solve_family(conditions, PARAMS_II)
 
 
 def test_q_prime_compatible_with_two_form_coaction(t2):

@@ -11,8 +11,7 @@ _HOMES = {
     "coeffs": ("PARAMS_I", "PARAMS_II", "PARAMS_III", "ParamSet", "QspError",
                "RationalFunction", "qnumber"),
     "algebra": ("CalculusType", "Element", "RuleTable", "act_on_function",
-                "build_rule_table", "local_confluence_check", "multiply",
-                "normalize", "parity_of", "substitute_params"),
+                "build_rule_table", "local_confluence_check", "parity_of"),
     "calculus": ("KNOWN_DISCREPANCY_IDS", "VerifyResult", "closed_form_H",
                  "exterior_derivative", "identity_catalog", "number_op",
                  "run_suite", "verify_identity"),

@@ -6,17 +6,19 @@ Words are normal-ordered into the fixed generator order
 
 (differential forms, then coordinates, then operators).  Every out-of-order
 adjacent pair of generators has a rewrite rule whose right-hand side is
-already normal-ordered.  Two sets of rules are derived, not transcribed.
-The four rules of px and pth past x and th (34) are read off
-d*g = dg + (-1)^|g| g*d, with d = dx*px + dth*pth
-(``partial_coordinate_rules``).  Rules against x^-1 are solved from the
+already normal-ordered.  The rules typed in from the paper's defining
+relations are one table, ``_RULES``, each right-hand side written with named
+coefficients; ``shaped_rules`` fills it with the values of ``rule_coeffs``
+for a table, and ``covariance`` fills the (75) and (78) shapes with unknowns.
+Three sets of rules are derived, not transcribed.  The four rules of px and
+pth past x and th (34) are read off d*g = dg + (-1)^|g| g*d, with
+d = dx*px + dth*pth (``partial_coordinate_rules``), and pth*px is read off
+d*d = 0 (``pth_px_rule``).  Rules against x^-1 are solved from the
 x-rules: a rule g*x = c*x*g + rest gives g*x^-1 = c^-1 * x^-1*(g - rest*x^-1),
 and a rule x*g = c*g*x + rest gives x^-1*g = c^-1 * (g - x^-1*rest)*x^-1.  A
 product that first misses one solves it, with each x^-1 rule that solution or
 its round trips (g*x*x^-1 = g and the like) meet; the table adopts them once
-all pass, and reading ``rules`` solves the rest.  The inner-derivation rules
-past coordinates and differentials have one shape (``inner_rules``), filled
-with the engine's coefficients here and with unknowns in ``covariance``.
+all pass, and reading ``rules`` solves the rest.
 
 The engine multiplies by folding one generator at a time into a canonical
 monomial.  Each table keeps two memos: one for the product of a monomial
@@ -403,11 +405,6 @@ def parity_of(e: Element) -> str:
     return "mixed"
 
 
-def substitute_params(e: Element, assignment: Mapping[str, Rat]) -> Element:
-    """Coefficient-wise numeric specialization; zero terms are pruned."""
-    return e.substitute(assignment)
-
-
 # ----------------------------------------------------------------------------
 # Calculus types (the three covariant parameter families)
 # ----------------------------------------------------------------------------
@@ -519,7 +516,54 @@ class CalculusType:
             raise InconsistentType("Q12 - Q22 = Q - 1 violated")
 
 
-# Rule coefficients of the extension sector, as functions of the type.
+# Every rule typed in from the paper's defining relations, keyed (left, right,
+# sign), its right-hand side as (coefficient name, monomial) terms, the name
+# None standing for the unit.  The rest are derived: partial_coordinate_rules,
+# pth_px_rule and the x^-1 rules of RuleTable.
+_RULES = {
+    # coordinates among themselves (5), and past differentials (11)
+    (TH, X, 1): (("q^-1", mono(x=1, th=1)),),
+    (TH, TH, 0): (),
+    (X, DX, 1): (("Q", mono(dx=1, x=1)),),
+    (X, DTH, 1): (("Q11", mono(dth=1, x=1)), ("Q12", mono(dx=1, th=1))),
+    (TH, DX, 0): (("Q21", mono(dx=1, th=1)), ("Q22", mono(dth=1, x=1))),
+    (TH, DTH, 0): ((None, mono(dth=1, th=1)),),
+    # differentials among themselves (12)
+    (DTH, DX, 0): (("Qp^-1", mono(dx=1, dth=1)),),
+    (DX, DX, 0): (),
+    # partial derivatives past differentials (36), and pth squared
+    (PX, DX, 0): (("Q^-1", mono(dx=1, px=1)), ("-(1+Qp^-1*Q21^-1)", mono(dth=1, pth=1))),
+    (PX, DTH, 0): (("Q11^-1", mono(dth=1, px=1)),),
+    (PTH, DX, 0): (("Q21^-1", mono(dx=1, pth=1)),),
+    (PTH, DTH, 0): ((None, mono(dth=1, pth=1)), ("1-Qp*Q11^-1", mono(dx=1, px=1))),
+    (PTH, PTH, 0): (),
+    # the ansatz of (75) and (78): inner derivations past coordinates and
+    # differentials, with the coefficients A1..A8 and a1..a8
+    (IX, X, 1): (("A1", mono(x=1, ix=1)), ("A2", mono(th=1, ith=1))),
+    (IX, TH, 0): (("A3", mono(th=1, ix=1)), ("A4", mono(x=1, ith=1))),
+    (ITH, X, 1): (("A5", mono(x=1, ith=1)), ("A6", mono(th=1, ix=1))),
+    (ITH, TH, 0): (("A7", mono(th=1, ith=1)), ("A8", mono(x=1, ix=1))),
+    (IX, DX, 0): ((None, ONE_MONO), ("a1", mono(dx=1, ix=1)), ("a2", mono(dth=1, ith=1))),
+    (IX, DTH, 0): (("a3", mono(dth=1, ix=1)), ("a4", mono(dx=1, ith=1))),
+    (ITH, DX, 0): (("a5", mono(dx=1, ith=1)), ("a6", mono(dth=1, ix=1))),
+    (ITH, DTH, 0): ((None, ONE_MONO), ("a7", mono(dth=1, ith=1)), ("a8", mono(dx=1, ix=1))),
+    # inner derivations past the partial derivatives (86) and each other (97)
+    (IX, PX, 0): (("Q^-1", mono(px=1, ix=1)),),
+    (IX, PTH, 0): (("Q21^-1", mono(pth=1, ix=1)), ("-Q12*Q11^-1*Q21^-1", mono(px=1, ith=1))),
+    (ITH, PX, 0): (("Q11^-1", mono(px=1, ith=1)), ("-Q22*Q11^-1*Q21^-1", mono(pth=1, ix=1))),
+    (ITH, PTH, 0): ((None, mono(pth=1, ith=1)),),
+    (IX, IX, 0): (),
+    (ITH, IX, 0): (("(Q-Q12)*Q11^-1", mono(ix=1, ith=1)),),
+}
+
+
+def shaped_rules(params: ParamSet, coeffs: Mapping[str, RationalFunction]) -> dict:
+    """The rules of ``_RULES`` whose coefficient names ``coeffs`` all
+    supplies, filled with its values."""
+    one = params.one()
+    return {key: Element(params, {m: coeffs[name] if name else one for name, m in rhs})
+            for key, rhs in _RULES.items() if all(name in coeffs for name, _ in rhs if name)}
+
 
 def inner_coordinate_coeffs(ct: CalculusType) -> dict[str, RationalFunction]:
     """Coefficients of the inner-derivation/coordinate commutation rules."""
@@ -544,38 +588,26 @@ def inner_differential_coeffs(ct: CalculusType) -> dict[str, RationalFunction]:
     }
 
 
-def inner_partial_coeffs(ct: CalculusType) -> dict[str, RationalFunction]:
-    """Coefficients of the inner-derivation/partial-derivative rules."""
-    zero, one = ct.params.zero(), ct.params.one()
+def rule_coeffs(ct: CalculusType) -> dict[str, RationalFunction]:
+    """The value at ``ct`` of every coefficient name in ``_RULES``.  Raises
+    NonInvertibleRule when one of the inverted symbols is zero."""
+    one = ct.params.one()
+    inv = {}
+    for name in ("q", "Q", "Q11", "Q21", "Qp"):
+        if ct.symbol(name).is_zero():
+            raise NonInvertibleRule(f"{name} is zero at this type")
+        inv[name] = one / ct.symbol(name)
     return {
-        "B1": one / ct.Q, "B2": zero,
-        "B3": one / ct.Q21, "B4": -(ct.Q12 / (ct.Q11 * ct.Q21)),
-        "B5": one / ct.Q11, "B6": -(ct.Q22 / (ct.Q11 * ct.Q21)),
-        "B7": one, "B8": zero,
+        **{f"{name}^-1": v for name, v in inv.items()},
+        **{name: ct.symbol(name) for name in COEFF_NAMES},
+        "-(1+Qp^-1*Q21^-1)": -(one + inv["Qp"] * inv["Q21"]),
+        "1-Qp*Q11^-1": one - ct.Qp * inv["Q11"],
+        "-Q12*Q11^-1*Q21^-1": -(ct.Q12 * inv["Q11"] * inv["Q21"]),
+        "-Q22*Q11^-1*Q21^-1": -(ct.Q22 * inv["Q11"] * inv["Q21"]),
+        "(Q-Q12)*Q11^-1": (ct.Q - ct.Q12) * inv["Q11"],
+        **inner_coordinate_coeffs(ct),
+        **inner_differential_coeffs(ct),
     }
-
-
-# The ansatz of (75) and (78): ix and ith past a coordinate or a differential,
-# each right-hand side as (coefficient name, monomial) terms, where the name
-# None stands for the unit.
-_INNER_RULE_SHAPES = {
-    (IX, X, 1): (("A1", mono(x=1, ix=1)), ("A2", mono(th=1, ith=1))),
-    (IX, TH, 0): (("A3", mono(th=1, ix=1)), ("A4", mono(x=1, ith=1))),
-    (ITH, X, 1): (("A5", mono(x=1, ith=1)), ("A6", mono(th=1, ix=1))),
-    (ITH, TH, 0): (("A7", mono(th=1, ith=1)), ("A8", mono(x=1, ix=1))),
-    (IX, DX, 0): ((None, ONE_MONO), ("a1", mono(dx=1, ix=1)), ("a2", mono(dth=1, ith=1))),
-    (IX, DTH, 0): (("a3", mono(dth=1, ix=1)), ("a4", mono(dx=1, ith=1))),
-    (ITH, DX, 0): (("a5", mono(dx=1, ith=1)), ("a6", mono(dth=1, ix=1))),
-    (ITH, DTH, 0): ((None, ONE_MONO), ("a7", mono(dth=1, ith=1)), ("a8", mono(dx=1, ix=1))),
-}
-
-
-def inner_rules(params: ParamSet, coeffs: Mapping[str, RationalFunction]) -> dict:
-    """The ansatz rules whose coefficients ``coeffs`` names: those past
-    coordinates for A1..A8, those past differentials for a1..a8."""
-    one = params.one()
-    return {key: Element(params, {m: coeffs[name] if name else one for name, m in shape})
-            for key, shape in _INNER_RULE_SHAPES.items() if shape[-1][0] in coeffs}
 
 
 def partial_coordinate_rules(rules: Mapping, params: ParamSet) -> dict:
@@ -600,6 +632,24 @@ def partial_coordinate_rules(rules: Mapping, params: ParamSet) -> dict:
         for dn, e in parts.items():
             out[(partial[dn], g, s)] = e
     return out
+
+
+def pth_px_rule(rules: Mapping, params: ParamSet) -> dict:
+    """The rule pth*px = b9*px*pth, read off d*d = 0.
+
+    Name the coefficients px*dx ∋ c2*dth*pth, px*dth ∋ c3*dth*px,
+    pth*dx ∋ c5*dx*pth, pth*dth ∋ c8*dx*px and dth*dx = w*dx*dth.  With
+    d = dx*px + dth*pth, every term of d*d but one dies on dx*dx = 0 or
+    pth*pth = 0, and that one is (c3 + c8*w + b9*(c2 + c5*w))*dx*dth*px*pth,
+    so b9 = -(c3 + c8*w)/(c2 + c5*w).
+    """
+    def c(key: RuleKey, m: Monomial) -> RationalFunction:
+        return rules[key].terms.get(m, params.zero())
+
+    w = c((DTH, DX, 0), mono(dx=1, dth=1))
+    b9 = -(c((PX, DTH, 0), mono(dth=1, px=1)) + c((PTH, DTH, 0), mono(dx=1, px=1)) * w) / (
+        c((PX, DX, 0), mono(dth=1, pth=1)) + c((PTH, DX, 0), mono(dx=1, pth=1)) * w)
+    return {(PTH, PX, 0): Element.monomial(params, mono(px=1, pth=1), b9)}
 
 
 # ----------------------------------------------------------------------------
@@ -645,63 +695,9 @@ class RuleTable:
         if validate:
             ct.validate()
         P = ct.params
-        one = P.one()
-        q = ct.q
-        Q, Q11, Q12, Q21, Q22, QP = ct.Q, ct.Q11, ct.Q12, ct.Q21, ct.Q22, ct.Qp
-
-        def inv(v: RationalFunction, what: str) -> RationalFunction:
-            if v.is_zero():
-                raise NonInvertibleRule(f"{what} is zero at this type")
-            return one / v
-
-        qi = inv(q, "q")
-        Qi = inv(Q, "Q")
-        Q11i = inv(Q11, "Q11")
-        Q21i = inv(Q21, "Q21")
-        QPi = inv(QP, "Q'")
-
-        def el(*terms) -> Element:
-            e = Element.zero(P)
-            for coeff, m in terms:
-                e.add_term(m, P.rf(coeff))
-            return e
-
-        rules: dict = {}
-
-        def rule(left: int, right: int, sign: int, *terms) -> None:
-            rules[(left, right, sign)] = el(*terms)
-
-        # coordinates among themselves
-        rule(TH, X, 1, (qi, mono(x=1, th=1)))
-        rule(TH, TH, 0)
-        # coordinates past differentials
-        rule(X, DX, 1, (Q, mono(dx=1, x=1)))
-        rule(X, DTH, 1, (Q11, mono(dth=1, x=1)), (Q12, mono(dx=1, th=1)))
-        rule(TH, DX, 0, (Q21, mono(dx=1, th=1)), (Q22, mono(dth=1, x=1)))
-        rule(TH, DTH, 0, (one, mono(dth=1, th=1)))
-        # differentials among themselves
-        rule(DTH, DX, 0, (QPi, mono(dx=1, dth=1)))
-        rule(DX, DX, 0)
-        # partial derivatives past differentials and each other; past
-        # coordinates they are read off the Leibniz rule of d
-        rule(PX, DX, 0, (Qi, mono(dx=1, px=1)),
-             (-(one + QPi * Q21i), mono(dth=1, pth=1)))
-        rule(PX, DTH, 0, (Q11i, mono(dth=1, px=1)))
-        rule(PTH, DX, 0, (Q21i, mono(dx=1, pth=1)))
-        rule(PTH, DTH, 0, (one, mono(dth=1, pth=1)), (one - QP * Q11i, mono(dx=1, px=1)))
-        rule(PTH, PX, 0, (QPi, mono(px=1, pth=1)))
-        rule(PTH, PTH, 0)
+        rules = shaped_rules(P, rule_coeffs(ct))
         rules.update(partial_coordinate_rules(rules, P))
-        # inner derivations: the ansatz shapes, then past the partials
-        rules.update(inner_rules(P, {**inner_coordinate_coeffs(ct), **inner_differential_coeffs(ct)}))
-        B = inner_partial_coeffs(ct)
-        rule(IX, PX, 0, (B["B1"], mono(px=1, ix=1)))
-        rule(IX, PTH, 0, (B["B3"], mono(pth=1, ix=1)), (B["B4"], mono(px=1, ith=1)))
-        rule(IX, IX, 0)
-        rule(ITH, PX, 0, (B["B5"], mono(px=1, ith=1)), (B["B6"], mono(pth=1, ix=1)))
-        rule(ITH, PTH, 0, (B["B7"], mono(pth=1, ith=1)))
-        rule(ITH, IX, 0, (-((ct.Q12 - ct.Q) / ct.Q11), mono(ix=1, ith=1)))
-
+        rules.update(pth_px_rule(rules, P))
         rt = cls(ct, rules)
         rt._pending = set(_X_INVERSE)
         return rt
@@ -970,14 +966,6 @@ class RuleTable:
 
 def build_rule_table(ct: CalculusType, validate: bool = True) -> RuleTable:
     return RuleTable.build(ct, validate=validate)
-
-
-def normalize(rt: RuleTable, w) -> Element:
-    return rt.normalize(w)
-
-
-def multiply(rt: RuleTable, a: Element, b: Element) -> Element:
-    return rt.mul(a, b)
 
 
 def act_on_function(rt: RuleTable, op: Element, f: Element) -> Element:

@@ -324,20 +324,16 @@ _word("eq48-T-omegax", "(48)", "T*wx == Q^-1*wx*T")
 _word("eq48-T-omegath", "(48)", "T*wth == Q^-1*wth*T")
 _word("eq48-nabla-omegath", "(48)", "Nb*wth == wth*Nb + Q^-1*wx*T")
 
-_entry("eq49-coefficient-relation", "(49)", WORD,
-       lambda rt, bound: [rt.ct.Q12 - rt.ct.Q22 - (rt.ct.Q - rt.params.one())])
+_word("eq49-coefficient-relation", "(49)", "Q12 - Q22 == Q - 1")
 
 _word("eq50-px-H", "(50)", "px*H == px + Q*H*px")
 _word("eq50-pth-H", "(50)", "pth*H == pth + Q*H*pth")
 _word("eq50-px-nabla", "(50)", "px*Nb == pth + Q*Qp*Nb*px")
 _word("eq50-pth-nabla", "(50)", "pth*Nb == -Nb*pth")
 
-_entry("eq51-first-as-printed", "(51)", WORD,
-       lambda rt, bound: [rt.ct.Q12 - rt.ct.Qp * rt.ct.Q21 - rt.params.one()])
-_entry("eq51-first-corrected", "(51)", WORD,
-       lambda rt, bound: [rt.ct.Q12 - rt.ct.Qp * rt.ct.Q21 - rt.ct.Q])
-_entry("eq51-second", "(51)", WORD,
-       lambda rt, bound: [rt.ct.Q11 - rt.ct.Qp * (rt.ct.Q + rt.ct.Q22)])
+_word("eq51-first-as-printed", "(51)", "Q12 - Qp*Q21 == 1")
+_word("eq51-first-corrected", "(51)", "Q12 - Qp*Q21 == Q")
+_word("eq51-second", "(51)", "Q11 == Qp*(Q + Q22)")
 
 
 @_entry("eq52-H-monomials", "(52)", WORD)
@@ -531,8 +527,7 @@ def _ansatz_system(kind: str):
     return cov.generate_ansatz_constraints(kind)
 
 
-_entry("eq75-fifth-as-printed", "(75)", WORD,
-       lambda rt, bound: [rt.ct.Q22 * (rt.ct.q * rt.ct.Q + rt.params.one())])
+_word("eq75-fifth-as-printed", "(75)", "Q22*(q*Q + 1) == 0")
 
 
 @_entry("eq75-ansatz-system", "(75)", WORD)
@@ -547,9 +542,7 @@ def _eq78_residuals(rt: RuleTable, bound: int):
     return cov.evaluate_system(_ansatz_system("inner-differential"), values, rt.params)
 
 
-_entry("eq83-a8-as-printed", "(83)", WORD,
-       lambda rt, bound: [rt.ct.Q11 / rt.ct.Q
-                    - rt.ct.Qp * (rt.params.one() + rt.ct.Q22 / (rt.ct.Q * rt.ct.Qp))])
+_word("eq83-a8-as-printed", "(83)", "Q11/Q == Qp*(1 + Q22/(Q*Qp))")
 
 _word("eq82-cartan-factor-x", "(82)", "ix*d + Q^-1*d*ix == px")
 _word("eq82-cartan-factor-th", "(82)", "ith*d - Q^-1*d*ith == pth")

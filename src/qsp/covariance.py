@@ -34,12 +34,10 @@ from .coeffs import (
 )
 from .algebra import (
     COEFF_NAMES,
-    DX, DTH, X, TH, IX,
     CalculusType,
     Element,
     RuleTable,
-    inner_rules,
-    mono,
+    shaped_rules,
     word_letters,
 )
 from .hopf import (
@@ -257,38 +255,24 @@ def generate_ansatz_constraints(kind: str) -> list[RationalFunction]:
     (dx dth = Qp dth dx, dx^2 = 0).
     """
     if kind == "inner-coordinate":
-        P = INNER_COORD_PARAMS
-        q = P.var("q")
-        rules = {(TH, X, 1): Element.monomial(P, mono(x=1, th=1), P.one() / q),
-                 (TH, TH, 0): Element.zero(P)}
-        relations = [
-            (("x", "th"), q, ("th", "x")),      # x th - q th x
-            (("th", "th"), P.zero(), ("th", "th")),
-        ]
+        P, pair, square = INNER_COORD_PARAMS, ("x", "th"), ("th", "th")
     elif kind == "inner-differential":
-        P = INNER_DIFF_PARAMS
-        Qp = P.var("Qp")
-        rules = {(DTH, DX, 0): Element.monomial(P, mono(dx=1, dth=1), P.one() / Qp),
-                 (DX, DX, 0): Element.zero(P)}
-        relations = [
-            (("dx", "dth"), Qp, ("dth", "dx")),
-            (("dx", "dx"), P.zero(), ("dx", "dx")),
-        ]
+        P, pair, square = INNER_DIFF_PARAMS, ("dx", "dth"), ("dx", "dx")
     else:
         raise ValueError(f"unknown ansatz kind {kind!r}")
-    rules[(IX, IX, 0)] = Element.zero(P)
-    # the unknowns A1..A8 or a1..a8 follow the parameter of the relations
-    rules.update(inner_rules(P, {v: P.var(v) for v in P.variables[1:]}))
+    # the relations are pair = c * reversed pair and square = 0, with c the
+    # first parameter, q or Qp; the unknowns A1..A8 or a1..a8 follow it
+    name, *unknowns = P.variables
+    c = P.var(name)
+    coeffs = {f"{name}^-1": P.one() / c, **{v: P.var(v) for v in unknowns}}
     one = P.one()   # placeholder structure coefficients, which no product reads
-    rt = RuleTable(CalculusType(P, one, one, P.zero(), one, P.zero(), one), rules)
+    rt = RuleTable(CalculusType(P, one, one, P.zero(), one, P.zero(), one), shaped_rules(P, coeffs))
 
     def residuals():
         for mover in ("ix", "ith"):
-            for lhs, coeff, rhs in relations:
-                e = rt.normalize_word((mover,) + lhs)
-                if not coeff.is_zero():
-                    e = e - rt.normalize_word((mover,) + rhs).scale(coeff)
-                yield e
+            yield (rt.normalize_word((mover,) + pair)
+                   - rt.normalize_word((mover,) + pair[::-1]).scale(c))
+            yield rt.normalize_word((mover,) + square)
 
     return _collect_constraints(residuals())
 
@@ -362,15 +346,18 @@ def solve_family(side_conditions: Mapping[str, "RationalFunction | int | str"],
     reduced = _row_reduce(matrix)
     pivots = {col for col, _ in reduced}
     if len(free) in pivots:
-        raise InconsistentSideConditions("side conditions contradict the constraints")
+        raise InconsistentSideConditions(f"side conditions {dict(side_conditions)} "
+                                         "contradict the constraints")
     missing = [u for i, u in enumerate(free) if i not in pivots]
     if missing:
-        raise UnderdeterminedSystem(f"unconstrained coefficients: {missing}")
+        raise UnderdeterminedSystem(f"side conditions {dict(side_conditions)} leave "
+                                    f"unconstrained coefficients: {missing}")
     values = dict(fixed)
     values.update((free[col], quotient(free[col], row[-1], row[col])) for col, row in reduced)
     Q, Q11, Q12 = values["Q"], values["Q11"], values["Q12"]
     if Q.is_zero():
-        raise InconsistentSideConditions("Q must be invertible")
+        raise InconsistentSideConditions(f"side conditions {dict(side_conditions)} give "
+                                         "Q = 0, but Q must be invertible")
     ct = CalculusType(params, Qp=quotient("Qp", Q * Q11 - Q11 * Q12, Q), **values)
     try:
         ct.validate()

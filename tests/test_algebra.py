@@ -34,7 +34,7 @@ from qsp.algebra import (
     mono,
     parity_of,
     partial_coordinate_rules,
-    substitute_params,
+    pth_px_rule,
 )
 from qsp.calculus import DERIVED_NAMES, expand_derived, run_suite
 from qsp.coeffs import PARAMS_I
@@ -218,6 +218,34 @@ def test_eq34_checks_rules_read_off_d(name):
     assert verdicts((TH, DX, 0), th_dx + q21_term)["eq34-px-th"] == "FAIL"
 
 
+@TABLES
+def test_d_squares_to_zero(name, assignment):
+    # pth*px is read off d*d = 0, as Qp^-1*px*pth
+    ct = CalculusType.by_name(name)
+    rt = build_rule_table(ct.specialize(assignment) if assignment else ct)
+    d = rt.d_element()
+    assert rt.mul(d, d).is_zero()
+    assert rt.rules[(PTH, PX, 0)] == Element.monomial(rt.params, mono(px=1, pth=1),
+                                                      rt.params.one() / rt.ct.Qp)
+
+
+@pytest.mark.parametrize("name", ["I", "II", "III"])
+def test_eq35_checks_the_rule_read_off_d(name):
+    # pth*px is derived from the rules of px and pth past dx and dth, so a
+    # table whose px*dth rule is doubled derives another pth*px: d still
+    # squares to zero there, and eq35-deriv-commute fails
+    ct = CalculusType.by_name(name)
+    P = ct.params
+    rules = build_rule_table(ct)._rules
+    assert pth_px_rule(rules, P) == {(PTH, PX, 0): rules[(PTH, PX, 0)]}
+    table = {**rules, (PX, DTH, 0): rules[(PX, DTH, 0)].scale(2)}
+    table.update(pth_px_rule(table, P))
+    rt = RuleTable(ct, table)
+    assert rt.mul(rt.d_element(), rt.d_element()).is_zero()
+    verdicts = {r.identityId: r.status for r in run_suite(rt, pattern="eq35-*")}
+    assert verdicts == {"eq35-deriv-commute": "FAIL", "eq35-pth-square": "PASS"}
+
+
 def test_d_realizes_to_differential(t2):
     P = t2.params
     want = Element.monomial(P, mono(dx=1, px=1)) + Element.monomial(P, mono(dth=1, pth=1))
@@ -264,13 +292,13 @@ def test_unsupported_generator(t2):
 
 def test_substitute_params_recovers_type_i(t2, t1):
     # the Type II rule px*x specialized at r=1 is the Type I rule
-    e2 = substitute_params(t2.word("px", "x"), {"r": 1})
+    e2 = t2.word("px", "x").substitute({"r": 1})
     e1 = t1.word("px", "x")
     assert _project_terms(e2, PARAMS_I) == e1.terms
 
 
 def test_substitute_classical_limit(t2):
-    e = substitute_params(t2.word("th", "x"), {"q": 1, "r": 1})
+    e = t2.word("th", "x").substitute({"q": 1, "r": 1})
     assert e == Element.monomial(t2.params, mono(x=1, th=1))
 
 
@@ -369,7 +397,7 @@ def test_idempotence_and_specialization_commute(t2):
         e = t2.normalize_word(word)
         assert t2.normalize(e) == e
         # the specialized table's coefficients are over the parameters left
-        assert (_project_terms(substitute_params(e, {"r": 2}), rt_spec.params)
+        assert (_project_terms(e.substitute({"r": 2}), rt_spec.params)
                 == rt_spec.normalize_word(word).terms)
 
 

@@ -187,10 +187,16 @@ def test_solve_family_reproduces_tables():
 
 
 def test_solve_family_errors():
-    with pytest.raises(UnderdeterminedSystem):
+    # every error names the side conditions and keeps its class
+    with pytest.raises(UnderdeterminedSystem,
+                       match=r"^side conditions \{'Q22': 0\} leave unconstrained coefficients: "):
         solve_family({"Q22": 0}, PARAMS_II)
-    with pytest.raises(InconsistentSideConditions):
+    with pytest.raises(InconsistentSideConditions,
+                       match=r"^side conditions \{'Q22': 0, 'Q12': 0, 'Q': 'r'\} contradict"):
         solve_family({"Q22": 0, "Q12": 0, "Q": "r"}, PARAMS_II)
+    with pytest.raises(InconsistentSideConditions,
+                       match=r"^side conditions \{'Q': 0, 'Q22': 0\} give Q = 0, but Q must be invertible"):
+        solve_family({"Q": 0, "Q22": 0}, PARAMS_II)
     # Qp is not an unknown of (18); the structure identity sets it
     with pytest.raises(InconsistentSideConditions):
         solve_family({"Q22": 0, "Qp": 1}, PARAMS_II)

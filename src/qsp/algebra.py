@@ -8,8 +8,10 @@ Words are normal-ordered into the fixed generator order
 adjacent pair of generators has a rewrite rule whose right-hand side is
 already normal-ordered.  The rules typed in from the paper's defining
 relations are one table, ``_RULES``, each right-hand side written with named
-coefficients; ``shaped_rules`` fills it with the values of ``rule_coeffs``
-for a table, and ``covariance`` fills the (75) and (78) shapes with unknowns.
+coefficients; ``shaped_rules`` fills it with the values of ``rule_coeffs``,
+the one map from a coefficient name to its value at a type, and
+``covariance`` fills the (75) and (78) shapes with unknowns to print those
+systems.
 Three sets of rules are derived, not transcribed.  The four rules of px and
 pth past x and th (34) are read off d*g = dg + (-1)^|g| g*d, with
 d = dx*px + dth*pth (``partial_coordinate_rules``), and pth*px is read off
@@ -565,33 +567,10 @@ def shaped_rules(params: ParamSet, coeffs: Mapping[str, RationalFunction]) -> di
             for key, rhs in _RULES.items() if all(name in coeffs for name, _ in rhs if name)}
 
 
-def inner_coordinate_coeffs(ct: CalculusType) -> dict[str, RationalFunction]:
-    """Coefficients of the inner-derivation/coordinate commutation rules."""
-    zero, one = ct.params.zero(), ct.params.one()
-    return {
-        "A1": ct.Q, "A2": ct.Q12, "A3": ct.Q21, "A4": zero,
-        "A5": ct.Q11, "A6": zero, "A7": one, "A8": ct.Q22,
-    }
-
-
-def inner_differential_coeffs(ct: CalculusType) -> dict[str, RationalFunction]:
-    """Coefficients of the inner-derivation/differential rules (engine values).
-
-    The a8 entry is Q22/Q, forced by consistency with the two-form relations;
-    the source table prints Q22/(Q*Q') instead, which fails that consistency
-    whenever Q22 != 0 and Q' != 1 (see the eq83-a8-as-printed certificate).
-    """
-    zero, one = ct.params.zero(), ct.params.one()
-    return {
-        "a1": -one, "a2": -(ct.Q12 / ct.Q), "a3": -(ct.Q21 / ct.Q), "a4": zero,
-        "a5": ct.Q11 / ct.Q, "a6": zero, "a7": one / ct.Q, "a8": ct.Q22 / ct.Q,
-    }
-
-
 def rule_coeffs(ct: CalculusType) -> dict[str, RationalFunction]:
     """The value at ``ct`` of every coefficient name in ``_RULES``.  Raises
     NonInvertibleRule when one of the inverted symbols is zero."""
-    one = ct.params.one()
+    zero, one = ct.params.zero(), ct.params.one()
     inv = {}
     for name in ("q", "Q", "Q11", "Q21", "Qp"):
         if ct.symbol(name).is_zero():
@@ -605,8 +584,15 @@ def rule_coeffs(ct: CalculusType) -> dict[str, RationalFunction]:
         "-Q12*Q11^-1*Q21^-1": -(ct.Q12 * inv["Q11"] * inv["Q21"]),
         "-Q22*Q11^-1*Q21^-1": -(ct.Q22 * inv["Q11"] * inv["Q21"]),
         "(Q-Q12)*Q11^-1": (ct.Q - ct.Q12) * inv["Q11"],
-        **inner_coordinate_coeffs(ct),
-        **inner_differential_coeffs(ct),
+        # the (75) ansatz: inner derivations past coordinates
+        "A1": ct.Q, "A2": ct.Q12, "A3": ct.Q21, "A4": zero,
+        "A5": ct.Q11, "A6": zero, "A7": one, "A8": ct.Q22,
+        # the (78) ansatz: inner derivations past differentials.  a8 = Q22/Q
+        # is forced by the two-form relations; the source table prints
+        # Q22/(Q*Q'), which breaks them whenever Q22 != 0 and Q' != 1 (the
+        # eq83-a8-as-printed certificate)
+        "a1": -one, "a2": -ct.Q12 * inv["Q"], "a3": -ct.Q21 * inv["Q"], "a4": zero,
+        "a5": ct.Q11 * inv["Q"], "a6": zero, "a7": inv["Q"], "a8": ct.Q22 * inv["Q"],
     }
 
 
@@ -999,7 +985,7 @@ class ConfluenceReport:
         return not self.violations
 
 
-def _reducible(rt: RuleTable, a: tuple, b: tuple) -> RuleKey | None:
+def _reducible(a: tuple, b: tuple) -> RuleKey | None:
     """Rule key applicable to the adjacent letter pair a, b (or None)."""
     ga, sa = a
     gb, sb = b
@@ -1032,9 +1018,9 @@ def _d_rules(rt: RuleTable) -> dict:
     for a in _AUDIT_ALPHABET:
         e = Element.monomial(rt.params, _letter_mono(a))
         if a[0] < D:
-            rules[_reducible(rt, (D, 1), a)] = rt.mul(d, e)
+            rules[_reducible((D, 1), a)] = rt.mul(d, e)
         elif a[0] > D:
-            rules[_reducible(rt, a, (D, 1))] = rt.mul(e, d)
+            rules[_reducible(a, (D, 1))] = rt.mul(e, d)
     return rules
 
 
@@ -1068,7 +1054,7 @@ def local_confluence_check(rt: RuleTable, max_len: int) -> ConfluenceReport:
     rules = {**rt.rules, **_d_rules(rt)}
     letters = {a: Element.monomial(rt.params, _letter_mono(a)) for a in _AUDIT_ALPHABET}
     letters[(D, 1)] = rt.d_element()
-    reducible = {(a, b): _reducible(rt, a, b)
+    reducible = {(a, b): _reducible(a, b)
                  for a in _AUDIT_ALPHABET for b in _AUDIT_ALPHABET}
     words_checked = 0
     branch_pairs = 0

@@ -26,7 +26,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
-from functools import lru_cache, partial, reduce
+from functools import partial, reduce
 from typing import Callable, Iterable, Optional
 
 from .coeffs import QspError, RationalFunction, qnumber
@@ -37,8 +37,6 @@ from .algebra import (
     Element,
     RuleTable,
     act_on_function,
-    inner_coordinate_coeffs,
-    inner_differential_coeffs,
     mono,
 )
 from . import covariance as cov
@@ -522,25 +520,13 @@ def _eq76_residuals(rt: RuleTable, bound: int):
     ]
 
 
-@lru_cache(maxsize=None)
-def _ansatz_system(kind: str):
-    return cov.generate_ansatz_constraints(kind)
+def _inner_relation_residuals(kind: str, rt: RuleTable, bound: int):
+    return cov.inner_relation_residuals(rt, kind)
 
 
 _word("eq75-fifth-as-printed", "(75)", "Q22*(q*Q + 1) == 0")
-
-
-@_entry("eq75-ansatz-system", "(75)", WORD)
-def _eq75_residuals(rt: RuleTable, bound: int):
-    values = dict(inner_coordinate_coeffs(rt.ct), q=rt.ct.q)
-    return cov.evaluate_system(_ansatz_system("inner-coordinate"), values, rt.params)
-
-
-@_entry("eq78-ansatz-system", "(78)", WORD)
-def _eq78_residuals(rt: RuleTable, bound: int):
-    values = dict(inner_differential_coeffs(rt.ct), Qp=rt.ct.Qp)
-    return cov.evaluate_system(_ansatz_system("inner-differential"), values, rt.params)
-
+_entry("eq75-ansatz-system", "(75)", WORD, partial(_inner_relation_residuals, "inner-coordinate"))
+_entry("eq78-ansatz-system", "(78)", WORD, partial(_inner_relation_residuals, "inner-differential"))
 
 _word("eq83-a8-as-printed", "(83)", "Q11/Q == Qp*(1 + Q22/(Q*Qp))")
 

@@ -7,12 +7,19 @@ coproduct by
     dR(dth) = dth (x) x + dx (x) th
     dL(dth) = x (x) dth - th (x) dx
 
-multiplicatively with Koszul signs.  Applying dR to the differential-module
-relations with unknown structure coefficients and collecting tensor-basis
-coefficients yields a linear constraint system.  ``solve-types`` solves the
-four constraints (18) as ``CalculusType.covariance_residuals`` writes them,
-under the documented side conditions, for the three parameter families;
-eq17 checks that this list spans the system derived from the coactions.
+multiplicatively with Koszul signs.
+
+Each constraint system is written once, as a generator of residuals on a
+rule table: ``relation_coaction_residuals`` applies a coaction to the
+differential-module relations (11), and ``inner_relation_residuals`` moves
+each inner derivation through the coordinate or the two-form relations,
+the systems (75) and (78).  On a table whose rules carry unknowns, their
+coefficients collected are the printed system; on an engine table, they
+all vanish when the system holds there, which is what eq75 and eq78 check.
+``solve-types`` solves the four constraints (18) as
+``CalculusType.covariance_residuals`` writes them, under the documented side
+conditions, for the three parameter families; eq17 checks that this list
+spans the system derived from the coactions.
 """
 
 from __future__ import annotations
@@ -25,7 +32,6 @@ from .coeffs import (
     PARAMS_I,
     PARAMS_II,
     PARAMS_III,
-    MissingVariable,
     NonMonomialDivisor,
     ParamSet,
     QspError,
@@ -139,39 +145,35 @@ def _collect_constraints(residuals: Iterable[Element]) -> list[RationalFunction]
 
 
 class CovarianceConstraints:
-    """Output of the constraint pass: generators per side plus notes."""
+    """Output of the constraint pass: generators per side."""
 
-    def __init__(self, right: list[RationalFunction], left: list[RationalFunction],
-                 notes: list[str]):
+    def __init__(self, right: list[RationalFunction], left: list[RationalFunction]):
         self.right = right
         self.left = left
-        self.notes = notes
+
+
+def relation_coaction_residuals(rt: RuleTable, side: str):
+    """The coaction on ``side`` of each differential-module relation (11):
+    of each word ``x*dx``, ``x*dth``, ``th*dx``, ``th*dth`` minus that of its
+    normal form in ``rt``.  All vanish when ``rt`` is covariant."""
+    for word in (("x", "dx"), ("x", "dth"), ("th", "dx"), ("th", "dth")):
+        yield (coaction(rt, word_letters(word), side)
+               - coaction_element(rt, rt.normalize_word(word), side))
 
 
 def generate_covariance_constraints() -> CovarianceConstraints:
-    """Apply both coactions to the differential-module relations (11)
-    symbolically: to each word ``x*dx``, ``x*dth``, ``th*dx``, ``th*dth``
-    minus its normal form in the ansatz table.
+    """The relation coaction residuals on the ansatz table, as constraints.
 
-    Returns the polynomial constraints extracted from the right coaction, the
-    (empty, when all goes well) list of new constraints from the left
-    coaction, and human-readable notes.
+    Returns the polynomial constraints extracted from the right coaction and
+    the (empty, when all goes well) list of new constraints from the left
+    coaction.  Two mixed symbols in the paper's displayed expansion are read
+    as Q21 and Q22.
     """
     rt = ansatz_table()
-    notes = [
-        "two mixed symbols in the displayed expansion are read as Q21 and Q22",
-        "the left-coaction pass adds no constraints beyond the right-coaction set",
-    ]
-
-    def rel_residuals(side: str):
-        for word in (("x", "dx"), ("x", "dth"), ("th", "dx"), ("th", "dth")):
-            yield (coaction(rt, word_letters(word), side)
-                   - coaction_element(rt, rt.normalize_word(word), side))
-
-    right = _collect_constraints(rel_residuals("right"))
-    left_all = _collect_constraints(rel_residuals("left"))
+    right = _collect_constraints(relation_coaction_residuals(rt, "right"))
+    left_all = _collect_constraints(relation_coaction_residuals(rt, "left"))
     left_new = [p for p in left_all if not _in_linear_span(right, [p])]
-    return CovarianceConstraints(right, left_new, notes)
+    return CovarianceConstraints(right, left_new)
 
 
 def expected_covariance_constraints() -> list[RationalFunction]:
@@ -240,63 +242,52 @@ def spans_match(a: Sequence[RationalFunction], b: Sequence[RationalFunction]) ->
 # Inner-derivation ansatz systems
 # ----------------------------------------------------------------------------
 
-INNER_COORD_PARAMS = ParamSet("inner-coordinate",
-                              ("q",) + tuple(f"A{i}" for i in range(1, 9)))
-INNER_DIFF_PARAMS = ParamSet("inner-differential",
-                             ("Qp",) + tuple(f"a{i}" for i in range(1, 9)))
+# kind -> the parameters of its ansatz, the relation symbol c first and the
+# unknowns after it, and the relations the inner derivations pass through: a
+# pair (pair = c * reversed pair) and a square (square = 0)
+_INNER_RELATIONS = {
+    "inner-coordinate": (ParamSet("inner-coordinate", ("q",) + tuple(f"A{i}" for i in range(1, 9))),
+                         ("x", "th"), ("th", "th")),
+    "inner-differential": (ParamSet("inner-differential", ("Qp",) + tuple(f"a{i}" for i in range(1, 9))),
+                           ("dx", "dth"), ("dx", "dx")),
+}
+
+
+def _inner_relations(kind: str) -> tuple:
+    if kind not in _INNER_RELATIONS:
+        raise ValueError(f"unknown ansatz kind {kind!r}")
+    return _INNER_RELATIONS[kind]
+
+
+def inner_relation_residuals(rt: RuleTable, kind: str):
+    """Each inner derivation moved through both sides of a relation in
+    ``rt``: for kind 'inner-coordinate' the coordinate relations
+    (x th = q th x, th^2 = 0), for 'inner-differential' the two-form
+    relations (dx dth = Qp dth dx, dx^2 = 0).  All vanish when the rules of
+    ``ix`` and ``ith`` are consistent with those relations."""
+    P, pair, square = _inner_relations(kind)
+    c = rt.ct.symbol(P.variables[0])
+    for mover in ("ix", "ith"):
+        yield (rt.normalize_word((mover,) + pair)
+               - rt.normalize_word((mover,) + pair[::-1]).scale(c))
+        yield rt.normalize_word((mover,) + square)
 
 
 def generate_ansatz_constraints(kind: str) -> list[RationalFunction]:
-    """Consistency constraints of the inner-derivation ansatz.
-
-    kind 'inner-coordinate': reorder each inner derivation through both sides
-    of the coordinate relations (x th = q th x, th^2 = 0).  kind
-    'inner-differential': likewise through the two-form relations
-    (dx dth = Qp dth dx, dx^2 = 0).
-    """
-    if kind == "inner-coordinate":
-        P, pair, square = INNER_COORD_PARAMS, ("x", "th"), ("th", "th")
-    elif kind == "inner-differential":
-        P, pair, square = INNER_DIFF_PARAMS, ("dx", "dth"), ("dx", "dx")
-    else:
-        raise ValueError(f"unknown ansatz kind {kind!r}")
-    # the relations are pair = c * reversed pair and square = 0, with c the
-    # first parameter, q or Qp; the unknowns A1..A8 or a1..a8 follow it
+    """Consistency constraints of the inner-derivation ansatz: the residuals
+    of ``inner_relation_residuals`` on a table whose ``ix`` and ``ith`` rules
+    carry the unknowns A1..A8 (kind 'inner-coordinate') or a1..a8
+    ('inner-differential')."""
+    P = _inner_relations(kind)[0]
     name, *unknowns = P.variables
     c = P.var(name)
     coeffs = {f"{name}^-1": P.one() / c, **{v: P.var(v) for v in unknowns}}
-    one = P.one()   # placeholder structure coefficients, which no product reads
-    rt = RuleTable(CalculusType(P, one, one, P.zero(), one, P.zero(), one), shaped_rules(P, coeffs))
-
-    def residuals():
-        for mover in ("ix", "ith"):
-            yield (rt.normalize_word((mover,) + pair)
-                   - rt.normalize_word((mover,) + pair[::-1]).scale(c))
-            yield rt.normalize_word((mover,) + square)
-
-    return _collect_constraints(residuals())
-
-
-def evaluate_system(system: Sequence[RationalFunction],
-                    assignment: Mapping[str, RationalFunction],
-                    target: ParamSet) -> list[RationalFunction]:
-    """Evaluate ansatz polynomials over ``target``: ``assignment`` maps each
-    variable a polynomial contains, named as in the polynomial's own
-    parameter set, to its value over ``target``."""
-    out = []
-    for p in system:
-        names = p.params.variables
-        total = target.zero()
-        for m, c in p.lp.items():
-            term = target.const(c)
-            for name, e in zip(names, m):
-                if e:
-                    if name not in assignment:
-                        raise MissingVariable(f"no value for variable {name!r}")
-                    term = term * assignment[name] ** e
-            total = total + term
-        out.append(total)
-    return out
+    # placeholder structure coefficients, which no product reads; Qp is the
+    # relation symbol of the two-form relations, q a parameter
+    one = P.one()
+    ct = CalculusType(P, one, one, P.zero(), one, P.zero(), c if name == "Qp" else one)
+    rt = RuleTable(ct, shaped_rules(P, coeffs))
+    return _collect_constraints(inner_relation_residuals(rt, kind))
 
 
 # ----------------------------------------------------------------------------

@@ -29,14 +29,13 @@ from qsp.calculus import (
 )
 from qsp.coeffs import PARAMS_I, PARAMS_II, PARAMS_III
 from qsp.covariance import (
-    evaluate_system,
     expected_covariance_constraints,
     generate_ansatz_constraints,
     generate_covariance_constraints,
+    inner_relation_residuals,
     solve_family,
     spans_match,
 )
-from qsp.algebra import inner_coordinate_coeffs, inner_differential_coeffs
 from qsp.exprio import emit_report, print_canonical
 from qsp.hopf import (
     UElement,
@@ -78,7 +77,7 @@ def test_criterion_1_family_tables():
     _report(f"criterion 1: family tables reproduced exactly ({elapsed:.3f}s)")
 
 
-def test_criterion_2_constraint_derivation():
+def test_criterion_2_constraint_derivation(engines):
     t0 = time.monotonic()
     cc = generate_covariance_constraints()
     assert spans_match(cc.right, expected_covariance_constraints())
@@ -87,15 +86,9 @@ def test_criterion_2_constraint_derivation():
     coord = generate_ansatz_constraints("inner-coordinate")
     diff = generate_ansatz_constraints("inner-differential")
     assert len(coord) >= 5 and len(diff) >= 6
-    for ct in (CalculusType.type_ii(), CalculusType.type_iii()):
-        values = dict(inner_coordinate_coeffs(ct))
-        values["q"] = ct.params.var("q")
-        assert all(r.is_zero() for r in
-                   evaluate_system(coord, values, ct.params))
-        values = dict(inner_differential_coeffs(ct))
-        values["Qp"] = ct.Qp
-        assert all(r.is_zero() for r in
-                   evaluate_system(diff, values, ct.params))
+    for name, rt in engines.items():
+        for kind in ("inner-coordinate", "inner-differential"):
+            assert all(r.is_zero() for r in inner_relation_residuals(rt, kind)), (name, kind)
     elapsed = time.monotonic() - t0
     assert elapsed < 5.0, f"constraint derivation took {elapsed:.2f}s"
     _report(f"criterion 2: covariance and ansatz systems derived and "

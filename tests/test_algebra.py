@@ -457,7 +457,7 @@ def _reference_audit(rt, max_len):
     for length in range(3, max_len + 1):
         for word in product(alphabet, repeat=length):
             steps = [i for i in range(length - 1)
-                     if _reducible(rt, word[i], word[i + 1]) is not None]
+                     if _reducible(word[i], word[i + 1]) is not None]
             if len(steps) < 2:
                 continue
             words += 1
@@ -466,7 +466,7 @@ def _reference_audit(rt, max_len):
                 out = Element.one(rt.params)
                 for a in word[:i]:
                     out = rt.mul(out, letter(a))
-                out = rt.mul(out, rules[_reducible(rt, word[i], word[i + 1])])
+                out = rt.mul(out, rules[_reducible(word[i], word[i + 1])])
                 for a in word[i + 2:]:
                     out = rt.mul(out, letter(a))
                 branches.append(out)

@@ -4,9 +4,17 @@ import re
 
 import pytest
 
-from qsp.algebra import CalculusType, InconsistentType, build_rule_table, mono
+from qsp.algebra import (
+    CalculusType,
+    InconsistentType,
+    build_rule_table,
+    mono,
+    rule_coeffs,
+    shaped_rules,
+)
+from qsp.calculus import verify_identity
 from qsp.coeffs import PARAMS_I, PARAMS_II, PARAMS_III
-from qsp.coeffs import DivisionByZero, MissingVariable, NonMonomialDivisor
+from qsp.coeffs import DivisionByZero, NonMonomialDivisor
 from qsp.covariance import (
     InconsistentSideConditions,
     UnderdeterminedSystem,
@@ -14,14 +22,14 @@ from qsp.covariance import (
     coaction_axiom_residuals,
     delta_L,
     delta_R,
-    evaluate_system,
     expected_covariance_constraints,
     generate_ansatz_constraints,
     generate_covariance_constraints,
+    inner_relation_residuals,
+    relation_coaction_residuals,
     solve_family,
     spans_match,
 )
-from qsp.algebra import inner_coordinate_coeffs, inner_differential_coeffs
 from qsp.hopf import TensorElement
 
 
@@ -72,7 +80,6 @@ def test_constraint_generation_matches_published_span():
     cc = generate_covariance_constraints()
     assert spans_match(cc.right, expected_covariance_constraints())
     assert not cc.left  # the left pass adds nothing
-    assert cc.notes
     # in the order the residuals first give them
     assert _strings(cc.right) == ["q*Q - q*Q12 - Q11", "q*Q21 + Q + Q22",
                                   "q*Q21 + Q12 + 1", "q*Q22 - q + Q11"]
@@ -80,15 +87,11 @@ def test_constraint_generation_matches_published_span():
         "q*Q - q*Q12 - Q11", "q*Q22 - q + Q11", "q*Q21 + Q12 + 1", "q*Q21 + Q + Q22"]
 
 
-def test_constraints_vanish_at_families():
-    cc = generate_covariance_constraints()
-    for ct in (CalculusType.type_i(), CalculusType.type_ii(), CalculusType.type_iii()):
-        values = {
-            "q": ct.params.var("q"), "Q": ct.Q, "Q11": ct.Q11, "Q12": ct.Q12,
-            "Q21": ct.Q21, "Q22": ct.Q22, "Qp": ct.Qp,
-        }
-        res = evaluate_system(cc.right, values, ct.params)
-        assert all(r.is_zero() for r in res), ct.params.mode
+def test_relation_coactions_vanish_at_families(family_table):
+    # the system (11) that eq17 spans holds on each family's own table
+    for side in ("right", "left"):
+        for res in relation_coaction_residuals(family_table, side):
+            assert res.is_zero(), side
 
 
 def _strings(system):
@@ -108,17 +111,11 @@ def test_inner_coordinate_system():
         "q*A1*A8 - A5*A8",                   # A8(A5 - q A1)
         "q*A3*A8 + A7*A8",                   # A8(q A3 + A7): consistent variant
     ]
-    # the corresponding system annihilates the solved coefficients
-    for ct in (CalculusType.type_ii(), CalculusType.type_iii()):
-        values = dict(inner_coordinate_coeffs(ct))
-        values["q"] = ct.params.var("q")
-        res = evaluate_system(system, values, ct.params)
-        assert all(r.is_zero() for r in res), ct.params.mode
 
 
 def test_inner_coordinate_printed_fifth_fails_at_type_iii():
     ct = CalculusType.type_iii()
-    A = inner_coordinate_coeffs(ct)
+    A = rule_coeffs(ct)
     q = ct.params.var("q")
     assert not (A["A8"] * (q * A["A1"] + A["A7"])).is_zero()
     # while the engine-derived variant vanishes
@@ -141,37 +138,35 @@ def test_inner_differential_system():
         "Qp*a5*a6 + a1*a6",
         "a6",
     ]
-    for ct in (CalculusType.type_ii(), CalculusType.type_iii()):
-        values = dict(inner_differential_coeffs(ct))
-        values["Qp"] = ct.Qp
-        res = evaluate_system(system, values, ct.params)
-        assert all(r.is_zero() for r in res), ct.params.mode
 
 
-def test_evaluate_system_reads_each_constraints_own_parameters():
-    # one call evaluates constraints over two parameter sets, each variable
-    # read by its name in the constraint's own set
-    coord = generate_ansatz_constraints("inner-coordinate")
-    diff = generate_ansatz_constraints("inner-differential")
+def test_inner_relations_vanish_at_families(family_table):
+    # the systems (75) and (78) hold on each family's own table
+    for kind in ("inner-coordinate", "inner-differential"):
+        for res in inner_relation_residuals(family_table, kind):
+            assert res.is_zero(), kind
+
+
+def _type_iii_reading(**coeffs):
+    """A type III table whose transcribed rules read ``coeffs`` in place of
+    the engine's values."""
     ct = CalculusType.type_iii()
-    values = {**inner_coordinate_coeffs(ct), **inner_differential_coeffs(ct),
-              "q": ct.q, "Qp": ct.Qp}
-    res = evaluate_system(coord + diff, values, ct.params)
-    assert len(res) == len(coord) + len(diff)
-    assert all(r.is_zero() for r in res)
-    del values["A8"]
-    with pytest.raises(MissingVariable, match="no value for variable 'A8'"):
-        evaluate_system(coord, values, ct.params)
+    rt = build_rule_table(ct)
+    rt._rules.update(shaped_rules(ct.params, {**rule_coeffs(ct), **coeffs}))
+    return rt
 
 
-def test_inner_differential_printed_a8_fails_at_type_iii():
+def test_ansatz_systems_fail_on_perturbed_tables():
+    # each entry checks its system on the table it is given: doubling the
+    # ix*x rule breaks (75) alone, and the printed a8 = Q22/(Q*Qp) (78) alone
     ct = CalculusType.type_iii()
-    system = generate_ansatz_constraints("inner-differential")
-    printed = dict(inner_differential_coeffs(ct))
-    printed["a8"] = ct.Q22 / (ct.Q * ct.Qp)
-    printed["Qp"] = ct.Qp
-    res = evaluate_system(system, printed, ct.params)
-    assert any(not r.is_zero() for r in res)
+    c = rule_coeffs(ct)
+    two = ct.params.const(2)
+    doubled = _type_iii_reading(A1=two * c["A1"], A2=two * c["A2"])
+    printed = _type_iii_reading(a8=ct.Q22 / (ct.Q * ct.Qp))
+    for rt, fails in ((doubled, "eq75-ansatz-system"), (printed, "eq78-ansatz-system")):
+        for id_ in ("eq75-ansatz-system", "eq78-ansatz-system"):
+            assert verify_identity(rt, id_).status == ("FAIL" if id_ == fails else "PASS"), id_
 
 
 def test_solve_family_reproduces_tables():

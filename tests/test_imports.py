@@ -53,6 +53,19 @@ def test_normalize_loads_neither_calculus_nor_covariance():
     assert "qsp.calculus" not in loaded and "qsp.covariance" not in loaded
 
 
+def test_verify_loads_only_the_standard_library():
+    # the engine has no runtime dependencies (pyproject's `dependencies = []`):
+    # a whole `qsp verify` imports nothing but qsp and the standard library,
+    # beyond what the interpreter had loaded before it started
+    code, outside = fresh(
+        "before = set(sys.modules); import qsp.cli; "
+        "code = qsp.cli.run(['verify', '--type', 'II']); "
+        "print(json.dumps([code, sorted(m for m in set(sys.modules) - before "
+        "if m.split('.')[0] not in sys.stdlib_module_names)]))")
+    assert code == 0
+    assert outside and all(m.split(".")[0] == "qsp" for m in outside), outside
+
+
 def test_all_is_pinned():
     assert qsp.__all__ == ALL
     assert SUBMODULES <= set(ALL)

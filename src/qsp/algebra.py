@@ -10,8 +10,9 @@ already normal-ordered.  The rules typed in from the paper's defining
 relations are one table, ``_RULES``, each right-hand side written with named
 coefficients; ``shaped_rules`` fills it with the values of ``rule_coeffs``,
 the one map from a coefficient name to its value at a type, and
-``covariance`` fills the (75) and (78) shapes with unknowns to print those
-systems.
+``covariance.ansatz_table`` fills the shapes of (5), (11), (12), (75) and
+(78) with unknowns, one per name, to print their systems.
+``RuleTable.build`` validates its type before it fills the table.
 Three sets of rules are derived, not transcribed.  The four rules of px and
 pth past x and th (34) are read off d*g = dg + (-1)^|g| g*d, with
 d = dx*px + dth*pth (``partial_coordinate_rules``), and pth*px is read off
@@ -677,9 +678,8 @@ class RuleTable:
     # -- construction ----------------------------------------------------------
 
     @classmethod
-    def build(cls, ct: CalculusType, validate: bool = True) -> "RuleTable":
-        if validate:
-            ct.validate()
+    def build(cls, ct: CalculusType) -> "RuleTable":
+        ct.validate()
         P = ct.params
         rules = shaped_rules(P, rule_coeffs(ct))
         rules.update(partial_coordinate_rules(rules, P))
@@ -950,8 +950,8 @@ class RuleTable:
         return self.normalize_word(items)
 
 
-def build_rule_table(ct: CalculusType, validate: bool = True) -> RuleTable:
-    return RuleTable.build(ct, validate=validate)
+def build_rule_table(ct: CalculusType) -> RuleTable:
+    return RuleTable.build(ct)
 
 
 def act_on_function(rt: RuleTable, op: Element, f: Element) -> Element:

@@ -35,8 +35,6 @@ from .exprio import (
     print_tensor,
 )
 
-# every engine error is a QspError, reported below with the same exit 2
-_USAGE_ERRORS = (argparse.ArgumentTypeError,)
 _INTERNAL_ERRORS = (NonInvertibleRule, InconsistentType)
 
 
@@ -228,13 +226,10 @@ def run(argv) -> int:
         if args.command == "solve-types":
             _print_families()
             return 0
-    except _USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except _INTERNAL_ERRORS as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    except QspError as exc:
+    except (argparse.ArgumentTypeError, QspError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

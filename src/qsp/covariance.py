@@ -13,9 +13,10 @@ Each constraint system is written once, as a generator of residuals on a
 rule table: ``relation_coaction_residuals`` applies a coaction to the
 differential-module relations (11), and ``inner_relation_residuals`` moves
 each inner derivation through the coordinate or the two-form relations,
-the systems (75) and (78).  On a table whose rules carry unknowns, their
-coefficients collected are the printed system; on an engine table, they
-all vanish when the system holds there, which is what eq75 and eq78 check.
+the systems (75) and (78).  Every printed system reads one table of
+unknowns, ``ansatz_table``, where the residuals' coefficients collected are
+the system; on an engine table they all vanish when the system holds there,
+which is what eq75 and eq78 check.
 ``solve-types`` solves the four constraints (18) as
 ``CalculusType.covariance_residuals`` writes them, under the documented side
 conditions, for the three parameter families; eq17 checks that this list
@@ -106,7 +107,13 @@ def bicovariance_residuals(rt: RuleTable, word) -> list:
 # Constraint generation over a symbolic ansatz
 # ----------------------------------------------------------------------------
 
-ANSATZ_PARAMS = ParamSet("ansatz", ("q",) + COEFF_NAMES)
+# q, the structure coefficients, and the (75) and (78) ansatz unknowns
+ANSATZ_PARAMS = ParamSet("ansatz", ("q",) + COEFF_NAMES
+                         + tuple(f"A{i}" for i in range(1, 9))
+                         + tuple(f"a{i}" for i in range(1, 9)))
+
+# the deformation parameters, units of the coefficient ring
+_UNITS = ("q", "Qp")
 
 
 def ansatz_type() -> CalculusType:
@@ -115,10 +122,16 @@ def ansatz_type() -> CalculusType:
 
 
 def ansatz_table() -> RuleTable:
-    return RuleTable.build(ansatz_type(), validate=False)
+    """The typed rules of (5), (11), (12), (75) and (78), every coefficient
+    an unknown of its own name; the rules that need another inverse or a
+    compound coefficient are left out."""
+    P = ANSATZ_PARAMS
+    coeffs = {v: P.var(v) for v in P.variables}
+    coeffs.update((f"{u}^-1", P.one() / P.var(u)) for u in _UNITS)
+    return RuleTable(ansatz_type(), shaped_rules(P, coeffs))
 
 
-def _primitive_poly(rf: RationalFunction, units: tuple = ("q", "Qp")) -> RationalFunction:
+def _primitive_poly(rf: RationalFunction) -> RationalFunction:
     """A constraint as a polynomial in the unknowns, with its content in the
     units stripped and its grlex leading coefficient 1.
 
@@ -129,7 +142,7 @@ def _primitive_poly(rf: RationalFunction, units: tuple = ("q", "Qp")) -> Rationa
     lp = rf.lp
     if not lp:
         return rf
-    shift = [min(e) if v in units else min(0, *e)
+    shift = [min(e) if v in _UNITS else min(0, *e)
              for v, e in zip(rf.params.variables, zip(*lp))]
     lp = {tuple(map(sub, m, shift)): c for m, c in lp.items()}
     lc = lp[max(lp, key=_grlex_key)]
@@ -242,21 +255,12 @@ def spans_match(a: Sequence[RationalFunction], b: Sequence[RationalFunction]) ->
 # Inner-derivation ansatz systems
 # ----------------------------------------------------------------------------
 
-# kind -> the parameters of its ansatz, the relation symbol c first and the
-# unknowns after it, and the relations the inner derivations pass through: a
-# pair (pair = c * reversed pair) and a square (square = 0)
+# kind -> the relation symbol c and the relations the inner derivations pass
+# through: a pair (pair = c * reversed pair) and a square (square = 0)
 _INNER_RELATIONS = {
-    "inner-coordinate": (ParamSet("inner-coordinate", ("q",) + tuple(f"A{i}" for i in range(1, 9))),
-                         ("x", "th"), ("th", "th")),
-    "inner-differential": (ParamSet("inner-differential", ("Qp",) + tuple(f"a{i}" for i in range(1, 9))),
-                           ("dx", "dth"), ("dx", "dx")),
+    "inner-coordinate": ("q", ("x", "th"), ("th", "th")),
+    "inner-differential": ("Qp", ("dx", "dth"), ("dx", "dx")),
 }
-
-
-def _inner_relations(kind: str) -> tuple:
-    if kind not in _INNER_RELATIONS:
-        raise ValueError(f"unknown ansatz kind {kind!r}")
-    return _INNER_RELATIONS[kind]
 
 
 def inner_relation_residuals(rt: RuleTable, kind: str):
@@ -265,8 +269,10 @@ def inner_relation_residuals(rt: RuleTable, kind: str):
     (x th = q th x, th^2 = 0), for 'inner-differential' the two-form
     relations (dx dth = Qp dth dx, dx^2 = 0).  All vanish when the rules of
     ``ix`` and ``ith`` are consistent with those relations."""
-    P, pair, square = _inner_relations(kind)
-    c = rt.ct.symbol(P.variables[0])
+    if kind not in _INNER_RELATIONS:
+        raise ValueError(f"unknown ansatz kind {kind!r}")
+    symbol, pair, square = _INNER_RELATIONS[kind]
+    c = rt.ct.symbol(symbol)
     for mover in ("ix", "ith"):
         yield (rt.normalize_word((mover,) + pair)
                - rt.normalize_word((mover,) + pair[::-1]).scale(c))
@@ -275,19 +281,9 @@ def inner_relation_residuals(rt: RuleTable, kind: str):
 
 def generate_ansatz_constraints(kind: str) -> list[RationalFunction]:
     """Consistency constraints of the inner-derivation ansatz: the residuals
-    of ``inner_relation_residuals`` on a table whose ``ix`` and ``ith`` rules
-    carry the unknowns A1..A8 (kind 'inner-coordinate') or a1..a8
-    ('inner-differential')."""
-    P = _inner_relations(kind)[0]
-    name, *unknowns = P.variables
-    c = P.var(name)
-    coeffs = {f"{name}^-1": P.one() / c, **{v: P.var(v) for v in unknowns}}
-    # placeholder structure coefficients, which no product reads; Qp is the
-    # relation symbol of the two-form relations, q a parameter
-    one = P.one()
-    ct = CalculusType(P, one, one, P.zero(), one, P.zero(), c if name == "Qp" else one)
-    rt = RuleTable(ct, shaped_rules(P, coeffs))
-    return _collect_constraints(inner_relation_residuals(rt, kind))
+    of ``inner_relation_residuals`` on the ansatz table, whose ``ix`` and
+    ``ith`` rules carry the unknowns A1..A8 and a1..a8."""
+    return _collect_constraints(inner_relation_residuals(ansatz_table(), kind))
 
 
 # ----------------------------------------------------------------------------

@@ -519,9 +519,9 @@ def coproduct_U_residuals(rt: RuleTable, f: Monomial, g: Monomial) -> list[Eleme
     ``[H residual, Nb residual]``, the one-cell case of ``twisted_leibniz_grid``.
 
     The H rule is H(fg) = Hf*g + Tf*Hg at every type.  The Nb rule carries,
-    besides the K-twist, a correction term V(f)*Hg with V supported on odd
-    monomials (V(x^k th) = Q11^k Q22 x^(k+1)); the correction vanishes at the
-    types with Q22 = 0, where the rule takes its familiar two-term form.
+    besides the K-twist, a correction term V(f)*Hg with V = Q22*Nb, so
+    V(x^k th) = Q11^k Q22 x^(k+1) and V(x^k) = 0; the correction vanishes at
+    the types with Q22 = 0, where the rule takes its familiar two-term form.
     """
     return twisted_leibniz_grid(rt, [f], [g])[0]
 
@@ -550,16 +550,14 @@ def twisted_leibniz_grid(rt: RuleTable, fs: Sequence[Monomial],
         nb_f = rt.act(nb, fe)
         t_of_f = left_act(rt, UElement.gen_T(P), fe)
         k_of_f = left_act(rt, UElement.gen_K(P), fe)
-        v_of_f = None
-        if f[TH]:
-            v_of_f = Element.monomial(P, mono(x=f[X] + 1), (rt.ct.Q11 ** f[X]) * rt.ct.Q22)
+        v_of_f = nb_f.scale(rt.ct.Q22)
         sign = -1 if mono_parity(f) else 1
         for ge, h_g, nb_g in cols:
             fg = rt.mul(fe, ge)
             res_h = rt.act(H, fg) - rt.mul(h_f, ge) - rt.mul(t_of_f, h_g)
             res_n = rt.act(nb, fg) - rt.mul(nb_f, ge)
             twisted = rt.mul(k_of_f, nb_g)
-            if v_of_f is not None:
+            if not v_of_f.is_zero():
                 twisted = twisted + rt.mul(v_of_f, h_g)
             grid.append([res_h, res_n - twisted.scale(sign)])
     return grid

@@ -1,6 +1,7 @@
 """Coactions, constraint generation, ansatz systems, family solving."""
 
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -16,6 +17,7 @@ from qsp.calculus import verify_identity
 from qsp.coeffs import PARAMS_I, PARAMS_II, PARAMS_III
 from qsp.coeffs import DivisionByZero, NonMonomialDivisor
 from qsp.covariance import (
+    ANSATZ_PARAMS,
     InconsistentSideConditions,
     UnderdeterminedSystem,
     bicovariance_residuals,
@@ -145,6 +147,22 @@ def test_inner_relations_vanish_at_families(family_table):
     for kind in ("inner-coordinate", "inner-differential"):
         for res in inner_relation_residuals(family_table, kind):
             assert res.is_zero(), kind
+
+
+@pytest.mark.parametrize("name, point", [("I", {"q": 3}), ("II", {"q": 2, "r": 5}),
+                                         ("III", {"q": Fraction(1, 2), "p": 7})])
+def test_printed_systems_vanish_at_family_values(name, point):
+    # every constraint of the (11), (75) and (78) systems, over the one set
+    # of unknowns, is zero at q and the engine's coefficients of a family
+    c = rule_coeffs(CalculusType.by_name(name).specialize(point))
+    values = {"q": point["q"], **{v: c[v].eval({}) for v in ANSATZ_PARAMS.variables[1:]}}
+    systems = [generate_covariance_constraints().right,
+               generate_ansatz_constraints("inner-coordinate"),
+               generate_ansatz_constraints("inner-differential")]
+    for system in systems:
+        assert system and all(p.params == ANSATZ_PARAMS for p in system)
+        for p in system:
+            assert p.eval(values) == 0, (name, str(p))
 
 
 def _type_iii_reading(**coeffs):

@@ -366,6 +366,18 @@ def test_leibniz_grid_matches_its_cells():
     assert len({repr(r) for cell in grid for r in cell}) >= len(grid) // 2
 
 
+def test_nabla_on_coordinates_closed_form(family_table):
+    # Nb(x^m th) = Q11^m x^(m+1) and Nb(x^m) = 0, negative m included, so the
+    # grid's correction V = Q22*Nb is Q11^m*Q22*x^(m+1) on x^m th and 0 on x^m
+    rt = family_table
+    P, ct = rt.params, rt.ct
+    nb = expand_derived(rt, "Nb")
+    for m in range(-4, 5):
+        odd = rt.act(nb, Element.monomial(P, mono(x=m, th=1)))
+        assert odd == Element.monomial(P, mono(x=m + 1), ct.Q11 ** m), m
+        assert rt.act(nb, Element.monomial(P, mono(x=m))).is_zero(), m
+
+
 def test_nabla_coproduct_square_vanishes(t2):
     assert u_coproduct_square_nabla(t2.params) == []
 

@@ -6,21 +6,20 @@ Words are normal-ordered into the fixed generator order
 
 (differential forms, then coordinates, then operators).  Every out-of-order
 adjacent pair of generators has a rewrite rule whose right-hand side is
-already normal-ordered.  The rules typed in from the paper's defining
-relations are one table, ``_RULES``, each right-hand side written with named
-coefficients; ``shaped_rules`` fills it with the values of ``rule_coeffs``,
-the one map from a coefficient name to its value at a type, and
-``covariance.ansatz_table`` fills the shapes of (5), (11), (12), (75) and
-(78) with unknowns, one per name, to print their systems.
-``RuleTable.build`` validates its type before it fills the table.
-Three sets of rules are derived, not transcribed.  The four rules of px and
-pth past x and th (34) are read off d*g = dg + (-1)^|g| g*d, with
-d = dx*px + dth*pth (``partial_coordinate_rules``), and pth*px is read off
-d*d = 0 (``pth_px_rule``).  Rules against x^-1 are solved from the
-x-rules: a rule g*x = c*x*g + rest gives g*x^-1 = c^-1 * x^-1*(g - rest*x^-1),
-and a rule x*g = c*g*x + rest gives x^-1*g = c^-1 * (g - x^-1*rest)*x^-1.  A
-product that first misses one solves it, with each x^-1 rule that solution or
-its round trips (g*x*x^-1 = g and the like) meet; the table adopts them once
+already normal-ordered.  Only the defining relations (5), (11) and (12) are
+typed in, with the squares of pth and ix and ith*ix (97), in one table,
+``_RULES``, each right-hand side written with named coefficients;
+``shaped_rules`` fills it with the values of ``rule_coeffs``, and
+``covariance.ansatz_table`` fills it, and the (75) and (78) ansatz shapes,
+with one unknown per name, to print their systems.  ``RuleTable.build``
+validates its type before it fills the table.  The other rules are derived,
+not transcribed: those of px, pth, ix and ith, (34), (36) and (84)-(86),
+from the four (11) rules (``derived_rules``), and pth*px from d*d = 0
+(``pth_px_rule``).  Rules against x^-1 are solved from the x-rules: a rule
+g*x = c*x*g + rest gives g*x^-1 = c^-1 * x^-1*(g - rest*x^-1), and a rule
+x*g = c*g*x + rest gives x^-1*g = c^-1 * (g - x^-1*rest)*x^-1.  A product
+that first misses one solves it, with each x^-1 rule that solution or its
+round trips (g*x*x^-1 = g and the like) meet; the table adopts them once
 all pass, and reading ``rules`` solves the rest.
 
 The engine multiplies by folding one generator at a time into a canonical
@@ -118,9 +117,6 @@ GENS = ("dx", "dth", "x", "th", "d", "px", "pth", "ix", "ith")
 NGENS = len(GENS)
 GEN_INDEX = {g: i for i, g in enumerate(GENS)}
 DX, DTH, X, TH, D, PX, PTH, IX, ITH = range(NGENS)
-
-# Z2-parity of each generator (1 = odd).
-GEN_PARITY = (1, 0, 0, 1, 1, 0, 1, 1, 0)
 
 # Exponent domains: x ranges over all integers, nilpotent generators over
 # {0, 1}, the rest over the naturals.
@@ -519,10 +515,8 @@ class CalculusType:
             raise InconsistentType("Q12 - Q22 = Q - 1 violated")
 
 
-# Every rule typed in from the paper's defining relations, keyed (left, right,
-# sign), its right-hand side as (coefficient name, monomial) terms, the name
-# None standing for the unit.  The rest are derived: partial_coordinate_rules,
-# pth_px_rule and the x^-1 rules of RuleTable.
+# The typed rules, keyed (left, right, sign), each right-hand side as
+# (coefficient name, monomial) terms, the name None standing for the unit.
 _RULES = {
     # coordinates among themselves (5), and past differentials (11)
     (TH, X, 1): (("q^-1", mono(x=1, th=1)),),
@@ -534,14 +528,12 @@ _RULES = {
     # differentials among themselves (12)
     (DTH, DX, 0): (("Qp^-1", mono(dx=1, dth=1)),),
     (DX, DX, 0): (),
-    # partial derivatives past differentials (36), and pth squared
-    (PX, DX, 0): (("Q^-1", mono(dx=1, px=1)), ("-(1+Qp^-1*Q21^-1)", mono(dth=1, pth=1))),
-    (PX, DTH, 0): (("Q11^-1", mono(dth=1, px=1)),),
-    (PTH, DX, 0): (("Q21^-1", mono(dx=1, pth=1)),),
-    (PTH, DTH, 0): ((None, mono(dth=1, pth=1)), ("1-Qp*Q11^-1", mono(dx=1, px=1))),
     (PTH, PTH, 0): (),
-    # the ansatz of (75) and (78): inner derivations past coordinates and
-    # differentials, with the coefficients A1..A8 and a1..a8
+    # inner derivations among themselves (97): (Q - Q12)/Q11 = q^-1 by (18)
+    (IX, IX, 0): (),
+    (ITH, IX, 0): (("q^-1", mono(ix=1, ith=1)),),
+    # the (75) and (78) ansatz, filled only by covariance.ansatz_table: inner
+    # derivations past coordinates and differentials, unknowns A1..A8, a1..a8
     (IX, X, 1): (("A1", mono(x=1, ix=1)), ("A2", mono(th=1, ith=1))),
     (IX, TH, 0): (("A3", mono(th=1, ix=1)), ("A4", mono(x=1, ith=1))),
     (ITH, X, 1): (("A5", mono(x=1, ith=1)), ("A6", mono(th=1, ix=1))),
@@ -550,13 +542,6 @@ _RULES = {
     (IX, DTH, 0): (("a3", mono(dth=1, ix=1)), ("a4", mono(dx=1, ith=1))),
     (ITH, DX, 0): (("a5", mono(dx=1, ith=1)), ("a6", mono(dth=1, ix=1))),
     (ITH, DTH, 0): ((None, ONE_MONO), ("a7", mono(dth=1, ith=1)), ("a8", mono(dx=1, ix=1))),
-    # inner derivations past the partial derivatives (86) and each other (97)
-    (IX, PX, 0): (("Q^-1", mono(px=1, ix=1)),),
-    (IX, PTH, 0): (("Q21^-1", mono(pth=1, ix=1)), ("-Q12*Q11^-1*Q21^-1", mono(px=1, ith=1))),
-    (ITH, PX, 0): (("Q11^-1", mono(px=1, ith=1)), ("-Q22*Q11^-1*Q21^-1", mono(pth=1, ix=1))),
-    (ITH, PTH, 0): ((None, mono(pth=1, ith=1)),),
-    (IX, IX, 0): (),
-    (ITH, IX, 0): (("(Q-Q12)*Q11^-1", mono(ix=1, ith=1)),),
 }
 
 
@@ -569,55 +554,67 @@ def shaped_rules(params: ParamSet, coeffs: Mapping[str, RationalFunction]) -> di
 
 
 def rule_coeffs(ct: CalculusType) -> dict[str, RationalFunction]:
-    """The value at ``ct`` of every coefficient name in ``_RULES``.  Raises
-    NonInvertibleRule when one of the inverted symbols is zero."""
-    zero, one = ct.params.zero(), ct.params.one()
-    inv = {}
+    """The value at ``ct`` of every coefficient name of the typed rules.
+    Raises NonInvertibleRule when one of the inverted symbols is zero."""
     for name in ("q", "Q", "Q11", "Q21", "Qp"):
         if ct.symbol(name).is_zero():
             raise NonInvertibleRule(f"{name} is zero at this type")
-        inv[name] = one / ct.symbol(name)
-    return {
-        **{f"{name}^-1": v for name, v in inv.items()},
-        **{name: ct.symbol(name) for name in COEFF_NAMES},
-        "-(1+Qp^-1*Q21^-1)": -(one + inv["Qp"] * inv["Q21"]),
-        "1-Qp*Q11^-1": one - ct.Qp * inv["Q11"],
-        "-Q12*Q11^-1*Q21^-1": -(ct.Q12 * inv["Q11"] * inv["Q21"]),
-        "-Q22*Q11^-1*Q21^-1": -(ct.Q22 * inv["Q11"] * inv["Q21"]),
-        "(Q-Q12)*Q11^-1": (ct.Q - ct.Q12) * inv["Q11"],
-        # the (75) ansatz: inner derivations past coordinates
-        "A1": ct.Q, "A2": ct.Q12, "A3": ct.Q21, "A4": zero,
-        "A5": ct.Q11, "A6": zero, "A7": one, "A8": ct.Q22,
-        # the (78) ansatz: inner derivations past differentials.  a8 = Q22/Q
-        # is forced by the two-form relations; the source table prints
-        # Q22/(Q*Q'), which breaks them whenever Q22 != 0 and Q' != 1 (the
-        # eq83-a8-as-printed certificate)
-        "a1": -one, "a2": -ct.Q12 * inv["Q"], "a3": -ct.Q21 * inv["Q"], "a4": zero,
-        "a5": ct.Q11 * inv["Q"], "a6": zero, "a7": inv["Q"], "a8": ct.Q22 * inv["Q"],
-    }
+    return {"q^-1": ct.params.one() / ct.q, "Qp^-1": ct.params.one() / ct.Qp,
+            **{name: ct.symbol(name) for name in COEFF_NAMES}}
 
 
-def partial_coordinate_rules(rules: Mapping, params: ParamSet) -> dict:
-    """The rules of px and pth past x and th, read off d*g = dg + (-1)^|g| g*d.
+# a differential dg -> its partial p and inner derivation i, and (-1)^|g| = e_p,
+# the sign of p*d = e_p*Q^-1 d*p (37); by (82), i*d = p - e_p*Q^-1 d*i
+_CARTAN = {DX: (PX, IX, 1), DTH: (PTH, ITH, -1)}
+# each coordinate -> its differential and the sign of its rule keys
+_COORD = {X: (DX, 1), TH: (DTH, 0)}
+# a monomial of two letters -> the pair; a pair in order -> its monomial
+_PAIR = {(a, b): tuple(int(i in (a, b)) for i in range(NGENS))
+         for a in range(NGENS) for b in range(a + 1, NGENS)}
+_SPLIT = {m: pair for pair, m in _PAIR.items()}
 
-    With d = dx*px + dth*pth, d*g = dx*(px*g) + dth*(pth*g), and g*d is the
-    sum of c*m*p over the terms c*m of the rules for g*dx (p = px) and g*dth
-    (p = pth), each m one differential times a coordinate.  So px*g is the
-    dx part of dg + (-1)^|g| g*d with dx dropped, and pth*g its dth part.
+
+def derived_rules(rules: Mapping, params: ParamSet) -> dict:
+    """Every rule of px, pth, ix and ith past x, th, dx, dth, px and pth,
+    read off the four (11) rules g*da and the Q^-1 of x*dx.  A term c*db*h
+    of g*da (pa and ia the partial and inner derivation of a) gives, by
+    d*g = dg + (-1)^|g| g*d with d = dx*px + dth*pth, (-1)^|g| c*h*pa in
+    pb*g (34); by p*dg = p*(d*g - (-1)^|g| g*d) and (37),
+    e_pb*Q^-1 (-1)^|g| c*dh*pa in pb*dg (36), where the unit of pb*g adds
+    (e_pb*Q^-1 - (-1)^|g|)*d; by the Cartan factors (82) on g, c*h*ia in
+    ib*g (84) and -e_pb*Q^-1 c*dh*ia in ib*dg (85).  And (86) transposes
+    (36): a term c*dk*p' of p*da gives c*p'*ia in ik*p.
     """
-    partial = {DX: PX, DTH: PTH}
-    out = {}
-    for g, dg, s in ((X, DX, 1), (TH, DTH, 0)):
-        parts = {dn: Element.one(params) if dn == dg else Element.zero(params)
-                 for dn in partial}
-        for dm, p in partial.items():
-            for m, c in rules[(g, dm, s)].terms.items():
-                dn = DX if m[DX] else DTH
-                t = list(m)
-                t[dn], t[p] = 0, 1
-                parts[dn].add_term(tuple(t), -c if GEN_PARITY[g] else c)
-        for dn, e in parts.items():
-            out[(partial[dn], g, s)] = e
+    one = params.one()
+    c = rules[(X, DX, 1)].terms.get(_PAIR[DX, X])
+    if c is None:
+        raise NonInvertibleRule("the x*dx rule has no dx*x term")
+    qi = one / c
+    keys = [(p, g, s) for g, s in ((X, 1), (TH, 0), (DX, 0), (DTH, 0)) for p in (PX, PTH, IX, ITH)]
+    out = {k: Element(params) for k in keys + [(i, p, 0) for i in (IX, ITH) for p in (PX, PTH)]}
+    # no two terms set one monomial of a rule, so each is set, not added; only
+    # the unit of (36) adds to a term
+    for g, (dg, s) in _COORD.items():
+        pg, ig, sign = _CARTAN[dg]   # sign = e_pg = (-1)^|g|
+        for da, (pa, ia, _) in _CARTAN.items():
+            for m, c in rules[(g, da, s)].terms.items():
+                db, h = _SPLIT[m]
+                pb, ib, e = _CARTAN[db]
+                qc = qi * c
+                out[(pb, g, s)].terms[_PAIR[h, pa]] = c if sign > 0 else -c
+                out[(pb, dg, 0)].terms[_PAIR[_COORD[h][0], pa]] = qc if e * sign > 0 else -qc
+                out[(ib, g, s)].terms[_PAIR[h, ia]] = c
+                out[(ib, dg, 0)].terms[_PAIR[_COORD[h][0], ia]] = -qc if e > 0 else qc
+        out[(pg, g, s)].terms[ONE_MONO] = out[(ig, dg, 0)].terms[ONE_MONO] = one
+        row = out[(pg, dg, 0)]
+        for n in (_PAIR[DX, PX], _PAIR[DTH, PTH]):
+            row.add_term(n, qi - one if sign > 0 else one - qi)
+        # a unit coefficient is the shared one, whose products the engine skips
+        row.terms.update([(n, one) for n, c in row.terms.items() if c.is_one()])
+    for p, (da, (_, ia, _)) in _itproduct((PX, PTH), _CARTAN.items()):
+        for m, c in out[(p, da, 0)].terms.items():
+            dk, pk = _SPLIT[m]
+            out[(_CARTAN[dk][1], p, 0)].terms[_PAIR[pk, ia]] = c
     return out
 
 
@@ -652,13 +649,15 @@ _X_INVERSE = {((X, g, -1) if g < X else (g, X, -1)): g for g in (TH, PTH, ITH, P
 class RuleTable:
     """Rewrite rules plus the memoized normal-ordering engine built on them."""
 
-    _pending = frozenset()   # x^-1 rule keys still to solve (build: all seven)
     _solved = None   # a trial's list of the keys it solved, in order
 
     def __init__(self, ct: CalculusType, rules: dict):
         self.ct = ct
         self.params = ct.params
         self._rules = rules
+        # the x^-1 rule keys still to solve: those whose x-rule the table holds
+        self._pending = {key for key in _X_INVERSE
+                         if key not in rules and key[:2] + (1,) in rules}
         # (monomial, letter) -> product, and (monomial, monomial) -> product
         # for the pairs _memo does not already answer; both hold coefficients
         # interned in _pool (coefficient -> its canonical instance)
@@ -682,11 +681,9 @@ class RuleTable:
         ct.validate()
         P = ct.params
         rules = shaped_rules(P, rule_coeffs(ct))
-        rules.update(partial_coordinate_rules(rules, P))
+        rules.update(derived_rules(rules, P))
         rules.update(pth_px_rule(rules, P))
-        rt = cls(ct, rules)
-        rt._pending = set(_X_INVERSE)
-        return rt
+        return cls(ct, rules)
 
     @property
     def rules(self) -> dict:
@@ -706,7 +703,7 @@ class RuleTable:
         as it is walked); the table adopts its rules only if all pass."""
         if self._solved is None:
             trial = RuleTable(self.ct, dict(self._rules))
-            trial._pending, trial._solved = set(self._pending), []
+            trial._solved = []
             trial._solve(keys)
             for key in trial._solved:
                 trial._round_trip(_X_INVERSE[key])

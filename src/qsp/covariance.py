@@ -122,9 +122,9 @@ def ansatz_type() -> CalculusType:
 
 
 def ansatz_table() -> RuleTable:
-    """The typed rules of (5), (11), (12), (75) and (78), every coefficient
-    an unknown of its own name; the rules that need another inverse or a
-    compound coefficient are left out."""
+    """Every typed rule, (5), (11), (12), (97) and the shapes of (75) and
+    (78), each coefficient an unknown of its own name; the rules that build
+    derives from them are left out."""
     P = ANSATZ_PARAMS
     coeffs = {v: P.var(v) for v in P.variables}
     coeffs.update((f"{u}^-1", P.one() / P.var(u)) for u in _UNITS)

@@ -30,13 +30,13 @@ from qsp.algebra import (
     _letter_mono,
     _reducible,
     build_rule_table,
+    derived_rules,
     local_confluence_check,
     mono,
     parity_of,
-    partial_coordinate_rules,
     pth_px_rule,
 )
-from qsp.calculus import DERIVED_NAMES, expand_derived, run_suite
+from qsp.calculus import DERIVED_NAMES, expand_derived, identity_catalog, run_suite, verify_identity
 from qsp.coeffs import PARAMS_I
 from qsp.exprio import print_canonical
 
@@ -204,11 +204,14 @@ def test_eq34_checks_rules_read_off_d(name):
     P = ct.params
     rules = build_rule_table(ct)._rules
     keys = [(PX, X, 1), (PX, TH, 0), (PTH, X, 1), (PTH, TH, 0)]
-    assert partial_coordinate_rules(rules, P) == {k: rules[k] for k in keys}
+    derived = derived_rules(rules, P)
+    assert {k: derived[k] for k in keys} == {k: rules[k] for k in keys}
+    # and so are the other 16 of the table's rules of px, pth, ix and ith
+    assert len(derived) == 20 and derived == {k: rules[k] for k in derived}
 
     def verdicts(key, rhs):
         table = {**rules, key: rhs}
-        table.update(partial_coordinate_rules(table, P))
+        table.update(derived_rules(table, P))
         return {r.identityId: r.status for r in run_suite(RuleTable(ct, table), pattern="eq34-*")}
 
     assert set(verdicts((X, DX, 1), rules[(X, DX, 1)]).values()) == {"PASS"}
@@ -216,6 +219,46 @@ def test_eq34_checks_rules_read_off_d(name):
     th_dx = rules[(TH, DX, 0)]
     q21_term = Element.monomial(P, mono(dx=1, th=1), th_dx.terms[mono(dx=1, th=1)])
     assert verdicts((TH, DX, 0), th_dx + q21_term)["eq34-px-th"] == "FAIL"
+
+
+# an entry of (36) or (84)-(86) -> an (11) rule and the term of it whose
+# doubling at type II the entry catches once the table is derived again
+_PERTURBATIONS = {
+    "eq36-px-dx": ((X, DTH, 1), mono(dx=1, th=1)),
+    "eq36-px-dth": ((TH, DX, 0), mono(dx=1, th=1)),
+    "eq36-pth-dx": ((X, DTH, 1), mono(dth=1, x=1)),
+    "eq36-pth-dth": ((TH, DTH, 0), mono(dth=1, th=1)),
+    "eq84-ix-x": ((X, DX, 1), mono(dx=1, x=1)),
+    "eq84-ix-th": ((TH, DX, 0), mono(dx=1, th=1)),
+    "eq84-ith-x": ((X, DTH, 1), mono(dth=1, x=1)),
+    "eq84-ith-th": ((TH, DTH, 0), mono(dth=1, th=1)),
+    "eq85-ix-dx": ((X, DX, 1), mono(dx=1, x=1)),
+    "eq85-ix-dth": ((TH, DX, 0), mono(dx=1, th=1)),
+    "eq85-ith-dx": ((X, DTH, 1), mono(dth=1, x=1)),
+    "eq85-ith-dth": ((TH, DTH, 0), mono(dth=1, th=1)),
+    "eq86-ix-px": ((X, DX, 1), mono(dx=1, x=1)),
+    "eq86-ix-pth": ((X, DTH, 1), mono(dth=1, x=1)),
+    "eq86-ith-px": ((TH, DX, 0), mono(dx=1, th=1)),
+    "eq86-ith-pth": ((TH, DTH, 0), mono(dth=1, th=1)),
+}
+
+
+def test_derived_entries_fail_on_a_perturbed_relation():
+    # (36) and (84)-(86) are read off the (11) rules, so each of their
+    # entries checks a derivation: doubling one term of one (11) rule and
+    # deriving the table again makes it fail
+    ids = {i for i, _, _ in identity_catalog()
+           if i.split("-")[0] in ("eq36", "eq84", "eq85", "eq86") and not i.endswith("-as-printed")}
+    assert set(_PERTURBATIONS) == ids and len(ids) == 16
+    ct = CalculusType.type_ii()
+    P = ct.params
+    rules = build_rule_table(ct)._rules
+    for id_, (key, m) in _PERTURBATIONS.items():
+        assert verify_identity(RuleTable(ct, dict(rules)), id_).status == "PASS", id_
+        table = {**rules, key: rules[key] + Element.monomial(P, m, rules[key].terms[m])}
+        table.update(derived_rules(table, P))
+        table.update(pth_px_rule(table, P))
+        assert verify_identity(RuleTable(ct, table), id_).status == "FAIL", id_
 
 
 @TABLES

@@ -6,11 +6,14 @@ from fractions import Fraction
 import pytest
 
 from qsp.algebra import (
+    _RULES,
+    COEFF_NAMES,
     CalculusType,
+    Element,
     InconsistentType,
+    RuleTable,
     build_rule_table,
     mono,
-    rule_coeffs,
     shaped_rules,
 )
 from qsp.calculus import verify_identity
@@ -20,6 +23,7 @@ from qsp.covariance import (
     ANSATZ_PARAMS,
     InconsistentSideConditions,
     UnderdeterminedSystem,
+    ansatz_table,
     bicovariance_residuals,
     coaction_axiom_residuals,
     delta_L,
@@ -115,9 +119,17 @@ def test_inner_coordinate_system():
     ]
 
 
+def _ansatz_values(rt):
+    """The value of each (75) and (78) unknown A1..A8, a1..a8 in the rules
+    of ``rt``: the coefficient of its term in the rule its shape types."""
+    zero = rt.params.zero()
+    return {name: rt._rules[key].terms.get(m, zero)
+            for key, rhs in _RULES.items() for name, m in rhs if name and name[0] in "Aa"}
+
+
 def test_inner_coordinate_printed_fifth_fails_at_type_iii():
     ct = CalculusType.type_iii()
-    A = rule_coeffs(ct)
+    A = _ansatz_values(build_rule_table(ct))
     q = ct.params.var("q")
     assert not (A["A8"] * (q * A["A1"] + A["A7"])).is_zero()
     # while the engine-derived variant vanishes
@@ -154,7 +166,8 @@ def test_inner_relations_vanish_at_families(family_table):
 def test_printed_systems_vanish_at_family_values(name, point):
     # every constraint of the (11), (75) and (78) systems, over the one set
     # of unknowns, is zero at q and the engine's coefficients of a family
-    c = rule_coeffs(CalculusType.by_name(name).specialize(point))
+    ct = CalculusType.by_name(name).specialize(point)
+    c = {**{v: ct.symbol(v) for v in COEFF_NAMES}, **_ansatz_values(build_rule_table(ct))}
     values = {"q": point["q"], **{v: c[v].eval({}) for v in ANSATZ_PARAMS.variables[1:]}}
     systems = [generate_covariance_constraints().right,
                generate_ansatz_constraints("inner-coordinate"),
@@ -168,9 +181,8 @@ def test_printed_systems_vanish_at_family_values(name, point):
 def _type_iii_reading(**coeffs):
     """A type III table whose transcribed rules read ``coeffs`` in place of
     the engine's values."""
-    ct = CalculusType.type_iii()
-    rt = build_rule_table(ct)
-    rt._rules.update(shaped_rules(ct.params, {**rule_coeffs(ct), **coeffs}))
+    rt = build_rule_table(CalculusType.type_iii())
+    rt._rules.update(shaped_rules(rt.params, {**_ansatz_values(rt), **coeffs}))
     return rt
 
 
@@ -178,13 +190,23 @@ def test_ansatz_systems_fail_on_perturbed_tables():
     # each entry checks its system on the table it is given: doubling the
     # ix*x rule breaks (75) alone, and the printed a8 = Q22/(Q*Qp) (78) alone
     ct = CalculusType.type_iii()
-    c = rule_coeffs(ct)
+    c = _ansatz_values(build_rule_table(ct))
     two = ct.params.const(2)
     doubled = _type_iii_reading(A1=two * c["A1"], A2=two * c["A2"])
     printed = _type_iii_reading(a8=ct.Q22 / (ct.Q * ct.Qp))
     for rt, fails in ((doubled, "eq75-ansatz-system"), (printed, "eq78-ansatz-system")):
         for id_ in ("eq75-ansatz-system", "eq78-ansatz-system"):
             assert verify_identity(rt, id_).status == ("FAIL" if id_ == fails else "PASS"), id_
+
+
+def test_tables_solve_x_inverse_rules_on_first_use():
+    # however a table is built, each x^-1 rule whose x-rule it holds is
+    # solved when a product first needs it
+    P = ANSATZ_PARAMS
+    assert ansatz_table().word("th", ("x", -1)) == Element.monomial(P, mono(x=-1, th=1), P.var("q"))
+    ct = CalculusType.type_ii()
+    rt = RuleTable(ct, dict(build_rule_table(ct)._rules))
+    assert rt.word("px", ("x", -1)) == build_rule_table(ct).word("px", ("x", -1))
 
 
 def test_solve_family_reproduces_tables():

@@ -7,11 +7,13 @@ Words are normal-ordered into the fixed generator order
 (differential forms, then coordinates, then operators).  Every out-of-order
 adjacent pair of generators has a rewrite rule whose right-hand side is
 already normal-ordered.  Only the defining relations (5), (11) and (12) are
-typed in, with the squares of pth and ix and ith*ix (97), in one table,
-``_RULES``, each right-hand side written with named coefficients;
-``shaped_rules`` fills it with the values of ``rule_coeffs``, and
-``covariance.ansatz_table`` fills it, and the (75) and (78) ansatz shapes,
-with one unknown per name, to print their systems.  ``RuleTable.build``
+typed in, with ith*ix (97), in one table, ``_RULES``, each right-hand side
+written with named coefficients; ``shaped_rules`` fills it with the values
+of ``rule_coeffs`` and adds the squares g*g = 0 of the nilpotent generators
+(``NILPOTENT``).  ``rule_coeffs`` maps every scalar symbol of a type, so at
+``covariance.ansatz_type``, whose symbols are unknowns, it also fills the
+(75) and (78) ansatz shapes, one unknown per name, for
+``covariance.ansatz_table`` to print their systems.  ``RuleTable.build``
 validates its type before it fills the table.  The other rules are derived,
 not transcribed: those of px, pth, ix and ith, (34), (36) and (84)-(86),
 from the four (11) rules (``derived_rules``), and pth*px from d*d = 0
@@ -86,6 +88,7 @@ from .coeffs import (
     PARAMS_I,
     PARAMS_II,
     PARAMS_III,
+    NonMonomialDivisor,
     ParamSet,
     QspError,
     Rat,
@@ -517,20 +520,18 @@ class CalculusType:
 
 # The typed rules, keyed (left, right, sign), each right-hand side as
 # (coefficient name, monomial) terms, the name None standing for the unit.
+# The squares g*g = 0 of the nilpotent generators are not typed: shaped_rules
+# reads them off NILPOTENT.
 _RULES = {
     # coordinates among themselves (5), and past differentials (11)
     (TH, X, 1): (("q^-1", mono(x=1, th=1)),),
-    (TH, TH, 0): (),
     (X, DX, 1): (("Q", mono(dx=1, x=1)),),
     (X, DTH, 1): (("Q11", mono(dth=1, x=1)), ("Q12", mono(dx=1, th=1))),
     (TH, DX, 0): (("Q21", mono(dx=1, th=1)), ("Q22", mono(dth=1, x=1))),
     (TH, DTH, 0): ((None, mono(dth=1, th=1)),),
     # differentials among themselves (12)
     (DTH, DX, 0): (("Qp^-1", mono(dx=1, dth=1)),),
-    (DX, DX, 0): (),
-    (PTH, PTH, 0): (),
     # inner derivations among themselves (97): (Q - Q12)/Q11 = q^-1 by (18)
-    (IX, IX, 0): (),
     (ITH, IX, 0): (("q^-1", mono(ix=1, ith=1)),),
     # the (75) and (78) ansatz, filled only by covariance.ansatz_table: inner
     # derivations past coordinates and differentials, unknowns A1..A8, a1..a8
@@ -547,20 +548,24 @@ _RULES = {
 
 def shaped_rules(params: ParamSet, coeffs: Mapping[str, RationalFunction]) -> dict:
     """The rules of ``_RULES`` whose coefficient names ``coeffs`` all
-    supplies, filled with its values."""
+    supplies, filled with its values, and the square g*g = 0 of each
+    nilpotent generator but d."""
     one = params.one()
-    return {key: Element(params, {m: coeffs[name] if name else one for name, m in rhs})
-            for key, rhs in _RULES.items() if all(name in coeffs for name, _ in rhs if name)}
+    rules = {key: Element(params, {m: coeffs[name] if name else one for name, m in rhs})
+             for key, rhs in _RULES.items() if all(name in coeffs for name, _ in rhs if name)}
+    rules.update(((g, g, 0), Element(params)) for g in NILPOTENT - {D})
+    return rules
 
 
 def rule_coeffs(ct: CalculusType) -> dict[str, RationalFunction]:
-    """The value at ``ct`` of every coefficient name of the typed rules.
+    """The value at ``ct`` of every scalar symbol of the type, the structure
+    coefficients and the parameters, and of ``q^-1`` and ``Qp^-1``.
     Raises NonInvertibleRule when one of the inverted symbols is zero."""
     for name in ("q", "Q", "Q11", "Q21", "Qp"):
         if ct.symbol(name).is_zero():
             raise NonInvertibleRule(f"{name} is zero at this type")
     return {"q^-1": ct.params.one() / ct.q, "Qp^-1": ct.params.one() / ct.Qp,
-            **{name: ct.symbol(name) for name in COEFF_NAMES}}
+            **{name: ct.symbol(name) for name in COEFF_NAMES + ct.params.variables}}
 
 
 # a differential dg -> its partial p and inner derivation i, and (-1)^|g| = e_p,
@@ -625,14 +630,18 @@ def pth_px_rule(rules: Mapping, params: ParamSet) -> dict:
     pth*dx ∋ c5*dx*pth, pth*dth ∋ c8*dx*px and dth*dx = w*dx*dth.  With
     d = dx*px + dth*pth, every term of d*d but one dies on dx*dx = 0 or
     pth*pth = 0, and that one is (c3 + c8*w + b9*(c2 + c5*w))*dx*dth*px*pth,
-    so b9 = -(c3 + c8*w)/(c2 + c5*w).
+    so b9 = -(c3 + c8*w)/(c2 + c5*w).  A divisor c2 + c5*w of more than
+    one term (at the symbolic type, say) raises NonMonomialDivisor.
     """
     def c(key: RuleKey, m: Monomial) -> RationalFunction:
         return rules[key].terms.get(m, params.zero())
 
     w = c((DTH, DX, 0), mono(dx=1, dth=1))
-    b9 = -(c((PX, DTH, 0), mono(dth=1, px=1)) + c((PTH, DTH, 0), mono(dx=1, px=1)) * w) / (
-        c((PX, DX, 0), mono(dth=1, pth=1)) + c((PTH, DX, 0), mono(dx=1, pth=1)) * w)
+    divisor = c((PX, DX, 0), mono(dth=1, pth=1)) + c((PTH, DX, 0), mono(dx=1, pth=1)) * w
+    if len(divisor.lp) > 1:
+        raise NonMonomialDivisor(f"d*d = 0 gives pth*px only as a quotient by {divisor}, "
+                                 "a divisor of more than one term")
+    b9 = -(c((PX, DTH, 0), mono(dth=1, px=1)) + c((PTH, DTH, 0), mono(dx=1, px=1)) * w) / divisor
     return {(PTH, PX, 0): Element.monomial(params, mono(px=1, pth=1), b9)}
 
 

@@ -242,7 +242,8 @@ def run(argv) -> int:
 
 def _print_families() -> None:
     from . import covariance as cov   # only solve-types solves families
-    for mode, conditions, params in cov.FAMILY_SIDE_CONDITIONS:
+    for mode, conditions in cov.FAMILY_SIDE_CONDITIONS:
+        params = CalculusType.by_name(mode).params
         ct = cov.solve_family(conditions, params)
         fixed = ", ".join(f"{k} = {params.rf(v)}" for k, v in conditions.items())
         print(f"Type {mode}: {fixed} =>")

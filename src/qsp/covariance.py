@@ -30,9 +30,6 @@ from operator import sub
 from typing import Iterable, Mapping, Sequence
 
 from .coeffs import (
-    PARAMS_I,
-    PARAMS_II,
-    PARAMS_III,
     NonMonomialDivisor,
     ParamSet,
     QspError,
@@ -44,6 +41,7 @@ from .algebra import (
     CalculusType,
     Element,
     RuleTable,
+    rule_coeffs,
     shaped_rules,
     word_letters,
 )
@@ -96,8 +94,8 @@ def bicovariance_residuals(rt: RuleTable, word) -> list:
     de = d_map(e)
     # on a coordinate element both coactions are the coproduct
     delta = coproduct_A(rt, e)
-    res1 = tensor_apply_slot(delta, 1, d_map, fn_parity=1) - coaction_element(rt, de, "left")
-    res2 = tensor_apply_slot(delta, 0, d_map, fn_parity=1) - coaction_element(rt, de, "right")
+    res1 = tensor_apply_slot(delta, 1, d_map) - coaction_element(rt, de, "left")
+    res2 = tensor_apply_slot(delta, 0, d_map) - coaction_element(rt, de, "right")
     lhs = tensor_expand_slot(delta, 0, lambda m: coaction_mono(rt, m, "left"))
     rhs = tensor_expand_slot(delta, 1, lambda m: coaction_mono(rt, m, "right"))
     return [res1, res2, lhs - rhs]
@@ -123,12 +121,11 @@ def ansatz_type() -> CalculusType:
 
 def ansatz_table() -> RuleTable:
     """Every typed rule, (5), (11), (12), (97) and the shapes of (75) and
-    (78), each coefficient an unknown of its own name; the rules that build
-    derives from them are left out."""
-    P = ANSATZ_PARAMS
-    coeffs = {v: P.var(v) for v in P.variables}
-    coeffs.update((f"{u}^-1", P.one() / P.var(u)) for u in _UNITS)
-    return RuleTable(ansatz_type(), shaped_rules(P, coeffs))
+    (78), each coefficient an unknown of its own name, and the squares of
+    the nilpotent generators; the rules that build derives from them are
+    left out."""
+    ct = ansatz_type()
+    return RuleTable(ct, shaped_rules(ct.params, rule_coeffs(ct)))
 
 
 def _primitive_poly(rf: RationalFunction) -> RationalFunction:
@@ -290,12 +287,12 @@ def generate_ansatz_constraints(kind: str) -> list[RationalFunction]:
 # Family solving
 # ----------------------------------------------------------------------------
 
-# The side conditions that single out each covariant family, with the
-# parameter field of its type.
+# The side conditions that single out each covariant family, by the name of
+# its type; the type's own parameters are the field they are solved over.
 FAMILY_SIDE_CONDITIONS = (
-    ("I", {"Q12": 0, "Q22": 0}, PARAMS_I),
-    ("II", {"Q22": 0, "Q": "r"}, PARAMS_II),
-    ("III", {"Q12": 0, "Q": "p"}, PARAMS_III),
+    ("I", {"Q12": 0, "Q22": 0}),
+    ("II", {"Q22": 0, "Q": "r"}),
+    ("III", {"Q12": 0, "Q": "p"}),
 )
 
 

@@ -113,22 +113,17 @@ def _distribute(out: TensorElement, slots: Sequence[Element], coeff) -> None:
 
 
 def tensor_apply_slot(te: TensorElement, slot: int,
-                      fn: Callable[[Element], Element],
-                      fn_parity: int = 0) -> TensorElement:
-    """Apply an Element->Element map to one slot, with the Koszul sign an odd
-    map picks up crossing the parities of the slots to its left."""
+                      fn: Callable[[Element], Element]) -> TensorElement:
+    """Apply an odd Element->Element map (d, say) to one slot, with the
+    Koszul sign it picks up crossing the parities of the slots to its left."""
     out = TensorElement(te.params, te.arity)
     for key, c in te.terms.items():
-        sign = 1
-        if fn_parity & 1:
-            crossed = sum(mono_parity(key[j]) for j in range(slot))
-            if crossed & 1:
-                sign = -1
+        odd = sum(mono_parity(key[j]) for j in range(slot)) & 1
         image = fn(Element.monomial(te.params, key[slot], te.params.one()))
         for m, cm in image.terms.items():
             k = list(key)
             k[slot] = m
-            out.add_term(tuple(k), (c * cm) if sign > 0 else -(c * cm))
+            out.add_term(tuple(k), -(c * cm) if odd else c * cm)
     return out
 
 

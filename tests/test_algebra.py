@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import random
+import re
 import weakref
 from fractions import Fraction
 from itertools import product
@@ -35,9 +36,12 @@ from qsp.algebra import (
     mono,
     parity_of,
     pth_px_rule,
+    rule_coeffs,
+    shaped_rules,
 )
 from qsp.calculus import DERIVED_NAMES, expand_derived, identity_catalog, run_suite, verify_identity
-from qsp.coeffs import PARAMS_I
+from qsp.coeffs import PARAMS_I, NonMonomialDivisor
+from qsp.covariance import ansatz_type
 from qsp.exprio import print_canonical
 
 
@@ -289,6 +293,25 @@ def test_eq35_checks_the_rule_read_off_d(name):
     assert verdicts == {"eq35-deriv-commute": "FAIL", "eq35-pth-square": "PASS"}
 
 
+def test_pth_px_rule_names_a_divisor_of_more_than_one_term():
+    # d*d = 0 gives pth*px as a quotient by c2 + c5*w, a single term on every
+    # family table; where it is not, the error names the rule, its source and
+    # the divisor: at the symbolic type, and at II with the x*dth rule doubled
+    ct = ansatz_type()
+    rules = shaped_rules(ct.params, rule_coeffs(ct))
+    rules.update(derived_rules(rules, ct.params))
+    with pytest.raises(NonMonomialDivisor, match=re.escape(
+            "d*d = 0 gives pth*px only as a quotient by (-Q*Qp + Q12*Qp - Q11 + Qp)/(Q*Qp),")):
+        pth_px_rule(rules, ct.params)
+    ct = CalculusType.type_ii()
+    rules = build_rule_table(ct)._rules
+    table = {**rules, (X, DTH, 1): rules[(X, DTH, 1)].scale(2)}
+    table.update(derived_rules(table, ct.params))
+    with pytest.raises(NonMonomialDivisor, match=re.escape(
+            "d*d = 0 gives pth*px only as a quotient by (-r - 1)/(r), a divisor of more than one term")):
+        pth_px_rule(table, ct.params)
+
+
 def test_d_realizes_to_differential(t2):
     P = t2.params
     want = Element.monomial(P, mono(dx=1, px=1)) + Element.monomial(P, mono(dth=1, pth=1))
@@ -477,6 +500,16 @@ def test_local_confluence_small(t2, t3):
     for rt in (t2, t3):
         report = local_confluence_check(rt, 3)
         assert report.ok, report.violations[:3]
+
+
+@pytest.mark.parametrize("name,assignment", [("II", {"r": 1}), ("III", {"p": 1})],
+                         ids=["II-r1", "III-p1"])
+def test_specialized_tables_pass_the_length_4_audit(name, assignment):
+    # the contract's two specialized tables audit as the family tables do
+    report = local_confluence_check(
+        build_rule_table(CalculusType.by_name(name).specialize(assignment)), 4)
+    assert (report.words_checked, report.branch_pairs) == (4969, 5386)
+    assert report.ok, report.violations[:2]
 
 
 def _reference_audit(rt, max_len):

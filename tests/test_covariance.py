@@ -1,5 +1,6 @@
 """Coactions, constraint generation, ansatz systems, family solving."""
 
+import hashlib
 import re
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 from qsp.algebra import (
     _RULES,
     COEFF_NAMES,
+    GENS,
     CalculusType,
     Element,
     InconsistentType,
@@ -36,6 +38,7 @@ from qsp.covariance import (
     solve_family,
     spans_match,
 )
+from qsp.exprio import print_canonical
 from qsp.hopf import TensorElement
 
 
@@ -197,6 +200,20 @@ def test_ansatz_systems_fail_on_perturbed_tables():
     for rt, fails in ((doubled, "eq75-ansatz-system"), (printed, "eq78-ansatz-system")):
         for id_ in ("eq75-ansatz-system", "eq78-ansatz-system"):
             assert verify_identity(rt, id_).status == ("FAIL" if id_ == fails else "PASS"), id_
+
+
+# sha256 of the 19 rules of the table of unknowns, squares included, one
+# "left right sign: rhs" line per key in key order, as test_algebra's
+# RULES_SHA256 hashes the engine tables
+ANSATZ_RULES_SHA256 = "5707e66a84d1072e3538ca465c9ff136ee6c4284592f2fa74a9b59961f63572a"
+
+
+def test_ansatz_table_rules_are_pinned():
+    rules = ansatz_table()._rules
+    text = "".join(f"{GENS[a]} {GENS[b]} {s}: {print_canonical(e)}\n"
+                   for (a, b, s), e in sorted(rules.items()))
+    assert len(rules) == 19
+    assert hashlib.sha256(text.encode()).hexdigest() == ANSATZ_RULES_SHA256
 
 
 def test_tables_solve_x_inverse_rules_on_first_use():

@@ -31,8 +31,9 @@ that needs a rewrite is computed once per table.  A product already in order
 is not memoized: it is the merged monomial with the shared unit coefficient
 ``params.one()``, built directly, which costs less than a memo entry (and a
 single-letter right factor is recognized by a table lookup).  Before a
-product is memoized, its coefficients are replaced by one canonical instance
-per value, which keeps the memos from holding many equal copies.  A sum of
+product is memoized or a solved x^-1 rule stored, its coefficients are
+replaced by one canonical instance per value, which keeps the memos from
+holding many equal copies and makes a unit the shared one.  A sum of
 products, a memo miss's sum over its rule's terms included, is accumulated
 in one plain dict, monomial to coefficient, with a term dropped as soon as
 it cancels; a coefficient product is skipped when either factor is the
@@ -766,7 +767,7 @@ class RuleTable:
             e = self.mul(gm - self.mul(xi, rest), xi)
         else:
             e = self.mul(xi, gm - self.mul(rest, xi))
-        self._rules[key] = e.scale(P.one() / c)
+        self._store(self._rules, key, e.scale(P.one() / c))
 
     def _round_trip(self, g: int) -> None:
         """Check g*x^s*x^-s = g, or x^-s*(x^s*g) = g for a differential g, at
@@ -782,7 +783,8 @@ class RuleTable:
     # -- multiplication ---------------------------------------------------------
 
     def _store(self, memo: dict, key, e: Element) -> Element:
-        """Intern the coefficients of a fresh product and memoize it."""
+        """Intern the coefficients of a fresh product or solved rule ``e``
+        (a unit becomes the shared one) and store it in ``memo``."""
         pool = self._pool
         one = self.params._one
         terms = e.terms
@@ -837,7 +839,7 @@ class RuleTable:
         acc: dict = {}
         for im, ic in inner.terms.items():
             if ic is not one and ic.is_one():
-                ic = one   # a unit of a solved x^-1 rule, not the shared one
+                ic = one   # a built rule's unit, such as Q = 1 at r = 1
             _accumulate(acc, self.mul_mono_mono(head_t, im).terms, ic, one)
         return self._store(self._memo, key, _element(self.params, acc))
 

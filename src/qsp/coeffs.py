@@ -19,9 +19,12 @@ pair, any other value the frozen set of its pairs.
 ``lp`` reads it back.  Sums, differences and products of Laurent
 polynomials are Laurent polynomials, and so is a quotient by a single term.
 A quotient by a value of more than one term is not, and raises
-``NonMonomialDivisor``, an input error.  ``fraction()`` is the view that
-printing reads: a polynomial over the monic single term that clears the
-negative exponents.
+``NonMonomialDivisor``, an input error.  Every printed coefficient is
+written by ``term_str``, one Laurent term, and ``join_signed``, which joins
+signed pieces.  ``fraction()``, a polynomial over the monic single term
+that clears the negative exponents, is read only by ``__str__`` and by the
+printer's arm for a coefficient of more than one term
+(``exprio._coeff_term``).
 
 All values are immutable after construction and all operations are pure.
 An operation may return one of its operands unchanged (``a * 1`` is ``a``
@@ -142,8 +145,8 @@ PARAMS_III = ParamSet("III", ("q", "p"))
 
 
 # ----------------------------------------------------------------------------
-# Polynomials (dict of non-negative exponent tuple -> rational): the
-# fraction view that printing reads
+# Printing: one Laurent term, signed pieces, polynomials (dict of exponent
+# tuple -> rational)
 # ----------------------------------------------------------------------------
 
 def _grlex_key(m: Exponent) -> tuple:
@@ -176,31 +179,33 @@ def number_str(c: Rat) -> str:
         raise ResultTooLarge("result too large: a coefficient has too many digits to print") from None
 
 
+def term_str(m: Exponent, c: Rat, variables: tuple[str, ...]) -> tuple[int, str]:
+    """The Laurent term ``c`` times the powers ``m`` as (sign, body), the
+    sign pulled out: ``|c|`` is dropped when it is 1 and a power is present,
+    ``v^1`` is written ``v``, and positive powers come before negative ones,
+    each group in parameter order (``-r/q`` is (-1, ``r*q^-1``))."""
+    powers = [i for i, e in enumerate(m) if e > 0] + [i for i, e in enumerate(m) if e < 0]
+    factors = [variables[i] if m[i] == 1 else f"{variables[i]}^{m[i]}" for i in powers]
+    if abs(c) != 1 or not factors:
+        factors.insert(0, number_str(abs(c)))
+    return (-1 if c < 0 else 1), "*".join(factors)
+
+
+def join_signed(chunks: list[tuple[int, str]]) -> str:
+    """Join (sign, text) pieces as ``a - b + c``; a minus on the first is a prefix."""
+    (sign, piece), *rest = chunks
+    out = ("-" if sign < 0 else "") + piece
+    for sign, piece in rest:
+        out += (" - " if sign < 0 else " + ") + piece
+    return out
+
+
 def poly_str(a: Laurent, variables: tuple[str, ...]) -> str:
     """Render a polynomial like ``q^2*r - 1/2*q + 3``; zero renders as ``0``."""
     if not a:
         return "0"
-    parts = []
-    for m in sorted(a, key=_grlex_key, reverse=True):
-        c = a[m]
-        factors = [
-            v if e == 1 else f"{v}^{e}"
-            for v, e in zip(variables, m)
-            if e
-        ]
-        if not factors:
-            body = number_str(abs(c))
-        else:
-            body = "*".join(factors)
-            if abs(c) != 1:
-                body = f"{number_str(abs(c))}*{body}"
-        sign = "-" if c < 0 else "+"
-        parts.append((sign, body))
-    first_sign, first_body = parts[0]
-    out = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in parts[1:]:
-        out += f" {sign} {body}"
-    return out
+    return join_signed([term_str(m, a[m], variables)
+                        for m in sorted(a, key=_grlex_key, reverse=True)])
 
 
 # ----------------------------------------------------------------------------

@@ -31,8 +31,8 @@ import re
 from fractions import Fraction
 from typing import Optional
 
-from .coeffs import (QspError, RationalFunction, _assignment_str, _poly_is_one,
-                     number_str, poly_str)
+from .coeffs import (QspError, RationalFunction, _assignment_str, join_signed, poly_str,
+                     term_str)
 from .algebra import (
     GEN_INDEX,
     X,
@@ -334,34 +334,19 @@ def parse_uelement(ct: CalculusType, text: str) -> UElement:
 # ----------------------------------------------------------------------------
 
 def _coeff_term(c: RationalFunction) -> tuple[int, str]:
-    """Render a coefficient as (sign, body) with the sign pulled out when the
-    numerator is a single term; bodies are parseable by the grammar above."""
-    params = c.params
+    """A coefficient as (sign, body): a single term by ``term_str``, a sum in
+    parentheses times the negative powers that clear it, with a plus sign.
+    Bodies are parseable by the grammar above."""
+    variables = c.params.variables
+    if len(c.lp) == 1:
+        (m, v), = c.lp.items()
+        return term_str(m, v, variables)
     num, den = c.fraction()
-
-    def mono_body(p, negate_exps=False) -> tuple[int, str]:
-        (m, coeff), = p.items()
-        sign = -1 if coeff < 0 else 1
-        coeff = abs(coeff)
-        parts = []
-        if coeff != 1:
-            parts.append(number_str(coeff))
-        for v, e in zip(params.variables, m):
-            if e:
-                e = -e if negate_exps else e
-                parts.append(v if e == 1 else f"{v}^{e}")
-        return sign, "*".join(parts) if parts else "1"
-
-    if _poly_is_one(den):
-        if len(num) == 1:
-            return mono_body(num)
-        return 1, f"({poly_str(num, params.variables)})"
-    # the denominator is a monic monomial: it prints as negative powers
-    _, dbody = mono_body(den, negate_exps=True)
-    if len(num) == 1:
-        sn, nbody = mono_body(num)
-        return sn, dbody if nbody == "1" else f"{nbody}*{dbody}"
-    return 1, f"({poly_str(num, params.variables)})*{dbody}"
+    body = f"({poly_str(num, variables)})"
+    (m, _), = den.items()
+    if not any(m):
+        return 1, body
+    return 1, f"{body}*{term_str(tuple(-e for e in m), 1, variables)[1]}"
 
 
 def print_canonical(e: Element) -> str:
@@ -382,7 +367,7 @@ def print_canonical(e: Element) -> str:
         else:
             piece = f"{body}*{mstr}"
         chunks.append((sign, piece))
-    return _join_signed(chunks)
+    return join_signed(chunks)
 
 
 def print_tensor(te: TensorElement) -> str:
@@ -398,16 +383,7 @@ def print_tensor(te: TensorElement) -> str:
                 mstr = f"{body}*{mstr}" if mstr != "1" else body
             slots.append(mstr)
         chunks.append((sign, " (x) ".join(slots)))
-    return _join_signed(chunks)
-
-
-def _join_signed(chunks: list[tuple[int, str]]) -> str:
-    """Join (sign, text) pieces as "a - b + c"; a minus on the first is a prefix."""
-    sign, piece = chunks[0]
-    out = ("-" if sign < 0 else "") + piece
-    for sign, piece in chunks[1:]:
-        out += (" - " if sign < 0 else " + ") + piece
-    return out
+    return join_signed(chunks)
 
 
 # ----------------------------------------------------------------------------

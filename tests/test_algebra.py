@@ -186,6 +186,20 @@ def test_x_inverse_rules_derived_on_first_use(name, assignment):
 
 
 @TABLES
+def test_solved_x_inverse_rules_hold_the_shared_unit(name, assignment):
+    # a solved x^-1 rule enters the table interned: each unit coefficient is
+    # params.one() itself, whose products the engine skips (px*x^-1, ix*x^-1
+    # and x^-1*dx hold one at I, II-r1 and III-p1; the II and III rules none)
+    ct = CalculusType.by_name(name)
+    rt = build_rule_table(ct.specialize(assignment) if assignment else ct)
+    one = rt.params.one()
+    units = [(key, c) for key, e in rt.rules.items() if key[2] == -1
+             for c in e.terms.values() if c.is_one()]
+    assert len(units) == (0 if name in ("II", "III") and not assignment else 3)
+    assert all(c is one for _, c in units), units
+
+
+@TABLES
 @pytest.mark.parametrize("g", [TH, PTH, ITH, PX, IX, DX, DTH], ids=lambda g: GENS[g])
 def test_x_inverse_solving_order_does_not_matter(name, assignment, g):
     # whichever x^-1 rule a fresh table meets first, it adopts that rule, and

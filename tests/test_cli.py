@@ -182,6 +182,36 @@ def test_coproduct(capsys):
     assert "(x)" in out
 
 
+PRINTED = {
+    ("coproduct", "--type", "II", "2*x*th"): "2*x^2 (x) x*th + 2*x*th (x) x^2",
+    ("coproduct", "--type", "II", "Q21*x"): "-r*q^-1*x (x) x",
+    ("coproduct", "--type", "II", "x-x"): "0",
+    ("pair", "--type", "II", "Nb^2", "x*th"): "0",
+    ("pair", "--type", "II", "Nb^0", "x"): "1",
+    ("normalize", "--type", "II", "th^0"): "1",
+    ("normalize", "--type", "II", "H^0"): "1",
+}
+
+
+@pytest.mark.parametrize("argv", PRINTED, ids=" ".join)
+def test_printed_output(capsys, argv):
+    # a tensor's coefficient rides on its first slot; zeroth powers are 1
+    assert invoke(capsys, *argv) == (0, PRINTED[argv] + "\n", "")
+
+
+INPUT_ERRORS = {
+    ("check", "--type", "II", "x"): 'error: check expects "LHS == RHS" (at position 0)\n',
+    ("normalize", "--type", "II", "--param", "r=abc", "x"): "bad rational 'abc'",
+}
+
+
+@pytest.mark.parametrize("argv", INPUT_ERRORS, ids=" ".join)
+def test_input_error_exits_2(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2 and out == ""
+    assert INPUT_ERRORS[argv] in err, err
+
+
 SOLVE_TYPES_OUT = """\
 Type I: Q12 = 0, Q22 = 0 =>
   Q   = 1
@@ -364,6 +394,13 @@ def test_bad_config_value_exits_2(tmp_path, capsys, line, flag):
     # a flag that overrides the value leaves it unread
     code, _, _ = invoke(capsys, "verify", "--config", str(cfg), *flag, "--id", "eq41-Hnabla")
     assert code == 0
+
+
+def test_config_line_without_equals_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "qsp.cfg"
+    cfg.write_text("type II\n")
+    assert invoke(capsys, "normalize", "--config", str(cfg), "x") == (
+        2, "", "error: bad config line 'type II'\n")
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):

@@ -17,6 +17,7 @@ from qsp.coeffs import (
     PoleAtAssignment,
     RationalFunction,
     qnumber,
+    term_str,
 )
 
 P2 = PARAMS_II
@@ -198,6 +199,19 @@ def test_str_forms():
     assert str(one + q) == "q + 1"
     assert str((one - q) / r) == "(-q + 1)/(r)"
     assert str(PARAMS_III.var("p") ** 2) == "p^2"
+
+
+@pytest.mark.parametrize("m, c, want", [
+    ((-1, 1), -1, (-1, "r*q^-1")),
+    ((3, -1), Fraction(1, 2), (1, "1/2*q^3*r^-1")),
+    ((0, -2), -3, (-1, "3*r^-2")),
+    ((0, 0), -1, (-1, "1")),
+    ((0, 0), Fraction(2, 3), (1, "2/3")),
+])
+def test_term_str(m, c, want):
+    # positive powers before negative ones, each in parameter order; |c| is
+    # written unless it is 1 and a power is present
+    assert term_str(m, c, P2.variables) == want
 
 
 def test_power_matches_repeated_product():

@@ -111,6 +111,20 @@ def test_print_laurent_coefficients(t2):
     assert print_canonical(e) == "-r*q^-1*x"
 
 
+@pytest.mark.parametrize("ctype, text, want", [
+    ("II", "Q21*x", "-r*q^-1*x"),
+    ("II", "Q21*Qp^2*x", "-q*r^-1*x"),
+    ("II", "1/2*r^-1*q^3*dx", "1/2*q^3*r^-1*dx"),
+    ("II", "Q12", "r - 1"),
+    ("III", "(1-p)*q^-2*x", "(-p + 1)*q^-2*x"),
+])
+def test_print_writes_positive_powers_first(ctype, text, want):
+    # the round trip cannot see the order of a term's factors (-r*q^-1 and
+    # -q^-1*r parse to one value), so the written form is pinned here
+    rt = build_rule_table(CalculusType.by_name(ctype))
+    assert print_canonical(parse_element(rt, text)) == want
+
+
 def test_roundtrip_random_elements(t2):
     rng = random.Random(365)
     letters = [("x", 1), ("x", -1), ("th", 1), ("dx", 1), ("dth", 1),

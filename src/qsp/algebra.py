@@ -30,10 +30,11 @@ with a single letter, one for the product of two monomials, so every product
 that needs a rewrite is computed once per table.  A product already in order
 is not memoized: it is the merged monomial with the shared unit coefficient
 ``params.one()``, built directly, which costs less than a memo entry (and a
-single-letter right factor is recognized by a table lookup).  Before a
-product is memoized or a solved x^-1 rule stored, its coefficients are
-replaced by one canonical instance per value, which keeps the memos from
-holding many equal copies and makes a unit the shared one.  A sum of
+single-letter right factor is recognized by a table lookup).  Every
+coefficient equal to 1 is ``params.one()`` already (``coeffs`` builds it
+so), in the rules as in the products.  Before a product is memoized, its
+coefficients are replaced by one canonical instance per value, which only
+keeps the memos from holding many equal copies.  A sum of
 products, a memo miss's sum over its rule's terms included, is accumulated
 in one plain dict, monomial to coefficient, with a term dropped as soon as
 it cancels; a coefficient product is skipped when either factor is the
@@ -323,10 +324,7 @@ class Element:
         """Add ``c * other`` into this element in place (see ``add_term``)."""
         if c.is_zero():
             return
-        one = self.params.one()
-        if c.is_one():
-            c = one
-        _accumulate(self.terms, other.terms, c, one)
+        _accumulate(self.terms, other.terms, c, self.params.one())
 
     def __add__(self, other: "Element") -> "Element":
         out = self._like(dict(self.terms))
@@ -640,8 +638,6 @@ def derived_rules(rules: Mapping, params: ParamSet) -> dict:
         row = out[(pg, dg, 0)]
         for n in (_PAIR[DX, PX], _PAIR[DTH, PTH]):
             row.add_term(n, qi - one if sign > 0 else one - qi)
-        # a unit coefficient is the shared one, whose products the engine skips
-        row.terms.update([(n, one) for n, c in row.terms.items() if c.is_one()])
     for p, (da, (_, ia, _)) in _itproduct((PX, PTH), _CARTAN.items()):
         for m, c in out[(p, da, 0)].terms.items():
             dk, pk = _SPLIT[m]
@@ -700,7 +696,7 @@ class RuleTable:
         self._pair_memo: dict = {}
         # (operator monomial, form monomial) -> vacuum part of their product
         self._act_memo: dict = {}
-        self._pool: dict = {self.params.one(): self.params.one()}
+        self._pool: dict = {}
         self._derived_cache: dict = {}
         # bound -> the twisted-Leibniz grid of H and Nb residuals, shared by
         # the eq59 and eq62 identities (calculus)
@@ -767,7 +763,7 @@ class RuleTable:
             e = self.mul(gm - self.mul(xi, rest), xi)
         else:
             e = self.mul(xi, gm - self.mul(rest, xi))
-        self._store(self._rules, key, e.scale(P.one() / c))
+        self._rules[key] = e.scale(P.one() / c)
 
     def _round_trip(self, g: int) -> None:
         """Check g*x^s*x^-s = g, or x^-s*(x^s*g) = g for a differential g, at
@@ -783,8 +779,9 @@ class RuleTable:
     # -- multiplication ---------------------------------------------------------
 
     def _store(self, memo: dict, key, e: Element) -> Element:
-        """Intern the coefficients of a fresh product or solved rule ``e``
-        (a unit becomes the shared one) and store it in ``memo``."""
+        """Intern the coefficients of a fresh product ``e``, so that equal
+        coefficients across the memos are one object (for memory only: a
+        unit is the shared one already), and store it in ``memo``."""
         pool = self._pool
         one = self.params._one
         terms = e.terms
@@ -838,8 +835,6 @@ class RuleTable:
         one = self.params._one
         acc: dict = {}
         for im, ic in inner.terms.items():
-            if ic is not one and ic.is_one():
-                ic = one   # a built rule's unit, such as Q = 1 at r = 1
             _accumulate(acc, self.mul_mono_mono(head_t, im).terms, ic, one)
         return self._store(self._memo, key, _element(self.params, acc))
 

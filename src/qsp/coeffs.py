@@ -26,6 +26,8 @@ that clears the negative exponents, is read only by ``__str__`` and by the
 printer's arm for a coefficient of more than one term
 (``exprio._coeff_term``).
 
+A value equal to 1 is one object per ``ParamSet``, ``params.one()``: every
+operation and ``RationalFunction(params, terms)`` return it for such a value.
 All values are immutable after construction and all operations are pure.
 An operation may return one of its operands unchanged (``a * 1`` is ``a``
 itself), so a value, and the dict inside it, must never be mutated once
@@ -36,7 +38,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from operator import add, sub
 from typing import Mapping, Union
 
@@ -85,6 +86,16 @@ class ParamSet:
     def __post_init__(self) -> None:
         if len(set(self.variables)) != len(self.variables):
             raise ValueError(f"duplicate parameter names: {self.variables}")
+        # origin (the exponent tuple of the constant monomial), one and zero
+        # are built once and shared, as plain attributes (the cheapest to
+        # read); one is built directly, since ``_value`` returns it for every
+        # value equal to 1
+        origin = (0,) * len(self.variables)
+        one = _new(RationalFunction)
+        one.params, one.lp, one.integral = self, {origin: 1}, True
+        object.__setattr__(self, "origin", origin)
+        object.__setattr__(self, "_one", one)
+        object.__setattr__(self, "_zero", _value(self, {}))
 
     @property
     def nvars(self) -> int:
@@ -96,21 +107,6 @@ class ParamSet:
         except ValueError:
             raise MissingVariable(f"unknown parameter {name!r}") from None
 
-    @cached_property
-    def origin(self) -> Exponent:
-        """The exponent tuple of the constant monomial."""
-        return (0,) * self.nvars
-
-    # zero and one are built once per parameter set and shared; values are
-    # immutable, so every caller may hold the same instance
-    @cached_property
-    def _zero(self) -> "RationalFunction":
-        return _value(self, {})
-
-    @cached_property
-    def _one(self) -> "RationalFunction":
-        return _value(self, {self.origin: 1})
-
     def zero(self) -> "RationalFunction":
         return self._zero
 
@@ -120,8 +116,6 @@ class ParamSet:
     def const(self, value: Rat) -> "RationalFunction":
         if value == 0:
             return self._zero
-        if value == 1:
-            return self._one
         return _rational(self, {self.origin: Fraction(value)})
 
     def var(self, name: str) -> "RationalFunction":
@@ -137,11 +131,6 @@ class ParamSet:
         if isinstance(value, str):
             return self.var(value)
         return self.const(value)
-
-
-PARAMS_I = ParamSet("I", ("q",))
-PARAMS_II = ParamSet("II", ("q", "r"))
-PARAMS_III = ParamSet("III", ("q", "p"))
 
 
 # ----------------------------------------------------------------------------
@@ -221,12 +210,11 @@ class RationalFunction:
 
     __slots__ = ("params", "lp", "integral")
 
-    def __init__(self, params: ParamSet, terms: Mapping[Exponent, Rat]):
+    def __new__(cls, params: ParamSet, terms: Mapping[Exponent, Rat]) -> "RationalFunction":
         """The Laurent polynomial with the given {exponent tuple: rational}
         terms.  ``terms`` is copied: zero coefficients are dropped and an
         integral ``Fraction`` becomes an ``int``."""
-        value = _rational(params, {m: c for m, c in terms.items() if c})
-        self.params, self.lp, self.integral = params, value.lp, value.integral
+        return _rational(params, {m: c for m, c in terms.items() if c})
 
     # -- views ---------------------------------------------------------------
 
@@ -301,13 +289,13 @@ class RationalFunction:
         a, b = self.lp, other.lp
         if not a or not b:
             return params._zero
-        origin = params.origin
-        if len(a) == 1 and a.get(origin) == 1:
+        one = params._one
+        if self is one:
             return other
+        if other is one:
+            return self
         if len(b) == 1:
             (mb, cb), = b.items()
-            if cb == 1 and mb == origin:
-                return self
             if len(a) == 1:
                 # one term each: one exponent add, one coefficient product
                 (ma, ca), = a.items()
@@ -426,7 +414,11 @@ _new = object.__new__
 
 
 def _value(params: ParamSet, lp: Laurent, integral: bool = True) -> RationalFunction:
-    """A value from its stored form, with no checks."""
+    """A value from its stored form, with no checks; a value equal to 1 is
+    ``params``' shared one."""
+    one = params._one
+    if lp == one.lp:
+        return one
     rf = _new(RationalFunction)
     rf.params = params
     rf.lp = lp
@@ -465,6 +457,13 @@ def _lp_mul(a: Laurent, b: Laurent) -> Laurent:
             else:
                 del out[m]
     return out
+
+
+# a ParamSet builds its one and zero, so the three families' sets come after
+# RationalFunction and _value
+PARAMS_I = ParamSet("I", ("q",))
+PARAMS_II = ParamSet("II", ("q", "r"))
+PARAMS_III = ParamSet("III", ("q", "p"))
 
 
 # ----------------------------------------------------------------------------

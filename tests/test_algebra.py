@@ -187,8 +187,8 @@ def test_x_inverse_rules_derived_on_first_use(name, assignment):
 
 @TABLES
 def test_solved_x_inverse_rules_hold_the_shared_unit(name, assignment):
-    # a solved x^-1 rule enters the table interned: each unit coefficient is
-    # params.one() itself, whose products the engine skips (px*x^-1, ix*x^-1
+    # each unit coefficient of a solved x^-1 rule is params.one() itself,
+    # whose products the engine skips (px*x^-1, ix*x^-1
     # and x^-1*dx hold one at I, II-r1 and III-p1; the II and III rules none)
     ct = CalculusType.by_name(name)
     rt = build_rule_table(ct.specialize(assignment) if assignment else ct)
@@ -197,6 +197,27 @@ def test_solved_x_inverse_rules_hold_the_shared_unit(name, assignment):
              for c in e.terms.values() if c.is_one()]
     assert len(units) == (0 if name in ("II", "III") and not assignment else 3)
     assert all(c is one for _, c in units), units
+
+
+@pytest.mark.parametrize("name,assignment", [
+    ("I", {}), ("II", {}), ("III", {}), ("II", {"r": 1}), ("III", {"p": 1}),
+    ("II", {"q": 1}), ("III", {"q": 1, "p": 1})],
+    ids=["I", "II", "III", "II-r1", "III-p1", "II-q1", "III-q1-p1"])
+def test_every_unit_coefficient_is_the_shared_one(name, assignment):
+    # coeffs builds every value equal to 1 as params.one() itself, so a
+    # specialization's projected units (Q = r at r = 1, Q11 = q at q = 1)
+    # enter the rules as the shared one, and so does every unit the memos hold
+    ct = CalculusType.by_name(name)
+    rt = build_rule_table(ct.specialize(assignment) if assignment else ct)
+    one = rt.params.one()
+
+    def fresh(elements):
+        return [c for e in elements for c in e.terms.values() if c.is_one() and c is not one]
+    assert fresh(rt.rules.values()) == []
+    local_confluence_check(rt, 3)
+    run_suite(rt)
+    for memo in (rt._memo, rt._pair_memo, rt._act_memo):
+        assert memo and fresh(memo.values()) == []
 
 
 @TABLES

@@ -190,6 +190,8 @@ PRINTED = {
     ("pair", "--type", "II", "Nb^0", "x"): "1",
     ("normalize", "--type", "II", "th^0"): "1",
     ("normalize", "--type", "II", "H^0"): "1",
+    # "--" ends the options, so an expression may begin with a minus
+    ("normalize", "--type", "II", "--", "-x"): "-x",
 }
 
 
@@ -202,6 +204,8 @@ def test_printed_output(capsys, argv):
 INPUT_ERRORS = {
     ("check", "--type", "II", "x"): 'error: check expects "LHS == RHS" (at position 0)\n',
     ("normalize", "--type", "II", "--param", "r=abc", "x"): "bad rational 'abc'",
+    # without "--", argparse reads "-x" as an option and the expression is missing
+    ("normalize", "--type", "II", "-x"): "usage: qsp normalize [-h]",
 }
 
 

@@ -168,6 +168,23 @@ def test_unit_product_is_the_operand(a):
         assert a * one is a and one * a is a
 
 
+@settings(max_examples=100, deadline=None)
+@given(laurents(max_size=1), laurents(), exponents, nonzero, nonzero)
+def test_every_value_equal_to_one_is_the_shared_one(a, b, m, u, w):
+    # whichever way a value equal to 1 is built, it is P.one() itself, so the
+    # engine's unit skips (``c is one``) see every unit
+    one = P.one()
+    i, j = m
+    t = RationalFunction(P, {m: 1 / (u ** i * w ** j)})
+    at_u = t.substitute({"q": u, "r": w})
+    for unit in (a * (one / a), (one / a) * a, (b + one) - b, -(-one),
+                 RationalFunction(P, {P.origin: Fraction(3, 3)}), P.const(Fraction(2, 2)), at_u):
+        assert unit is one, unit
+    # Q = r at type II, substituted and projected by specialize
+    ct = CalculusType.type_ii().specialize({"r": 1})
+    assert ct.Q is ct.params.one() and at_u.project(ct.params) is ct.params.one()
+
+
 @st.composite
 def single_term_pairs(draw):
     """Two single terms, negative exponents included; about half the time

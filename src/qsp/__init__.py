@@ -11,10 +11,10 @@ _HOMES = {
     "coeffs": ("PARAMS_I", "PARAMS_II", "PARAMS_III", "ParamSet", "QspError",
                "RationalFunction", "qnumber"),
     "algebra": ("CalculusType", "Element", "RuleTable", "act_on_function",
-                "build_rule_table", "local_confluence_check", "parity_of"),
+                "build_rule_table", "exterior_derivative", "local_confluence_check",
+                "parity_of"),
     "calculus": ("KNOWN_DISCREPANCY_IDS", "VerifyResult", "closed_form_H",
-                 "exterior_derivative", "identity_catalog", "number_op",
-                 "run_suite", "verify_identity"),
+                 "identity_catalog", "number_op", "run_suite", "verify_identity"),
     "hopf": ("TensorElement", "UElement", "coproduct_A", "counit_A",
              "antipode_A", "hopf_axiom_check", "costructures_W",
              "expand_derived", "left_act", "pair", "tensor_multiply"),

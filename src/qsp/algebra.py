@@ -963,14 +963,12 @@ class RuleTable:
         return e
 
     def normalize(self, w) -> Element:
-        """Normal-order a raw word or re-normalize an algebra element."""
+        """Normal-order a raw word, or copy an algebra element, whose keys
+        are normal-ordered words already."""
         if isinstance(w, Element):
             if type(w) is not Element:
                 raise TypeError(f"cannot normalize a {type(w).__name__}")
-            out = Element.zero(self.params)
-            for m, c in w.terms.items():
-                out.add_scaled(self.mul_mono_mono(ONE_MONO, m), c)
-            return out
+            return Element(self.params, w.terms)
         return self.normalize_word(w)
 
     def word(self, *items: WordItem) -> Element:
@@ -987,6 +985,10 @@ def act_on_function(rt: RuleTable, op: Element, f: Element) -> Element:
     inner-derivation factors, computed directly by ``rt.act``.  Raises
     NotAFunctionArgument when ``f`` has an operator factor."""
     return rt.act(op, f)
+
+
+def exterior_derivative(rt: RuleTable, w: Element) -> Element:
+    return act_on_function(rt, rt.d_element(), w)
 
 
 # ----------------------------------------------------------------------------

@@ -26,8 +26,9 @@ spans the system derived from the coactions.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from operator import sub
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .coeffs import (
     NonMonomialDivisor,
@@ -41,6 +42,7 @@ from .algebra import (
     CalculusType,
     Element,
     RuleTable,
+    exterior_derivative,
     rule_coeffs,
     shaped_rules,
     word_letters,
@@ -87,9 +89,7 @@ def coaction_axiom_residuals(rt: RuleTable, word, side: str) -> list:
 
 def bicovariance_residuals(rt: RuleTable, word) -> list:
     """The three compatibility identities between d, dR and dL on a word."""
-    def d_map(a: Element) -> Element:
-        return rt.act(rt.d_element(), a)
-
+    d_map = partial(exterior_derivative, rt)
     e = rt.normalize_word(word)
     de = d_map(e)
     # on a coordinate element both coactions are the coproduct
@@ -154,12 +154,10 @@ def _collect_constraints(residuals: Iterable[Element]) -> list[RationalFunction]
     return list(dict.fromkeys(p for p in primitive if not p.is_zero()))
 
 
-class CovarianceConstraints:
+class CovarianceConstraints(NamedTuple):
     """Output of the constraint pass: generators per side."""
-
-    def __init__(self, right: list[RationalFunction], left: list[RationalFunction]):
-        self.right = right
-        self.left = left
+    right: list[RationalFunction]
+    left: list[RationalFunction]
 
 
 def relation_coaction_residuals(rt: RuleTable, side: str):
@@ -220,8 +218,9 @@ def _row_reduce(rows: Iterable[list[RationalFunction]]) -> list[tuple[int, list]
 
 def _in_linear_span(gens: Sequence[RationalFunction],
                     queries: Sequence[RationalFunction]) -> bool:
-    """Membership of each query in the span of gens over rational functions
-    of q, with the unknowns entering linearly (affine terms allowed)."""
+    """Whether every query lies in the span of gens over rational functions
+    of q, with the unknowns entering linearly (affine terms allowed): whether
+    the queries leave the rank of gens unchanged."""
     qvar = ParamSet("qline", ("q",))
 
     def vectorize(p: RationalFunction) -> dict:
@@ -240,8 +239,7 @@ def _in_linear_span(gens: Sequence[RationalFunction],
         return [vec.get(c, qvar.zero()) for c in cols]
 
     basis = [row for _, row in _row_reduce(to_row(r) for r in rows)]
-    return all(len(_row_reduce(basis + [to_row(vectorize(p))])) == len(basis)
-               for p in queries)
+    return len(_row_reduce(basis + [to_row(vectorize(p)) for p in queries])) == len(basis)
 
 
 def spans_match(a: Sequence[RationalFunction], b: Sequence[RationalFunction]) -> bool:

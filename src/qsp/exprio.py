@@ -238,19 +238,6 @@ def _evaluate(node, one, mul, symbol, power, divide):
     raise ValueError(f"bad AST node {kind!r}")
 
 
-def eval_ast(rt: RuleTable, ast) -> Element:
-    P = rt.params
-
-    def divide(out: Element, val: Element) -> Element:
-        if not val.is_scalar():
-            raise BadExponent("division requires a scalar divisor")
-        return out.scale(P.one() / val.scalar_value())
-
-    return _evaluate(ast, Element.one(P), rt.mul,
-                     lambda name, n: _eval_symbol(rt, name, n),
-                     lambda e, n: _element_power(rt, e, n), divide)
-
-
 def _eval_symbol(rt: RuleTable, name: str, power: int) -> Element:
     P = rt.params
     if name == "xi":
@@ -295,7 +282,16 @@ def _element_power(rt: RuleTable, e: Element, n: int) -> Element:
 
 
 def parse_element(rt: RuleTable, text: str) -> Element:
-    return eval_ast(rt, parse_expr(text))
+    P = rt.params
+
+    def divide(out: Element, val: Element) -> Element:
+        if not val.is_scalar():
+            raise BadExponent("division requires a scalar divisor")
+        return out.scale(P.one() / val.scalar_value())
+
+    return _evaluate(parse_expr(text), Element.one(P), rt.mul,
+                     lambda name, n: _eval_symbol(rt, name, n),
+                     lambda e, n: _element_power(rt, e, n), divide)
 
 
 def parse_uelement(ct: CalculusType, text: str) -> UElement:

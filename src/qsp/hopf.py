@@ -349,14 +349,10 @@ def costructures_W(rt: RuleTable, kind: str, word: Sequence[str]):
     if kind == "counit":
         return P.one() if not word else P.zero()
     if kind == "antipode":
-        # graded antihomomorphism with S(w) = -w on generators
-        sign = (-1) ** len(word)
-        koszul = 0
-        for i in range(len(word)):
-            for j in range(i + 1, len(word)):
-                koszul += W_PARITY[word[i]] * W_PARITY[word[j]]
-        if koszul & 1:
-            sign = -sign
+        # graded antihomomorphism with S(w) = -w on generators: reversing
+        # n letters, o of them odd, crosses o(o-1)/2 odd pairs
+        o = sum(W_PARITY[g] for g in word)
+        sign = -1 if (len(word) + o * (o - 1) // 2) & 1 else 1
         return _w_expand(rt, tuple(reversed(word))).scale(sign)
     if kind != "coproduct":
         raise ValueError(f"unknown costructure {kind!r}")
@@ -366,20 +362,12 @@ def costructures_W(rt: RuleTable, kind: str, word: Sequence[str]):
     return _tensor_product(rt, (primitive[g] for g in word))
 
 
-def w_relation_residuals(rt: RuleTable) -> list[TensorElement]:
-    """Coproduct residuals of the one-form relations (well-definedness)."""
-    comm = (costructures_W(rt, "coproduct", ("wx", "wth"))
-            - costructures_W(rt, "coproduct", ("wth", "wx")))
-    square = costructures_W(rt, "coproduct", ("wx", "wx"))
-    return [comm, square]
-
-
-def w_antipode_residuals(rt: RuleTable) -> list[Element]:
-    """Antipode residuals of the one-form relations."""
-    comm = (costructures_W(rt, "antipode", ("wx", "wth"))
-            - costructures_W(rt, "antipode", ("wth", "wx")))
-    square = costructures_W(rt, "antipode", ("wx", "wx"))
-    return [comm, square]
+def w_relation_residuals(rt: RuleTable, kind: str) -> list:
+    """Residuals of the one-form relations under the costructure ``kind``:
+    "coproduct" (well-definedness) or "antipode"."""
+    comm = (costructures_W(rt, kind, ("wx", "wth"))
+            - costructures_W(rt, kind, ("wth", "wx")))
+    return [comm, costructures_W(rt, kind, ("wx", "wx"))]
 
 
 # ----------------------------------------------------------------------------

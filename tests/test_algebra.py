@@ -101,6 +101,18 @@ def test_normalize_px_x(t2):
     assert t2.word("px", "x") == want
 
 
+def test_normalize_copies_an_element(t2):
+    e = t2.word("px", "x")
+    assert len(e.terms) > 1
+    got = t2.normalize(e)
+    assert got == e and got is not e and got.terms is not e.terms
+    # the copy is the caller's own: writing to it leaves e as it was
+    got.add_term(mono(x=1), t2.params.one())
+    assert got != e and e == t2.word("px", "x")
+    with pytest.raises(TypeError):
+        t2.normalize(TensorElement.of(e, e))
+
+
 def test_normalize_nilpotents(t2):
     assert t2.word("th", "th").is_zero()
     assert t2.word("dx", "dx").is_zero()

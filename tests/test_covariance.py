@@ -25,6 +25,7 @@ from qsp.covariance import (
     ANSATZ_PARAMS,
     InconsistentSideConditions,
     UnderdeterminedSystem,
+    _in_linear_span,
     ansatz_table,
     bicovariance_residuals,
     coaction_axiom_residuals,
@@ -94,6 +95,16 @@ def test_constraint_generation_matches_published_span():
                                   "q*Q21 + Q12 + 1", "q*Q22 - q + Q11"]
     assert _strings(expected_covariance_constraints()) == [
         "q*Q - q*Q12 - Q11", "q*Q22 - q + Q11", "q*Q21 + Q12 + 1", "q*Q21 + Q + Q22"]
+
+
+def test_span_membership_needs_every_query():
+    right = generate_covariance_constraints().right
+    inside = right[0] + ANSATZ_PARAMS.var("q") * right[1]
+    outside = ANSATZ_PARAMS.var("Q11")
+    assert _in_linear_span(right, [inside]) and not _in_linear_span(right, [outside])
+    assert not _in_linear_span(right, [inside, outside])
+    assert _in_linear_span(right, [inside, right[2]])
+    assert _in_linear_span(right, [])
 
 
 def test_relation_coactions_vanish_at_families(family_table):

@@ -178,7 +178,12 @@ def mono(**exps: int) -> Monomial:
             raise UnsupportedGenerator(f"unknown generator {name!r}")
         if name == "d":
             raise UnsupportedGenerator("d is not a basis letter; it is expanded in words")
-        e[GEN_INDEX[name]] = k
+        g = GEN_INDEX[name]
+        if k < 0 and g != X:
+            raise UnsupportedGenerator(f"negative power of {name!r} is not invertible")
+        if k > 1 and g in NILPOTENT:
+            raise UnsupportedGenerator(f"{name!r} is nilpotent; its powers above 1 are 0")
+        e[g] = k
     return tuple(e)
 
 
@@ -257,13 +262,12 @@ class Element:
     of the coproducts and coactions (``hopf.TensorElement``, keyed by tuples
     of monomials) and the dual-sector elements (``hopf.UElement``, keyed by
     (T, K, Nb) exponents) are Elements too: this class holds the one copy of
-    their linear arithmetic.  A result has the type of its left operand and
-    shares the attributes named in ``_space`` with it; elements of different
-    types or spaces are never equal, not even when both are zero.
+    their linear arithmetic.  A result has the type and parameter set of its
+    left operand; elements of different types or parameter sets are never
+    equal, not even when both are zero.
     """
 
     __slots__ = ("params", "terms")
-    _space = ("params",)
 
     def __init__(self, params: ParamSet, terms: dict | None = None):
         self.params = params
@@ -274,14 +278,8 @@ class Element:
                     self.terms[m] = c
 
     def _like(self, terms: dict) -> "Element":
-        """An element of this type and space holding ``terms`` as given."""
-        if type(self) is Element:
-            return _element(self.params, terms)
-        e = _new(type(self))
-        for name in self._space:
-            setattr(e, name, getattr(self, name))
-        e.terms = terms
-        return e
+        """An element of this type and parameter set holding ``terms`` as given."""
+        return _element(self.params, terms, type(self))
 
     @classmethod
     def zero(cls, params: ParamSet) -> "Element":
@@ -360,8 +358,7 @@ class Element:
             return self.terms == other.terms
         if not isinstance(other, Element):
             return NotImplemented
-        return (type(self) is type(other)
-                and all(getattr(self, n) == getattr(other, n) for n in self._space)
+        return (type(self) is type(other) and self.params == other.params
                 and self.terms == other.terms)
 
     def __hash__(self):
@@ -400,18 +397,17 @@ class Element:
         """Drop every term whose operator-sector exponents are not all zero."""
         return self._like({m: c for m, c in self.terms.items() if mono_is_form(m)})
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: mono_sort_key(kv[0]))
-
     def __repr__(self):
         if not self.terms:
             return "<0>"
-        return "<" + " + ".join(f"({c})*{mono_str(m)}" for m, c in self.sorted_terms()) + ">"
+        terms = sorted(self.terms.items(), key=lambda kv: mono_sort_key(kv[0]))
+        return "<" + " + ".join(f"({c})*{mono_str(m)}" for m, c in terms) + ">"
 
 
-def _element(params: ParamSet, terms: dict) -> Element:
-    """A plain Element holding ``terms`` as given, with no checks."""
-    e = _new(Element)
+def _element(params: ParamSet, terms: dict, cls: type = Element) -> Element:
+    """A ``cls`` (a plain Element by default) holding ``terms`` as given,
+    with no checks."""
+    e = _new(cls)
     e.params = params
     e.terms = terms
     return e

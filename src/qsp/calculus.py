@@ -13,8 +13,8 @@ all zero when the identity holds.  ``verify_identity`` turns them into the
 reported certificate by one rule, ``_first_nonzero``: the first nonzero
 residual in order (iteration stops there), or zero.  An Element certifies
 itself and a RationalFunction that multiple of the unit.  A TensorElement
-certifies as the sum of its coefficients times the products of its slot
-monomials; when those products cancel, as its first coefficient.
+certifies as the product of its slots, ``hopf.collapse``; when those
+products cancel, as its first coefficient.
 
 Entries register through ``_entry(id, anchor, kind, residuals)``, as a call
 or a decorator.  ``_word`` and ``_acts`` register relations written as text,
@@ -27,7 +27,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
-from functools import partial, reduce
+from functools import partial
 from typing import Callable, Iterable, Optional
 
 from .coeffs import QspError, RationalFunction, qnumber
@@ -95,12 +95,8 @@ def _first_nonzero(rt: RuleTable, residuals: Iterable) -> Element:
     P = rt.params
     for r in residuals:
         if isinstance(r, hopf.TensorElement) and r.terms:
-            slots = Element.zero(P)
-            for key, c in r.terms.items():
-                slots.add_scaled(reduce(rt.mul, (Element.monomial(P, m) for m in key),
-                                        Element.one(P)), c)
-            first = next(iter(r.terms.values()))
-            r = Element.scalar(P, first) if slots.is_zero() else slots
+            slots = hopf.collapse(rt, r)
+            r = Element.scalar(P, next(iter(r.terms.values()))) if slots.is_zero() else slots
         elif not isinstance(r, Element):
             r = Element.scalar(P, r)
         if not r.is_zero():

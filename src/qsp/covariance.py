@@ -26,7 +26,6 @@ spans the system derived from the coactions.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
 from operator import sub
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -54,8 +53,7 @@ from .hopf import (
     coaction_mono,
     comodule_residuals,
     coproduct_A,
-    tensor_apply_slot,
-    tensor_expand_slot,
+    tensor_map_slot,
 )
 
 
@@ -89,15 +87,17 @@ def coaction_axiom_residuals(rt: RuleTable, word, side: str) -> list:
 
 def bicovariance_residuals(rt: RuleTable, word) -> list:
     """The three compatibility identities between d, dR and dL on a word."""
-    d_map = partial(exterior_derivative, rt)
+    def d_map(m) -> TensorElement:   # d as a rank-1 tensor
+        return TensorElement.of(exterior_derivative(rt, Element.monomial(rt.params, m)))
+
     e = rt.normalize_word(word)
-    de = d_map(e)
+    de = exterior_derivative(rt, e)
     # on a coordinate element both coactions are the coproduct
     delta = coproduct_A(rt, e)
-    res1 = tensor_apply_slot(delta, 1, d_map) - coaction_element(rt, de, "left")
-    res2 = tensor_apply_slot(delta, 0, d_map) - coaction_element(rt, de, "right")
-    lhs = tensor_expand_slot(delta, 0, lambda m: coaction_mono(rt, m, "left"))
-    rhs = tensor_expand_slot(delta, 1, lambda m: coaction_mono(rt, m, "right"))
+    res1 = tensor_map_slot(delta, 1, d_map, odd=True) - coaction_element(rt, de, "left")
+    res2 = tensor_map_slot(delta, 0, d_map, odd=True) - coaction_element(rt, de, "right")
+    lhs = tensor_map_slot(delta, 0, lambda m: coaction_mono(rt, m, "left"))
+    rhs = tensor_map_slot(delta, 1, lambda m: coaction_mono(rt, m, "right"))
     return [res1, res2, lhs - rhs]
 
 

@@ -271,6 +271,11 @@ def _element_power(rt: RuleTable, e: Element, n: int) -> Element:
     if e.is_scalar():
         # RationalFunction.__pow__ squares and multiplies
         return Element.scalar(P, e.scalar_value() ** n)
+    if len(e.terms) == 1:
+        (m, c), = e.terms.items()
+        if m == mono(x=m[X]):
+            # x^k is invertible and commutes with scalars
+            return Element.monomial(P, mono(x=m[X] * n), c ** n)
     if n < 0:
         raise BadExponent("negative powers require a scalar or x")
     # an operator is multiplied by itself n-1 times: squaring would multiply
@@ -345,41 +350,32 @@ def _coeff_term(c: RationalFunction) -> tuple[int, str]:
     return 1, f"{body}*{term_str(tuple(-e for e in m), 1, variables)[1]}"
 
 
-def print_canonical(e: Element) -> str:
-    """Deterministic text form; parse_element(print_canonical(e)) == e."""
-    if e.is_zero():
+def _print_terms(terms: dict) -> str:
+    """Text of terms keyed by tuples of monomials, one per slot, joined by
+    (x); the coefficient prefixes the first slot."""
+    if not terms:
         return "0"
     chunks = []
-    for m, c in e.sorted_terms():
+    for key, c in sorted(terms.items(), key=lambda kv: tuple(map(mono_sort_key, kv[0]))):
         sign, body = _coeff_term(c)
-        mstr = mono_str(m)
-        if not any(m):
-            # bare scalars print unparenthesized when sign-safe
-            if body.startswith("(") and body.endswith(")") and not body.startswith("(-"):
+        slots = [mono_str(m) for m in key]
+        if body != "1":
+            # a bare scalar prints unparenthesized when sign-safe
+            if (len(key) == 1 and slots[0] == "1" and body.startswith("(")
+                    and body.endswith(")") and not body.startswith("(-")):
                 body = body[1:-1]
-            piece = body
-        elif body == "1":
-            piece = mstr
-        else:
-            piece = f"{body}*{mstr}"
-        chunks.append((sign, piece))
+            slots[0] = body if slots[0] == "1" else f"{body}*{slots[0]}"
+        chunks.append((sign, " (x) ".join(slots)))
     return join_signed(chunks)
+
+
+def print_canonical(e: Element) -> str:
+    """Deterministic text form; parse_element(print_canonical(e)) == e."""
+    return _print_terms({(m,): c for m, c in e.terms.items()})
 
 
 def print_tensor(te: TensorElement) -> str:
-    if te.is_zero():
-        return "0"
-    chunks = []
-    for key, c in sorted(te.terms.items(), key=lambda kv: tuple(mono_sort_key(m) for m in kv[0])):
-        sign, body = _coeff_term(c)
-        slots = []
-        for i, m in enumerate(key):
-            mstr = mono_str(m)
-            if i == 0 and body != "1":
-                mstr = f"{body}*{mstr}" if mstr != "1" else body
-            slots.append(mstr)
-        chunks.append((sign, " (x) ".join(slots)))
-    return join_signed(chunks)
+    return _print_terms(te.terms)
 
 
 # ----------------------------------------------------------------------------

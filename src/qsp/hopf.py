@@ -21,6 +21,7 @@ UElement by (T, K, Nb) exponents.  Both take their linear arithmetic from
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import Callable, Iterable, Sequence
 
 from .coeffs import ParamSet, QspError, RationalFunction
@@ -44,24 +45,19 @@ from .algebra import (
 
 class TensorElement(Element):
     """Finite linear combination of tensor products of canonical monomials,
-    keyed by tuples of ``arity`` monomials."""
+    keyed by tuples of monomials, one per slot: its rank is its key length."""
 
-    __slots__ = ("arity",)
-    _space = ("params", "arity")
-
-    def __init__(self, params: ParamSet, arity: int, terms: dict | None = None):
-        super().__init__(params, terms)
-        self.arity = arity
+    __slots__ = ()
 
     @classmethod
     def unit(cls, params: ParamSet, arity: int) -> "TensorElement":
-        return cls(params, arity, {(ONE_MONO,) * arity: params.one()})
+        return cls(params, {(ONE_MONO,) * arity: params.one()})
 
     @classmethod
     def of(cls, *slots: Element) -> "TensorElement":
         """Tensor product of elements, distributing over their terms."""
         params = slots[0].params
-        out = cls(params, len(slots))
+        out = cls(params)
         _distribute(out, slots, params.one())
         return out
 
@@ -88,11 +84,11 @@ def _koszul_sign(ka: tuple, kb: tuple) -> int:
 
 
 def tensor_multiply(rt: RuleTable, a: TensorElement, b: TensorElement) -> TensorElement:
-    if a.arity != b.arity:
-        raise ValueError("tensor arity mismatch")
-    out = TensorElement(a.params, a.arity)
+    out = TensorElement(a.params)
     for ka, ca in a.terms.items():
         for kb, cb in b.terms.items():
+            if len(ka) != len(kb):
+                raise ValueError("tensor rank mismatch")
             sign = _koszul_sign(ka, kb)
             coeff = ca * cb if sign > 0 else -(ca * cb)
             slots = [rt.mul_mono_mono(ma, mb) for ma, mb in zip(ka, kb)]
@@ -112,30 +108,18 @@ def _distribute(out: TensorElement, slots: Sequence[Element], coeff) -> None:
         out.add_term(key, c)
 
 
-def tensor_apply_slot(te: TensorElement, slot: int,
-                      fn: Callable[[Element], Element]) -> TensorElement:
-    """Apply an odd Element->Element map (d, say) to one slot, with the
-    Koszul sign it picks up crossing the parities of the slots to its left."""
-    out = TensorElement(te.params, te.arity)
+def tensor_map_slot(te: TensorElement, slot: int,
+                    fn: Callable[[Monomial], TensorElement],
+                    odd: bool = False) -> TensorElement:
+    """Apply a map to one slot: the keys of the tensor ``fn(monomial)`` are
+    spliced in its place.  An ``odd`` map (d, say) picks up the Koszul sign
+    of crossing the parities of the slots to its left."""
+    out = TensorElement(te.params)
     for key, c in te.terms.items():
-        odd = sum(mono_parity(key[j]) for j in range(slot)) & 1
-        image = fn(Element.monomial(te.params, key[slot], te.params.one()))
-        for m, cm in image.terms.items():
-            k = list(key)
-            k[slot] = m
-            out.add_term(tuple(k), -(c * cm) if odd else c * cm)
-    return out
-
-
-def tensor_expand_slot(te: TensorElement, slot: int,
-                       fn: Callable[[Monomial], TensorElement]) -> TensorElement:
-    """Replace one slot by a rank-2 image (used for coassociativity checks)."""
-    out = TensorElement(te.params, te.arity + 1)
-    for key, c in te.terms.items():
-        image = fn(key[slot])
-        for k2, c2 in image.terms.items():
-            k = key[:slot] + k2 + key[slot + 1:]
-            out.add_term(k, c * c2)
+        if odd and sum(mono_parity(m) for m in key[:slot]) & 1:
+            c = -c
+        for k, ck in fn(key[slot]).terms.items():
+            out.add_term(key[:slot] + k + key[slot + 1:], c * ck)
     return out
 
 
@@ -187,11 +171,11 @@ def coaction(rt: RuleTable, blocks: Iterable[tuple], side: str) -> TensorElement
     def factors():
         for g, k in blocks:
             if g == X:
-                yield TensorElement(P, 2, {(mono(x=k),) * 2: one})
+                yield TensorElement(P, {(mono(x=k),) * 2: one})
             elif (side, g) in _BLOCK_IMAGES:
                 for _ in range(k):
-                    yield TensorElement(P, 2, {(a, b): one if s > 0 else -one
-                                               for a, b, s in _BLOCK_IMAGES[side, g]})
+                    yield TensorElement(P, {(a, b): one if s > 0 else -one
+                                            for a, b, s in _BLOCK_IMAGES[side, g]})
             else:
                 raise UnsupportedGenerator("coactions are defined on words in x, th, dx, dth")
 
@@ -203,7 +187,7 @@ def coaction_mono(rt: RuleTable, m: Monomial, side: str) -> TensorElement:
 
 
 def coaction_element(rt: RuleTable, e: Element, side: str) -> TensorElement:
-    out = TensorElement(rt.params, 2)
+    out = TensorElement(rt.params)
     for m, c in e.terms.items():
         out.add_scaled(coaction_mono(rt, m, side), c)
     return out
@@ -239,13 +223,15 @@ def antipode_A(rt: RuleTable, e: Element) -> Element:
     return out
 
 
-def _collapse(rt: RuleTable, te: TensorElement, left, right) -> Element:
-    """m (left (x) right) te for maps called as ``left(rt, a)``."""
+def collapse(rt: RuleTable, te: TensorElement, *maps) -> Element:
+    """m (f1 (x) ... (x) fn) te for maps called as ``f(rt, a)``, one per
+    slot: the product of the slots, each mapped first when maps are given."""
     P = rt.params
     out = Element.zero(P)
-    for (m1, m2), c in te.terms.items():
-        out.add_scaled(rt.mul(left(rt, Element.monomial(P, m1)),
-                              right(rt, Element.monomial(P, m2))), c)
+    for key, c in te.terms.items():
+        fs = maps or (_identity,) * len(key)
+        out.add_scaled(reduce(rt.mul, [f(rt, Element.monomial(P, m))
+                                       for f, m in zip(fs, key)]), c)
     return out
 
 
@@ -271,10 +257,10 @@ def comodule_residuals(rt: RuleTable, te: TensorElement, ident: Element,
     def expand(m: Monomial) -> TensorElement:
         return coaction_mono(rt, m, side)
 
-    coassoc = tensor_expand_slot(te, 0, expand) - tensor_expand_slot(te, 1, expand)
+    coassoc = tensor_map_slot(te, 0, expand) - tensor_map_slot(te, 1, expand)
     if side == "right":
-        return [coassoc, _collapse(rt, te, _identity, _counit) - ident]
-    return [coassoc, _collapse(rt, te, _counit, _identity) - ident]
+        return [coassoc, collapse(rt, te, _identity, _counit) - ident]
+    return [coassoc, collapse(rt, te, _counit, _identity) - ident]
 
 
 def hopf_axiom_check(rt: RuleTable, e: Element) -> list:
@@ -282,10 +268,10 @@ def hopf_axiom_check(rt: RuleTable, e: Element) -> list:
     delta = coproduct_A(rt, e)
     ident = rt.normalize(e)
     coassoc, counit_r = comodule_residuals(rt, delta, ident, "right")
-    counit_l = _collapse(rt, delta, _counit, _identity) - ident
+    counit_l = collapse(rt, delta, _counit, _identity) - ident
     eps_unit = _counit(rt, e)
-    antipode_l = _collapse(rt, delta, antipode_A, _identity) - eps_unit
-    antipode_r = _collapse(rt, delta, _identity, antipode_A) - eps_unit
+    antipode_l = collapse(rt, delta, antipode_A, _identity) - eps_unit
+    antipode_r = collapse(rt, delta, _identity, antipode_A) - eps_unit
     return [coassoc, counit_l, counit_r, antipode_l, antipode_r]
 
 

@@ -394,11 +394,9 @@ def test_multiply_unit_and_examples(t2):
 def test_elements_of_different_types_or_spaces_are_never_equal():
     P = PARAMS_II
     for terms in ({}, {(0, 0, 0): P.one()}):
-        kinds = [Element(P, terms), TensorElement(P, 2, terms), UElement(P, terms)]
+        kinds = [Element(P, terms), TensorElement(P, terms), UElement(P, terms)]
         for (i, a), (j, b) in product(enumerate(kinds), repeat=2):
             assert (a == b) is (i == j) and (a != b) is (i != j), (a, b)
-    assert TensorElement(P, 2) != TensorElement(P, 3)
-    assert TensorElement(P, 2) - TensorElement(P, 2) != TensorElement(P, 3)
     # the same keys over two parameter sets
     m = mono(x=1)
     assert Element(PARAMS_II) != Element(PARAMS_III)
@@ -422,6 +420,14 @@ def test_parity(t2):
 def test_unsupported_generator(t2):
     with pytest.raises(UnsupportedGenerator):
         t2.word("y")
+
+
+def test_mono_builds_only_basis_exponents():
+    # only x is invertible, and a nilpotent generator squares to 0
+    for exps in ({"th": 2}, {"dx": -1}, {"px": -1}):
+        with pytest.raises(UnsupportedGenerator):
+            mono(**exps)
+    assert mono(dth=3, x=-2, ith=2) == (0, 3, -2, 0, 0, 0, 0, 0, 2)
 
 
 def test_substitute_params_recovers_type_i(t2, t1):

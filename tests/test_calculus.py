@@ -259,7 +259,7 @@ def test_first_nonzero_certificates(t2):
     # ... and its first coefficient when those products cancel (th*th = 0)
     assert _first_nonzero(t2, [TensorElement.of(th, th).scale(q)]) == Element.scalar(P, q)
     # nothing nonzero: the zero element
-    zeros = [P.zero(), Element.zero(P), TensorElement(P, 2), te - te]
+    zeros = [P.zero(), Element.zero(P), TensorElement(P), te - te]
     assert _first_nonzero(t2, zeros) == Element.zero(P)
 
 

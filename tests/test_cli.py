@@ -192,6 +192,12 @@ PRINTED = {
     ("normalize", "--type", "II", "H^0"): "1",
     # "--" ends the options, so an expression may begin with a minus
     ("normalize", "--type", "II", "--", "-x"): "-x",
+    # a single term c*x^k raised to any power is c^n*x^(k*n)
+    ("normalize", "--type", "II", "(x)^-1"): "x^-1",
+    ("normalize", "--type", "II", "(x^2)^-1"): "x^-2",
+    ("normalize", "--type", "II", "(2*x)^-1"): "1/2*x^-1",
+    ("normalize", "--type", "II", "(2*x^2*r)^-2"): "1/4*r^-2*x^-4",
+    ("normalize", "--type", "II", "(x^3)^2"): "x^6",
 }
 
 
@@ -206,6 +212,11 @@ INPUT_ERRORS = {
     ("normalize", "--type", "II", "--param", "r=abc", "x"): "bad rational 'abc'",
     # without "--", argparse reads "-x" as an option and the expression is missing
     ("normalize", "--type", "II", "-x"): "usage: qsp normalize [-h]",
+    # only a scalar or a single term c*x^k has negative powers
+    ("normalize", "--type", "II", "(px)^-1"): "error: negative powers require a scalar or x\n",
+    ("normalize", "--type", "II", "(x*th)^-1"): "error: negative powers require a scalar or x\n",
+    ("normalize", "--type", "II", "(x+1)^-1"): "error: negative powers require a scalar or x\n",
+    ("normalize", "--type", "II", "0^-1"): "error: division by zero rational function\n",
 }
 
 

@@ -51,19 +51,19 @@ def t2():
 def test_delta_R_examples(t2):
     P = t2.params
     got = delta_R(t2, ["dth"])
-    want = TensorElement(P, 2, {
+    want = TensorElement(P, {
         (mono(dth=1), mono(x=1)): P.one(),
         (mono(dx=1), mono(th=1)): P.one(),
     })
     assert got == want
     got = delta_R(t2, ["dx", "x"])
-    assert got == TensorElement(P, 2, {(mono(dx=1, x=1), mono(x=2)): P.one()})
+    assert got == TensorElement(P, {(mono(dx=1, x=1), mono(x=2)): P.one()})
 
 
 def test_delta_L_examples(t2):
     P = t2.params
     got = delta_L(t2, ["dth"])
-    want = TensorElement(P, 2, {
+    want = TensorElement(P, {
         (mono(x=1), mono(dth=1)): P.one(),
         (mono(th=1), mono(dx=1)): -P.one(),
     })

@@ -148,6 +148,16 @@ def test_print_tensor_roundtrip_shape(t2):
     assert "(x)" in s and "x*th" in s
 
 
+def test_only_a_bare_scalar_drops_its_parentheses(t2):
+    # a sum coefficient of the unit monomial prints bare when sign-safe:
+    # not when a power of a parameter follows it, nor when it starts with
+    # a minus, nor in a tensor slot
+    for text, want in (("1+r", "r + 1"), ("(1+r)*q^-1", "(r + 1)*q^-1"),
+                       ("-(1+r)", "(-r - 1)"), ("r*x + (1+r)", "r + 1 + r*x")):
+        assert print_canonical(P(t2, text)) == want
+    assert print_tensor(coproduct_A(t2, P(t2, "1+r"))) == "(r + 1) (x) 1"
+
+
 def test_parse_uelement(t2):
     P_ = t2.params
     u = parse_uelement(t2.ct, "T^2*Nb")

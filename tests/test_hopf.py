@@ -7,12 +7,14 @@ from fractions import Fraction
 
 import pytest
 
-from qsp.algebra import TH, X, CalculusType, Element, build_rule_table, mono, mono_letters
+from qsp.algebra import (TH, X, CalculusType, Element, build_rule_table, exterior_derivative,
+                         mono, mono_letters)
 from qsp.hopf import (
     TensorElement,
     UElement,
     antipode_A,
     antipode_U_residuals,
+    coaction_mono,
     coordinate_basis,
     coproduct_A,
     coproduct_U_residuals,
@@ -23,6 +25,7 @@ from qsp.hopf import (
     left_act,
     maurer_forms,
     pair,
+    tensor_map_slot,
     tensor_multiply,
     twisted_leibniz_grid,
     u_antipode,
@@ -105,6 +108,49 @@ def test_tensor_unit(t2):
     assert tensor_multiply(t2, TensorElement.unit(t2.params, 2), a) == a
 
 
+def test_tensor_map_slot_splices_keys_in_slot_order(t2):
+    P = t2.params
+    one = P.one()
+    xth, x2 = mono(x=1, th=1), mono(x=2)
+
+    def right(m):
+        return coaction_mono(t2, m, "right")
+
+    delta = coproduct_A(t2, t2.word("x", "th"))
+    # Delta(x*th) = x*th (x) x^2 + x^2 (x) x*th, and Delta(x^2) = x^2 (x) x^2,
+    # so both expansions give these keys, in this order
+    keys = [(xth, x2, x2), (x2, xth, x2), (x2, x2, xth)]
+    for slot in (0, 1):
+        got = tensor_map_slot(delta, slot, right)
+        assert list(got.terms) == keys
+        assert got == TensorElement(P, dict.fromkeys(keys, one))
+    # the image lands in the slot it replaces
+    te = TensorElement.of(t2.word("th"), t2.word("x"))
+
+    def pad(m):
+        return TensorElement(P, {(m, x2): one})
+
+    assert list(tensor_map_slot(te, 0, pad).terms) == [(mono(th=1), x2, mono(x=1))]
+    assert list(tensor_map_slot(te, 1, pad).terms) == [(mono(th=1), mono(x=1), x2)]
+    with pytest.raises(ValueError):
+        tensor_multiply(t2, tensor_map_slot(delta, 0, right), delta)
+
+
+def test_tensor_map_slot_signs_an_odd_map_by_the_slots_to_its_left(t2):
+    P = t2.params
+    th = t2.word("th")
+    d_th = exterior_derivative(t2, th)
+
+    def d(m):
+        return TensorElement.of(exterior_derivative(t2, Element.monomial(P, m)))
+
+    te = TensorElement.of(th, th)
+    # d crosses th on slot 1, and nothing on slot 0
+    assert tensor_map_slot(te, 1, d, odd=True) == -TensorElement.of(th, d_th)
+    assert tensor_map_slot(te, 0, d, odd=True) == TensorElement.of(d_th, th)
+    assert tensor_map_slot(te, 1, d) == TensorElement.of(th, d_th)
+
+
 def test_koszul_associativity_random(t2):
     rng = random.Random(321)
     P = t2.params
@@ -124,7 +170,7 @@ def test_coproduct_examples(t2):
     P = t2.params
     assert coproduct_A(t2, t2.word("x")) == TensorElement.of(t2.word("x"), t2.word("x"))
     got = coproduct_A(t2, t2.word("x", "th"))
-    want = TensorElement(P, 2, {
+    want = TensorElement(P, {
         (mono(x=1, th=1), mono(x=2)): P.one(),
         (mono(x=2), mono(x=1, th=1)): P.one(),
     })
@@ -427,7 +473,7 @@ def _core_operands(kind, P):
     if kind == "algebra":
         make, keys = (lambda terms: Element(P, terms)), (x, th, mono(x=1, th=1))
     elif kind == "tensor":
-        make, keys = (lambda terms: TensorElement(P, 2, terms)), ((x, th), (th, x), (x, x))
+        make, keys = (lambda terms: TensorElement(P, terms)), ((x, th), (th, x), (x, x))
     else:
         make, keys = (lambda terms: UElement(P, terms)), ((1, 0, 0), (0, 1, 1), (0, 0, 1))
     a = make({keys[0]: r, keys[1]: P.zero(), keys[2]: q})
@@ -458,7 +504,7 @@ def test_shared_linear_core(t2, kind):
 
 def test_shared_core_keeps_types_apart(t2):
     P = t2.params
-    zeros = [Element(P), TensorElement(P, 2), TensorElement(P, 3), UElement(P)]
+    zeros = [Element(P), TensorElement(P), UElement(P)]
     for i, z in enumerate(zeros):
         for j, w in enumerate(zeros):
             assert (z == w) == (i == j)

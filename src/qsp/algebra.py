@@ -62,12 +62,14 @@ without operator letters acts by plain multiplication, and an operator
 monomial kills the unit.  The recursion is at most four blocks deep.
 
 The local-confluence audit rewrites every short word along each applicable
-first step and folds the branch one letter at a time.  It walks the words in
-lexicographic order and keeps the partial products along the path of the
-last audited word, so a prefix or branch shared with the next word is
-multiplied once.  Each kept product comes from the same multiplication the
-plain fold makes, in the same order, so the audit reports exactly what the
-fold would, also on a table that is not confluent.
+first step, the product ``mul`` makes of an out-of-order pair's two letters
+(for a pair without d, the table's rule), and folds the branch one letter at
+a time.  It walks the words in lexicographic order and keeps the partial
+products along the path of the last audited word, so a prefix or branch
+shared with the next word is multiplied once.  Each kept product comes from
+the same multiplication the plain fold makes, in the same order, so the
+audit reports exactly what the fold would, also on a table that is not
+confluent.
 
 The exterior-derivative generator d is accepted in input words but is not a
 basis letter: the stated commutation relations make d - (dx*px + dth*pth)
@@ -78,8 +80,7 @@ A word is therefore read with each d expanded into that realization
 d-free and the multiplication core never sees d.  The monomial keeps an
 always-zero d slot only to fix the audit's order of d between th and px.  No
 rule table holds a rule for a pair involving d: the audit alone treats d as
-a letter, multiplies it as ``d_element()``, and builds the realized products
-for such pairs once per call.
+a letter, multiplied as ``d_element()`` in its steps as in its folds.
 """
 
 from __future__ import annotations
@@ -358,7 +359,7 @@ class Element:
             return self.terms == other.terms
         if not isinstance(other, Element):
             return NotImplemented
-        return (type(self) is type(other) and self.params == other.params
+        return (type(self) is type(other) and self.params is other.params
                 and self.terms == other.terms)
 
     def __hash__(self):
@@ -1031,37 +1032,20 @@ def _reducible(a: tuple, b: tuple) -> RuleKey | None:
 _AUDIT_ALPHABET = tuple([(g, 1) for g in range(NGENS)] + [(X, -1)])
 
 
-def _d_rules(rt: RuleTable) -> dict:
-    """Rules for the ten out-of-order letter pairs involving d.
-
-    Keyed like ``rt.rules``, each holds the realized product: d*g for a
-    letter g up to d in the order (d itself included), g*d for one past it.
-    No table keeps them, since a normal form never meets d.
-    """
-    d = rt.d_element()
-    rules = {(D, D, 0): rt.mul(d, d)}
-    for a in _AUDIT_ALPHABET:
-        e = Element.monomial(rt.params, _letter_mono(a))
-        if a[0] < D:
-            rules[_reducible((D, 1), a)] = rt.mul(d, e)
-        elif a[0] > D:
-            rules[_reducible(a, (D, 1))] = rt.mul(e, d)
-    return rules
-
-
 def local_confluence_check(rt: RuleTable, max_len: int) -> ConfluenceReport:
     """Rewrite every short word via each applicable first step and compare.
 
     Words run over all nine generators with x occurring as x or x^-1; a
     violation records the word, the two diverging first steps, and the
     residual difference of the fully normalized branches.  The letter d is
-    multiplied as ``rt.d_element()``, and a pair involving d is rewritten by
-    its realized product, built once per call from the table (``_d_rules``),
-    so the multiplication core never sees d here either.
+    multiplied as ``rt.d_element()``, so the multiplication core never sees
+    d here either, and the step at an out-of-order pair word[i], word[i+1]
+    is the product ``rt.mul`` makes of its two letters, built once per call
+    (for a pair without d, the table's rule).
 
     A branch is built by the letter-by-letter fold: the prefix word[:i]
-    folded from 1 one letter at a time, times the right-hand side of the
-    rule for word[i], word[i+1], then times each suffix letter in turn.
+    folded from 1 one letter at a time, times the step at word[i],
+    word[i+1], then times each suffix letter in turn.
     Each length is walked prefix by prefix, in lexicographic order, a
     depth-first walk of the word trie, so the audit replays that fold along
     the path of the last prefix: every partial product over prefix[:j] is
@@ -1076,16 +1060,20 @@ def local_confluence_check(rt: RuleTable, max_len: int) -> ConfluenceReport:
     """
     if max_len < 3:
         raise ValueError("max_len must be at least 3")
-    rules = {**rt.rules, **_d_rules(rt)}
+    # reading the rules solves every x^-1 rule, with its round trips, in one
+    # trial, not one trial per x^-1 pair the step products below meet
+    rt.rules
     letters = {a: Element.monomial(rt.params, _letter_mono(a)) for a in _AUDIT_ALPHABET}
     letters[(D, 1)] = rt.d_element()
-    reducible = {(a, b): _reducible(a, b)
-                 for a in _AUDIT_ALPHABET for b in _AUDIT_ALPHABET}
+    # out-of-order letter pair -> the product of its two letters
+    step_rhs = {(a, b): rt.mul(letters[a], letters[b])
+                for a in _AUDIT_ALPHABET for b in _AUDIT_ALPHABET
+                if _reducible(a, b) is not None}
     words_checked = 0
     branch_pairs = 0
     violations: list[ConfluenceViolation] = []
     # path of the last prefix `held`: folds[j] is held[:j] folded from 1;
-    # paths[i][k] is the branch through rule i times the letters up to
+    # paths[i][k] is the branch through step i times the letters up to
     # held[i+1+k], so it depends on held[:i+2+k] only
     held: tuple = ()
     folds = [Element.one(rt.params)]
@@ -1097,10 +1085,10 @@ def local_confluence_check(rt: RuleTable, max_len: int) -> ConfluenceReport:
         return folds[j]
 
     def held_branch(i: int) -> Element:
-        # the branch through rule i on the whole of `held`, whose keys are `keys`
+        # the branch through step i on the whole of `held`, whose steps are `rhs`
         path = paths.get(i)
         if path is None:
-            path = paths[i] = [rt.mul(fold(i), rules[keys[i]])]
+            path = paths[i] = [rt.mul(fold(i), rhs[i])]
         while len(path) < len(held) - i - 1:
             path.append(rt.mul(path[-1], letters[held[i + 1 + len(path)]]))
         return path[-1]
@@ -1112,8 +1100,8 @@ def local_confluence_check(rt: RuleTable, max_len: int) -> ConfluenceReport:
         inherited, settled = settled, {}
         last_step = length - 2
         for prefix in _itproduct(_AUDIT_ALPHABET, repeat=length - 1):
-            keys = [reducible[pair] for pair in zip(prefix, prefix[1:])]
-            prefix_steps = [i for i, key in enumerate(keys) if key is not None]
+            rhs = [step_rhs.get(pair) for pair in zip(prefix, prefix[1:])]
+            prefix_steps = [i for i, e in enumerate(rhs) if e is not None]
             if not prefix_steps:
                 continue
             equal = inherited.get(prefix, set())
@@ -1130,8 +1118,8 @@ def local_confluence_check(rt: RuleTable, max_len: int) -> ConfluenceReport:
                 else:
                     del paths[i][shared - i - 1:]
             for a in _AUDIT_ALPHABET:
-                key = reducible[prefix[-1], a]
-                steps = prefix_steps + [last_step] if key is not None else prefix_steps
+                last = step_rhs.get((prefix[-1], a))
+                steps = prefix_steps + [last_step] if last is not None else prefix_steps
                 if len(steps) < 2:
                     continue
                 word = prefix + (a,)
@@ -1145,7 +1133,7 @@ def local_confluence_check(rt: RuleTable, max_len: int) -> ConfluenceReport:
                     if base is None:
                         base = rt.mul(held_branch(steps[0]), letters[a])
                     if i == last_step:
-                        branch = rt.mul(fold(i), rules[key])
+                        branch = rt.mul(fold(i), last)
                     else:
                         branch = rt.mul(held_branch(i), letters[a])
                     if branch == base:

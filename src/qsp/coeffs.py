@@ -26,8 +26,9 @@ that clears the negative exponents, is read only by ``__str__`` and by the
 printer's arm for a coefficient of more than one term
 (``exprio._coeff_term``).
 
-A value equal to 1 is one object per ``ParamSet``, ``params.one()``: every
-operation and ``RationalFunction(params, terms)`` return it for such a value.
+A value equal to 1 is one object per parameter set, ``params.one()`` (a
+``ParamSet`` is one object per mode and variables, however often it is
+built): every operation and ``RationalFunction(params, terms)`` return it.
 All values are immutable after construction and all operations are pure.
 An operation may return one of its operands unchanged (``a * 1`` is ``a``
 itself), so a value, and the dict inside it, must never be mutated once
@@ -36,7 +37,6 @@ built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, sub
 from typing import Mapping, Union
@@ -76,26 +76,31 @@ class ResultTooLarge(QspError):
 # Parameter sets
 # ----------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class ParamSet:
-    """Ordered, duplicate-free list of parameter names for one calculus mode."""
+    """Ordered, duplicate-free list of parameter names for one calculus mode.
 
-    mode: str
-    variables: tuple[str, ...]
+    There is one set per (mode, variables): the constructor returns the set
+    already made for them, so parameter sets compare by ``is`` alone."""
 
-    def __post_init__(self) -> None:
-        if len(set(self.variables)) != len(self.variables):
-            raise ValueError(f"duplicate parameter names: {self.variables}")
-        # origin (the exponent tuple of the constant monomial), one and zero
-        # are built once and shared, as plain attributes (the cheapest to
-        # read); one is built directly, since ``_value`` returns it for every
-        # value equal to 1
-        origin = (0,) * len(self.variables)
-        one = _new(RationalFunction)
-        one.params, one.lp, one.integral = self, {origin: 1}, True
-        object.__setattr__(self, "origin", origin)
-        object.__setattr__(self, "_one", one)
-        object.__setattr__(self, "_zero", _value(self, {}))
+    _made: dict = {}
+
+    def __new__(cls, mode: str, variables: tuple[str, ...]) -> "ParamSet":
+        key = (mode, tuple(variables))
+        self = cls._made.get(key)
+        if self is None:
+            if len(set(variables)) != len(variables):
+                raise ValueError(f"duplicate parameter names: {variables}")
+            # origin (the exponent tuple of the constant monomial), one and
+            # zero are built once and shared, as plain attributes (the
+            # cheapest to read); one is built directly, since ``_value``
+            # returns it for every value equal to 1
+            self = cls._made[key] = object.__new__(cls)
+            self.mode, self.variables = key
+            self.origin = (0,) * len(variables)
+            self._one = one = _new(RationalFunction)
+            one.params, one.lp, one.integral = self, {self.origin: 1}, True
+            self._zero = _value(self, {})
+        return self
 
     @property
     def nvars(self) -> int:
@@ -125,7 +130,7 @@ class ParamSet:
 
     def rf(self, value: "Rat | str | RationalFunction") -> "RationalFunction":
         if isinstance(value, RationalFunction):
-            if value.params != self:
+            if value.params is not self:
                 raise ValueError("parameter set mismatch")
             return value
         if isinstance(value, str):
@@ -140,13 +145,6 @@ class ParamSet:
 
 def _grlex_key(m: Exponent) -> tuple:
     return (sum(m), m)
-
-
-def _poly_is_one(a: Laurent) -> bool:
-    if len(a) != 1:
-        return False
-    (m, c), = a.items()
-    return c == 1 and not any(m)
 
 
 def poly_gcd(a: Laurent, b: Laurent) -> Laurent:
@@ -240,7 +238,7 @@ class RationalFunction:
     # -- arithmetic ----------------------------------------------------------
 
     def _check(self, other: "RationalFunction") -> None:
-        if self.params is not other.params and self.params != other.params:
+        if self.params is not other.params:
             raise ValueError("parameter set mismatch")
 
     def __add__(self, other: "RationalFunction") -> "RationalFunction":
@@ -343,8 +341,7 @@ class RationalFunction:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalFunction):
             return NotImplemented
-        return (self.lp == other.lp
-                and (self.params is other.params or self.params == other.params))
+        return self.lp == other.lp and self.params is other.params
 
     def __hash__(self) -> int:
         lp = self.lp
@@ -402,7 +399,8 @@ class RationalFunction:
     def __str__(self) -> str:
         num, den = self.fraction()
         body = poly_str(num, self.params.variables)
-        if _poly_is_one(den):
+        (m, _), = den.items()
+        if not any(m):
             return body
         return f"({body})/({poly_str(den, self.params.variables)})"
 

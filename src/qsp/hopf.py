@@ -314,14 +314,6 @@ def maurer_forms(rt: RuleTable) -> dict[str, Element]:
     return {w: expand_derived(rt, w) for w in W_GENS}
 
 
-def _w_expand(rt: RuleTable, word: Sequence[str]) -> Element:
-    forms = maurer_forms(rt)
-    out = Element.one(rt.params)
-    for g in word:
-        out = rt.mul(out, forms[g])
-    return out
-
-
 def costructures_W(rt: RuleTable, kind: str, word: Sequence[str]):
     """Coproduct, counit or antipode of a word in the one-forms wx, wth.
 
@@ -339,7 +331,8 @@ def costructures_W(rt: RuleTable, kind: str, word: Sequence[str]):
         # n letters, o of them odd, crosses o(o-1)/2 odd pairs
         o = sum(W_PARITY[g] for g in word)
         sign = -1 if (len(word) + o * (o - 1) // 2) & 1 else 1
-        return _w_expand(rt, tuple(reversed(word))).scale(sign)
+        forms = maurer_forms(rt)
+        return reduce(rt.mul, (forms[g] for g in reversed(word)), Element.one(P)).scale(sign)
     if kind != "coproduct":
         raise ValueError(f"unknown costructure {kind!r}")
     one = Element.one(P)

@@ -27,7 +27,7 @@ from qsp.algebra import (
     InconsistentType,
     RuleTable,
     UnsupportedGenerator,
-    _d_rules,
+    _AUDIT_ALPHABET,
     _letter_mono,
     _reducible,
     build_rule_table,
@@ -401,9 +401,9 @@ def test_elements_of_different_types_or_spaces_are_never_equal():
     m = mono(x=1)
     assert Element(PARAMS_II) != Element(PARAMS_III)
     assert Element(PARAMS_II, {m: PARAMS_II.one()}) != Element(PARAMS_III, {m: PARAMS_III.one()})
-    # two equal but distinct parameter sets compare by value
+    # a parameter set is one object per mode and variables
     a, b = (CalculusType.type_ii().specialize({"r": 1}).params for _ in range(2))
-    assert a is not b and a == b
+    assert a is b and a == b
     assert Element(a, {m: a.var("q")}) == Element(b, {m: b.var("q")})
     assert Element(a, {m: a.var("q")}) != Element(b, {m: b.var("q") * b.var("q")})
     assert Element(a) == Element(b)
@@ -460,6 +460,14 @@ def test_specialize_projects_and_records_values():
     assert both.Q21 == both.params.const(Fraction(-2, 3))
 
 
+def test_specialized_tables_share_their_parameter_set():
+    # a parameter set is one object per mode and variables, so two tables at
+    # r = 1 share it and its one, and the family's set is PARAMS_II itself
+    a, b = (build_rule_table(CalculusType.type_ii().specialize({"r": 1})) for _ in range(2))
+    assert a.params is b.params and a.params.one() is b.params.one()
+    assert CalculusType.type_ii().specialize({}).params is PARAMS_II
+
+
 def test_rule_tables_cohere_across_types(t1, t2, t3):
     # Type II at r=1 and Type III at p=1 match Type I entry by entry
     for (key, rule1) in t1.rules.items():
@@ -476,20 +484,47 @@ D_RULE_KEYS = {(D, DX, 0), (D, DTH, 0), (D, X, 1), (D, X, -1), (D, TH, 0), (D, D
                (PX, D, 0), (PTH, D, 0), (IX, D, 0), (ITH, D, 0)}
 
 
+def _audit_steps(rt, with_d):
+    # the audit's step at each out-of-order letter pair with (or without) d:
+    # the product of the pair's two letters, d multiplied as its realization,
+    # keyed like rt.rules
+    d = rt.d_element()
+
+    def letter(a):
+        return d if a == (D, 1) else Element.monomial(rt.params, _letter_mono(a))
+
+    return {_reducible(a, b): rt.mul(letter(a), letter(b))
+            for a, b in product(_AUDIT_ALPHABET, repeat=2)
+            if _reducible(a, b) is not None and ((D, 1) in (a, b)) is with_d}
+
+
 def test_audit_d_rules_cohere_across_types(t1, t2, t3):
-    # the audit's rules for pairs involving d: one per out-of-order pair,
-    # none shadowing a table rule, and Type II at r=1 and Type III at p=1
-    # match Type I entry by entry
-    rules1 = _d_rules(t1)
+    # the audit's steps for pairs involving d, rt.mul(d, letter) or
+    # rt.mul(letter, d): one per out-of-order pair, none shadowing a table
+    # rule, and Type II at r=1 and Type III at p=1 match Type I entry by entry
+    rules1 = _audit_steps(t1, with_d=True)
     assert set(rules1) == D_RULE_KEYS
     for other, var in ((t2, "r"), (t3, "p")):
-        rules = _d_rules(other)
+        rules = _audit_steps(other, with_d=True)
         assert set(rules) == D_RULE_KEYS and not D_RULE_KEYS & set(other.rules)
         for key, rule in rules.items():
             specialized = {m: c.substitute({var: 1}).project(PARAMS_I)
                            for m, c in rule.terms.items()}
             specialized = {m: c for m, c in specialized.items() if not c.is_zero()}
             assert specialized == rules1[key].terms, (key, specialized, rules1[key].terms)
+
+
+@TABLES
+def test_audit_steps_are_the_table_rules(name, assignment):
+    # the audit rewrites a pair without d by the product of its two letters,
+    # which is the table's rule for that pair: all 39 rules, the x^-1 pairs
+    # and the nilpotent squares included
+    ct = CalculusType.by_name(name)
+    rt = build_rule_table(ct.specialize(assignment) if assignment else ct)
+    steps = _audit_steps(rt, with_d=False)
+    assert len(steps) == 39 and set(steps) == set(rt.rules)
+    for key, e in steps.items():
+        assert e == rt.rules[key], (key, e, rt.rules[key])
 
 
 def _involves_d(key):

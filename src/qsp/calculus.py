@@ -33,7 +33,6 @@ from typing import Callable, Iterable, Optional
 from .coeffs import QspError, RationalFunction, qnumber
 from .algebra import (
     COEFF_NAMES,
-    TH, X,
     CalculusType,
     Element,
     RuleTable,
@@ -213,7 +212,7 @@ def _eq9_residuals(rt: RuleTable, bound: int):
 
 @_entry("eq6-coproduct-kills-relations", "(6)", ACTION)
 def _eq6_residuals(rt: RuleTable, bound: int):
-    yield hopf.coproduct_A(rt, E(rt, "x*th - q*th*x"))
+    yield cov.delta_R(rt, ["x", "th"]) - cov.delta_R(rt, ["th", "x"]).scale(rt.ct.q)
     delta_th = hopf.coproduct_A(rt, E(rt, "th"))
     yield hopf.tensor_multiply(rt, delta_th, delta_th)
 
@@ -304,37 +303,21 @@ _word("eq51-first-corrected", "(51)", "Q12 - Qp*Q21 == Q")
 _word("eq51-second", "(51)", "Q11 == Qp*(Q + Q22)")
 
 
-@_entry("eq52-H-monomials", "(52)", WORD)
-def _eq52_word_residuals(rt: RuleTable, bound: int):
-    H = expand_derived(rt, "H")
-    for m in range(-3, 6):
-        xm = rt.normalize_word([("x", m)])
-        lhs = rt.mul(H, xm)
-        rhs = (xm.scale(qnumber(m, rt.ct.Q))
-               + rt.mul(xm, H).scale(rt.ct.Q ** m))
-        yield lhs - rhs
+# (52)-(54) for every integer m, from finite checks.  On an associative table
+# act is a module action, so once H moves past x and x^-1 as below,
+# H(x*f) = x*f + Q*x*H(f) and H(x^-1*f) = Q^-1*(x^-1*H(f) - x^-1*f): the
+# eigenvalue c(m) of H on x^m th^eps obeys c(m+1) = 1 + Q*c(m) in both
+# directions from the base case c = eps on th^eps, so c(m) = [m+eps]_Q.
+# Then T = 1 + (Q-1)*H acts by 1 + (Q-1)*[n]_Q = Q^n.
+_H_PAST_X = ("H*x == x + Q*x*H", "H*x^-1 == Q^-1*x^-1*H - Q^-1*x^-1")
 
-
-def _qnumber_sweep(Q: RationalFunction, lo: int, hi: int) -> dict[int, RationalFunction]:
-    """{n: [n]_Q} for lo <= 0 <= hi, stepped from [0]_Q = 0 by
-    [n+1]_Q = 1 + Q*[n]_Q, which holds for negative n too."""
-    one = Q.params.one()
-    qi = one / Q
-    out = {0: Q.params.zero()}
-    for n in range(hi):
-        out[n + 1] = one + Q * out[n]
-    for n in range(0, lo, -1):
-        out[n - 1] = qi * (out[n] - one)
-    return out
+_word("eq52-H-monomials", "(52)", *_H_PAST_X)
 
 
 def _closed_form_residuals(eps: int, rt: RuleTable, bound: int):
-    # closed_form_H(ct, m, eps) is [m + eps]_Q; the sweep steps along it
-    H = expand_derived(rt, "H")
-    H_of = _qnumber_sweep(rt.ct.Q, eps - bound, eps + bound)
-    for m in range(-bound, bound + 1):
-        w = Element.monomial(rt.params, mono(x=m, th=eps))
-        yield act_on_function(rt, H, w) - w.scale(H_of[m + eps])
+    th_eps = Element.monomial(rt.params, mono(th=eps))
+    yield act_on_function(rt, expand_derived(rt, "H"), th_eps) - th_eps.scale(eps)
+    yield from _word_residuals(_H_PAST_X, rt, bound)
 
 
 _entry("eq52-H-closed-form", "(52)", ACTION, partial(_closed_form_residuals, 0))
@@ -343,11 +326,9 @@ _entry("eq53-H-closed-form", "(53)", ACTION, partial(_closed_form_residuals, 1))
 
 @_entry("eq54-scale-operator-diagonal", "(54)", ACTION)
 def _eq54_residuals(rt: RuleTable, bound: int):
-    T = expand_derived(rt, "T")
-    for m in hopf.coordinate_basis(bound):
-        w = Element.monomial(rt.params, m)
-        want = w.scale(rt.ct.Q ** (m[X] + m[TH]))
-        yield act_on_function(rt, T, w) - want
+    yield from _word_residuals(["T == 1 + (Q-1)*H"], rt, bound)
+    for eps in (0, 1):
+        yield from _closed_form_residuals(eps, rt, bound)
 
 
 _entry("eq55-number-operator", "(55)", WORD,

@@ -4,8 +4,9 @@ from pathlib import Path
 
 import pytest
 
+from qsp import hopf
 from qsp.algebra import (
-    DTH, DX, TH, X,
+    DTH, DX, PTH, PX, TH, X,
     CalculusType,
     Element,
     NotAFunctionArgument,
@@ -13,6 +14,7 @@ from qsp.algebra import (
     mono,
 )
 from qsp.calculus import (
+    _CATALOG,
     E,
     KNOWN_DISCREPANCY_IDS,
     UnknownIdentity,
@@ -206,11 +208,53 @@ def test_eq58_relations_word_level(t2):
 
 def test_action_closed_forms_up_to_ten(t2):
     H = expand_derived(t2, "H")
+    T = expand_derived(t2, "T")
     P = t2.params
     for m in range(-10, 11):
         for eps in (0, 1):
             w = Element.monomial(P, mono(x=m, th=eps))
             assert act_on_function(t2, H, w) == w.scale(closed_form_H(t2.ct, m, eps))
+            assert act_on_function(t2, T, w) == w.scale(t2.ct.Q ** (m + eps))
+
+
+# the entries of (52)-(54): finite checks that prove the closed forms for
+# every exponent, so a larger bound adds no residual
+CLOSED_FORM_IDS = ("eq52-H-monomials", "eq52-H-closed-form", "eq53-H-closed-form",
+                   "eq54-scale-operator-diagonal")
+
+
+def test_closed_forms_check_as_much_at_every_bound(t2):
+    for identity_id in CLOSED_FORM_IDS:
+        residuals = _CATALOG[identity_id].residuals
+        assert len(list(residuals(t2, 6))) == len(list(residuals(t2, 10000))), identity_id
+
+
+@pytest.mark.parametrize("name", ["I", "II", "III"])
+@pytest.mark.parametrize("rule,perturb,failing", [
+    ((PX, X, 1), lambda e: e + Element.one(e.params), CLOSED_FORM_IDS),
+    ((PTH, X, 1), lambda e: e.scale(2), CLOSED_FORM_IDS + ("eq3-d-squared-zero",)),
+    ((PTH, TH, 0), lambda e: e + Element.one(e.params), CLOSED_FORM_IDS[2:]),
+], ids=["px*x+1", "2*pth*x", "pth*th+1"])
+def test_closed_forms_fail_on_a_perturbed_rule(name, rule, perturb, failing):
+    # the rule is replaced before any product, so the x^-1 rules and every
+    # memo entry are built from it; pth*th enters only the th^1 closed forms
+    rt = build_rule_table(CalculusType.by_name(name))
+    rt._rules[rule] = perturb(rt._rules[rule])
+    for identity_id in failing:
+        assert verify_identity(rt, identity_id).status == "FAIL", identity_id
+    for identity_id in set(CLOSED_FORM_IDS) - set(failing):
+        assert verify_identity(rt, identity_id).status == "PASS", identity_id
+
+
+@pytest.mark.parametrize("name", ["I", "II", "III"])
+def test_eq6_fails_on_a_coaction_that_breaks_the_coordinate_relation(name, monkeypatch):
+    # with a th (x) th term in the image of th, that image still squares to
+    # zero, but the images of x*th and q*th*x differ
+    th = mono(th=1)
+    monkeypatch.setitem(hopf._BLOCK_IMAGES, ("right", TH),
+                        hopf._BLOCK_IMAGES["right", TH] + ((th, th, 1),))
+    rt = build_rule_table(CalculusType.by_name(name))
+    assert verify_identity(rt, "eq6-coproduct-kills-relations").status == "FAIL"
 
 
 def test_lie_commutation_coefficient_is_q_prime():

@@ -28,6 +28,7 @@ import time
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
 from functools import partial
+from itertools import product
 from typing import Callable, Iterable, Optional
 
 from .coeffs import QspError, RationalFunction, qnumber
@@ -174,20 +175,22 @@ def _families_residuals(rt: RuleTable, bound: int):
 
 @_entry("eq26-bicovariance", "(26)", ACTION)
 def _eq26_residuals(rt: RuleTable, bound: int):
-    words = [["x"], ["th"], [("x", -1)], ["x", "th"], ["th", "x"],
-             ["x", "x"], [("x", -1), "th"]]
-    for w in words:
+    for w in [["x"], ["th"], [("x", -1)], ["x", "th"], ["th", "x"], ["x", "x"], [("x", -1), "th"]]:
         yield from cov.bicovariance_residuals(rt, w)
 
 
+# the generators of the coordinate algebra and of the differential module:
+# eq9, eq14 and eq20 check the rules over them first (``hopf.relation_residuals``),
+# so that the axioms, checked on the generators, hold everywhere
+_COORDINATES = ("x", ("x", -1), "th")
+_DIFFERENTIALS = _COORDINATES + ("dx", "dth")
+
+
 def _coaction_axioms_residuals(side: str, rt: RuleTable, bound: int):
-    words = [["x"], ["th"], ["dx"], ["dth"], [("x", -1)],
-             ["x", "th"], ["x", "dth"], ["th", "dx"], ["dx", "th"],
-             ["dx", "dth"], [("x", -1), "dx"]]
-    # every word's tensor residual comes before any element residual
-    tensors, elements = zip(*(cov.coaction_axiom_residuals(rt, w, side)
-                              for w in words))
-    return tensors + elements
+    yield from hopf.relation_residuals(rt, partial(hopf.coaction_element, side=side),
+                                       hopf.rule_relations(rt, _DIFFERENTIALS))
+    for g in _DIFFERENTIALS:
+        yield from cov.coaction_axiom_residuals(rt, [g], side)
 
 
 _entry("eq14-right-coaction-axioms", "(14)", ACTION,
@@ -199,28 +202,25 @@ _entry("eq20-left-coaction-axioms", "(20)", ACTION,
 @_entry("eq17-constraint-extraction", "(17)-(18)", ACTION)
 def _eq17_note_residuals(rt: RuleTable, bound: int):
     cc = cov.generate_covariance_constraints()
-    ok = (cov.spans_match(cc.right, cov.expected_covariance_constraints())
-          and not cc.left)
+    ok = cov.spans_match(cc.right, cov.expected_covariance_constraints()) and not cc.left
     return [rt.params.zero() if ok else rt.params.one()]
 
 
 @_entry("eq9-hopf-axioms", "(9)", ACTION)
 def _eq9_residuals(rt: RuleTable, bound: int):
-    for m in hopf.coordinate_basis(3):
-        yield from hopf.hopf_axiom_check(rt, Element.monomial(rt.params, m))
+    relations = list(hopf.rule_relations(rt, _COORDINATES))
+    for f, anti in ((hopf.coproduct_A, False), (hopf._counit, False), (hopf.antipode_A, True)):
+        yield from hopf.relation_residuals(rt, f, relations, anti)
+    for g in _COORDINATES:
+        yield from hopf.hopf_axiom_check(rt, rt.word(g))
 
 
-@_entry("eq6-coproduct-kills-relations", "(6)", ACTION)
-def _eq6_residuals(rt: RuleTable, bound: int):
-    yield cov.delta_R(rt, ["x", "th"]) - cov.delta_R(rt, ["th", "x"]).scale(rt.ct.q)
-    delta_th = hopf.coproduct_A(rt, E(rt, "th"))
-    yield hopf.tensor_multiply(rt, delta_th, delta_th)
-
-
-@_entry("eq12-coaction-compatible", "(12)", ACTION)
-def _eq12_coaction_residuals(rt: RuleTable, bound: int):
-    return [cov.delta_R(rt, ["dx", "dth"])
-            - cov.delta_R(rt, ["dth", "dx"]).scale(rt.ct.Qp)]
+# (6) and (12) are about the displayed relations, so they read the typed rules
+_entry("eq6-coproduct-kills-relations", "(6)", ACTION, lambda rt, bound: hopf.relation_residuals(
+    rt, hopf.coproduct_A, hopf.rule_relations(rt, _COORDINATES, typed=True)))
+_entry("eq12-coaction-compatible", "(12)", ACTION, lambda rt, bound: hopf.relation_residuals(
+    rt, partial(hopf.coaction_element, side="right"),
+    hopf.rule_relations(rt, ("dx", "dth"), typed=True)))
 
 
 # Cartan-Maurer forms ----------------------------------------------------------
@@ -261,9 +261,8 @@ _word("eq38-maurer-dth", "(38)", "wx*th + wth*x == dth")
 _word("eq39-d-decomposition", "(39)", "wx*H + wth*Nb == d")
 
 
-@_entry("eq40-maurer-closed", "(40)", ACTION)
-def _eq40_residuals(rt: RuleTable, bound: int):
-    return (exterior_derivative(rt, expand_derived(rt, w)) for w in ("wx", "wth"))
+_entry("eq40-maurer-closed", "(40)", ACTION, lambda rt, bound: (
+    exterior_derivative(rt, expand_derived(rt, w)) for w in ("wx", "wth")))
 
 
 _word("eq41-Hnabla", "(41)", "H*Nb == Nb*H")
@@ -337,27 +336,27 @@ _entry("eq55-number-operator", "(55)", WORD,
                           for m in range(-4, 5) for eps in (0, 1)])
 
 
+# (56) for every m >= 0, as (52)-(54) above: since act is a module action,
+# Nb*x == Q11*x*Nb gives Nb(x*f) = Q11*x*Nb(f), so Nb(x^m th) = Q11^m x^(m+1)
+# by induction on m from the base case Nb(th) = x.
 @_entry("eq56-nabla-action", "(56)", ACTION)
 def _eq56_action_residuals(rt: RuleTable, bound: int):
-    nb = expand_derived(rt, "Nb")
-    for m in range(0, bound + 1):
-        w = Element.monomial(rt.params, mono(x=m, th=1))
-        want = Element.monomial(rt.params, mono(x=m + 1), rt.ct.Q11 ** m)
-        yield act_on_function(rt, nb, w) - want
+    yield act_on_function(rt, E(rt, "Nb"), E(rt, "th")) - E(rt, "x")
+    yield from _word_residuals(["Nb*x == Q11*x*Nb"], rt, bound)
+
+
+def _x_m_th(rt: RuleTable):
+    """(m, x^m*th, x^(m+1)) for m = 0..5, where (56) and (58) are checked."""
+    P = rt.params
+    for m in range(6):
+        yield m, Element.monomial(P, mono(x=m, th=1)), Element.monomial(P, mono(x=m + 1))
 
 
 def _eq56_word_residuals(third_coeff, rt: RuleTable, bound: int):
-    ct = rt.ct
-    nb = expand_derived(rt, "Nb")
-    H = expand_derived(rt, "H")
-    for m in range(0, 6):
-        w = Element.monomial(rt.params, mono(x=m, th=1))
-        xm1 = Element.monomial(rt.params, mono(x=m + 1))
-        lhs = rt.mul(nb, w)
-        rhs = (xm1.scale(ct.Q11 ** m)
-               - rt.mul(w, nb).scale(ct.Q11 ** (m + 1))
-               - rt.mul(xm1, H).scale(third_coeff(ct, m)))
-        yield lhs - rhs
+    ct, nb, H = rt.ct, expand_derived(rt, "Nb"), expand_derived(rt, "H")
+    for m, w, xm1 in _x_m_th(rt):
+        yield rt.mul(nb, w) - (xm1.scale(ct.Q11 ** m) - rt.mul(w, nb).scale(ct.Q11 ** (m + 1))
+                               - rt.mul(xm1, H).scale(third_coeff(ct, m)))
 
 
 _entry("eq56-nabla-monomials", "(56)", WORD,
@@ -367,16 +366,10 @@ _entry("eq56-nabla-monomials-as-printed", "(56)", WORD,
 
 
 def _eq58_omegax_residuals(second_coeff, rt: RuleTable, bound: int):
-    ct = rt.ct
-    wx = expand_derived(rt, "wx")
-    wth = expand_derived(rt, "wth")
-    for m in range(0, 6):
-        w = Element.monomial(rt.params, mono(x=m, th=1))
-        xm1 = Element.monomial(rt.params, mono(x=m + 1))
-        lhs = rt.mul(w, wx)
-        rhs = (rt.mul(wx, w).scale(-(ct.Q ** (m + 1)))
-               + rt.mul(wth, xm1).scale(second_coeff(ct, m)))
-        yield lhs - rhs
+    ct, wx, wth = rt.ct, expand_derived(rt, "wx"), expand_derived(rt, "wth")
+    for m, w, xm1 in _x_m_th(rt):
+        yield rt.mul(w, wx) - (rt.mul(wx, w).scale(-(ct.Q ** (m + 1)))
+                               + rt.mul(wth, xm1).scale(second_coeff(ct, m)))
 
 
 _entry("eq58-monomial-omegax", "(58)", WORD,
@@ -387,13 +380,9 @@ _entry("eq58-monomial-omegax-as-printed", "(58)", WORD,
 
 @_entry("eq58-monomial-omegath", "(58)", WORD)
 def _eq58_omegath_residuals(rt: RuleTable, bound: int):
-    ct = rt.ct
     wth = expand_derived(rt, "wth")
-    for m in range(0, 6):
-        w = Element.monomial(rt.params, mono(x=m, th=1))
-        lhs = rt.mul(w, wth)
-        rhs = rt.mul(wth, w).scale(ct.Q11 ** (m + 1))
-        yield lhs - rhs
+    for m, w, _ in _x_m_th(rt):
+        yield rt.mul(w, wth) - rt.mul(wth, w).scale(rt.ct.Q11 ** (m + 1))
 
 
 def _leibniz_residuals(index: int, rt: RuleTable, bound: int):
@@ -411,10 +400,8 @@ _entry("eq59-H-twisted-leibniz", "(59)", ACTION, partial(_leibniz_residuals, 0))
 _entry("eq62-nabla-twisted-leibniz", "(62)", ACTION, partial(_leibniz_residuals, 1))
 
 
-@_entry("eq62-coproduct-square", "(62)", ACTION)
-def _eq62_square_residuals(rt: RuleTable, bound: int):
-    terms = hopf.u_coproduct_square_nabla(rt.params)
-    return [rt.params.one() if terms else rt.params.zero()]
+_entry("eq62-coproduct-square", "(62)", ACTION, lambda rt, bound: [
+    rt.params.one() if hopf.u_coproduct_square_nabla(rt.params) else rt.params.zero()])
 
 
 def _eq64_residuals(gen, variant: str, rt: RuleTable, bound: int):
@@ -432,11 +419,8 @@ _entry("eq64-antipode-as-printed", "(64)", ACTION,
 @_entry("eq67-pairing-table", "(67)", ACTION)
 def _eq67_residuals(rt: RuleTable, bound: int):
     P = rt.params
-    T = hopf.UElement.gen_T(P)
-    nb = hopf.UElement.gen_nabla(P)
-    x = Element.monomial(P, mono(x=1))
-    th = Element.monomial(P, mono(th=1))
-    xth = Element.monomial(P, mono(x=1, th=1))
+    T, nb = hopf.UElement.gen_T(P), hopf.UElement.gen_nabla(P)
+    x, th, xth = E(rt, "x"), E(rt, "th"), E(rt, "x*th")
     return [
         hopf.pair(rt, T, x) - rt.ct.Q,
         hopf.pair(rt, T, th),
@@ -455,13 +439,9 @@ _acts("eq71-nabla-th", "(71)", "Nb*th == x - Q11*th*Nb - Q22*x*H")
 
 @_entry("eq73-inner-on-exterior", "(73)", ACTION)
 def _eq73_residuals(rt: RuleTable, bound: int):
-    P = rt.params
-    ix = Element.monomial(P, mono(ix=1))
-    ith = Element.monomial(P, mono(ith=1))
-    px = Element.monomial(P, mono(px=1))
-    pth = Element.monomial(P, mono(pth=1))
+    ix, ith, px, pth = (E(rt, g) for g in ("ix", "ith", "px", "pth"))
     for m in hopf.coordinate_basis(min(bound, 6)):
-        f = Element.monomial(P, m)
+        f = Element.monomial(rt.params, m)
         df = exterior_derivative(rt, f)
         yield act_on_function(rt, ix, f)
         yield act_on_function(rt, ith, f)
@@ -471,12 +451,8 @@ def _eq73_residuals(rt: RuleTable, bound: int):
 
 @_entry("eq76-inner-kronecker", "(76)", ACTION)
 def _eq76_residuals(rt: RuleTable, bound: int):
-    P = rt.params
-    ix = Element.monomial(P, mono(ix=1))
-    ith = Element.monomial(P, mono(ith=1))
-    dx = Element.monomial(P, mono(dx=1))
-    dth = Element.monomial(P, mono(dth=1))
-    one = Element.one(P)
+    ix, ith, dx, dth = (E(rt, g) for g in ("ix", "ith", "dx", "dth"))
+    one = Element.one(rt.params)
     return [
         act_on_function(rt, ix, dx) - one,
         act_on_function(rt, ix, dth),
@@ -485,13 +461,11 @@ def _eq76_residuals(rt: RuleTable, bound: int):
     ]
 
 
-def _inner_relation_residuals(kind: str, rt: RuleTable, bound: int):
-    return cov.inner_relation_residuals(rt, kind)
-
-
 _word("eq75-fifth-as-printed", "(75)", "Q22*(q*Q + 1) == 0")
-_entry("eq75-ansatz-system", "(75)", WORD, partial(_inner_relation_residuals, "inner-coordinate"))
-_entry("eq78-ansatz-system", "(78)", WORD, partial(_inner_relation_residuals, "inner-differential"))
+_entry("eq75-ansatz-system", "(75)", WORD,
+       lambda rt, bound: cov.inner_relation_residuals(rt, "inner-coordinate"))
+_entry("eq78-ansatz-system", "(78)", WORD,
+       lambda rt, bound: cov.inner_relation_residuals(rt, "inner-differential"))
 
 _word("eq83-a8-as-printed", "(83)", "Q11/Q == Qp*(1 + Q22/(Q*Qp))")
 
@@ -563,28 +537,21 @@ _word("eq101-lie-via-fields", "(101)",
 @_entry("eq3-d-squared-zero", "(3)", ACTION)
 def _dd_zero_residuals(rt: RuleTable, bound: int):
     b = min(bound, 6)
-    for m in range(-b, b + 1):
-        for eps in (0, 1):
-            for bdth in (0, 1, 2):
-                for bdx in (0, 1):
-                    w = Element.monomial(rt.params,
-                                         mono(dx=bdx, dth=bdth, x=m, th=eps))
-                    yield exterior_derivative(rt, exterior_derivative(rt, w))
+    for m, eps, bdth, bdx in product(range(-b, b + 1), (0, 1), (0, 1, 2), (0, 1)):
+        w = Element.monomial(rt.params, mono(dx=bdx, dth=bdth, x=m, th=eps))
+        yield exterior_derivative(rt, exterior_derivative(rt, w))
 
 
 @_entry("eq33-exterior-action", "(33)", ACTION)
 def _eq33_action_residuals(rt: RuleTable, bound: int):
     # d acts as dx*px + dth*pth: its form letters go through act's u* path,
     # while here they multiply the partial actions from outside
-    P = rt.params
-    dx, px = Element.monomial(P, mono(dx=1)), Element.monomial(P, mono(px=1))
-    dth, pth = Element.monomial(P, mono(dth=1)), Element.monomial(P, mono(pth=1))
-    for m in range(-min(bound, 4), min(bound, 4) + 1):
-        for eps in (0, 1):
-            for bdth in (0, 1):
-                w = Element.monomial(P, mono(dth=bdth, x=m, th=eps))
-                yield (exterior_derivative(rt, w)
-                       - rt.mul(dx, rt.act(px, w)) - rt.mul(dth, rt.act(pth, w)))
+    dx, px, dth, pth = (E(rt, g) for g in ("dx", "px", "dth", "pth"))
+    b = min(bound, 4)
+    for m, eps, bdth in product(range(-b, b + 1), (0, 1), (0, 1)):
+        w = Element.monomial(rt.params, mono(dth=bdth, x=m, th=eps))
+        yield (exterior_derivative(rt, w)
+               - rt.mul(dx, rt.act(px, w)) - rt.mul(dth, rt.act(pth, w)))
 
 
 # ----------------------------------------------------------------------------

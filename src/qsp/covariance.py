@@ -10,8 +10,8 @@ coproduct by
 multiplicatively with Koszul signs.
 
 Each constraint system is written once, as a generator of residuals on a
-rule table: ``relation_coaction_residuals`` applies a coaction to the
-differential-module relations (11), and ``inner_relation_residuals`` moves
+rule table: ``relation_coaction_residuals`` applies a coaction to the rules
+(11) by ``hopf.relation_residuals``, and ``inner_relation_residuals`` moves
 each inner derivation through the coordinate or the two-form relations,
 the systems (75) and (78).  Every printed system reads one table of
 unknowns, ``ansatz_table``, where the residuals' coefficients collected are
@@ -26,6 +26,7 @@ spans the system derived from the coactions.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from operator import sub
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -53,6 +54,8 @@ from .hopf import (
     coaction_mono,
     comodule_residuals,
     coproduct_A,
+    relation_residuals,
+    rule_relations,
     tensor_map_slot,
 )
 
@@ -161,12 +164,11 @@ class CovarianceConstraints(NamedTuple):
 
 
 def relation_coaction_residuals(rt: RuleTable, side: str):
-    """The coaction on ``side`` of each differential-module relation (11):
-    of each word ``x*dx``, ``x*dth``, ``th*dx``, ``th*dth`` minus that of its
-    normal form in ``rt``.  All vanish when ``rt`` is covariant."""
-    for word in (("x", "dx"), ("x", "dth"), ("th", "dx"), ("th", "dth")):
-        yield (coaction(rt, word_letters(word), side)
-               - coaction_element(rt, rt.normalize_word(word), side))
+    """``hopf.relation_residuals`` of the coaction on ``side`` over the rules
+    (11) of ``rt``: x*dx, x*dth, th*dx, th*dth.  All vanish when ``rt`` is
+    covariant."""
+    return relation_residuals(rt, partial(coaction_element, side=side),
+                              rule_relations(rt, ("x", "th"), ("dx", "dth")))
 
 
 def generate_covariance_constraints() -> CovarianceConstraints:

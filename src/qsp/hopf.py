@@ -21,7 +21,8 @@ UElement by (T, K, Nb) exponents.  Both take their linear arithmetic from
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import partial, reduce
+from itertools import product
 from typing import Callable, Iterable, Sequence
 
 from .coeffs import ParamSet, QspError, RationalFunction
@@ -33,9 +34,13 @@ from .algebra import (
     ONE_MONO,
     RuleTable,
     UnsupportedGenerator,
+    _reducible,
     mono,
     mono_parity,
     mono_str,
+    rule_coeffs,
+    shaped_rules,
+    word_letters,
 )
 
 
@@ -73,13 +78,10 @@ class TensorElement(Element):
 
 def _koszul_sign(ka: tuple, kb: tuple) -> int:
     """Sign for slotwise multiplication: factors of A cross earlier factors of B."""
-    n = len(ka)
-    exp = 0
-    for i in range(1, n):
-        pa = mono_parity(ka[i])
-        if pa:
-            for j in range(i):
-                exp += pa * mono_parity(kb[j])
+    exp = crossed = 0
+    for ma, mb in zip(ka, kb):
+        exp += mono_parity(ma) * crossed
+        crossed += mono_parity(mb)
     return -1 if exp & 1 else 1
 
 
@@ -200,11 +202,7 @@ def coproduct_A(rt: RuleTable, e: Element) -> TensorElement:
 
 def counit_A(rt: RuleTable, e: Element) -> RationalFunction:
     _require_function(e)
-    total = rt.params.zero()
-    for m, c in e.terms.items():
-        if not m[TH]:
-            total = total + c
-    return total
+    return sum((c for m, c in e.terms.items() if not m[TH]), rt.params.zero())
 
 
 def antipode_A(rt: RuleTable, e: Element) -> Element:
@@ -249,18 +247,45 @@ def comodule_residuals(rt: RuleTable, te: TensorElement, ident: Element,
     'right' (dR (x) id) dR - (id (x) Delta) dR and (id (x) eps) dR - id, for
     side 'left' (Delta (x) id) dL - (id (x) dL) dL and (eps (x) id) dL - id.
     With te = Delta(a), side 'right' gives coassociativity and the right
-    counit law of Delta.
-
-    One map expands both slots, because on the coordinate slot the coaction
-    is the coproduct.
+    counit law of Delta.  One map expands both slots, because on the
+    coordinate slot the coaction is the coproduct.
     """
-    def expand(m: Monomial) -> TensorElement:
-        return coaction_mono(rt, m, side)
-
+    expand = partial(coaction_mono, rt, side=side)
     coassoc = tensor_map_slot(te, 0, expand) - tensor_map_slot(te, 1, expand)
     if side == "right":
         return [coassoc, collapse(rt, te, _identity, _counit) - ident]
     return [coassoc, collapse(rt, te, _counit, _identity) - ident]
+
+
+def rule_relations(rt: RuleTable, lefts: Sequence, rights: Sequence = None, typed: bool = False):
+    """The rules a*b = rhs of ``rt`` with a in ``lefts`` and b in ``rights``
+    (default ``lefts``), in the letters' order, as (a, b, rhs) elements.  The
+    rhs is the engine's own product a*b; with ``typed``, a rule of (5), (11)
+    or (12) is read at ``rt``'s type instead, which a table may break."""
+    rules = shaped_rules(rt.params, rule_coeffs(rt.ct)) if typed else {}
+    for a, b in product(lefts, lefts if rights is None else rights):
+        key = _reducible(*word_letters([a, b]))
+        if key:
+            ea, eb = rt.word(a), rt.word(b)
+            yield ea, eb, rules[key] if key in rules else rt.mul(ea, eb)
+
+
+def relation_residuals(rt: RuleTable, f: Callable, relations: Iterable,
+                       anti: bool = False):
+    """For each relation (a, b, rhs), a*b = rhs (rhs None for 0), the residual
+    f(a)f(b) - f(rhs) of a map called as ``f(rt, a)``, tensors multiplying as
+    tensors; with ``anti``, of an anti-map: (-1)^(|a||b|) f(b)f(a) - f(rhs).
+    A map that is the product of its generator images along a normal-ordered
+    word is an algebra (anti-)map once no rule over its generators leaves a
+    residual, and two that agree on the generators agree everywhere (Kassel,
+    Quantum Groups, ch. III): an axiom between them holds once it holds there.
+    """
+    for a, b, rhs in relations:
+        fa, fb = (f(rt, b), f(rt, a)) if anti else (f(rt, a), f(rt, b))
+        ab = tensor_multiply(rt, fa, fb) if isinstance(fa, TensorElement) else rt.mul(fa, fb)
+        if anti and fa.parity() and fb.parity():
+            ab = -ab
+        yield ab if rhs is None else ab - f(rt, rhs)
 
 
 def hopf_axiom_check(rt: RuleTable, e: Element) -> list:
@@ -341,12 +366,15 @@ def costructures_W(rt: RuleTable, kind: str, word: Sequence[str]):
     return _tensor_product(rt, (primitive[g] for g in word))
 
 
-def w_relation_residuals(rt: RuleTable, kind: str) -> list:
+# the one-form relations (29), wx*wth = wth*wx and wx*wx = 0, over words
+_W_RELATIONS = ((("wx",), ("wth",), ("wth", "wx")), (("wx",), ("wx",), None))
+
+
+def w_relation_residuals(rt: RuleTable, kind: str):
     """Residuals of the one-form relations under the costructure ``kind``:
-    "coproduct" (well-definedness) or "antipode"."""
-    comm = (costructures_W(rt, kind, ("wx", "wth"))
-            - costructures_W(rt, kind, ("wth", "wx")))
-    return [comm, costructures_W(rt, kind, ("wx", "wx"))]
+    "coproduct" (well-definedness) or "antipode", an anti-map."""
+    return relation_residuals(rt, lambda rt, w: costructures_W(rt, kind, w),
+                              _W_RELATIONS, anti=kind == "antipode")
 
 
 # ----------------------------------------------------------------------------
@@ -440,7 +468,9 @@ def left_act(rt: RuleTable, u: UElement, a: Element) -> Element:
     power x^n in the right slot pairs: U[m] = <u, x^n> m.  Nb pairs to 0
     with x^n and to Q11^k with x^k th (Delta(Nb) = Nb (x) 1 + K (x) Nb), so
     Nb[x^k] = 0 and Nb[x^k th] = Q11^k x^(k+1), which is x*pth on both.
-    ``tests/test_hopf.py`` checks the two against each other.
+    ``tests/test_hopf.py`` checks the two against each other.  T acts as the
+    main algebra's T = 1 + (Q-1)*H (``expand_derived``) does, since H acts
+    by [n]_Q (the proof of eq54, above ``calculus._H_PAST_X``).
     """
     _require_function(a)
     P = rt.params

@@ -218,13 +218,13 @@ def test_action_closed_forms_up_to_ten(t2):
 
 
 # the entries of (52)-(54): finite checks that prove the closed forms for
-# every exponent, so a larger bound adds no residual
+# every exponent, so a larger bound adds no residual (as for eq56-nabla-action)
 CLOSED_FORM_IDS = ("eq52-H-monomials", "eq52-H-closed-form", "eq53-H-closed-form",
                    "eq54-scale-operator-diagonal")
 
 
 def test_closed_forms_check_as_much_at_every_bound(t2):
-    for identity_id in CLOSED_FORM_IDS:
+    for identity_id in CLOSED_FORM_IDS + ("eq56-nabla-action",):
         residuals = _CATALOG[identity_id].residuals
         assert len(list(residuals(t2, 6))) == len(list(residuals(t2, 10000))), identity_id
 

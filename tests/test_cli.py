@@ -198,6 +198,27 @@ PRINTED = {
     ("normalize", "--type", "II", "(2*x)^-1"): "1/2*x^-1",
     ("normalize", "--type", "II", "(2*x^2*r)^-2"): "1/4*r^-2*x^-4",
     ("normalize", "--type", "II", "(x^3)^2"): "x^6",
+    # the installed console script's CI step pins these too: (34) read off
+    # the Leibniz rule of d, pth*px off d*d = 0, (36), (85) and (86) off (11)
+    ("normalize", "--type", "III", "pth*th"): "1 + (p - 1)*x*px - th*pth",
+    ("normalize", "--type", "III", "px*th"): "q^-1*th*px",
+    ("normalize", "--type", "III", "pth*px"): "q^-1*p^-1*px*pth",
+    ("normalize", "--type", "III", "d*d"): "0",
+    ("normalize", "--type", "III", "px*dx"): "p^-1*dx*px + (-p + 1)*p^-1*dth*pth",
+    ("normalize", "--type", "III", "ith*px"): "q^-1*p^-1*px*ith + (-p + 1)*p^-1*pth*ix",
+    ("normalize", "--type", "III", "ith*dth"): "1 + (-p + 1)*p^-1*dx*ix + p^-1*dth*ith",
+    # x^-1 rules solved on first use, and d next to x^-1
+    ("normalize", "--type", "II", "th*x^-3"): "q^3*x^-3*th",
+    ("normalize", "--type", "II", "x^-5*dth"): "q^-5*dth*x^-5 + (-r^5 + 1)*r^-5*dx*x^-6*th",
+    ("normalize", "--type", "II", "d*x^-1"): ("r^-1*dx*x^-1*px - r^-1*dx*x^-2 + q^-1*dth*x^-1*pth"
+                                              " + (-r + 1)*r^-1*dx*x^-2*th*pth"),
+    ("pair", "--type", "II", "T", "x^2000"): "r^2000",
+    # products of two single terms that come to the unit
+    ("normalize", "--type", "III", "--param", "p=2/3", "3/2*p*x*dx"): "2/3*dx*x",
+    ("normalize", "--type", "II", "q^-2*x*q^2"): "x",
+    # a sum coefficient of the unit
+    ("normalize", "--type", "II", "--", "(1+r)*q^-1"): "(r + 1)*q^-1",
+    ("coproduct", "--type", "II", "1+r"): "(r + 1) (x) 1",
 }
 
 

@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from qsp.algebra import (TH, X, CalculusType, Element, build_rule_table, exterior_derivative,
+from qsp import hopf
+from qsp.algebra import (DTH, TH, X, CalculusType, Element, build_rule_table, exterior_derivative,
                          mono, mono_letters)
 from qsp.hopf import (
     TensorElement,
@@ -34,6 +35,7 @@ from qsp.hopf import (
     u_key_parity,
     w_relation_residuals,
 )
+from qsp.calculus import verify_identity
 
 
 @pytest.fixture(scope="module")
@@ -217,6 +219,62 @@ def test_hopf_axioms_on_words(family_table):
             continue
         for res in hopf_axiom_check(rt, e):
             assert res.is_zero(), (w, res)
+
+
+# eq9, eq14 and eq20 check their maps on the rules over the generators and
+# their axioms on the generators alone; each broken map below must still fail
+# them, as it failed the bounded word lists they replaced (the word tests above
+# are the reference)
+_S = antipode_A
+
+
+def _antipode_factors_swapped(rt, e):
+    # S(x^k th) as S(x^k) S(th): the product of an algebra map, not an anti-map
+    out = Element.zero(rt.params)
+    for m, c in e.terms.items():
+        img = _S(rt, Element.monomial(rt.params, mono(x=m[X])))
+        if m[TH]:
+            img = rt.mul(img, _S(rt, rt.word("th")))
+        out.add_scaled(img, c)
+    return out
+
+
+def _antipode_th_sign_flipped(rt, e):
+    # S(th) = +x^-1 th x^-1
+    out = Element.zero(rt.params)
+    for m, c in e.terms.items():
+        out.add_scaled(_S(rt, Element.monomial(rt.params, m)), -c if m[TH] else c)
+    return out
+
+
+@pytest.mark.parametrize("name", ["I", "II", "III"])
+def test_generator_checks_fail_on_each_broken_coaction_sign(name, monkeypatch):
+    # every sign of the block images flipped in turn: the coaction on its side
+    # fails its axioms, but for the cross terms of dR(dth) and dL(dth) at I,
+    # where Q12 = Q22 = 0; bicovariance (26) catches those two
+    rt = build_rule_table(CalculusType.by_name(name))
+    axioms = {"right": "eq14-right-coaction-axioms", "left": "eq20-left-coaction-axioms"}
+    for (side, g), terms in list(hopf._BLOCK_IMAGES.items()):
+        for i, (a, b, sign) in enumerate(terms):
+            flipped = terms[:i] + ((a, b, -sign),) + terms[i + 1:]
+            monkeypatch.setitem(hopf._BLOCK_IMAGES, (side, g), flipped)
+            failed = {k for k, identity_id in axioms.items()
+                      if verify_identity(rt, identity_id).status == "FAIL"}
+            if name == "I" and g == DTH and i == 1:
+                assert not failed, (side, g, i)
+                assert verify_identity(rt, "eq26-bicovariance").status == "FAIL", (side, g, i)
+            else:
+                assert failed == {side}, (side, g, i)
+            monkeypatch.setitem(hopf._BLOCK_IMAGES, (side, g), terms)
+
+
+@pytest.mark.parametrize("name", ["I", "II", "III"])
+@pytest.mark.parametrize("broken", [_antipode_factors_swapped, _antipode_th_sign_flipped],
+                         ids=["factors-swapped", "th-sign-flipped"])
+def test_generator_checks_fail_on_a_broken_antipode(name, broken, monkeypatch):
+    rt = build_rule_table(CalculusType.by_name(name))
+    monkeypatch.setattr(hopf, "antipode_A", broken)
+    assert verify_identity(rt, "eq9-hopf-axioms").status == "FAIL"
 
 
 def test_w_costructures(t2):

@@ -334,6 +334,9 @@ class Element:
         return self._like({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "Element") -> "Element":
+        if (self.terms == other.terms and type(self) is type(other)
+                and self.params is other.params):
+            return self._like({})
         terms = dict(self.terms)
         get = terms.get
         for m, v in other.terms.items():
@@ -362,9 +365,6 @@ class Element:
         return (type(self) is type(other) and self.params is other.params
                 and self.terms == other.terms)
 
-    def __hash__(self):
-        return hash(tuple(sorted(self.terms.keys())))
-
     def substitute(self, assignment: Mapping[str, Rat]) -> "Element":
         e = self._like({})
         for m, c in self.terms.items():
@@ -384,7 +384,11 @@ class Element:
         return all(mono_is_function(m) for m in self.terms)
 
     def is_form_sector(self) -> bool:
-        return all(mono_is_form(m) for m in self.terms)
+        # mono_is_form on each term: the operator letters are D and after
+        for m in self.terms:
+            if any(m[D:]):
+                return False
+        return True
 
     def is_scalar(self) -> bool:
         return all(m == ONE_MONO for m in self.terms)
@@ -694,7 +698,9 @@ class RuleTable:
         # (operator monomial, form monomial) -> vacuum part of their product
         self._act_memo: dict = {}
         self._pool: dict = {}
-        self._derived_cache: dict = {}
+        # (name, power) -> the value of a symbol of the expression language,
+        # each evaluated once (exprio); the derived operators are (name, 1)
+        self._symbols: dict = {}
         # bound -> the twisted-Leibniz grid of H and Nb residuals, shared by
         # the eq59 and eq62 identities (calculus)
         self._leibniz_residuals: dict = {}

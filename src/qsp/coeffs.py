@@ -121,6 +121,9 @@ class ParamSet:
     def const(self, value: Rat) -> "RationalFunction":
         if value == 0:
             return self._zero
+        if type(value) is int:
+            # _value returns the shared one for 1
+            return _value(self, {self.origin: value})
         return _rational(self, {self.origin: Fraction(value)})
 
     def var(self, name: str) -> "RationalFunction":

@@ -7,10 +7,11 @@ Grammar (whitespace-insensitive, multiplication always explicit):
     factor := atom ["^" ["-"] integer]
     atom   := rational | symbol | "(" expr ")"
 
-A rational literal is digits or digits/digits; an exponent is at most
-MAX_EXPONENT in absolute value, and parentheses nest at most MAX_NESTING
-deep.  A divisor must be a single-term scalar, such as 2*r or q^2, so that
-every coefficient stays a Laurent polynomial.
+A rational literal is digits, read as an ``int``, or digits/digits, read as
+a ``Fraction``; an exponent is at most MAX_EXPONENT in absolute value, and
+parentheses nest at most MAX_NESTING deep.  A divisor must be a single-term
+scalar, such as 2*r or q^2, so that every coefficient stays a Laurent
+polynomial.
 Tensors are printed, never parsed: their slots are separated by the token
 (x), which cannot be read as a product because juxtaposition is never
 multiplication.
@@ -20,8 +21,9 @@ derived operators H, Nb, T, wx, wth, Lx, Lth (read through
 hopf.expand_derived); and the scalar symbols of the calculus type, read
 through ``CalculusType.symbol``: its parameters, a parameter's assigned
 value once specialized, and the structure coefficients Q, Q11, Q12, Q21,
-Q22, Qp.  In the dual-sector language (pair subcommand) the symbols are T,
-K, Nb and the same scalar symbols.
+Q22, Qp.  ``parse_element`` evaluates each symbol, raised to each power it
+meets, once per rule table.  In the dual-sector language (pair subcommand)
+the symbols are T, K, Nb and the same scalar symbols.
 """
 
 from __future__ import annotations
@@ -73,35 +75,27 @@ MAX_EXPONENT = 10_000
 # level, so deeper input would exhaust the interpreter's stack
 MAX_NESTING = 100
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+(?:/\d+)?)|([A-Za-z][A-Za-z0-9]*)|([-+*/^()]))")
+# one token after optional blanks; the last group is any other character,
+# so that matches run back to back and one is an error
+_TOKEN_RE = re.compile(r"\s*(?:(\d+(?:/\d+)?)|([A-Za-z][A-Za-z0-9]*)|([-+*/^()])|(\S))")
+_KINDS = (None, "num", "name", "op", "bad")
 
 
 def tokenize(text: str):
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            rest = text[pos:]
-            if rest.strip():
-                bad = pos + len(rest) - len(rest.lstrip())
-                raise ExprSyntaxError(f"unexpected character {text[bad]!r}", bad)
-            break
-        number, name, op = m.groups()
-        at = m.start(1) if number else (m.start(2) if name else m.start(3))
-        if number:
+    for m in _TOKEN_RE.finditer(text):
+        group = m.lastindex
+        kind, value, at = _KINDS[group], m.group(group), m.start(group)
+        if kind == "num":
             try:
-                value = Fraction(number)
+                value = Fraction(value) if "/" in value else int(value)
             except ZeroDivisionError:
                 raise ExprSyntaxError("zero denominator in rational literal", at) from None
             except ValueError:   # past the interpreter's int digit limit
                 raise ExprSyntaxError("rational literal has too many digits", at) from None
-            tokens.append(("num", value, at))
-        elif name:
-            tokens.append(("name", name, at))
-        else:
-            tokens.append(("op", op, at))
-        pos = m.end()
+        elif kind == "bad":
+            raise ExprSyntaxError(f"unexpected character {value!r}", at)
+        tokens.append((kind, value, at))
     tokens.append(("end", "", len(text)))
     return tokens
 
@@ -224,8 +218,10 @@ def _evaluate(node, one, mul, symbol, power, divide):
             return symbol(base[1], n)
         return power(_evaluate(base, *ring), n)
     if kind == "term":
-        out = one
-        for role, sub in node[1]:
+        # the first factor is always a "mulop": the term starts from it
+        factors = iter(node[1])
+        out = _evaluate(next(factors)[1], *ring)
+        for role, sub in factors:
             val = _evaluate(sub, *ring)
             out = divide(out, val) if role == "divop" else mul(out, val)
         return out
@@ -236,6 +232,17 @@ def _evaluate(node, one, mul, symbol, power, divide):
             out = out + val if sign > 0 else out - val
         return out
     raise ValueError(f"bad AST node {kind!r}")
+
+
+def _symbol(rt: RuleTable, name: str, power: int) -> Element:
+    """The value of a symbol raised to ``power``, evaluated once per table
+    and kept in ``rt._symbols``; a symbol that raises is not kept.  Callers
+    must not change the value in place."""
+    symbols = rt._symbols
+    e = symbols.get((name, power))
+    if e is None:
+        e = symbols[name, power] = _eval_symbol(rt, name, power)
+    return e
 
 
 def _eval_symbol(rt: RuleTable, name: str, power: int) -> Element:
@@ -294,8 +301,10 @@ def parse_element(rt: RuleTable, text: str) -> Element:
             raise BadExponent("division requires a scalar divisor")
         return out.scale(P.one() / val.scalar_value())
 
+    # the top-level "add" node sums into a fresh element, so no value kept
+    # by _symbol is ever handed out
     return _evaluate(parse_expr(text), Element.one(P), rt.mul,
-                     lambda name, n: _eval_symbol(rt, name, n),
+                     lambda name, n: _symbol(rt, name, n),
                      lambda e, n: _element_power(rt, e, n), divide)
 
 

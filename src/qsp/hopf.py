@@ -326,11 +326,12 @@ DERIVED_NAMES = tuple(_DERIVED)
 
 def expand_derived(rt: RuleTable, name: str) -> Element:
     """Normal-ordered expansion of the derived operator ``name``, one of
-    ``DERIVED_NAMES``, built once per table."""
-    cache = rt._derived_cache
-    e = cache.get(name)
+    ``DERIVED_NAMES``, built once per table and kept with the table's
+    symbols (``exprio``) under (name, 1)."""
+    symbols = rt._symbols
+    e = symbols.get((name, 1))
     if e is None:
-        e = cache[name] = _DERIVED[name](rt)
+        e = symbols[name, 1] = _DERIVED[name](rt)
     return e
 
 

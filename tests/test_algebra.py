@@ -741,7 +741,7 @@ def test_stored_elements_survive_in_place_accumulation():
 
     def snapshot():
         return [{k: dict(e.terms) for k, e in store.items()}
-                for store in (rt._memo, rt._pair_memo, rt.rules, rt._derived_cache)]
+                for store in (rt._memo, rt._pair_memo, rt.rules, rt._symbols)]
 
     before = snapshot()
     assert before[1], "the words above must fill the pair memo"

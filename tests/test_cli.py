@@ -466,6 +466,25 @@ def test_help_and_usage_errors_match_golden(capsys, monkeypatch, columns):
         assert {"code": code, "out": out, "err": err} == HELP_GOLDEN[key], key
 
 
+# the console-script pins, which CI also replays through the installed qsp:
+# exit code (0 unless given), stdout, and stderr or its start, each without
+# its trailing newlines
+CONSOLE_PINS = json.loads((Path(__file__).parent / "golden" / "console_pins.json").read_text())
+
+
+def test_console_pins_replay_through_run(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    wrong = []
+    for pin in CONSOLE_PINS:
+        code, out, err = invoke(capsys, *pin["argv"])
+        out, err = out.rstrip("\n"), err.rstrip("\n")
+        if (code != pin.get("exit", 0) or out != pin.get("stdout", out)
+                or err != pin.get("stderr", err)
+                or not err.startswith(pin.get("stderr_prefix", ""))):
+            wrong.append((pin["argv"], code, out, err))
+    assert len(CONSOLE_PINS) == 33 and not wrong
+
+
 def _derive_wrong(monkeypatch, wrong_key):
     # a table whose solution of the x^-1 rule wrong_key comes out doubled
     derive = RuleTable._derive_x_inverse

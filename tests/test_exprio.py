@@ -8,6 +8,7 @@ import weakref
 
 import pytest
 
+import qsp.exprio
 from qsp.coeffs import NonMonomialDivisor
 from qsp.algebra import CalculusType, Element, build_rule_table, mono
 from qsp.calculus import VerifyResult
@@ -195,6 +196,59 @@ def test_parsing_keeps_no_table_alive():
     finally:
         gc.enable()
     assert not e.is_zero() and not u.is_zero()
+
+
+# symbols as parse_element meets them: powers of generators, derived
+# operators, scalar symbols, and terms and sums around them
+SYMBOL_TEXTS = ("x^3", "xi^2", "th", "dth^2", "Nb", "Nb^2", "-Nb", "H", "T", "Q11^2",
+                "r", "2", "(x)", "x*th", "Nb*x", "Q11^2*x^3 - th")
+
+
+def test_each_symbol_is_evaluated_once_per_table(monkeypatch):
+    calls = []
+    evaluate = qsp.exprio._eval_symbol
+    monkeypatch.setattr(qsp.exprio, "_eval_symbol",
+                        lambda rt, name, n: calls.append((name, n)) or evaluate(rt, name, n))
+    rt = build_rule_table(CalculusType.type_ii())
+    first = [parse_element(rt, text) for text in SYMBOL_TEXTS]
+    assert [parse_element(rt, text) for text in SYMBOL_TEXTS] == first
+    assert sorted(calls) == sorted(set(calls))
+    assert ("x", 3) in calls and ("Nb", 2) in calls and ("Q11", 2) in calls
+
+
+def test_symbol_values_never_escape():
+    # a result changed in place must leave the next parse of its text as it was
+    rt, fresh = build_rule_table(CalculusType.type_ii()), build_rule_table(CalculusType.type_ii())
+    P = rt.params
+    for text in SYMBOL_TEXTS:
+        got = parse_element(rt, text)
+        got.add_term(mono(dx=1, dth=1), P.one())
+        got.add_term(mono(x=3), P.one())
+        assert parse_element(rt, text) == parse_element(fresh, text), text
+
+
+def test_symbol_errors_raise_every_time():
+    rt = build_rule_table(CalculusType.type_ii())
+    for text, exc in (("px^-1", BadExponent), ("zz*x", UnknownSymbol)):
+        for _ in range(2):
+            with pytest.raises(exc):
+                parse_element(rt, text)
+    assert ("px", -1) not in rt._symbols and ("zz", 1) not in rt._symbols
+
+
+def test_each_table_keeps_its_own_symbols():
+    ct = CalculusType.type_ii()
+    tables = (build_rule_table(ct), build_rule_table(ct.specialize({"r": 1})))
+    texts = ("Q", "r", "T", "Q21*x", "px*x")
+
+    def read(rt):
+        return [print_canonical(parse_element(rt, text)) for text in texts]
+
+    first = [read(rt) for rt in tables]
+    assert [read(rt) for rt in reversed(tables)][::-1] == first
+    # Q = r at type II, so T = 1 + (Q - 1)*H is 1 at r = 1
+    assert first[0][:2] == ["r", "r"] and first[1][:3] == ["1", "1", "1"]
+    assert first[0][2] != "1" and first[0][3:] != first[1][3:]
 
 
 def test_emit_report_json(t2):

@@ -264,8 +264,9 @@ class Element:
     of monomials) and the dual-sector elements (``hopf.UElement``, keyed by
     (T, K, Nb) exponents) are Elements too: this class holds the one copy of
     their linear arithmetic.  A result has the type and parameter set of its
-    left operand; elements of different types or parameter sets are never
-    equal, not even when both are zero.
+    left operand, and adding elements of different types raises TypeError;
+    such elements, or ones of different parameter sets, are never equal, not
+    even when both are zero.
     """
 
     __slots__ = ("params", "terms")
@@ -321,6 +322,8 @@ class Element:
 
     def add_scaled(self, other: "Element", c: RationalFunction) -> None:
         """Add ``c * other`` into this element in place (see ``add_term``)."""
+        if type(other) is not type(self):
+            raise TypeError(f"cannot add a {type(other).__name__} to a {type(self).__name__}")
         if c.is_zero():
             return
         _accumulate(self.terms, other.terms, c, self.params.one())
@@ -334,8 +337,9 @@ class Element:
         return self._like({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "Element") -> "Element":
-        if (self.terms == other.terms and type(self) is type(other)
-                and self.params is other.params):
+        if type(other) is not type(self):
+            raise TypeError(f"cannot subtract a {type(other).__name__} from a {type(self).__name__}")
+        if self.terms == other.terms and self.params is other.params:
             return self._like({})
         terms = dict(self.terms)
         get = terms.get
@@ -701,9 +705,6 @@ class RuleTable:
         # (name, power) -> the value of a symbol of the expression language,
         # each evaluated once (exprio); the derived operators are (name, 1)
         self._symbols: dict = {}
-        # bound -> the twisted-Leibniz grid of H and Nb residuals, shared by
-        # the eq59 and eq62 identities (calculus)
-        self._leibniz_residuals: dict = {}
         # the realization of d, which normalize_word multiplies in for each d
         self._d_real = (Element.monomial(self.params, mono(dx=1, px=1))
                         + Element.monomial(self.params, mono(dth=1, pth=1)))

@@ -385,19 +385,14 @@ def _eq58_omegath_residuals(rt: RuleTable, bound: int):
         yield rt.mul(w, wth) - rt.mul(wth, w).scale(rt.ct.Q11 ** (m + 1))
 
 
-def _leibniz_residuals(index: int, rt: RuleTable, bound: int):
-    # eq59 reads the H residual and eq62 the Nb residual of the same (f, g)
-    # grid, so the grid is computed once per table and serves both
-    b = min(bound, 4)
-    grid = rt._leibniz_residuals.get(b)
-    if grid is None:
-        basis = hopf.coordinate_basis(b)
-        grid = rt._leibniz_residuals[b] = hopf.twisted_leibniz_grid(rt, basis, basis)
-    return (residuals[index] for residuals in grid)
+# (59) and (62) for every pair (f, g), as (52)-(54) above: the word
+# hopf.leibniz_residual at f acts on g as the rule's residual at (f, g)
+def _leibniz_residuals(name: str, rt: RuleTable, bound: int):
+    return (hopf.leibniz_residual(rt, name, f) for f in hopf.coordinate_basis(min(bound, 4)))
 
 
-_entry("eq59-H-twisted-leibniz", "(59)", ACTION, partial(_leibniz_residuals, 0))
-_entry("eq62-nabla-twisted-leibniz", "(62)", ACTION, partial(_leibniz_residuals, 1))
+_entry("eq59-H-twisted-leibniz", "(59)", ACTION, partial(_leibniz_residuals, "H"))
+_entry("eq62-nabla-twisted-leibniz", "(62)", ACTION, partial(_leibniz_residuals, "Nb"))
 
 
 _entry("eq62-coproduct-square", "(62)", ACTION, lambda rt, bound: [

@@ -11,7 +11,9 @@ nilpotent Nb.  U acts on the coordinate algebra through one operator map,
 Q11^(degree), and Nb as x*pth), and the pairing <u, a> is its counit.
 The derived operators of the main algebra (H, Nb, T, the Maurer-Cartan
 forms and the Lie derivatives) are expanded here by ``expand_derived``,
-which the action, the parser and the identity catalog all read.
+which the action, the parser and the identity catalog all read, and
+``leibniz_residual`` writes the twisted Leibniz rules (59) and (62) of H and
+Nb as one word per coordinate monomial.
 
 Tensor elements and dual-sector elements are ``algebra.Element``s over
 other basis keys: a TensorElement is keyed by tuples of monomials, a
@@ -507,53 +509,31 @@ def u_coproduct_square_nabla(params: ParamSet) -> list:
     return [(k, v) for k, v in terms.items() if v]
 
 
-def coproduct_U_residuals(rt: RuleTable, f: Monomial, g: Monomial) -> list[Element]:
-    """Action residuals of the twisted Leibniz rules on a pair of monomials:
-    ``[H residual, Nb residual]``, the one-cell case of ``twisted_leibniz_grid``.
-
-    The H rule is H(fg) = Hf*g + Tf*Hg at every type.  The Nb rule carries,
-    besides the K-twist, a correction term V(f)*Hg with V = Q22*Nb, so
-    V(x^k th) = Q11^k Q22 x^(k+1) and V(x^k) = 0; the correction vanishes at
-    the types with Q22 = 0, where the rule takes its familiar two-term form.
-    """
-    return twisted_leibniz_grid(rt, [f], [g])[0]
-
-
-def twisted_leibniz_grid(rt: RuleTable, fs: Sequence[Monomial],
-                         gs: Sequence[Monomial]) -> list[list[Element]]:
-    """``coproduct_U_residuals(rt, f, g)`` for every f in ``fs`` (outer) and
-    g in ``gs`` (inner), in that order.
-
-    The residuals are computed row by row: Hf, Nb f, T(f), K(f) and V(f) once
-    per row, and Hg and Nb g once per column, so only the products that
-    involve both f and g are made per cell.
+def leibniz_residual(rt: RuleTable, name: str, f: Monomial) -> Element:
+    """The twisted Leibniz rule of ``name`` ("H" or "Nb") past the coordinate
+    monomial f as a word: H*f - H(f) - T(f)*H, or, with V = Q22*Nb,
+    Nb*f - Nb(f) - (-1)^|f| (K(f)*Nb + V(f)*H).  V(x^k th) = Q11^k Q22 x^(k+1)
+    and V(x^k) = 0, so V vanishes at the types with Q22 = 0.  Since ``act``
+    is a module action on an associative table, the word acts on g as the
+    rule's residual at (f, g): a zero word proves the rule for every g.
     """
     P = rt.params
-    H = expand_derived(rt, "H")
-    nb = expand_derived(rt, "Nb")
+    op, H = expand_derived(rt, name), expand_derived(rt, "H")
+    fe = Element.monomial(P, f)
+    op_f = rt.act(op, fe)
+    word = rt.mul(op, fe) - op_f
+    if name == "H":
+        return word - rt.mul(left_act(rt, UElement.gen_T(P), fe), H)
+    twisted = (rt.mul(left_act(rt, UElement.gen_K(P), fe), op)
+               + rt.mul(op_f.scale(rt.ct.Q22), H))
+    return word - (twisted.scale(-1) if mono_parity(f) else twisted)
 
-    cols = []
-    for g in gs:
-        ge = Element.monomial(P, g)
-        cols.append((ge, rt.act(H, ge), rt.act(nb, ge)))
-    grid = []
-    for f in fs:
-        fe = Element.monomial(P, f)
-        h_f = rt.act(H, fe)
-        nb_f = rt.act(nb, fe)
-        t_of_f = left_act(rt, UElement.gen_T(P), fe)
-        k_of_f = left_act(rt, UElement.gen_K(P), fe)
-        v_of_f = nb_f.scale(rt.ct.Q22)
-        sign = -1 if mono_parity(f) else 1
-        for ge, h_g, nb_g in cols:
-            fg = rt.mul(fe, ge)
-            res_h = rt.act(H, fg) - rt.mul(h_f, ge) - rt.mul(t_of_f, h_g)
-            res_n = rt.act(nb, fg) - rt.mul(nb_f, ge)
-            twisted = rt.mul(k_of_f, nb_g)
-            if not v_of_f.is_zero():
-                twisted = twisted + rt.mul(v_of_f, h_g)
-            grid.append([res_h, res_n - twisted.scale(sign)])
-    return grid
+
+def coproduct_U_residuals(rt: RuleTable, f: Monomial, g: Monomial) -> list[Element]:
+    """``[H residual, Nb residual]`` of the twisted Leibniz rules at (f, g):
+    the ``leibniz_residual`` words at ``f`` acting on ``g``."""
+    ge = Element.monomial(rt.params, g)
+    return [rt.act(leibniz_residual(rt, name, f), ge) for name in ("H", "Nb")]
 
 
 def antipode_axiom_operator(rt: RuleTable, u: UElement, variant: str,

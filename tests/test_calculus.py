@@ -246,6 +246,38 @@ def test_closed_forms_fail_on_a_perturbed_rule(name, rule, perturb, failing):
         assert verify_identity(rt, identity_id).status == "PASS", identity_id
 
 
+# eq59 and eq62 check one word per coordinate monomial, which proves the rule
+# only on an associative table: a partial-derivative rule with its unit added
+# can leave both words zero.  Other entries catch every such table.  Of the
+# two, the ones that FAIL with the rule perturbed, at I, II and III:
+LEIBNIZ_FAILS = {
+    ((PX, X, 1), "2*"): ("eq59", "eq59", "eq59"),
+    ((PX, X, 1), "+1"): ("", "", ""),
+    ((PTH, X, 1), "2*"): ("eq59 eq62", "eq59 eq62", "eq59 eq62"),
+    ((PTH, X, 1), "+1"): ("", "", "eq62"),
+    ((PX, TH, 0), "2*"): ("eq59", "eq59", "eq59"),
+    ((PX, TH, 0), "+1"): ("", "", ""),
+    ((PTH, TH, 0), "2*"): ("eq62", "eq62", "eq59 eq62"),
+    ((PTH, TH, 0), "+1"): ("", "", "eq62"),
+}
+LEIBNIZ_IDS = {"eq59": "eq59-H-twisted-leibniz", "eq62": "eq62-nabla-twisted-leibniz"}
+
+
+@pytest.mark.parametrize("name", ["I", "II", "III"])
+@pytest.mark.parametrize("rule,how", list(LEIBNIZ_FAILS),
+                         ids=[f"2*{r}" if how == "2*" else f"{r}+1"
+                              for r in ("px*x", "pth*x", "px*th", "pth*th") for how in ("2*", "+1")])
+def test_catalog_catches_a_perturbed_partial_rule(name, rule, how):
+    rt = build_rule_table(CalculusType.by_name(name))
+    e = rt._rules[rule]
+    rt._rules[rule] = e.scale(2) if how == "2*" else e + Element.one(e.params)
+    status = {r.identityId: r.status for r in run_suite(rt)}
+    assert any(s == "FAIL" for i, s in status.items() if i not in KNOWN_DISCREPANCY_IDS)
+    failing = LEIBNIZ_FAILS[rule, how][("I", "II", "III").index(name)].split()
+    for short, identity_id in LEIBNIZ_IDS.items():
+        assert status[identity_id] == ("FAIL" if short in failing else "PASS"), identity_id
+
+
 @pytest.mark.parametrize("name", ["I", "II", "III"])
 def test_eq6_fails_on_a_coaction_that_breaks_the_coordinate_relation(name, monkeypatch):
     # with a th (x) th term in the image of th, that image still squares to

@@ -8,7 +8,8 @@ stands in for, which the tests keep as their oracle.
 - ``ParamSet.const`` builds an ``int`` value directly: it must equal the
   value built through ``Fraction`` and keep the shared one and zero.
 - ``Element.__sub__`` answers equal operands with a zero: it must agree
-  with the term-by-term loop, for plain, tensor and dual-sector elements.
+  with the term-by-term loop, for plain, tensor and dual-sector elements,
+  and raise TypeError on an operand of another kind.
 - ``Element.is_form_sector`` slices the operator letters off each
   monomial: it must agree with ``mono_is_form``.
 """
@@ -211,6 +212,11 @@ def test_sub_matches_term_loop(tables, data, name, kind, how, from_zero):
              tables["III" if name != "III" else "II"], kind))),
          }[how]()
     before = (dict(a.terms), dict(b.terms))
+    if type(b) is not type(a):
+        with pytest.raises(TypeError):
+            a - b
+        assert (dict(a.terms), dict(b.terms)) == before
+        return
     got = a - b
     want = loop_sub(a, b)
     assert got == want and type(got) is type(a) and got.params is a.params

@@ -28,7 +28,6 @@ from qsp.hopf import (
     pair,
     tensor_map_slot,
     tensor_multiply,
-    twisted_leibniz_grid,
     u_antipode,
     u_coproduct_key,
     u_coproduct_square_nabla,
@@ -36,6 +35,7 @@ from qsp.hopf import (
     w_relation_residuals,
 )
 from qsp.calculus import verify_identity
+from qsp.exprio import parse_element
 
 
 @pytest.fixture(scope="module")
@@ -476,16 +476,47 @@ def test_coproduct_U_residuals_all_types():
                 assert r1.is_zero() and r2.is_zero(), (name, f, g)
 
 
-def test_leibniz_grid_matches_its_cells():
+def _leibniz_cell(rt, f, g):
+    """The twisted Leibniz residuals at (f, g), cell by cell:
+    H(fg) - H(f)g - T(f)H(g) and Nb(fg) - Nb(f)g -+ (K(f)Nb(g) + V(f)H(g)),
+    with V = Q22*Nb and the sign of f's parity."""
+    P = rt.params
+    H, nb = expand_derived(rt, "H"), expand_derived(rt, "Nb")
+    fe, ge = Element.monomial(P, f), Element.monomial(P, g)
+    fg = rt.mul(fe, ge)
+    h_f, h_g, nb_f = rt.act(H, fe), rt.act(H, ge), rt.act(nb, fe)
+    res_h = rt.act(H, fg) - rt.mul(h_f, ge) - rt.mul(left_act(rt, UElement.gen_T(P), fe), h_g)
+    twisted = (rt.mul(left_act(rt, UElement.gen_K(P), fe), rt.act(nb, ge))
+               + rt.mul(nb_f.scale(rt.ct.Q22), h_g))
+    res_n = rt.act(nb, fg) - rt.mul(nb_f, ge) - (twisted.scale(-1) if f[TH] else twisted)
+    return [res_h, res_n]
+
+
+# far monomials: a zero word at f covers every g, not only |m| <= 4
+LEIBNIZ_GS = coordinate_basis(2) + [mono(x=k, th=eps) for k in (40, -40) for eps in (0, 1)]
+
+
+def _leibniz_words_and_cells(rt):
+    words = [coproduct_U_residuals(rt, f, g) for f in coordinate_basis(2) for g in LEIBNIZ_GS]
+    cells = [_leibniz_cell(rt, f, g) for f in coordinate_basis(2) for g in LEIBNIZ_GS]
+    return words, cells
+
+
+def test_leibniz_words_match_their_cells(family_table):
+    words, cells = _leibniz_words_and_cells(family_table)
+    assert words == cells
+    assert all(r.is_zero() for cell in cells for r in cell)
+
+
+def test_leibniz_words_match_their_cells_on_a_broken_table():
     # structure coefficients that disagree with the rules give residuals
-    # that depend on both f and g, so a row or column mixed up in the grid,
-    # or a cell out of order, shows; V(f) is nonzero at type III
+    # that depend on both f and g, so a wrong sign or factor order in the
+    # word shows; V(f) is nonzero at type III
     rt = build_rule_table(CalculusType.type_iii())
     rt.ct = dataclasses.replace(rt.ct, Q=rt.ct.Q * rt.ct.Q, Q11=rt.ct.Q11 * rt.ct.Q)
-    fs, gs = coordinate_basis(2), coordinate_basis(1)[::-1]
-    grid = twisted_leibniz_grid(rt, fs, gs)
-    assert grid == [coproduct_U_residuals(rt, f, g) for f in fs for g in gs]
-    assert len({repr(r) for cell in grid for r in cell}) >= len(grid) // 2
+    words, cells = _leibniz_words_and_cells(rt)
+    assert words == cells
+    assert len({repr(r) for cell in cells for r in cell}) >= len(cells) // 2
 
 
 def test_nabla_on_coordinates_closed_form(family_table):
@@ -569,3 +600,18 @@ def test_shared_core_keeps_types_apart(t2):
     for other in (TensorElement.of(t2.word("x"), t2.word("th")), UElement.gen_T(P)):
         with pytest.raises(TypeError):
             t2.normalize(other)
+
+
+def test_linear_core_refuses_other_kinds(t2):
+    # a plain element minus a tensor would be keyed by both monomials and
+    # tuples of monomials, which no printer can print
+    P = t2.params
+    x = parse_element(t2, "x")
+    delta = coproduct_A(t2, x)
+    for a, b in ((x, delta), (delta, x), (x, UElement.gen_T(P)), (UElement.gen_T(P), delta)):
+        with pytest.raises(TypeError):
+            a - b
+        with pytest.raises(TypeError):
+            a + b
+        with pytest.raises(TypeError):
+            a._like(dict(a.terms)).add_scaled(b, P.one())

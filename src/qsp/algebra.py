@@ -85,11 +85,11 @@ a letter, multiplied as ``d_element()`` in its steps as in its folds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from itertools import product as _itproduct
 from operator import add
-from typing import Iterable, Mapping, Union
 
 from .coeffs import (
     PARAMS_I,
@@ -203,7 +203,7 @@ def _half(k: int) -> int:
 _LETTERS = {_letter_mono((g, s)): (g, s) for g in range(NGENS) for s in (1, -1)}
 
 
-WordItem = Union[str, tuple]
+WordItem = str | tuple
 
 
 def word_letters(word: Iterable[WordItem]):
@@ -324,6 +324,8 @@ class Element:
         """Add ``c * other`` into this element in place (see ``add_term``)."""
         if type(other) is not type(self):
             raise TypeError(f"cannot add a {type(other).__name__} to a {type(self).__name__}")
+        if self.params is not other.params:
+            raise ValueError("parameter set mismatch")
         if c.is_zero():
             return
         _accumulate(self.terms, other.terms, c, self.params.one())
@@ -339,7 +341,9 @@ class Element:
     def __sub__(self, other: "Element") -> "Element":
         if type(other) is not type(self):
             raise TypeError(f"cannot subtract a {type(other).__name__} from a {type(self).__name__}")
-        if self.terms == other.terms and self.params is other.params:
+        if self.params is not other.params:
+            raise ValueError("parameter set mismatch")
+        if self.terms == other.terms:
             return self._like({})
         terms = dict(self.terms)
         get = terms.get
@@ -440,25 +444,19 @@ def parity_of(e: Element) -> str:
 COEFF_NAMES = ("Q", "Q11", "Q12", "Q21", "Q22", "Qp")
 
 
-@dataclass(frozen=True)
-class CalculusType:
+class CalculusType(namedtuple("CalculusType", ("params", *COEFF_NAMES, "assigned"),
+                              defaults=((),))):
     """One covariant solution family: the six structure coefficients over
     the deformation parameters ``params``.
 
     The type owns the scalar symbols.  ``symbol`` reads a structure
     coefficient, a parameter, or a parameter that ``specialize`` assigned,
-    whose value ``assigned`` records once it is gone from ``params``; the
-    parsers, the rule table, ``solve-types`` and the catalog read it.
+    whose value ``assigned`` records once it is gone from ``params``, as
+    (parameter, value) pairs sorted by name; the parsers, the rule table,
+    ``solve-types`` and the catalog read it.
     """
 
-    params: ParamSet
-    Q: RationalFunction
-    Q11: RationalFunction
-    Q12: RationalFunction
-    Q21: RationalFunction
-    Q22: RationalFunction
-    Qp: RationalFunction
-    assigned: tuple = ()   # (parameter, value) pairs, sorted by name
+    __slots__ = ()
 
     def symbol(self, name: str) -> "RationalFunction | None":
         """The value of a scalar symbol at this type, or None for a name
@@ -999,19 +997,13 @@ def exterior_derivative(rt: RuleTable, w: Element) -> Element:
 # Local confluence audit
 # ----------------------------------------------------------------------------
 
-@dataclass
-class ConfluenceViolation:
-    word: tuple
-    first_steps: tuple
-    residual: Element
+class ConfluenceViolation(namedtuple("ConfluenceViolation", "word first_steps residual")):
+    __slots__ = ()
 
 
-@dataclass
-class ConfluenceReport:
-    max_len: int
-    words_checked: int
-    branch_pairs: int
-    violations: list
+class ConfluenceReport(namedtuple("ConfluenceReport",
+                                  "max_len words_checked branch_pairs violations")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

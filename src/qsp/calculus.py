@@ -25,11 +25,11 @@ and an entry with a parameter binds it to its residual function with
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable
 from fnmatch import fnmatchcase
 from functools import partial
 from itertools import product
-from typing import Callable, Iterable, Optional
 
 from .coeffs import QspError, RationalFunction, qnumber
 from .algebra import (
@@ -69,25 +69,19 @@ def number_op(m: int, eps: int) -> int:
 # Verification results
 # ----------------------------------------------------------------------------
 
-@dataclass
-class VerifyResult:
-    identityId: str
-    paperAnchor: str
-    status: str
-    residual: Element
-    elapsedMillis: int
+class VerifyResult(namedtuple("VerifyResult",
+                              "identityId paperAnchor status residual elapsedMillis")):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
         return self.status == "PASS"
 
 
-@dataclass(frozen=True)
-class Identity:
-    identityId: str
-    paperAnchor: str
-    kind: str  # WORD | ACTION
-    residuals: Callable[[RuleTable, int], Iterable]
+class Identity(namedtuple("Identity", "identityId paperAnchor kind residuals")):
+    """A catalog entry: ``kind`` is WORD or ACTION, and ``residuals(rt, bound)``
+    yields the residuals that vanish when the identity holds."""
+    __slots__ = ()
 
 
 def _first_nonzero(rt: RuleTable, residuals: Iterable) -> Element:
@@ -574,7 +568,7 @@ def verify_identity(rt: RuleTable, identity_id: str, bound: int = 6) -> VerifyRe
 
 
 def run_suite(rt: RuleTable, bound: int = 6,
-              pattern: Optional[str] = None) -> list[VerifyResult]:
+              pattern: str | None = None) -> list[VerifyResult]:
     out = []
     for identity_id in _CATALOG:
         if pattern and not fnmatchcase(identity_id, pattern):

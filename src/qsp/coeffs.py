@@ -37,12 +37,12 @@ built.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from operator import add, sub
-from typing import Mapping, Union
 
 Exponent = tuple[int, ...]
-Rat = Union[int, Fraction]
+Rat = int | Fraction
 Laurent = dict[Exponent, Rat]
 
 

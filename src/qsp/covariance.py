@@ -25,10 +25,11 @@ spans the system derived from the coactions.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import partial
 from operator import sub
-from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .coeffs import (
     NonMonomialDivisor,
@@ -157,10 +158,10 @@ def _collect_constraints(residuals: Iterable[Element]) -> list[RationalFunction]
     return list(dict.fromkeys(p for p in primitive if not p.is_zero()))
 
 
-class CovarianceConstraints(NamedTuple):
-    """Output of the constraint pass: generators per side."""
-    right: list[RationalFunction]
-    left: list[RationalFunction]
+class CovarianceConstraints(namedtuple("CovarianceConstraints", "right left")):
+    """Output of the constraint pass: generators per side, each a list of
+    ``RationalFunction``."""
+    __slots__ = ()
 
 
 def relation_coaction_residuals(rt: RuleTable, side: str):

@@ -28,10 +28,8 @@ the symbols are T, K, Nb and the same scalar symbols.
 
 from __future__ import annotations
 
-import json
 import re
 from fractions import Fraction
-from typing import Optional
 
 from .coeffs import (QspError, RationalFunction, _assignment_str, join_signed, poly_str,
                      term_str)
@@ -392,7 +390,7 @@ def print_tensor(te: TensorElement) -> str:
 # ----------------------------------------------------------------------------
 
 def emit_report(results, fmt: str, type_label: str,
-                param_assignment: Optional[dict] = None) -> bytes:
+                param_assignment: dict | None = None) -> bytes:
     """Serialize verification results (sorted by identity id).
 
     JSON schema: {"type", "paramAssignment", "results": [{"id",
@@ -400,6 +398,7 @@ def emit_report(results, fmt: str, type_label: str,
     """
     rows = sorted(results, key=lambda r: r.identityId)
     if fmt == "json":
+        import json   # only a JSON report needs it
         doc = {
             "type": type_label,
             "paramAssignment": (

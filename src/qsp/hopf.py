@@ -23,9 +23,9 @@ UElement by (T, K, Nb) exponents.  Both take their linear arithmetic from
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Sequence
 from functools import partial, reduce
 from itertools import product
-from typing import Callable, Iterable, Sequence
 
 from .coeffs import ParamSet, QspError, RationalFunction
 from .algebra import (

@@ -8,12 +8,14 @@ stands in for, which the tests keep as their oracle.
 - ``ParamSet.const`` builds an ``int`` value directly: it must equal the
   value built through ``Fraction`` and keep the shared one and zero.
 - ``Element.__sub__`` answers equal operands with a zero: it must agree
-  with the term-by-term loop, for plain, tensor and dual-sector elements,
-  and raise TypeError on an operand of another kind.
+  with the term-by-term loop, for plain, tensor and dual-sector elements;
+  it and ``+`` raise TypeError on an operand of another kind and ValueError
+  on one over another parameter set.
 - ``Element.is_form_sector`` slices the operator letters off each
   monomial: it must agree with ``mono_is_form``.
 """
 
+import operator
 import re
 from fractions import Fraction
 
@@ -192,7 +194,8 @@ def zero_like(e: Element) -> Element:
 @given(data=st.data(), name=st.sampled_from(("I", "II", "III")),
        kind=st.sampled_from(("element", "tensor", "u")),
        how=st.sampled_from(("same", "copy", "scaled", "negated", "other", "zero",
-                            "other kind", "zero of other type", "zero of other params")),
+                            "other kind", "zero of other type", "other params",
+                            "zero of other params")),
        from_zero=st.booleans())
 def test_sub_matches_term_loop(tables, data, name, kind, how, from_zero):
     rt = tables[name]
@@ -200,6 +203,7 @@ def test_sub_matches_term_loop(tables, data, name, kind, how, from_zero):
     if from_zero:
         a = zero_like(a)
     other_kind = "tensor" if kind == "element" else "element"
+    other_params = tables["III" if name != "III" else "II"]
     b = {"same": lambda: a,
          "copy": lambda: a._like(dict(a.terms)),
          "scaled": lambda: a.scale(2),
@@ -208,13 +212,17 @@ def test_sub_matches_term_loop(tables, data, name, kind, how, from_zero):
          "zero": lambda: zero_like(a),
          "other kind": lambda: data.draw(element_of(rt, other_kind)),
          "zero of other type": lambda: zero_like(data.draw(element_of(rt, other_kind))),
-         "zero of other params": lambda: zero_like(data.draw(element_of(
-             tables["III" if name != "III" else "II"], kind))),
+         "other params": lambda: data.draw(element_of(other_params, kind).filter(
+             lambda e: not e.is_zero())),
+         "zero of other params": lambda: zero_like(data.draw(element_of(other_params, kind))),
          }[how]()
     before = (dict(a.terms), dict(b.terms))
-    if type(b) is not type(a):
-        with pytest.raises(TypeError):
-            a - b
+    mismatch = (TypeError if type(b) is not type(a)
+                else ValueError if b.params is not a.params else None)
+    if mismatch:
+        for op in (operator.sub, operator.add):
+            with pytest.raises(mismatch):
+                op(a, b)
         assert (dict(a.terms), dict(b.terms)) == before
         return
     got = a - b

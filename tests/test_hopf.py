@@ -1,6 +1,5 @@
 """Tensor algebra, Hopf costructures, dual pairing and actions."""
 
-import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -513,7 +512,7 @@ def test_leibniz_words_match_their_cells_on_a_broken_table():
     # that depend on both f and g, so a wrong sign or factor order in the
     # word shows; V(f) is nonzero at type III
     rt = build_rule_table(CalculusType.type_iii())
-    rt.ct = dataclasses.replace(rt.ct, Q=rt.ct.Q * rt.ct.Q, Q11=rt.ct.Q11 * rt.ct.Q)
+    rt.ct = rt.ct._replace(Q=rt.ct.Q * rt.ct.Q, Q11=rt.ct.Q11 * rt.ct.Q)
     words, cells = _leibniz_words_and_cells(rt)
     assert words == cells
     assert len({repr(r) for cell in cells for r in cell}) >= len(cells) // 2

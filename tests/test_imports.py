@@ -1,13 +1,17 @@
 """Cold start: the lazy package namespace and the modules each entry point loads.
 
 Each check that counts loaded modules runs in a fresh interpreter, since the
-test process itself has imported every module long before.
+test process itself has imported every module long before.  The cold-start
+pins run it with ``-I -S``, so that nothing of site-packages is loaded
+before qsp.
 """
 
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import qsp
 
@@ -29,13 +33,23 @@ ALL = [
 SUBMODULES = {"coeffs", "algebra", "calculus", "hopf", "covariance", "exprio"}
 
 
-def fresh(code: str):
-    """Run ``code`` in a new interpreter that imports qsp from this checkout;
-    the JSON it prints last is the result."""
-    prelude = f"import json, sys; sys.path.insert(0, {SRC!r}); "
-    done = subprocess.run([sys.executable, "-c", prelude + code], check=True,
+def run_fresh(code: str, *flags: str) -> str:
+    """Run ``code`` in a new interpreter with ``flags`` that imports qsp from
+    this checkout; the last line it prints is the result."""
+    prelude = f"import sys; sys.path.insert(0, {SRC!r}); "
+    done = subprocess.run([sys.executable, *flags, "-c", prelude + code], check=True,
                           capture_output=True, text=True, stdin=subprocess.DEVNULL)
-    return json.loads(done.stdout.splitlines()[-1])
+    return done.stdout.splitlines()[-1]
+
+
+def fresh(code: str):
+    return json.loads(run_fresh("import json; " + code))
+
+
+def cold_modules(code: str) -> set:
+    """The modules loaded after ``code`` in an isolated interpreter without
+    ``site``, which imports nothing beyond ``code``."""
+    return set(run_fresh(code + "; print(*sys.modules)", "-I", "-S").split())
 
 
 LOADED = "print(json.dumps(sorted(m for m in sys.modules if m.startswith('qsp'))))"
@@ -51,6 +65,27 @@ def test_normalize_loads_neither_calculus_nor_covariance():
     loaded = fresh("import qsp.cli; assert qsp.cli.run(['normalize', 'px*x']) == 0; "
                    + LOADED)
     assert "qsp.calculus" not in loaded and "qsp.covariance" not in loaded
+
+
+# what the records and type names once pulled in: dataclasses brings inspect,
+# ast, dis and tokenize with it
+INTROSPECTION = {"dataclasses", "typing", "inspect", "ast", "dis", "tokenize"}
+COLD_STARTS = {
+    "table": "import qsp; qsp.build_rule_table(qsp.CalculusType.by_name('II'))",
+    "verify": "import qsp.cli; assert qsp.cli.run(['verify', '--type', 'II']) == 0",
+    "solve-types": "import qsp.cli; assert qsp.cli.run(['solve-types']) == 0",
+}
+
+
+@pytest.mark.parametrize("case", COLD_STARTS)
+def test_cold_start_loads_no_introspection_module(case):
+    loaded = cold_modules(COLD_STARTS[case])
+    assert "qsp.algebra" in loaded and not loaded & INTROSPECTION, loaded & INTROSPECTION
+
+
+def test_text_commands_load_no_json():
+    loaded = cold_modules("import qsp.cli; assert qsp.cli.run(['normalize', 'px*x']) == 0")
+    assert "qsp.exprio" in loaded and "json" not in loaded
 
 
 def test_verify_loads_only_the_standard_library():

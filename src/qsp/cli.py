@@ -3,14 +3,17 @@ solve-types.
 
 Exit codes: 0 success (all verified identities pass, known-discrepancy
 certificates excluded), 1 at least one unexpected FAIL, 2 usage or input
-error, 3 internal invariant violation or any other unexpected error.
+error, 3 internal invariant violation or any other unexpected error.  A
+reader that closes standard output before qsp has written all of it
+(``qsp solve-types | head -1``) ends the process quietly with 141, the
+shell's code for a write to a closed pipe.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import shutil
+import os
 import sys
 from fractions import Fraction
 
@@ -108,13 +111,27 @@ def _add_arguments(p: argparse.ArgumentParser, name: str) -> None:
         p.add_argument("--suite", dest="suite", choices=("all",), default=None)
 
 
+def _terminal_width() -> int:
+    """``shutil.get_terminal_size().columns`` without importing shutil: a
+    positive ``COLUMNS``, else the width of the terminal on stdout, else 80."""
+    try:
+        columns = int(os.environ["COLUMNS"])
+    except (KeyError, ValueError):
+        columns = 0
+    if columns > 0:
+        return columns
+    try:
+        return os.get_terminal_size(sys.__stdout__.fileno()).columns or 80
+    except (AttributeError, ValueError, OSError):
+        return 80
+
+
 def _parse_args(argv) -> argparse.Namespace:
     """Parse with the parser of the command ``argv[0]`` names alone; the
     tree of all commands, whose help and errors are the reference, answers
     when argv names none or that parser leaves arguments unrecognized."""
     # argparse sizes every formatter it builds to the terminal; ask once
-    fmt = functools.partial(argparse.HelpFormatter,
-                            width=shutil.get_terminal_size().columns - 2)
+    fmt = functools.partial(argparse.HelpFormatter, width=_terminal_width() - 2)
     if argv and argv[0] in _COMMANDS:
         parser = argparse.ArgumentParser(prog=f"qsp {argv[0]}", formatter_class=fmt)
         _add_arguments(parser, argv[0])
@@ -232,6 +249,8 @@ def run(argv) -> int:
     except (argparse.ArgumentTypeError, QspError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        raise   # the reader left, which is not an internal error: main's to handle
     except Exception as exc:
         # last resort, so that exit 1 only ever means "an identity failed";
         # SystemExit is not an Exception and still leaves with argparse's 2
@@ -252,7 +271,15 @@ def _print_families() -> None:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # as the Python docs on SIGPIPE advise: stdout goes to devnull, so
+        # that the flush at exit cannot raise again, and no message
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

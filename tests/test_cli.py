@@ -2,6 +2,9 @@
 
 import argparse
 import json
+import os
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -464,6 +467,40 @@ def test_help_and_usage_errors_match_golden(capsys, monkeypatch, columns):
     for key in cases:
         code, out, err = invoke(capsys, *key.split(" ")[1:])
         assert {"code": code, "out": out, "err": err} == HELP_GOLDEN[key], key
+
+
+@pytest.mark.parametrize("columns", [None, "123", "0", "-5", "wide"])
+def test_terminal_width_follows_shutils_rules(monkeypatch, columns):
+    # a positive COLUMNS, else the terminal (none under the test runner), else 80
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+    assert qsp.cli._terminal_width() == shutil.get_terminal_size().columns
+
+
+def test_reader_that_closes_the_pipe_ends_qsp_quietly():
+    # the reader takes one line and closes the pipe.  The pipe holds one page
+    # and the report is 20 KB, so qsp is still writing when it closes: it
+    # stops with 141 and writes nothing to stderr
+    fcntl = pytest.importorskip("fcntl")
+    if not hasattr(fcntl, "F_SETPIPE_SZ"):
+        pytest.skip("needs a pipe whose size can be set (Linux)")
+    read_end, write_end = os.pipe()
+    fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+    # stdout stays buffered: unbuffered, CPython drops the rest of a write
+    # that the closing pipe cuts short, and exits 0
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(qsp.cli.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "from qsp.cli import main; main()",
+         "verify", "--type", "II", "--format", "json"],
+        stdin=subprocess.DEVNULL, stdout=write_end, stderr=subprocess.PIPE, env=env)
+    os.close(write_end)
+    with os.fdopen(read_end, "rb") as out:
+        assert out.readline() == b"{\n"
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (141, b"")
 
 
 # the console-script pins, which CI also replays through the installed qsp:

@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -505,6 +506,19 @@ def test_leibniz_words_match_their_cells(family_table):
     words, cells = _leibniz_words_and_cells(family_table)
     assert words == cells
     assert all(r.is_zero() for cell in cells for r in cell)
+
+
+def test_v_law_holds_on_monomial_pairs(family_table):
+    # eq62 checks V = Q22*Nb only at x and x^-1, where it vanishes; its proof
+    # says that V(f1*f2) = K(f1)*V(f2) + (-1)^|f2| V(f1)*T(f2) then holds on
+    # every pair, far monomials included
+    rt, P = family_table, family_table.params
+    K, T, V = (partial(left_act, rt, u) for u in
+               (UElement.gen_K(P), UElement.gen_T(P), UElement.gen_nabla(P).scale(rt.ct.Q22)))
+    for f1, f2 in itertools.product(coordinate_basis(2), LEIBNIZ_GS):
+        a, b = Element.monomial(P, f1), Element.monomial(P, f2)
+        law = rt.mul(K(a), V(b)) + rt.mul(V(a), T(b)).scale(-1 if f2[TH] else 1)
+        assert V(rt.mul(a, b)) == law, (f1, f2)
 
 
 def test_leibniz_words_match_their_cells_on_a_broken_table():

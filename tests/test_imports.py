@@ -88,6 +88,14 @@ def test_text_commands_load_no_json():
     assert "qsp.exprio" in loaded and "json" not in loaded
 
 
+@pytest.mark.parametrize("argv", [["normalize", "px*x"], ["verify", "--type", "II"]],
+                         ids=["normalize", "verify"])
+def test_commands_load_no_shutil(argv):
+    # the help width is read from the environment and the terminal directly
+    loaded = cold_modules(f"import qsp.cli; assert qsp.cli.run({argv!r}) == 0")
+    assert "qsp.cli" in loaded and "shutil" not in loaded
+
+
 def test_verify_loads_only_the_standard_library():
     # the engine has no runtime dependencies (pyproject's `dependencies = []`):
     # a whole `qsp verify` imports nothing but qsp and the standard library,

@@ -249,7 +249,7 @@ def _accumulate(acc: dict, terms: dict, c, one) -> None:
         old = get(m)
         if old is not None:
             v = old + v
-            if not v.lp:
+            if not v.packed:
                 del acc[m]
                 continue
         acc[m] = v
@@ -663,7 +663,7 @@ def pth_px_rule(rules: Mapping, params: ParamSet) -> dict:
 
     w = c((DTH, DX, 0), mono(dx=1, dth=1))
     divisor = c((PX, DX, 0), mono(dth=1, pth=1)) + c((PTH, DX, 0), mono(dx=1, pth=1)) * w
-    if len(divisor.lp) > 1:
+    if len(divisor.packed) > 1:
         raise NonMonomialDivisor(f"d*d = 0 gives pth*px only as a quotient by {divisor}, "
                                  "a divisor of more than one term")
     b9 = -(c((PX, DTH, 0), mono(dth=1, px=1)) + c((PTH, DTH, 0), mono(dx=1, px=1)) * w) / divisor

@@ -201,7 +201,7 @@ def run(argv) -> int:
         rt, ctype, assignment = _engine(args, config)
         if args.command == "normalize":
             e = parse_element(rt, args.expr)
-            print(print_canonical(e))
+            _write(print_canonical(e) + "\n")
             return 0
         if args.command == "check":
             if "==" not in args.expr:
@@ -219,7 +219,7 @@ def run(argv) -> int:
         if args.command == "act":
             op = parse_element(rt, args.op)
             arg = parse_element(rt, args.expr)
-            print(print_canonical(act_on_function(rt, op, arg)))
+            _write(print_canonical(act_on_function(rt, op, arg)) + "\n")
             return 0
         if args.command == "pair":
             u = parse_uelement(rt.ct, args.u)
@@ -228,14 +228,14 @@ def run(argv) -> int:
             return 0
         if args.command == "coproduct":
             e = parse_element(rt, args.expr)
-            print(print_tensor(hopf.coproduct_A(rt, e)))
+            _write(print_tensor(hopf.coproduct_A(rt, e)) + "\n")
             return 0
         if args.command == "verify":
             from . import calculus   # only verify needs the catalog
             pattern = args.identity
             results = calculus.run_suite(rt, bound=bound, pattern=pattern)
             payload = emit_report(results, fmt, ctype, assignment or None)
-            sys.stdout.write(payload.decode("utf-8"))
+            _write(payload.decode("utf-8"))
             bad = [r for r in results
                    if r.status == "FAIL"
                    and r.identityId not in calculus.KNOWN_DISCREPANCY_IDS]
@@ -257,6 +257,24 @@ def run(argv) -> int:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     return 0
+
+
+def _write(text: str) -> None:
+    """Write ``text`` to stdout in full.  Unbuffered (``python -u``,
+    ``PYTHONUNBUFFERED``), the bytes below stdout's text layer are the raw
+    file, whose ``write`` may take only part of them when the reader of a
+    pipe closes it, and the text layer drops the rest unchecked; the rest is
+    written again here, so that the close raises BrokenPipeError instead of
+    cutting the output short with exit 0."""
+    out = sys.stdout
+    binary = getattr(out, "buffer", None)
+    if binary is None:   # a text stream with no bytes below it (io.StringIO)
+        out.write(text)
+        return
+    out.flush()
+    data = memoryview(text.encode(out.encoding, out.errors))
+    while data:
+        data = data[binary.write(data):]
 
 
 def _print_families() -> None:

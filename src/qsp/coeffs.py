@@ -2,24 +2,43 @@
 
 The deformation parameters are units, so every structure coefficient of the
 calculus is a Laurent monomial in them and every coefficient the engine
-builds is a Laurent polynomial.  A value is stored in one form: a dict
-mapping exponent tuples (one entry per parameter, negative entries allowed)
-to nonzero rational coefficients; zero is the empty dict.  An integral
-coefficient is stored as an ``int`` and any other as a ``Fraction``, so each
-value has one stored form and ``==`` and ``hash`` are structural.  A value
-whose coefficients are all ``int`` is *integral*; sums and products of
-integral values are plain int dict loops.  Nearly every structure
-coefficient is a single signed term, so most products the engine makes are
-of two single terms; such a product is built directly, one exponent-tuple
-add and one coefficient product, an integral ``Fraction`` product stored as
-an ``int``.  A single-term value hashes its one (exponent, coefficient)
-pair, any other value the frozen set of its pairs.
+builds is a Laurent polynomial.  A value is stored in one form, ``packed``:
+a dict mapping packed exponent vectors to nonzero rational coefficients;
+zero is the empty dict.  An integral coefficient is stored as an ``int`` and
+any other as a ``Fraction``, so each value has one stored form and ``==``
+and ``hash`` are structural.  A value whose coefficients are all ``int`` is
+*integral*; sums and products of integral values are plain int dict loops.
 
-``RationalFunction(params, terms)`` builds a value from such a dict, and
-``lp`` reads it back.  Sums, differences and products of Laurent
-polynomials are Laurent polynomials, and so is a quotient by a single term.
-A quotient by a value of more than one term is not, and raises
-``NonMonomialDivisor``, an input error.  Every printed coefficient is
+Packed keys.  The exponent vector (e_0, ..., e_{n-1}) of n parameters is
+stored as one int, ``sum((e_i + 2^62) << 64*i)``: each exponent is a biased
+64-bit field, and the vector of all zeros is ``params._origin``.  Every
+stored exponent lies in ``[-EXPONENT_LIMIT, EXPONENT_LIMIT)``, EXPONENT_LIMIT
+being 2^62, so every field lies in ``[0, 2^63)`` and its top bit is clear.
+The product of two terms is then one int sum, ``ka + kb - origin``, and a
+quotient ``ka - kb + origin``: each field of the result is the sum (or
+difference) of two exponents plus the bias, with no carry into the next
+field while it stays in range.  A field that leaves the range, the lowest
+one first, sets its top bit, so one mask test (``params._guard``, the top
+bit of every field) tells an in-range result from one that would alias
+another vector; the test raises ``ResultTooLarge`` (exit 2) instead, and no
+out-of-range exponent is ever stored.  Every path that makes a new key
+either tests it or packs it through ``ParamSet._pack``, which checks each
+exponent.  Nearly every structure coefficient is a single signed term, so
+most products the engine makes are of two single terms; such a product is
+built directly, one int sum and one coefficient product, an integral
+``Fraction`` product stored as an ``int``.  A single-term value hashes its
+one (key, coefficient) pair, any other value the frozen set of its pairs.
+
+The packed form is private to this module.  ``RationalFunction(params,
+terms)`` builds a value from a ``{exponent tuple: rational}`` dict, and the
+read-only view ``lp`` gives such a dict back (a fresh one on each read), so
+callers and tests keep reading exponent tuples.  The printers, ``fraction``,
+``project`` and the constraint code of ``covariance`` read tuples through
+that view; a reader that only asks whether a value is zero, or how many
+terms it has, reads ``packed`` itself.  Sums, differences and products of
+Laurent polynomials are Laurent polynomials, and so is a quotient by a
+single term.  A quotient by a value of more than one term is not, and
+raises ``NonMonomialDivisor``, an input error.  Every printed coefficient is
 written by ``term_str``, one Laurent term, and ``join_signed``, which joins
 signed pieces.  ``fraction()``, a polynomial over the monic single term
 that clears the negative exponents, is read only by ``__str__`` and by the
@@ -39,11 +58,18 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
-from operator import add, sub
+from functools import reduce
+from operator import or_, sub
 
 Exponent = tuple[int, ...]
 Rat = int | Fraction
 Laurent = dict[Exponent, Rat]
+Packed = dict[int, Rat]
+
+# every stored exponent e satisfies -EXPONENT_LIMIT <= e < EXPONENT_LIMIT;
+# one past it raises ResultTooLarge
+EXPONENT_LIMIT = 2 ** 62
+_FIELD = 2 ** 64 - 1     # the bits of one packed exponent (see the docstring)
 
 
 class QspError(Exception):
@@ -69,7 +95,12 @@ class MissingVariable(QspError):
 
 class ResultTooLarge(QspError):
     """A result has a number too long to print (the interpreter's int-to-str
-    digit limit)."""
+    digit limit), or an exponent outside the stored range (EXPONENT_LIMIT)."""
+
+
+def _exponent_too_large() -> ResultTooLarge:
+    return ResultTooLarge("result too large: a coefficient has an exponent outside "
+                          "[-2^62, 2^62)")
 
 
 # ----------------------------------------------------------------------------
@@ -90,15 +121,20 @@ class ParamSet:
         if self is None:
             if len(set(variables)) != len(variables):
                 raise ValueError(f"duplicate parameter names: {variables}")
-            # origin (the exponent tuple of the constant monomial), one and
-            # zero are built once and shared, as plain attributes (the
-            # cheapest to read); one is built directly, since ``_value``
-            # returns it for every value equal to 1
+            # origin (the exponent tuple of the constant monomial) and its
+            # packed key, the guard mask of packed keys, one and zero are
+            # built once and shared, as plain attributes (the cheapest to
+            # read); one is built directly, since ``_value`` returns it for
+            # every value equal to 1
             self = cls._made[key] = object.__new__(cls)
             self.mode, self.variables = key
-            self.origin = (0,) * len(variables)
+            n = len(variables)
+            self.origin = (0,) * n
+            self._origin = sum(EXPONENT_LIMIT << 64 * i for i in range(n))
+            self._guard = self._origin << 1
+            self._unpack = _unpacker(n)
             self._one = one = _new(RationalFunction)
-            one.params, one.lp, one.integral = self, {self.origin: 1}, True
+            one.params, one.packed, one.integral = self, {self._origin: 1}, True
             self._zero = _value(self, {})
         return self
 
@@ -112,6 +148,18 @@ class ParamSet:
         except ValueError:
             raise MissingVariable(f"unknown parameter {name!r}") from None
 
+    def _pack(self, m: Exponent) -> int:
+        """The packed key of the exponent tuple ``m``, each entry checked."""
+        if len(m) != len(self.variables):
+            raise ValueError(f"exponent {m} does not have one entry per parameter "
+                             f"of {self.variables}")
+        key = self._origin
+        for i, e in enumerate(m):
+            if not -EXPONENT_LIMIT <= e < EXPONENT_LIMIT:
+                raise _exponent_too_large()
+            key += e << 64 * i
+        return key
+
     def zero(self) -> "RationalFunction":
         return self._zero
 
@@ -123,13 +171,11 @@ class ParamSet:
             return self._zero
         if type(value) is int:
             # _value returns the shared one for 1
-            return _value(self, {self.origin: value})
-        return _rational(self, {self.origin: Fraction(value)})
+            return _value(self, {self._origin: value})
+        return _rational(self, {self._origin: Fraction(value)})
 
     def var(self, name: str) -> "RationalFunction":
-        e = [0] * self.nvars
-        e[self.index(name)] = 1
-        return _value(self, {tuple(e): 1})
+        return _value(self, {self._origin + (1 << 64 * self.index(name)): 1})
 
     def rf(self, value: "Rat | str | RationalFunction") -> "RationalFunction":
         if isinstance(value, RationalFunction):
@@ -139,6 +185,27 @@ class ParamSet:
         if isinstance(value, str):
             return self.var(value)
         return self.const(value)
+
+
+def _unpacker(n: int):
+    """The function that reads a packed key of n fields back as its exponent
+    tuple.  One and two parameters, every family's, get a direct form, about
+    twice as fast as the loop: printing a coefficient decodes every key."""
+    if n == 1:
+        return lambda k: (k - EXPONENT_LIMIT,)
+    if n == 2:
+        return lambda k: ((k & _FIELD) - EXPONENT_LIMIT, (k >> 64) - EXPONENT_LIMIT)
+    shifts = range(0, 64 * n, 64)
+    return lambda k: tuple([(k >> s & _FIELD) - EXPONENT_LIMIT for s in shifts])
+
+
+def _in_range(params: ParamSet, packed: Packed) -> Packed:
+    """``packed`` itself, once none of its keys holds an exponent out of
+    range: such a key has a guard bit set, and then so has the or of all
+    keys."""
+    if reduce(or_, packed, 0) & params._guard:
+        raise _exponent_too_large()
+    return packed
 
 
 # ----------------------------------------------------------------------------
@@ -205,19 +272,29 @@ def poly_str(a: Laurent, variables: tuple[str, ...]) -> str:
 class RationalFunction:
     """A Laurent polynomial over the rationals in the parameters.
 
-    ``lp`` is the Laurent dict; ``integral`` is True when every coefficient
-    in it is an ``int`` (see the module docstring).
+    ``packed`` is the Laurent dict on packed keys and ``lp`` its view on
+    exponent tuples; ``integral`` is True when every coefficient is an
+    ``int`` (see the module docstring).
     """
 
-    __slots__ = ("params", "lp", "integral")
+    __slots__ = ("params", "packed", "integral")
 
     def __new__(cls, params: ParamSet, terms: Mapping[Exponent, Rat]) -> "RationalFunction":
         """The Laurent polynomial with the given {exponent tuple: rational}
         terms.  ``terms`` is copied: zero coefficients are dropped and an
-        integral ``Fraction`` becomes an ``int``."""
-        return _rational(params, {m: c for m, c in terms.items() if c})
+        integral ``Fraction`` becomes an ``int``.  An exponent outside
+        ``[-EXPONENT_LIMIT, EXPONENT_LIMIT)`` raises ResultTooLarge, and a
+        tuple without one entry per parameter ValueError."""
+        pack = params._pack
+        return _rational(params, {pack(m): c for m, c in terms.items() if c})
 
     # -- views ---------------------------------------------------------------
+
+    @property
+    def lp(self) -> Laurent:
+        """The terms as a fresh {exponent tuple: rational} dict."""
+        unpack = self.params._unpack
+        return {unpack(k): c for k, c in self.packed.items()}
 
     def fraction(self) -> tuple[Laurent, Laurent]:
         """The value as (numerator, denominator) for printing: a polynomial
@@ -232,11 +309,11 @@ class RationalFunction:
     # -- predicates ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.lp
+        return not self.packed
 
     def is_one(self) -> bool:
-        lp = self.lp
-        return len(lp) == 1 and lp.get(self.params.origin) == 1
+        packed = self.packed
+        return len(packed) == 1 and packed.get(self.params._origin) == 1
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -246,7 +323,7 @@ class RationalFunction:
 
     def __add__(self, other: "RationalFunction") -> "RationalFunction":
         self._check(other)
-        a, b = self.lp, other.lp
+        a, b = self.packed, other.packed
         if not b:
             return self
         if not a:
@@ -266,10 +343,10 @@ class RationalFunction:
 
     def __sub__(self, other: "RationalFunction") -> "RationalFunction":
         self._check(other)
-        b = other.lp
+        b = other.packed
         if not b:
             return self
-        out = dict(self.lp)
+        out = dict(self.packed)
         for m, c in b.items():
             s = out.get(m, 0) - c
             if s:
@@ -281,13 +358,13 @@ class RationalFunction:
         return _rational(self.params, out)
 
     def __neg__(self) -> "RationalFunction":
-        return _value(self.params, {m: -c for m, c in self.lp.items()}, self.integral)
+        return _value(self.params, {m: -c for m, c in self.packed.items()}, self.integral)
 
     def __mul__(self, other: "RationalFunction") -> "RationalFunction":
         params = self.params
         if params is not other.params:
             self._check(other)
-        a, b = self.lp, other.lp
+        a, b = self.packed, other.packed
         if not a or not b:
             return params._zero
         one = params._one
@@ -298,34 +375,39 @@ class RationalFunction:
         if len(b) == 1:
             (mb, cb), = b.items()
             if len(a) == 1:
-                # one term each: one exponent add, one coefficient product
+                # one term each: one key sum and its guard test, one
+                # coefficient product
                 (ma, ca), = a.items()
+                m = ma + mb - params._origin
+                if m & params._guard:
+                    raise _exponent_too_large()
                 c = ca * cb
                 if type(c) is not int and c.denominator == 1:
                     c = c.numerator
-                return _value(params, {tuple(map(add, ma, mb)): c}, type(c) is int)
-            out = _lp_times_term(a, mb, cb)
+                return _value(params, {m: c}, type(c) is int)
+            out = _lp_times_term(params, a, mb, cb)
         elif len(a) == 1:
             (ma, ca), = a.items()
-            out = _lp_times_term(b, ma, ca)
+            out = _lp_times_term(params, b, ma, ca)
         else:
-            out = _lp_mul(a, b)
+            out = _lp_mul(params, a, b)
         if self.integral and other.integral:
             return _value(params, out)
         return _rational(params, out)
 
     def __truediv__(self, other: "RationalFunction") -> "RationalFunction":
         self._check(other)
-        b = other.lp
+        b = other.packed
         if not b:
             raise DivisionByZero("division by zero rational function")
         if len(b) > 1:
             raise NonMonomialDivisor(
                 f"division by a coefficient of {len(b)} terms: a divisor must be a single term")
         (mb, cb), = b.items()
-        quotients = {tuple(map(sub, m, mb)): Fraction(c, cb) if c % cb else c // cb
-                     for m, c in self.lp.items()}
-        return _rational(self.params, quotients)
+        shift = self.params._origin - mb
+        quotients = {m + shift: Fraction(c, cb) if c % cb else c // cb
+                     for m, c in self.packed.items()}
+        return _rational(self.params, _in_range(self.params, quotients))
 
     def __pow__(self, n: int) -> "RationalFunction":
         if not isinstance(n, int):
@@ -344,14 +426,14 @@ class RationalFunction:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalFunction):
             return NotImplemented
-        return self.lp == other.lp and self.params is other.params
+        return self.packed == other.packed and self.params is other.params
 
     def __hash__(self) -> int:
-        lp = self.lp
-        if len(lp) == 1:
-            (term,) = lp.items()
+        packed = self.packed
+        if len(packed) == 1:
+            (term,) = packed.items()
             return hash(term)
-        return hash(frozenset(lp.items()))
+        return hash(frozenset(packed.items()))
 
     # -- evaluation / substitution -------------------------------------------
 
@@ -360,35 +442,36 @@ class RationalFunction:
             if v not in assignment:
                 raise MissingVariable(f"no value for parameter {v!r}")
         value = self.substitute({v: assignment[v] for v in self.params.variables})
-        return Fraction(value.lp.get(self.params.origin, 0))
+        return Fraction(value.packed.get(self.params._origin, 0))
 
     def substitute(self, assignment: Mapping[str, Rat]) -> "RationalFunction":
         """Substitute a subset of the parameters by exact rationals."""
-        values = {self.params.index(k): Fraction(v) for k, v in assignment.items()}
-        out: Laurent = {}
-        for m, c in self.lp.items():
-            e = list(m)
-            for i, v in values.items():
-                if e[i]:
-                    if e[i] < 0 and not v:
+        # the field of parameter i starts at bit 64*i; a substituted
+        # exponent's field is set back to the bias, exponent 0
+        values = {64 * self.params.index(k): Fraction(v) for k, v in assignment.items()}
+        out: Packed = {}
+        for m, c in self.packed.items():
+            for shift, v in values.items():
+                e = (m >> shift & _FIELD) - EXPONENT_LIMIT
+                if e:
+                    if e < 0 and not v:
                         raise PoleAtAssignment(
                             f"denominator vanishes at {_assignment_str(assignment)}")
-                    c = c * v ** e[i]
-                    e[i] = 0
+                    c = c * v ** e
+                    m -= e << shift
             if c:
-                key = tuple(e)
-                s = out.get(key, 0) + c
+                s = out.get(m, 0) + c
                 if s:
-                    out[key] = s
+                    out[m] = s
                 else:
-                    del out[key]
+                    del out[m]
         return _rational(self.params, out)
 
     def project(self, target: ParamSet) -> "RationalFunction":
         """Re-express over ``target``; every dropped variable must be absent."""
         mapping = [target.variables.index(v) if v in target.variables else None
                    for v in self.params.variables]
-        out: Laurent = {}
+        out: Packed = {}
         for m, c in self.lp.items():
             e = [0] * target.nvars
             for i, k in enumerate(m):
@@ -396,7 +479,7 @@ class RationalFunction:
                     if mapping[i] is None:
                         raise ValueError(f"variable {self.params.variables[i]!r} still present")
                     e[mapping[i]] = k
-            out[tuple(e)] = c
+            out[target._pack(e)] = c
         return _value(target, out, self.integral)
 
     def __str__(self) -> str:
@@ -414,45 +497,53 @@ class RationalFunction:
 _new = object.__new__
 
 
-def _value(params: ParamSet, lp: Laurent, integral: bool = True) -> RationalFunction:
+def _value(params: ParamSet, packed: Packed, integral: bool = True) -> RationalFunction:
     """A value from its stored form, with no checks; a value equal to 1 is
     ``params``' shared one."""
     one = params._one
-    if lp == one.lp:
+    if packed == one.packed:
         return one
     rf = _new(RationalFunction)
     rf.params = params
-    rf.lp = lp
+    rf.packed = packed
     rf.integral = integral
     return rf
 
 
-def _rational(params: ParamSet, lp: Laurent) -> RationalFunction:
+def _rational(params: ParamSet, packed: Packed) -> RationalFunction:
     """A value from a fresh dict of nonzero ``int`` and ``Fraction``
     coefficients; an integral ``Fraction`` becomes an ``int`` in place."""
     integral = True
-    for m, c in lp.items():
+    for m, c in packed.items():
         if type(c) is Fraction:
             if c.denominator == 1:
-                lp[m] = c.numerator
+                packed[m] = c.numerator
             else:
                 integral = False
-    return _value(params, lp, integral)
+    return _value(params, packed, integral)
 
 
-def _lp_times_term(a: Laurent, m: Exponent, c: Rat) -> Laurent:
-    """a * c*m; a single term shifts exponents injectively, so nothing cancels."""
-    if not any(m):
+def _lp_times_term(params: ParamSet, a: Packed, m: int, c: Rat) -> Packed:
+    """a * c*m; a single term shifts keys injectively, so nothing cancels."""
+    shift = m - params._origin
+    if not shift:
         return {e: v * c for e, v in a.items()}
-    return {tuple(map(add, e, m)): v * c for e, v in a.items()}
+    return _in_range(params, {e + shift: v * c for e, v in a.items()})
 
 
-def _lp_mul(a: Laurent, b: Laurent) -> Laurent:
-    out: Laurent = {}
+def _lp_mul(params: ParamSet, a: Packed, b: Packed) -> Packed:
+    # each product key is tested before it is stored: an out-of-range key
+    # could equal an in-range one and merge with it
+    origin, guard = params._origin, params._guard
+    out: Packed = {}
+    get = out.get
     for ma, ca in a.items():
+        ma -= origin
         for mb, cb in b.items():
-            m = tuple(map(add, ma, mb))
-            s = out.get(m, 0) + ca * cb
+            m = ma + mb
+            if m & guard:
+                raise _exponent_too_large()
+            s = get(m, 0) + ca * cb
             if s:
                 out[m] = s
             else:
@@ -482,8 +573,8 @@ def qnumber(m: int, base: RationalFunction) -> RationalFunction:
     if m == 0:
         return params.zero()
     # one dict takes every power in place: linear in |m|, not quadratic
-    out: Laurent = {}
-    p = {params.origin: 1}
+    out: Packed = {}
+    p = {params._origin: 1}
     for _ in range(abs(m)):
         for e, c in p.items():
             s = out.get(e, 0) + c
@@ -491,7 +582,7 @@ def qnumber(m: int, base: RationalFunction) -> RationalFunction:
                 out[e] = s
             else:
                 del out[e]
-        p = _lp_mul(p, base.lp)
+        p = _lp_mul(params, p, base.packed)
     acc = _value(params, out) if base.integral else _rational(params, out)
     if m > 0:
         return acc

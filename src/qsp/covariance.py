@@ -320,7 +320,7 @@ def solve_family(side_conditions: Mapping[str, "RationalFunction | int | str"],
         return CalculusType(params, Qp=zero, **values).covariance_residuals()
 
     def quotient(name: str, a: RationalFunction, b: RationalFunction) -> RationalFunction:
-        if len(b.lp) > 1:
+        if len(b.packed) > 1:
             raise NonMonomialDivisor(f"side conditions {dict(side_conditions)} give {name} only "
                                      f"as a quotient by {b}, a divisor of more than one term")
         return a / b

@@ -346,7 +346,7 @@ def _coeff_term(c: RationalFunction) -> tuple[int, str]:
     parentheses times the negative powers that clear it, with a plus sign.
     Bodies are parseable by the grammar above."""
     variables = c.params.variables
-    if len(c.lp) == 1:
+    if len(c.packed) == 1:
         (m, v), = c.lp.items()
         return term_str(m, v, variables)
     num, den = c.fraction()

@@ -11,8 +11,17 @@ The exterior derivative d is expanded into dx*px + dth*pth where a word is
 read, so a word with k letters d must normalize to the sum of the 2^k d-free
 words that replace each d by dx, px or by dth, pth; those words never take
 the expansion path, which makes them an independent oracle for it.
+
+Substituting numbers for some of the parameters is a ring homomorphism of
+the coefficients, and the specialized type's table is built from the
+substituted structure coefficients alone.  So a word normalized on the
+generic table, then substituted and projected onto the parameters left,
+must be the word normalized on the specialized table: an oracle for
+``RationalFunction.substitute`` and ``project`` that shares no code with
+them.
 """
 
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -93,3 +102,35 @@ def test_d_expands_into_its_realization(specialized, key, a, b):
     for pieces in product(*(D_CHOICES if item == ("d", 1) else ([item],) for item in word)):
         want = want + rt.normalize_word([letter for piece in pieces for letter in piece])
     assert rt.normalize_word(word) == want
+
+
+SPECIALIZE_LETTERS = [("x", 1), ("x", -1), ("th", 1), ("dx", 1), ("dth", 1), ("px", 1),
+                      ("pth", 1), ("ix", 1), ("ith", 1), ("d", 1)]
+# values in Q without 0, 1 and -1 among them
+parameter_values = st.one_of(st.sampled_from([Fraction(1), Fraction(-1)]),
+                             st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool))
+
+
+@st.composite
+def specializations(draw):
+    """A type and values for a nonempty subset of its parameters: q, and r
+    (type II) or p (type III)."""
+    name = draw(st.sampled_from(TYPES))
+    variables = CalculusType.by_name(name).params.variables
+    chosen = draw(st.lists(st.sampled_from(variables), min_size=1, unique=True))
+    return name, {v: draw(parameter_values) for v in chosen}
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(spec=specializations(),
+       ws=st.lists(st.lists(st.sampled_from(SPECIALIZE_LETTERS), min_size=1, max_size=6),
+                   min_size=1, max_size=10))
+def test_specialization_commutes_with_normal_ordering(warm, spec, ws):
+    name, assignment = spec
+    special = build_rule_table(CalculusType.by_name(name).specialize(assignment))
+    P = special.params
+    for w in ws:
+        e = warm[name].normalize_word(w).substitute(assignment)
+        got = Element(P, {m: c.project(P) for m, c in e.terms.items()})
+        assert got == special.normalize_word(w), (w, assignment)

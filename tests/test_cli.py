@@ -80,6 +80,13 @@ def test_normalize_result_too_large(capsys):
         code, out, err = invoke(capsys, "normalize", "--type", "II", text)
         assert code == 2 and out == ""
         assert "too large" in err
+    # an exponent past 2^62 (coeffs.EXPONENT_LIMIT) cannot be stored: it is
+    # reported, never wrapped around into another monomial; 10^12 can
+    code, out, err = invoke(capsys, "normalize", "--type", "II",
+                            "(((((q^10000)^10000)^10000)^10000)^10000)*x")
+    assert code == 2 and out == "" and err.startswith("error: result too large")
+    code, out, _ = invoke(capsys, "normalize", "--type", "II", "((q^10000)^10000)^10000*x")
+    assert code == 0 and out == "q^1000000000000*x\n"
 
 
 def test_normalize_long_right_x_power(capsys):
@@ -482,25 +489,27 @@ def test_terminal_width_follows_shutils_rules(monkeypatch, columns):
 def test_reader_that_closes_the_pipe_ends_qsp_quietly():
     # the reader takes one line and closes the pipe.  The pipe holds one page
     # and the report is 20 KB, so qsp is still writing when it closes: it
-    # stops with 141 and writes nothing to stderr
+    # stops with 141 and writes nothing to stderr, with stdout buffered and
+    # unbuffered (PYTHONUNBUFFERED=1, where a write the closing pipe cuts
+    # short must not be dropped silently)
     fcntl = pytest.importorskip("fcntl")
     if not hasattr(fcntl, "F_SETPIPE_SZ"):
         pytest.skip("needs a pipe whose size can be set (Linux)")
-    read_end, write_end = os.pipe()
-    fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
-    # stdout stays buffered: unbuffered, CPython drops the rest of a write
-    # that the closing pipe cuts short, and exits 0
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(Path(qsp.cli.__file__).resolve().parents[1])
-    proc = subprocess.Popen(
-        [sys.executable, "-c", "from qsp.cli import main; main()",
-         "verify", "--type", "II", "--format", "json"],
-        stdin=subprocess.DEVNULL, stdout=write_end, stderr=subprocess.PIPE, env=env)
-    os.close(write_end)
-    with os.fdopen(read_end, "rb") as out:
-        assert out.readline() == b"{\n"
-    _, err = proc.communicate(timeout=60)
-    assert (proc.returncode, err) == (141, b"")
+    for unbuffered in ({}, {"PYTHONUNBUFFERED": "1"}):
+        read_end, write_end = os.pipe()
+        fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+        proc = subprocess.Popen(
+            [sys.executable, "-c", "from qsp.cli import main; main()",
+             "verify", "--type", "II", "--format", "json"],
+            stdin=subprocess.DEVNULL, stdout=write_end, stderr=subprocess.PIPE,
+            env={**env, **unbuffered})
+        os.close(write_end)
+        with os.fdopen(read_end, "rb") as out:
+            assert out.readline() == b"{\n"
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (141, b""), unbuffered
 
 
 # the console-script pins, which CI also replays through the installed qsp:

@@ -10,9 +10,16 @@ constructor against the same terms built by arithmetic, the stored form
 against the shape of SymPy's reduced fraction, a quotient by a single term
 against the product that undoes it, and in-place accumulation against
 ``a + b.scale(c)``.  Both libraries are test-only dependencies.
+
+The packed exponent keys are checked against plain loops over exponent
+tuples (``tuple_product`` below is the reference product), over one, two
+and five parameters, with exponents at and next to both ends of the stored
+range: a result inside the range must equal the loop's, and one with an
+exponent outside it must raise ``ResultTooLarge``, never alias another key.
 """
 
 from fractions import Fraction
+from operator import add, sub
 
 import pytest
 
@@ -24,7 +31,9 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from qsp.algebra import (  # noqa: E402
     CalculusType, Element, build_rule_table, local_confluence_check, mono)
 from qsp.calculus import run_suite  # noqa: E402
-from qsp.coeffs import PARAMS_II, NonMonomialDivisor, RationalFunction, _lp_mul  # noqa: E402
+from qsp.coeffs import (  # noqa: E402
+    EXPONENT_LIMIT, PARAMS_I, PARAMS_II, NonMonomialDivisor, ParamSet, RationalFunction,
+    ResultTooLarge)
 from qsp.exprio import parse_element  # noqa: E402
 from qsp.hopf import TensorElement, UElement  # noqa: E402
 
@@ -55,6 +64,22 @@ def rational_functions(draw):
     if kind == "const":
         return P.const(draw(nonzero))
     return draw(laurents(max_size=1 if kind == "monomial" else 4))
+
+
+def tuple_product(a, b):
+    """The product of two {exponent tuple: rational} dicts by the plain
+    dict loop, each term product a tuple sum: the reference for the packed
+    products."""
+    out = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = tuple(map(add, ma, mb))
+            s = out.get(m, 0) + ca * cb
+            if s:
+                out[m] = s
+            else:
+                del out[m]
+    return out
 
 
 def sympy_poly(p):
@@ -201,7 +226,7 @@ def single_term_pairs(draw):
 def test_single_term_product_matches_the_dict_loop(pair):
     a, b = pair
     got = a * b
-    want = RationalFunction(P, _lp_mul(a.lp, b.lp))
+    want = RationalFunction(P, tuple_product(a.lp, b.lp))
     assert got == want and got.lp == want.lp and got.integral == want.integral
     assert_canonical(got, to_sympy(a) * to_sympy(b))
     one = P.one()
@@ -388,3 +413,93 @@ def test_element_difference_is_sum_with_negation(pair):
     assert x.terms == x_before and y.terms == y_before
     z = x - x
     assert type(z) is type(x) and z.is_zero() and z == x._like({})
+
+
+# ----------------------------------------------------------------------------
+# Packed exponent keys: the edges of the stored range
+# ----------------------------------------------------------------------------
+
+L = EXPONENT_LIMIT
+PACKED_PARAMS = (PARAMS_I, PARAMS_II, ParamSet("five", ("a", "b", "c", "d", "e")))
+# stored exponents: small ones, and ones at and next to both ends of the range
+edge_exponents = st.one_of(st.integers(-3, 3), st.integers(-3, 3),
+                           st.sampled_from([-L, -L + 1, -L + 2, L - 3, L - 2, L - 1,
+                                            L // 2, -(L // 2)]))
+
+
+def in_range(e):
+    return -L <= e < L
+
+
+@st.composite
+def packed_pairs(draw):
+    """A parameter set of 1, 2 or 5 variables and two term dicts over it;
+    half the time the second is the first with some of its terms negated
+    and others dropped, so that terms of their product and sum cancel."""
+    P = draw(st.sampled_from(PACKED_PARAMS))
+    terms = st.dictionaries(st.tuples(*[edge_exponents] * P.nvars),
+                            st.one_of(integers, nonzero), min_size=1, max_size=4)
+    ta = draw(terms)
+    if draw(st.booleans()):
+        flips = draw(st.lists(st.sampled_from((1, -1, 0)), min_size=len(ta), max_size=len(ta)))
+        tb = {m: f * c for (m, c), f in zip(ta.items(), flips) if f} or dict(ta)
+    else:
+        tb = draw(terms)
+    return P, ta, tb
+
+
+@settings(max_examples=300, deadline=None)
+@given(packed_pairs())
+def test_packed_keys_match_the_tuple_loops(case):
+    P, ta, tb = case
+    a, b = RationalFunction(P, ta), RationalFunction(P, tb)
+    assert a.lp == ta and b.lp == tb
+    assert (a + b).lp == RationalFunction(P, {**ta, **{m: ta.get(m, 0) + c
+                                                      for m, c in tb.items()}}).lp
+    assert (a - b).lp == RationalFunction(P, {**ta, **{m: ta.get(m, 0) - c
+                                                      for m, c in tb.items()}}).lp
+    assert (a - a).is_zero() and (a + -a).lp == {}
+    # the product raises exactly when some pair of terms has an exponent sum
+    # outside the range, even where that term would cancel
+    if all(in_range(x + y) for ma in ta for mb in tb for x, y in zip(ma, mb)):
+        want = tuple_product(ta, tb)
+        got = a * b
+        assert got.lp == want and b * a == got
+        assert got == RationalFunction(P, want) and hash(got) == hash(RationalFunction(P, want))
+    else:
+        with pytest.raises(ResultTooLarge):
+            a * b
+        with pytest.raises(ResultTooLarge):
+            b * a
+    # a quotient by one term of b subtracts its exponents from every term
+    (mb, cb), = list(tb.items())[:1]
+    if all(in_range(x - y) for ma in ta for x, y in zip(ma, mb)):
+        want = {tuple(map(sub, m, mb)): Fraction(c) / cb for m, c in ta.items()}
+        assert (a / RationalFunction(P, {mb: cb})).lp == want
+    else:
+        with pytest.raises(ResultTooLarge):
+            a / RationalFunction(P, {mb: cb})
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(PACKED_PARAMS), st.data())
+def test_an_exponent_outside_the_range_is_never_stored(P, data):
+    # the constructor checks every exponent: one past either end is too large
+    i = data.draw(st.integers(0, P.nvars - 1))
+    bad = data.draw(st.sampled_from([L, L + 1, 2 * L, 2 ** 64, -L - 1, -2 ** 64, 10 ** 30]))
+    m = tuple(bad if j == i else data.draw(edge_exponents) for j in range(P.nvars))
+    with pytest.raises(ResultTooLarge):
+        RationalFunction(P, {m: 1})
+    with pytest.raises(ValueError):
+        RationalFunction(P, {m[:-1] + (0, 0): 1})
+    # powers reach both ends of the range and no further
+    v = P.var(P.variables[i])
+    assert (v ** (L - 1)).lp == {tuple(L - 1 if j == i else 0 for j in range(P.nvars)): 1}
+    assert (v ** -L).lp == {tuple(-L if j == i else 0 for j in range(P.nvars)): 1}
+    for n in (L, -L - 1, 2 ** 64):
+        with pytest.raises(ResultTooLarge):
+            v ** n
+    with pytest.raises(ResultTooLarge):
+        (v ** (L - 1) + P.one()) * v
+    with pytest.raises(ResultTooLarge):
+        (v ** -L - P.one()) / v

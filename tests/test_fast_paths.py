@@ -128,9 +128,9 @@ def test_const_of_int_matches_fraction_path(P, v):
     if v == 0:
         assert got is P.zero()
         return
-    want = _rational(P, {P.origin: Fraction(v)})
+    want = _rational(P, {P._origin: Fraction(v)})
     assert got == want and got.lp == want.lp and got.integral is want.integral
-    assert hash(got) == hash(want) and type(got.lp[P.origin]) is int
+    assert hash(got) == hash(want) and type(got.packed[P._origin]) is int
     assert (got is P.one()) == (v == 1)
 
 

@@ -15,15 +15,19 @@ Each case runs with ``site`` and without it (``-S``), and with the package's
 bytecode cached and compiled from source on every start.  The children run
 ``-I``, so no environment variable or user site directory reaches them, on a
 copy of the package made for the purpose; the checkout's own ``__pycache__``
-is neither read nor written.  Prints one JSON object: the median wall time
-of each series in milliseconds, and the modules each case loads beyond
-``start`` with the same flags.
+is neither read nor written.  Prints one JSON object with one entry per
+tree, in ``--src`` order: the median wall time of each series in
+milliseconds, and the modules each case loads beyond ``start`` with the
+same flags.
 
     python tools/coldstart.py > new.json
-    python tools/coldstart.py --src ../other/src > old.json
+    python tools/coldstart.py --src ../old/src --src src > both.json
 
-``--src`` names the ``src`` directory whose ``qsp`` is run (default: the one
-next to this script).  Standard library only.
+``--src`` names a ``src`` directory whose ``qsp`` is run (default: the one
+next to this script).  Given twice, it compares two trees: every run of a
+series starts both trees, one right after the other, so that the host's
+drift over the minutes a comparison takes falls on both alike.  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -66,40 +70,56 @@ def loaded(src: Path, flags: list[str], code: str) -> set[str]:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", default=str(ROOT / "src"), help="directory holding qsp")
+    parser.add_argument("--src", action="append",
+                        help="directory holding qsp; give it twice to compare two trees")
     args = parser.parse_args()
-    package = Path(args.src).resolve() / "qsp"
-    if not (package / "__init__.py").is_file():
-        sys.exit(f"error: no qsp package in {args.src}")
+    given = args.src or [str(ROOT / "src")]
+    if len(given) > 2:
+        sys.exit("error: --src compares at most two trees")
+    packages = [Path(src).resolve() / "qsp" for src in given]
+    for src, package in zip(given, packages):
+        if not (package / "__init__.py").is_file():
+            sys.exit(f"error: no qsp package in {src}")
 
+    trees = range(len(packages))
+    bytecodes = ("cached", "compiled")
     with tempfile.TemporaryDirectory() as tmp:
-        # one copy compiled ahead and one run with -B, so it never gets a cache
+        # per tree, one copy compiled ahead and one run with -B, so it never
+        # gets a cache
         srcs = {}
-        for bytecode in ("cached", "compiled"):
-            srcs[bytecode] = Path(tmp, bytecode)
-            shutil.copytree(package, srcs[bytecode] / "qsp",
-                            ignore=shutil.ignore_patterns("__pycache__"))
-        compileall.compile_dir(srcs["cached"], quiet=1)
+        for tree, package in zip(trees, packages):
+            for bytecode in bytecodes:
+                srcs[tree, bytecode] = Path(tmp, str(tree), bytecode)
+                shutil.copytree(package, srcs[tree, bytecode] / "qsp",
+                                ignore=shutil.ignore_patterns("__pycache__"))
+                if bytecode == "cached":
+                    compileall.compile_dir(srcs[tree, bytecode], quiet=1)
         series = [(case, bytecode, site) for case in CASES
-                  for bytecode in srcs for site in SITE]
-        times = {key: [] for key in series}
+                  for bytecode in bytecodes for site in SITE]
+        times = {(tree, *key): [] for tree in trees for key in series}
         for _ in range(RUNS):
             for case, bytecode, site in series:
                 flags = SITE[site] + (["-B"] if bytecode == "compiled" else [])
-                t0 = time.perf_counter()
-                child(srcs[bytecode], flags, CASES[case], stdout=subprocess.DEVNULL)
-                times[case, bytecode, site].append(time.perf_counter() - t0)
-        bare = {site: loaded(srcs["cached"], flags, CASES["start"])
-                for site, flags in SITE.items()}
-        modules = {case: {site: sorted(loaded(srcs["cached"], flags, code) - bare[site])
-                          for site, flags in SITE.items()}
-                   for case, code in CASES.items() if case != "start"}
+                for tree in trees:
+                    t0 = time.perf_counter()
+                    child(srcs[tree, bytecode], flags, CASES[case], stdout=subprocess.DEVNULL)
+                    times[tree, case, bytecode, site].append(time.perf_counter() - t0)
+        report = []
+        for tree, package in zip(trees, packages):
+            cached = srcs[tree, "cached"]
+            bare = {site: loaded(cached, flags, CASES["start"]) for site, flags in SITE.items()}
+            modules = {case: {site: sorted(loaded(cached, flags, code) - bare[site])
+                              for site, flags in SITE.items()}
+                       for case, code in CASES.items() if case != "start"}
+            median_ms = {case: {bytecode: {site: round(1000 * statistics.median(
+                             times[tree, case, bytecode, site]), 1) for site in SITE}
+                                for bytecode in bytecodes}
+                         for case in CASES}
+            report.append({"src": str(package.parent), "median_ms": median_ms,
+                           "modules": modules})
 
-    median_ms = {case: {bytecode: {site: round(1000 * statistics.median(
-                     times[case, bytecode, site]), 1) for site in SITE} for bytecode in srcs}
-                 for case in CASES}
-    print(json.dumps({"python": sys.version.split()[0], "src": str(package.parent),
-                      "runs": RUNS, "median_ms": median_ms, "modules": modules}, indent=1))
+    print(json.dumps({"python": sys.version.split()[0], "runs": RUNS, "trees": report},
+                     indent=1))
     return 0
 
 

@@ -693,13 +693,12 @@ class RuleTable:
         self._pending = {key for key in _X_INVERSE
                          if key not in rules and key[:2] + (1,) in rules}
         # (monomial, letter) -> product, and (monomial, monomial) -> product
-        # for the pairs _memo does not already answer; both hold coefficients
-        # interned in _pool (coefficient -> its canonical instance)
+        # for the pairs _memo does not already answer; an entry keeps the
+        # coefficients its product built, equal ones not interned into one
         self._memo: dict = {}
         self._pair_memo: dict = {}
         # (operator monomial, form monomial) -> vacuum part of their product
         self._act_memo: dict = {}
-        self._pool: dict = {}
         # (name, power) -> the value of a symbol of the expression language,
         # each evaluated once (exprio); the derived operators are (name, 1)
         self._symbols: dict = {}
@@ -780,19 +779,6 @@ class RuleTable:
 
     # -- multiplication ---------------------------------------------------------
 
-    def _store(self, memo: dict, key, e: Element) -> Element:
-        """Intern the coefficients of a fresh product ``e``, so that equal
-        coefficients across the memos are one object (for memory only: a
-        unit is the shared one already), and store it in ``memo``."""
-        pool = self._pool
-        one = self.params._one
-        terms = e.terms
-        for m, c in terms.items():
-            if c is not one:   # the shared one is most of them; skip its hash
-                terms[m] = pool.setdefault(c, c)
-        memo[key] = e
-        return e
-
     def _merged(self, m: Monomial) -> Element:
         """The monomial ``m`` with the shared one as its coefficient."""
         return _element(self.params, {m: self.params._one})
@@ -838,7 +824,8 @@ class RuleTable:
         acc: dict = {}
         for im, ic in inner.terms.items():
             _accumulate(acc, self.mul_mono_mono(head_t, im).terms, ic, one)
-        return self._store(self._memo, key, _element(self.params, acc))
+        e = self._memo[key] = _element(self.params, acc)
+        return e
 
     def mul_mono_mono(self, m1: Monomial, m2: Monomial) -> Element:
         letter = _LETTERS.get(m2)
@@ -861,7 +848,8 @@ class RuleTable:
                 return Element.zero(self.params)
             return self._merged(tuple(map(add, m1, m2)))
         if not any(m2[first + 1:]):
-            return self._store(self._pair_memo, key, self._mul_block(m1, first, m2[first]))
+            e = self._pair_memo[key] = self._mul_block(m1, first, m2[first])
+            return e
         e = self._merged(m1)
         for g, k in enumerate(m2):
             if k == 1 or k == -1:
@@ -869,7 +857,8 @@ class RuleTable:
             elif k:
                 # a power is one factor, which _mul_block splits
                 e = self._times(e, self.mul_mono_mono, _letter_mono((g, k)))
-        return self._store(self._pair_memo, key, e)
+        self._pair_memo[key] = e
+        return e
 
     def _times(self, e: Element, product, factor) -> Element:
         """A fresh element: the sum of c * product(m, factor) over the terms
@@ -953,7 +942,8 @@ class RuleTable:
             inner, acc = acc, {}
             for m, c in inner.items():
                 _accumulate(acc, self.mul_mono_mono(u, m).terms, c, one)
-        return self._store(self._act_memo, key, _element(self.params, acc))
+        e = self._act_memo[key] = _element(self.params, acc)
+        return e
 
     def normalize_word(self, word: Iterable[WordItem]) -> Element:
         e = Element.one(self.params)

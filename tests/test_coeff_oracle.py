@@ -359,9 +359,10 @@ def test_memoized_coefficients_are_laurent(name):
     rt = build_rule_table(CalculusType.by_name(name))
     assert local_confluence_check(rt, 3).ok
     assert run_suite(rt, bound=6)
-    pool = list(rt._pool)
-    assert len(pool) > 20
-    for c in pool:
+    held = {c for memo in (rt._memo, rt._pair_memo, rt._act_memo)
+            for e in memo.values() for c in e.terms.values()}
+    assert len(held) > 20
+    for c in held:
         assert c.integral, c
         assert all(type(v) is int for v in c.lp.values()), c.lp
 

@@ -1,8 +1,8 @@
 """A memo-free reference rewriter, checked against the engine.
 
 The engine multiplies by folding letters into canonical monomials, with two
-memos, log-depth splits of x^k, in-order shortcuts, interned coefficients and
-a one-dict accumulator.  The rewriter below shares none of that: it keeps a
+memos, log-depth splits of x^k, in-order shortcuts and a one-dict
+accumulator.  The rewriter below shares none of that: it keeps a
 plain dict from words (tuples of letters) to coefficients and rewrites the
 leftmost out-of-order adjacent pair of a word by its rule in ``rt.rules``
 (or cancels x*x^-1), until no such pair is left.  The exterior derivative d is replaced by

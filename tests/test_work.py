@@ -1,0 +1,63 @@
+"""Operation counts of the engine, pinned as ceilings: a ratchet on work.
+
+Wall time on a shared host drifts by a few percent between equal runs;
+operation counts do not.  Each case below counts, on a fresh table and
+including its build, the calls to
+
+- ``RationalFunction.__mul__``, every coefficient product;
+- ``coeffs._lp_mul``, the products of multi-term coefficients;
+- ``RuleTable.mul_mono_letter`` and ``RuleTable.mul_mono_mono``, memo hits
+  and recursive calls included;
+- ``RationalFunction.__hash__``, which normal ordering itself never needs,
+
+and asserts that each count is at most its pin.  The counts are the same
+under every hash seed and on every supported CPython.
+
+How the ratchet works: a change that lowers a count lowers its pin in the
+same commit, so that the gain cannot be lost again unseen.  A change that
+raises a count raises its pin in the same commit and says why in
+CHANGES.md.  The counting wrappers are installed by ``monkeypatch`` for the
+test alone; the engine carries no counter.
+"""
+
+import pytest
+
+from qsp import algebra, coeffs
+from qsp.algebra import CalculusType, build_rule_table, local_confluence_check
+from qsp.calculus import run_suite
+
+COUNTED = {
+    "products": (coeffs.RationalFunction, "__mul__"),
+    "lp_mul": (coeffs, "_lp_mul"),
+    "mul_mono_letter": (algebra.RuleTable, "mul_mono_letter"),
+    "mul_mono_mono": (algebra.RuleTable, "mul_mono_mono"),
+    "hashes": (coeffs.RationalFunction, "__hash__"),
+}
+
+# (run, type) -> the ceiling of each count, in the order of COUNTED
+PINS = {
+    ("run_suite", "I"): (2288, 82, 1754, 2854, 8),
+    ("run_suite", "II"): (3074, 267, 2232, 3584, 8),
+    ("run_suite", "III"): (2827, 184, 2092, 3200, 8),
+    ("audit", "II"): (23172, 1133, 17940, 18872, 0),
+}
+
+RUNS = {
+    "run_suite": lambda rt: run_suite(rt, 6),
+    "audit": lambda rt: local_confluence_check(rt, 4),
+}
+
+
+@pytest.mark.parametrize("run,name", list(PINS))
+def test_work_stays_within_its_pins(monkeypatch, run, name):
+    counts = dict.fromkeys(COUNTED, 0)
+    for key, (owner, attr) in COUNTED.items():
+        def counted(*args, _key=key, _inner=getattr(owner, attr), **kwargs):
+            counts[_key] += 1
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(owner, attr, counted)
+    RUNS[run](build_rule_table(CalculusType.by_name(name)))
+    # count names -> (count, pin), for each count above its pin
+    over = {key: (count, pin) for (key, count), pin in zip(counts.items(), PINS[run, name])
+            if count > pin}
+    assert not over, over

@@ -32,15 +32,36 @@ is not memoized: it is the merged monomial with the shared unit coefficient
 ``params.one()``, built directly, which costs less than a memo entry (and a
 single-letter right factor is recognized by a table lookup).  Every
 coefficient equal to 1 is ``params.one()`` already (``coeffs`` builds it
-so), in the rules as in the products.  Before a product is memoized, its
-coefficients are replaced by one canonical instance per value, which only
-keeps the memos from holding many equal copies.  A sum of
+so), in the rules as in the products.  A memo entry keeps the coefficients
+its product built, equal values not merged into one instance.  A sum of
 products, a memo miss's sum over its rule's terms included, is accumulated
 in one plain dict, monomial to coefficient, with a term dropped as soon as
 it cancels; a coefficient product is skipped when either factor is the
 shared unit, which most memo coefficients are.  A plain ``Element`` is built
 around that dict with no copy, and two over one parameter set compare by
 their terms alone.
+
+Monomials are packed.  The exponents (e_0, ..., e_8) of a monomial, one
+per generator in generator order, are stored as one int,
+``sum((e_g + 2^30) << 32*g)``: each exponent is a biased 32-bit field, and
+the unit monomial is ``ONE_MONO``, every field at the bias.  Every stored
+exponent lies in ``[-MONO_EXPONENT_LIMIT, MONO_EXPONENT_LIMIT)``, the limit
+being 2^30, so every field lies in ``[0, 2^31)`` and its top bit is clear.
+The product of two monomials in order is then one sum, ``m1 + m2 -
+ONE_MONO``: a field that leaves the range, the lowest one first, sets its
+top bit, so one test of the guard mask (every field's top bit) raises
+``ResultTooLarge`` (exit 2) instead of storing a key that would alias
+another monomial, as ``coeffs`` does for its exponents; ``mono`` checks
+each exponent it packs.  The last generator of a monomial is read off the
+``bit_length`` of ``m ^ ONE_MONO``, its first off the lowest set bit, a
+monomial splits into the generators up to g and those past it by two
+masks (``_head_tail``), and its parity is the ``bit_count`` of the low
+bits of the odd generators' fields.  The format is private to this
+module: other modules and the tests build monomials with ``mono``, read
+them with ``mono_exps`` and ``mono_exp``, and ask ``mono_str``,
+``mono_sort_key``, ``mono_parity``, ``mono_is_form`` and
+``mono_is_function``; a monomial is a hashable key, compared only for
+equality.
 
 Every generator block g^k with |k| >= 2 (a power of x, dth, px or ith) is
 split in half, on either side of a product.  A left block passes a letter as
@@ -78,7 +99,7 @@ with dx*px + dth*pth and keeping it independent would break confluence.
 A word is therefore read with each d expanded into that realization
 (``normalize_word`` multiplies by ``d_element()``), so normal forms are
 d-free and the multiplication core never sees d.  The monomial keeps an
-always-zero d slot only to fix the audit's order of d between th and px.  No
+always-zero d field only to fix the audit's order of d between th and px.  No
 rule table holds a rule for a pair involving d: the audit alone treats d as
 a letter, multiplied as ``d_element()`` in its steps as in its folds.
 """
@@ -89,7 +110,6 @@ from collections import namedtuple
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from itertools import product as _itproduct
-from operator import add
 
 from .coeffs import (
     PARAMS_I,
@@ -101,6 +121,7 @@ from .coeffs import (
     QspError,
     Rat,
     RationalFunction,
+    ResultTooLarge,
     _assignment_str,
 )
 
@@ -130,31 +151,58 @@ NGENS = len(GENS)
 GEN_INDEX = {g: i for i, g in enumerate(GENS)}
 DX, DTH, X, TH, D, PX, PTH, IX, ITH = range(NGENS)
 
-# Exponent domains: x ranges over all integers, nilpotent generators over
-# {0, 1}, the rest over the naturals.
+# Exponent domains: x ranges over [-MONO_EXPONENT_LIMIT, MONO_EXPONENT_LIMIT),
+# nilpotent generators over {0, 1}, the rest over [0, MONO_EXPONENT_LIMIT).
 NILPOTENT = frozenset({DX, TH, D, PTH, IX})
 OPERATOR_SECTOR = frozenset({D, PX, PTH, IX, ITH})
 
-Monomial = tuple  # length NGENS, integer exponents
-ONE_MONO: Monomial = (0,) * NGENS
+# A monomial is one int, a biased 32-bit field per generator in generator
+# order, generator g at bit 32*g (see the module docstring); one past the
+# limit raises ResultTooLarge.
+MONO_EXPONENT_LIMIT = 2 ** 30
+_FIELD = 2 ** 32 - 1
+_SHIFTS = range(0, 32 * NGENS, 32)
+Monomial = int
+ONE_MONO: Monomial = sum(MONO_EXPONENT_LIMIT << 32 * g for g in range(NGENS))
+_GUARD = ONE_MONO << 1                              # the top bit of every field
+_ODD = sum(1 << 32 * g for g in (DX, TH, D, PTH, IX))   # the odd generators' low bits
+_NOT_FUNCTION = sum(_FIELD << 32 * g for g in (DX, DTH, D, PX, PTH, IX, ITH))
+_OPERATORS = 32 * D                              # the first bit of the operator fields
+_ONE_OPERATORS = ONE_MONO >> _OPERATORS
+
+
+def _mono_too_large() -> ResultTooLarge:
+    return ResultTooLarge("result too large: a monomial has an exponent outside "
+                          "[-2^30, 2^30)")
+
+
+def mono_exp(m: Monomial, g: int) -> int:
+    """The exponent of generator ``g`` in ``m``."""
+    return (m >> 32 * g & _FIELD) - MONO_EXPONENT_LIMIT
+
+
+def mono_exps(m: Monomial) -> tuple:
+    """The exponents of ``m``, one per generator, in generator order."""
+    return tuple([(m >> s & _FIELD) - MONO_EXPONENT_LIMIT for s in _SHIFTS])
 
 
 def mono_parity(m: Monomial) -> int:
-    return (m[DX] + m[TH] + m[D] + m[PTH] + m[IX]) & 1
+    return (m & _ODD).bit_count() & 1
 
 
 def mono_degree(m: Monomial) -> int:
-    return sum(abs(e) for e in m)
+    return sum(map(abs, mono_exps(m)))
 
 
 def mono_sort_key(m: Monomial):
     # graded order; ties print earlier generators (higher powers) first
-    return (mono_degree(m), tuple(-e for e in m))
+    neg = [MONO_EXPONENT_LIMIT - (m >> s & _FIELD) for s in _SHIFTS]
+    return (sum(map(abs, neg)), tuple(neg))
 
 
 def mono_letters(m: Monomial):
     """Yield the monomial as atomic letters (gen index, +1/-1), left to right."""
-    for g, e in enumerate(m):
+    for g, e in enumerate(mono_exps(m)):
         if not e:
             continue
         s = 1 if e > 0 else -1
@@ -164,16 +212,16 @@ def mono_letters(m: Monomial):
 
 def mono_is_function(m: Monomial) -> bool:
     """True when the monomial is a pure coordinate word (x-powers and theta)."""
-    return not any(m[g] for g in (DX, DTH, D, PX, PTH, IX, ITH))
+    return not (m ^ ONE_MONO) & _NOT_FUNCTION
 
 
 def mono_is_form(m: Monomial) -> bool:
     """True when the monomial lives in the forms-times-coordinates sector."""
-    return not any(m[g] for g in OPERATOR_SECTOR)
+    return m >> _OPERATORS == _ONE_OPERATORS
 
 
 def mono(**exps: int) -> Monomial:
-    e = [0] * NGENS
+    m = ONE_MONO
     for name, k in exps.items():
         if name not in GEN_INDEX:
             raise UnsupportedGenerator(f"unknown generator {name!r}")
@@ -184,14 +232,44 @@ def mono(**exps: int) -> Monomial:
             raise UnsupportedGenerator(f"negative power of {name!r} is not invertible")
         if k > 1 and g in NILPOTENT:
             raise UnsupportedGenerator(f"{name!r} is nilpotent; its powers above 1 are 0")
-        e[g] = k
-    return tuple(e)
+        if not -MONO_EXPONENT_LIMIT <= k < MONO_EXPONENT_LIMIT:
+            raise _mono_too_large()
+        m += k << 32 * g
+    return m
 
 
 def _letter_mono(letter: tuple) -> Monomial:
     """The monomial g^k of a letter (g, +1/-1) or of a block (g, k)."""
     g, k = letter
-    return (0,) * g + (k,) + (0,) * (NGENS - 1 - g)
+    return ONE_MONO + (k << 32 * g)
+
+
+def _merge(m1: Monomial, m2: Monomial) -> Monomial:
+    """The monomial m1*m2 for m1 in order with m2: one sum, whose guard
+    test raises ResultTooLarge for an exponent past the limit."""
+    m = m1 + m2 - ONE_MONO
+    if m & _GUARD:
+        raise _mono_too_large()
+    return m
+
+
+def _last_gen(m: Monomial) -> int:
+    """The last generator of ``m`` (-1 for the unit)."""
+    return ((m ^ ONE_MONO).bit_length() - 1) >> 5
+
+
+def _first_gen(m: Monomial) -> int:
+    """The first generator of ``m`` (NGENS for the unit)."""
+    z = m ^ ONE_MONO
+    return ((z & -z).bit_length() - 1) >> 5 if z else NGENS
+
+
+def _head_tail(m: Monomial, g: int) -> tuple:
+    """``m = head*tail``: head the generators of ``m`` up to ``g``, tail
+    those past it."""
+    low = (1 << 32 * (g + 1)) - 1
+    head = m & low | ONE_MONO & ~low
+    return head, m - head + ONE_MONO
 
 
 def _half(k: int) -> int:
@@ -231,8 +309,8 @@ def word_letters(word: Iterable[WordItem]):
 
 def mono_str(m: Monomial) -> str:
     """A monomial as text, e.g. ``dx*x^-2*th``; the unit monomial is ``1``."""
-    return "*".join(GENS[g] if e == 1 else f"{GENS[g]}^{e}"
-                    for g, e in enumerate(m) if e) or "1"
+    return "*".join([GENS[g] if e == 1 else f"{GENS[g]}^{e}"
+                     for g, e in enumerate(mono_exps(m)) if e]) or "1"
 
 
 _new = object.__new__
@@ -392,9 +470,9 @@ class Element:
         return all(mono_is_function(m) for m in self.terms)
 
     def is_form_sector(self) -> bool:
-        # mono_is_form on each term: the operator letters are D and after
+        # mono_is_form on each term: the operator fields are D's and after
         for m in self.terms:
-            if any(m[D:]):
+            if m >> _OPERATORS != _ONE_OPERATORS:
                 return False
         return True
 
@@ -601,7 +679,7 @@ _CARTAN = {DX: (PX, IX, 1), DTH: (PTH, ITH, -1)}
 # each coordinate -> its differential and the sign of its rule keys
 _COORD = {X: (DX, 1), TH: (DTH, 0)}
 # a monomial of two letters -> the pair; a pair in order -> its monomial
-_PAIR = {(a, b): tuple(int(i in (a, b)) for i in range(NGENS))
+_PAIR = {(a, b): ONE_MONO + (1 << 32 * a) + (1 << 32 * b)
          for a in range(NGENS) for b in range(a + 1, NGENS)}
 _SPLIT = {m: pair for pair, m in _PAIR.items()}
 
@@ -789,19 +867,13 @@ class RuleTable:
         if hit is not None:
             return hit
         g, s = letter
-        j = -1
-        for i in range(NGENS - 1, -1, -1):
-            if m[i]:
-                j = i
-                break
-        k = m[j]
+        j = _last_gen(m)
         # a letter that needs no rewrite is cheaper to apply than to memoize
         if g >= j:
             if g == j and g in NILPOTENT:
                 return Element.zero(self.params)
-            mm = list(m)
-            mm[g] += s
-            return self._merged(tuple(mm))
+            return self._merged(_merge(m, _letter_mono(letter)))
+        k = mono_exp(m, j)
         # m = h*a^k with a the generator j: m*g = h*a^(k-b) (a^b g), where
         # a^b g is the rule for |k| = 1 and otherwise b = k/2 rounded toward
         # zero, so the recursion depth is logarithmic in k, not linear
@@ -817,13 +889,11 @@ class RuleTable:
                     raise UnsupportedGenerator(
                         f"no rewrite rule for {GENS[j]}^{k}*{GENS[g]}^{s if g == X else 1}")
                 inner = self._solve([rule])
-        head = list(m)
-        head[j] = k - b
-        head_t = tuple(head)
+        head = m - (b << 32 * j)
         one = self.params._one
         acc: dict = {}
         for im, ic in inner.terms.items():
-            _accumulate(acc, self.mul_mono_mono(head_t, im).terms, ic, one)
+            _accumulate(acc, self.mul_mono_mono(head, im).terms, ic, one)
         e = self._memo[key] = _element(self.params, acc)
         return e
 
@@ -835,23 +905,21 @@ class RuleTable:
         hit = self._pair_memo.get(key)
         if hit is not None:
             return hit
-        first = 0
-        while first < NGENS and not m2[first]:
-            first += 1
-        last = NGENS - 1
-        while last >= 0 and not m1[last]:
-            last -= 1
-        if last < first or last == first:
+        first = _first_gen(m2)
+        last = _last_gen(m1)
+        if last <= first:
             # already in order, or m1 ends in the block m2 starts with: the
             # product is the merged monomial, or zero for a nilpotent block
             if last == first and first in NILPOTENT:
                 return Element.zero(self.params)
-            return self._merged(tuple(map(add, m1, m2)))
-        if not any(m2[first + 1:]):
-            e = self._pair_memo[key] = self._mul_block(m1, first, m2[first])
+            return self._merged(_merge(m1, m2))
+        end = _last_gen(m2)
+        if end == first:
+            e = self._pair_memo[key] = self._mul_block(m1, first, mono_exp(m2, first))
             return e
         e = self._merged(m1)
-        for g, k in enumerate(m2):
+        for g in range(first, end + 1):
+            k = mono_exp(m2, g)
             if k == 1 or k == -1:
                 e = self._times(e, self.mul_mono_letter, (g, k))
             elif k:
@@ -878,9 +946,8 @@ class RuleTable:
         toward zero, as ``mul_mono_letter`` splits a left factor, so the memo
         gains O(log k) entries per tail, not k.
         """
-        head = m[:g + 1] + (0,) * (NGENS - 1 - g)
-        if any(head):
-            tail = (0,) * (g + 1) + m[g + 1:]
+        head, tail = _head_tail(m, g)
+        if head != ONE_MONO:
             return self.mul(self._merged(head), self.mul_mono_mono(tail, _letter_mono((g, k))))
         b = _half(k)
         return self._times(self.mul_mono_mono(m, _letter_mono((g, b))),
@@ -921,24 +988,18 @@ class RuleTable:
         hit = self._act_memo.get(key)
         if hit is not None:
             return hit
-        if not any(mo[D:]):
+        if mono_is_form(mo):
             return self.mul_mono_mono(mo, mf)
         if mf == ONE_MONO:
             return Element.zero(self.params)
-        g = 0
-        while not mf[g]:
-            g += 1
-        block = [0] * NGENS
-        block[g] = mf[g]
-        rest = list(mf)
-        rest[g] = 0
-        rest_t = tuple(rest)
+        # mf = block*rest: its first generator block is all of its head
+        block, rest = _head_tail(mf, _first_gen(mf))
+        u, o = _head_tail(mo, D - 1)
         one = self.params.one()
         acc: dict = {}
-        for t, c in self.mul_mono_mono((0,) * D + mo[D:], tuple(block)).terms.items():
-            _accumulate(acc, self._act_mono(t, rest_t).terms, c, one)
-        u = mo[:D] + (0,) * (NGENS - D)
-        if any(u):
+        for t, c in self.mul_mono_mono(o, block).terms.items():
+            _accumulate(acc, self._act_mono(t, rest).terms, c, one)
+        if u != ONE_MONO:
             inner, acc = acc, {}
             for m, c in inner.items():
                 _accumulate(acc, self.mul_mono_mono(u, m).terms, c, one)

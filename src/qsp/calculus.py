@@ -34,7 +34,6 @@ from itertools import product
 from .coeffs import QspError, RationalFunction, qnumber
 from .algebra import (
     COEFF_NAMES,
-    IX,
     CalculusType,
     Element,
     RuleTable,
@@ -432,7 +431,7 @@ _word("eq71-nabla-th", "(71)", "Nb*th == x - Q11*th*Nb - Q22*x*H", kind=ACTION)
 @_entry("eq73-inner-on-exterior", "(73)", ACTION)
 def _eq73_residuals(rt: RuleTable, bound: int):
     for i, g in product(("ix", "ith"), _COORDINATES):
-        yield Element(rt.params, {m: c for m, c in rt.word(i, g).terms.items() if not any(m[IX:])})
+        yield rt.word(i, g).vacuum()
     for id_ in ("eq82-cartan-factor-x", "eq82-cartan-factor-th"):
         yield from _CATALOG[id_].residuals(rt, bound)
 

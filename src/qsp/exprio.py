@@ -40,6 +40,7 @@ from .algebra import (
     Element,
     RuleTable,
     mono,
+    mono_exp,
     mono_sort_key,
     mono_str,
 )
@@ -278,9 +279,10 @@ def _element_power(rt: RuleTable, e: Element, n: int) -> Element:
         return Element.scalar(P, e.scalar_value() ** n)
     if len(e.terms) == 1:
         (m, c), = e.terms.items()
-        if m == mono(x=m[X]):
+        k = mono_exp(m, X)
+        if m == mono(x=k):
             # x^k is invertible and commutes with scalars
-            return Element.monomial(P, mono(x=m[X] * n), c ** n)
+            return Element.monomial(P, mono(x=k * n), c ** n)
     if n < 0:
         raise BadExponent("negative powers require a scalar or x")
     # an operator is multiplied by itself n-1 times: squaring would multiply

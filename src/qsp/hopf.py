@@ -38,6 +38,8 @@ from .algebra import (
     UnsupportedGenerator,
     _reducible,
     mono,
+    mono_exp,
+    mono_exps,
     mono_parity,
     mono_str,
     rule_coeffs,
@@ -72,7 +74,7 @@ class TensorElement(Element):
         if not self.terms:
             return "<0 (x) 0>"
         bits = []
-        for k, c in sorted(self.terms.items()):
+        for k, c in sorted(self.terms.items(), key=lambda kv: tuple(map(mono_exps, kv[0]))):
             slot = " (x) ".join(mono_str(m) for m in k)
             bits.append(f"({c})*[{slot}]")
         return " + ".join(bits)
@@ -187,7 +189,7 @@ def coaction(rt: RuleTable, blocks: Iterable[tuple], side: str) -> TensorElement
 
 
 def coaction_mono(rt: RuleTable, m: Monomial, side: str) -> TensorElement:
-    return coaction(rt, [(g, k) for g, k in enumerate(m) if k], side)
+    return coaction(rt, [(g, k) for g, k in enumerate(mono_exps(m)) if k], side)
 
 
 def coaction_element(rt: RuleTable, e: Element, side: str) -> TensorElement:
@@ -204,7 +206,7 @@ def coproduct_A(rt: RuleTable, e: Element) -> TensorElement:
 
 def counit_A(rt: RuleTable, e: Element) -> RationalFunction:
     _require_function(e)
-    return sum((c for m, c in e.terms.items() if not m[TH]), rt.params.zero())
+    return sum((c for m, c in e.terms.items() if not mono_exp(m, TH)), rt.params.zero())
 
 
 def antipode_A(rt: RuleTable, e: Element) -> Element:
@@ -214,7 +216,7 @@ def antipode_A(rt: RuleTable, e: Element) -> Element:
     s_th = rt.normalize_word([("x", -1), "th", ("x", -1)]).scale(-1)
     out = Element.zero(P)
     for m, c in e.terms.items():
-        k, eps = m[X], m[TH]
+        k, eps = mono_exp(m, X), mono_exp(m, TH)
         img = Element.monomial(P, mono(x=-k))
         if eps:
             # S(x^k th) = S(th) S(x^k); both coordinate factors, x^k is even
@@ -481,7 +483,7 @@ def left_act(rt: RuleTable, u: UElement, a: Element) -> Element:
     out = Element.zero(P)
     for (i, j, n), cu in u.terms.items():
         for m, c in (rt.act(nb, a) if n else a).terms.items():
-            deg = m[X] + m[TH]
+            deg = mono_exp(m, X) + mono_exp(m, TH)
             scale = (rt.ct.Q ** (i * deg)) * (rt.ct.Q11 ** (j * deg))
             out.add_term(m, c * scale * cu)
     return out

@@ -87,6 +87,12 @@ def test_normalize_result_too_large(capsys):
     assert code == 2 and out == "" and err.startswith("error: result too large")
     code, out, _ = invoke(capsys, "normalize", "--type", "II", "((q^10000)^10000)^10000*x")
     assert code == 0 and out == "q^1000000000000*x\n"
+    # a monomial stores each exponent in [-2^30, 2^30)
+    # (algebra.MONO_EXPONENT_LIMIT): 10^12 cannot be stored, 10^8 can
+    code, out, err = invoke(capsys, "normalize", "--type", "II", "((x^10000)^10000)^10000")
+    assert code == 2 and out == "" and err.startswith("error: result too large")
+    code, out, _ = invoke(capsys, "normalize", "--type", "II", "(x^10000)^10000")
+    assert code == 0 and out == "x^100000000\n"
 
 
 def test_normalize_long_right_x_power(capsys):

@@ -11,8 +11,13 @@ stands in for, which the tests keep as their oracle.
   with the term-by-term loop, for plain, tensor and dual-sector elements;
   it and ``+`` raise TypeError on an operand of another kind and ValueError
   on one over another parameter set.
-- ``Element.is_form_sector`` slices the operator letters off each
+- ``Element.is_form_sector`` shifts the operator fields out of each
   monomial: it must agree with ``mono_is_form``.
+- A monomial is one int, a biased field per generator: ``mono`` and its
+  decoder, the in-order product, the first and last generator, the split at
+  a generator and the predicates must agree with the same operations on
+  exponent tuples, and an exponent past ``MONO_EXPONENT_LIMIT`` must raise
+  ``ResultTooLarge``, never alias another monomial.
 """
 
 import operator
@@ -25,9 +30,12 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import HealthCheck, example, given, settings, strategies as st  # noqa: E402
 
-from qsp.algebra import (D, GENS, NGENS, CalculusType, Element, build_rule_table,  # noqa: E402
-                         mono_is_form)
-from qsp.coeffs import PARAMS_I, PARAMS_II, PARAMS_III, _rational  # noqa: E402
+from qsp.algebra import (  # noqa: E402
+    D, DTH, DX, GENS, IX, MONO_EXPONENT_LIMIT, NGENS, NILPOTENT, OPERATOR_SECTOR, PTH, TH, X,
+    CalculusType, Element, _first_gen, _head_tail, _last_gen, build_rule_table, mono,
+    mono_degree, mono_exp, mono_exps, mono_is_form, mono_is_function, mono_parity,
+    mono_sort_key, mono_str)
+from qsp.coeffs import PARAMS_I, PARAMS_II, PARAMS_III, ResultTooLarge, _rational  # noqa: E402
 from qsp.exprio import ExprSyntaxError, tokenize  # noqa: E402
 from qsp.hopf import UElement, coproduct_A  # noqa: E402
 
@@ -234,9 +242,96 @@ def test_sub_matches_term_loop(tables, data, name, kind, how, from_zero):
         assert got.is_zero()
 
 
-# operator-sector exponents are mostly 0, so that both answers occur often
-MONOMIALS = st.tuples(*[st.integers(-2, 2)] * D,
-                      *[st.sampled_from((0, 0, 0, 0, 1, 2))] * (NGENS - D))
+# ----------------------------------------------------------------------------
+# Packed monomials, with exponent tuples as the oracle
+# ----------------------------------------------------------------------------
+
+L = MONO_EXPONENT_LIMIT
+
+
+def _exponents(g):
+    """One generator's exponents: x over a wide signed range past both ends
+    of the limit, d never, a nilpotent generator 0/1, the rest small or at
+    the limit's edge; operator-sector exponents are mostly 0, so that both
+    answers of the sector predicates occur often."""
+    if g == X:
+        return st.one_of(st.integers(-3, 3), st.integers(-2 * L, 2 * L),
+                         st.sampled_from((-L - 1, -L, L - 1, L)))
+    if g == D:
+        return st.just(0)
+    if g in NILPOTENT:
+        return st.sampled_from((0, 0, 1) if g in OPERATOR_SECTOR else (0, 1))
+    return st.sampled_from((0, 0, 0, 0, 1, 2, L - 1) if g in OPERATOR_SECTOR
+                           else (0, 1, 2, 3, L - 1))
+
+
+def in_range(exps):
+    return all(-L <= e < L for e in exps)
+
+
+def packed(exps):
+    return mono(**{GENS[g]: e for g, e in enumerate(exps) if e})
+
+
+EXPONENT_TUPLES = st.tuples(*[_exponents(g) for g in range(NGENS)])
+MONOMIALS = EXPONENT_TUPLES.filter(in_range).map(packed)
+
+
+@PROPERTY
+@given(EXPONENT_TUPLES)
+@example((0,) * NGENS)
+@example((0, 0, L - 1, 0, 0, 0, 0, 0, 0))
+@example((0, 0, -L, 0, 0, 0, 0, 0, 0))
+@example((0, 0, L, 0, 0, 0, 0, 0, 0))
+@example((0, 0, -L - 1, 0, 0, 0, 0, 0, 0))
+@example((1, L - 1, -L, 1, 0, L - 1, 1, 1, L - 1))
+def test_packed_monomial_matches_exponent_tuple(exps):
+    if not in_range(exps):
+        with pytest.raises(ResultTooLarge):
+            packed(exps)
+        return
+    m = packed(exps)
+    assert mono_exps(m) == exps
+    assert [mono_exp(m, g) for g in range(NGENS)] == list(exps)
+    used = [g for g, e in enumerate(exps) if e]
+    assert _last_gen(m) == max(used, default=-1)
+    assert _first_gen(m) == min(used, default=NGENS)
+    for g in range(NGENS):
+        head, tail = _head_tail(m, g)
+        assert mono_exps(head) == exps[:g + 1] + (0,) * (NGENS - 1 - g)
+        assert mono_exps(tail) == (0,) * (g + 1) + exps[g + 1:]
+    assert mono_parity(m) == (exps[DX] + exps[TH] + exps[D] + exps[PTH] + exps[IX]) & 1
+    assert mono_degree(m) == sum(abs(e) for e in exps)
+    assert mono_sort_key(m) == (sum(abs(e) for e in exps), tuple(-e for e in exps))
+    assert mono_is_form(m) == (not any(exps[D:]))
+    assert mono_is_function(m) == (not any(exps[g] for g in (DX, DTH, D, *OPERATOR_SECTOR)))
+    assert mono_str(m) == ("*".join(GENS[g] if e == 1 else f"{GENS[g]}^{e}"
+                                    for g, e in enumerate(exps) if e) or "1")
+
+
+@PROPERTY
+@given(a=EXPONENT_TUPLES.filter(in_range), b=EXPONENT_TUPLES.filter(in_range),
+       g=st.integers(0, NGENS - 1))
+@example(a=(0, 0, L - 1, 0, 0, 0, 0, 0, 0), b=(0, 0, 1, 0, 0, 0, 0, 0, 0), g=X)
+@example(a=(0, 0, -L, 0, 0, 0, 0, 0, 0), b=(0, 0, -1, 0, 0, 0, 0, 0, 0), g=X)
+@example(a=(0, L - 1, 0, 0, 0, 0, 0, 0, 0), b=(0, 2, 0, 0, 0, 0, 0, 0, 0), g=DTH)
+@example(a=(0, 0, 0, 0, 0, 0, 0, 0, L - 1), b=(0, 0, 0, 0, 0, 0, 0, 0, L - 1), g=NGENS - 1)
+def test_in_order_product_is_the_exponent_sum(tables, a, b, g):
+    # m1 ends at or before g, m2 starts at or after g, so the product is in
+    # order: the merged monomial, zero for a nilpotent g in both, or too large
+    rt = tables["II"]
+    a = a[:g + 1] + (0,) * (NGENS - 1 - g)
+    b = (0,) * g + b[g:]
+    want = tuple(x + y for x, y in zip(a, b))
+    if g in NILPOTENT and a[g] and b[g]:
+        assert rt.mul_mono_mono(packed(a), packed(b)).is_zero()
+    elif in_range(want):
+        e = rt.mul_mono_mono(packed(a), packed(b))
+        assert [mono_exps(m) for m in e.terms] == [want]
+        assert e.terms[packed(want)] is rt.params.one()
+    else:
+        with pytest.raises(ResultTooLarge):
+            rt.mul_mono_mono(packed(a), packed(b))
 
 
 @PROPERTY

@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E
 
 from qsp.algebra import (  # noqa: E402
     D, DTH, DX, GENS, NGENS, PTH, PX, X,
-    CalculusType, Element, build_rule_table, mono_letters, word_letters,
+    CalculusType, Element, build_rule_table, mono, mono_letters, word_letters,
 )
 from test_algebra import _broken_table  # noqa: E402
 
@@ -80,7 +80,9 @@ def reference_normal_form(rt, word):
                 exps[g] += s
             m = tuple(exps)
             out[m] = out.get(m, rt.params.zero()) + c
-    return Element(rt.params, out)
+    # the words' exponent tuples become the engine's monomials only here
+    return Element(rt.params, {mono(**{GENS[g]: e for g, e in enumerate(m) if e}): c
+                               for m, c in out.items()})
 
 
 SPECIALIZED = {"I": ("I", {}), "II": ("II", {}), "III": ("III", {}),

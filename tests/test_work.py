@@ -25,6 +25,7 @@ import pytest
 from qsp import algebra, coeffs
 from qsp.algebra import CalculusType, build_rule_table, local_confluence_check
 from qsp.calculus import run_suite
+from qsp.exprio import parse_element
 
 COUNTED = {
     "products": (coeffs.RationalFunction, "__mul__"),
@@ -40,11 +41,19 @@ PINS = {
     ("run_suite", "II"): (3074, 267, 2232, 3584, 8),
     ("run_suite", "III"): (2827, 184, 2092, 3200, 8),
     ("audit", "II"): (23172, 1133, 17940, 18872, 0),
+    # one small input of each heavy family, read by exprio.parse_element: the
+    # block splits and powers that the catalog and the audit barely reach
+    ("H^10", "II"): (450, 84, 472, 565, 0),
+    ("px^3*x^100", "II"): (406, 114, 100, 699, 0),
+    ("ith^8*dth^8", "II"): (143, 42, 79, 164, 0),
+    ("(1+r)^200", "II"): (32, 9, 0, 0, 0),
 }
 
 RUNS = {
     "run_suite": lambda rt: run_suite(rt, 6),
     "audit": lambda rt: local_confluence_check(rt, 4),
+    **{text: lambda rt, text=text: parse_element(rt, text)
+       for text in ("H^10", "px^3*x^100", "ith^8*dth^8", "(1+r)^200")},
 }
 
 

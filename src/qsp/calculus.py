@@ -8,7 +8,7 @@ to FAIL at the parameter families where the difference is visible, and they
 never affect the process exit code.  The suffix is the rule:
 ``KNOWN_DISCREPANCY_IDS`` is read off it.
 
-Every entry is a function ``residuals(rt, bound)`` that yields residuals,
+Every entry is a function ``residuals(rt)`` that yields residuals,
 all zero when the identity holds.  ``verify_identity`` turns them into the
 reported certificate by one rule, ``_first_nonzero``: the first nonzero
 residual in order (iteration stops there), or zero.  An Element certifies
@@ -17,9 +17,10 @@ certifies as the product of its slots, ``hopf.collapse``; when those
 products cancel, as its first coefficient.
 
 Entries register through ``_entry(id, anchor, kind, residuals)``, as a call
-or a decorator, and ``_word`` registers relations written as text.  Only eq3,
-eq33 and eq64-antipode-as-printed sample the coordinate basis up to the bound;
-every other entry checks finitely many premises that prove it.
+or a decorator, and ``_word`` registers relations written as text.  Every
+entry that can PASS checks finitely many premises that prove it; only the
+expected FAIL eq64-antipode-as-printed scans a fixed set of coordinates for
+a witness.
 """
 
 from __future__ import annotations
@@ -35,10 +36,12 @@ from .coeffs import QspError, RationalFunction, qnumber
 from .algebra import (
     COEFF_NAMES,
     CalculusType,
+    D,
     Element,
     RuleTable,
     act_on_function,
     exterior_derivative,
+    local_confluence_check,
     mono,
 )
 from . import covariance as cov
@@ -79,7 +82,7 @@ class VerifyResult(namedtuple("VerifyResult",
 
 
 class Identity(namedtuple("Identity", "identityId paperAnchor kind residuals")):
-    """A catalog entry: ``kind`` is WORD or ACTION, and ``residuals(rt, bound)``
+    """A catalog entry: ``kind`` is WORD or ACTION, and ``residuals(rt)``
     yields the residuals that vanish when the identity holds."""
     __slots__ = ()
 
@@ -107,7 +110,7 @@ WORD, ACTION = "word-level", "action-level"
 
 
 def _entry(id_: str, anchor: str, kind: str, residuals=None):
-    """Register the entry whose ``residuals(rt, bound)`` ``_first_nonzero``
+    """Register the entry whose ``residuals(rt)`` ``_first_nonzero``
     certifies, and return ``residuals``.  Without ``residuals``, a decorator
     that registers the function it decorates."""
     if residuals is None:
@@ -116,7 +119,7 @@ def _entry(id_: str, anchor: str, kind: str, residuals=None):
     return residuals
 
 
-def _word_residuals(relations: Iterable[str], rt: RuleTable, bound: int):
+def _word_residuals(relations: Iterable[str], rt: RuleTable):
     """The residuals of ``lhs == rhs`` relations as words: the differences
     of the two normal forms, in order."""
     for relation in relations:
@@ -139,12 +142,11 @@ _word("eq11-th-dth", "(11)", "th*dth == dth*th")
 _word("eq12-two-form", "(12)", "dx*dth == Qp*dth*dx")
 _word("eq12-dx-square", "(12)", "dx*dx == 0")
 
-_entry("eq18-covariance-constraints", "(18)", WORD,
-       lambda rt, bound: rt.ct.covariance_residuals())
+_entry("eq18-covariance-constraints", "(18)", WORD, lambda rt: rt.ct.covariance_residuals())
 
 
 @_entry("eq23-25-families", "(23)-(25)", WORD)
-def _families_residuals(rt: RuleTable, bound: int):
+def _families_residuals(rt: RuleTable):
     for mode, conditions in cov.FAMILY_SIDE_CONDITIONS:
         want = CalculusType.by_name(mode)
         got = cov.solve_family(conditions, want.params)
@@ -155,7 +157,7 @@ def _families_residuals(rt: RuleTable, bound: int):
 
 
 @_entry("eq26-bicovariance", "(26)", ACTION)
-def _eq26_residuals(rt: RuleTable, bound: int):
+def _eq26_residuals(rt: RuleTable):
     for w in [["x"], ["th"], [("x", -1)], ["x", "th"], ["th", "x"], ["x", "x"], [("x", -1), "th"]]:
         yield from cov.bicovariance_residuals(rt, w)
 
@@ -168,7 +170,7 @@ _COORDINATE_MONOS = (mono(x=1), mono(x=-1), mono(th=1))
 _DIFFERENTIALS = _COORDINATES + ("dx", "dth")
 
 
-def _coaction_axioms_residuals(side: str, rt: RuleTable, bound: int):
+def _coaction_axioms_residuals(side: str, rt: RuleTable):
     yield from hopf.relation_residuals(rt, partial(hopf.coaction_element, side=side),
                                        hopf.rule_relations(rt, _DIFFERENTIALS))
     for g in _DIFFERENTIALS:
@@ -182,14 +184,14 @@ _entry("eq20-left-coaction-axioms", "(20)", ACTION,
 
 
 @_entry("eq17-constraint-extraction", "(17)-(18)", ACTION)
-def _eq17_note_residuals(rt: RuleTable, bound: int):
+def _eq17_note_residuals(rt: RuleTable):
     cc = cov.generate_covariance_constraints()
     ok = cov.spans_match(cc.right, cov.expected_covariance_constraints()) and not cc.left
     return [rt.params.zero() if ok else rt.params.one()]
 
 
 @_entry("eq9-hopf-axioms", "(9)", ACTION)
-def _eq9_residuals(rt: RuleTable, bound: int):
+def _eq9_residuals(rt: RuleTable):
     relations = list(hopf.rule_relations(rt, _COORDINATES))
     for f, anti in ((hopf.coproduct_A, False), (hopf._counit, False), (hopf.antipode_A, True)):
         yield from hopf.relation_residuals(rt, f, relations, anti)
@@ -198,9 +200,9 @@ def _eq9_residuals(rt: RuleTable, bound: int):
 
 
 # (6) and (12) are about the displayed relations, so they read the typed rules
-_entry("eq6-coproduct-kills-relations", "(6)", ACTION, lambda rt, bound: hopf.relation_residuals(
+_entry("eq6-coproduct-kills-relations", "(6)", ACTION, lambda rt: hopf.relation_residuals(
     rt, hopf.coproduct_A, hopf.rule_relations(rt, _COORDINATES, typed=True)))
-_entry("eq12-coaction-compatible", "(12)", ACTION, lambda rt, bound: hopf.relation_residuals(
+_entry("eq12-coaction-compatible", "(12)", ACTION, lambda rt: hopf.relation_residuals(
     rt, partial(hopf.coaction_element, side="right"),
     hopf.rule_relations(rt, ("dx", "dth"), typed=True)))
 
@@ -215,9 +217,9 @@ _word("eq29-omega-commute", "(29)", "wx*wth == wth*wx")
 _word("eq29-omegax-square", "(29)", "wx*wx == 0")
 
 _entry("eq30-w-coproduct-relations", "(30)", ACTION,
-       lambda rt, bound: hopf.w_relation_residuals(rt, "coproduct"))
+       lambda rt: hopf.w_relation_residuals(rt, "coproduct"))
 _entry("eq32-w-antipode-relations", "(32)", ACTION,
-       lambda rt, bound: hopf.w_relation_residuals(rt, "antipode"))
+       lambda rt: hopf.w_relation_residuals(rt, "antipode"))
 
 
 # partial derivatives ----------------------------------------------------------
@@ -243,7 +245,7 @@ _word("eq38-maurer-dth", "(38)", "wx*th + wth*x == dth")
 _word("eq39-d-decomposition", "(39)", "wx*H + wth*Nb == d")
 
 
-_entry("eq40-maurer-closed", "(40)", ACTION, lambda rt, bound: (
+_entry("eq40-maurer-closed", "(40)", ACTION, lambda rt: (
     exterior_derivative(rt, expand_derived(rt, w)) for w in ("wx", "wth")))
 
 
@@ -258,8 +260,7 @@ _word("eq44-H-dth", "(44)", "H*dth == dth*H")
 _word("eq44-nabla-dx", "(44)", "Nb*dx == Q*Q21^-1*dx*Nb")
 _word("eq44-nabla-dth", "(44)", "Nb*dth == Q11*dth*Nb + Q12*dx*H")
 
-_entry("eq45-structure-identities", "(45)", WORD,
-       lambda rt, bound: rt.ct.structure_residuals())
+_entry("eq45-structure-identities", "(45)", WORD, lambda rt: rt.ct.structure_residuals())
 
 _word("eq46-H-omegax", "(46)", "H*wx == -Q^-1*wx + Q^-1*wx*H")
 _word("eq46-H-omegath", "(46)", "H*wth == -Q^-1*wth + Q^-1*wth*H")
@@ -295,10 +296,10 @@ _H_PAST_X = ("H*x == x + Q*x*H", "H*x^-1 == Q^-1*x^-1*H - Q^-1*x^-1")
 _word("eq52-H-monomials", "(52)", *_H_PAST_X)
 
 
-def _closed_form_residuals(eps: int, rt: RuleTable, bound: int):
+def _closed_form_residuals(eps: int, rt: RuleTable):
     th_eps = Element.monomial(rt.params, mono(th=eps))
     yield act_on_function(rt, expand_derived(rt, "H"), th_eps) - th_eps.scale(eps)
-    yield from _word_residuals(_H_PAST_X, rt, bound)
+    yield from _word_residuals(_H_PAST_X, rt)
 
 
 _entry("eq52-H-closed-form", "(52)", ACTION, partial(_closed_form_residuals, 0))
@@ -306,25 +307,24 @@ _entry("eq53-H-closed-form", "(53)", ACTION, partial(_closed_form_residuals, 1))
 
 
 @_entry("eq54-scale-operator-diagonal", "(54)", ACTION)
-def _eq54_residuals(rt: RuleTable, bound: int):
-    yield from _word_residuals(["T == 1 + (Q-1)*H"], rt, bound)
+def _eq54_residuals(rt: RuleTable):
+    yield from _word_residuals(["T == 1 + (Q-1)*H"], rt)
     for eps in (0, 1):
-        yield from _closed_form_residuals(eps, rt, bound)
+        yield from _closed_form_residuals(eps, rt)
 
 
 _entry("eq55-number-operator", "(55)", WORD,
-       lambda rt, bound: [closed_form_H(rt.ct, m, eps)
-                          - qnumber(number_op(m, eps), rt.ct.Q)
-                          for m in range(-4, 5) for eps in (0, 1)])
+       lambda rt: [closed_form_H(rt.ct, m, eps) - qnumber(number_op(m, eps), rt.ct.Q)
+                   for m in range(-4, 5) for eps in (0, 1)])
 
 
 # (56) for every m >= 0, as (52)-(54) above: since act is a module action,
 # Nb*x == Q11*x*Nb gives Nb(x*f) = Q11*x*Nb(f), so Nb(x^m th) = Q11^m x^(m+1)
 # by induction on m from the base case Nb(th) = x.
 @_entry("eq56-nabla-action", "(56)", ACTION)
-def _eq56_action_residuals(rt: RuleTable, bound: int):
+def _eq56_action_residuals(rt: RuleTable):
     yield act_on_function(rt, E(rt, "Nb"), E(rt, "th")) - E(rt, "x")
-    yield from _word_residuals(["Nb*x == Q11*x*Nb"], rt, bound)
+    yield from _word_residuals(["Nb*x == Q11*x*Nb"], rt)
 
 
 def _x_m_th(rt: RuleTable):
@@ -334,7 +334,7 @@ def _x_m_th(rt: RuleTable):
         yield m, Element.monomial(P, mono(x=m, th=1)), Element.monomial(P, mono(x=m + 1))
 
 
-def _eq56_word_residuals(third_coeff, rt: RuleTable, bound: int):
+def _eq56_word_residuals(third_coeff, rt: RuleTable):
     ct, nb, H = rt.ct, expand_derived(rt, "Nb"), expand_derived(rt, "H")
     for m, w, xm1 in _x_m_th(rt):
         yield rt.mul(nb, w) - (xm1.scale(ct.Q11 ** m) - rt.mul(w, nb).scale(ct.Q11 ** (m + 1))
@@ -347,7 +347,7 @@ _entry("eq56-nabla-monomials-as-printed", "(56)", WORD,
        partial(_eq56_word_residuals, lambda ct, m: ct.Q11 * ct.Q22))
 
 
-def _eq58_omegax_residuals(second_coeff, rt: RuleTable, bound: int):
+def _eq58_omegax_residuals(second_coeff, rt: RuleTable):
     ct, wx, wth = rt.ct, expand_derived(rt, "wx"), expand_derived(rt, "wth")
     for m, w, xm1 in _x_m_th(rt):
         yield rt.mul(w, wx) - (rt.mul(wx, w).scale(-(ct.Q ** (m + 1)))
@@ -361,7 +361,7 @@ _entry("eq58-monomial-omegax-as-printed", "(58)", WORD,
 
 
 @_entry("eq58-monomial-omegath", "(58)", WORD)
-def _eq58_omegath_residuals(rt: RuleTable, bound: int):
+def _eq58_omegath_residuals(rt: RuleTable):
     wth = expand_derived(rt, "wth")
     for m, w, _ in _x_m_th(rt):
         yield rt.mul(w, wth) - rt.mul(wth, w).scale(rt.ct.Q11 ** (m + 1))
@@ -374,7 +374,7 @@ def _eq58_omegath_residuals(rt: RuleTable, bound: int):
 # same holds with K for T when f1 = x^±1, W_{f1} = 0 and V(f1) = 0: the zero
 # word then gives V(f1*f2) = K(f1)*V(f2), which the V(f)*H term needs.  Every
 # function monomial is 1, th or x^±1*f2, so the words at x, x^-1 and th suffice.
-def _leibniz_residuals(name: str, rt: RuleTable, bound: int):
+def _leibniz_residuals(name: str, rt: RuleTable):
     return (hopf.leibniz_residual(rt, name, f) for f in _COORDINATE_MONOS)
 
 
@@ -382,17 +382,19 @@ _entry("eq59-H-twisted-leibniz", "(59)", ACTION, partial(_leibniz_residuals, "H"
 
 
 @_entry("eq62-nabla-twisted-leibniz", "(62)", ACTION)
-def _eq62_residuals(rt: RuleTable, bound: int):
-    yield from _leibniz_residuals("Nb", rt, bound)
+def _eq62_residuals(rt: RuleTable):
+    yield from _leibniz_residuals("Nb", rt)
     yield from (E(rt, f"Q22*Nb*{f}").vacuum() for f in ("x", "x^-1"))   # V(x^±1)
 
 
-_entry("eq62-coproduct-square", "(62)", ACTION, lambda rt, bound: [
+_entry("eq62-coproduct-square", "(62)", ACTION, lambda rt: [
     rt.params.one() if hopf.u_coproduct_square_nabla(rt.params) else rt.params.zero()])
 
 
-def _eq64_residuals(gen, variant: str, rt: RuleTable, bound: int):
-    return hopf.antipode_U_residuals(rt, gen(rt.params), variant, min(bound, 6))
+# the corrected laws are operator identities (their operator is 0, so no
+# residual); the as-printed one fails, and |x-degree| <= 6 shows a witness
+def _eq64_residuals(gen, variant: str, rt: RuleTable):
+    return hopf.antipode_U_residuals(rt, gen(rt.params), variant, 6)
 
 
 _entry("eq64-antipode-scale", "(64)", ACTION,
@@ -404,7 +406,7 @@ _entry("eq64-antipode-as-printed", "(64)", ACTION,
 
 
 @_entry("eq67-pairing-table", "(67)", ACTION)
-def _eq67_residuals(rt: RuleTable, bound: int):
+def _eq67_residuals(rt: RuleTable):
     P = rt.params
     T, nb = hopf.UElement.gen_T(P), hopf.UElement.gen_nabla(P)
     x, th, xth = E(rt, "x"), E(rt, "th"), E(rt, "x*th")
@@ -429,15 +431,15 @@ _word("eq71-nabla-th", "(71)", "Nb*th == x - Q11*th*Nb - Q22*x*H", kind=ACTION)
 # ends in ix or ith, and an operator kills 1, so ix(f) = ith(f) = 0 by
 # induction on f; the (82) words then act on f as ix(df) = px(f), ith(df) = pth(f)
 @_entry("eq73-inner-on-exterior", "(73)", ACTION)
-def _eq73_residuals(rt: RuleTable, bound: int):
+def _eq73_residuals(rt: RuleTable):
     for i, g in product(("ix", "ith"), _COORDINATES):
         yield rt.word(i, g).vacuum()
     for id_ in ("eq82-cartan-factor-x", "eq82-cartan-factor-th"):
-        yield from _CATALOG[id_].residuals(rt, bound)
+        yield from _CATALOG[id_].residuals(rt)
 
 
 @_entry("eq76-inner-kronecker", "(76)", ACTION)
-def _eq76_residuals(rt: RuleTable, bound: int):
+def _eq76_residuals(rt: RuleTable):
     ix, ith, dx, dth = (E(rt, g) for g in ("ix", "ith", "dx", "dth"))
     one = Element.one(rt.params)
     return [
@@ -450,9 +452,9 @@ def _eq76_residuals(rt: RuleTable, bound: int):
 
 _word("eq75-fifth-as-printed", "(75)", "Q22*(q*Q + 1) == 0")
 _entry("eq75-ansatz-system", "(75)", WORD,
-       lambda rt, bound: cov.inner_relation_residuals(rt, "inner-coordinate"))
+       lambda rt: cov.inner_relation_residuals(rt, "inner-coordinate"))
 _entry("eq78-ansatz-system", "(78)", WORD,
-       lambda rt, bound: cov.inner_relation_residuals(rt, "inner-differential"))
+       lambda rt: cov.inner_relation_residuals(rt, "inner-differential"))
 
 _word("eq83-a8-as-printed", "(83)", "Q11/Q == Qp*(1 + Q22/(Q*Qp))")
 
@@ -521,24 +523,27 @@ _word("eq101-lie-via-fields", "(101)",
       "Lth == x^-1*Nb - (1-Q^-1)*d*ith")
 
 
+# (3) for every form.  The length-3 audit resolves every overlap of two rules,
+# d's included (162 words); the overlaps of x with x^-1 are the round trips
+# that RuleTable._round_trip checks when it solves the x^-1 rules.  With
+# termination (README), Bergman's diamond lemma makes the table confluent, so
+# mul is associative and act a module action: d(d(w)) = act(d*d, w) for every
+# form w, and the word d*d normal-orders to 0.
 @_entry("eq3-d-squared-zero", "(3)", ACTION)
-def _dd_zero_residuals(rt: RuleTable, bound: int):
-    b = min(bound, 6)
-    for m, eps, bdth, bdx in product(range(-b, b + 1), (0, 1), (0, 1, 2), (0, 1)):
-        w = Element.monomial(rt.params, mono(dx=bdx, dth=bdth, x=m, th=eps))
-        yield exterior_derivative(rt, exterior_derivative(rt, w))
+def _dd_zero_residuals(rt: RuleTable):
+    yield from (v.residual for v in local_confluence_check(rt, 3).violations)
+    yield from _word_residuals(["d*d == 0"], rt)
 
 
+# (33) for every form, by construction given one premise, checked on the
+# table.  act is linear and d is realized as dx*px + dth*pth, so d(w) =
+# act(dx*px, w) + act(dth*pth, w), and RuleTable._act_mono computes
+# act(u*o, w) as u*act(o, w).  That is the vacuum part of u*o*w when left
+# multiplication by a form never makes an operator letter: when no rule
+# between two letters before d has a term with an operator letter.
 @_entry("eq33-exterior-action", "(33)", ACTION)
-def _eq33_action_residuals(rt: RuleTable, bound: int):
-    # d acts as dx*px + dth*pth: its form letters go through act's u* path,
-    # while here they multiply the partial actions from outside
-    dx, px, dth, pth = (E(rt, g) for g in ("dx", "px", "dth", "pth"))
-    b = min(bound, 4)
-    for m, eps, bdth in product(range(-b, b + 1), (0, 1), (0, 1)):
-        w = Element.monomial(rt.params, mono(dth=bdth, x=m, th=eps))
-        yield (exterior_derivative(rt, w)
-               - rt.mul(dx, rt.act(px, w)) - rt.mul(dth, rt.act(pth, w)))
+def _eq33_action_residuals(rt: RuleTable):
+    return (rhs - rhs.vacuum() for (a, b, _), rhs in rt.rules.items() if a < D and b < D)
 
 
 # ----------------------------------------------------------------------------
@@ -554,24 +559,27 @@ def identity_catalog() -> list[tuple[str, str, str]]:
     return [(i.identityId, i.paperAnchor, i.kind) for i in _CATALOG.values()]
 
 
-def verify_identity(rt: RuleTable, identity_id: str, bound: int = 6) -> VerifyResult:
+def verify_identity(rt: RuleTable, identity_id: str) -> VerifyResult:
     entry = _CATALOG.get(identity_id)
     if entry is None:
         raise UnknownIdentity(f"unknown identity {identity_id!r}")
     t0 = time.monotonic()
-    residual = _first_nonzero(rt, entry.residuals(rt, bound))
+    residual = _first_nonzero(rt, entry.residuals(rt))
     elapsed = int((time.monotonic() - t0) * 1000)
     status = "PASS" if residual.is_zero() else "FAIL"
     return VerifyResult(entry.identityId, entry.paperAnchor, status, residual, elapsed)
 
 
-def run_suite(rt: RuleTable, bound: int = 6,
-              pattern: str | None = None) -> list[VerifyResult]:
+def run_suite(rt: RuleTable, pattern: str | None = None, *,
+              bound: object = None) -> list[VerifyResult]:
+    """Verify every entry, or those whose id matches the glob ``pattern``.
+    No entry samples, so ``bound`` is ignored; it is accepted only for
+    callers that still pass it (the benchmark's catalog workload)."""
     out = []
     for identity_id in _CATALOG:
         if pattern and not fnmatchcase(identity_id, pattern):
             continue
-        out.append(verify_identity(rt, identity_id, bound))
+        out.append(verify_identity(rt, identity_id))
     if pattern and not out:
         raise UnknownIdentity(f"no identity matches {pattern!r}")
     return out

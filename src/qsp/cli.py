@@ -29,7 +29,6 @@ from .algebra import (
 )
 from . import hopf
 from .exprio import (
-    MAX_EXPONENT,
     ExprSyntaxError,
     emit_report,
     parse_element,
@@ -68,11 +67,11 @@ def _read_config(path: str) -> dict:
         key, value = key.strip(), value.strip()
         if key == "param":
             config["params"].append(_parse_param(value))
-        elif key in ("type", "format", "bound"):
+        elif key in ("type", "format"):
             config[key] = value
         else:
             raise argparse.ArgumentTypeError(
-                f"config: unknown key {key!r} (expected type, format, bound or param)")
+                f"config: unknown key {key!r} (expected type, format or param)")
     return config
 
 
@@ -98,8 +97,6 @@ def _add_arguments(p: argparse.ArgumentParser, name: str) -> None:
     p.add_argument("--param", dest="params", action="append",
                    type=_parse_param, default=None,
                    metavar="NAME=RAT", help="numeric specialization")
-    p.add_argument("--bound", dest="bound", type=int, default=None,
-                   metavar="D", help="basis bound for action checks")
     p.add_argument("--format", dest="fmt", choices=_FORMATS, default=None)
     p.add_argument("--config", dest="config", default=None,
                    metavar="PATH", help="key=value configuration file")
@@ -150,19 +147,13 @@ def _parse_args(argv) -> argparse.Namespace:
 
 def _effective(args, config: dict, key: str, default):
     """The flag's value, else the config file's, checked as the flag's is."""
-    flag = getattr(args, key, None)
+    flag = getattr(args, key)
     if flag is not None:
         return flag
-    name = {"ctype": "type", "fmt": "format"}.get(key, key)
+    name = {"ctype": "type", "fmt": "format"}[key]
     if name not in config:
         return default
     value = config[name]
-    if name == "bound":
-        try:
-            return int(value)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"config bound: invalid int value: {value!r}") from None
     choices = _TYPES if name == "type" else _FORMATS
     if value not in choices:
         raise argparse.ArgumentTypeError(
@@ -193,10 +184,6 @@ def run(argv) -> int:
         return 2 if exc.code else 0
     try:
         config = _read_config(args.config) if args.config else {}
-        bound = _effective(args, config, "bound", 6)
-        # the identities build x^bound and x^-bound, which the parser caps
-        if not 1 <= bound <= MAX_EXPONENT:
-            raise argparse.ArgumentTypeError(f"--bound must be between 1 and {MAX_EXPONENT}")
         fmt = _effective(args, config, "fmt", "text")
         rt, ctype, assignment = _engine(args, config)
         if args.command == "normalize":
@@ -232,8 +219,7 @@ def run(argv) -> int:
             return 0
         if args.command == "verify":
             from . import calculus   # only verify needs the catalog
-            pattern = args.identity
-            results = calculus.run_suite(rt, bound=bound, pattern=pattern)
+            results = calculus.run_suite(rt, args.identity)
             payload = emit_report(results, fmt, ctype, assignment or None)
             _write(payload.decode("utf-8"))
             bad = [r for r in results

@@ -558,16 +558,16 @@ def antipode_axiom_operator(rt: RuleTable, u: UElement, variant: str,
     return acc
 
 
-def antipode_U_residuals(rt: RuleTable, u: UElement, variant: str, bound: int):
+def antipode_U_residuals(rt: RuleTable, u: UElement, variant: str, degree: int):
     """Action residuals of both antipode laws for ``u`` on the coordinate
-    basis with |x-degree| <= bound, left law first; a law whose operator
+    basis with |x-degree| <= degree, left law first; a law whose operator
     vanishes yields none."""
     for side in ("left", "right"):
         z = antipode_axiom_operator(rt, u, variant, side)
         if z.terms:
-            for m in coordinate_basis(bound):
+            for m in coordinate_basis(degree):
                 yield left_act(rt, z, Element.monomial(rt.params, m))
 
 
-def coordinate_basis(bound: int) -> list[Monomial]:
-    return [mono(x=k, th=eps) for k in range(-bound, bound + 1) for eps in (0, 1)]
+def coordinate_basis(degree: int) -> list[Monomial]:
+    return [mono(x=k, th=eps) for k in range(-degree, degree + 1) for eps in (0, 1)]

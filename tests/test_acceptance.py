@@ -107,7 +107,7 @@ def test_criterion_3_word_level_suite(engines):
     t0 = time.monotonic()
     for name in ("II", "III"):
         rt = engines[name]
-        results = run_suite(rt, bound=6)
+        results = run_suite(rt)
         for r in results:
             wanted = (any(r.identityId.startswith(p) for p in WORD_SUITE_PREFIXES)
                       and not r.identityId.endswith("-as-printed"))
@@ -203,11 +203,11 @@ def test_criterion_7_discrepancy_certificates(engines):
         assert res.residual == Element.scalar(P, P.var(var) - P.one())
         assert (rt.ct.Q12 - rt.ct.Qp * rt.ct.Q21 - P.one()) == P.var(var) - P.one()
 
-        bad = verify_identity(rt, "eq64-antipode-as-printed", bound=6)
-        good = verify_identity(rt, "eq64-antipode-corrected", bound=6)
+        bad = verify_identity(rt, "eq64-antipode-as-printed")
+        good = verify_identity(rt, "eq64-antipode-corrected")
         assert bad.status == "FAIL" and good.status == "PASS"
 
-        results = run_suite(rt, bound=3)
+        results = run_suite(rt)
         ids = {r.identityId for r in results}
         assert "eq51-first-as-printed" in ids
         assert "eq64-antipode-as-printed" in ids
@@ -245,7 +245,7 @@ def test_criterion_8_rewriting_soundness(engines):
 
 
 def _normalized_report(rt, label):
-    results = run_suite(rt, bound=4)
+    results = run_suite(rt)
     payload = emit_report(results, "json", "TYPE", None)
     doc = json.loads(payload)
     for r in doc["results"]:
@@ -269,13 +269,13 @@ CATALOG_REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "refe
 
 @pytest.mark.parametrize("name", ["I", "II", "III"])
 def test_catalog_report_matches_reference(name):
-    # the report contract: the JSON report of run_suite(rt, bound=6) on a
+    # the report contract: the JSON report of run_suite(rt) on a
     # fresh table, elapsedMillis stripped, equals the benchmark's reference
     # answer (captured from the engine as first seeded); the file is only read
     with open(CATALOG_REFERENCE, encoding="utf-8") as fh:
         want = json.load(fh)[name]
     rt = build_rule_table(CalculusType.by_name(name))
-    doc = json.loads(emit_report(run_suite(rt, bound=6), "json", name))
+    doc = json.loads(emit_report(run_suite(rt), "json", name))
     for r in doc["results"]:
         r.pop("elapsedMillis")
     assert doc == want

@@ -559,7 +559,7 @@ def test_catalog_and_audit_compute_no_d_product():
     # the multiplication core never sees d: the catalog expands it where a
     # word is read, the audit multiplies the letter d by its realization
     rt = build_rule_table(CalculusType.type_ii())
-    run_suite(rt, bound=6)
+    run_suite(rt)
     local_confluence_check(rt, 4)
     assert rt._act_memo
     for memo, letter in ((rt._memo, True), (rt._pair_memo, False), (rt._act_memo, False)):

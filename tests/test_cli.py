@@ -311,9 +311,9 @@ def test_verify_unknown_id(capsys):
 
 def test_verify_suite_deterministic(capsys):
     code1, out1, _ = invoke(capsys, "verify", "--type", "II", "--suite", "all",
-                            "--bound", "2", "--format", "json")
+                            "--format", "json")
     code2, out2, _ = invoke(capsys, "verify", "--type", "II", "--suite", "all",
-                            "--bound", "2", "--format", "json")
+                            "--format", "json")
     assert code1 == code2 == 0
 
     def strip_elapsed(text):
@@ -432,9 +432,9 @@ def test_config_param_line(tmp_path, capsys):
     assert out.strip() == "1 + x*px"
 
 
-@pytest.mark.parametrize("line,flag", [("bound=abc", ["--bound", "3"]),
-                                       ("type=IV", ["--type", "II"]),
-                                       ("format=xml", ["--format", "text"])])
+@pytest.mark.parametrize("line,flag", [("type=IV", ["--type", "II"]),
+                                       ("format=xml", ["--format", "text"])],
+                         ids=["type=IV-flag1", "format=xml-flag2"])
 def test_bad_config_value_exits_2(tmp_path, capsys, line, flag):
     # a config value is checked as the flag's would be: an input error
     cfg = tmp_path / "qsp.cfg"
@@ -458,11 +458,11 @@ def test_config_line_without_equals_exits_2(tmp_path, capsys):
 def test_unknown_config_key_exits_2(tmp_path, capsys):
     # a misspelt key is an input error, not a silently ignored line
     cfg = tmp_path / "qsp.cfg"
-    cfg.write_text("tpye=I\nbound=3\n")
+    cfg.write_text("tpye=I\ntype=II\n")
     code, out, err = invoke(capsys, "normalize", "--config", str(cfg), "th*x")
     assert code == 2 and out == ""
     assert err.strip() == ("error: config: unknown key 'tpye' "
-                           "(expected type, format, bound or param)")
+                           "(expected type, format or param)")
 
 
 # stdout, stderr and exit code of every --help and of two usage errors at
@@ -534,7 +534,7 @@ def test_console_pins_replay_through_run(capsys, monkeypatch):
                 or err != pin.get("stderr", err)
                 or not err.startswith(pin.get("stderr_prefix", ""))):
             wrong.append((pin["argv"], code, out, err))
-    assert len(CONSOLE_PINS) == 33 and not wrong
+    assert len(CONSOLE_PINS) == 34 and not wrong
 
 
 def _derive_wrong(monkeypatch, wrong_key):
@@ -622,19 +622,18 @@ def test_bad_usage(capsys):
 
 
 
-def test_bound_past_exponent_cap_exits_2(tmp_path, capsys):
-    # the identities build x^bound, which the parser refuses past
-    # MAX_EXPONENT: a larger bound is an input error, not hours of work
-    cap = qsp.cli.MAX_EXPONENT
-    want = (2, "", f"error: --bound must be between 1 and {cap}\n")
-    assert invoke(capsys, "verify", "--bound", str(cap + 1), "--id", "eq11-th-dx") == want
+def test_bound_is_no_option(tmp_path, capsys):
+    # no catalog entry samples, so nothing takes a bound: the flag is a usage
+    # error like any unknown option, and the config key an unknown key
+    for argv in (["verify", "--bound", "6"], ["normalize", "--bound", "6", "x"]):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "error: unrecognized arguments: --bound" in err, err
     cfg = tmp_path / "qsp.cfg"
-    cfg.write_text(f"bound={cap + 1}\n")
-    assert invoke(capsys, "verify", "--config", str(cfg), "--id", "eq11-th-dx") == want
-    # the cap itself is accepted; eq11-th-dx does not read the bound, so no
-    # case here runs long when the check is missing
-    code, out, _ = invoke(capsys, "verify", "--bound", str(cap), "--id", "eq11-th-dx")
-    assert code == 0 and "PASS" in out
+    cfg.write_text("bound=6\n")
+    assert invoke(capsys, "verify", "--config", str(cfg), "--id", "eq11-th-dx") == (
+        2, "", "error: config: unknown key 'bound' (expected type, format or param)\n")
+
 
 def test_unexpected_exception_exits_3(capsys, monkeypatch):
     def boom(*args, **kwargs):

@@ -34,7 +34,6 @@ ELAPSED = re.compile(r'("elapsedMillis": )\d+')
 
 def invocations() -> list[list[str]]:
     out = [["verify", *config, "--format", fmt] for config in CONFIGS for fmt in ("text", "json")]
-    out += [["verify", "--type", "II", "--bound", b] for b in ("1", "2", "3", "10000")]
     out.append(["solve-types"])
     pins = json.loads((ROOT / "tests" / "golden" / "console_pins.json").read_text())
     return out + [pin["argv"] for pin in pins]

@@ -622,17 +622,24 @@ def test_bad_usage(capsys):
 
 
 
-def test_bound_is_no_option(tmp_path, capsys):
+def test_bound_flag_is_no_option(capsys):
     # no catalog entry samples, so nothing takes a bound: the flag is a usage
-    # error like any unknown option, and the config key an unknown key
-    for argv in (["verify", "--bound", "6"], ["normalize", "--bound", "6", "x"]):
+    # error like any unknown option, whatever its value (10001 is past the
+    # exponent cap)
+    for argv in (["verify", "--bound", "6"], ["verify", "--bound", "10001"],
+                 ["normalize", "--bound", "6", "x"]):
         code, out, err = invoke(capsys, *argv)
         assert code == 2 and out == ""
         assert "error: unrecognized arguments: --bound" in err, err
+
+
+def test_bound_config_key_is_unknown(tmp_path, capsys):
+    # with the option gone, a bound line is an unknown key, whatever its value
     cfg = tmp_path / "qsp.cfg"
-    cfg.write_text("bound=6\n")
-    assert invoke(capsys, "verify", "--config", str(cfg), "--id", "eq11-th-dx") == (
-        2, "", "error: config: unknown key 'bound' (expected type, format or param)\n")
+    for value in ("6", "abc"):
+        cfg.write_text(f"bound={value}\n")
+        assert invoke(capsys, "verify", "--config", str(cfg), "--id", "eq11-th-dx") == (
+            2, "", "error: config: unknown key 'bound' (expected type, format or param)\n")
 
 
 def test_unexpected_exception_exits_3(capsys, monkeypatch):

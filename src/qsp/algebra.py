@@ -22,7 +22,9 @@ g*x = c*x*g + rest gives g*x^-1 = c^-1 * x^-1*(g - rest*x^-1), and a rule
 x*g = c*g*x + rest gives x^-1*g = c^-1 * (g - x^-1*rest)*x^-1.  A product
 that first misses one solves it, with each x^-1 rule that solution or its
 round trips (g*x*x^-1 = g and the like) meet; the table adopts them once
-all pass, and reading ``rules`` solves the rest.
+all pass, and reading ``rules`` solves the rest.  A rule whose own solution
+needs it (the ix and ith rules of the (75) and (78) ansatz carry each
+other's letters) raises ``NonInvertibleRule``, as a failed round trip does.
 
 The engine multiplies by folding one generator at a time into a canonical
 monomial.  Each table keeps two memos: one for the product of a monomial
@@ -190,24 +192,10 @@ def mono_parity(m: Monomial) -> int:
     return (m & _ODD).bit_count() & 1
 
 
-def mono_degree(m: Monomial) -> int:
-    return sum(map(abs, mono_exps(m)))
-
-
 def mono_sort_key(m: Monomial):
     # graded order; ties print earlier generators (higher powers) first
     neg = [MONO_EXPONENT_LIMIT - (m >> s & _FIELD) for s in _SHIFTS]
     return (sum(map(abs, neg)), tuple(neg))
-
-
-def mono_letters(m: Monomial):
-    """Yield the monomial as atomic letters (gen index, +1/-1), left to right."""
-    for g, e in enumerate(mono_exps(m)):
-        if not e:
-            continue
-        s = 1 if e > 0 else -1
-        for _ in range(abs(e)):
-            yield (g, s)
 
 
 def mono_is_function(m: Monomial) -> bool:
@@ -886,8 +874,13 @@ class RuleTable:
             inner = self._rules.get(rule)
             if inner is None:
                 if rule not in self._pending:
-                    raise UnsupportedGenerator(
-                        f"no rewrite rule for {GENS[j]}^{k}*{GENS[g]}^{s if g == X else 1}")
+                    word = f"{GENS[j]}^{k}*{GENS[g]}^{s if g == X else 1}"
+                    # an x^-1 rule whose x-rule the table holds is missing
+                    # only while it is solved: its own solution needs it
+                    if rule in _X_INVERSE and rule[:2] + (1,) in self._rules:
+                        raise NonInvertibleRule(
+                            f"the rule for {word} cannot be solved: its solution needs it")
+                    raise UnsupportedGenerator(f"no rewrite rule for {word}")
                 inner = self._solve([rule])
         head = m - (b << 32 * j)
         one = self.params._one
@@ -1015,15 +1008,6 @@ class RuleTable:
                 e = self._times(e, self.mul_mono_letter, letter)
         return e
 
-    def normalize(self, w) -> Element:
-        """Normal-order a raw word, or copy an algebra element, whose keys
-        are normal-ordered words already."""
-        if isinstance(w, Element):
-            if type(w) is not Element:
-                raise TypeError(f"cannot normalize a {type(w).__name__}")
-            return Element(self.params, w.terms)
-        return self.normalize_word(w)
-
     def word(self, *items: WordItem) -> Element:
         return self.normalize_word(items)
 
@@ -1055,10 +1039,6 @@ class ConfluenceViolation(namedtuple("ConfluenceViolation", "word first_steps re
 class ConfluenceReport(namedtuple("ConfluenceReport",
                                   "max_len words_checked branch_pairs violations")):
     __slots__ = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 def _reducible(a: tuple, b: tuple) -> RuleKey | None:

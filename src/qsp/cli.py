@@ -126,7 +126,9 @@ def _terminal_width() -> int:
 def _parse_args(argv) -> argparse.Namespace:
     """Parse with the parser of the command ``argv[0]`` names alone; the
     tree of all commands, whose help and errors are the reference, answers
-    when argv names none or that parser leaves arguments unrecognized."""
+    when argv names none or that parser leaves arguments unrecognized.  An
+    unknown option left over is named alone: argparse may have taken the
+    option's value as a positional and left the positional in its place."""
     # argparse sizes every formatter it builds to the terminal; ask once
     fmt = functools.partial(argparse.HelpFormatter, width=_terminal_width() - 2)
     if argv and argv[0] in _COMMANDS:
@@ -142,7 +144,11 @@ def _parse_args(argv) -> argparse.Namespace:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (summary, _) in _COMMANDS.items():
         _add_arguments(sub.add_parser(name, help=summary, formatter_class=fmt), name)
-    return parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
+    if extra:
+        options = [token for token in extra if token.startswith("-")]
+        parser.error(f"unrecognized arguments: {options[0] if options else ' '.join(extra)}")
+    return args
 
 
 def _effective(args, config: dict, key: str, default):

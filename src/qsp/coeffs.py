@@ -219,7 +219,7 @@ def _grlex_key(m: Exponent) -> tuple:
 
 def poly_gcd(a: Laurent, b: Laurent) -> Laurent:
     """Nothing calls this: no coefficient needs a gcd.  The name stays only
-    as a target of ``perfbench/tracer.py``, which ROADMAP item 1b drops."""
+    as a target of ``perfbench/tracer.py``, which ROADMAP item 27 drops."""
     raise NotImplementedError("coefficients are Laurent polynomials; no gcd is taken")
 
 
@@ -435,14 +435,7 @@ class RationalFunction:
             return hash(term)
         return hash(frozenset(packed.items()))
 
-    # -- evaluation / substitution -------------------------------------------
-
-    def eval(self, assignment: Mapping[str, Rat]) -> Fraction:
-        for v in self.params.variables:
-            if v not in assignment:
-                raise MissingVariable(f"no value for parameter {v!r}")
-        value = self.substitute({v: assignment[v] for v in self.params.variables})
-        return Fraction(value.packed.get(self.params._origin, 0))
+    # -- substitution --------------------------------------------------------
 
     def substitute(self, assignment: Mapping[str, Rat]) -> "RationalFunction":
         """Substitute a subset of the parameters by exact rationals."""
@@ -569,21 +562,9 @@ def qnumber(m: int, base: RationalFunction) -> RationalFunction:
     for m >= 0 this is 1 + base + ... + base^(m-1), and for m < 0 it is
     -base^m * (1 + base + ... + base^(-m-1)).
     """
-    params = base.params
-    if m == 0:
-        return params.zero()
-    # one dict takes every power in place: linear in |m|, not quadratic
-    out: Packed = {}
-    p = {params._origin: 1}
+    acc, p = base.params.zero(), base.params.one()
     for _ in range(abs(m)):
-        for e, c in p.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                del out[e]
-        p = _lp_mul(params, p, base.packed)
-    acc = _value(params, out) if base.integral else _rational(params, out)
-    if m > 0:
+        acc, p = acc + p, p * base
+    if m >= 0:
         return acc
     return -(base ** m) * acc

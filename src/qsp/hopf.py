@@ -295,9 +295,8 @@ def relation_residuals(rt: RuleTable, f: Callable, relations: Iterable,
 def hopf_axiom_check(rt: RuleTable, e: Element) -> list:
     """Residuals of coassociativity, both counit laws and both antipode laws."""
     delta = coproduct_A(rt, e)
-    ident = rt.normalize(e)
-    coassoc, counit_r = comodule_residuals(rt, delta, ident, "right")
-    counit_l = collapse(rt, delta, _counit, _identity) - ident
+    coassoc, counit_r = comodule_residuals(rt, delta, e, "right")
+    counit_l = collapse(rt, delta, _counit, _identity) - e
     eps_unit = _counit(rt, e)
     antipode_l = collapse(rt, delta, antipode_A, _identity) - eps_unit
     antipode_r = collapse(rt, delta, _identity, antipode_A) - eps_unit
@@ -558,14 +557,14 @@ def antipode_axiom_operator(rt: RuleTable, u: UElement, variant: str,
     return acc
 
 
-def antipode_U_residuals(rt: RuleTable, u: UElement, variant: str, degree: int):
+def antipode_U_residuals(rt: RuleTable, u: UElement, variant: str):
     """Action residuals of both antipode laws for ``u`` on the coordinate
-    basis with |x-degree| <= degree, left law first; a law whose operator
+    basis with |x-degree| <= 6, left law first; a law whose operator
     vanishes yields none."""
     for side in ("left", "right"):
         z = antipode_axiom_operator(rt, u, variant, side)
         if z.terms:
-            for m in coordinate_basis(degree):
+            for m in coordinate_basis(6):
                 yield left_act(rt, z, Element.monomial(rt.params, m))
 
 

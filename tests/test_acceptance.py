@@ -12,11 +12,13 @@ from pathlib import Path
 import pytest
 
 from qsp.algebra import (
+    GENS,
     CalculusType,
     Element,
     build_rule_table,
     local_confluence_check,
     mono,
+    mono_exps,
 )
 from qsp.calculus import (
     E,
@@ -219,7 +221,7 @@ def test_criterion_8_rewriting_soundness(engines):
     t0 = time.monotonic()
     for name in ("II", "III"):
         report = local_confluence_check(engines[name], 4)
-        assert report.ok, (name, report.violations[:2])
+        assert not report.violations, (name, report.violations[:2])
         assert (report.words_checked, report.branch_pairs) == (4969, 5386), name
 
     import random
@@ -231,7 +233,9 @@ def test_criterion_8_rewriting_soundness(engines):
         word = [alphabet[rng.randrange(len(alphabet))]
                 for _ in range(rng.randint(1, 6))]
         e = rt.normalize_word(word)
-        assert rt.normalize(e) == e
+        # each monomial of a normal form, read as a word, is its own normal form
+        assert all(rt.word(*zip(GENS, mono_exps(m))) == Element.monomial(rt.params, m)
+                   for m in e.terms)
         cut1 = rng.randint(0, len(word))
         cut2 = rng.randint(cut1, len(word))
         a = rt.normalize_word(word[:cut1])

@@ -625,12 +625,13 @@ def test_bad_usage(capsys):
 def test_bound_flag_is_no_option(capsys):
     # no catalog entry samples, so nothing takes a bound: the flag is a usage
     # error like any unknown option, whatever its value (10001 is past the
-    # exponent cap)
+    # exponent cap); the error names the option alone, also where argparse
+    # takes its value as EXPR and leaves the expression over
     for argv in (["verify", "--bound", "6"], ["verify", "--bound", "10001"],
                  ["normalize", "--bound", "6", "x"]):
         code, out, err = invoke(capsys, *argv)
         assert code == 2 and out == ""
-        assert "error: unrecognized arguments: --bound" in err, err
+        assert err.splitlines()[-1] == "qsp: error: unrecognized arguments: --bound", err
 
 
 def test_bound_config_key_is_unknown(tmp_path, capsys):

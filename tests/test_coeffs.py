@@ -11,7 +11,6 @@ from qsp.coeffs import (
     PARAMS_II,
     PARAMS_III,
     DivisionByZero,
-    MissingVariable,
     NonMonomialDivisor,
     ParamSet,
     PoleAtAssignment,
@@ -66,14 +65,12 @@ def test_arith_examples():
 
 
 def test_eval_examples():
-    assert (one + q).eval({"q": Fraction(3, 2), "r": 1}) == Fraction(5, 2)
+    assert (one + q).substitute({"q": Fraction(3, 2), "r": 1}) == P2.const(Fraction(5, 2))
     quot = (one - q ** 3) / (P2.const(2) * q * r)
-    assert quot.eval({"q": 2, "r": 1}) == Fraction(-7, 4)
-    assert quot.eval({"q": Fraction(1, 2), "r": -1}) == Fraction(-7, 8)
+    assert quot.substitute({"q": 2, "r": 1}) == P2.const(Fraction(-7, 4))
+    assert quot.substitute({"q": Fraction(1, 2), "r": -1}) == P2.const(Fraction(-7, 8))
     with pytest.raises(PoleAtAssignment, match=r"^denominator vanishes at q=0, r=5/2$"):
-        (one + one / q).eval({"q": 0, "r": Fraction(5, 2)})
-    with pytest.raises(MissingVariable):
-        q.eval({"r": 2})
+        (one + one / q).substitute({"q": 0, "r": Fraction(5, 2)})
 
 
 def random_term(rng, params):
@@ -131,11 +128,11 @@ def test_eval_is_a_homomorphism():
     for _ in range(25):
         a, b = random_rf(rng, P2), random_rf(rng, P2)
         try:
-            va, vb = a.eval(point), b.eval(point)
+            va, vb = a.substitute(point), b.substitute(point)
         except PoleAtAssignment:
             continue
-        assert (a + b).eval(point) == va + vb
-        assert (a * b).eval(point) == va * vb
+        assert (a + b).substitute(point) == va + vb
+        assert (a * b).substitute(point) == va * vb
 
 
 def test_qnumber_examples():

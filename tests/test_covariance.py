@@ -182,14 +182,16 @@ def test_printed_systems_vanish_at_family_values(name, point):
     # of unknowns, is zero at q and the engine's coefficients of a family
     ct = CalculusType.by_name(name).specialize(point)
     c = {**{v: ct.symbol(v) for v in COEFF_NAMES}, **_ansatz_values(build_rule_table(ct))}
-    values = {"q": point["q"], **{v: c[v].eval({}) for v in ANSATZ_PARAMS.variables[1:]}}
+    # every parameter is specialized: each value is a constant, whose one
+    # term has the empty exponent tuple
+    values = {"q": point["q"], **{v: c[v].lp.get((), 0) for v in ANSATZ_PARAMS.variables[1:]}}
     systems = [generate_covariance_constraints().right,
                generate_ansatz_constraints("inner-coordinate"),
                generate_ansatz_constraints("inner-differential")]
     for system in systems:
         assert system and all(p.params == ANSATZ_PARAMS for p in system)
         for p in system:
-            assert p.eval(values) == 0, (name, str(p))
+            assert p.substitute(values).is_zero(), (name, str(p))
 
 
 def _type_iii_reading(**coeffs):

@@ -33,8 +33,8 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st  
 from qsp.algebra import (  # noqa: E402
     D, DTH, DX, GENS, IX, MONO_EXPONENT_LIMIT, NGENS, NILPOTENT, OPERATOR_SECTOR, PTH, TH, X,
     CalculusType, Element, _first_gen, _head_tail, _last_gen, build_rule_table, mono,
-    mono_degree, mono_exp, mono_exps, mono_is_form, mono_is_function, mono_parity,
-    mono_sort_key, mono_str)
+    mono_exp, mono_exps, mono_is_form, mono_is_function, mono_parity, mono_sort_key,
+    mono_str)
 from qsp.coeffs import PARAMS_I, PARAMS_II, PARAMS_III, ResultTooLarge, _rational  # noqa: E402
 from qsp.exprio import ExprSyntaxError, tokenize  # noqa: E402
 from qsp.hopf import UElement, coproduct_A  # noqa: E402
@@ -301,7 +301,6 @@ def test_packed_monomial_matches_exponent_tuple(exps):
         assert mono_exps(head) == exps[:g + 1] + (0,) * (NGENS - 1 - g)
         assert mono_exps(tail) == (0,) * (g + 1) + exps[g + 1:]
     assert mono_parity(m) == (exps[DX] + exps[TH] + exps[D] + exps[PTH] + exps[IX]) & 1
-    assert mono_degree(m) == sum(abs(e) for e in exps)
     assert mono_sort_key(m) == (sum(abs(e) for e in exps), tuple(-e for e in exps))
     assert mono_is_form(m) == (not any(exps[D:]))
     assert mono_is_function(m) == (not any(exps[g] for g in (DX, DTH, D, *OPERATOR_SECTOR)))

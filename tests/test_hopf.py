@@ -8,8 +8,8 @@ from functools import partial
 import pytest
 
 from qsp import hopf
-from qsp.algebra import (DTH, TH, X, CalculusType, Element, build_rule_table, exterior_derivative,
-                         mono, mono_exp, mono_letters)
+from qsp.algebra import (DTH, GENS, TH, X, CalculusType, Element, build_rule_table,
+                         exterior_derivative, mono, mono_exp, mono_exps, word_letters)
 from qsp.hopf import (
     TensorElement,
     UElement,
@@ -62,7 +62,7 @@ def _pair_fold(rt, u, e):
     for k, cu in u.terms.items():
         for m, cm in e.terms.items():
             pending = {k: P.one()}
-            for letter in mono_letters(m):
+            for letter in word_letters(zip(GENS, mono_exps(m))):
                 nxt = {}
                 for key, acc in pending.items():
                     for k1, k2, sgn in u_coproduct_key(key):
@@ -552,7 +552,7 @@ def test_antipode_residuals(t2):
     P = t2.params
 
     def nonzero(u, variant):
-        return [r for r in antipode_U_residuals(t2, u, variant, 6) if not r.is_zero()]
+        return [r for r in antipode_U_residuals(t2, u, variant) if not r.is_zero()]
 
     assert not nonzero(UElement.gen_K(P), "corrected")
     assert not nonzero(UElement.gen_nabla(P), "corrected")
@@ -610,9 +610,6 @@ def test_shared_core_keeps_types_apart(t2):
     for i, z in enumerate(zeros):
         for j, w in enumerate(zeros):
             assert (z == w) == (i == j)
-    for other in (TensorElement.of(t2.word("x"), t2.word("th")), UElement.gen_T(P)):
-        with pytest.raises(TypeError):
-            t2.normalize(other)
 
 
 def test_linear_core_refuses_other_kinds(t2):

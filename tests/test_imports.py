@@ -3,9 +3,12 @@
 Each check that counts loaded modules runs in a fresh interpreter, since the
 test process itself has imported every module long before.  The cold-start
 pins run it with ``-I -S``, so that nothing of site-packages is loaded
-before qsp.
+before qsp.  The last test checks that the benchmark under ``perfbench/``
+still finds every engine name it reaches.
 """
 
+import importlib
+import importlib.util
 import json
 import subprocess
 import sys
@@ -145,3 +148,42 @@ def test_moved_names_are_reexported_as_the_same_objects():
     assert qsp.calculus.expand_derived is qsp.exprio.expand_derived
     assert qsp.calculus.DERIVED_NAMES is qsp.exprio.DERIVED_NAMES
     assert qsp.calculus.act_on_function is qsp.algebra.act_on_function
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+# the modules perfbench/run.py hands the tracer, besides the package itself
+TRACED_MODULES = ("coeffs", "algebra", "hopf", "covariance", "calculus", "exprio", "cli")
+
+
+def _perfbench(name: str):
+    """``perfbench/<name>.py``, loaded under a name of its own."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_finds_every_name_it_reaches():
+    # `run.py --trace 1` wraps each of the tracer's TARGETS, and the catalog
+    # workload calls run_suite(rt, bound=6): an engine change that removes a
+    # name either reaches fails here, not first in the benchmark
+    tracer, workloads = _perfbench("tracer"), _perfbench("workloads")
+    modules = {"qsp": qsp, **{m: importlib.import_module(f"qsp.{m}") for m in TRACED_MODULES}}
+
+    def targets():
+        out = []
+        for module, path, _ in tracer.TARGETS:
+            owner, _, attr = path.rpartition(".")
+            out.append(vars(getattr(modules[module], owner) if owner else modules[module])[attr])
+        return out
+
+    originals = targets()
+    tr = tracer.Tracer(modules)
+    tr.install()
+    try:
+        op = next(workloads.catalog_rounds(qsp, 1))[0]   # verify --type I
+        assert op.check(op.run()) is None
+    finally:
+        tr.uninstall()
+    assert targets() == originals
+    assert tr.stats["calculus.verify_identity"][0] and tr.ratios()

@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E
 
 from qsp.algebra import (  # noqa: E402
     D, DTH, DX, GENS, NGENS, PTH, PX, X,
-    CalculusType, Element, build_rule_table, mono, mono_letters, word_letters,
+    CalculusType, Element, build_rule_table, mono, mono_exps, word_letters,
 )
 from test_algebra import _broken_table  # noqa: E402
 
@@ -66,7 +66,7 @@ def reference_normal_form(rt, word):
                 key = _rule_key(a, b)
                 if key is None or (key[0] == key[1] and key not in rt.rules):
                     continue                         # in order, or a free power
-                rewrites = [(tuple(mono_letters(m)), rc)
+                rewrites = [(tuple(word_letters(zip(GENS, mono_exps(m)))), rc)
                             for m, rc in rt.rules[key].terms.items()]
             for middle, rc in rewrites:
                 nw = w[:i] + middle + w[i + 2:]

@@ -10,8 +10,11 @@ including its build, the calls to
   and recursive calls included;
 - ``RationalFunction.__hash__``, which normal ordering itself never needs,
 
-and asserts that each count is at most its pin.  The counts are the same
-under every hash seed and on every supported CPython.
+and the work of ``_lp_mul``, the sum of len(a) * len(b) over its calls, and
+asserts that each count is at most its pin.  Three heavy families are pinned
+at an exponent k and at 2k, so that the growth of their work per doubling is
+bounded too.  The counts are the same under every hash seed and on every
+supported CPython.
 
 How the ratchet works: a change that lowers a count lowers its pin in the
 same commit, so that the gain cannot be lost again unseen.  A change that
@@ -35,34 +38,41 @@ COUNTED = {
     "hashes": (coeffs.RationalFunction, "__hash__"),
 }
 
-# (run, type) -> the ceiling of each count, in the order of COUNTED
+# (run, type) -> the ceiling of each count, in the order of COUNTED, then the
+# ceiling of the _lp_mul work
 PINS = {
-    ("run_suite", "I"): (2403, 82, 2290, 2450, 8),
-    ("run_suite", "II"): (3456, 182, 2892, 3012, 8),
-    ("run_suite", "III"): (3258, 168, 2722, 2826, 8),
-    ("audit", "II"): (23172, 1133, 17940, 18872, 0),
-    # one small input of each heavy family, read by exprio.parse_element: the
-    # block splits and powers that the catalog and the audit barely reach
-    ("H^10", "II"): (450, 84, 472, 565, 0),
-    ("px^3*x^100", "II"): (406, 114, 100, 699, 0),
-    ("ith^8*dth^8", "II"): (143, 42, 79, 164, 0),
-    ("(1+r)^200", "II"): (32, 9, 0, 0, 0),
+    ("run_suite", "I"): (2485, 0, 2290, 2450, 8, 0),
+    ("run_suite", "II"): (3538, 100, 2892, 3012, 8, 430),
+    ("run_suite", "III"): (3340, 86, 2722, 2826, 8, 358),
+    ("audit", "II"): (23172, 1133, 17940, 18872, 0, 4770),
+    # small inputs of each heavy family, read by exprio.parse_element: the
+    # block splits and powers that the catalog and the audit barely reach;
+    # the first three families at k and 2k
+    ("H^10", "II"): (450, 84, 472, 565, 0, 2842),
+    ("H^20", "II"): (1677, 459, 1262, 1938, 0, 99450),
+    ("px^3*x^100", "II"): (406, 114, 100, 699, 0, 36836),
+    ("px^3*x^200", "II"): (446, 127, 100, 783, 0, 135938),
+    ("ith^8*dth^8", "II"): (143, 42, 79, 164, 0, 4722),
+    ("ith^16*dth^16", "II"): (560, 274, 152, 678, 0, 302218),
+    ("(1+r)^200", "II"): (32, 9, 0, 0, 0, 15724),
 }
 
 RUNS = {
     "run_suite": run_suite,
     "audit": lambda rt: local_confluence_check(rt, 4),
     **{text: lambda rt, text=text: parse_element(rt, text)
-       for text in ("H^10", "px^3*x^100", "ith^8*dth^8", "(1+r)^200")},
+       for text, _ in PINS if text not in ("run_suite", "audit")},
 }
 
 
 @pytest.mark.parametrize("run,name", list(PINS))
 def test_work_stays_within_its_pins(monkeypatch, run, name):
-    counts = dict.fromkeys(COUNTED, 0)
+    counts = dict.fromkeys([*COUNTED, "lp_mul_work"], 0)
     for key, (owner, attr) in COUNTED.items():
         def counted(*args, _key=key, _inner=getattr(owner, attr), **kwargs):
             counts[_key] += 1
+            if _key == "lp_mul":   # _lp_mul(params, a, b)
+                counts["lp_mul_work"] += len(args[1]) * len(args[2])
             return _inner(*args, **kwargs)
         monkeypatch.setattr(owner, attr, counted)
     RUNS[run](build_rule_table(CalculusType.by_name(name)))

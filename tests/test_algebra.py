@@ -256,7 +256,8 @@ def _th_x_with_a_px_term():
 def test_an_x_inverse_rule_its_own_solution_needs_is_non_invertible(read, word):
     # an internal invariant (exit 3) that names the rule, not a missing rule
     # (UnsupportedGenerator, an input error)
-    with pytest.raises(NonInvertibleRule, match=rf"^the rule for {re.escape(word)} cannot be solved"):
+    message = rf"^the rule for {re.escape(word)} cannot be solved: its solution needs it$"
+    with pytest.raises(NonInvertibleRule, match=message):
         read()
 
 

@@ -326,7 +326,8 @@ def test_eq3_catches_each_perturbed_rule(name):
     passes = set()
     for rule in build_rule_table(CalculusType.by_name(name))._rules:
         for how in ("2*", "+1"):
-            if verify_identity(_perturbed_table(name, rule, how), "eq3-d-squared-zero").status == "PASS":
+            result = verify_identity(_perturbed_table(name, rule, how), "eq3-d-squared-zero")
+            if result.status == "PASS":
                 passes.add((*rule, how))
     squares = {(g, g, 0, how) for g in (DX, TH, PTH, IX) for how in ("2*", "+1")}
     assert passes == squares | EQ3_PASSES[name]

@@ -20,11 +20,13 @@ from the four (11) rules (``derived_rules``), and pth*px from d*d = 0
 (``pth_px_rule``).  Rules against x^-1 are solved from the x-rules: a rule
 g*x = c*x*g + rest gives g*x^-1 = c^-1 * x^-1*(g - rest*x^-1), and a rule
 x*g = c*g*x + rest gives x^-1*g = c^-1 * (g - x^-1*rest)*x^-1.  A product
-that first misses one solves it, with each x^-1 rule that solution or its
-round trips (g*x*x^-1 = g and the like) meet; the table adopts them once
-all pass, and reading ``rules`` solves the rest.  A rule whose own solution
-needs it (the ix and ith rules of the (75) and (78) ansatz carry each
-other's letters) raises ``NonInvertibleRule``, as a failed round trip does.
+that first misses one solves it in place and runs its round trips
+(g*x*x^-1 = g and the like), nesting a solve for each x^-1 rule that work
+misses; on any error a solve restores the rules it saved and empties the
+memos, so a rule is adopted only once all pass.  Reading ``rules`` solves
+the rest one at a time.  A rule whose own solution needs it (the ix and ith
+rules of the (75) and (78) ansatz carry each other's letters) raises
+``NonInvertibleRule``, as a failed round trip does.
 
 The engine multiplies by folding one generator at a time into a canonical
 monomial.  Each table keeps two memos: one for the product of a monomial
@@ -749,8 +751,6 @@ _X_INVERSE = {((X, g, -1) if g < X else (g, X, -1)): g for g in (TH, PTH, ITH, P
 class RuleTable:
     """Rewrite rules plus the memoized normal-ordering engine built on them."""
 
-    _solved = None   # a trial's list of the keys it solved, in order
-
     def __init__(self, ct: CalculusType, rules: dict):
         self.ct = ct
         self.params = ct.params
@@ -785,34 +785,42 @@ class RuleTable:
 
     @property
     def rules(self) -> dict:
-        """Every rule, after solving each x^-1 rule still pending (``_solve``)."""
-        if self._pending:
-            self._solve([key for key in _X_INVERSE if key in self._pending])
+        """Every rule, after solving each pending x^-1 rule in ``_X_INVERSE``
+        order; each is adopted once its own ``_solve`` passes."""
+        for key in _X_INVERSE:
+            if key in self._pending:
+                self._solve(key)
         return self._rules
 
     def d_element(self) -> Element:
         """The exterior derivative as a normal-ordered element."""
         return self._d_real
 
-    def _solve(self, keys: list) -> Element:
-        """Solve the pending x^-1 rules ``keys``; return the last.  A trial
-        copy solves them, and in place every x^-1 rule its work misses, then
-        runs the round trips of each generator it solved for (the list grows
-        as it is walked); the table adopts its rules only if all pass."""
-        if self._solved is None:
-            trial = RuleTable(self.ct, dict(self._rules))
-            trial._solved = []
-            trial._solve(keys)
-            for key in trial._solved:
-                trial._round_trip(_X_INVERSE[key])
-            self._rules, self._pending = trial._rules, trial._pending
-        else:
-            for key in keys:
-                if key in self._pending:
-                    self._pending.remove(key)
-                    self._derive_x_inverse(key)
-                    self._solved.append(key)
-        return self._rules[keys[-1]]
+    def _solve(self, key: RuleKey) -> Element:
+        """Solve the pending x^-1 rule ``key`` in place, run its generator's
+        round trips, and return it.  If anything raises, restore the rules
+        and pending keys and empty the memos, which may hold products of a
+        rejected rule."""
+        if key not in self._pending:
+            a, b, s = key
+            word = f"{GENS[a]}^{s if a == X else 1}*{GENS[b]}^{s if b == X else 1}"
+            # an x^-1 rule whose x-rule the table holds is missing only while
+            # it is solved: its own solution needs it
+            if key in _X_INVERSE and key[:2] + (1,) in self._rules:
+                raise NonInvertibleRule(
+                    f"the rule for {word} cannot be solved: its solution needs it")
+            raise UnsupportedGenerator(f"no rewrite rule for {word}")
+        rules, pending = dict(self._rules), set(self._pending)
+        self._pending.remove(key)
+        try:
+            self._derive_x_inverse(key)
+            self._round_trip(_X_INVERSE[key])
+        except BaseException:
+            self._rules, self._pending = rules, pending
+            for memo in (self._memo, self._pair_memo, self._act_memo):
+                memo.clear()
+            raise
+        return self._rules[key]
 
     def _derive_x_inverse(self, key: RuleKey) -> None:
         """Solve the x^-1 rule ``key`` from its x-rule by the two formulas
@@ -873,15 +881,7 @@ class RuleTable:
             rule = (j, g, k if j == X else s if g == X else 0)
             inner = self._rules.get(rule)
             if inner is None:
-                if rule not in self._pending:
-                    word = f"{GENS[j]}^{k}*{GENS[g]}^{s if g == X else 1}"
-                    # an x^-1 rule whose x-rule the table holds is missing
-                    # only while it is solved: its own solution needs it
-                    if rule in _X_INVERSE and rule[:2] + (1,) in self._rules:
-                        raise NonInvertibleRule(
-                            f"the rule for {word} cannot be solved: its solution needs it")
-                    raise UnsupportedGenerator(f"no rewrite rule for {word}")
-                inner = self._solve([rule])
+                inner = self._solve(rule)
         head = m - (b << 32 * j)
         one = self.params._one
         acc: dict = {}
@@ -1090,9 +1090,6 @@ def local_confluence_check(rt: RuleTable, max_len: int) -> ConfluenceReport:
     """
     if max_len < 3:
         raise ValueError("max_len must be at least 3")
-    # reading the rules solves every x^-1 rule, with its round trips, in one
-    # trial, not one trial per x^-1 pair the step products below meet
-    rt.rules
     letters = {a: Element.monomial(rt.params, _letter_mono(a)) for a in _AUDIT_ALPHABET}
     letters[(D, 1)] = rt.d_element()
     # out-of-order letter pair -> the product of its two letters

@@ -17,10 +17,10 @@ certifies as the product of its slots, ``hopf.collapse``; when those
 products cancel, as its first coefficient.
 
 Entries register through ``_entry(id, anchor, kind, residuals)``, as a call
-or a decorator, and ``_word`` registers relations written as text.  Every
-entry that can PASS checks finitely many premises that prove it; only the
-expected FAIL eq64-antipode-as-printed scans a fixed set of coordinates for
-a witness.
+or a decorator, and ``_word`` registers relations written as text.  An
+entry checks finitely many premises that prove it, but eq26 and eq55 check
+fixed lists, and the -as-printed twins of eq56, eq58 and eq64 scan a fixed
+set of coordinates for a witness.
 """
 
 from __future__ import annotations
@@ -323,44 +323,42 @@ def _eq56_action_residuals(rt: RuleTable):
     yield from _word_residuals(["Nb*x == Q11*x*Nb"], rt)
 
 
+# The word forms of (56) and (58) at x^m*th for every m >= 0, the same way:
+# on an associative table Nb*x == Q11*x*Nb gives Nb*x^m = Q11^m*x^m*Nb, and
+# the x*wx and x*wth words give x^m*wx = Q^m*wx*x^m and x^m*wth =
+# Q11^m*wth*x^m, so x^m times each th word, Nb, wx or wth moved past x^m, is
+# the display at x^m*th.  The -as-printed twins scan m = 0..5 for a witness.
 def _x_m_th(rt: RuleTable):
-    """(m, x^m*th, x^(m+1)) for m = 0..5, where (56) and (58) are checked."""
+    """(m, x^m*th, x^(m+1)) for m = 0..5, where the twins are checked."""
     P = rt.params
     for m in range(6):
         yield m, Element.monomial(P, mono(x=m, th=1)), Element.monomial(P, mono(x=m + 1))
 
 
-def _eq56_word_residuals(third_coeff, rt: RuleTable):
+_word("eq56-nabla-monomials", "(56)", "Nb*x == Q11*x*Nb", "Nb*th == x - Q11*th*Nb - Q22*x*H")
+
+
+@_entry("eq56-nabla-monomials-as-printed", "(56)", WORD)
+def _eq56_as_printed_residuals(rt: RuleTable):
     ct, nb, H = rt.ct, expand_derived(rt, "Nb"), expand_derived(rt, "H")
     for m, w, xm1 in _x_m_th(rt):
         yield rt.mul(nb, w) - (xm1.scale(ct.Q11 ** m) - rt.mul(w, nb).scale(ct.Q11 ** (m + 1))
-                               - rt.mul(xm1, H).scale(third_coeff(ct, m)))
+                               - rt.mul(xm1, H).scale(ct.Q11 * ct.Q22))
 
 
-_entry("eq56-nabla-monomials", "(56)", WORD,
-       partial(_eq56_word_residuals, lambda ct, m: (ct.Q11 ** m) * ct.Q22))
-_entry("eq56-nabla-monomials-as-printed", "(56)", WORD,
-       partial(_eq56_word_residuals, lambda ct, m: ct.Q11 * ct.Q22))
+_word("eq58-monomial-omegax", "(58)",
+      "x*wx == Q*wx*x", "th*wx == -Q*wx*th + Q22*wth*x", "x*wth == Q11*wth*x")
 
 
-def _eq58_omegax_residuals(second_coeff, rt: RuleTable):
+@_entry("eq58-monomial-omegax-as-printed", "(58)", WORD)
+def _eq58_as_printed_residuals(rt: RuleTable):
     ct, wx, wth = rt.ct, expand_derived(rt, "wx"), expand_derived(rt, "wth")
     for m, w, xm1 in _x_m_th(rt):
         yield rt.mul(w, wx) - (rt.mul(wx, w).scale(-(ct.Q ** (m + 1)))
-                               + rt.mul(wth, xm1).scale(second_coeff(ct, m)))
+                               + rt.mul(wth, xm1).scale((ct.Q ** m) * ct.Q22))
 
 
-_entry("eq58-monomial-omegax", "(58)", WORD,
-       partial(_eq58_omegax_residuals, lambda ct, m: (ct.Q11 ** m) * ct.Q22))
-_entry("eq58-monomial-omegax-as-printed", "(58)", WORD,
-       partial(_eq58_omegax_residuals, lambda ct, m: (ct.Q ** m) * ct.Q22))
-
-
-@_entry("eq58-monomial-omegath", "(58)", WORD)
-def _eq58_omegath_residuals(rt: RuleTable):
-    wth = expand_derived(rt, "wth")
-    for m, w, _ in _x_m_th(rt):
-        yield rt.mul(w, wth) - rt.mul(wth, w).scale(rt.ct.Q11 ** (m + 1))
+_word("eq58-monomial-omegath", "(58)", "th*wth == Q11*wth*th", "x*wth == Q11*wth*x")
 
 
 # (59) and (62) for every pair (f, g), as (52)-(54) above: the word W_f of

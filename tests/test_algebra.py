@@ -554,8 +554,8 @@ def test_fresh_table_computes_no_d_product(name, assignment):
     # building a table computes none of the audit's rules for pairs involving
     # d: no rule is keyed by such a pair, no memo key holds d, and no memo
     # holds a product of the realization with dx, dth, th, itself or an
-    # operator (the first read of rt.rules runs the round trips, which pass
-    # it x and x^-1, on a trial table whose memos are dropped)
+    # operator (the first read of rt.rules runs the round trips on the table
+    # itself, and they multiply the realization by x and x^-1 only)
     ct = CalculusType.by_name(name)
     rt = build_rule_table(ct.specialize(assignment) if assignment else ct)
     assert not [key for key in rt.rules if D in key[:2]]

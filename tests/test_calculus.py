@@ -273,10 +273,14 @@ def test_catalog_catches_a_perturbed_partial_rule(name, rule, how):
         assert status[identity_id] == ("FAIL" if short in failing else "PASS"), identity_id
 
 
-# the entries that (59), (62), (70), (71) and (73) check at the generators,
-# each with a perturbed rule that makes it FAIL at I, II and III.  At type I,
-# T = 1 and no rule reaches the T relations; there T itself is perturbed.
+# the entries that (56), (58), (59), (62), (70), (71) and (73) check at the
+# generators, each with a perturbed rule that makes it FAIL at I, II and III.
+# At type I, T = 1 and no rule reaches the T relations; there T itself is
+# perturbed.
 GENERATOR_CHECKS = {
+    "eq56-nabla-monomials": ((PTH, X, 1), "2*"),
+    "eq58-monomial-omegax": ((TH, DX, 0), "2*"),
+    "eq58-monomial-omegath": ((TH, DTH, 0), "2*"),
     "eq59-H-twisted-leibniz": ((PX, X, 1), "2*"),
     "eq62-nabla-twisted-leibniz": ((PTH, TH, 0), "2*"),
     "eq70-T-x": ((PX, X, 1), "+1"),

@@ -13,8 +13,8 @@ import pytest
 import qsp.calculus
 import qsp.cli
 import qsp.covariance
-from qsp.algebra import (PX, TH, X, CalculusType, InconsistentType, NonInvertibleRule,
-                         RuleTable, build_rule_table)
+from qsp.algebra import (ITH, PTH, PX, TH, X, CalculusType, InconsistentType,
+                         NonInvertibleRule, RuleTable, build_rule_table)
 from qsp.cli import run
 from qsp.coeffs import DivisionByZero, QspError
 
@@ -575,6 +575,35 @@ def test_round_trip_guards_the_rules_a_solution_needs(capsys, monkeypatch):
     with pytest.raises(NonInvertibleRule, match="round trip of th "):
         rt.word("px", ("x", -1))
     assert len(rt._rules) == 32
+
+
+def test_a_rejected_solve_leaves_no_product_of_its_rules(monkeypatch):
+    # th's failed round trip memoizes products of the wrong th*x^-1 before
+    # it fails; the rollback empties the memos, so once the derivation is
+    # right again the same table answers as a fresh one
+    _derive_wrong(monkeypatch, (TH, X, -1))
+    rt = build_rule_table(CalculusType.type_ii())
+    with pytest.raises(NonInvertibleRule, match="round trip of th "):
+        rt.word("px", ("x", -1))
+    monkeypatch.undo()
+    fresh = build_rule_table(CalculusType.type_ii())
+    assert rt.word("px", ("x", -1)) == fresh.word("px", ("x", -1))
+    assert rt.rules == fresh.rules
+
+
+def test_reading_the_rules_keeps_each_rule_that_passed(monkeypatch):
+    # rules solves the x^-1 rules one at a time, th, pth and ith before px:
+    # a wrong px*x^-1 fails its own round trip, and the three rules solved
+    # before it, which passed theirs, stay adopted
+    _derive_wrong(monkeypatch, (PX, X, -1))
+    rt = build_rule_table(CalculusType.type_ii())
+    with pytest.raises(NonInvertibleRule, match="round trip of px "):
+        rt.rules
+    kept = {(TH, X, -1), (PTH, X, -1), (ITH, X, -1)}
+    assert {key for key in rt._rules if key[2] == -1} == kept and len(rt._rules) == 35
+    monkeypatch.undo()
+    fresh = build_rule_table(CalculusType.type_ii()).rules
+    assert all(rt._rules[key] == fresh[key] for key in kept)
 
 
 class _NoCommandNamed(dict):

@@ -89,12 +89,14 @@ monomial kills the unit.  The recursion is at most four blocks deep.
 The local-confluence audit rewrites every short word along each applicable
 first step, the product ``mul`` makes of an out-of-order pair's two letters
 (for a pair without d, the table's rule), and folds the branch one letter at
-a time.  It walks the words in lexicographic order and keeps the partial
-products along the path of the last audited word, so a prefix or branch
-shared with the next word is multiplied once.  Each kept product comes from
-the same multiplication the plain fold makes, in the same order, so the
-audit reports exactly what the fold would, also on a table that is not
-confluent.
+a time.  It makes one depth-first walk of the trie of words up to the
+audit's length: a node carries its word[:-1] folded and the branches still
+to compare, and a child extends each by its letter, so a prefix or branch
+shared by several words is multiplied once.  A branch equal to the one
+through the word's first step stays equal on every extension, so it is
+dropped.  Each kept product comes from the same multiplication the plain
+fold makes, in the same order, so the audit reports exactly what the fold
+would, also on a table that is not confluent.
 
 The exterior-derivative generator d is accepted in input words but is not a
 basis letter: the stated commutation relations make d - (dx*px + dth*pth)
@@ -440,14 +442,6 @@ class Element:
             return NotImplemented
         return (type(self) is type(other) and self.params is other.params
                 and self.terms == other.terms)
-
-    def substitute(self, assignment: Mapping[str, Rat]) -> "Element":
-        e = self._like({})
-        for m, c in self.terms.items():
-            cc = c.substitute(assignment)
-            if not cc.is_zero():
-                e.terms[m] = cc
-        return e
 
     def parity(self):
         """0, 1, or None when the element mixes parities (or is zero)."""
@@ -1071,22 +1065,23 @@ def local_confluence_check(rt: RuleTable, max_len: int) -> ConfluenceReport:
     multiplied as ``rt.d_element()``, so the multiplication core never sees
     d here either, and the step at an out-of-order pair word[i], word[i+1]
     is the product ``rt.mul`` makes of its two letters, built once per call
-    (for a pair without d, the table's rule).
+    (for a pair without d, the table's rule, but 0 for the square of a
+    nilpotent generator, which the engine writes itself).
 
     A branch is built by the letter-by-letter fold: the prefix word[:i]
     folded from 1 one letter at a time, times the step at word[i],
-    word[i+1], then times each suffix letter in turn.
-    Each length is walked prefix by prefix, in lexicographic order, a
-    depth-first walk of the word trie, so the audit replays that fold along
-    the path of the last prefix: every partial product over prefix[:j] is
-    kept while the next prefix shares its first j letters.  A branch through
-    a step before the last pair is then its branch on the prefix times the
-    last letter.  Every product the audit makes is the very ``rt.mul`` call
-    the fold makes, with the same operands in the same order, so every
-    branch, and every residual, is the one the fold gives, even on a table
-    that is not confluent.  And a pair whose branches were equal on the
-    prefix stays equal once both are multiplied by the same last letter, so
-    such a pair is counted without building either branch.
+    word[i+1], then times each suffix letter in turn.  The audit makes
+    that fold along one depth-first walk of the trie of words up to
+    ``max_len`` letters: a word's branch through a step before its last pair
+    is the branch on word[:-1] times the last letter, and its branch through
+    the last pair is word[:-2] folded times the step, so every product the
+    audit makes is the very ``rt.mul`` call the fold makes, with the same
+    operands in the same order (but 1 times a first letter, which is that
+    letter).  Every branch, and every residual, is then the one the fold
+    gives, even on a table that is not confluent.  A branch equal to the
+    base branch, the one through the first step, stays equal once both are
+    multiplied by the same letters, so it is counted but no longer built.
+    Violations are listed by length, then lexicographically.
     """
     if max_len < 3:
         raise ValueError("max_len must be at least 3")
@@ -1096,78 +1091,41 @@ def local_confluence_check(rt: RuleTable, max_len: int) -> ConfluenceReport:
     step_rhs = {(a, b): rt.mul(letters[a], letters[b])
                 for a in _AUDIT_ALPHABET for b in _AUDIT_ALPHABET
                 if _reducible(a, b) is not None}
-    words_checked = 0
-    branch_pairs = 0
+    words_checked = branch_pairs = 0
     violations: list[ConfluenceViolation] = []
-    # path of the last prefix `held`: folds[j] is held[:j] folded from 1;
-    # paths[i][k] is the branch through step i times the letters up to
-    # held[i+1+k], so it depends on held[:i+2+k] only
-    held: tuple = ()
-    folds = [Element.one(rt.params)]
-    paths: dict[int, list[Element]] = {}
-
-    def fold(j: int) -> Element:
-        while len(folds) <= j:
-            folds.append(rt.mul(folds[-1], letters[held[len(folds) - 1]]))
-        return folds[j]
-
-    def held_branch(i: int) -> Element:
-        # the branch through step i on the whole of `held`, whose steps are `rhs`
-        path = paths.get(i)
-        if path is None:
-            path = paths[i] = [rt.mul(fold(i), rhs[i])]
-        while len(path) < len(held) - i - 1:
-            path.append(rt.mul(path[-1], letters[held[i + 1 + len(path)]]))
-        return path[-1]
-
-    # audited words of the last length -> the steps whose branch equalled
-    # the base branch; an extension of a word keeps the word's steps and base
-    settled: dict[tuple, set] = {}
-    for length in range(3, max_len + 1):
-        inherited, settled = settled, {}
-        last_step = length - 2
-        for prefix in _itproduct(_AUDIT_ALPHABET, repeat=length - 1):
-            rhs = [step_rhs.get(pair) for pair in zip(prefix, prefix[1:])]
-            prefix_steps = [i for i, e in enumerate(rhs) if e is not None]
-            if not prefix_steps:
-                continue
-            equal = inherited.get(prefix, set())
-            shared = 0
-            for a, b in zip(held, prefix):
-                if a != b:
-                    break
-                shared += 1
-            held = prefix
-            del folds[shared + 1:]
-            for i in list(paths):
-                if shared < i + 2:
-                    del paths[i]
-                else:
-                    del paths[i][shared - i - 1:]
-            for a in _AUDIT_ALPHABET:
-                last = step_rhs.get((prefix[-1], a))
-                steps = prefix_steps + [last_step] if last is not None else prefix_steps
-                if len(steps) < 2:
-                    continue
-                word = prefix + (a,)
+    # a node of the walk: its word, word[:-1] folded, the word folded (None
+    # when no extension needs it), its number of steps, and its (step,
+    # branch) pairs still to compare: the branch through its first step, the
+    # base, then each later step whose branch differs from the base
+    one = Element.one(rt.params)
+    stack = [((a,), one, letters[a], 0, []) for a in reversed(_AUDIT_ALPHABET)]
+    while stack:
+        word, prev, fold, nsteps, paths = stack.pop()
+        n = len(word) + 1   # the length of each extension
+        children = []
+        for a in _AUDIT_ALPHABET:
+            ext = word + (a,)
+            rhs = step_rhs.get((word[-1], a))
+            k = nsteps + (rhs is not None)
+            if k >= 2:
                 words_checked += 1
-                branch_pairs += len(steps) - 1
-                same = set(equal)
-                base = None
-                for i in steps[1:]:
-                    if i in same:
-                        continue
-                    if base is None:
-                        base = rt.mul(held_branch(steps[0]), letters[a])
-                    if i == last_step:
-                        branch = rt.mul(fold(i), last)
-                    else:
-                        branch = rt.mul(held_branch(i), letters[a])
-                    if branch == base:
-                        same.add(i)
-                    else:
-                        violations.append(ConfluenceViolation(word, (steps[0], i), base - branch))
-                if same and length < max_len:
-                    settled[word] = same
+                branch_pairs += k - 1
+            if n == max_len and len(paths) + (rhs is not None) < 2:
+                continue   # a leaf with no branch to compare
+            grown = [(i, rt.mul(b, letters[a])) for i, b in paths]
+            if rhs is not None:
+                grown.append((n - 2, rt.mul(prev, rhs)))
+            if len(grown) > 1:
+                (first, base), *rest = grown
+                grown = [grown[0]]
+                for i, b in rest:
+                    if b != base:
+                        violations.append(ConfluenceViolation(ext, (first, i), base - b))
+                        grown.append((i, b))
+            if n < max_len:
+                ext_fold = rt.mul(fold, letters[a]) if n + 1 < max_len else None
+                children.append((ext, fold, ext_fold, k, grown))
+        stack.extend(reversed(children))
+    # found in the walk's lexicographic order; the stable sort puts shorter words first
+    violations.sort(key=lambda v: len(v.word))
     return ConfluenceReport(max_len, words_checked, branch_pairs, violations)
-

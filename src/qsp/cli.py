@@ -50,6 +50,16 @@ def _parse_param(text: str) -> tuple[str, Fraction]:
         raise argparse.ArgumentTypeError(f"bad rational {value!r}: {exc}") from None
 
 
+def _assignment(params, source: str) -> dict:
+    """The (name, value) pairs as a dict; a name given twice is an input error."""
+    assignment: dict = {}
+    for name, value in params:
+        if name in assignment:
+            raise argparse.ArgumentTypeError(f"{source}parameter {name!r} given twice")
+        assignment[name] = value
+    return assignment
+
+
 def _read_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -72,6 +82,7 @@ def _read_config(path: str) -> dict:
         else:
             raise argparse.ArgumentTypeError(
                 f"config: unknown key {key!r} (expected type, format or param)")
+    config["params"] = _assignment(config["params"], "config: ")
     return config
 
 
@@ -171,10 +182,8 @@ def _effective(args, config: dict, key: str, default):
 def _engine(args, config) -> tuple[RuleTable, str, dict]:
     ctype = _effective(args, config, "ctype", "II")
     ct = CalculusType.by_name(ctype)
-    params = list(config.get("params", []))
-    if args.params:
-        params.extend(args.params)
-    assignment = {name: value for name, value in params}
+    # a flag overrides the config file's value of its parameter
+    assignment = {**config.get("params", {}), **_assignment(args.params or (), "")}
     for name in assignment:
         if name not in ct.params.variables:
             raise MissingVariable(f"type {ctype} has no parameter {name!r}")

@@ -31,6 +31,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
 
 from qsp.algebra import GENS, CalculusType, Element, build_rule_table, mono_exps  # noqa: E402
+from test_algebra import substitute  # noqa: E402
 
 TYPES = ("I", "II", "III")
 
@@ -133,6 +134,6 @@ def test_specialization_commutes_with_normal_ordering(warm, spec, ws):
     special = build_rule_table(CalculusType.by_name(name).specialize(assignment))
     P = special.params
     for w in ws:
-        e = warm[name].normalize_word(w).substitute(assignment)
+        e = substitute(warm[name].normalize_word(w), assignment)
         got = Element(P, {m: c.project(P) for m, c in e.terms.items()})
         assert got == special.normalize_word(w), (w, assignment)

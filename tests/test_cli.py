@@ -432,6 +432,27 @@ def test_config_param_line(tmp_path, capsys):
     assert out.strip() == "1 + x*px"
 
 
+def test_param_flag_given_twice_exits_2(capsys):
+    # the second value must not silently replace the first
+    assert invoke(capsys, "normalize", "--type", "II", "--param", "r=1",
+                  "--param", "r=2", "r") == (2, "", "error: parameter 'r' given twice\n")
+
+
+def test_config_param_given_twice_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "qsp.cfg"
+    cfg.write_text("param=r=1\nparam= r =2\n")
+    assert invoke(capsys, "normalize", "--config", str(cfg), "r") == (
+        2, "", "error: config: parameter 'r' given twice\n")
+
+
+def test_param_flag_overrides_config_param(tmp_path, capsys):
+    cfg = tmp_path / "qsp.cfg"
+    cfg.write_text("param=r=1\nparam=q=3\n")
+    code, out, _ = invoke(capsys, "normalize", "--config", str(cfg), "--param", "r=2",
+                          "r*q")
+    assert (code, out) == (0, "6\n")
+
+
 @pytest.mark.parametrize("line,flag", [("type=IV", ["--type", "II"]),
                                        ("format=xml", ["--format", "text"])],
                          ids=["type=IV-flag1", "format=xml-flag2"])

@@ -29,21 +29,21 @@ rules of the (75) and (78) ansatz carry each other's letters) raises
 ``NonInvertibleRule``, as a failed round trip does.
 
 The engine multiplies by folding one generator at a time into a canonical
-monomial.  Each table keeps two memos: one for the product of a monomial
-with a single letter, one for the product of two monomials, so every product
-that needs a rewrite is computed once per table.  A product already in order
-is not memoized: it is the merged monomial with the shared unit coefficient
-``params.one()``, built directly, which costs less than a memo entry (and a
-single-letter right factor is recognized by a table lookup).  Every
-coefficient equal to 1 is ``params.one()`` already (``coeffs`` builds it
-so), in the rules as in the products.  A memo entry keeps the coefficients
-its product built, equal values not merged into one instance.  A sum of
-products, a memo miss's sum over its rule's terms included, is accumulated
-in one plain dict, monomial to coefficient, with a term dropped as soon as
-it cancels; a coefficient product is skipped when either factor is the
-shared unit, which most memo coefficients are.  A plain ``Element`` is built
-around that dict with no copy, and two over one parameter set compare by
-their terms alone.
+monomial.  One kernel, ``mul_mono_mono``, multiplies two monomials, a
+single letter being the monomial g^1 or x^-1, and each table keeps one memo
+of its products, keyed by the monomial pair, so every product that needs a
+rewrite is computed once per table.  A product already in order is not
+memoized: it is the merged monomial with the shared unit coefficient
+``params.one()``, built directly, which costs less than a memo entry.
+Every coefficient equal to 1 is ``params.one()`` already (``coeffs`` builds
+it so), in the rules as in the products.  A memo entry keeps the
+coefficients its product built, equal values not merged into one instance.
+A sum of products, a memo miss's sum over its rule's terms included, is
+accumulated in one plain dict, monomial to coefficient, with a term dropped
+as soon as it cancels; a coefficient product is skipped when either factor
+is the shared unit, which most memo coefficients are.  A plain ``Element``
+is built around that dict with no copy, and two over one parameter set
+compare by their terms alone.
 
 Monomials are packed.  The exponents (e_0, ..., e_8) of a monomial, one
 per generator in generator order, are stored as one int,
@@ -72,13 +72,14 @@ split in half, on either side of a product.  A left block passes a letter as
 g^(k-b) (g^b letter) with b = k/2 rounded toward zero, and a right block is
 multiplied as (m g^b) g^(k-b), so the recursion depth grows as log k.  When m
 ends in the generator another monomial starts with, their product merges the
-two blocks (or is zero for a nilpotent generator).  Confluence makes normal
-forms unique, so neither memo nor split changes an answer.
+two blocks (or is zero for a nilpotent generator).  A right factor of
+several blocks is multiplied in one block at a time.  Confluence makes
+normal forms unique, so neither memo nor split changes an answer.
 
 An action ``act(op, f)`` on a form-sector ``f`` is the vacuum part of op*f:
 the product without the terms that still carry an operator letter.  It is
-computed directly, in a third memo keyed by monomial pairs, and the terms the
-projection drops are never built.  An operator monomial u*o (u its form
+computed directly, in a second memo keyed by monomial pairs, and the terms
+the projection drops are never built.  An operator monomial u*o (u its form
 letters, o its operator letters) acts on a*rest, with a the whole leading
 generator block of the form monomial (x^k or dth^b is one block), as u times
 the sum of c*(t acting on rest) over the terms c*t of o*a.  Rules never
@@ -160,7 +161,6 @@ DX, DTH, X, TH, D, PX, PTH, IX, ITH = range(NGENS)
 # Exponent domains: x ranges over [-MONO_EXPONENT_LIMIT, MONO_EXPONENT_LIMIT),
 # nilpotent generators over {0, 1}, the rest over [0, MONO_EXPONENT_LIMIT).
 NILPOTENT = frozenset({DX, TH, D, PTH, IX})
-OPERATOR_SECTOR = frozenset({D, PX, PTH, IX, ITH})
 
 # A monomial is one int, a biased 32-bit field per generator in generator
 # order, generator g at bit 32*g (see the module docstring); one past the
@@ -267,10 +267,6 @@ def _head_tail(m: Monomial, g: int) -> tuple:
 def _half(k: int) -> int:
     """k/2 rounded toward zero: where a power g^k is split."""
     return k // 2 if k > 0 else -(-k // 2)
-
-
-# a monomial that is a single letter g^s (s = +1 or -1) -> that letter
-_LETTERS = {_letter_mono((g, s)): (g, s) for g in range(NGENS) for s in (1, -1)}
 
 
 WordItem = str | tuple
@@ -752,11 +748,10 @@ class RuleTable:
         # the x^-1 rule keys still to solve: those whose x-rule the table holds
         self._pending = {key for key in _X_INVERSE
                          if key not in rules and key[:2] + (1,) in rules}
-        # (monomial, letter) -> product, and (monomial, monomial) -> product
-        # for the pairs _memo does not already answer; an entry keeps the
-        # coefficients its product built, equal ones not interned into one
+        # (monomial, monomial) -> product, for the pairs not already in
+        # order; an entry keeps the coefficients its product built, equal
+        # ones not interned into one
         self._memo: dict = {}
-        self._pair_memo: dict = {}
         # (operator monomial, form monomial) -> vacuum part of their product
         self._act_memo: dict = {}
         # (name, power) -> the value of a symbol of the expression language,
@@ -811,7 +806,7 @@ class RuleTable:
             self._round_trip(_X_INVERSE[key])
         except BaseException:
             self._rules, self._pending = rules, pending
-            for memo in (self._memo, self._pair_memo, self._act_memo):
+            for memo in (self._memo, self._act_memo):
                 memo.clear()
             raise
         return self._rules[key]
@@ -852,76 +847,62 @@ class RuleTable:
         return _element(self.params, {m: self.params._one})
 
     def mul_mono_letter(self, m: Monomial, letter: tuple) -> Element:
-        key = (m, letter)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        g, s = letter
-        j = _last_gen(m)
-        # a letter that needs no rewrite is cheaper to apply than to memoize
-        if g >= j:
-            if g == j and g in NILPOTENT:
-                return Element.zero(self.params)
-            return self._merged(_merge(m, _letter_mono(letter)))
-        k = mono_exp(m, j)
-        # m = h*a^k with a the generator j: m*g = h*a^(k-b) (a^b g), where
-        # a^b g is the rule for |k| = 1 and otherwise b = k/2 rounded toward
-        # zero, so the recursion depth is logarithmic in k, not linear
-        if abs(k) >= 2:
-            b = _half(k)
-            inner = self.mul_mono_letter(_letter_mono((j, b)), letter)
-        else:
-            b = k
-            rule = (j, g, k if j == X else s if g == X else 0)
-            inner = self._rules.get(rule)
-            if inner is None:
-                inner = self._solve(rule)
-        head = m - (b << 32 * j)
-        one = self.params._one
-        acc: dict = {}
-        for im, ic in inner.terms.items():
-            _accumulate(acc, self.mul_mono_mono(head, im).terms, ic, one)
-        e = self._memo[key] = _element(self.params, acc)
-        return e
+        """``m`` times the letter (g, +1/-1), through ``mul_mono_mono``."""
+        return self.mul_mono_mono(m, _letter_mono(letter))
 
     def mul_mono_mono(self, m1: Monomial, m2: Monomial) -> Element:
-        letter = _LETTERS.get(m2)
-        if letter is not None:
-            return self.mul_mono_letter(m1, letter)
         key = (m1, m2)
-        hit = self._pair_memo.get(key)
+        hit = self._memo.get(key)
         if hit is not None:
             return hit
         first = _first_gen(m2)
         last = _last_gen(m1)
         if last <= first:
-            # already in order, or m1 ends in the block m2 starts with: the
-            # product is the merged monomial, or zero for a nilpotent block
+            # in order, or m1 ends in the block m2 starts with: the merged
+            # monomial, or zero for a nilpotent block, built, not memoized
             if last == first and first in NILPOTENT:
                 return Element.zero(self.params)
             return self._merged(_merge(m1, m2))
         end = _last_gen(m2)
-        if end == first:
-            e = self._pair_memo[key] = self._mul_block(m1, first, mono_exp(m2, first))
-            return e
-        e = self._merged(m1)
-        for g in range(first, end + 1):
-            k = mono_exp(m2, g)
-            if k == 1 or k == -1:
-                e = self._times(e, self.mul_mono_letter, (g, k))
-            elif k:
-                # a power is one factor, which _mul_block splits
-                e = self._times(e, self.mul_mono_mono, _letter_mono((g, k)))
-        self._pair_memo[key] = e
+        k = mono_exp(m2, first)
+        if end != first:
+            # several blocks: m1 times each in turn
+            e = self._merged(m1)
+            for g in range(first, end + 1):
+                k = mono_exp(m2, g)
+                if k:
+                    e = self._times(e, _letter_mono((g, k)))
+        elif abs(k) >= 2:
+            e = self._mul_block(m1, first, k)
+        else:
+            # one letter g: m1 = h*a^ka, a its last generator, gives m1*g =
+            # h*a^(ka-b) (a^b g), a^b g the rule for |ka| = 1, else b = ka/2
+            # rounded toward zero: a recursion of depth log |ka|, not |ka|
+            ka = mono_exp(m1, last)
+            if abs(ka) >= 2:
+                b = _half(ka)
+                inner = self.mul_mono_mono(_letter_mono((last, b)), m2)
+            else:
+                b = ka
+                rule = (last, first, ka if last == X else k if first == X else 0)
+                inner = self._rules.get(rule)
+                if inner is None:
+                    inner = self._solve(rule)
+            head = m1 - (b << 32 * last)
+            acc: dict = {}
+            for im, ic in inner.terms.items():
+                _accumulate(acc, self.mul_mono_mono(head, im).terms, ic, self.params._one)
+            e = _element(self.params, acc)
+        self._memo[key] = e
         return e
 
-    def _times(self, e: Element, product, factor) -> Element:
-        """A fresh element: the sum of c * product(m, factor) over the terms
-        c*m of ``e``, for product ``mul_mono_letter`` or ``mul_mono_mono``."""
+    def _times(self, e: Element, m: Monomial) -> Element:
+        """A fresh element: ``e * m``, the sum of c * (t*m) over the terms c*t."""
         one = self.params._one
+        mul_mono_mono = self.mul_mono_mono
         acc: dict = {}
-        for m, c in e.terms.items():
-            _accumulate(acc, product(m, factor).terms, c, one)
+        for t, c in e.terms.items():
+            _accumulate(acc, mul_mono_mono(t, m).terms, c, one)
         return e._like(acc)
 
     def _mul_block(self, m: Monomial, g: int, k: int) -> Element:
@@ -930,15 +911,14 @@ class RuleTable:
         The factors of ``m`` up to ``g`` stay in front and only the tail past
         ``g`` moves: ``h*t * g^k = h * (t * g^k)``.  A bare tail splits the
         power as ``t * g^k = (t * g^b) * g^(k-b)`` with b = k/2 rounded
-        toward zero, as ``mul_mono_letter`` splits a left factor, so the memo
+        toward zero, as a single letter splits a left block, so the memo
         gains O(log k) entries per tail, not k.
         """
         head, tail = _head_tail(m, g)
         if head != ONE_MONO:
             return self.mul(self._merged(head), self.mul_mono_mono(tail, _letter_mono((g, k))))
         b = _half(k)
-        return self._times(self.mul_mono_mono(m, _letter_mono((g, b))),
-                           self.mul_mono_mono, _letter_mono((g, k - b)))
+        return self._times(self.mul_mono_mono(m, _letter_mono((g, b))), _letter_mono((g, k - b)))
 
     def mul(self, a: Element, b: Element) -> Element:
         one = self.params._one
@@ -999,7 +979,7 @@ class RuleTable:
             if letter[0] == D:
                 e = self.mul(e, self._d_real)
             else:
-                e = self._times(e, self.mul_mono_letter, letter)
+                e = self._times(e, _letter_mono(letter))
         return e
 
     def word(self, *items: WordItem) -> Element:

@@ -29,6 +29,8 @@ from qsp.algebra import (
     RuleTable,
     UnsupportedGenerator,
     _AUDIT_ALPHABET,
+    _first_gen,
+    _last_gen,
     _letter_mono,
     _reducible,
     build_rule_table,
@@ -210,7 +212,8 @@ def test_solved_x_inverse_rules_hold_the_shared_unit(name, assignment):
 def test_every_unit_coefficient_is_the_shared_one(name, assignment):
     # coeffs builds every value equal to 1 as params.one() itself, so a
     # specialization's projected units (Q = r at r = 1, Q11 = q at q = 1)
-    # enter the rules as the shared one, and so does every unit the memos hold
+    # enter the rules as the shared one, and so does every unit the memos
+    # hold; and a product already in order is not memoized
     ct = CalculusType.by_name(name)
     rt = build_rule_table(ct.specialize(assignment) if assignment else ct)
     one = rt.params.one()
@@ -220,8 +223,9 @@ def test_every_unit_coefficient_is_the_shared_one(name, assignment):
     assert fresh(rt.rules.values()) == []
     local_confluence_check(rt, 3)
     run_suite(rt)
-    for memo in (rt._memo, rt._pair_memo, rt._act_memo):
+    for memo in (rt._memo, rt._act_memo):
         assert memo and fresh(memo.values()) == []
+        assert not [(m1, m2) for m1, m2 in memo if _last_gen(m1) <= _first_gen(m2)]
 
 
 @TABLES
@@ -547,10 +551,9 @@ def test_audit_steps_are_the_table_rules(name, assignment):
         assert e == rt.rules[key], (key, e, rt.rules[key])
 
 
-def _involves_d(key, letter):
-    # a memo key: a monomial and a letter (g, s) when ``letter``, else two monomials
-    m, other = key
-    return bool(mono_exp(m, D)) or (other[0] == D if letter else bool(mono_exp(other, D)))
+def _involves_d(key):
+    # a memo key: two monomials
+    return any(mono_exp(m, D) for m in key)
 
 
 @pytest.mark.parametrize("name,assignment", [("I", {}), ("II", {}), ("III", {}),
@@ -565,12 +568,12 @@ def test_fresh_table_computes_no_d_product(name, assignment):
     ct = CalculusType.by_name(name)
     rt = build_rule_table(ct.specialize(assignment) if assignment else ct)
     assert not [key for key in rt.rules if D in key[:2]]
-    assert not [key for key in rt._memo if _involves_d(key, True)]
-    assert not [key for key in rt._pair_memo if _involves_d(key, False)]
+    assert not [key for key in rt._memo if _involves_d(key)]
     real = list(rt.d_element().terms)
-    assert not [m for m in real for g in (DX, DTH, TH) if (m, (g, 1)) in rt._memo]
+    assert not [m for m in real for g in (mono(dx=1), mono(dth=1), mono(th=1))
+                if (m, g) in rt._memo]
     assert not [(a, b) for a in real + [mono(px=1), mono(pth=1), mono(ix=1), mono(ith=1)]
-                for b in real if (a, b) in rt._pair_memo]
+                for b in real if (a, b) in rt._memo]
 
 
 def test_catalog_and_audit_compute_no_d_product():
@@ -580,8 +583,8 @@ def test_catalog_and_audit_compute_no_d_product():
     run_suite(rt)
     local_confluence_check(rt, 4)
     assert rt._act_memo
-    for memo, letter in ((rt._memo, True), (rt._pair_memo, False), (rt._act_memo, False)):
-        assert not [key for key in memo if _involves_d(key, letter)]
+    for memo in (rt._memo, rt._act_memo):
+        assert not [key for key in memo if _involves_d(key)]
 
 
 def test_idempotence_and_specialization_commute(t2):
@@ -696,7 +699,6 @@ def _broken_table(name):
     rt = build_rule_table(CalculusType.by_name(name))
     rt.rules[(PX, DX, 0)] = rt.rules[(PX, DX, 0)].scale(2)
     rt._memo.clear()
-    rt._pair_memo.clear()
     return rt
 
 
@@ -780,10 +782,11 @@ def test_stored_elements_survive_in_place_accumulation():
 
     def snapshot():
         return [{k: dict(e.terms) for k, e in store.items()}
-                for store in (rt._memo, rt._pair_memo, rt.rules, rt._symbols)]
+                for store in (rt._memo, rt.rules, rt._symbols)]
 
     before = snapshot()
-    assert before[1], "the words above must fill the pair memo"
+    assert [m2 for _, m2 in before[0] if sum(map(abs, mono_exps(m2))) > 1], \
+        "the words above must fill the memo with products by more than one letter"
     local_confluence_check(rt, 3)
     for _ in range(10):
         a, b = rt.normalize_word(word()), rt.normalize_word(word())
@@ -862,9 +865,9 @@ def test_right_x_power_matches_letter_fold(name):
 def test_right_x_power_memo_grows_logarithmically(tail):
     # px * x^10000 memoizes O(log k) products, not one per letter
     rt = build_rule_table(CalculusType.type_ii())
-    before = len(rt._memo) + len(rt._pair_memo)
+    before = len(rt._memo)
     e = rt.mul_mono_mono(mono(px=1), mono(x=10_000, **tail))
-    assert len(rt._memo) + len(rt._pair_memo) - before < 300
+    assert len(rt._memo) - before < 300
     want = rt.params.var("r") ** 10_000
     if tail:
         want = want * rt.mul_mono_mono(mono(px=1), mono(th=1)).terms[mono(th=1, px=1)]

@@ -437,7 +437,6 @@ def test_tensor_certificates_fail_on_broken_table(name, rule):
     rt = build_rule_table(CalculusType.by_name(name))
     rt.rules[rule] = rt.rules[rule].scale(2)
     rt._memo.clear()
-    rt._pair_memo.clear()
     for key, ids in TENSOR_CERTIFIED.items():
         for identity_id in ids:
             r = verify_identity(rt, identity_id)

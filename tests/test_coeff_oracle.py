@@ -364,7 +364,7 @@ def test_memoized_coefficients_are_laurent(name):
     rt = build_rule_table(CalculusType.by_name(name))
     assert not local_confluence_check(rt, 3).violations
     assert run_suite(rt)
-    held = {c for memo in (rt._memo, rt._pair_memo, rt._act_memo)
+    held = {c for memo in (rt._memo, rt._act_memo)
             for e in memo.values() for c in e.terms.values()}
     assert len(held) > 20
     for c in held:

@@ -31,7 +31,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, example, given, settings, strategies as st  # noqa: E402
 
 from qsp.algebra import (  # noqa: E402
-    D, DTH, DX, GENS, IX, MONO_EXPONENT_LIMIT, NGENS, NILPOTENT, OPERATOR_SECTOR, PTH, TH, X,
+    D, DTH, DX, GENS, ITH, IX, MONO_EXPONENT_LIMIT, NGENS, NILPOTENT, PTH, PX, TH, X,
     CalculusType, Element, _first_gen, _head_tail, _last_gen, build_rule_table, mono,
     mono_exp, mono_exps, mono_is_form, mono_is_function, mono_parity, mono_sort_key,
     mono_str)
@@ -247,6 +247,8 @@ def test_sub_matches_term_loop(tables, data, name, kind, how, from_zero):
 # ----------------------------------------------------------------------------
 
 L = MONO_EXPONENT_LIMIT
+# d, the partial derivatives and the inner derivations
+OPERATOR_SECTOR = frozenset({D, PX, PTH, IX, ITH})
 
 
 def _exponents(g):

@@ -1,15 +1,16 @@
-"""A memo-free reference rewriter, checked against the engine.
+"""A reference rewriter on words, checked against the engine.
 
-The engine multiplies by folding letters into canonical monomials, with two
-memos, log-depth splits of x^k, in-order shortcuts and a one-dict
-accumulator.  The rewriter below shares none of that: it keeps a
-plain dict from words (tuples of letters) to coefficients and rewrites the
-leftmost out-of-order adjacent pair of a word by its rule in ``rt.rules``
-(or cancels x*x^-1), until no such pair is left.  The exterior derivative d is replaced by
-dx*px + dth*pth before rewriting.  By the diamond lemma (Bergman, Adv. Math.
-29 (1978) 178-218) every strategy reaches the same normal form on a
-confluent table, so the two must agree there; on a table that is not
-confluent they need not, and the broken table shows that they do not.
+The engine multiplies packed monomials through one kernel, with a product
+memo, log-depth splits of every block g^k, in-order shortcuts and a
+one-dict accumulator.  The rewriter below shares none of that: it keeps
+plain dicts from words (tuples of letters) to coefficients, reads a block as
+its letters one by one, and rewrites the leftmost out-of-order adjacent pair
+of a word by its rule in ``rt.rules`` (or cancels x*x^-1), until no such
+pair is left.  The exterior derivative d is replaced by dx*px + dth*pth
+before rewriting.  By the diamond lemma (Bergman, Adv. Math. 29 (1978)
+178-218) every strategy reaches the same normal form on a confluent table,
+so the two must agree there; on a table that is not confluent they need
+not, and the broken table shows that they do not.
 """
 
 import pytest
@@ -45,41 +46,60 @@ def _rule_key(a, b):
 
 
 def reference_normal_form(rt, word):
-    """Normal-order a word by leftmost rewriting with ``rt.rules`` alone."""
-    one = rt.params.one()
+    """Normal-order a word by leftmost rewriting with ``rt.rules`` alone.
+
+    The letters are read one at a time, each inserted into every normal
+    word read so far.  A normal word u followed by a letter a has at most
+    one out-of-order pair, its last, u[-1]*a: it is rewritten by its rule
+    (or cancelled, x*x^-1), and each term's letters are inserted in turn
+    into u[:-1].  Each step rewrites the leftmost out-of-order pair, so
+    these are the steps of leftmost rewriting on the whole word.  The
+    normal form of each pair (u, a) is kept once found: leftmost rewriting
+    makes it a function of the pair alone, on any table."""
+    one, zero = rt.params.one(), rt.params.zero()
+    inserted = {}
+
+    def fold(words, letters):
+        for a in letters:
+            out = {}
+            for u, c in words.items():
+                for v, rc in insert(u, a).items():
+                    out[v] = out.get(v, zero) + c * rc
+            words = {v: c for v, c in out.items() if not c.is_zero()}
+        return words
+
+    def insert(u, a):
+        out = inserted.get((u, a))
+        if out is not None:
+            return out
+        key = _rule_key(u[-1], a) if u else None
+        if u and u[-1][0] == a[0] == X and u[-1][1] != a[1]:
+            out = {u[:-1]: one}                          # x * x^-1 = 1
+        elif key is None or (key[0] == key[1] and key not in rt.rules):
+            out = {u + (a,): one}                        # in order, or a free power
+        else:
+            out = {}
+            for m, rc in rt.rules[key].terms.items():
+                middle = tuple(word_letters(zip(GENS, mono_exps(m))))
+                for v, c in fold({u[:-1]: rc}, middle).items():
+                    out[v] = out.get(v, zero) + c
+        inserted[u, a] = out
+        return out
+
     pending = {(): one}
     for letter in word_letters(word):
-        nxt = {}
-        for w, c in pending.items():
-            for piece in (D_REALIZATION if letter[0] == D else ((letter,),)):
-                key = w + piece
-                nxt[key] = nxt.get(key, rt.params.zero()) + c
-        pending = nxt
+        out = {}
+        for piece in (D_REALIZATION if letter[0] == D else ((letter,),)):
+            for v, c in fold(pending, piece).items():
+                out[v] = out.get(v, zero) + c
+        pending = out
     out = {}
-    while pending:
-        w, c = pending.popitem()
-        for i in range(len(w) - 1):
-            a, b = w[i], w[i + 1]
-            if a[0] == b[0] == X and a[1] != b[1]:
-                rewrites = [((), one)]               # x * x^-1 = 1
-            else:
-                key = _rule_key(a, b)
-                if key is None or (key[0] == key[1] and key not in rt.rules):
-                    continue                         # in order, or a free power
-                rewrites = [(tuple(word_letters(zip(GENS, mono_exps(m)))), rc)
-                            for m, rc in rt.rules[key].terms.items()]
-            for middle, rc in rewrites:
-                nw = w[:i] + middle + w[i + 2:]
-                pending[nw] = pending.get(nw, rt.params.zero()) + c * rc
-                if pending[nw].is_zero():
-                    del pending[nw]
-            break
-        else:
-            exps = [0] * NGENS
-            for g, s in w:
-                exps[g] += s
-            m = tuple(exps)
-            out[m] = out.get(m, rt.params.zero()) + c
+    for w, c in pending.items():
+        exps = [0] * NGENS
+        for g, s in w:
+            exps[g] += s
+        m = tuple(exps)
+        out[m] = out.get(m, zero) + c
     # the words' exponent tuples become the engine's monomials only here
     return Element(rt.params, {mono(**{GENS[g]: e for g, e in enumerate(m) if e}): c
                                for m, c in out.items()})
@@ -88,10 +108,14 @@ def reference_normal_form(rt, word):
 SPECIALIZED = {"I": ("I", {}), "II": ("II", {}), "III": ("III", {}),
                "II-r1": ("II", {"r": 1}), "III-p1": ("III", {"p": 1})}
 
+# single letters, powers of x and x^-1, and the blocks g^2, g^3 of dth, px
+# and ith, so that a product of two drawn words meets a block on its left
+# (split in half) and on its right (multiplied as one factor)
 letters = st.one_of(
     st.sampled_from([(name, 1) for name in GENS if name != "x"]),
     st.tuples(st.integers(1, 6), st.sampled_from((1, -1))).map(
         lambda ks: ("x", ks[0] * ks[1])),
+    st.tuples(st.sampled_from(("dth", "px", "ith")), st.integers(2, 3)),
 )
 words = st.lists(letters, max_size=3)
 

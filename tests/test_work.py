@@ -6,8 +6,8 @@ including its build, the calls to
 
 - ``RationalFunction.__mul__``, every coefficient product;
 - ``coeffs._lp_mul``, the products of multi-term coefficients;
-- ``RuleTable.mul_mono_letter`` and ``RuleTable.mul_mono_mono``, memo hits
-  and recursive calls included;
+- ``RuleTable.mul_mono_mono``, the one product kernel, memo hits, in-order
+  products and recursive calls included;
 - ``RationalFunction.__hash__``, which normal ordering itself never needs,
 
 and the work of ``_lp_mul``, the sum of len(a) * len(b) over its calls, and
@@ -33,28 +33,27 @@ from qsp.exprio import parse_element
 COUNTED = {
     "products": (coeffs.RationalFunction, "__mul__"),
     "lp_mul": (coeffs, "_lp_mul"),
-    "mul_mono_letter": (algebra.RuleTable, "mul_mono_letter"),
-    "mul_mono_mono": (algebra.RuleTable, "mul_mono_mono"),
+    "kernel": (algebra.RuleTable, "mul_mono_mono"),
     "hashes": (coeffs.RationalFunction, "__hash__"),
 }
 
 # (run, type) -> the ceiling of each count, in the order of COUNTED, then the
 # ceiling of the _lp_mul work
 PINS = {
-    ("run_suite", "I"): (2345, 0, 2239, 2342, 8, 0),
-    ("run_suite", "II"): (3384, 100, 2814, 2871, 8, 430),
-    ("run_suite", "III"): (3142, 86, 2615, 2636, 8, 358),
-    ("audit", "II"): (22919, 1129, 17691, 18489, 0, 4754),
+    ("run_suite", "I"): (2345, 0, 3496, 8, 0),
+    ("run_suite", "II"): (3384, 100, 4459, 8, 430),
+    ("run_suite", "III"): (3142, 86, 4032, 8, 358),
+    ("audit", "II"): (22919, 1129, 29932, 0, 4754),
     # small inputs of each heavy family, read by exprio.parse_element: the
     # block splits and powers that the catalog and the audit barely reach;
     # the first three families at k and 2k
-    ("H^10", "II"): (450, 84, 472, 565, 0, 2842),
-    ("H^20", "II"): (1677, 459, 1262, 1938, 0, 99450),
-    ("px^3*x^100", "II"): (406, 114, 100, 699, 0, 36836),
-    ("px^3*x^200", "II"): (446, 127, 100, 783, 0, 135938),
-    ("ith^8*dth^8", "II"): (143, 42, 79, 164, 0, 4722),
-    ("ith^16*dth^16", "II"): (560, 274, 152, 678, 0, 302218),
-    ("(1+r)^200", "II"): (32, 9, 0, 0, 0, 15724),
+    ("H^10", "II"): (450, 84, 1024, 0, 2842),
+    ("H^20", "II"): (1677, 459, 3170, 0, 99450),
+    ("px^3*x^100", "II"): (406, 114, 766, 0, 36836),
+    ("px^3*x^200", "II"): (446, 127, 850, 0, 135938),
+    ("ith^8*dth^8", "II"): (143, 42, 216, 0, 4722),
+    ("ith^16*dth^16", "II"): (560, 274, 778, 0, 302218),
+    ("(1+r)^200", "II"): (32, 9, 0, 0, 15724),
 }
 
 RUNS = {

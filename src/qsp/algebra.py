@@ -10,7 +10,8 @@ already normal-ordered.  Only the defining relations (5), (11) and (12) are
 typed in, with ith*ix (97), in one table, ``_RULES``, each right-hand side
 written with named coefficients; ``shaped_rules`` fills it with the values
 of ``rule_coeffs`` and adds the squares g*g = 0 of the nilpotent generators
-(``NILPOTENT``).  ``rule_coeffs`` maps every scalar symbol of a type, so at
+(``NILPOTENT``), rules that the engine reads like any other.
+``rule_coeffs`` maps every scalar symbol of a type, so at
 ``covariance.ansatz_type``, whose symbols are unknowns, it also fills the
 (75) and (78) ansatz shapes, one unknown per name, for
 ``covariance.ansatz_table`` to print their systems.  ``RuleTable.build``
@@ -72,9 +73,10 @@ split in half, on either side of a product.  A left block passes a letter as
 g^(k-b) (g^b letter) with b = k/2 rounded toward zero, and a right block is
 multiplied as (m g^b) g^(k-b), so the recursion depth grows as log k.  When m
 ends in the generator another monomial starts with, their product merges the
-two blocks (or is zero for a nilpotent generator).  A right factor of
-several blocks is multiplied in one block at a time.  Confluence makes
-normal forms unique, so neither memo nor split changes an answer.
+two blocks, but for a nilpotent generator it applies the table's rule g*g.
+A right factor of several blocks is multiplied in one block at a time.
+Confluence makes normal forms unique, so neither memo nor split changes an
+answer.
 
 An action ``act(op, f)`` on a form-sector ``f`` is the vacuum part of op*f:
 the product without the terms that still carry an operator letter.  It is
@@ -606,7 +608,7 @@ class CalculusType(namedtuple("CalculusType", ("params", *COEFF_NAMES, "assigned
 # The typed rules, keyed (left, right, sign), each right-hand side as
 # (coefficient name, monomial) terms, the name None standing for the unit.
 # The squares g*g = 0 of the nilpotent generators are not typed: shaped_rules
-# reads them off NILPOTENT.
+# adds them from NILPOTENT, and the engine reads them as it reads these.
 _RULES = {
     # coordinates among themselves (5), and past differentials (11)
     (TH, X, 1): (("q^-1", mono(x=1, th=1)),),
@@ -634,7 +636,7 @@ _RULES = {
 def shaped_rules(params: ParamSet, coeffs: Mapping[str, RationalFunction]) -> dict:
     """The rules of ``_RULES`` whose coefficient names ``coeffs`` all
     supplies, filled with its values, and the square g*g = 0 of each
-    nilpotent generator but d."""
+    nilpotent generator but d, where the kernel reads g*g."""
     one = params.one()
     rules = {key: Element(params, {m: coeffs[name] if name else one for name, m in rhs})
              for key, rhs in _RULES.items() if all(name in coeffs for name, _ in rhs if name)}
@@ -857,11 +859,9 @@ class RuleTable:
             return hit
         first = _first_gen(m2)
         last = _last_gen(m1)
-        if last <= first:
-            # in order, or m1 ends in the block m2 starts with: the merged
-            # monomial, or zero for a nilpotent block, built, not memoized
-            if last == first and first in NILPOTENT:
-                return Element.zero(self.params)
+        if last < first or last == first and last not in NILPOTENT:
+            # in order, or m1 ends in the non-nilpotent block m2 starts with:
+            # the merged monomial, built, not memoized
             return self._merged(_merge(m1, m2))
         end = _last_gen(m2)
         k = mono_exp(m2, first)
@@ -1045,8 +1045,7 @@ def local_confluence_check(rt: RuleTable, max_len: int) -> ConfluenceReport:
     multiplied as ``rt.d_element()``, so the multiplication core never sees
     d here either, and the step at an out-of-order pair word[i], word[i+1]
     is the product ``rt.mul`` makes of its two letters, built once per call
-    (for a pair without d, the table's rule, but 0 for the square of a
-    nilpotent generator, which the engine writes itself).
+    (for a pair without d, the table's rule).
 
     A branch is built by the letter-by-letter fold: the prefix word[:i]
     folded from 1 one letter at a time, times the step at word[i],

@@ -1,5 +1,7 @@
 """Derived operators, actions, closed forms, and catalog behaviour."""
 
+from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -200,6 +202,50 @@ def test_eq58_relations_word_level(t2):
     assert verify_identity(t2, "eq58-monomial-omegath").status == "PASS"
 
 
+def _as_printed_scan(identity_id, rt):
+    """The printed (56) or (58) at x^m*th for m = 0..5, as residuals."""
+    ct, P = rt.ct, rt.params
+    nb, H, wx, wth = (expand_derived(rt, name) for name in ("Nb", "H", "wx", "wth"))
+    for m in range(6):
+        w, xm1 = Element.monomial(P, mono(x=m, th=1)), Element.monomial(P, mono(x=m + 1))
+        if identity_id.startswith("eq56"):
+            yield rt.mul(nb, w) - (xm1.scale(ct.Q11 ** m) - rt.mul(w, nb).scale(ct.Q11 ** (m + 1))
+                                   - rt.mul(xm1, H).scale(ct.Q11 * ct.Q22))
+        else:
+            yield rt.mul(w, wx) - (rt.mul(wx, w).scale(-(ct.Q ** (m + 1)))
+                                   + rt.mul(wth, xm1).scale((ct.Q ** m) * ct.Q22))
+
+
+# the contract's seven tables, then two where a scan has zeros between its
+# nonzero residuals: eq56's at III q=1 p=-1 (Q11 = -1), eq58's at III q=-1
+# (Q = -Q11)
+@pytest.mark.parametrize("name,assignment", [
+    ("I", {}), ("II", {}), ("III", {}), ("II", {"r": 1}), ("III", {"p": 1}),
+    ("II", {"r": Fraction(1, 2)}), ("III", {"p": Fraction(2, 3)}),
+    ("III", {"q": 1, "p": -1}), ("III", {"q": -1})],
+    ids=["I", "II", "III", "II-r1", "III-p1", "II-r1/2", "III-p2/3", "III-q1-p-1", "III-q-1"])
+@pytest.mark.parametrize("identity_id", ["eq56-nabla-monomials-as-printed",
+                                         "eq58-monomial-omegax-as-printed"])
+def test_the_as_printed_witness_decides_the_scan(name, assignment, identity_id):
+    # the twin's one word is the scan's first nonzero residual, and zero
+    # exactly when every scanned residual is
+    ct = CalculusType.by_name(name)
+    rt = build_rule_table(ct.specialize(assignment) if assignment else ct)
+    nonzero = [r for r in _as_printed_scan(identity_id, rt) if not r.is_zero()]
+    residual = verify_identity(rt, identity_id).residual
+    assert residual == (nonzero[0] if nonzero else Element.zero(rt.params))
+    assert residual.is_zero() == (not nonzero)
+
+
+def test_only_eq64_as_printed_scans_for_a_witness():
+    # every other certificate is a list of word relations, so a twin that
+    # scans coordinates cannot come back unnoticed
+    scans = {i for i in KNOWN_DISCREPANCY_IDS
+             if not (isinstance(_CATALOG[i].residuals, partial)
+                     and _CATALOG[i].residuals.func is _word_residuals)}
+    assert scans == {"eq64-antipode-as-printed"}
+
+
 def test_action_closed_forms_up_to_ten(t2):
     H = expand_derived(t2, "H")
     T = expand_derived(t2, "T")
@@ -314,9 +360,9 @@ def test_every_entry_takes_only_the_table(name):
 
 
 # the perturbed rules that eq3 passes: the squares of the nilpotent
-# generators, which the engine never reads (it writes g*g = 0 itself), and at
-# type I six more; every other rule scaled by 2 or plus the unit breaks an
-# overlap of the length-3 audit, which eq3 reports
+# generators scaled by 2, which leaves them 0, and at type I six more; every
+# other rule scaled by 2 or plus the unit breaks an overlap of the length-3
+# audit, which eq3 reports
 EQ3_PASSES = {
     "I": {(PX, X, 1, "2*"), (PX, X, 1, "+1"), (PTH, TH, 0, "+1"), (IX, DX, 0, "+1"),
           (ITH, DTH, 0, "2*"), (ITH, DTH, 0, "+1")},
@@ -333,7 +379,7 @@ def test_eq3_catches_each_perturbed_rule(name):
             result = verify_identity(_perturbed_table(name, rule, how), "eq3-d-squared-zero")
             if result.status == "PASS":
                 passes.add((*rule, how))
-    squares = {(g, g, 0, how) for g in (DX, TH, PTH, IX) for how in ("2*", "+1")}
+    squares = {(g, g, 0, "2*") for g in (DX, TH, PTH, IX)}
     assert passes == squares | EQ3_PASSES[name]
 
 
@@ -376,7 +422,6 @@ def test_corrected_scalar_evaluates_per_family():
 def test_full_suite_at_numeric_specialization():
     # exact rational cross-check: every identity behaves identically after
     # substituting generic-position numeric parameters
-    from fractions import Fraction
     cases = (
         ("II", {"q": Fraction(3, 2), "r": Fraction(5, 7)}),
         ("III", {"q": Fraction(2, 3), "p": Fraction(7, 4)}),

@@ -360,9 +360,10 @@ def test_fraction_literals_promote_and_demote(n, d):
 def test_memoized_coefficients_are_laurent(name):
     # every coefficient normal ordering memoizes is an integer Laurent
     # polynomial, stored with int coefficients: an integral value held as a
-    # Fraction would leave the int fast path
+    # Fraction would leave the int fast path.  With the catalog, the length-3
+    # audit leaves only 14 distinct coefficients at type I, the length-4 one 37
     rt = build_rule_table(CalculusType.by_name(name))
-    assert not local_confluence_check(rt, 3).violations
+    assert not local_confluence_check(rt, 4).violations
     assert run_suite(rt)
     held = {c for memo in (rt._memo, rt._act_memo)
             for e in memo.values() for c in e.terms.values()}

@@ -90,16 +90,18 @@ without operator letters acts by plain multiplication, and an operator
 monomial kills the unit.  The recursion is at most four blocks deep.
 
 The local-confluence audit rewrites every short word along each applicable
-first step, the product ``mul`` makes of an out-of-order pair's two letters
-(for a pair without d, the table's rule), and folds the branch one letter at
-a time.  It makes one depth-first walk of the trie of words up to the
-audit's length: a node carries its word[:-1] folded and the branches still
-to compare, and a child extends each by its letter, so a prefix or branch
+first step, the product of an out-of-order pair's two letters (for a pair
+without d, the table's rule), and folds the branch one letter at a time.
+It makes one depth-first walk of the trie of words up to the audit's
+length: a node carries its word[:-1] folded and the branches still to
+compare, and a child extends each by its letter, so a prefix or branch
 shared by several words is multiplied once.  A branch equal to the one
 through the word's first step stays equal on every extension, so it is
-dropped.  Each kept product comes from the same multiplication the plain
-fold makes, in the same order, so the audit reports exactly what the fold
-would, also on a table that is not confluent.
+dropped.  Its elements are flat, dicts (monomial, packed coefficient key)
+-> rational, multiplied with no coefficient object per term; only a
+violation's residual is regrouped into an Element.  Each kept product is
+the plain fold's, the same kernel products summed exactly, so the audit
+reports exactly what the fold would, also on a table that is not confluent.
 
 The exterior-derivative generator d is accepted in input words but is not a
 basis letter: the stated commutation relations make d - (dx*px + dth*pth)
@@ -132,6 +134,8 @@ from .coeffs import (
     RationalFunction,
     ResultTooLarge,
     _assignment_str,
+    _exponent_too_large,
+    _rational,
 )
 
 
@@ -1036,6 +1040,44 @@ def _reducible(a: tuple, b: tuple) -> RuleKey | None:
 _AUDIT_ALPHABET = tuple([(g, 1) for g in range(NGENS)] + [(X, -1)])
 
 
+def _flat_mul(rt: RuleTable, a: dict, b: dict) -> dict:
+    """a*b for flat elements, dicts (monomial, packed coefficient key) ->
+    rational: each kernel product made once, each key tested as
+    ``coeffs._lp_mul`` tests one, and a term that cancels dropped."""
+    origin2, guard = 2 * rt.params._origin, rt.params._guard
+    products: dict = {}   # m2 -> m1 -> the kernel's m1*m2
+    out: dict = {}
+    get = out.get
+    for (m2, k2), c2 in b.items():
+        k2 -= origin2
+        row = products.setdefault(m2, {})
+        for (m1, k1), c1 in a.items():
+            terms = row.get(m1)
+            if terms is None:
+                terms = row[m1] = rt.mul_mono_mono(m1, m2).terms.items()
+            k12, c12 = k1 + k2, c1 * c2
+            for m, v in terms:
+                for k, c in v.packed.items():
+                    k += k12
+                    if k & guard:
+                        raise _exponent_too_large()
+                    key = (m, k)
+                    c = get(key, 0) + c12 * c
+                    if c:
+                        out[key] = c
+                    else:
+                        del out[key]
+    return out
+
+
+def _regrouped(params: ParamSet, flat: dict) -> Element:
+    """The flat element ``flat`` as an Element."""
+    rows: dict = {}
+    for (m, k), c in flat.items():
+        rows.setdefault(m, {})[k] = c
+    return _element(params, {m: _rational(params, row) for m, row in rows.items()})
+
+
 def local_confluence_check(rt: RuleTable, max_len: int) -> ConfluenceReport:
     """Rewrite every short word via each applicable first step and compare.
 
@@ -1044,8 +1086,8 @@ def local_confluence_check(rt: RuleTable, max_len: int) -> ConfluenceReport:
     residual difference of the fully normalized branches.  The letter d is
     multiplied as ``rt.d_element()``, so the multiplication core never sees
     d here either, and the step at an out-of-order pair word[i], word[i+1]
-    is the product ``rt.mul`` makes of its two letters, built once per call
-    (for a pair without d, the table's rule).
+    is the product of its two letters, built once per call (for a pair
+    without d, the table's rule).
 
     A branch is built by the letter-by-letter fold: the prefix word[:i]
     folded from 1 one letter at a time, times the step at word[i],
@@ -1054,20 +1096,23 @@ def local_confluence_check(rt: RuleTable, max_len: int) -> ConfluenceReport:
     ``max_len`` letters: a word's branch through a step before its last pair
     is the branch on word[:-1] times the last letter, and its branch through
     the last pair is word[:-2] folded times the step, so every product the
-    audit makes is the very ``rt.mul`` call the fold makes, with the same
-    operands in the same order (but 1 times a first letter, which is that
-    letter).  Every branch, and every residual, is then the one the fold
-    gives, even on a table that is not confluent.  A branch equal to the
-    base branch, the one through the first step, stays equal once both are
-    multiplied by the same letters, so it is counted but no longer built.
-    Violations are listed by length, then lexicographically.
+    audit makes is one the fold makes, of the same operands in the same
+    order (but 1 times a first letter, which is that letter), and sums the
+    same kernel products exactly (``_flat_mul``).  Every branch, and every
+    residual, is then the one the fold gives, even on a table that is not
+    confluent.  A branch equal to the base branch, the one through the first
+    step, stays equal once both are multiplied by the same letters, so it is
+    counted but no longer built.  Violations are listed by length, then
+    lexicographically.
     """
     if max_len < 3:
         raise ValueError("max_len must be at least 3")
-    letters = {a: Element.monomial(rt.params, _letter_mono(a)) for a in _AUDIT_ALPHABET}
-    letters[(D, 1)] = rt.d_element()
+    origin = rt.params._origin
+    letters = {a: {(_letter_mono(a), origin): 1} for a in _AUDIT_ALPHABET}
+    letters[(D, 1)] = {(m, k): c for m, v in rt.d_element().terms.items()
+                       for k, c in v.packed.items()}
     # out-of-order letter pair -> the product of its two letters
-    step_rhs = {(a, b): rt.mul(letters[a], letters[b])
+    step_rhs = {(a, b): _flat_mul(rt, letters[a], letters[b])
                 for a in _AUDIT_ALPHABET for b in _AUDIT_ALPHABET
                 if _reducible(a, b) is not None}
     words_checked = branch_pairs = 0
@@ -1076,7 +1121,7 @@ def local_confluence_check(rt: RuleTable, max_len: int) -> ConfluenceReport:
     # when no extension needs it), its number of steps, and its (step,
     # branch) pairs still to compare: the branch through its first step, the
     # base, then each later step whose branch differs from the base
-    one = Element.one(rt.params)
+    one = {(ONE_MONO, origin): 1}
     stack = [((a,), one, letters[a], 0, []) for a in reversed(_AUDIT_ALPHABET)]
     while stack:
         word, prev, fold, nsteps, paths = stack.pop()
@@ -1091,18 +1136,19 @@ def local_confluence_check(rt: RuleTable, max_len: int) -> ConfluenceReport:
                 branch_pairs += k - 1
             if n == max_len and len(paths) + (rhs is not None) < 2:
                 continue   # a leaf with no branch to compare
-            grown = [(i, rt.mul(b, letters[a])) for i, b in paths]
+            grown = [(i, _flat_mul(rt, b, letters[a])) for i, b in paths]
             if rhs is not None:
-                grown.append((n - 2, rt.mul(prev, rhs)))
+                grown.append((n - 2, _flat_mul(rt, prev, rhs)))
             if len(grown) > 1:
                 (first, base), *rest = grown
                 grown = [grown[0]]
                 for i, b in rest:
                     if b != base:
-                        violations.append(ConfluenceViolation(ext, (first, i), base - b))
+                        residual = _regrouped(rt.params, base) - _regrouped(rt.params, b)
+                        violations.append(ConfluenceViolation(ext, (first, i), residual))
                         grown.append((i, b))
             if n < max_len:
-                ext_fold = rt.mul(fold, letters[a]) if n + 1 < max_len else None
+                ext_fold = _flat_mul(rt, fold, letters[a]) if n + 1 < max_len else None
                 children.append((ext, fold, ext_fold, k, grown))
         stack.extend(reversed(children))
     # found in the walk's lexicographic order; the stable sort puts shorter words first

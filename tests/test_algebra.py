@@ -10,6 +10,7 @@ from itertools import product
 
 import pytest
 
+from qsp import algebra
 from qsp.algebra import (
     GENS,
     D,
@@ -740,22 +741,23 @@ def test_the_square_of_a_nilpotent_generator_is_its_rule(g, identity_id):
 
 def test_audit_builds_no_branch_of_a_pair_settled_on_the_prefix(monkeypatch):
     # a pair whose branches agree on word[:-1] agrees on word, so neither
-    # branch is built again; rebuilding both for every pair takes 11,714
-    # products here
+    # branch is built again; extending both for every pair takes 11,209
+    # flat products here.  Counted as rt.mul calls, the same walk made 8,537
+    # products: these 8,386 and 151 that the kernel makes itself
     rt = build_rule_table(CalculusType.type_ii())
     rt.rules  # derive the x^-1 rules before counting
     calls = 0
-    mul = RuleTable.mul
+    flat_mul = algebra._flat_mul
 
-    def counted(self, a, b):
+    def counted(rt, a, b):
         nonlocal calls
         calls += 1
-        return mul(self, a, b)
+        return flat_mul(rt, a, b)
 
-    monkeypatch.setattr(RuleTable, "mul", counted)
+    monkeypatch.setattr(algebra, "_flat_mul", counted)
     report = local_confluence_check(rt, 4)
     assert (report.words_checked, report.branch_pairs, report.violations) == (4969, 5386, [])
-    assert calls <= 8537
+    assert calls <= 8386
 
 
 def test_audit_keeps_no_table_alive():

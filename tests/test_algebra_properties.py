@@ -30,7 +30,16 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
 
-from qsp.algebra import GENS, CalculusType, Element, build_rule_table, mono_exps  # noqa: E402
+from qsp.algebra import (  # noqa: E402
+    GENS,
+    CalculusType,
+    Element,
+    _flat_mul,
+    _regrouped,
+    build_rule_table,
+    mono_exps,
+)
+from qsp.coeffs import EXPONENT_LIMIT, RationalFunction, ResultTooLarge  # noqa: E402
 from test_algebra import substitute  # noqa: E402
 
 TYPES = ("I", "II", "III")
@@ -137,3 +146,93 @@ def test_specialization_commutes_with_normal_ordering(warm, spec, ws):
         e = substitute(warm[name].normalize_word(w), assignment)
         got = Element(P, {m: c.project(P) for m, c in e.terms.items()})
         assert got == special.normalize_word(w), (w, assignment)
+
+
+# The confluence audit multiplies flat elements, dicts (monomial, packed
+# coefficient key) -> rational, by algebra._flat_mul.  Regrouped, its product
+# must be rt.mul's, at the three families and at II r=1/2, whose rules carry
+# Fraction coefficients, and it must raise ResultTooLarge where an exponent
+# of the product leaves [-2^62, 2^62).
+FLAT_TABLES = {"I": ("I", {}), "II": ("II", {}), "III": ("III", {}),
+               "II-r1/2": ("II", {"r": Fraction(1, 2)})}
+FLAT_LETTERS = SPECIALIZE_LETTERS + [("x", -3), ("x", 2)]
+# a coefficient: up to three terms c*q^i*r^j, c a nonzero rational of either
+# sign (only q's exponent is read where the type has one parameter)
+coefficients = st.dictionaries(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                               st.sampled_from([Fraction(n, d) for n in range(-4, 5) if n
+                                                for d in (1, 2, 3)]),
+                               min_size=1, max_size=3)
+summands = st.lists(st.tuples(st.lists(st.sampled_from(FLAT_LETTERS), max_size=3), coefficients),
+                    min_size=1, max_size=3)
+# None, or (field, side): the left factor is also moved to that edge of the
+# range in that parameter's exponent, so that some products leave it
+edges = st.one_of(st.none(), st.tuples(st.sampled_from((0, 1)), st.sampled_from((1, -1))))
+
+
+@pytest.fixture(scope="module")
+def flat_tables():
+    tables = {}
+    for key, (name, assignment) in FLAT_TABLES.items():
+        ct = CalculusType.by_name(name)
+        tables[key] = build_rule_table(ct.specialize(assignment) if assignment else ct)
+    return tables
+
+
+def drawn_element(rt, drawn):
+    P = rt.params
+    e = Element.zero(P)
+    for word, terms in drawn:
+        c = RationalFunction(P, {exps[:P.nvars]: v for exps, v in terms.items()})
+        e = e + rt.normalize_word(word).scale(c)
+    return e
+
+
+def shifted(e, field, shift):
+    """``e`` with the exponent of one parameter in each coefficient term
+    moved by ``shift``."""
+    P = e.params
+    return Element(P, {m: RationalFunction(P, {
+        tuple(x + shift * (i == field) for i, x in enumerate(exps)): c
+        for exps, c in v.lp.items()}) for m, v in e.terms.items()})
+
+
+def flat(e):
+    return {(m, k): c for m, v in e.terms.items() for k, c in v.packed.items()}
+
+
+def regrouped(P, f):
+    rows = {}
+    for (m, k), c in f.items():
+        rows.setdefault(m, {})[P._unpack(k)] = c
+    return Element(P, {m: RationalFunction(P, row) for m, row in rows.items()})
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(key=st.sampled_from(sorted(FLAT_TABLES)), a=summands, b=summands, edge=edges)
+def test_flat_product_is_the_element_product(flat_tables, key, a, b, edge):
+    rt = flat_tables[key]
+    P = rt.params
+    ea, eb = drawn_element(rt, a), drawn_element(rt, b)
+    want, got = rt.mul(ea, eb), _flat_mul(rt, flat(ea), flat(eb))
+    assert regrouped(P, got) == want
+    assert _regrouped(P, got) == want
+    # d*d = 0: the products by d's realization cancel term by term
+    d = flat(rt.d_element())
+    assert _flat_mul(rt, _flat_mul(rt, got, d), d) == {}
+    if edge is None or not ea.terms:
+        return
+    # the left factor's extreme exponent in one parameter moved to the edge
+    field, side = edge[0] % P.nvars, edge[1]
+    exps = [exps[field] for c in ea.terms.values() for exps in c.lp]
+    shift = EXPONENT_LIMIT - 1 - max(exps) if side > 0 else -EXPONENT_LIMIT - min(exps)
+    ea = shifted(ea, field, shift)
+    try:
+        got = _flat_mul(rt, flat(ea), flat(eb))
+    except ResultTooLarge:
+        # each key the flat product tests is one of a product rt.mul makes
+        with pytest.raises(ResultTooLarge):
+            rt.mul(ea, eb)
+        return
+    # shifted() raises ResultTooLarge if an exponent of the product left the range
+    assert regrouped(P, got) == shifted(want, field, shift)

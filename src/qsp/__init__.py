@@ -11,8 +11,7 @@ _HOMES = {
     "coeffs": ("PARAMS_I", "PARAMS_II", "PARAMS_III", "ParamSet", "QspError",
                "RationalFunction", "qnumber"),
     "algebra": ("CalculusType", "Element", "RuleTable", "act_on_function",
-                "build_rule_table", "exterior_derivative", "local_confluence_check",
-                "parity_of"),
+                "build_rule_table", "exterior_derivative", "local_confluence_check"),
     "calculus": ("KNOWN_DISCREPANCY_IDS", "VerifyResult", "closed_form_H",
                  "identity_catalog", "number_op", "run_suite", "verify_identity"),
     "hopf": ("TensorElement", "UElement", "coproduct_A", "counit_A",

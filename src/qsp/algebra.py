@@ -417,19 +417,7 @@ class Element:
             raise ValueError("parameter set mismatch")
         if self.terms == other.terms:
             return self._like({})
-        terms = dict(self.terms)
-        get = terms.get
-        for m, v in other.terms.items():
-            old = get(m)
-            if old is None:
-                terms[m] = -v
-                continue
-            v = old - v
-            if v.is_zero():
-                del terms[m]
-            else:
-                terms[m] = v
-        return self._like(terms)
+        return self + -other
 
     def scale(self, coeff) -> "Element":
         c = self.params.rf(coeff)
@@ -488,16 +476,6 @@ def _element(params: ParamSet, terms: dict, cls: type = Element) -> Element:
     e.params = params
     e.terms = terms
     return e
-
-
-def parity_of(e: Element) -> str:
-    """Common parity of an element: 'even', 'odd', or 'mixed'."""
-    p = e.parity()
-    if p == 0:
-        return "even"
-    if p == 1:
-        return "odd"
-    return "mixed"
 
 
 # ----------------------------------------------------------------------------
@@ -925,6 +903,10 @@ class RuleTable:
         return self._times(self.mul_mono_mono(m, _letter_mono((g, b))), _letter_mono((g, k - b)))
 
     def mul(self, a: Element, b: Element) -> Element:
+        """``a * b``: each operand coefficient product c1*c2 is built, and
+        its exponents checked, before the kernel's term multiplies it, so an
+        intermediate past ``coeffs.EXPONENT_LIMIT`` raises ResultTooLarge
+        even where the final coefficient is in range (``act`` likewise)."""
         one = self.params._one
         mul_mono_mono = self.mul_mono_mono
         acc: dict = {}

@@ -4,10 +4,13 @@ The deformation parameters are units, so every structure coefficient of the
 calculus is a Laurent monomial in them and every coefficient the engine
 builds is a Laurent polynomial.  A value is stored in one form, ``packed``:
 a dict mapping packed exponent vectors to nonzero rational coefficients;
-zero is the empty dict.  An integral coefficient is stored as an ``int`` and
-any other as a ``Fraction``, so each value has one stored form and ``==``
-and ``hash`` are structural.  A value whose coefficients are all ``int`` is
-*integral*; sums and products of integral values are plain int dict loops.
+zero is the empty dict.  A whole coefficient is stored as an ``int`` and
+any other as a ``Fraction`` whose denominator is not 1, so each value has
+one stored form and ``==`` and ``hash`` are structural.  Nothing is stored
+beside ``packed``: whether a value has whole coefficients is read off it.
+A sum stores each whole ``Fraction`` it adds up as its ``int``, and every
+other new dict passes through ``_rational``, which does so for all its
+coefficients; a difference is the sum with the negation.
 
 Packed keys.  The exponent vector (e_0, ..., e_{n-1}) of n parameters is
 stored as one int, ``sum((e_i + 2^62) << 64*i)``: each exponent is a biased
@@ -25,9 +28,9 @@ out-of-range exponent is ever stored.  Every path that makes a new key
 either tests it or packs it through ``ParamSet._pack``, which checks each
 exponent.  Nearly every structure coefficient is a single signed term, so
 most products the engine makes are of two single terms; such a product is
-built directly, one int sum and one coefficient product, an integral
-``Fraction`` product stored as an ``int``.  A single-term value hashes its
-one (key, coefficient) pair, any other value the frozen set of its pairs.
+built directly, one int sum and one coefficient product, a whole
+``Fraction`` product stored as an ``int``.  A value hashes the frozen
+set of its (key, coefficient) pairs.
 
 The packed form is private to this module.  ``RationalFunction(params,
 terms)`` builds a value from a ``{exponent tuple: rational}`` dict, and the
@@ -134,7 +137,7 @@ class ParamSet:
             self._guard = self._origin << 1
             self._unpack = _unpacker(n)
             self._one = one = _new(RationalFunction)
-            one.params, one.packed, one.integral = self, {self._origin: 1}, True
+            one.params, one.packed = self, {self._origin: 1}
             self._zero = _value(self, {})
         return self
 
@@ -272,17 +275,18 @@ def poly_str(a: Laurent, variables: tuple[str, ...]) -> str:
 class RationalFunction:
     """A Laurent polynomial over the rationals in the parameters.
 
-    ``packed`` is the Laurent dict on packed keys and ``lp`` its view on
-    exponent tuples; ``integral`` is True when every coefficient is an
-    ``int`` (see the module docstring).
+    ``packed``, the Laurent dict on packed keys, is the whole stored form:
+    a coefficient is an ``int`` exactly when it is whole, so whether a
+    value has whole coefficients is read off ``packed`` (see the module
+    docstring).  ``lp`` is its view on exponent tuples.
     """
 
-    __slots__ = ("params", "packed", "integral")
+    __slots__ = ("params", "packed")
 
     def __new__(cls, params: ParamSet, terms: Mapping[Exponent, Rat]) -> "RationalFunction":
         """The Laurent polynomial with the given {exponent tuple: rational}
-        terms.  ``terms`` is copied: zero coefficients are dropped and an
-        integral ``Fraction`` becomes an ``int``.  An exponent outside
+        terms.  ``terms`` is copied: zero coefficients are dropped and a
+        whole ``Fraction`` becomes an ``int``.  An exponent outside
         ``[-EXPONENT_LIMIT, EXPONENT_LIMIT)`` raises ResultTooLarge, and a
         tuple without one entry per parameter ValueError."""
         pack = params._pack
@@ -330,35 +334,21 @@ class RationalFunction:
             return other
         if len(a) < len(b):
             a, b = b, a
+        # the entries copied from a are stored already: only a sum is demoted
         out = dict(a)
         for m, c in b.items():
             s = out.get(m, 0) + c
             if s:
-                out[m] = s
+                out[m] = s if type(s) is int or s.denominator != 1 else s.numerator
             else:
                 del out[m]
-        if self.integral and other.integral:
-            return _value(self.params, out)
-        return _rational(self.params, out)
+        return _value(self.params, out)
 
     def __sub__(self, other: "RationalFunction") -> "RationalFunction":
-        self._check(other)
-        b = other.packed
-        if not b:
-            return self
-        out = dict(self.packed)
-        for m, c in b.items():
-            s = out.get(m, 0) - c
-            if s:
-                out[m] = s
-            else:
-                del out[m]
-        if self.integral and other.integral:
-            return _value(self.params, out)
-        return _rational(self.params, out)
+        return self + -other
 
     def __neg__(self) -> "RationalFunction":
-        return _value(self.params, {m: -c for m, c in self.packed.items()}, self.integral)
+        return _value(self.params, {m: -c for m, c in self.packed.items()})
 
     def __mul__(self, other: "RationalFunction") -> "RationalFunction":
         params = self.params
@@ -384,15 +374,13 @@ class RationalFunction:
                 c = ca * cb
                 if type(c) is not int and c.denominator == 1:
                     c = c.numerator
-                return _value(params, {m: c}, type(c) is int)
+                return _value(params, {m: c})
             out = _lp_times_term(params, a, mb, cb)
         elif len(a) == 1:
             (ma, ca), = a.items()
             out = _lp_times_term(params, b, ma, ca)
         else:
             out = _lp_mul(params, a, b)
-        if self.integral and other.integral:
-            return _value(params, out)
         return _rational(params, out)
 
     def __truediv__(self, other: "RationalFunction") -> "RationalFunction":
@@ -429,11 +417,7 @@ class RationalFunction:
         return self.packed == other.packed and self.params is other.params
 
     def __hash__(self) -> int:
-        packed = self.packed
-        if len(packed) == 1:
-            (term,) = packed.items()
-            return hash(term)
-        return hash(frozenset(packed.items()))
+        return hash(frozenset(self.packed.items()))
 
     # -- substitution --------------------------------------------------------
 
@@ -473,7 +457,7 @@ class RationalFunction:
                         raise ValueError(f"variable {self.params.variables[i]!r} still present")
                     e[mapping[i]] = k
             out[target._pack(e)] = c
-        return _value(target, out, self.integral)
+        return _value(target, out)
 
     def __str__(self) -> str:
         num, den = self.fraction()
@@ -490,7 +474,7 @@ class RationalFunction:
 _new = object.__new__
 
 
-def _value(params: ParamSet, packed: Packed, integral: bool = True) -> RationalFunction:
+def _value(params: ParamSet, packed: Packed) -> RationalFunction:
     """A value from its stored form, with no checks; a value equal to 1 is
     ``params``' shared one."""
     one = params._one
@@ -499,21 +483,16 @@ def _value(params: ParamSet, packed: Packed, integral: bool = True) -> RationalF
     rf = _new(RationalFunction)
     rf.params = params
     rf.packed = packed
-    rf.integral = integral
     return rf
 
 
 def _rational(params: ParamSet, packed: Packed) -> RationalFunction:
     """A value from a fresh dict of nonzero ``int`` and ``Fraction``
-    coefficients; an integral ``Fraction`` becomes an ``int`` in place."""
-    integral = True
+    coefficients; a whole ``Fraction`` becomes an ``int`` in place."""
     for m, c in packed.items():
-        if type(c) is Fraction:
-            if c.denominator == 1:
-                packed[m] = c.numerator
-            else:
-                integral = False
-    return _value(params, packed, integral)
+        if type(c) is Fraction and c.denominator == 1:
+            packed[m] = c.numerator
+    return _value(params, packed)
 
 
 def _lp_times_term(params: ParamSet, a: Packed, m: int, c: Rat) -> Packed:

@@ -41,7 +41,6 @@ from qsp.algebra import (
     mono,
     mono_exp,
     mono_exps,
-    parity_of,
     pth_px_rule,
     rule_coeffs,
     shaped_rules,
@@ -433,11 +432,11 @@ def test_elements_of_different_types_or_spaces_are_never_equal():
 
 
 def test_parity(t2):
-    assert parity_of(t2.word("x", "th")) == "odd"
-    assert parity_of(t2.word("dth")) == "even"
-    assert parity_of(t2.word("x") + t2.word("th")) == "mixed"
-    assert parity_of(t2.word("ix")) == "odd"
-    assert parity_of(t2.word("ith")) == "even"
+    assert t2.word("x", "th").parity() == 1
+    assert t2.word("dth").parity() == 0
+    assert (t2.word("x") + t2.word("th")).parity() is None
+    assert t2.word("ix").parity() == 1
+    assert t2.word("ith").parity() == 0
 
 
 def test_unsupported_generator(t2):

@@ -1,16 +1,17 @@
 """Property tests of the coefficient field against an independent oracle.
 
 ``RationalFunction`` stores a Laurent polynomial over the rationals, with
-``int`` coefficients where they are integral and ``Fraction`` ones
-elsewhere; ``__mul__`` short-circuits unit operands, a quotient by a single
-term is a Laurent polynomial again, and ``Element.add_scaled`` accumulates in
-place.  Products, sums and quotients are checked in SymPy's field of
-rational functions in q and r, each operand converted into it once; a
-product of two single terms also against the general dict loop, the
-constructor against the same terms built by arithmetic, the stored form
-against the shape of SymPy's reduced fraction, a quotient by a single term
-against the product that undoes it, and in-place accumulation against
-``a + b.scale(c)``.  Both libraries are test-only dependencies.
+``int`` coefficients where they are whole and ``Fraction`` ones elsewhere
+(``assert_stored_form`` reads this off the stored dict); ``__mul__``
+short-circuits unit operands, a quotient by a single term is a Laurent
+polynomial again, and ``Element.add_scaled`` accumulates in place.
+Products, sums and quotients are checked in SymPy's field of rational
+functions in q and r, each operand converted into it once; a product of two
+single terms also against the general dict loop, the constructor against the
+same terms built by arithmetic, the stored form against the shape of SymPy's
+reduced fraction, a quotient by a single term against the product that
+undoes it, and in-place accumulation against ``a + b.scale(c)``.  Both
+libraries are test-only dependencies.
 
 The packed exponent keys are checked against plain loops over exponent
 tuples (``tuple_product`` below is the reference product), over one, two
@@ -104,27 +105,37 @@ def canonical_from_field(f):
     return as_dict(f.numer), as_dict(f.denom)
 
 
+def assert_stored_form(rf):
+    """``rf.packed`` is in its one stored form: each coefficient is an
+    ``int`` or a ``Fraction`` whose denominator is not 1, none is zero, and
+    no key has a guard bit set (no exponent outside the stored range)."""
+    for k, c in rf.packed.items():
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), rf.packed
+        assert c != 0, rf.packed
+        assert not k & rf.params._guard, rf.packed
+
+
 def assert_canonical(rf, f):
     """``rf`` is the reduced fraction ``f`` of FIELD, whose
     denominator is a single term; each coefficient is stored as an ``int``
-    exactly when it is integral, and ``integral`` says whether all are; and
-    rebuilding the value from its terms, each as a ``Fraction``, gives the
-    same value."""
+    exactly when it is whole; and rebuilding the value from its terms, each
+    as a ``Fraction``, gives the same value in the same stored form."""
     num, den = canonical_from_field(f)
     assert rf.fraction() == (num, den)
     assert len(den) == 1
     for c in rf.lp.values():
         assert type(c) is (int if Fraction(c).denominator == 1 else Fraction), rf.lp
-    assert rf.integral == all(type(c) is int for c in rf.lp.values())
+    assert_stored_form(rf)
     rebuilt = RationalFunction(P, {m: Fraction(c) for m, c in rf.lp.items()})
     assert rebuilt == rf and hash(rebuilt) == hash(rf)
-    assert rebuilt.lp == rf.lp and rebuilt.integral == rf.integral
+    assert rebuilt.lp == rf.lp
+    assert_stored_form(rebuilt)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.dictionaries(exponents, st.one_of(small, st.integers(-4, 4)), max_size=5))
 def test_constructor_matches_term_arithmetic(terms):
-    # zero coefficients, integral Fractions and negative exponents are drawn
+    # zero coefficients, whole Fractions and negative exponents are drawn
     snapshot = [(m, type(c), c) for m, c in terms.items()]
     rf = RationalFunction(P, terms)
     want = P.zero()
@@ -134,7 +145,9 @@ def test_constructor_matches_term_arithmetic(terms):
     assert 0 not in rf.lp.values()
     for c in rf.lp.values():
         assert type(c) is (int if Fraction(c).denominator == 1 else Fraction), rf.lp
-    assert rf.integral == all(Fraction(c).denominator == 1 for c in terms.values())
+    assert_stored_form(rf)
+    assert (all(type(c) is int for c in rf.packed.values())
+            == all(Fraction(c).denominator == 1 for c in terms.values()))
     # the caller's dict is copied: neither changed nor shared
     assert [(m, type(c), c) for m, c in terms.items()] == snapshot
     terms.clear()
@@ -175,14 +188,14 @@ divisor_coefficients = st.one_of(st.sampled_from([1, -1]), integers, nonzero)
 @given(laurents(st.one_of(integers, nonzero)), exponents, divisor_coefficients)
 def test_single_term_division_is_exact_and_canonical(a, m, c):
     # each term is divided on its own; the quotient keeps an int where it is
-    # exact, keeps no integral Fraction, and says whether it is integral
+    # exact and keeps no Fraction of denominator 1
     b = RationalFunction(P, {m: c})
     got = a / b
     assert got * b == a
     assert 0 not in got.lp.values()
     for v in got.lp.values():
         assert type(v) is (int if Fraction(v).denominator == 1 else Fraction), got.lp
-    assert got.integral == all(type(v) is int for v in got.lp.values())
+    assert_stored_form(got)
     assert got == RationalFunction(P, {e: Fraction(v) for e, v in got.lp.items()})
 
 
@@ -229,7 +242,8 @@ def test_single_term_product_matches_the_dict_loop(pair):
     a, b = pair
     got = a * b
     want = RationalFunction(P, tuple_product(a.lp, b.lp))
-    assert got == want and got.lp == want.lp and got.integral == want.integral
+    assert got == want and got.lp == want.lp
+    assert_stored_form(got)
     assert_canonical(got, to_field(a) * to_field(b))
     one = P.one()
     for x in (a, b):
@@ -240,7 +254,8 @@ def test_single_term_product_matches_the_dict_loop(pair):
     half = RationalFunction(P, {m: Fraction(c) / 2})
     for same in (RationalFunction(P, {m: Fraction(c)}), half + half, b * a):
         assert same == got and hash(same) == hash(got)
-        assert same.lp == got.lp and same.integral == got.integral
+        assert same.lp == got.lp
+        assert_stored_form(same)
 
 
 def test_single_term_product_demotes_an_integral_fraction():
@@ -249,10 +264,12 @@ def test_single_term_product_demotes_an_integral_fraction():
     b = RationalFunction(P, {(-1, 0): 2})
     for got in (a * b, b * a):
         assert got.lp == {(0, 0): 1} and type(got.lp[0, 0]) is int
-        assert got.integral and got.is_one() and got == P.one()
+        assert_stored_form(got)
+        assert got.is_one() and got == P.one()
         assert hash(got) == hash(P.one())
     got = RationalFunction(P, {(2, -1): Fraction(2, 3)}) * RationalFunction(P, {(0, 3): Fraction(-3, 2)})
-    assert got.lp == {(2, 2): -1} and type(got.lp[2, 2]) is int and got.integral
+    assert got.lp == {(2, 2): -1} and type(got.lp[2, 2]) is int
+    assert_stored_form(got)
 
 
 MONOS = [mono(), mono(x=1), mono(x=-2, th=1), mono(dx=1, px=1), mono(dth=1, ith=2)]
@@ -294,7 +311,9 @@ def boundary_values(draw):
 @given(laurents(integers, min_size=0), laurents(integers, min_size=0))
 def test_laurent_arithmetic_matches_sympy(a, b):
     # the int dict loops: negative exponents, cancellation to zero
-    assert a.integral and b.integral
+    for x in (a, b):
+        assert_stored_form(x)
+        assert all(type(c) is int for c in x.packed.values())
     fa, fb = to_field(a), to_field(b)
     assert_canonical(a * b, fa * fb)
     assert_canonical(a + b, fa + fb)
@@ -339,13 +358,15 @@ def test_sum_cancelling_the_denominator_is_laurent(a, g):
     assert_canonical(s, to_field(a) + to_field(g))
     back = s - g
     assert back == a and hash(back) == hash(a)
-    assert back.integral and all(type(c) is int for c in back.lp.values())
+    assert_stored_form(back)
+    assert all(type(c) is int for c in back.lp.values())
 
 
 @pytest.mark.parametrize("n,d", [(1, 3), (-2, 3), (5, 2), (7, 12)])
 def test_fraction_literals_promote_and_demote(n, d):
     c = P.const(Fraction(n, d))
-    assert not c.integral
+    assert_stored_form(c)
+    assert type(c.packed[P._origin]) is Fraction
     assert_canonical(c, FIELD(Fraction(n, d)))
     assert_canonical(c * P.const(d), FIELD(n))
     rt = build_rule_table(CalculusType.type_ii())
@@ -369,12 +390,12 @@ def test_memoized_coefficients_are_laurent(name):
             for e in memo.values() for c in e.terms.values()}
     assert len(held) > 20
     for c in held:
-        assert c.integral, c
+        assert_stored_form(c)
         assert all(type(v) is int for v in c.lp.values()), c.lp
 
 
 # ----------------------------------------------------------------------------
-# One-pass subtraction: the same value as adding the negation
+# Subtraction: the same value as adding the negation
 # ----------------------------------------------------------------------------
 
 TENSOR_KEYS = [(mono(), mono()), (mono(x=1), mono(th=1)), (mono(x=-1), mono()),

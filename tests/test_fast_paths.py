@@ -132,12 +132,15 @@ def test_const_keeps_the_shared_one_and_zero():
 @PROPERTY
 @given(P=st.sampled_from(PARAM_SETS), v=INTS)
 def test_const_of_int_matches_fraction_path(P, v):
+    from test_coeff_oracle import assert_stored_form
     got = P.const(v)
     if v == 0:
         assert got is P.zero()
         return
     want = _rational(P, {P._origin: Fraction(v)})
-    assert got == want and got.lp == want.lp and got.integral is want.integral
+    assert got == want and got.lp == want.lp
+    assert_stored_form(got)
+    assert_stored_form(want)
     assert hash(got) == hash(want) and type(got.packed[P._origin]) is int
     assert (got is P.one()) == (v == 1)
 

@@ -29,9 +29,9 @@ ALL = [
     "delta_R", "emit_report", "expand_derived", "exprio", "exterior_derivative",
     "generate_ansatz_constraints", "generate_covariance_constraints", "hopf",
     "hopf_axiom_check", "identity_catalog", "left_act", "local_confluence_check",
-    "number_op", "pair", "parity_of", "parse_element", "parse_expr",
-    "print_canonical", "print_tensor", "qnumber", "run_suite", "solve_family",
-    "tensor_multiply", "verify_identity",
+    "number_op", "pair", "parse_element", "parse_expr", "print_canonical",
+    "print_tensor", "qnumber", "run_suite", "solve_family", "tensor_multiply",
+    "verify_identity",
 ]
 SUBMODULES = {"coeffs", "algebra", "calculus", "hopf", "covariance", "exprio"}
 
